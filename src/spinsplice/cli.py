@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure (unresolvable
-degeneracy), 4 I/O error.
+Exit codes: 0 success, 2 config error (any config field or flag outside its
+type or bounds), 3 numerical failure (unresolvable degeneracy or a failed
+eigensolver), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -10,10 +11,11 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .chain import DegeneracyError
-from .process import DEFAULT_TIME_STEPS
 from .reproduce import PIPELINES, reproduce
-from .runner import ConfigError, execute, load_config
+from .runner import ConfigError, execute, parse_config, read_config
 
 CONFIG_MODES = {
     "evolve": "evolve",
@@ -35,12 +37,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, config_required: bool) -> None:
         p.add_argument("--config", type=Path, required=config_required,
                        help="path to a JSON run config")
-        p.add_argument("--out", type=Path, help="output directory (overrides the config)")
+        p.add_argument("--out", help="output directory (overrides the config)")
         p.add_argument("--steps", type=int, help="time steps for smooth schedules")
         p.add_argument("--seed", type=int, help="master RNG seed (noise runs)")
         p.add_argument("--workers", type=int, help="worker pool width")
-        p.add_argument("--format", choices=["csv"], default="csv",
-                       help="output format (csv only)")
 
     for command in ("evolve", "optimize", "sweep", "landscape", "noise"):
         common(sub.add_parser(command, help=f"run a {command} experiment"), True)
@@ -53,52 +53,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config, args):
-    if args.out is not None:
-        config.out_dir = args.out
-    if args.steps is not None:
-        if args.steps < 1:
-            raise ConfigError(f"n_steps: must be an integer >= 1, got {args.steps}")
-        config.n_steps = args.steps
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError(f"workers: must be an integer >= 1, got {args.workers}")
-        config.workers = args.workers
-    if args.seed is not None and config.noise is not None:
-        config.noise.seed = args.seed
-    return config
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # flags are merged into the raw config and checked with it
+    flags = {key: value for key, value in
+             (("out_dir", args.out), ("n_steps", args.steps), ("workers", args.workers))
+             if value is not None}
     try:
         if args.command == "reproduce":
-            reproduce(
-                args.target,
-                out_dir=args.out or Path("runs"),
-                n_steps=args.steps or DEFAULT_TIME_STEPS,
-                workers=args.workers or 1,
-                seed=args.seed,
-            )
+            reproduce(args.target, seed=args.seed, **flags)
             return 0
         mode = CONFIG_MODES[args.command]
-        if args.config is not None:
-            config = load_config(args.config, mode)
-            if config.mode != mode:
-                raise ConfigError(
-                    f"mode: config declares {config.mode!r} but the "
-                    f"'{args.command}' command was invoked"
-                )
-        else:  # only two-spin runs without a config
-            from .runner import parse_config
-
-            config = parse_config({"mode": mode}, mode)
-        execute(_apply_overrides(config, args))
+        # only two-spin runs without a config
+        raw = read_config(args.config) if args.config is not None else {"mode": mode}
+        if isinstance(raw, dict):
+            raw = {**raw, **flags}
+            if args.seed is not None and isinstance(raw.get("noise"), dict):
+                raw["noise"] = {**raw["noise"], "seed": args.seed}
+        config = parse_config(raw, mode)
+        if config.mode != mode:
+            raise ConfigError(
+                f"mode: config declares {config.mode!r} but the "
+                f"'{args.command}' command was invoked"
+            )
+        execute(config)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DegeneracyError as exc:
+    except (DegeneracyError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -171,18 +171,6 @@ def make_schedule(
     return ControlSchedule(kind, float(duration), tuple(params), implied)
 
 
-def schedule_from_dict(data: dict) -> ControlSchedule:
-    duration = data.get("T", data.get("duration"))
-    if duration is None:
-        raise ValueError("schedule needs a duration under the key 'T'")
-    return make_schedule(
-        data["kind"],
-        duration,
-        data.get("params", ()),
-        data.get("direction"),
-    )
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
     """Rectangular apparatus noise: per-window offsets of random strength.

@@ -17,14 +17,17 @@ from .chain import ChainSpec
 from .optimize import LandscapeAxis, bfgs_maximize, scan_landscape
 from .process import DEFAULT_TIME_STEPS, ObjectiveSpec, build_objective, prepare_process
 from .runner import (
+    NOISE,
+    SCHEMA,
     ConfigError,
     RunConfig,
-    SweepOptions,
+    check_fields,
     ensure_writable,
-    make_schedule,
     noise_study,
+    parse_config,
     run_sweep,
     write_manifest,
+    write_noise_csv,
 )
 
 RING6 = dict(n_spins=6, topology="ring", exchange=1.0, field=2.0)
@@ -37,7 +40,11 @@ TABLE1_TIMES = (0.3, 0.6, 0.9, 2.0)
 FIDELITY_SWEEP_TIMES = (0.01, 0.1, 0.3, 0.6, 0.9, 1.2, 1.6, 2.0)
 STITCH_TIMES = (0.3, 0.6, 0.9, 1.2, 1.6, 2.0)
 NOISE_STRENGTHS = (0.0, 0.4, 0.8, 1.2, 1.6, 2.0)
-DEFAULT_MASTER_SEED = 20240901
+DEFAULT_MASTER_SEED = NOISE["seed"].default
+
+# pipeline arguments are checked by the run-config fields they stand for
+PIPELINE_ARGS = {key: SCHEMA[key] for key in ("out_dir", "n_steps", "workers")}
+PIPELINE_ARGS["seed"] = NOISE["seed"]
 
 
 def _gp(path: Path, lines: list[str]) -> Path:
@@ -47,17 +54,16 @@ def _gp(path: Path, lines: list[str]) -> Path:
 
 def _sweep_config(chain: dict, times, out: Path, n_steps: int, workers: int,
                   process: str = "cut", kind: str = "polynomial_cut") -> RunConfig:
-    return RunConfig(
-        mode="sweep",
-        chain=ChainSpec(**chain),
-        process=process,
-        schedule=make_schedule(kind, 1.0, (0.0, 0.0)),
-        target="cut" if process == "cut" else "ground",
-        n_steps=n_steps,
-        sweep=SweepOptions(times=tuple(times)),
-        out_dir=out,
-        workers=workers,
-    )
+    return parse_config({
+        "mode": "sweep",
+        "chain": chain,
+        "process": process,
+        "schedule": {"kind": kind, "T": 1.0, "params": [0.0, 0.0]},
+        "sweep": {"times": list(times)},
+        "n_steps": n_steps,
+        "out_dir": str(out),
+        "workers": workers,
+    })
 
 
 def reproduce_table1(out_dir: Path, n_steps: int, workers: int, seed=None) -> dict:
@@ -143,13 +149,7 @@ def reproduce_fig7(out_dir: Path, n_steps: int, workers: int, seed=None) -> dict
         all_rows.extend(rows)
 
     path = out / "noise.csv"
-    with path.open("w") as fh:
-        fh.write("dg,dt,mean_fc,std_fc,M\n")
-        for row in all_rows:
-            fh.write(
-                f"{row['dg']:.15e},{row['dt']:.15e},{row['mean_fc']:.15e},"
-                f"{row['std_fc']:.15e},{row['M']}\n"
-            )
+    write_noise_csv(path, all_rows)
     opt_path = out / "optimized_schedule.json"
     opt_path.write_text(json.dumps(
         {"schedule": schedule.to_dict(), "fidelity": report.final_value},
@@ -278,4 +278,6 @@ def reproduce(name: str, out_dir: str | Path = "runs",
               n_steps: int = DEFAULT_TIME_STEPS, workers: int = 1, seed=None) -> dict:
     if name not in PIPELINES:
         raise ConfigError(f"reproduce: unknown target {name!r}; choose from {sorted(PIPELINES)}")
-    return PIPELINES[name](Path(out_dir), n_steps, workers, seed)
+    args = check_fields(PIPELINE_ARGS, {"out_dir": str(out_dir), "n_steps": n_steps,
+                                        "workers": workers, "seed": seed})
+    return PIPELINES[name](Path(args["out_dir"]), args["n_steps"], args["workers"], args["seed"])

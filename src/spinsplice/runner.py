@@ -9,24 +9,29 @@ A config file (JSON) describes exactly one experiment mode:
     noise      mean/std of the fidelity under seeded control noise
     two_spin   detach a two-spin block: linear baseline vs pulse control
 
-Every run writes its outputs plus a manifest (config echo, code version,
-checksums, seeds) into the output directory; outputs are bit-reproducible
-from the manifest.
+One field table (``SCHEMA``) checks a raw config and normalizes it; the
+normalized dict is what a run uses and what its manifest echoes.  Every run
+writes its outputs plus a manifest (config echo, code version, checksums,
+seeds) into the output directory; outputs are bit-reproducible from the
+manifest.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ._version import __version__
-from .chain import ChainSpec
-from .control import ControlSchedule, NoiseSpec, apply_noise, make_schedule
+from .chain import DEFAULT_SPIN_CAP, ChainSpec
+from .control import KINDS, ControlSchedule, NoiseSpec, apply_noise, make_schedule
 from .optimize import (
     DEFAULT_GRADIENT_STEP,
     DEFAULT_MAX_ITERATIONS,
@@ -41,6 +46,17 @@ from .process import DEFAULT_TIME_STEPS, ObjectiveSpec, build_objective, prepare
 
 MODES = ("evolve", "optimize", "sweep", "landscape", "noise", "two_spin")
 
+# Bounds on what a config may ask for, so that no input can request
+# unbounded work or memory.  README "Command line" lists them.
+MAX_MAGNITUDE = 1e6  # every real-valued field
+MAX_STEPS = 100_000  # n_steps, and noise windows per schedule (T / window)
+MAX_WORKERS = 64
+MAX_RESOLUTION = 100  # landscape points per axis
+MAX_REALIZATIONS = 10_000  # noise realizations per strength
+MAX_ITERATIONS = 10_000  # optimizer.max_iterations
+MAX_PER_AXIS = 10  # multi-start points per free parameter
+MAX_STARTS = 1_000  # multi-start points in all: per_axis ** n_free
+
 
 class ConfigError(ValueError):
     """A run config failed validation; the message names the offending field."""
@@ -51,104 +67,166 @@ def _fmt(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# config model
+# config schema
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OptimizerOptions:
-    grad_step: float = DEFAULT_GRADIENT_STEP
-    tolerance: float = DEFAULT_TOLERANCE
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
-    multi_start: dict | None = None  # {"per_axis": k, "lower": lo, "upper": hi}
-
-    def to_dict(self) -> dict:
-        out = {
-            "grad_step": self.grad_step,
-            "tolerance": self.tolerance,
-            "max_iterations": self.max_iterations,
-        }
-        if self.multi_start:
-            out["multi_start"] = dict(self.multi_start)
-        return out
+# check(value, path) returns the normalized value or raises ConfigError
+Check = Callable[[object, str], object]
+REQUIRED = object()
 
 
-@dataclass
-class SweepOptions:
-    times: tuple[float, ...]
-    optimize: bool = True
+class Field(NamedTuple):
+    """A config field: its check (type and bounds), its default, and the modes
+    that allow it (empty: all).  An unset field takes its default; a default
+    of None leaves it unset, REQUIRED makes it an error."""
 
-    def to_dict(self) -> dict:
-        return {"times": list(self.times), "optimize": self.optimize}
-
-
-@dataclass
-class NoiseStudyOptions:
-    strengths: tuple[float, ...]
-    window: float
-    realizations: int = 50
-    seed: int = 20240901
-
-    def to_dict(self) -> dict:
-        return {
-            "strengths": list(self.strengths),
-            "window": self.window,
-            "realizations": self.realizations,
-            "seed": self.seed,
-        }
+    check: Check
+    default: object = REQUIRED
+    modes: tuple[str, ...] = ()
 
 
-@dataclass
-class RunConfig:
-    mode: str
-    chain: ChainSpec
-    process: str = "cut"
-    schedule: ControlSchedule | None = None
-    target: str = "cut"
-    n_steps: int = DEFAULT_TIME_STEPS
-    optimizer: OptimizerOptions = field(default_factory=OptimizerOptions)
-    sweep: SweepOptions | None = None
-    landscape_axes: tuple[LandscapeAxis, LandscapeAxis] | None = None
-    noise: NoiseStudyOptions | None = None
-    out_dir: Path = Path("runs")
-    workers: int = 1
+def real(lo: float = -MAX_MAGNITUDE, hi: float = MAX_MAGNITUDE, above: bool = False) -> Check:
+    """A finite float in [lo, hi], or in (lo, hi] when ``above``."""
 
-    def to_dict(self) -> dict:
-        out = {
-            "mode": self.mode,
-            "chain": {
-                "n_spins": self.chain.n_spins,
-                "topology": self.chain.topology,
-                "exchange": self.chain.exchange,
-                "field": self.chain.field,
-                "cut_bonds": sorted(list(b) for b in self.chain.cut_bonds),
-            },
-            "process": self.process,
-            "target": self.target,
-            "n_steps": self.n_steps,
-            "optimizer": self.optimizer.to_dict(),
-            "out_dir": str(self.out_dir),
-            "workers": self.workers,
-        }
-        if self.schedule is not None:
-            out["schedule"] = self.schedule.to_dict()
-        if self.sweep is not None:
-            out["sweep"] = self.sweep.to_dict()
-        if self.landscape_axes is not None:
-            out["landscape"] = {
-                "axes": [
-                    {
-                        "param_index": ax.param_index,
-                        "min": ax.lower,
-                        "max": ax.upper,
-                        "resolution": ax.resolution,
-                    }
-                    for ax in self.landscape_axes
-                ]
-            }
-        if self.noise is not None:
-            out["noise"] = self.noise.to_dict()
-        return out
+    def check(value, path):
+        # finite bounds also reject nan and +-inf
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not lo <= value <= hi or (above and value == lo)):
+            raise ConfigError(
+                f"{path}: must be a finite number in {'(' if above else '['}{lo:g}, {hi:g}], "
+                f"got {value!r}"
+            )
+        return float(value)
 
+    return check
+
+
+def integer(lo: int, hi: float = math.inf) -> Check:
+    """An int in [lo, hi]; bools are rejected."""
+
+    def check(value, path):
+        if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
+            raise ConfigError(f"{path}: must be an integer in [{lo}, {hi}], got {value!r}")
+        return value
+
+    return check
+
+
+def choice(*options) -> Check:
+    def check(value, path):
+        if not any(type(value) is type(o) and value == o for o in options):
+            raise ConfigError(f"{path}: must be one of {list(options)}, got {value!r}")
+        return value
+
+    return check
+
+
+def items(item: Check, min_len: int = 1, max_len: float = math.inf) -> Check:
+    """A list of min_len..max_len entries, each checked by ``item``."""
+
+    def check(value, path):
+        if not isinstance(value, (list, tuple)) or not min_len <= len(value) <= max_len:
+            size = min_len if min_len == max_len else f"at least {min_len}"
+            raise ConfigError(f"{path}: must be a list of {size} entries, got {value!r}")
+        return [item(v, f"{path}[{k}]") for k, v in enumerate(value)]
+
+    return check
+
+
+def path_string(value, path):
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{path}: must be a non-empty path string, got {value!r}")
+    return value
+
+
+def section(fields: dict[str, Field]) -> Check:
+    return lambda value, path: check_fields(fields, value, path + ".")
+
+
+def check_fields(fields: dict[str, Field], data, prefix: str = "", mode: str | None = None) -> dict:
+    """Check a raw object against a field table; return it normalized.
+
+    Missing and null fields are unset.  Defaults are checked like input.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{prefix.rstrip('.') or 'config'}: expected an object, got {data!r}")
+    unknown = sorted(set(data) - set(fields))
+    if unknown:
+        raise ConfigError(f"{prefix}{unknown[0]}: unknown config key")
+    out = {}
+    for name, field in fields.items():
+        path, value = prefix + name, data.get(name)
+        if field.modes and mode not in field.modes:
+            if value is not None:
+                raise ConfigError(f"{path}: section not allowed in mode '{mode}'")
+            continue
+        if value is None:
+            if field.default is REQUIRED:
+                raise ConfigError(f"{path}: required")
+            if field.default is None:
+                continue
+            value = field.default
+        out[name] = field.check(value, path)
+    return out
+
+
+POSITIVE = real(0.0, above=True)
+
+CHAIN = {
+    "n_spins": Field(integer(2, DEFAULT_SPIN_CAP)),
+    "topology": Field(choice("open", "ring"), "open"),
+    "exchange": Field(real(), 1.0),
+    "field": Field(real(), 0.0),
+    "cut_bonds": Field(items(items(integer(1, DEFAULT_SPIN_CAP), 2, 2)), None),
+}
+SCHEDULE = {
+    "kind": Field(choice(*KINDS), "polynomial_cut"),
+    "T": Field(POSITIVE),
+    "params": Field(items(real(), 0), []),
+    "direction": Field(choice("cut", "stitch"), None),
+}
+MULTI_START = {
+    "per_axis": Field(integer(1, MAX_PER_AXIS), 3),
+    "lower": Field(real(), -1.0),
+    "upper": Field(real(), 1.0),
+}
+OPTIMIZER = {
+    "grad_step": Field(POSITIVE, DEFAULT_GRADIENT_STEP),
+    "tolerance": Field(real(0.0), DEFAULT_TOLERANCE),
+    "max_iterations": Field(integer(0, MAX_ITERATIONS), DEFAULT_MAX_ITERATIONS),
+    "multi_start": Field(section(MULTI_START), None),
+}
+LANDSCAPE_AXIS = {
+    "param_index": Field(integer(0)),
+    "min": Field(real()),
+    "max": Field(real()),
+    "resolution": Field(integer(2, MAX_RESOLUTION)),
+}
+NOISE = {
+    "strengths": Field(items(real(0.0))),
+    "window": Field(POSITIVE),
+    "realizations": Field(integer(2, MAX_REALIZATIONS), 50),
+    "seed": Field(integer(0, 2**64 - 1), 20240901),
+}
+SCHEMA = {
+    "mode": Field(choice(*MODES)),
+    "chain": Field(section(CHAIN)),
+    "process": Field(choice("cut", "stitch"), "cut"),
+    "schedule": Field(section(SCHEDULE)),
+    "target": Field(choice("cut", "ground"), None),
+    "n_steps": Field(integer(1, MAX_STEPS), DEFAULT_TIME_STEPS),
+    "optimizer": Field(section(OPTIMIZER), {}, ("optimize", "sweep", "landscape")),
+    "sweep": Field(section({
+        "times": Field(items(POSITIVE)),
+        "optimize": Field(choice(True, False), True),
+    }), REQUIRED, ("sweep",)),
+    "landscape": Field(section({
+        "axes": Field(items(section(LANDSCAPE_AXIS), 2, 2)),
+    }), REQUIRED, ("landscape",)),
+    "noise": Field(section(NOISE), REQUIRED, ("noise",)),
+    "out_dir": Field(path_string, "runs"),
+    "workers": Field(integer(1, MAX_WORKERS), 1),
+}
 
 TWO_SPIN_DEFAULTS = {
     "chain": {
@@ -161,63 +239,28 @@ TWO_SPIN_DEFAULTS = {
     "schedule": {"kind": "pulse", "T": 0.6, "params": [-5.4, 4.1], "direction": "cut"},
 }
 
-_ALLOWED_KEYS = {
-    "mode", "chain", "process", "schedule", "target", "n_steps",
-    "optimizer", "sweep", "landscape", "noise", "out_dir", "workers",
-}
 
+@dataclass(frozen=True)
+class RunConfig:
+    """A validated run: the normalized config dict plus the chain and schedule
+    built from it.  Top-level fields read as attributes (``config.n_steps``)."""
 
-def _require(data: dict, key: str, mode: str):
-    if key not in data or data[key] is None:
-        raise ConfigError(f"{key}: required for mode '{mode}'")
-    return data[key]
+    data: dict
+    chain: ChainSpec
+    schedule: ControlSchedule
 
+    def __getattr__(self, name: str):
+        try:
+            return self.__dict__["data"][name]
+        except KeyError:
+            raise AttributeError(name) from None
 
-def _parse_chain(data: dict) -> ChainSpec:
-    if not isinstance(data, dict):
-        raise ConfigError("chain: expected an object")
-    n = data.get("n_spins")
-    if not isinstance(n, int) or n < 2:
-        raise ConfigError(f"chain.n_spins: must be an integer >= 2, got {n!r}")
-    cut = data.get("cut_bonds")
-    if cut is not None:
-        if not cut:
-            raise ConfigError("chain.cut_bonds: must not be empty")
-        cut = frozenset(tuple(int(x) for x in bond) for bond in cut)
-    try:
-        return ChainSpec(
-            n_spins=n,
-            topology=data.get("topology", "open"),
-            exchange=float(data.get("exchange", 1.0)),
-            field=float(data.get("field", 0.0)),
-            cut_bonds=cut,
-            spin_cap=int(data.get("spin_cap", ChainSpec.spin_cap)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"chain: {exc}") from exc
+    @property
+    def out_dir(self) -> Path:
+        return Path(self.data["out_dir"])
 
-
-def _parse_schedule(data: dict, process: str) -> ControlSchedule:
-    if not isinstance(data, dict):
-        raise ConfigError("schedule: expected an object")
-    duration = data.get("T", data.get("duration"))
-    if not isinstance(duration, (int, float)) or duration <= 0:
-        raise ConfigError(f"schedule.T: must be a positive duration, got {duration!r}")
-    try:
-        sched = make_schedule(
-            data.get("kind", "polynomial_cut"),
-            float(duration),
-            tuple(data.get("params", ())),
-            data.get("direction", process if data.get("kind") == "pulse" else None),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"schedule: {exc}") from exc
-    if sched.direction != process:
-        raise ConfigError(
-            f"schedule.direction: schedule is a {sched.direction!r} drive but the "
-            f"process is {process!r}"
-        )
-    return sched
+    def to_dict(self) -> dict:
+        return copy.deepcopy(self.data)
 
 
 def parse_config(data: dict, mode: str | None = None) -> RunConfig:
@@ -227,148 +270,79 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
     data = dict(data)
     if mode is not None:
         data.setdefault("mode", mode)
-    run_mode = data.get("mode")
-    if run_mode not in MODES:
-        raise ConfigError(f"mode: must be one of {MODES}, got {run_mode!r}")
-    unknown = set(data) - _ALLOWED_KEYS
-    if unknown:
-        raise ConfigError(f"{sorted(unknown)[0]}: unknown config key")
-    for section in ("sweep", "landscape", "noise"):
-        if section in data and data[section] is not None and run_mode != (
-            "noise" if section == "noise" else section
-        ):
-            raise ConfigError(f"{section}: section not allowed in mode '{run_mode}'")
-
+    run_mode = SCHEMA["mode"].check(data.get("mode"), "mode")
     if run_mode == "two_spin":
-        data.setdefault("chain", TWO_SPIN_DEFAULTS["chain"])
-        data.setdefault("schedule", TWO_SPIN_DEFAULTS["schedule"])
+        for key, value in TWO_SPIN_DEFAULTS.items():
+            if data.get(key) is None:
+                data[key] = value
+    sched = data.get("schedule")
+    if isinstance(sched, dict) and "T" not in sched and "duration" in sched:
+        data["schedule"] = {("T" if k == "duration" else k): v for k, v in sched.items()}
+    cfg = check_fields(SCHEMA, data, "", run_mode)
 
-    process = data.get("process", "cut")
-    if process not in ("cut", "stitch"):
-        raise ConfigError(f"process: must be 'cut' or 'stitch', got {process!r}")
+    # rules that span fields
+    process = cfg["process"]
+    cfg.setdefault("target", "cut" if process == "cut" else "ground")
+    try:
+        chain = ChainSpec(**cfg["chain"])
+    except ValueError as exc:
+        raise ConfigError(f"chain: {exc}") from exc
+    cfg["chain"]["cut_bonds"] = sorted(list(bond) for bond in chain.cut_bonds)
+    sched = cfg["schedule"]
+    try:
+        schedule = make_schedule(
+            sched["kind"], sched["T"], sched["params"],
+            sched.get("direction") or (process if sched["kind"] == "pulse" else None),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"schedule: {exc}") from exc
+    if schedule.direction != process:
+        raise ConfigError(
+            f"schedule.direction: schedule is a {schedule.direction!r} drive but the "
+            f"process is {process!r}"
+        )
+    sched["direction"] = schedule.direction
+    n_free = len(schedule.params)
 
-    chain = _parse_chain(_require(data, "chain", run_mode))
-
-    schedule = None
-    if run_mode in ("evolve", "optimize", "landscape", "noise", "two_spin"):
-        schedule = _parse_schedule(_require(data, "schedule", run_mode), process)
-    elif data.get("schedule") is not None:
-        schedule = _parse_schedule(data["schedule"], process)
-
-    n_steps = data.get("n_steps", DEFAULT_TIME_STEPS)
-    if not isinstance(n_steps, int) or n_steps < 1:
-        raise ConfigError(f"n_steps: must be an integer >= 1, got {n_steps!r}")
-
-    target = data.get("target")
-    if target is None:
-        target = "cut" if process == "cut" else "ground"
-    if target not in ("cut", "ground"):
-        raise ConfigError(f"target: must be 'cut' or 'ground', got {target!r}")
-
-    opt_data = data.get("optimizer", {})
-    if not isinstance(opt_data, dict):
-        raise ConfigError("optimizer: expected an object")
-    optimizer = OptimizerOptions(
-        grad_step=float(opt_data.get("grad_step", DEFAULT_GRADIENT_STEP)),
-        tolerance=float(opt_data.get("tolerance", DEFAULT_TOLERANCE)),
-        max_iterations=int(opt_data.get("max_iterations", DEFAULT_MAX_ITERATIONS)),
-        multi_start=opt_data.get("multi_start"),
-    )
-    if optimizer.grad_step <= 0:
-        raise ConfigError(f"optimizer.grad_step: must be positive, got {optimizer.grad_step}")
-    if optimizer.max_iterations < 0:
-        raise ConfigError("optimizer.max_iterations: must be >= 0")
-
-    sweep = None
-    if run_mode == "sweep":
-        sdata = _require(data, "sweep", run_mode)
-        times = sdata.get("times")
-        if not times:
-            raise ConfigError("sweep.times: must be a nonempty list of durations")
-        for t in times:
-            if not isinstance(t, (int, float)) or t <= 0:
-                raise ConfigError(f"sweep.times: durations must be positive, got {t!r}")
-        if schedule is None:
-            raise ConfigError("schedule: required for mode 'sweep' (defines the template)")
-        sweep = SweepOptions(times=tuple(float(t) for t in times),
-                             optimize=bool(sdata.get("optimize", True)))
-
-    landscape_axes = None
+    if run_mode in ("optimize", "landscape") or (run_mode == "sweep" and cfg["sweep"]["optimize"]):
+        if n_free == 0:
+            raise ConfigError(f"schedule.params: mode '{run_mode}' needs at least one free parameter")
+        starts = cfg["optimizer"].get("multi_start")
+        if starts and starts["per_axis"] ** n_free > MAX_STARTS:
+            raise ConfigError(
+                f"optimizer.multi_start.per_axis: {starts['per_axis']} points on each of "
+                f"{n_free} parameters exceed {MAX_STARTS} starts"
+            )
     if run_mode == "landscape":
-        ldata = _require(data, "landscape", run_mode)
-        axes_data = ldata.get("axes")
-        if not axes_data or len(axes_data) != 2:
-            raise ConfigError("landscape.axes: exactly two axes are required")
-        axes = []
-        for k, ax in enumerate(axes_data):
-            try:
-                axes.append(LandscapeAxis(
-                    param_index=int(ax["param_index"]),
-                    lower=float(ax["min"]),
-                    upper=float(ax["max"]),
-                    resolution=int(ax["resolution"]),
-                ))
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ConfigError(f"landscape.axes[{k}]: {exc}") from exc
-        n_free = len(schedule.params)
-        for k, ax in enumerate(axes):
-            if ax.param_index >= n_free:
+        axes = cfg["landscape"]["axes"]
+        for k, axis in enumerate(axes):
+            if axis["param_index"] >= n_free:
                 raise ConfigError(
                     f"landscape.axes[{k}].param_index: references parameter "
-                    f"{ax.param_index} but the schedule has {n_free} free parameters"
+                    f"{axis['param_index']} but the schedule has {n_free} free parameters"
                 )
-        if axes[0].param_index == axes[1].param_index:
+            if axis["max"] <= axis["min"]:
+                raise ConfigError(f"landscape.axes[{k}].max: must exceed min")
+        if axes[0]["param_index"] == axes[1]["param_index"]:
             raise ConfigError("landscape.axes: the two axes must vary different parameters")
-        landscape_axes = (axes[0], axes[1])
-
-    noise = None
-    if run_mode == "noise":
-        ndata = _require(data, "noise", run_mode)
-        strengths = ndata.get("strengths")
-        if not strengths:
-            raise ConfigError("noise.strengths: must be a nonempty list")
-        window = ndata.get("window")
-        if not isinstance(window, (int, float)) or window <= 0:
-            raise ConfigError(f"noise.window: must be a positive duration, got {window!r}")
-        realizations = int(ndata.get("realizations", 50))
-        if realizations < 2:
-            raise ConfigError("noise.realizations: must be >= 2")
-        noise = NoiseStudyOptions(
-            strengths=tuple(float(s) for s in strengths),
-            window=float(window),
-            realizations=realizations,
-            seed=int(ndata.get("seed", NoiseStudyOptions.seed)),
-        )
-
-    workers = data.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
-        raise ConfigError(f"workers: must be an integer >= 1, got {workers!r}")
-
-    return RunConfig(
-        mode=run_mode,
-        chain=chain,
-        process=process,
-        schedule=schedule,
-        target=target,
-        n_steps=n_steps,
-        optimizer=optimizer,
-        sweep=sweep,
-        landscape_axes=landscape_axes,
-        noise=noise,
-        out_dir=Path(data.get("out_dir", "runs")),
-        workers=workers,
-    )
+    if run_mode == "noise" and schedule.duration / cfg["noise"]["window"] > MAX_STEPS:
+        raise ConfigError(f"noise.window: T / window exceeds {MAX_STEPS} noise windows")
+    return RunConfig(cfg, chain, schedule)
 
 
-def load_config(path: str | Path, mode: str | None = None) -> RunConfig:
+def read_config(path: str | Path):
+    """The raw JSON value of a config file, for ``parse_config`` to check."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config: file not found: {path}")
     try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(path.read_text())
+    except ValueError as exc:  # invalid JSON or undecodable bytes
         raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
-    return parse_config(data, mode)
+
+
+def load_config(path: str | Path, mode: str | None = None) -> RunConfig:
+    return parse_config(read_config(path), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +361,11 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def write_manifest(out_dir: Path, config, outputs: list[Path],
+def write_manifest(out_dir: Path, config: dict, outputs: list[Path],
                    seeds: dict | None, started: float) -> Path:
     manifest = {
         "version": __version__,
-        "config": config.to_dict() if hasattr(config, "to_dict") else config,
+        "config": config,
         "wall_clock_seconds": time.time() - started,
         "outputs": {p.name: _sha256(p) for p in outputs},
         "seeds": seeds or {},
@@ -403,18 +377,10 @@ def write_manifest(out_dir: Path, config, outputs: list[Path],
 
 def _optimize_from(config: RunConfig, objective, n_free: int, x0=None):
     """Shared BFGS invocation honouring optimizer options, incl. multi-start."""
-    opts = config.optimizer
-    kwargs = dict(
-        grad_step=opts.grad_step,
-        tolerance=opts.tolerance,
-        max_iterations=opts.max_iterations,
-        workers=config.workers,
-    )
-    if opts.multi_start:
-        ms = opts.multi_start
-        per_axis = int(ms.get("per_axis", 3))
-        lo, hi = float(ms.get("lower", -1.0)), float(ms.get("upper", 1.0))
-        axes = [np.linspace(lo, hi, per_axis)] * n_free
+    kwargs = dict(config.optimizer, workers=config.workers)
+    ms = kwargs.pop("multi_start", None)
+    if ms:
+        axes = [np.linspace(ms["lower"], ms["upper"], ms["per_axis"])] * n_free
         starts = [np.asarray(p) for p in np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, n_free)]
         best, _ = multi_start_maximize(objective, starts, **kwargs)
         return best
@@ -435,7 +401,7 @@ def run_evolve(config: RunConfig) -> dict:
     traj = out / "trajectory.csv"
     with traj.open("w") as fh:
         record.to_csv(fh)
-    write_manifest(out, config, [traj], None, started)
+    write_manifest(out, config.data, [traj], None, started)
     f_c, f_g = record.final_cut_fidelity(), record.final_ground_fidelity()
     print(f"final f_C = {f_c:.3f}  f_G = {f_g:.3f}")
     return {"f_c": f_c, "f_g": f_g, "files": [traj]}
@@ -458,7 +424,7 @@ def run_optimize(config: RunConfig) -> dict:
     report = _optimize_from(config, objective, spec.n_free_params, x0=config.schedule.params)
     path = out / "optimization.json"
     path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    write_manifest(out, config, [path], None, started)
+    write_manifest(out, config.data, [path], None, started)
     print(
         f"optimized fidelity = {report.final_value:.3f} (baseline {report.initial_value:.3f}) "
         f"params = {np.round(report.final_params, 3).tolist()} [{report.status}]"
@@ -474,9 +440,9 @@ def run_sweep(config: RunConfig) -> dict:
     n_free = len(template.params)
     process = prepare_process(config.chain, config.process)
     rows = []
-    for duration in config.sweep.times:
+    for duration in config.sweep["times"]:
         baseline = process.baseline_fidelity(duration, config.n_steps, config.target)
-        if config.sweep.optimize:
+        if config.sweep["optimize"]:
             spec = ObjectiveSpec(
                 chain=config.chain, kind=template.kind, duration=duration,
                 n_free_params=n_free, target=config.target,
@@ -494,7 +460,7 @@ def run_sweep(config: RunConfig) -> dict:
         for duration, fb, fo, params, status in rows:
             cells = [_fmt(duration), _fmt(fb), _fmt(fo), *(_fmt(p) for p in params), status]
             fh.write(",".join(cells) + "\n")
-    write_manifest(out, config, [path], None, started)
+    write_manifest(out, config.data, [path], None, started)
     for duration, fb, fo, _, status in rows:
         print(f"T = {duration:g}: baseline {fb:.3f} optimized {fo:.3f} [{status}]")
     return {"rows": rows, "files": [path]}
@@ -514,8 +480,10 @@ def run_landscape(config: RunConfig) -> dict:
         direction=config.process,
     )
     objective, _ = build_objective(spec)
-    grid = scan_landscape(objective, config.landscape_axes,
-                          base_params=config.schedule.params, workers=config.workers)
+    axes = tuple(LandscapeAxis(ax["param_index"], ax["min"], ax["max"], ax["resolution"])
+                 for ax in config.landscape["axes"])
+    grid = scan_landscape(objective, axes, base_params=config.schedule.params,
+                          workers=config.workers)
     report = _optimize_from(config, objective, spec.n_free_params, x0=config.schedule.params)
     grid_path = out / "landscape.csv"
     with grid_path.open("w") as fh:
@@ -528,7 +496,7 @@ def run_landscape(config: RunConfig) -> dict:
     }
     marker_path = out / "optimum.json"
     marker_path.write_text(json.dumps(marker, indent=2, sort_keys=True) + "\n")
-    write_manifest(out, config, [grid_path, marker_path], None, started)
+    write_manifest(out, config.data, [grid_path, marker_path], None, started)
     print(
         f"landscape max {marker['grid_max']['value']:.3f} at "
         f"({marker['grid_max']['p1']:.3g}, {marker['grid_max']['p2']:.3g}); "
@@ -569,17 +537,8 @@ def noise_study(process, schedule, strengths, window, realizations, master_seed,
     return rows, draws
 
 
-def run_noise(config: RunConfig) -> dict:
-    started = time.time()
-    out = config.out_dir
-    ensure_writable(out)
-    process = prepare_process(config.chain, config.process)
-    rows, draws = noise_study(
-        process, config.schedule,
-        config.noise.strengths, config.noise.window, config.noise.realizations,
-        config.noise.seed, config.n_steps, config.target, config.workers,
-    )
-    path = out / "noise.csv"
+def write_noise_csv(path: Path, rows: list[dict]) -> None:
+    """Write noise_study summary rows as ``dg,dt,mean_fc,std_fc,M``."""
     with path.open("w") as fh:
         fh.write("dg,dt,mean_fc,std_fc,M\n")
         for row in rows:
@@ -587,8 +546,22 @@ def run_noise(config: RunConfig) -> dict:
                 f"{_fmt(row['dg'])},{_fmt(row['dt'])},{_fmt(row['mean_fc'])},"
                 f"{_fmt(row['std_fc'])},{row['M']}\n"
             )
-    seeds = {"master": config.noise.seed, "realizations": draws}
-    write_manifest(out, config, [path], seeds, started)
+
+
+def run_noise(config: RunConfig) -> dict:
+    started = time.time()
+    out = config.out_dir
+    ensure_writable(out)
+    process = prepare_process(config.chain, config.process)
+    noise = config.noise
+    rows, draws = noise_study(
+        process, config.schedule, noise["strengths"], noise["window"], noise["realizations"],
+        noise["seed"], config.n_steps, config.target, config.workers,
+    )
+    path = out / "noise.csv"
+    write_noise_csv(path, rows)
+    seeds = {"master": noise["seed"], "realizations": draws}
+    write_manifest(out, config.data, [path], seeds, started)
     for row in rows:
         print(f"dg = {row['dg']:g}: mean f = {row['mean_fc']:.3f} +- {row['std_fc']:.3f}")
     return {"rows": rows, "files": [path]}
@@ -611,7 +584,7 @@ def run_two_spin(config: RunConfig) -> dict:
     }
     path = out / "two_spin.json"
     path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    write_manifest(out, config, [path], None, started)
+    write_manifest(out, config.data, [path], None, started)
     print(f"block {process.a_sites}: baseline f_C = {baseline:.3f}, controlled f_C = {controlled:.3f}")
     return {"result": result, "files": [path]}
 

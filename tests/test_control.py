@@ -11,9 +11,9 @@ from spinsplice.control import (
     polynomial_cut,
     polynomial_stitch,
     pulse_train,
-    schedule_from_dict,
     sine_cut,
 )
+from spinsplice.runner import parse_config
 
 
 class TestEvaluate:
@@ -147,13 +147,16 @@ class TestValidation:
             make_schedule("spline", 1.0)
 
     def test_roundtrip_serialization(self):
+        # the wire format is read back by the run-config parser
         for sched in (
             polynomial_cut(0.6, (54.3, -36.3)),
             sine_cut(0.6, (0.3, -0.1)),
             pulse_train(0.6, (-5.4, 4.1), "stitch"),
             polynomial_stitch(2.0, (0.87, -0.72)),
         ):
-            assert schedule_from_dict(sched.to_dict()) == sched
+            config = parse_config({"mode": "evolve", "chain": {"n_spins": 3},
+                                   "process": sched.direction, "schedule": sched.to_dict()})
+            assert config.schedule == sched
 
 
 class TestNoise:

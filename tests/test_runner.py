@@ -1,9 +1,19 @@
+import contextlib
+import io
 import json
+import math
+import os
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import spinsplice.runner as runner
 from spinsplice.cli import main
 from spinsplice.runner import (
+    MODES,
     ConfigError,
     execute,
     load_config,
@@ -24,6 +34,31 @@ def evolve_config(tmp_path, **overrides):
     }
     data.update(overrides)
     return data
+
+
+def mode_config(mode, tmp_path, **overrides):
+    """A valid N = 4 config for any mode, with small counts."""
+    data = evolve_config(tmp_path, mode=mode, n_steps=12)
+    data.update({
+        "optimize": {"optimizer": {"max_iterations": 1, "multi_start": {"per_axis": 2}}},
+        "sweep": {"sweep": {"times": [0.3, 0.5]}, "optimizer": {"max_iterations": 1}},
+        "landscape": {"landscape": {"axes": [
+            {"param_index": 0, "min": -2.0, "max": 2.0, "resolution": 2},
+            {"param_index": 1, "min": -2.0, "max": 2.0, "resolution": 2},
+        ]}, "optimizer": {"max_iterations": 1}},
+        "noise": {"noise": {"strengths": [0.0, 0.5], "window": 0.1, "realizations": 2, "seed": 3}},
+        "two_spin": {
+            "chain": {"n_spins": 4, "topology": "open", "field": 2.1, "cut_bonds": [[2, 3]]},
+            "schedule": {"kind": "pulse", "T": 0.6, "params": [-5.4, 4.1]},
+        },
+    }.get(mode, {}))
+    data.update(overrides)
+    return data
+
+
+def write_config(path, data):
+    path.write_text(json.dumps(data))
+    return str(path)
 
 
 class TestConfigValidation:
@@ -117,6 +152,11 @@ class TestConfigValidation:
     def test_workers_validated(self, tmp_path):
         with pytest.raises(ConfigError, match="workers"):
             parse_config(evolve_config(tmp_path, workers=0))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_echo_round_trip(self, tmp_path, mode):
+        config = parse_config(mode_config(mode, tmp_path))
+        assert parse_config(config.to_dict()) == config
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError, match="file not found"):
@@ -255,10 +295,38 @@ class TestCli:
         assert "final f_C" in capsys.readouterr().out
 
     def test_config_error_exit_code(self, tmp_path, capsys):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(evolve_config(tmp_path, chain={"n_spins": 1})))
-        assert main(["evolve", "--config", str(path)]) == 2
-        assert "config error" in capsys.readouterr().err
+        ring4 = {"n_spins": 4, "topology": "ring", "field": 2.0}
+        noise = mode_config("noise", tmp_path)["noise"]
+        bad = [
+            ("chain.n_spins", evolve_config(tmp_path, chain={"n_spins": 1})),
+            ("chain.exchange", evolve_config(tmp_path, chain=dict(ring4, exchange=math.inf))),
+            ("chain.field", evolve_config(tmp_path, chain=dict(ring4, field=math.nan))),
+            ("chain.spin_cap", evolve_config(tmp_path, chain=dict(ring4, spin_cap=20))),
+            ("schedule.params[0]", evolve_config(
+                tmp_path, schedule={"kind": "polynomial_cut", "T": 0.5, "params": [math.nan, 1.0]})),
+            ("schedule.T", evolve_config(tmp_path, schedule={"kind": "polynomial_cut", "T": math.inf})),
+            ("n_steps", evolve_config(tmp_path, n_steps=True)),
+            ("workers", evolve_config(tmp_path, workers=True)),
+            ("out_dir", evolve_config(tmp_path, out_dir=5)),
+            ("noise.realizations", mode_config("noise", tmp_path, noise=dict(noise, realizations="x"))),
+            ("noise.seed", mode_config("noise", tmp_path, noise=dict(noise, seed=-1))),
+            ("noise.strengths[0]", mode_config("noise", tmp_path, noise=dict(noise, strengths=[-1]))),
+            ("optimizer.tolerance", mode_config("optimize", tmp_path, optimizer={"tolerance": "abc"})),
+            ("optimizer.multi_start", mode_config("optimize", tmp_path, optimizer={"multi_start": "yes"})),
+        ]
+        runs = [(field, [data["mode"], "--config", write_config(tmp_path / f"c{k}.json", data)])
+                for k, (field, data) in enumerate(bad)]
+        noise_path = write_config(tmp_path / "noise.json", mode_config("noise", tmp_path))
+        runs += [
+            ("n_steps", ["reproduce", "table1", "--out", str(tmp_path), "--steps", "-5"]),
+            ("n_steps", ["reproduce", "table1", "--out", str(tmp_path), "--steps", "0"]),
+            ("noise.seed", ["noise", "--config", noise_path, "--seed", "-3"]),
+            ("seed", ["reproduce", "fig7", "--out", str(tmp_path), "--seed", "-1"]),
+        ]
+        for field, argv in runs:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1, err
 
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert main(["evolve", "--config", str(tmp_path / "nope.json")]) == 2
@@ -270,12 +338,20 @@ class TestCli:
         path.write_text(json.dumps(data))
         assert main(["evolve", "--config", str(path)]) == 2
 
-    def test_degeneracy_exit_code(self, tmp_path, capsys):
+    def test_degeneracy_exit_code(self, tmp_path, capsys, monkeypatch):
         # zero field leaves the detached spin without a unique ground state
         data = evolve_config(tmp_path)
         data["chain"] = {"n_spins": 3, "topology": "open", "field": 0.0}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(data))
+        assert main(["evolve", "--config", str(path)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+        def eigensolver_failure(config):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setitem(runner.RUNNERS, "evolve", eigensolver_failure)
+        path.write_text(json.dumps(evolve_config(tmp_path)))
         assert main(["evolve", "--config", str(path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
@@ -325,3 +401,58 @@ class TestCli:
         reference = (tmp_path / "serial" / "table1" / "sweep.csv").read_bytes()
         for k in range(2):
             assert (tmp_path / f"par{k}" / "table1" / "sweep.csv").read_bytes() == reference
+
+
+BAD_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, True, False, "x", None, 10**7, 10**400, 1e300]),
+    st.integers(-10**6, -1),
+    st.floats(-1e6, -1e-6),
+)
+
+
+def _leaves(node, path=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid small config for a random mode with one leaf set to a bad value."""
+    mode = draw(st.sampled_from(MODES))
+    data = mode_config(mode, Path(), n_steps=draw(st.integers(1, 20)), out_dir="out")
+    if "optimizer" in data:
+        data["optimizer"]["max_iterations"] = draw(st.integers(0, 2))
+    if mode == "landscape":
+        for axis in data["landscape"]["axes"]:
+            axis["resolution"] = draw(st.integers(2, 3))
+    if mode == "noise":
+        data["noise"]["realizations"] = draw(st.integers(2, 3))
+    *parents, key = draw(st.sampled_from(list(_leaves(data))))
+    node = data
+    for parent in parents:
+        node = node[parent]
+    node[key] = draw(BAD_VALUES)
+    return mode, data
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(mutated_configs())
+def test_fuzzed_config_keeps_exit_code_contract(tmp_path_factory, case):
+    mode, data = case
+    workdir = tmp_path_factory.getbasetemp() / "fuzz"  # one directory for all examples
+    workdir.mkdir(exist_ok=True)
+    path = write_config(workdir / "config.json", data)
+    stderr = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)  # a mutated out_dir is relative to the working directory
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main([mode.replace("_", "-"), "--config", path])
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in stderr.getvalue()
