@@ -5,13 +5,9 @@ from .chain import (
     ChainSpec,
     DegeneracyError,
     GroundStateSelection,
-    SpectralDecomposition,
     assemble_hamiltonian,
-    commutator_frobenius_norm,
-    decompose,
     detached_block_hamiltonian,
     ground_state,
-    pauli_site_operator,
 )
 from .control import (
     ControlSchedule,
@@ -26,16 +22,14 @@ from .control import (
     sine_cut,
 )
 from .dynamics import (
-    StepPropagator,
+    SectorPropagator,
     TrajectoryProbe,
     TrajectoryRecord,
     cut_fidelity,
     entropy,
-    ground_fidelity,
     propagate,
     purity,
     reduce_density,
-    step_unitary,
 )
 from .optimize import (
     LandscapeAxis,
@@ -58,13 +52,12 @@ from .runner import ConfigError, RunConfig, execute, load_config, parse_config
 
 __all__ = [
     "__version__",
-    "ChainSpec", "DegeneracyError", "GroundStateSelection", "SpectralDecomposition",
-    "assemble_hamiltonian", "commutator_frobenius_norm", "decompose",
-    "detached_block_hamiltonian", "ground_state", "pauli_site_operator",
+    "ChainSpec", "DegeneracyError", "GroundStateSelection",
+    "assemble_hamiltonian", "detached_block_hamiltonian", "ground_state",
     "ControlSchedule", "NoiseSpec", "NoisySchedule", "apply_noise", "linear_baseline",
     "make_schedule", "polynomial_cut", "polynomial_stitch", "pulse_train", "sine_cut",
-    "StepPropagator", "TrajectoryProbe", "TrajectoryRecord", "cut_fidelity", "entropy",
-    "ground_fidelity", "propagate", "purity", "reduce_density", "step_unitary",
+    "SectorPropagator", "TrajectoryProbe", "TrajectoryRecord", "cut_fidelity", "entropy",
+    "propagate", "purity", "reduce_density",
     "LandscapeAxis", "LandscapeGrid", "OptimizationReport", "bfgs_maximize",
     "finite_difference_gradient", "multi_start_maximize", "scan_landscape",
     "DEFAULT_TIME_STEPS", "ChainProcess", "ObjectiveSpec", "build_objective",

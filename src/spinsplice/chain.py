@@ -6,7 +6,9 @@ bit 0.  Basis index ``s`` therefore encodes site ``i`` (1-based) in bit
 ``n_spins - i``, and ``|up...up>`` is index 0.
 
 All Heisenberg + Zeeman Hamiltonians are real symmetric in this basis and are
-assembled as float64 arrays; the generic Pauli operators are complex.
+assembled as float64 arrays.  They conserve total S^z, so they are block
+diagonal over the sets of basis states with equal numbers of down spins;
+ground states are found block by block over that verified partition.
 """
 
 from __future__ import annotations
@@ -15,12 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-
-PAULI = {
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 
 DEFAULT_SPIN_CAP = 12
 DEGENERACY_RTOL = 1e-9
@@ -100,37 +96,29 @@ class ChainSpec:
         return out
 
 
-def pauli_site_operator(site: int, axis: str, n_spins: int) -> np.ndarray:
-    """Pauli operator on one site, embedded in the full 2**n_spins space.
-
-    Site 1 is the most significant tensor factor.
-    """
-    if not 1 <= site <= n_spins:
-        raise ValueError(f"site {site} out of range 1..{n_spins}")
-    if axis not in PAULI:
-        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
-    op = np.array([[1.0 + 0.0j]])
-    eye = np.eye(2, dtype=complex)
-    for s in range(1, n_spins + 1):
-        op = np.kron(op, PAULI[axis] if s == site else eye)
-    return op
-
-
-def _site_bit(state: int, site: int, n_spins: int) -> int:
-    return (state >> (n_spins - site)) & 1
+def _down_counts(dim: int) -> np.ndarray:
+    """Number of down spins (set bits) of every basis index below ``dim``."""
+    counts = np.zeros(1, dtype=np.int64)
+    while counts.size < dim:
+        counts = np.concatenate([counts, counts + 1])
+    return counts[:dim]
 
 
 def _add_exchange_bond(h: np.ndarray, i: int, j: int, coupling: float, n_spins: int) -> None:
     # sigma_i . sigma_j in the z product basis: z_i z_j on the diagonal plus a
     # weight-2 pair flip between antiparallel configurations.
-    dim = 1 << n_spins
+    states = np.arange(1 << n_spins)
+    bi = (states >> (n_spins - i)) & 1
+    bj = (states >> (n_spins - j)) & 1
+    h[states, states] += coupling * (1.0 - 2.0 * bi) * (1.0 - 2.0 * bj)
+    flip = states[bi != bj]
     mask = (1 << (n_spins - i)) | (1 << (n_spins - j))
-    for s in range(dim):
-        bi = _site_bit(s, i, n_spins)
-        bj = _site_bit(s, j, n_spins)
-        h[s, s] += coupling * (1.0 - 2.0 * bi) * (1.0 - 2.0 * bj)
-        if bi != bj:
-            h[s ^ mask, s] += 2.0 * coupling
+    h[flip ^ mask, flip] += 2.0 * coupling
+
+
+def _add_field(h: np.ndarray, field: float, n_spins: int) -> None:
+    if field != 0.0:
+        h[np.diag_indices(1 << n_spins)] += field * (n_spins - 2 * _down_counts(1 << n_spins))
 
 
 def assemble_hamiltonian(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -146,12 +134,7 @@ def assemble_hamiltonian(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
     for bond in spec.bonds():
         target = v if bond in spec.cut_bonds else h0
         _add_exchange_bond(target, bond[0], bond[1], spec.exchange, spec.n_spins)
-    if spec.field != 0.0:
-        diag = np.zeros(dim, dtype=np.float64)
-        for s in range(dim):
-            n_down = bin(s).count("1")
-            diag[s] = spec.field * (spec.n_spins - 2 * n_down)
-        h0[np.diag_indices(dim)] += diag
+    _add_field(h0, spec.field, spec.n_spins)
     return h0, v
 
 
@@ -170,10 +153,7 @@ def detached_block_hamiltonian(spec: ChainSpec, sites: tuple[int, ...]) -> np.nd
             continue
         if bond[0] in order and bond[1] in order:
             _add_exchange_bond(h, order[bond[0]], order[bond[1]], spec.exchange, n)
-    if spec.field != 0.0:
-        for s in range(1 << n):
-            n_down = bin(s).count("1")
-            h[s, s] += spec.field * (n - 2 * n_down)
+    _add_field(h, spec.field, n)
     return h
 
 
@@ -201,29 +181,69 @@ def cut_components(spec: ChainSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(sorted(seen)), rest
 
 
-def commutator_frobenius_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius norm of the commutator ab - ba; zero iff a and b commute."""
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"operands must be square matrices of equal shape, got {a.shape} and {b.shape}")
-    return float(np.linalg.norm(a @ b - b @ a, ord="fro"))
+def sector_partition(*operators: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Basis indices of the total-S^z blocks that every operator leaves invariant.
+
+    Block k holds the basis states with k down spins: the indices with k set
+    bits.  The partition is checked, not assumed: if any operator has a
+    nonzero entry, however small, joining two blocks, the whole space is
+    returned as the single block.
+    """
+    dim = operators[0].shape[0]
+    downs = _down_counts(dim)
+    between = downs[:, None] != downs
+    if any(np.any(between & (op != 0)) for op in operators):
+        return (np.arange(dim),)
+    order = np.argsort(downs, kind="stable")
+    ends = np.cumsum(np.bincount(downs)).tolist()
+    return tuple(order[start:end] for start, end in zip([0, *ends[:-1]], ends))
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues in ascending order with orthonormal eigenvector columns."""
+def restrict(m: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The rows and columns ``block`` of ``m``; ``m`` itself for the whole space."""
+    return m if block.size == m.shape[0] else m.take(block, axis=0).take(block, axis=1)
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+
+class Spectrum:
+    """Eigenpairs of a block-diagonal Hermitian matrix, one ``eigh`` per block.
+
+    ``energies`` is the merged spectrum in ascending order; ``states(k)``
+    embeds the eigenvectors of its k lowest entries in the full space.
+    """
+
+    def __init__(self, dim: int, blocks: tuple[np.ndarray, ...], matrices) -> None:
+        self.dim = dim
+        self.blocks = blocks
+        pairs = [np.linalg.eigh(m) for m in matrices]
+        self._vectors = [q for _, q in pairs]
+        w = np.concatenate([w for w, _ in pairs])
+        self._order = np.argsort(w, kind="stable")
+        self._offsets = np.cumsum([0] + [b.size for b in blocks])
+        self.energies = w[self._order]
+
+    @classmethod
+    def of(cls, h: np.ndarray, blocks: tuple[np.ndarray, ...]) -> "Spectrum":
+        return cls(h.shape[0], blocks, [restrict(h, b) for b in blocks])
 
     @property
-    def spectral_range(self) -> float:
-        return float(self.eigenvalues[-1] - self.eigenvalues[0])
+    def gap(self) -> float:
+        """Distance between the two lowest energies of the whole spectrum."""
+        return float(self.energies[1] - self.energies[0]) if self.energies.size > 1 else np.inf
 
+    def threshold(self, degeneracy_rtol: float = DEGENERACY_RTOL) -> float:
+        """Energies closer than this to the lowest count as degenerate with it."""
+        return degeneracy_rtol * float(self.energies[-1] - self.energies[0])
 
-def decompose(h: np.ndarray) -> SpectralDecomposition:
-    """Full dense eigendecomposition of a Hermitian (or real symmetric) matrix."""
-    w, q = np.linalg.eigh(h)
-    return SpectralDecomposition(w, q)
+    def degenerate(self, degeneracy_rtol: float = DEGENERACY_RTOL) -> bool:
+        return self.gap <= self.threshold(degeneracy_rtol)
+
+    def states(self, k: int) -> np.ndarray:
+        """Full-space eigenvector columns of the k lowest energies."""
+        out = np.zeros((self.dim, k), dtype=np.result_type(*self._vectors))
+        for col, i in enumerate(self._order[:k]):
+            b = int(np.searchsorted(self._offsets, i, side="right")) - 1
+            out[self.blocks[b], col] = self._vectors[b][:, i - self._offsets[b]]
+        return out
 
 
 @dataclass(frozen=True)
@@ -231,6 +251,7 @@ class GroundStateSelection:
     energy: float
     state: np.ndarray
     degenerate: bool
+    gap: float
     selection_offset: float = DEFAULT_SELECTION_OFFSET
 
 
@@ -249,6 +270,30 @@ def select_in_subspace(basis: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return basis @ (coeff / norm)
 
 
+def select_ground(
+    spectrum: Spectrum,
+    reference: np.ndarray | None = None,
+    degeneracy_rtol: float = DEGENERACY_RTOL,
+    selection_offset: float = DEFAULT_SELECTION_OFFSET,
+) -> GroundStateSelection:
+    """Lowest state of ``spectrum``, picked by ``reference`` when degenerate.
+
+    The ground subspace holds the eigenvectors of every block whose energies
+    lie within ``degeneracy_rtol`` times the full spectral range of the
+    lowest; the state is the one in it closest to the reference state.
+    """
+    energy, gap = float(spectrum.energies[0]), spectrum.gap
+    if not spectrum.degenerate(degeneracy_rtol):
+        return GroundStateSelection(energy, spectrum.states(1)[:, 0], False, gap, selection_offset)
+    if reference is None:
+        raise DegeneracyError(
+            "ground state is degenerate and no continuity reference was supplied"
+        )
+    k = int(np.searchsorted(spectrum.energies, energy + spectrum.threshold(degeneracy_rtol), side="right"))
+    state = select_in_subspace(spectrum.states(k), reference)
+    return GroundStateSelection(energy, state, True, gap, selection_offset)
+
+
 def ground_state(
     h: np.ndarray,
     continuity_reference: np.ndarray | None = None,
@@ -257,27 +302,23 @@ def ground_state(
 ) -> GroundStateSelection:
     """Lowest eigenpair of ``h`` with explicit handling of degeneracy.
 
-    When the two lowest eigenvalues coincide within ``degeneracy_rtol`` times
-    the spectral range, the state is picked inside the ground subspace as the
-    one with maximal overlap with the unique ground state of
-    ``continuity_reference`` (a slightly perturbed Hamiltonian supplied by the
-    caller).  Without a usable reference the ambiguity is an error, never a
-    silent arbitrary choice.
+    ``h`` is diagonalized block by block over the total-S^z sectors it shares
+    with ``continuity_reference``.  When the two lowest eigenvalues coincide
+    within ``degeneracy_rtol`` times the spectral range, the state is picked
+    inside the ground subspace as the one with maximal overlap with the unique
+    ground state of ``continuity_reference`` (a slightly perturbed Hamiltonian
+    supplied by the caller).  Without a usable reference the ambiguity is an
+    error, never a silent arbitrary choice.
     """
-    w, q = np.linalg.eigh(h)
-    threshold = degeneracy_rtol * float(w[-1] - w[0])
-    if len(w) < 2 or w[1] - w[0] > threshold:
-        return GroundStateSelection(float(w[0]), q[:, 0], False, selection_offset)
-    if continuity_reference is None:
-        raise DegeneracyError(
-            "ground state is degenerate and no continuity reference was supplied"
-        )
-    wr, qr = np.linalg.eigh(continuity_reference)
-    ref_threshold = degeneracy_rtol * float(wr[-1] - wr[0])
-    if wr[1] - wr[0] <= ref_threshold:
-        raise DegeneracyError(
-            "unresolvable degeneracy: the perturbed reference Hamiltonian is degenerate too"
-        )
-    k = int(np.searchsorted(w, w[0] + threshold, side="right"))
-    state = select_in_subspace(q[:, :k], qr[:, 0])
-    return GroundStateSelection(float(w[0]), state, True, selection_offset)
+    operators = (h,) if continuity_reference is None else (h, continuity_reference)
+    blocks = sector_partition(*operators)
+    spectrum = Spectrum.of(h, blocks)
+    reference = None
+    if continuity_reference is not None and spectrum.degenerate(degeneracy_rtol):
+        perturbed = Spectrum.of(continuity_reference, blocks)
+        if perturbed.degenerate(degeneracy_rtol):
+            raise DegeneracyError(
+                "unresolvable degeneracy: the perturbed reference Hamiltonian is degenerate too"
+            )
+        reference = perturbed.states(1)[:, 0]
+    return select_ground(spectrum, reference, degeneracy_rtol, selection_offset)

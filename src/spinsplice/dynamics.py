@@ -2,87 +2,71 @@
 
 Propagation factors the time-ordered exponential into piecewise-constant
 steps, each computed exactly from the spectral decomposition of the Hermitian
-generator.  Smooth schedules are sampled at step midpoints on a uniform grid
-(refined so noise windows never straddle a step); pulse trains are propagated
-with exactly one factor per pulse.
+generator.  Both h0 and v conserve total S^z, so every step diagonalizes only
+the sectors the state occupies and the state never leaves them.  Smooth
+schedules are sampled at step midpoints on a uniform grid (refined so noise
+windows never straddle a step); pulse trains are propagated with exactly one
+factor per pulse.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import DEGENERACY_RTOL, DegeneracyError, select_in_subspace
+from .chain import DegeneracyError, Spectrum, restrict, sector_partition, select_ground
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
 
 CSV_COLUMNS = ("t", "g", "f_c", "f_g", "purity_A", "entropy_A", "entropy_B", "gap")
 
 
-class StepPropagator:
-    """Applies exp(-i (h0 + g v) dt) factors, caching spectra per g value.
+class SectorPropagator:
+    """Applies exp(-i (h0 + g v) dt) block by block.
 
-    The cache is a bounded LRU keyed by the exact float g; pulse trains and
-    repeated evaluations reuse decompositions, and results are identical with
-    the cache disabled.
+    The blocks are the total-S^z sectors that ``sector_partition`` verifies
+    for h0 and v together, or the whole space when that check fails.  Each
+    step diagonalizes only the blocks in which the state has amplitude.
     """
 
-    def __init__(self, h0: np.ndarray, v: np.ndarray, cache_bytes: int = 64 << 20, enabled: bool = True):
+    def __init__(self, h0: np.ndarray, v: np.ndarray):
         if h0.shape != v.shape:
             raise ValueError(f"h0 and v must have equal shapes, got {h0.shape} and {v.shape}")
-        self._h0 = h0
-        self._v = v
-        self.enabled = enabled
-        dim = h0.shape[0]
-        itemsize = 16 if (np.iscomplexobj(h0) or np.iscomplexobj(v)) else 8
-        self._max_entries = max(4, int(cache_bytes) // (dim * dim * itemsize + dim * 8))
-        self._cache: OrderedDict[float, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-        self._lock = threading.Lock()
+        self.dim = h0.shape[0]
+        self.blocks = sector_partition(h0, v)
+        self._h0 = [restrict(h0, b) for b in self.blocks]
+        self._v = [restrict(v, b) for b in self.blocks]
 
-    @property
-    def dim(self) -> int:
-        return self._h0.shape[0]
+    def spectrum(self, g: float) -> Spectrum:
+        """Eigenpairs of h0 + g v over every block."""
+        return Spectrum(self.dim, self.blocks, [h + g * v for h, v in zip(self._h0, self._v)])
 
-    def generator(self, g: float) -> np.ndarray:
-        return self._h0 + g * self._v
+    def occupied(self, psi: np.ndarray) -> list[int]:
+        """Indices of the blocks in which psi has a nonzero entry."""
+        return [k for k, b in enumerate(self.blocks) if np.any(psi[b])]
 
-    def spectrum(self, g: float) -> tuple[np.ndarray, np.ndarray]:
-        g = float(g)
-        if self.enabled:
-            with self._lock:
-                hit = self._cache.get(g)
-                if hit is not None:
-                    self._cache.move_to_end(g)
-                    return hit
-        w, q = np.linalg.eigh(self.generator(g))
-        if self.enabled:
-            with self._lock:
-                self._cache[g] = (w, q)
-                while len(self._cache) > self._max_entries:
-                    self._cache.popitem(last=False)
-        return w, q
-
-    def apply_step(self, psi: np.ndarray, g: float, dt: float) -> np.ndarray:
-        w, q = self.spectrum(g)
+    def step_block(self, k: int, amp: np.ndarray, g: float, dt: float) -> np.ndarray:
+        """One factor applied to the amplitudes ``amp`` of block k."""
+        w, q = np.linalg.eigh(self._h0[k] + g * self._v[k])
         if np.iscomplexobj(q):
-            amp = q.conj().T @ psi
-            return q @ (np.exp(-1j * w * dt) * amp)
+            return q @ (np.exp(-1j * w * dt) * (q.conj().T @ amp))
         # real symmetric generator: split re/im so the matvecs stay real
-        amp = (q.T @ psi.real) + 1j * (q.T @ psi.imag)
+        amp = (q.T @ amp.real) + 1j * (q.T @ amp.imag)
         amp *= np.exp(-1j * w * dt)
         return (q @ amp.real) + 1j * (q @ amp.imag)
 
+    def embed(self, occupied: list[int], amps: list[np.ndarray]) -> np.ndarray:
+        """The full-space state with the given block amplitudes, zero elsewhere."""
+        psi = np.zeros(self.dim, dtype=complex)
+        for k, amp in zip(occupied, amps):
+            psi[self.blocks[k]] = amp
+        return psi
 
-def step_unitary(h0: np.ndarray, v: np.ndarray, g_value: float, dt: float) -> np.ndarray:
-    """One evolution factor exp(-i (h0 + g v) dt) as an explicit matrix."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    w, q = np.linalg.eigh(h0 + g_value * v)
-    qc = q.astype(complex)
-    return (qc * np.exp(-1j * w * dt)) @ qc.conj().T
+    def step(self, psi: np.ndarray, g: float, dt: float) -> np.ndarray:
+        """One factor exp(-i (h0 + g v) dt) applied to a full-space state."""
+        occupied = self.occupied(psi)
+        return self.embed(occupied, [self.step_block(k, psi[self.blocks[k]], g, dt) for k in occupied])
 
 
 def integration_grid(schedule, n_steps: int) -> np.ndarray:
@@ -133,14 +117,6 @@ def cut_fidelity(rho_a: np.ndarray, phi_0a: np.ndarray) -> float:
         )
     val = float(np.real(phi_0a.conj() @ rho_a @ phi_0a))
     return float(np.sqrt(max(val, 0.0)))
-
-
-def ground_fidelity(psi: np.ndarray, h_instant: np.ndarray, continuity_reference: np.ndarray | None = None) -> float:
-    """|<ground of h_instant | psi>|, degeneracy-resolved via the reference."""
-    from .chain import ground_state
-
-    sel = ground_state(h_instant, continuity_reference)
-    return float(abs(sel.state.conj() @ psi))
 
 
 def purity(rho: np.ndarray) -> float:
@@ -205,7 +181,7 @@ class TrajectoryRecord:
 
 
 class _Recorder:
-    def __init__(self, probe: TrajectoryProbe, propagator: StepPropagator, schedule):
+    def __init__(self, probe: TrajectoryProbe, propagator: SectorPropagator, schedule):
         self._probe = probe
         self._prop = propagator
         self._schedule = schedule
@@ -215,19 +191,13 @@ class _Recorder:
     def sample(self, t: float, psi: np.ndarray) -> None:
         probe = self._probe
         g = float(self._schedule.value(t))
-        w, q = self._prop.spectrum(g)
-        gap = float(w[1] - w[0])
-        threshold = DEGENERACY_RTOL * float(w[-1] - w[0])
-        degenerate = gap <= threshold
-        if degenerate:
-            k = int(np.searchsorted(w, w[0] + threshold, side="right"))
-            reference = self._prev_ground if self._prev_ground is not None else psi
-            try:
-                ground = select_in_subspace(q[:, :k], reference)
-            except DegeneracyError:
-                ground = q[:, 0]  # diagnostic only; the flag marks the sample
-        else:
-            ground = q[:, 0]
+        spectrum = self._prop.spectrum(g)
+        reference = self._prev_ground if self._prev_ground is not None else psi
+        try:
+            selection = select_ground(spectrum, reference)
+            ground, degenerate = selection.state, selection.degenerate
+        except DegeneracyError:
+            ground, degenerate = spectrum.states(1)[:, 0], True  # diagnostic only; the flag marks the sample
         self._prev_ground = ground
         f_g = float(abs(ground.conj() @ psi))
         rho_a = reduce_density(psi, probe.subsystem_sites, probe.n_spins)
@@ -240,7 +210,7 @@ class _Recorder:
             purity(rho_a),
             entropy(rho_a),
             entropy(rho_b),
-            gap,
+            spectrum.gap,
             degenerate,
         ))
 
@@ -261,26 +231,30 @@ def propagate(
     psi0: np.ndarray,
     n_steps: int,
     probe: TrajectoryProbe | None = None,
-    propagator: StepPropagator | None = None,
+    propagator: SectorPropagator | None = None,
 ) -> tuple[np.ndarray, TrajectoryRecord | None]:
     """Evolve psi0 across the schedule; optionally record a trajectory.
 
     Returns the final state and, when a probe is given, the sampled record.
     ``n_steps`` sets the uniform grid for smooth schedules and is ignored for
-    pulse trains, which are propagated one exact factor per pulse.
+    pulse trains, which are propagated one exact factor per pulse.  Only the
+    blocks in which psi0 has amplitude are evolved; the state is assembled in
+    the full space only for samples and the result.
     """
-    prop = propagator if propagator is not None else StepPropagator(h0, v)
+    prop = propagator if propagator is not None else SectorPropagator(h0, v)
     grid = integration_grid(schedule, n_steps)
     mids = 0.5 * (grid[:-1] + grid[1:])
     g_values = schedule.values(mids)
     dts = np.diff(grid)
     psi = np.asarray(psi0, dtype=complex)
+    occupied = prop.occupied(psi)
+    amps = [psi[prop.blocks[k]] for k in occupied]
     recorder = _Recorder(probe, prop, schedule) if probe is not None else None
     if recorder is not None:
         recorder.sample(0.0, psi)
     last = len(mids) - 1
-    for k in range(len(mids)):
-        psi = prop.apply_step(psi, g_values[k], dts[k])
-        if recorder is not None and ((k + 1) % probe.stride == 0 or k == last):
-            recorder.sample(float(grid[k + 1]), psi)
-    return psi, (recorder.build() if recorder is not None else None)
+    for j in range(len(mids)):
+        amps = [prop.step_block(k, amp, g_values[j], dts[j]) for k, amp in zip(occupied, amps)]
+        if recorder is not None and ((j + 1) % probe.stride == 0 or j == last):
+            recorder.sample(float(grid[j + 1]), prop.embed(occupied, amps))
+    return prop.embed(occupied, amps), (recorder.build() if recorder is not None else None)

@@ -26,7 +26,7 @@ from .chain import (
 )
 from .control import ControlSchedule, linear_baseline, make_schedule
 from .dynamics import (
-    StepPropagator,
+    SectorPropagator,
     TrajectoryProbe,
     TrajectoryRecord,
     cut_fidelity,
@@ -55,7 +55,7 @@ class ChainProcess:
     final_ground: np.ndarray
     final_degenerate: bool
     selection_offset: float
-    propagator: StepPropagator = field(repr=False)
+    propagator: SectorPropagator = field(repr=False)
 
     def _check_schedule(self, schedule) -> None:
         if schedule.direction != self.direction:
@@ -145,7 +145,7 @@ def prepare_process(
         final_ground=final.state.astype(complex),
         final_degenerate=final.degenerate,
         selection_offset=selection_offset,
-        propagator=StepPropagator(h0, v),
+        propagator=SectorPropagator(h0, v),
     )
 
 

@@ -362,7 +362,7 @@ def _sha256(path: Path) -> str:
 
 
 def write_manifest(out_dir: Path, config: dict, outputs: list[Path],
-                   seeds: dict | None, started: float) -> Path:
+                   seeds: dict | None, started: float, health: dict | None = None) -> Path:
     manifest = {
         "version": __version__,
         "config": config,
@@ -370,6 +370,8 @@ def write_manifest(out_dir: Path, config: dict, outputs: list[Path],
         "outputs": {p.name: _sha256(p) for p in outputs},
         "seeds": seeds or {},
     }
+    if health is not None:
+        manifest["health"] = health
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
@@ -397,11 +399,18 @@ def run_evolve(config: RunConfig) -> dict:
     out = config.out_dir
     ensure_writable(out)
     process = prepare_process(config.chain, config.process)
-    _, record = process.run(config.schedule, config.n_steps)
+    psi, record = process.run(config.schedule, config.n_steps)
     traj = out / "trajectory.csv"
     with traj.open("w") as fh:
         record.to_csv(fh)
-    write_manifest(out, config.data, [traj], None, started)
+    prop = process.propagator
+    health = {
+        "block_dims": [int(prop.blocks[k].size) for k in prop.occupied(process.psi0)],
+        "norm_error": abs(float(np.linalg.norm(psi)) - 1.0),
+        "min_gap": float(record.gap.min()),
+        "degenerate_samples": int(record.degenerate_flags.sum()),
+    }
+    write_manifest(out, config.data, [traj], None, started, health)
     f_c, f_g = record.final_cut_fidelity(), record.final_ground_fidelity()
     print(f"final f_C = {f_c:.3f}  f_G = {f_g:.3f}")
     return {"f_c": f_c, "f_g": f_g, "files": [traj]}

@@ -15,18 +15,18 @@ from spinsplice.control import (
     sine_cut,
 )
 from spinsplice.dynamics import (
-    StepPropagator,
+    SectorPropagator,
     cut_fidelity,
-    ground_fidelity,
     integration_grid,
     propagate,
     purity,
     reduce_density,
-    step_unitary,
 )
 from spinsplice.optimize import LandscapeAxis, bfgs_maximize, finite_difference_gradient, scan_landscape
 from spinsplice.process import ObjectiveSpec, build_objective, prepare_process
 from spinsplice.runner import noise_study
+
+from oracles import ground_fidelity, step_unitary
 
 RING6 = ChainSpec(6, "ring", 1.0, 2.0)
 RING7 = ChainSpec(7, "ring", 1.0, 2.0)
@@ -196,12 +196,12 @@ def test_criterion_07_property_suite(ring6, ring7, table1_reports):
     spec5 = ChainSpec(5, "open", 1.0, 2.0)
     h5, v5 = assemble_hamiltonian(spec5)
     psi = ground_state(h5 + v5).state.astype(complex)
-    prop = StepPropagator(h5, v5)
+    prop = SectorPropagator(h5, v5)
     sched5 = linear_baseline(0.7)
     grid = integration_grid(sched5, 40)
     mids = 0.5 * (grid[:-1] + grid[1:])
     for g, dt in zip(sched5.values(mids), np.diff(grid)):
-        psi = prop.apply_step(psi, g, dt)
+        psi = prop.step(psi, g, dt)
         pa = purity(reduce_density(psi, (1,), 5))
         pb = purity(reduce_density(psi, (2, 3, 4, 5), 5))
         if abs(pa - pb) >= 1e-8:

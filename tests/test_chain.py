@@ -5,15 +5,20 @@ from spinsplice.chain import (
     ChainSpec,
     DegeneracyError,
     assemble_hamiltonian,
-    commutator_frobenius_norm,
     cut_components,
-    decompose,
     detached_block_hamiltonian,
     ground_state,
-    pauli_site_operator,
 )
 
-from oracles import kron_exchange, kron_hamiltonian, SZ, SX
+from oracles import (
+    SX,
+    SZ,
+    commutator_frobenius_norm,
+    decompose,
+    kron_exchange,
+    kron_hamiltonian,
+    pauli_site_operator,
+)
 
 
 class TestPauliSiteOperator:

@@ -8,19 +8,17 @@ from spinsplice.chain import ChainSpec, assemble_hamiltonian, ground_state
 from spinsplice.control import NoiseSpec, apply_noise, linear_baseline, polynomial_cut, pulse_train
 from spinsplice.dynamics import (
     CSV_COLUMNS,
-    StepPropagator,
+    SectorPropagator,
     TrajectoryProbe,
     cut_fidelity,
     entropy,
-    ground_fidelity,
     integration_grid,
     propagate,
     purity,
     reduce_density,
-    step_unitary,
 )
 
-from oracles import SZ, taylor_expm
+from oracles import SZ, ground_fidelity, step_unitary, taylor_expm
 
 DOWN = np.array([0.0, 1.0])
 UP = np.array([1.0, 0.0])
@@ -80,12 +78,12 @@ class TestPropagate:
         h0, v = assemble_hamiltonian(spec)
         psi0 = ground_state(h0 + v).state.astype(complex)
         sched = polynomial_cut(0.6, (54.3, -36.3))
-        prop = StepPropagator(h0, v)
+        prop = SectorPropagator(h0, v)
         grid = integration_grid(sched, 150)
         mids = 0.5 * (grid[:-1] + grid[1:])
         psi = psi0
         for g, dt in zip(sched.values(mids), np.diff(grid)):
-            psi = prop.apply_step(psi, g, dt)
+            psi = prop.step(psi, g, dt)
             assert abs(np.linalg.norm(psi) - 1.0) < 1e-9
 
     def test_pulse_propagation_is_one_factor_per_pulse(self):
@@ -100,15 +98,6 @@ class TestPropagate:
             manual = step_unitary(h0, v, amp, 0.2) @ manual
         assert np.abs(psi_a - psi_b).max() == 0.0
         assert np.abs(psi_a - manual).max() < 1e-12
-
-    def test_memoization_transparent(self):
-        spec = ChainSpec(4, "open", 1.0, 2.0)
-        h0, v = assemble_hamiltonian(spec)
-        psi0 = ground_state(h0 + v).state.astype(complex)
-        sched = pulse_train(0.5, (2.0, -1.0, 2.0, -1.0))  # repeated g values hit the cache
-        with_cache, _ = propagate(h0, v, sched, psi0, 10, propagator=StepPropagator(h0, v, enabled=True))
-        without, _ = propagate(h0, v, sched, psi0, 10, propagator=StepPropagator(h0, v, enabled=False))
-        assert np.array_equal(with_cache, without)
 
     def test_noise_grid_refinement(self):
         # noise windows that do not divide the step grid are split exactly

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import spinsplice.runner as runner
 from spinsplice.cli import main
+from spinsplice.process import prepare_process
 from spinsplice.runner import (
     MODES,
     ConfigError,
@@ -193,6 +195,27 @@ class TestRunners:
         execute(parse_config(echoed))
         replay = json.loads((tmp_path / "replay" / "manifest.json").read_text())
         assert manifest["outputs"] == replay["outputs"]
+
+    def test_evolve_manifest_reports_health(self, tmp_path):
+        config = parse_config(evolve_config(tmp_path))
+        with contextlib.redirect_stdout(io.StringIO()):
+            execute(config)
+        out = tmp_path / "out"
+        manifest = json.loads((out / "manifest.json").read_text())
+        health = manifest["health"]
+        assert set(health) == {"block_dims", "norm_error", "min_gap", "degenerate_samples"}
+        assert health["block_dims"] in ([math.comb(4, k)] for k in range(5))
+        assert 0.0 <= health["norm_error"] < 1e-12
+        # the health echo leaves the trajectory bytes and their hash alone
+        process = prepare_process(config.chain, config.process)
+        _, record = process.run(config.schedule, config.n_steps)
+        expected = io.StringIO()
+        record.to_csv(expected)
+        csv_bytes = (out / "trajectory.csv").read_bytes()
+        assert csv_bytes == expected.getvalue().encode()
+        assert manifest["outputs"] == {"trajectory.csv": hashlib.sha256(csv_bytes).hexdigest()}
+        assert health["min_gap"] == float(record.gap.min())
+        assert health["degenerate_samples"] == int(record.degenerate_flags.sum())
 
     def test_optimize_writes_report(self, tmp_path, capsys):
         data = evolve_config(tmp_path, mode="optimize")
