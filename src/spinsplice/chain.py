@@ -14,7 +14,7 @@ ground states are found block by block over that verified partition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -53,16 +53,15 @@ class ChainSpec:
     exchange: float = 1.0
     field: float = 0.0
     cut_bonds: frozenset[Bond] | None = None
-    spin_cap: int = DEFAULT_SPIN_CAP
 
     def __post_init__(self) -> None:
         if self.topology not in ("open", "ring"):
             raise ValueError(f"topology must be 'open' or 'ring', got {self.topology!r}")
         if self.n_spins < 2:
             raise ValueError(f"n_spins must be >= 2, got {self.n_spins}")
-        if self.n_spins > self.spin_cap:
+        if self.n_spins > DEFAULT_SPIN_CAP:
             raise ValueError(
-                f"n_spins={self.n_spins} exceeds the cap of {self.spin_cap} "
+                f"n_spins={self.n_spins} exceeds the cap of {DEFAULT_SPIN_CAP} "
                 f"(dense storage grows as 4**N)"
             )
         if self.topology == "ring" and self.n_spins < 3:
@@ -230,12 +229,12 @@ class Spectrum:
         """Distance between the two lowest energies of the whole spectrum."""
         return float(self.energies[1] - self.energies[0]) if self.energies.size > 1 else np.inf
 
-    def threshold(self, degeneracy_rtol: float = DEGENERACY_RTOL) -> float:
+    def threshold(self) -> float:
         """Energies closer than this to the lowest count as degenerate with it."""
-        return degeneracy_rtol * float(self.energies[-1] - self.energies[0])
+        return DEGENERACY_RTOL * float(self.energies[-1] - self.energies[0])
 
-    def degenerate(self, degeneracy_rtol: float = DEGENERACY_RTOL) -> bool:
-        return self.gap <= self.threshold(degeneracy_rtol)
+    def degenerate(self) -> bool:
+        return self.gap <= self.threshold()
 
     def states(self, k: int) -> np.ndarray:
         """Full-space eigenvector columns of the k lowest energies."""
@@ -252,7 +251,6 @@ class GroundStateSelection:
     state: np.ndarray
     degenerate: bool
     gap: float
-    selection_offset: float = DEFAULT_SELECTION_OFFSET
 
 
 def select_in_subspace(basis: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -270,55 +268,52 @@ def select_in_subspace(basis: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return basis @ (coeff / norm)
 
 
-def select_ground(
-    spectrum: Spectrum,
-    reference: np.ndarray | None = None,
-    degeneracy_rtol: float = DEGENERACY_RTOL,
-    selection_offset: float = DEFAULT_SELECTION_OFFSET,
-) -> GroundStateSelection:
+def select_ground(spectrum: Spectrum, reference: np.ndarray | None = None) -> GroundStateSelection:
     """Lowest state of ``spectrum``, picked by ``reference`` when degenerate.
 
     The ground subspace holds the eigenvectors of every block whose energies
-    lie within ``degeneracy_rtol`` times the full spectral range of the
+    lie within ``DEGENERACY_RTOL`` times the full spectral range of the
     lowest; the state is the one in it closest to the reference state.
     """
     energy, gap = float(spectrum.energies[0]), spectrum.gap
-    if not spectrum.degenerate(degeneracy_rtol):
-        return GroundStateSelection(energy, spectrum.states(1)[:, 0], False, gap, selection_offset)
+    if not spectrum.degenerate():
+        return GroundStateSelection(energy, spectrum.states(1)[:, 0], False, gap)
     if reference is None:
         raise DegeneracyError(
             "ground state is degenerate and no continuity reference was supplied"
         )
-    k = int(np.searchsorted(spectrum.energies, energy + spectrum.threshold(degeneracy_rtol), side="right"))
-    state = select_in_subspace(spectrum.states(k), reference)
-    return GroundStateSelection(energy, state, True, gap, selection_offset)
+    k = int(np.searchsorted(spectrum.energies, energy + spectrum.threshold(), side="right"))
+    return GroundStateSelection(energy, select_in_subspace(spectrum.states(k), reference), True, gap)
 
 
-def ground_state(
-    h: np.ndarray,
-    continuity_reference: np.ndarray | None = None,
-    selection_offset: float = DEFAULT_SELECTION_OFFSET,
-    degeneracy_rtol: float = DEGENERACY_RTOL,
-) -> GroundStateSelection:
-    """Lowest eigenpair of ``h`` with explicit handling of degeneracy.
+def resolve_ground(spectrum: Spectrum, nudged: Callable[[], Spectrum] | None) -> GroundStateSelection:
+    """Lowest state of ``spectrum``, a degeneracy resolved by a perturbed spectrum.
 
-    ``h`` is diagonalized block by block over the total-S^z sectors it shares
-    with ``continuity_reference``.  When the two lowest eigenvalues coincide
-    within ``degeneracy_rtol`` times the spectral range, the state is picked
-    inside the ground subspace as the one with maximal overlap with the unique
-    ground state of ``continuity_reference`` (a slightly perturbed Hamiltonian
-    supplied by the caller).  Without a usable reference the ambiguity is an
-    error, never a silent arbitrary choice.
+    When ``spectrum`` is degenerate, ``nudged()`` (called only then) gives the
+    spectrum of a slightly perturbed Hamiltonian, and the state is the one in
+    the ground subspace closest to its unique ground state.  Without a nudged
+    spectrum, or when it is degenerate too, the ambiguity is an error, never
+    a silent arbitrary choice.
     """
-    operators = (h,) if continuity_reference is None else (h, continuity_reference)
-    blocks = sector_partition(*operators)
-    spectrum = Spectrum.of(h, blocks)
     reference = None
-    if continuity_reference is not None and spectrum.degenerate(degeneracy_rtol):
-        perturbed = Spectrum.of(continuity_reference, blocks)
-        if perturbed.degenerate(degeneracy_rtol):
+    if nudged is not None and spectrum.degenerate():
+        perturbed = nudged()
+        if perturbed.degenerate():
             raise DegeneracyError(
                 "unresolvable degeneracy: the perturbed reference Hamiltonian is degenerate too"
             )
         reference = perturbed.states(1)[:, 0]
-    return select_ground(spectrum, reference, degeneracy_rtol, selection_offset)
+    return select_ground(spectrum, reference)
+
+
+def ground_state(h: np.ndarray, continuity_reference: np.ndarray | None = None) -> GroundStateSelection:
+    """Lowest eigenpair of ``h`` with explicit handling of degeneracy.
+
+    ``h`` is diagonalized block by block over the total-S^z sectors it shares
+    with ``continuity_reference``, a slightly perturbed Hamiltonian supplied by
+    the caller that ``resolve_ground`` follows when ``h`` is degenerate.
+    """
+    operators = (h,) if continuity_reference is None else (h, continuity_reference)
+    blocks = sector_partition(*operators)
+    nudged = None if continuity_reference is None else (lambda: Spectrum.of(continuity_reference, blocks))
+    return resolve_ground(Spectrum.of(h, blocks), nudged)

@@ -86,32 +86,6 @@ class ControlSchedule:
         out = np.where(t < 0.0, self.start_value, np.where(t >= T, self.end_value, inside))
         return out.astype(float)
 
-    def derivative(self, t: float) -> float:
-        """dg/dt at time t; one-sided from inside the window at its endpoints.
-
-        Piecewise-constant schedules report the almost-everywhere value 0.
-        """
-        T = self.duration
-        if t < 0.0 or t > T or self.kind == "pulse":
-            return 0.0
-        if self.kind == "sine_cut":
-            x = t / T
-            d = -1.0
-            for n, b in enumerate(self.params, start=1):
-                d += b * n * np.pi * np.cos(n * np.pi * x)
-            return d / T
-        coeffs = self._full_poly_coeffs()
-        if self.kind == "polynomial_stitch":
-            x = (T - t) / T
-            sign = -1.0
-        else:
-            x = t / T
-            sign = 1.0
-        d = 0.0
-        for n, c in enumerate(coeffs, start=1):
-            d += n * c * x ** (n - 1)
-        return sign * d / T
-
     def breakpoints(self) -> tuple[float, ...]:
         """Interior times where g jumps; empty for smooth schedules."""
         if self.kind != "pulse":

@@ -63,11 +63,6 @@ class SectorPropagator:
             psi[self.blocks[k]] = amp
         return psi
 
-    def step(self, psi: np.ndarray, g: float, dt: float) -> np.ndarray:
-        """One factor exp(-i (h0 + g v) dt) applied to a full-space state."""
-        occupied = self.occupied(psi)
-        return self.embed(occupied, [self.step_block(k, psi[self.blocks[k]], g, dt) for k in occupied])
-
 
 def integration_grid(schedule, n_steps: int) -> np.ndarray:
     """Step boundaries in [0, duration] for the piecewise-constant factorization.
@@ -225,13 +220,11 @@ class _Recorder:
 
 
 def propagate(
-    h0: np.ndarray,
-    v: np.ndarray,
+    propagator: SectorPropagator,
     schedule,
     psi0: np.ndarray,
     n_steps: int,
     probe: TrajectoryProbe | None = None,
-    propagator: SectorPropagator | None = None,
 ) -> tuple[np.ndarray, TrajectoryRecord | None]:
     """Evolve psi0 across the schedule; optionally record a trajectory.
 
@@ -241,20 +234,19 @@ def propagate(
     blocks in which psi0 has amplitude are evolved; the state is assembled in
     the full space only for samples and the result.
     """
-    prop = propagator if propagator is not None else SectorPropagator(h0, v)
     grid = integration_grid(schedule, n_steps)
     mids = 0.5 * (grid[:-1] + grid[1:])
     g_values = schedule.values(mids)
     dts = np.diff(grid)
     psi = np.asarray(psi0, dtype=complex)
-    occupied = prop.occupied(psi)
-    amps = [psi[prop.blocks[k]] for k in occupied]
-    recorder = _Recorder(probe, prop, schedule) if probe is not None else None
+    occupied = propagator.occupied(psi)
+    amps = [psi[propagator.blocks[k]] for k in occupied]
+    recorder = _Recorder(probe, propagator, schedule) if probe is not None else None
     if recorder is not None:
         recorder.sample(0.0, psi)
     last = len(mids) - 1
     for j in range(len(mids)):
-        amps = [prop.step_block(k, amp, g_values[j], dts[j]) for k, amp in zip(occupied, amps)]
+        amps = [propagator.step_block(k, amp, g_values[j], dts[j]) for k, amp in zip(occupied, amps)]
         if recorder is not None and ((j + 1) % probe.stride == 0 or j == last):
-            recorder.sample(float(grid[j + 1]), prop.embed(occupied, amps))
-    return prop.embed(occupied, amps), (recorder.build() if recorder is not None else None)
+            recorder.sample(float(grid[j + 1]), propagator.embed(occupied, amps))
+    return propagator.embed(occupied, amps), (recorder.build() if recorder is not None else None)

@@ -213,11 +213,6 @@ class LandscapeGrid:
             float(self.values[i, j]),
         )
 
-    def cell_size(self) -> tuple[float, float]:
-        return tuple(
-            (ax.upper - ax.lower) / (ax.resolution - 1) for ax in self.axes
-        )  # type: ignore[return-value]
-
     def to_csv(self, stream) -> None:
         for label, ax in zip(("axis1", "axis2"), self.axes):
             stream.write(

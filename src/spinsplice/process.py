@@ -1,11 +1,12 @@
 """Cut and stitch process setup: initial states, targets, and objectives.
 
-A process fixes everything the schedule does not: the split Hamiltonian, the
-initial state (the ground state at the starting coupling), the detached-block
-target for the cut fidelity, and the final-time ground state for the ground
-fidelity.  Endpoint degeneracies are resolved by perturbing the coupling a
-small offset toward the interior of the drive interval and following the
-unique ground state of that perturbed Hamiltonian.
+A process fixes everything the schedule does not: the split Hamiltonian, held
+only as the propagator's total-S^z blocks, the initial state (the ground state
+at the starting coupling), the detached-block target for the cut fidelity, and
+the final-time ground state for the ground fidelity.  Endpoint degeneracies are
+resolved by perturbing the coupling a small offset toward the interior of the
+drive interval and following the unique ground state of that perturbed
+Hamiltonian.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .chain import (
     cut_components,
     detached_block_hamiltonian,
     ground_state,
+    resolve_ground,
 )
 from .control import ControlSchedule, linear_baseline, make_schedule
 from .dynamics import (
@@ -45,8 +47,6 @@ class ChainProcess:
 
     chain: ChainSpec
     direction: str
-    h0: np.ndarray
-    v: np.ndarray
     psi0: np.ndarray
     start_degenerate: bool
     a_sites: tuple[int, ...]
@@ -54,7 +54,6 @@ class ChainProcess:
     phi_0a: np.ndarray
     final_ground: np.ndarray
     final_degenerate: bool
-    selection_offset: float
     propagator: SectorPropagator = field(repr=False)
 
     def _check_schedule(self, schedule) -> None:
@@ -66,7 +65,7 @@ class ChainProcess:
 
     def final_state(self, schedule, n_steps: int = DEFAULT_TIME_STEPS) -> np.ndarray:
         self._check_schedule(schedule)
-        psi, _ = propagate(self.h0, self.v, schedule, self.psi0, n_steps, propagator=self.propagator)
+        psi, _ = propagate(self.propagator, schedule, self.psi0, n_steps)
         return psi
 
     def fidelity(self, schedule, n_steps: int = DEFAULT_TIME_STEPS, target: str = "cut") -> float:
@@ -96,22 +95,18 @@ class ChainProcess:
             phi_0a=self.phi_0a,
             stride=stride,
         )
-        psi, record = propagate(
-            self.h0, self.v, schedule, self.psi0, n_steps,
-            probe=probe, propagator=self.propagator,
-        )
-        return psi, record
+        return propagate(self.propagator, schedule, self.psi0, n_steps, probe=probe)
 
 
-def prepare_process(
-    spec: ChainSpec,
-    direction: str = "cut",
-    selection_offset: float = DEFAULT_SELECTION_OFFSET,
-) -> ChainProcess:
-    """Assemble operators, pick the initial state, and fix both fidelity targets."""
+def prepare_process(spec: ChainSpec, direction: str = "cut") -> ChainProcess:
+    """Assemble operators, pick the initial state, and fix both fidelity targets.
+
+    The dense operators live only as long as it takes to cut them into the
+    propagator's blocks; both ground states come from the block spectra.
+    """
     if direction not in ("cut", "stitch"):
         raise ValueError(f"direction must be 'cut' or 'stitch', got {direction!r}")
-    h0, v = assemble_hamiltonian(spec)
+    propagator = SectorPropagator(*assemble_hamiltonian(spec))
     a_sites, b_sites = cut_components(spec)
 
     block = detached_block_hamiltonian(spec, a_sites)
@@ -126,17 +121,13 @@ def prepare_process(
     g_start = 1.0 if direction == "cut" else 0.0
     g_end = 1.0 - g_start
     # references nudge the coupling toward the interior of the drive interval
-    start_ref = h0 + (g_start + (-selection_offset if direction == "cut" else selection_offset)) * v
-    end_ref = h0 + (g_end + (selection_offset if direction == "cut" else -selection_offset)) * v
-
-    start = ground_state(h0 + g_start * v, start_ref, selection_offset)
-    final = ground_state(h0 + g_end * v, end_ref, selection_offset)
+    inward = -DEFAULT_SELECTION_OFFSET if direction == "cut" else DEFAULT_SELECTION_OFFSET
+    start = resolve_ground(propagator.spectrum(g_start), lambda: propagator.spectrum(g_start + inward))
+    final = resolve_ground(propagator.spectrum(g_end), lambda: propagator.spectrum(g_end - inward))
 
     return ChainProcess(
         chain=spec,
         direction=direction,
-        h0=h0,
-        v=v,
         psi0=start.state.astype(complex),
         start_degenerate=start.degenerate,
         a_sites=a_sites,
@@ -144,8 +135,7 @@ def prepare_process(
         phi_0a=phi_0a,
         final_ground=final.state.astype(complex),
         final_degenerate=final.degenerate,
-        selection_offset=selection_offset,
-        propagator=SectorPropagator(h0, v),
+        propagator=propagator,
     )
 
 

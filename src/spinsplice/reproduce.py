@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .chain import ChainSpec
-from .optimize import LandscapeAxis, bfgs_maximize, scan_landscape
+from .optimize import LandscapeAxis, bfgs_maximize
 from .process import DEFAULT_TIME_STEPS, ObjectiveSpec, build_objective, prepare_process
 from .runner import (
     NOISE,
@@ -23,6 +23,7 @@ from .runner import (
     RunConfig,
     check_fields,
     ensure_writable,
+    landscape_with_optimum,
     noise_study,
     parse_config,
     run_sweep,
@@ -183,16 +184,13 @@ def reproduce_fig8(out_dir: Path, n_steps: int, workers: int, seed=None) -> dict
         spec = ObjectiveSpec(chain=chain, kind=kind, duration=duration,
                              n_free_params=2, n_steps=n_steps)
         objective, _ = build_objective(spec)
-        grid = scan_landscape(objective, axes, workers=workers)
-        report = bfgs_maximize(objective, np.zeros(2), workers=workers)
         path = out / f"landscape_{name}.csv"
-        with path.open("w") as fh:
-            grid.to_csv(fh)
-        optima[name] = {
-            "params": list(report.final_params),
-            "value": report.final_value,
-            "grid_max": dict(zip(("p1", "p2", "value"), grid.max_point())),
-        }
+        _, report, grid_max = landscape_with_optimum(
+            path, objective, axes, lambda f: bfgs_maximize(f, np.zeros(2), workers=workers),
+            workers=workers,
+        )
+        optima[name] = {"params": list(report.final_params), "value": report.final_value,
+                        "grid_max": grid_max}
         files.append(path)
     opt_path = out / "optima.json"
     opt_path.write_text(json.dumps(optima, indent=2, sort_keys=True) + "\n")

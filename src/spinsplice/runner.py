@@ -377,6 +377,35 @@ def write_manifest(out_dir: Path, config: dict, outputs: list[Path],
     return path
 
 
+def objective_spec(config: RunConfig, duration: float | None = None) -> ObjectiveSpec:
+    """The objective a config optimizes: its schedule's kind and parameter
+    count, at the schedule's own duration unless another is given."""
+    schedule = config.schedule
+    return ObjectiveSpec(
+        chain=config.chain,
+        kind=schedule.kind,
+        duration=schedule.duration if duration is None else duration,
+        n_free_params=len(schedule.params),
+        target=config.target,
+        n_steps=config.n_steps,
+        direction=config.process,
+    )
+
+
+def landscape_with_optimum(path: Path, objective, axes, maximize, base_params=None, workers: int = 1):
+    """Scan ``objective`` over the two ``axes``, maximize it with
+    ``maximize(objective)``, and write the grid as CSV to ``path``.
+
+    Returns the grid, the optimizer's report and the grid maximum as
+    ``{"p1", "p2", "value"}``.
+    """
+    grid = scan_landscape(objective, axes, base_params=base_params, workers=workers)
+    report = maximize(objective)
+    with path.open("w") as fh:
+        grid.to_csv(fh)
+    return grid, report, dict(zip(("p1", "p2", "value"), grid.max_point()))
+
+
 def _optimize_from(config: RunConfig, objective, n_free: int, x0=None):
     """Shared BFGS invocation honouring optimizer options, incl. multi-start."""
     kwargs = dict(config.optimizer, workers=config.workers)
@@ -420,15 +449,7 @@ def run_optimize(config: RunConfig) -> dict:
     started = time.time()
     out = config.out_dir
     ensure_writable(out)
-    spec = ObjectiveSpec(
-        chain=config.chain,
-        kind=config.schedule.kind,
-        duration=config.schedule.duration,
-        n_free_params=len(config.schedule.params),
-        target=config.target,
-        n_steps=config.n_steps,
-        direction=config.process,
-    )
+    spec = objective_spec(config)
     objective, _ = build_objective(spec)
     report = _optimize_from(config, objective, spec.n_free_params, x0=config.schedule.params)
     path = out / "optimization.json"
@@ -445,19 +466,13 @@ def run_sweep(config: RunConfig) -> dict:
     started = time.time()
     out = config.out_dir
     ensure_writable(out)
-    template = config.schedule
-    n_free = len(template.params)
+    n_free = len(config.schedule.params)
     process = prepare_process(config.chain, config.process)
     rows = []
     for duration in config.sweep["times"]:
         baseline = process.baseline_fidelity(duration, config.n_steps, config.target)
         if config.sweep["optimize"]:
-            spec = ObjectiveSpec(
-                chain=config.chain, kind=template.kind, duration=duration,
-                n_free_params=n_free, target=config.target,
-                n_steps=config.n_steps, direction=config.process,
-            )
-            objective, _ = build_objective(spec, process)
+            objective, _ = build_objective(objective_spec(config, duration), process)
             report = _optimize_from(config, objective, n_free)
             rows.append((duration, baseline, report.final_value, report.final_params, report.status))
         else:
@@ -479,29 +494,20 @@ def run_landscape(config: RunConfig) -> dict:
     started = time.time()
     out = config.out_dir
     ensure_writable(out)
-    spec = ObjectiveSpec(
-        chain=config.chain,
-        kind=config.schedule.kind,
-        duration=config.schedule.duration,
-        n_free_params=len(config.schedule.params),
-        target=config.target,
-        n_steps=config.n_steps,
-        direction=config.process,
-    )
-    objective, _ = build_objective(spec)
+    params = config.schedule.params
+    objective, _ = build_objective(objective_spec(config))
     axes = tuple(LandscapeAxis(ax["param_index"], ax["min"], ax["max"], ax["resolution"])
                  for ax in config.landscape["axes"])
-    grid = scan_landscape(objective, axes, base_params=config.schedule.params,
-                          workers=config.workers)
-    report = _optimize_from(config, objective, spec.n_free_params, x0=config.schedule.params)
     grid_path = out / "landscape.csv"
-    with grid_path.open("w") as fh:
-        grid.to_csv(fh)
+    grid, report, grid_max = landscape_with_optimum(
+        grid_path, objective, axes, lambda f: _optimize_from(config, f, len(params), x0=params),
+        base_params=params, workers=config.workers,
+    )
     marker = {
         "optimum_params": list(report.final_params),
         "optimum_value": report.final_value,
         "status": report.status,
-        "grid_max": dict(zip(("p1", "p2", "value"), grid.max_point())),
+        "grid_max": grid_max,
     }
     marker_path = out / "optimum.json"
     marker_path.write_text(json.dumps(marker, indent=2, sort_keys=True) + "\n")

@@ -4,7 +4,8 @@ Operators are built from literal 2x2 matrices and np.kron, deliberately
 bypassing the package's bit-arithmetic Hamiltonian assembly so the two routes
 check each other.  Spectra, ground states and propagation are computed with
 dense eigendecompositions of the full 2**N space, bypassing the package's
-total-S^z sectors.
+total-S^z sectors.  The helpers at the end (a schedule's slope, a landscape's
+cell size, one sector step on a full-space state) serve only the tests.
 """
 
 from dataclasses import dataclass
@@ -134,3 +135,43 @@ def dense_ground_state(h, continuity_reference=None, rtol=DEGENERACY_RTOL):
 def ground_fidelity(psi, h_instant, continuity_reference=None):
     """|<ground of h_instant | psi>|, degeneracy-resolved via the reference."""
     return float(abs(dense_ground_state(h_instant, continuity_reference)[1].conj() @ psi))
+
+
+def schedule_derivative(schedule, t):
+    """dg/dt of a ControlSchedule at time t; one-sided from inside the window
+    at its endpoints.  Piecewise-constant schedules report the almost-everywhere
+    value 0."""
+    T = schedule.duration
+    if t < 0.0 or t > T or schedule.kind == "pulse":
+        return 0.0
+    if schedule.kind == "sine_cut":
+        x = t / T
+        d = -1.0
+        for n, b in enumerate(schedule.params, start=1):
+            d += b * n * np.pi * np.cos(n * np.pi * x)
+        return d / T
+    # the leading coefficient makes the drive reach its far endpoint
+    coeffs = (-(1.0 + float(sum(schedule.params))), *schedule.params)
+    if schedule.kind == "polynomial_stitch":
+        x = (T - t) / T
+        sign = -1.0
+    else:
+        x = t / T
+        sign = 1.0
+    d = 0.0
+    for n, c in enumerate(coeffs, start=1):
+        d += n * c * x ** (n - 1)
+    return sign * d / T
+
+
+def cell_size(grid):
+    """Spacing of a LandscapeGrid along each of its two axes."""
+    return tuple((ax.upper - ax.lower) / (ax.resolution - 1) for ax in grid.axes)
+
+
+def sector_step(propagator, psi, g, dt):
+    """One factor exp(-i (h0 + g v) dt) of a SectorPropagator applied to a
+    full-space state, block by block."""
+    occupied = propagator.occupied(psi)
+    amps = [propagator.step_block(k, psi[propagator.blocks[k]], g, dt) for k in occupied]
+    return propagator.embed(occupied, amps)

@@ -26,7 +26,7 @@ from spinsplice.optimize import LandscapeAxis, bfgs_maximize, finite_difference_
 from spinsplice.process import ObjectiveSpec, build_objective, prepare_process
 from spinsplice.runner import noise_study
 
-from oracles import ground_fidelity, step_unitary
+from oracles import cell_size, ground_fidelity, sector_step, step_unitary
 
 RING6 = ChainSpec(6, "ring", 1.0, 2.0)
 RING7 = ChainSpec(7, "ring", 1.0, 2.0)
@@ -127,7 +127,7 @@ def test_criterion_03_optimizer_reproduction(table1_objectives, table1_reports):
         )
         grid = scan_landscape(table1_objectives[duration], axes)
         p1, p2, peak = grid.max_point()
-        c1, c2 = grid.cell_size()
+        c1, c2 = cell_size(grid)
         if abs(p1 - x[0]) > c1 + 1e-9 or abs(p2 - x[1]) > c2 + 1e-9:
             failures.append(
                 f"T={duration}: grid max ({p1:.2f},{p2:.2f}) more than one cell "
@@ -182,7 +182,7 @@ def test_criterion_07_property_suite(ring6, ring7, table1_reports):
     failures = []
 
     # unitarity of individual steps
-    h0, v = ring6.h0, ring6.v
+    h0, v = assemble_hamiltonian(ring6.chain)
     rng = np.random.default_rng(2)
     for _ in range(4):
         u = step_unitary(h0, v, float(rng.uniform(-5, 5)), float(rng.uniform(0.001, 0.2)))
@@ -201,7 +201,7 @@ def test_criterion_07_property_suite(ring6, ring7, table1_reports):
     grid = integration_grid(sched5, 40)
     mids = 0.5 * (grid[:-1] + grid[1:])
     for g, dt in zip(sched5.values(mids), np.diff(grid)):
-        psi = prop.step(psi, g, dt)
+        psi = sector_step(prop, psi, g, dt)
         pa = purity(reduce_density(psi, (1,), 5))
         pb = purity(reduce_density(psi, (2, 3, 4, 5), 5))
         if abs(pa - pb) >= 1e-8:
@@ -236,7 +236,7 @@ def test_criterion_07_property_suite(ring6, ring7, table1_reports):
         ("sine", sine_cut(0.7, (0.4, -0.3))),
         ("pulse", pulse_train(0.7, (-3.0, 2.5))),
     ):
-        psi_t, _ = propagate(diag_field, z1z2, schedule, psi0, 90)
+        psi_t, _ = propagate(SectorPropagator(diag_field, z1z2), schedule, psi0, 90)
         rho = reduce_density(psi_t, (1,), n)
         finals[label] = (
             cut_fidelity(rho, np.array([0.0, 1.0])),

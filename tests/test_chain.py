@@ -169,7 +169,7 @@ class TestGroundState:
         spec = ChainSpec(2, "open", 1.0, 2.0)
         h0, v = assemble_hamiltonian(spec)
         offset = 1e-6
-        sel = ground_state(h0 + v, h0 + (1.0 - offset) * v, offset)
+        sel = ground_state(h0 + v, h0 + (1.0 - offset) * v)
         assert sel.degenerate
         assert sel.energy == pytest.approx(-3.0)
         assert abs(sel.state[3]) == pytest.approx(1.0, abs=1e-9)
@@ -221,8 +221,6 @@ class TestChainSpecValidation:
     def test_rejects_above_cap(self):
         with pytest.raises(ValueError, match="cap"):
             ChainSpec(13, "open")
-        # the cap is configurable
-        assert ChainSpec(4, "open", spin_cap=4).n_spins == 4
 
     def test_default_cut_bonds(self):
         assert ChainSpec(6, "open").cut_bonds == frozenset({(1, 2)})

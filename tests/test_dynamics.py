@@ -18,7 +18,7 @@ from spinsplice.dynamics import (
     reduce_density,
 )
 
-from oracles import SZ, ground_fidelity, step_unitary, taylor_expm
+from oracles import SZ, ground_fidelity, sector_step, step_unitary, taylor_expm
 
 DOWN = np.array([0.0, 1.0])
 UP = np.array([1.0, 0.0])
@@ -70,7 +70,7 @@ class TestPropagate:
         zero = np.zeros_like(h_full)
         psi0 = ground_state(h_full).state.astype(complex)
         sched = linear_baseline(1.5, "cut")
-        psi, _ = propagate(h_full, zero, sched, psi0, 120)
+        psi, _ = propagate(SectorPropagator(h_full, zero), sched, psi0, 120)
         assert ground_fidelity(psi, h_full) == pytest.approx(1.0, abs=1e-8)
 
     def test_norm_conserved_along_trajectory(self):
@@ -83,7 +83,7 @@ class TestPropagate:
         mids = 0.5 * (grid[:-1] + grid[1:])
         psi = psi0
         for g, dt in zip(sched.values(mids), np.diff(grid)):
-            psi = prop.step(psi, g, dt)
+            psi = sector_step(prop, psi, g, dt)
             assert abs(np.linalg.norm(psi) - 1.0) < 1e-9
 
     def test_pulse_propagation_is_one_factor_per_pulse(self):
@@ -91,8 +91,8 @@ class TestPropagate:
         h0, v = assemble_hamiltonian(spec)
         psi0 = ground_state(h0 + v).state.astype(complex)
         sched = pulse_train(0.6, (-5.4, 4.1, 0.3))
-        psi_a, _ = propagate(h0, v, sched, psi0, 300)
-        psi_b, _ = propagate(h0, v, sched, psi0, 7)  # n_steps ignored for pulses
+        psi_a, _ = propagate(SectorPropagator(h0, v), sched, psi0, 300)
+        psi_b, _ = propagate(SectorPropagator(h0, v), sched, psi0, 7)  # n_steps ignored for pulses
         manual = psi0
         for amp in sched.params:
             manual = step_unitary(h0, v, amp, 0.2) @ manual
@@ -108,7 +108,7 @@ class TestPropagate:
         grid = integration_grid(noisy, 7)
         for edge in (0.3, 0.6, 0.9):
             assert np.min(np.abs(grid - edge)) < 1e-12
-        psi, _ = propagate(h0, v, noisy, psi0, 7)
+        psi, _ = propagate(SectorPropagator(h0, v), noisy, psi0, 7)
         manual = psi0
         for lo, hi in zip(grid[:-1], grid[1:]):
             manual = step_unitary(h0, v, noisy.value(0.5 * (lo + hi)), hi - lo) @ manual
@@ -121,8 +121,8 @@ class TestPropagate:
         psi0 = ground_state(h0 + v, h0 + (1 - offset) * v).state.astype(complex)
         base = polynomial_cut(0.6, (10.0, -5.0))
         noisy = apply_noise(base, NoiseSpec(window=0.1, strength=0.0, seed=99))
-        psi_clean, _ = propagate(h0, v, base, psi0, 60)
-        psi_noisy, _ = propagate(h0, v, noisy, psi0, 60)
+        psi_clean, _ = propagate(SectorPropagator(h0, v), base, psi0, 60)
+        psi_noisy, _ = propagate(SectorPropagator(h0, v), noisy, psi0, 60)
         rho_c = reduce_density(psi_clean, (1,), 4)
         rho_n = reduce_density(psi_noisy, (1,), 4)
         assert abs(cut_fidelity(rho_c, DOWN) - cut_fidelity(rho_n, DOWN)) < 1e-12
@@ -222,7 +222,8 @@ def recorded_run():
     h0, v = assemble_hamiltonian(spec)
     psi0 = ground_state(h0 + v).state.astype(complex)
     probe = TrajectoryProbe(n_spins=5, subsystem_sites=(1,), phi_0a=DOWN)
-    psi, record = propagate(h0, v, polynomial_cut(0.6, (34.9, -23.4)), psi0, 100, probe=probe)
+    schedule = polynomial_cut(0.6, (34.9, -23.4))
+    psi, record = propagate(SectorPropagator(h0, v), schedule, psi0, 100, probe=probe)
     return psi, record
 
 
@@ -257,7 +258,7 @@ class TestTrajectoryRecord:
         h0, v = assemble_hamiltonian(spec)
         psi0 = ground_state(h0 + v).state.astype(complex)
         probe = TrajectoryProbe(n_spins=3, subsystem_sites=(1,), phi_0a=DOWN, stride=10)
-        _, record = propagate(h0, v, linear_baseline(0.5), psi0, 25, probe=probe)
+        _, record = propagate(SectorPropagator(h0, v), linear_baseline(0.5), psi0, 25, probe=probe)
         # initial sample, every 10th step, and the forced final step
         assert len(record.times) == 4
 

@@ -11,6 +11,8 @@ from spinsplice.optimize import (
     scan_landscape,
 )
 
+from oracles import cell_size
+
 
 def negated_quadratic(x):
     return -((x[0] - 1.0) ** 2 + (x[1] + 2.0) ** 2)
@@ -117,7 +119,7 @@ class TestLandscape:
         axes = (LandscapeAxis(0, -1.0, 2.0, 13), LandscapeAxis(1, -2.0, 1.0, 13))
         grid = scan_landscape(negated_quadratic, axes)
         p1, p2, value = grid.max_point()
-        c1, c2 = grid.cell_size()
+        c1, c2 = cell_size(grid)
         assert abs(p1 - 1.0) <= c1 + 1e-12
         assert abs(p2 + 2.0) <= c2 + 1e-12
         assert value <= 0.0

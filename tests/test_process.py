@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from spinsplice.chain import ChainSpec, DegeneracyError
+from spinsplice.chain import (
+    DEFAULT_SELECTION_OFFSET,
+    ChainSpec,
+    DegeneracyError,
+    assemble_hamiltonian,
+    ground_state,
+)
 from spinsplice.control import linear_baseline, polynomial_cut, polynomial_stitch, pulse_train
 from spinsplice.optimize import LandscapeAxis, finite_difference_gradient, scan_landscape
 from spinsplice.process import ObjectiveSpec, build_objective, prepare_process
@@ -26,14 +32,15 @@ class TestPrepareProcess:
     def test_seven_ring_start_is_degenerate(self):
         process = prepare_process(ChainSpec(7, "ring", 1.0, 2.0), "cut")
         assert process.start_degenerate
-        h = process.h0 + process.v
+        h = sum(assemble_hamiltonian(process.chain))
         resid = np.linalg.norm(h @ process.psi0 - (process.psi0.conj() @ h @ process.psi0) * process.psi0)
         assert resid < 1e-9
 
     def test_stitch_starts_from_disconnected_ground(self):
         process = prepare_process(ChainSpec(4, "open", 1.0, 2.0), "stitch")
-        w = np.linalg.eigvalsh(process.h0)
-        energy = (process.psi0.conj() @ process.h0 @ process.psi0).real
+        h0, _ = assemble_hamiltonian(process.chain)
+        w = np.linalg.eigvalsh(h0)
+        energy = (process.psi0.conj() @ h0 @ process.psi0).real
         assert energy == pytest.approx(w[0], abs=1e-10)
 
     def test_stitch_final_target_for_seven_ring(self):
@@ -41,7 +48,7 @@ class TestPrepareProcess:
         # the final target must still be a resolved eigenvector
         process = prepare_process(ChainSpec(7, "ring", 1.0, 2.2), "stitch")
         assert process.final_degenerate
-        h = process.h0 + process.v
+        h = sum(assemble_hamiltonian(process.chain))
         w = np.linalg.eigvalsh(h)
         energy = (process.final_ground.conj() @ h @ process.final_ground).real
         assert energy == pytest.approx(w[0], abs=1e-8)
@@ -55,6 +62,43 @@ class TestPrepareProcess:
         # without a field the detached spin has no preferred orientation
         with pytest.raises(DegeneracyError, match="detached block"):
             prepare_process(ChainSpec(3, "open", 1.0, 0.0), "cut")
+
+
+def _arrays(obj):
+    """Every numpy array held by obj's attributes, one level of lists deep."""
+    for value in vars(obj).values():
+        for item in value if isinstance(value, (list, tuple)) else (value,):
+            if isinstance(item, np.ndarray):
+                yield item
+
+
+class TestBlockOnlyProcess:
+    def test_no_full_space_matrix_is_kept(self):
+        process = prepare_process(ChainSpec(8, "ring", 1.0, 2.0), "cut")
+        full = (2**8, 2**8)
+        held = [*_arrays(process), *_arrays(process.propagator)]
+        assert held
+        assert all(a.shape != full for a in held)
+
+    @pytest.mark.parametrize("spec,direction", [
+        (ChainSpec(2, "open", 1.0, 2.0), "cut"),
+        (ChainSpec(7, "ring", 1.0, 2.0), "cut"),
+        (ChainSpec(7, "ring", 1.0, 2.2), "cut"),
+        (ChainSpec(7, "ring", 1.0, 2.2), "stitch"),
+    ])
+    def test_states_equal_dense_selection_bitwise(self, spec, direction):
+        # the block spectra give exactly what ground_state gives on the
+        # assembled matrices with the nudged reference
+        process = prepare_process(spec, direction)
+        h0, v = assemble_hamiltonian(spec)
+        inward = -DEFAULT_SELECTION_OFFSET if direction == "cut" else DEFAULT_SELECTION_OFFSET
+        g_start = 1.0 if direction == "cut" else 0.0
+        g_end = 1.0 - g_start
+        start = ground_state(h0 + g_start * v, h0 + (g_start + inward) * v)
+        final = ground_state(h0 + g_end * v, h0 + (g_end - inward) * v)
+        assert np.array_equal(process.psi0, start.state.astype(complex))
+        assert np.array_equal(process.final_ground, final.state.astype(complex))
+        assert (process.start_degenerate, process.final_degenerate) == (start.degenerate, final.degenerate)
 
 
 class TestFerromagnetShortcut:

@@ -43,7 +43,7 @@ FIG8_CORNERS = ((-30.0, -100.0), (-30.0, 30.0), (140.0, -100.0), (140.0, 30.0))
 
 def dense_fidelities(process, schedule, n_steps):
     """(f_C, f_G) with every state of the process rebuilt by dense eigh."""
-    h0, v = process.h0, process.v
+    h0, v = assemble_hamiltonian(process.chain)
     g_start = 1.0 if process.direction == "cut" else 0.0
     g_end = 1.0 - g_start
     inward = -OFFSET if process.direction == "cut" else OFFSET
@@ -130,8 +130,9 @@ class TestAccuracyGate:
 
     def test_recorded_gap_is_full_spectrum_gap(self, ring7):
         _, record = ring7.run(linear_baseline(20.0), STEPS, stride=15)
+        h0, v = assemble_hamiltonian(ring7.chain)
         for g, gap, flag in zip(record.g_values, record.gap, record.degenerate_flags):
-            w = np.linalg.eigvalsh(ring7.h0 + g * ring7.v)
+            w = np.linalg.eigvalsh(h0 + g * v)
             assert abs(gap - (w[1] - w[0])) <= GAP_GATE
             assert flag == (w[1] - w[0] <= DEGENERACY_RTOL * (w[-1] - w[0]))
         assert record.degenerate_flags[0]
@@ -149,10 +150,10 @@ class TestBeyondOneSector:
         prop = SectorPropagator(h0, v)
         assert prop.occupied(psi0) == [2, 3]
         for schedule in (polynomial_cut(0.6, (54.3, -36.3)), pulse_train(0.6, (0.5, -1.0, 2.0))):
-            psi, _ = propagate(h0, v, schedule, psi0, STEPS, propagator=prop)
+            psi, _ = propagate(prop, schedule, psi0, STEPS)
             assert np.abs(psi - dense_propagate(h0, v, schedule, psi0, STEPS)).max() <= GATE
         probe = TrajectoryProbe(n_spins=6, subsystem_sites=(1,), phi_0a=np.array([0.0, 1.0]), stride=50)
-        _, record = propagate(h0, v, linear_baseline(0.6), psi0, STEPS, probe=probe, propagator=prop)
+        _, record = propagate(prop, linear_baseline(0.6), psi0, STEPS, probe=probe)
         for g, gap in zip(record.g_values, record.gap):
             w = np.linalg.eigvalsh(h0 + g * v)
             assert abs(gap - (w[1] - w[0])) <= GAP_GATE
@@ -171,13 +172,13 @@ class TestBeyondOneSector:
         assert abs(abs(selection.state @ state) - 1.0) <= GATE
         psi0 = state.astype(complex)
         schedule = polynomial_cut(0.6, (10.0, -5.0))
-        psi, _ = propagate(h0, v, schedule, psi0, 100, propagator=prop)
+        psi, _ = propagate(prop, schedule, psi0, 100)
         assert np.abs(psi - dense_propagate(h0, v, schedule, psi0, 100)).max() <= GATE
 
 
 class TestGroundSelection:
     def test_tie_across_sectors_matches_dense(self, ring7):
-        h0, v = ring7.h0, ring7.v
+        h0, v = assemble_hamiltonian(ring7.chain)
         selection = ground_state(h0 + v, h0 + (1.0 - OFFSET) * v)
         energy, state, degenerate, gap = dense_ground_state(h0 + v, h0 + (1.0 - OFFSET) * v)
         assert selection.degenerate and degenerate
