@@ -39,8 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="path to a JSON run config")
         p.add_argument("--out", help="output directory (overrides the config)")
         p.add_argument("--steps", type=int, help="time steps for smooth schedules")
-        p.add_argument("--seed", type=int, help="master RNG seed (noise runs)")
-        p.add_argument("--workers", type=int, help="worker pool width")
+        p.add_argument("--seed", type=int, help="master RNG seed (noise and reproduce fig7 only)")
 
     for command in ("evolve", "optimize", "sweep", "landscape", "noise"):
         common(sub.add_parser(command, help=f"run a {command} experiment"), True)
@@ -56,14 +55,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # flags are merged into the raw config and checked with it
-    flags = {key: value for key, value in
-             (("out_dir", args.out), ("n_steps", args.steps), ("workers", args.workers))
+    flags = {key: value for key, value in (("out_dir", args.out), ("n_steps", args.steps))
              if value is not None}
     try:
         if args.command == "reproduce":
             reproduce(args.target, seed=args.seed, **flags)
             return 0
         mode = CONFIG_MODES[args.command]
+        if args.seed is not None and mode != "noise":
+            raise ConfigError(f"seed: mode '{mode}' draws no random numbers")
         # only two-spin runs without a config
         raw = read_config(args.config) if args.config is not None else {"mode": mode}
         if isinstance(raw, dict):

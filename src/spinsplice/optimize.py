@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .parallel import map_ordered
-
 DEFAULT_GRADIENT_STEP = 0.1
 DEFAULT_TOLERANCE = 1e-4
 DEFAULT_MAX_ITERATIONS = 200
@@ -23,26 +21,19 @@ CURVATURE_FLOOR = 1e-10
 SCALE_BOUNDS = (1e-3, 1e3)
 
 
-def finite_difference_gradient(objective, x: np.ndarray, step: float = DEFAULT_GRADIENT_STEP,
-                               workers: int = 1) -> np.ndarray:
-    """Central-difference gradient; exact on quadratics.
-
-    The 2*dim evaluations are independent and may fan out over workers; the
-    reduction order is fixed either way.
-    """
+def finite_difference_gradient(objective, x: np.ndarray,
+                               step: float = DEFAULT_GRADIENT_STEP) -> np.ndarray:
+    """Central-difference gradient; exact on quadratics.  The 2*dim points are
+    evaluated in order, +step before -step for each coordinate."""
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     x = np.asarray(x, dtype=float)
-    points = []
-    for i in range(x.size):
-        for sign in (+1.0, -1.0):
-            shifted = x.copy()
-            shifted[i] += sign * step
-            points.append(shifted)
-    values = map_ordered(objective, points, workers)
     grad = np.empty(x.size, dtype=float)
     for i in range(x.size):
-        grad[i] = (values[2 * i] - values[2 * i + 1]) / (2.0 * step)
+        up, down = x.copy(), x.copy()
+        up[i] += step
+        down[i] -= step
+        grad[i] = (objective(up) - objective(down)) / (2.0 * step)
     return grad
 
 
@@ -81,7 +72,6 @@ def bfgs_maximize(
     grad_step: float = DEFAULT_GRADIENT_STEP,
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    workers: int = 1,
 ) -> OptimizationReport:
     """Maximize the objective from x0; accepted iterates never decrease it.
 
@@ -102,7 +92,7 @@ def bfgs_maximize(
     def gradient(point: np.ndarray) -> np.ndarray:
         nonlocal evals
         evals += 2 * point.size
-        return finite_difference_gradient(objective, point, grad_step, workers)
+        return finite_difference_gradient(objective, point, grad_step)
 
     def as_point(arr: np.ndarray) -> tuple[float, ...]:
         return tuple(float(v) for v in arr)
@@ -231,9 +221,17 @@ def scan_landscape(
     objective,
     axes: tuple[LandscapeAxis, LandscapeAxis],
     base_params=None,
+    *,
     workers: int = 1,
 ) -> LandscapeGrid:
-    """Evaluate the objective over the full 2-D grid (cells are independent)."""
+    """Evaluate the objective over the full 2-D grid, row by row.
+
+    ``workers`` accepts only 1 and does nothing: the benchmark's landscape
+    pass (``bench/workloads.py``) still passes ``workers=1``, and the
+    parameter goes once that call drops it.
+    """
+    if workers != 1:
+        raise ValueError(f"workers must be 1 (cells are evaluated in one loop), got {workers!r}")
     ax1, ax2 = axes
     if ax1.param_index == ax2.param_index:
         raise ValueError("landscape axes must vary two different parameters")
@@ -247,14 +245,12 @@ def scan_landscape(
                 f"base_params has {base.size} entries but axes reference parameter "
                 f"{n_params - 1}"
             )
-    tasks = []
-    for p1 in ax1.grid():
-        for p2 in ax2.grid():
+    values = np.empty((ax1.resolution, ax2.resolution))
+    for i, p1 in enumerate(ax1.grid()):
+        for j, p2 in enumerate(ax2.grid()):
             params = base.copy()
             params[ax1.param_index] = p1
             params[ax2.param_index] = p2
-            tasks.append(params)
-    flat = map_ordered(objective, tasks, workers)
-    values = np.asarray(flat, dtype=float).reshape(ax1.resolution, ax2.resolution)
+            values[i, j] = objective(params)
     return LandscapeGrid(axes=(ax1, ax2), base_params=tuple(float(b) for b in base),
                          values=values)

@@ -44,7 +44,7 @@ NOISE_STRENGTHS = (0.0, 0.4, 0.8, 1.2, 1.6, 2.0)
 DEFAULT_MASTER_SEED = NOISE["seed"].default
 
 # pipeline arguments are checked by the run-config fields they stand for
-PIPELINE_ARGS = {key: SCHEMA[key] for key in ("out_dir", "n_steps", "workers")}
+PIPELINE_ARGS = {key: SCHEMA[key] for key in ("out_dir", "n_steps")}
 PIPELINE_ARGS["seed"] = NOISE["seed"]
 
 
@@ -53,7 +53,7 @@ def _gp(path: Path, lines: list[str]) -> Path:
     return path
 
 
-def _sweep_config(chain: dict, times, out: Path, n_steps: int, workers: int,
+def _sweep_config(chain: dict, times, out: Path, n_steps: int,
                   process: str = "cut", kind: str = "polynomial_cut") -> RunConfig:
     return parse_config({
         "mode": "sweep",
@@ -63,13 +63,12 @@ def _sweep_config(chain: dict, times, out: Path, n_steps: int, workers: int,
         "sweep": {"times": list(times)},
         "n_steps": n_steps,
         "out_dir": str(out),
-        "workers": workers,
     })
 
 
-def reproduce_table1(out_dir: Path, n_steps: int, workers: int, seed=None) -> dict:
+def reproduce_table1(out_dir: Path, n_steps: int) -> dict:
     out = out_dir / "table1"
-    config = _sweep_config(RING6, TABLE1_TIMES, out, n_steps, workers)
+    config = _sweep_config(RING6, TABLE1_TIMES, out, n_steps)
     result = run_sweep(config)
     gp = _gp(out / "table1.gp", [
         "set xlabel 'T'",
@@ -81,7 +80,7 @@ def reproduce_table1(out_dir: Path, n_steps: int, workers: int, seed=None) -> di
     return result
 
 
-def reproduce_fig3(out_dir: Path, n_steps: int, workers: int, seed=None) -> dict:
+def reproduce_fig3(out_dir: Path, n_steps: int) -> dict:
     panels = [
         ("ring_n6", RING6), ("ring_n7", RING7),
         ("open_n6", OPEN6), ("open_n7", OPEN7),
@@ -89,7 +88,7 @@ def reproduce_fig3(out_dir: Path, n_steps: int, workers: int, seed=None) -> dict
     files = []
     for name, chain in panels:
         out = out_dir / "fig3" / name
-        result = run_sweep(_sweep_config(chain, FIDELITY_SWEEP_TIMES, out, n_steps, workers))
+        result = run_sweep(_sweep_config(chain, FIDELITY_SWEEP_TIMES, out, n_steps))
         files.extend(result["files"])
     gp = _gp(out_dir / "fig3" / "fig3.gp", [
         "set xlabel 'T'",
@@ -103,13 +102,12 @@ def reproduce_fig3(out_dir: Path, n_steps: int, workers: int, seed=None) -> dict
     return {"files": files}
 
 
-def reproduce_fig6(out_dir: Path, n_steps: int, workers: int, seed=None) -> dict:
+def reproduce_fig6(out_dir: Path, n_steps: int) -> dict:
     panels = [("ring_n6", RING6), ("ring_n7", RING7_STITCH)]
     files = []
     for name, chain in panels:
         out = out_dir / "fig6" / name
-        config = _sweep_config(chain, STITCH_TIMES, out, n_steps, workers,
-                               process="stitch", kind="polynomial_stitch")
+        config = _sweep_config(chain, STITCH_TIMES, out, n_steps, "stitch", "polynomial_stitch")
         result = run_sweep(config)
         files.extend(result["files"])
     gp = _gp(out_dir / "fig6" / "fig6.gp", [
@@ -124,27 +122,26 @@ def reproduce_fig6(out_dir: Path, n_steps: int, workers: int, seed=None) -> dict
     return {"files": files}
 
 
-def reproduce_fig7(out_dir: Path, n_steps: int, workers: int, seed=None) -> dict:
+def reproduce_fig7(out_dir: Path, n_steps: int, seed: int = DEFAULT_MASTER_SEED) -> dict:
     """Noise robustness on the optimized cut of the open chain at T = 0.6."""
     started = time.time()
     out = out_dir / "fig7"
     ensure_writable(out)
-    master = DEFAULT_MASTER_SEED if seed is None else int(seed)
     duration = 0.6
     chain = ChainSpec(**OPEN6)
     spec = ObjectiveSpec(chain=chain, kind="polynomial_cut", duration=duration,
                          n_free_params=2, n_steps=n_steps)
     objective, process = build_objective(spec)
-    report = bfgs_maximize(objective, np.zeros(2), workers=workers)
+    report = bfgs_maximize(objective, np.zeros(2))
     schedule = spec.schedule_for(report.final_params)
 
     all_rows = []
-    seeds = {"master": master, "realizations": []}
+    seeds = {"master": seed, "realizations": []}
     # high-frequency windows first, then low-frequency
     for label, window in (("high", duration / 60), ("low", duration / 6)):
         rows, draws = noise_study(
             process, schedule, NOISE_STRENGTHS, window,
-            realizations=50, master_seed=master, n_steps=n_steps, workers=workers,
+            realizations=50, master_seed=seed, n_steps=n_steps,
         )
         seeds["realizations"].extend(draws)
         all_rows.extend(rows)
@@ -165,7 +162,7 @@ def reproduce_fig7(out_dir: Path, n_steps: int, workers: int, seed=None) -> dict
     return {"files": [path, opt_path, gp, manifest]}
 
 
-def reproduce_fig8(out_dir: Path, n_steps: int, workers: int, seed=None) -> dict:
+def reproduce_fig8(out_dir: Path, n_steps: int) -> dict:
     """Fidelity landscapes at T = 0.6 for the polynomial and sine controls."""
     started = time.time()
     out = out_dir / "fig8"
@@ -186,9 +183,7 @@ def reproduce_fig8(out_dir: Path, n_steps: int, workers: int, seed=None) -> dict
         objective, _ = build_objective(spec)
         path = out / f"landscape_{name}.csv"
         _, report, grid_max = landscape_with_optimum(
-            path, objective, axes, lambda f: bfgs_maximize(f, np.zeros(2), workers=workers),
-            workers=workers,
-        )
+            path, objective, axes, lambda f: bfgs_maximize(f, np.zeros(2)))
         optima[name] = {"params": list(report.final_params), "value": report.final_value,
                         "grid_max": grid_max}
         files.append(path)
@@ -210,7 +205,7 @@ def _ramp_start(n_pulses: int) -> np.ndarray:
     return 1.0 - (np.arange(n_pulses) + 0.5) / n_pulses
 
 
-def reproduce_fig9(out_dir: Path, n_steps: int, workers: int, seed=None) -> dict:
+def reproduce_fig9(out_dir: Path, n_steps: int) -> dict:
     """Optimal pulse-train shapes (K = 2 and K = 9) next to the polynomial ones."""
     started = time.time()
     out = out_dir / "fig9"
@@ -225,11 +220,11 @@ def reproduce_fig9(out_dir: Path, n_steps: int, workers: int, seed=None) -> dict
             pulse_spec = ObjectiveSpec(chain=chain, kind="pulse", duration=duration,
                                        n_free_params=n_pulses, n_steps=n_steps)
             pulse_obj, _ = build_objective(pulse_spec, process)
-            pulse_report = bfgs_maximize(pulse_obj, _ramp_start(n_pulses), workers=workers)
+            pulse_report = bfgs_maximize(pulse_obj, _ramp_start(n_pulses))
             poly_spec = ObjectiveSpec(chain=chain, kind="polynomial_cut", duration=duration,
                                       n_free_params=2, n_steps=n_steps)
             poly_obj, _ = build_objective(poly_spec, process)
-            poly_report = bfgs_maximize(poly_obj, np.zeros(2), workers=workers)
+            poly_report = bfgs_maximize(poly_obj, np.zeros(2))
             baseline = process.baseline_fidelity(duration, n_steps)
 
             pulse_schedule = pulse_spec.schedule_for(pulse_report.final_params)
@@ -273,9 +268,15 @@ PIPELINES = {
 
 
 def reproduce(name: str, out_dir: str | Path = "runs",
-              n_steps: int = DEFAULT_TIME_STEPS, workers: int = 1, seed=None) -> dict:
+              n_steps: int = DEFAULT_TIME_STEPS, seed=None) -> dict:
+    """Run one pipeline; ``seed`` is the master seed of fig7, the only one
+    that draws random numbers, and an error for every other target."""
     if name not in PIPELINES:
         raise ConfigError(f"reproduce: unknown target {name!r}; choose from {sorted(PIPELINES)}")
-    args = check_fields(PIPELINE_ARGS, {"out_dir": str(out_dir), "n_steps": n_steps,
-                                        "workers": workers, "seed": seed})
-    return PIPELINES[name](Path(args["out_dir"]), args["n_steps"], args["workers"], args["seed"])
+    if seed is not None and name != "fig7":
+        raise ConfigError(f"seed: reproduce {name} draws no random numbers")
+    args = check_fields(PIPELINE_ARGS, {"out_dir": str(out_dir), "n_steps": n_steps, "seed": seed})
+    out, n_steps = Path(args["out_dir"]), args["n_steps"]
+    if name == "fig7":
+        return reproduce_fig7(out, n_steps, args["seed"])
+    return PIPELINES[name](out, n_steps)

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._version import __version__
-from .chain import DEFAULT_SPIN_CAP, ChainSpec
+from .chain import DEFAULT_SPIN_CAP, ChainSpec, cut_components
 from .control import KINDS, ControlSchedule, NoiseSpec, apply_noise, make_schedule
 from .optimize import (
     DEFAULT_GRADIENT_STEP,
@@ -41,7 +41,6 @@ from .optimize import (
     multi_start_maximize,
     scan_landscape,
 )
-from .parallel import map_ordered
 from .process import DEFAULT_TIME_STEPS, ObjectiveSpec, build_objective, prepare_process
 
 MODES = ("evolve", "optimize", "sweep", "landscape", "noise", "two_spin")
@@ -50,7 +49,6 @@ MODES = ("evolve", "optimize", "sweep", "landscape", "noise", "two_spin")
 # unbounded work or memory.  README "Command line" lists them.
 MAX_MAGNITUDE = 1e6  # every real-valued field
 MAX_STEPS = 100_000  # n_steps, and noise windows per schedule (T / window)
-MAX_WORKERS = 64
 MAX_RESOLUTION = 100  # landscape points per axis
 MAX_REALIZATIONS = 10_000  # noise realizations per strength
 MAX_ITERATIONS = 10_000  # optimizer.max_iterations
@@ -225,7 +223,6 @@ SCHEMA = {
     }), REQUIRED, ("landscape",)),
     "noise": Field(section(NOISE), REQUIRED, ("noise",)),
     "out_dir": Field(path_string, "runs"),
-    "workers": Field(integer(1, MAX_WORKERS), 1),
 }
 
 TWO_SPIN_DEFAULTS = {
@@ -287,6 +284,10 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
         chain = ChainSpec(**cfg["chain"])
     except ValueError as exc:
         raise ConfigError(f"chain: {exc}") from exc
+    try:
+        cut_components(chain)
+    except ValueError as exc:
+        raise ConfigError(f"chain.cut_bonds: {exc}") from exc
     cfg["chain"]["cut_bonds"] = sorted(list(bond) for bond in chain.cut_bonds)
     sched = cfg["schedule"]
     try:
@@ -392,14 +393,14 @@ def objective_spec(config: RunConfig, duration: float | None = None) -> Objectiv
     )
 
 
-def landscape_with_optimum(path: Path, objective, axes, maximize, base_params=None, workers: int = 1):
+def landscape_with_optimum(path: Path, objective, axes, maximize, base_params=None):
     """Scan ``objective`` over the two ``axes``, maximize it with
     ``maximize(objective)``, and write the grid as CSV to ``path``.
 
     Returns the grid, the optimizer's report and the grid maximum as
     ``{"p1", "p2", "value"}``.
     """
-    grid = scan_landscape(objective, axes, base_params=base_params, workers=workers)
+    grid = scan_landscape(objective, axes, base_params=base_params)
     report = maximize(objective)
     with path.open("w") as fh:
         grid.to_csv(fh)
@@ -408,7 +409,7 @@ def landscape_with_optimum(path: Path, objective, axes, maximize, base_params=No
 
 def _optimize_from(config: RunConfig, objective, n_free: int, x0=None):
     """Shared BFGS invocation honouring optimizer options, incl. multi-start."""
-    kwargs = dict(config.optimizer, workers=config.workers)
+    kwargs = dict(config.optimizer)
     ms = kwargs.pop("multi_start", None)
     if ms:
         axes = [np.linspace(ms["lower"], ms["upper"], ms["per_axis"])] * n_free
@@ -501,7 +502,7 @@ def run_landscape(config: RunConfig) -> dict:
     grid_path = out / "landscape.csv"
     grid, report, grid_max = landscape_with_optimum(
         grid_path, objective, axes, lambda f: _optimize_from(config, f, len(params), x0=params),
-        base_params=params, workers=config.workers,
+        base_params=params,
     )
     marker = {
         "optimum_params": list(report.final_params),
@@ -521,12 +522,12 @@ def run_landscape(config: RunConfig) -> dict:
 
 
 def noise_study(process, schedule, strengths, window, realizations, master_seed,
-                n_steps=DEFAULT_TIME_STEPS, target="cut", workers=1):
+                n_steps=DEFAULT_TIME_STEPS, target="cut"):
     """Mean/std of the final fidelity per noise strength, under derived seeds.
 
-    Child seeds are drawn once, in a fixed order, from the master seed, so the
-    study is reproducible regardless of worker count.  Returns the summary rows
-    plus one {seed, dt, dg} record per realization for the run manifest.
+    Child seeds are drawn once, in a fixed order, from the master seed.
+    Returns the summary rows plus one {seed, dt, dg} record per realization
+    for the run manifest.
     """
     rng = np.random.default_rng(int(master_seed))
     child_seeds = rng.integers(0, 2**63, size=(len(strengths), realizations))
@@ -541,12 +542,9 @@ def noise_study(process, schedule, strengths, window, realizations, master_seed,
             rows.append({"dg": dg, "dt": window, "mean_fc": val, "std_fc": 0.0,
                          "M": realizations})
             continue
-
-        def one(seed, _dg=dg):
-            noisy = apply_noise(schedule, NoiseSpec(window=window, strength=_dg, seed=int(seed)))
-            return process.fidelity(noisy, n_steps, target)
-
-        vals = np.asarray(map_ordered(one, child_seeds[i], workers), dtype=float)
+        noisy = (apply_noise(schedule, NoiseSpec(window=window, strength=dg, seed=int(seed)))
+                 for seed in child_seeds[i])
+        vals = np.array([process.fidelity(n, n_steps, target) for n in noisy])
         rows.append({"dg": dg, "dt": window, "mean_fc": float(vals.mean()),
                      "std_fc": float(vals.std()), "M": realizations})
     return rows, draws
@@ -571,7 +569,7 @@ def run_noise(config: RunConfig) -> dict:
     noise = config.noise
     rows, draws = noise_study(
         process, config.schedule, noise["strengths"], noise["window"], noise["realizations"],
-        noise["seed"], config.n_steps, config.target, config.workers,
+        noise["seed"], config.n_steps, config.target,
     )
     path = out / "noise.csv"
     write_noise_csv(path, rows)

@@ -1,8 +1,10 @@
-"""The benchmark's tracer (bench/spans.py) wraps package functions by name.
+"""The benchmark (bench/) calls the package and wraps its functions by name.
 
-A traced name that no longer resolves is skipped by the tracer, and the
-per-layer metric fed by it reads 0 without any error; these checks make such
-a rename fail here instead.
+A traced name that no longer resolves is skipped by the tracer
+(bench/spans.py), and the per-layer metric fed by it reads 0 without any
+error; a workload call that raises (bench/workloads.py) is counted as a
+failed operation, not raised.  These checks make such a change fail here
+instead.
 """
 
 import importlib
@@ -11,13 +13,15 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import spinsplice
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PATH)
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH_DIR / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     try:
@@ -35,7 +39,7 @@ def resolve(module_name, attr):
 
 
 def test_every_traced_target_is_a_package_callable():
-    spans = load_spans()
+    spans = load_bench("spans")
     assert spans.TARGETS
     for module_name, attr, span_name, _ in spans.TARGETS:
         assert module_name.startswith("spinsplice.")
@@ -47,3 +51,16 @@ def test_keywords_read_by_span_attributes():
     # tells recorded runs apart by the ``probe`` argument
     assert callable(resolve("spinsplice.process", "build_objective"))
     assert "probe" in inspect.signature(spinsplice.dynamics.propagate).parameters
+
+
+def test_workloads_run_without_failures_at_tiny_scale(tmp_path):
+    workloads = load_bench("workloads")
+    ledger = workloads.Ledger()
+    for name, workload_class in workloads.WORKLOADS.items():
+        workload = workload_class(workloads.TINY, tmp_path / name)
+        ctx = workload.setup()
+        assert workload.run_pass(ctx, 0, np.random.default_rng(0), ledger) > 0, name
+        for anchor, compute in workload.anchors(ctx).items():
+            with ledger.op(f"{name} anchor {anchor}"):
+                workloads.expect(workloads.in_unit(compute()), "anchor outside [0, 1]")
+    assert ledger.failed == 0, ledger.misses

@@ -36,13 +36,6 @@ class TestFiniteDifferenceGradient:
         err_h2 = finite_difference_gradient(quartic, np.array([1.0]), 0.05)[0] - 4.0
         assert err_h / err_h2 == pytest.approx(4.0, abs=1e-6)
 
-    def test_workers_do_not_change_result(self):
-        f = lambda x: np.sin(x[0]) * np.cos(x[1]) + x[0] * x[1]
-        x = np.array([0.3, -0.7])
-        serial = finite_difference_gradient(f, x, 0.1, workers=1)
-        parallel = finite_difference_gradient(f, x, 0.1, workers=4)
-        assert np.array_equal(serial, parallel)
-
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError, match="step"):
             finite_difference_gradient(lambda x: 0.0, np.zeros(1), 0.0)
@@ -124,12 +117,11 @@ class TestLandscape:
         assert abs(p2 + 2.0) <= c2 + 1e-12
         assert value <= 0.0
 
-    def test_workers_equivalent(self):
-        axes = (LandscapeAxis(0, 0.0, 1.0, 4), LandscapeAxis(1, 0.0, 1.0, 4))
-        f = lambda p: float(np.sin(p[0]) + np.cos(p[1]))
-        serial = scan_landscape(f, axes, workers=1)
-        threaded = scan_landscape(f, axes, workers=3)
-        assert np.array_equal(serial.values, threaded.values)
+    def test_workers_accepts_only_one(self):
+        axes = (LandscapeAxis(0, 0.0, 1.0, 2), LandscapeAxis(1, 0.0, 1.0, 2))
+        assert scan_landscape(lambda p: 0.5, axes, workers=1).values.shape == (2, 2)
+        with pytest.raises(ValueError, match="workers"):
+            scan_landscape(lambda p: 0.5, axes, workers=2)
 
     def test_base_params_respected(self):
         axes = (LandscapeAxis(0, 0.0, 1.0, 3), LandscapeAxis(2, 0.0, 1.0, 3))

@@ -152,8 +152,8 @@ class TestConfigValidation:
             parse_config(data)
 
     def test_workers_validated(self, tmp_path):
-        with pytest.raises(ConfigError, match="workers"):
-            parse_config(evolve_config(tmp_path, workers=0))
+        with pytest.raises(ConfigError, match="^workers: unknown config key$"):
+            parse_config(evolve_config(tmp_path, workers=1))
 
     @pytest.mark.parametrize("mode", MODES)
     def test_echo_round_trip(self, tmp_path, mode):
@@ -287,19 +287,6 @@ class TestRunners:
         assert len(draws) == 2 * 4
         assert set(draws[0]) == {"seed", "dt", "dg"}
 
-    def test_noise_study_worker_count_is_invisible(self, tmp_path):
-        data = evolve_config(tmp_path, mode="noise")
-        data["n_steps"] = 25
-        data["noise"] = {"strengths": [0.6], "window": 0.1, "realizations": 4, "seed": 7}
-        config = parse_config(data)
-        from spinsplice.process import prepare_process
-        from spinsplice.runner import noise_study
-
-        process = prepare_process(config.chain, "cut")
-        serial, _ = noise_study(process, config.schedule, (0.6,), 0.1, 4, 7, 25, workers=1)
-        threaded, _ = noise_study(process, config.schedule, (0.6,), 0.1, 4, 7, 25, workers=3)
-        assert serial == threaded
-
     def test_two_spin_defaults(self, tmp_path, capsys):
         config = parse_config({"mode": "two_spin", "out_dir": str(tmp_path / "ts"),
                                "n_steps": 60})
@@ -325,6 +312,7 @@ class TestCli:
             ("chain.exchange", evolve_config(tmp_path, chain=dict(ring4, exchange=math.inf))),
             ("chain.field", evolve_config(tmp_path, chain=dict(ring4, field=math.nan))),
             ("chain.spin_cap", evolve_config(tmp_path, chain=dict(ring4, spin_cap=20))),
+            ("chain.cut_bonds", evolve_config(tmp_path, chain=dict(ring4, cut_bonds=[[1, 2]]))),
             ("schedule.params[0]", evolve_config(
                 tmp_path, schedule={"kind": "polynomial_cut", "T": 0.5, "params": [math.nan, 1.0]})),
             ("schedule.T", evolve_config(tmp_path, schedule={"kind": "polynomial_cut", "T": math.inf})),
@@ -340,11 +328,14 @@ class TestCli:
         runs = [(field, [data["mode"], "--config", write_config(tmp_path / f"c{k}.json", data)])
                 for k, (field, data) in enumerate(bad)]
         noise_path = write_config(tmp_path / "noise.json", mode_config("noise", tmp_path))
+        evolve_path = write_config(tmp_path / "evolve.json", evolve_config(tmp_path))
         runs += [
             ("n_steps", ["reproduce", "table1", "--out", str(tmp_path), "--steps", "-5"]),
             ("n_steps", ["reproduce", "table1", "--out", str(tmp_path), "--steps", "0"]),
             ("noise.seed", ["noise", "--config", noise_path, "--seed", "-3"]),
             ("seed", ["reproduce", "fig7", "--out", str(tmp_path), "--seed", "-1"]),
+            ("seed", ["evolve", "--config", evolve_path, "--seed", "-3"]),
+            ("seed", ["reproduce", "table1", "--out", str(tmp_path), "--seed", "9"]),
         ]
         for field, argv in runs:
             assert main(argv) == 2, argv
