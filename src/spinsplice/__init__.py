@@ -6,7 +6,6 @@ from .chain import (
     DegeneracyError,
     GroundStateSelection,
     assemble_hamiltonian,
-    detached_block_hamiltonian,
     ground_state,
 )
 from .control import (
@@ -53,7 +52,7 @@ from .runner import ConfigError, RunConfig, execute, load_config, parse_config
 __all__ = [
     "__version__",
     "ChainSpec", "DegeneracyError", "GroundStateSelection",
-    "assemble_hamiltonian", "detached_block_hamiltonian", "ground_state",
+    "assemble_hamiltonian", "ground_state",
     "ControlSchedule", "NoiseSpec", "NoisySchedule", "apply_noise", "linear_baseline",
     "make_schedule", "polynomial_cut", "polynomial_stitch", "pulse_train", "sine_cut",
     "SectorPropagator", "TrajectoryProbe", "TrajectoryRecord", "cut_fidelity", "entropy",

@@ -5,10 +5,11 @@ product basis with site 1 as the most significant bit and spin-up mapped to
 bit 0.  Basis index ``s`` therefore encodes site ``i`` (1-based) in bit
 ``n_spins - i``, and ``|up...up>`` is index 0.
 
-All Heisenberg + Zeeman Hamiltonians are real symmetric in this basis and are
-assembled as float64 arrays.  They conserve total S^z, so they are block
-diagonal over the sets of basis states with equal numbers of down spins;
-ground states are found block by block over that verified partition.
+All Heisenberg + Zeeman Hamiltonians are real symmetric in this basis.  They
+conserve total S^z, so they are block diagonal over the sectors of basis
+states with equal numbers of down spins.  They are assembled directly as
+float64 sector blocks, never as 2**N x 2**N matrices, and ground states are
+found block by block.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ class DegeneracyError(RuntimeError):
 
 
 Bond = tuple[int, int]
+Blocks = tuple[np.ndarray, ...]
 
 
 def _normalize_bond(bond: Iterable[int]) -> Bond:
@@ -62,7 +64,7 @@ class ChainSpec:
         if self.n_spins > DEFAULT_SPIN_CAP:
             raise ValueError(
                 f"n_spins={self.n_spins} exceeds the cap of {DEFAULT_SPIN_CAP} "
-                f"(dense storage grows as 4**N)"
+                f"(the sector blocks of each operator hold C(2N, N) entries)"
             )
         if self.topology == "ring" and self.n_spins < 3:
             raise ValueError("a ring needs at least 3 spins")
@@ -83,10 +85,6 @@ class ChainSpec:
                     )
             object.__setattr__(self, "cut_bonds", cut)
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_spins
-
     def bonds(self) -> list[Bond]:
         """All nearest-neighbour bonds of the declared topology."""
         out = [(i, i + 1) for i in range(1, self.n_spins)]
@@ -95,65 +93,66 @@ class ChainSpec:
         return out
 
 
-def _down_counts(dim: int) -> np.ndarray:
-    """Number of down spins (set bits) of every basis index below ``dim``."""
-    counts = np.zeros(1, dtype=np.int64)
-    while counts.size < dim:
-        counts = np.concatenate([counts, counts + 1])
-    return counts[:dim]
+def _sectors(n_spins: int) -> tuple[np.ndarray, np.ndarray, Blocks]:
+    """Total-S^z sectors of ``n_spins`` spins.
+
+    Returns each basis state's down count (the set bits of its index), its
+    position inside its sector, and the basis indices of every sector
+    k = 0..n_spins, ascending.
+    """
+    downs = np.zeros(1, dtype=np.int64)
+    for _ in range(n_spins):
+        downs = np.concatenate([downs, downs + 1])
+    order = np.argsort(downs, kind="stable")
+    sizes = np.bincount(downs)
+    pos = np.empty_like(downs)
+    pos[order] = np.arange(downs.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return downs, pos, tuple(np.split(order, np.cumsum(sizes)[:-1]))
 
 
-def _add_exchange_bond(h: np.ndarray, i: int, j: int, coupling: float, n_spins: int) -> None:
-    # sigma_i . sigma_j in the z product basis: z_i z_j on the diagonal plus a
-    # weight-2 pair flip between antiparallel configurations.
+def _sector_hamiltonian(
+    n_spins: int, bonds: Iterable[Bond], cut: frozenset[Bond], exchange: float, field: float,
+) -> tuple[Blocks, Blocks, Blocks]:
+    """Sector blocks of the split Heisenberg + Zeeman Hamiltonian.
+
+    Returns ``(blocks, h0, v)``: the basis indices of each total-S^z sector
+    and the float64 blocks of the static and controlled parts on it.  Each
+    operator is one flat buffer, and its blocks are square views of it.
+    """
+    downs, pos, blocks = _sectors(n_spins)
+    sizes = np.bincount(downs)
+    ends = np.cumsum(sizes * sizes)
+    row = (ends - sizes * sizes)[downs] + pos * sizes[downs]  # buffer index where each state's row begins
+    diag = row + pos
     states = np.arange(1 << n_spins)
-    bi = (states >> (n_spins - i)) & 1
-    bj = (states >> (n_spins - j)) & 1
-    h[states, states] += coupling * (1.0 - 2.0 * bi) * (1.0 - 2.0 * bj)
-    flip = states[bi != bj]
-    mask = (1 << (n_spins - i)) | (1 << (n_spins - j))
-    h[flip ^ mask, flip] += 2.0 * coupling
-
-
-def _add_field(h: np.ndarray, field: float, n_spins: int) -> None:
+    h0, v = np.zeros(ends[-1]), np.zeros(ends[-1])
+    for i, j in bonds:
+        # sigma_i . sigma_j: z_i z_j on the diagonal plus a weight-2 pair flip
+        # between antiparallel configurations
+        target = v if (i, j) in cut else h0
+        bi = (states >> (n_spins - i)) & 1
+        bj = (states >> (n_spins - j)) & 1
+        target[diag] += exchange * (1.0 - 2.0 * bi) * (1.0 - 2.0 * bj)
+        flip = states[bi != bj]
+        target[row[flip ^ ((1 << (n_spins - i)) | (1 << (n_spins - j)))] + pos[flip]] += 2.0 * exchange
+    # the field goes in last, so each diagonal entry sums in the order of the
+    # dense reference assembly; added first, it differs at round-off
     if field != 0.0:
-        h[np.diag_indices(1 << n_spins)] += field * (n_spins - 2 * _down_counts(1 << n_spins))
+        h0[diag] += field * (n_spins - 2 * downs)
+    h0, v = (tuple(part.reshape(d, d) for part, d in zip(np.split(buf, ends[:-1]), sizes)) for buf in (h0, v))
+    return blocks, h0, v
 
 
-def assemble_hamiltonian(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Split Hamiltonian (static part, controlled part) as real float64 arrays.
+def assemble_hamiltonian(spec: ChainSpec) -> tuple[Blocks, Blocks, Blocks]:
+    """Split Hamiltonian as ``(blocks, h0, v)`` over the total-S^z sectors.
 
-    The static part carries every exchange bond not in ``cut_bonds`` plus the
-    full Zeeman term; the controlled part is the sum of the cut-bond exchange
-    terms.  Their sum is the complete chain (or ring) Hamiltonian.
+    ``blocks[k]`` holds the basis indices with k down spins, ascending, and
+    ``h0[k]``, ``v[k]`` are the real float64 blocks on them.  The static part
+    h0 carries every exchange bond not in ``cut_bonds`` plus the full Zeeman
+    term; the controlled part v is the sum of the cut-bond exchange terms.
+    Their sum is the complete chain (or ring) Hamiltonian.
     """
-    dim = spec.dim
-    h0 = np.zeros((dim, dim), dtype=np.float64)
-    v = np.zeros((dim, dim), dtype=np.float64)
-    for bond in spec.bonds():
-        target = v if bond in spec.cut_bonds else h0
-        _add_exchange_bond(target, bond[0], bond[1], spec.exchange, spec.n_spins)
-    _add_field(h0, spec.field, spec.n_spins)
-    return h0, v
-
-
-def detached_block_hamiltonian(spec: ChainSpec, sites: tuple[int, ...]) -> np.ndarray:
-    """Hamiltonian of a detached block, on the block's own 2**len(sites) space.
-
-    Keeps the exchange bonds internal to the block (excluding cut bonds) and
-    the Zeeman term of the block sites.  Site ordering inside the block
-    follows ascending site number, most significant first.
-    """
-    n = len(sites)
-    order = {site: k + 1 for k, site in enumerate(sorted(sites))}
-    h = np.zeros((1 << n, 1 << n), dtype=np.float64)
-    for bond in spec.bonds():
-        if bond in spec.cut_bonds:
-            continue
-        if bond[0] in order and bond[1] in order:
-            _add_exchange_bond(h, order[bond[0]], order[bond[1]], spec.exchange, n)
-    _add_field(h, spec.field, n)
-    return h
+    return _sector_hamiltonian(spec.n_spins, spec.bonds(), spec.cut_bonds, spec.exchange, spec.field)
 
 
 def cut_components(spec: ChainSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -180,29 +179,6 @@ def cut_components(spec: ChainSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(sorted(seen)), rest
 
 
-def sector_partition(*operators: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Basis indices of the total-S^z blocks that every operator leaves invariant.
-
-    Block k holds the basis states with k down spins: the indices with k set
-    bits.  The partition is checked, not assumed: if any operator has a
-    nonzero entry, however small, joining two blocks, the whole space is
-    returned as the single block.
-    """
-    dim = operators[0].shape[0]
-    downs = _down_counts(dim)
-    between = downs[:, None] != downs
-    if any(np.any(between & (op != 0)) for op in operators):
-        return (np.arange(dim),)
-    order = np.argsort(downs, kind="stable")
-    ends = np.cumsum(np.bincount(downs)).tolist()
-    return tuple(order[start:end] for start, end in zip([0, *ends[:-1]], ends))
-
-
-def restrict(m: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """The rows and columns ``block`` of ``m``; ``m`` itself for the whole space."""
-    return m if block.size == m.shape[0] else m.take(block, axis=0).take(block, axis=1)
-
-
 class Spectrum:
     """Eigenpairs of a block-diagonal Hermitian matrix, one ``eigh`` per block.
 
@@ -219,10 +195,6 @@ class Spectrum:
         self._order = np.argsort(w, kind="stable")
         self._offsets = np.cumsum([0] + [b.size for b in blocks])
         self.energies = w[self._order]
-
-    @classmethod
-    def of(cls, h: np.ndarray, blocks: tuple[np.ndarray, ...]) -> "Spectrum":
-        return cls(h.shape[0], blocks, [restrict(h, b) for b in blocks])
 
     @property
     def gap(self) -> float:
@@ -307,13 +279,20 @@ def resolve_ground(spectrum: Spectrum, nudged: Callable[[], Spectrum] | None) ->
 
 
 def ground_state(h: np.ndarray, continuity_reference: np.ndarray | None = None) -> GroundStateSelection:
-    """Lowest eigenpair of ``h`` with explicit handling of degeneracy.
+    """Lowest eigenpair of a dense 2**N matrix ``h`` with explicit handling of degeneracy.
 
-    ``h`` is diagonalized block by block over the total-S^z sectors it shares
-    with ``continuity_reference``, a slightly perturbed Hamiltonian supplied by
-    the caller that ``resolve_ground`` follows when ``h`` is degenerate.
+    ``h`` is diagonalized block by block over the total-S^z sectors.  When it
+    is degenerate, ``resolve_ground`` follows ``continuity_reference``, a
+    slightly perturbed Hamiltonian supplied by the caller.  A nonzero entry
+    between two sectors, however small, is an error.
     """
+    downs, _, blocks = _sectors(h.shape[0].bit_length() - 1)
     operators = (h,) if continuity_reference is None else (h, continuity_reference)
-    blocks = sector_partition(*operators)
-    nudged = None if continuity_reference is None else (lambda: Spectrum.of(continuity_reference, blocks))
-    return resolve_ground(Spectrum.of(h, blocks), nudged)
+    if any(np.any((downs[:, None] != downs) & (op != 0)) for op in operators):
+        raise ValueError("ground_state needs a matrix that conserves total S^z")
+
+    def spectrum(m: np.ndarray) -> Spectrum:
+        return Spectrum(h.shape[0], blocks, [m.take(b, axis=0).take(b, axis=1) for b in blocks])
+
+    nudged = None if continuity_reference is None else (lambda: spectrum(continuity_reference))
+    return resolve_ground(spectrum(h), nudged)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import DegeneracyError, Spectrum, restrict, sector_partition, select_ground
+from .chain import Blocks, DegeneracyError, Spectrum, select_ground
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
 
@@ -25,18 +25,17 @@ CSV_COLUMNS = ("t", "g", "f_c", "f_g", "purity_A", "entropy_A", "entropy_B", "ga
 class SectorPropagator:
     """Applies exp(-i (h0 + g v) dt) block by block.
 
-    The blocks are the total-S^z sectors that ``sector_partition`` verifies
-    for h0 and v together, or the whole space when that check fails.  Each
-    step diagonalizes only the blocks in which the state has amplitude.
+    ``blocks`` holds the basis indices of each total-S^z sector, and ``h0``
+    and ``v`` the real symmetric float64 blocks of the split Hamiltonian on
+    them, as ``assemble_hamiltonian`` returns them.  Each step diagonalizes
+    only the blocks in which the state has amplitude.
     """
 
-    def __init__(self, h0: np.ndarray, v: np.ndarray):
-        if h0.shape != v.shape:
-            raise ValueError(f"h0 and v must have equal shapes, got {h0.shape} and {v.shape}")
-        self.dim = h0.shape[0]
-        self.blocks = sector_partition(h0, v)
-        self._h0 = [restrict(h0, b) for b in self.blocks]
-        self._v = [restrict(v, b) for b in self.blocks]
+    def __init__(self, blocks: Blocks, h0: Blocks, v: Blocks):
+        self.dim = sum(b.size for b in blocks)
+        self.blocks = blocks
+        self._h0 = h0
+        self._v = v
 
     def spectrum(self, g: float) -> Spectrum:
         """Eigenpairs of h0 + g v over every block."""
@@ -49,8 +48,6 @@ class SectorPropagator:
     def step_block(self, k: int, amp: np.ndarray, g: float, dt: float) -> np.ndarray:
         """One factor applied to the amplitudes ``amp`` of block k."""
         w, q = np.linalg.eigh(self._h0[k] + g * self._v[k])
-        if np.iscomplexobj(q):
-            return q @ (np.exp(-1j * w * dt) * (q.conj().T @ amp))
         # real symmetric generator: split re/im so the matvecs stay real
         amp = (q.T @ amp.real) + 1j * (q.T @ amp.imag)
         amp *= np.exp(-1j * w * dt)

@@ -20,10 +20,10 @@ from .chain import (
     DEFAULT_SELECTION_OFFSET,
     ChainSpec,
     DegeneracyError,
+    Spectrum,
+    _sector_hamiltonian,
     assemble_hamiltonian,
     cut_components,
-    detached_block_hamiltonian,
-    ground_state,
     resolve_ground,
 )
 from .control import ControlSchedule, linear_baseline, make_schedule
@@ -99,19 +99,23 @@ class ChainProcess:
 
 
 def prepare_process(spec: ChainSpec, direction: str = "cut") -> ChainProcess:
-    """Assemble operators, pick the initial state, and fix both fidelity targets.
+    """Assemble the sector blocks, pick the initial state, and fix both fidelity targets.
 
-    The dense operators live only as long as it takes to cut them into the
-    propagator's blocks; both ground states come from the block spectra.
+    The chain is assembled once, as total-S^z blocks; both ground states come
+    from their spectra.  The cut target is the ground state of the detached
+    block A, assembled the same way on A's sites renumbered 1..len(A).
     """
     if direction not in ("cut", "stitch"):
         raise ValueError(f"direction must be 'cut' or 'stitch', got {direction!r}")
     propagator = SectorPropagator(*assemble_hamiltonian(spec))
     a_sites, b_sites = cut_components(spec)
 
-    block = detached_block_hamiltonian(spec, a_sites)
+    order = {site: k + 1 for k, site in enumerate(a_sites)}
+    inner = [(order[i], order[j]) for i, j in spec.bonds()
+             if (i, j) not in spec.cut_bonds and i in order and j in order]
+    blocks, h_a, _ = _sector_hamiltonian(len(a_sites), inner, frozenset(), spec.exchange, spec.field)
     try:
-        phi_0a = ground_state(block).state
+        phi_0a = resolve_ground(Spectrum(1 << len(a_sites), blocks, h_a), None).state
     except DegeneracyError as exc:
         raise DegeneracyError(
             f"the detached block {a_sites} has a degenerate ground state; "

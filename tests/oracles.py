@@ -2,10 +2,13 @@
 
 Operators are built from literal 2x2 matrices and np.kron, deliberately
 bypassing the package's bit-arithmetic Hamiltonian assembly so the two routes
-check each other.  Spectra, ground states and propagation are computed with
-dense eigendecompositions of the full 2**N space, bypassing the package's
-total-S^z sectors.  The helpers at the end (a schedule's slope, a landscape's
-cell size, one sector step on a full-space state) serve only the tests.
+check each other.  ``dense_hamiltonian`` and ``dense_detached_block`` are the
+bit-arithmetic assembly on the full 2**N space, the reference the package's
+sector blocks must equal bitwise.  Spectra, ground states and propagation are
+computed with dense eigendecompositions of the full space, bypassing the
+package's total-S^z sectors.  The helpers at the end (a schedule's slope, a
+landscape's cell size, one sector step on a full-space state, sector blocks
+cut from hand-built dense matrices) serve only the tests.
 """
 
 from dataclasses import dataclass
@@ -53,6 +56,51 @@ def kron_hamiltonian(n, topology, coupling, field_z, cut_bonds):
     for s in range(1, n + 1):
         h0 += field_z * kron_site(SZ, s, n)
     return h0, v
+
+
+def _add_exchange_bond(h, i, j, coupling, n_spins):
+    # sigma_i . sigma_j in the z product basis: z_i z_j on the diagonal plus a
+    # weight-2 pair flip between antiparallel configurations.
+    states = np.arange(1 << n_spins)
+    bi = (states >> (n_spins - i)) & 1
+    bj = (states >> (n_spins - j)) & 1
+    h[states, states] += coupling * (1.0 - 2.0 * bi) * (1.0 - 2.0 * bj)
+    flip = states[bi != bj]
+    mask = (1 << (n_spins - i)) | (1 << (n_spins - j))
+    h[flip ^ mask, flip] += 2.0 * coupling
+
+
+def _add_field(h, field, n_spins):
+    if field != 0.0:
+        downs = np.array([bin(s).count("1") for s in range(1 << n_spins)])
+        h[np.diag_indices(1 << n_spins)] += field * (n_spins - 2 * downs)
+
+
+def dense_hamiltonian(spec):
+    """Full-space (h0, v) of a ChainSpec as float64 arrays, by bit arithmetic:
+    every exchange bond not in ``cut_bonds`` plus the Zeeman term in h0, the
+    cut bonds in v."""
+    dim = 1 << spec.n_spins
+    h0 = np.zeros((dim, dim))
+    v = np.zeros((dim, dim))
+    for bond in spec.bonds():
+        _add_exchange_bond(v if bond in spec.cut_bonds else h0, *bond, spec.exchange, spec.n_spins)
+    _add_field(h0, spec.field, spec.n_spins)
+    return h0, v
+
+
+def dense_detached_block(spec, sites):
+    """Hamiltonian of a detached block on its own 2**len(sites) space: the
+    non-cut bonds inside it and the Zeeman term of its sites, renumbered in
+    ascending site order."""
+    n = len(sites)
+    order = {site: k + 1 for k, site in enumerate(sorted(sites))}
+    h = np.zeros((1 << n, 1 << n))
+    for i, j in spec.bonds():
+        if (i, j) not in spec.cut_bonds and i in order and j in order:
+            _add_exchange_bond(h, order[i], order[j], spec.exchange, n)
+    _add_field(h, spec.field, n)
+    return h
 
 
 def taylor_expm(a, order=12):
@@ -175,3 +223,15 @@ def sector_step(propagator, psi, g, dt):
     occupied = propagator.occupied(psi)
     amps = [propagator.step_block(k, psi[propagator.blocks[k]], g, dt) for k in occupied]
     return propagator.embed(occupied, amps)
+
+
+def sector_blocks(*operators):
+    """(blocks, *parts) for dense operators that conserve total S^z: the basis
+    indices with k down spins, and each operator's blocks on them, the form a
+    SectorPropagator takes."""
+    dim = operators[0].shape[0]
+    downs = np.array([bin(s).count("1") for s in range(dim)])
+    for op in operators:
+        assert not np.any(op[downs[:, None] != downs]), "operator mixes total-S^z sectors"
+    blocks = tuple(np.flatnonzero(downs == k) for k in range(int(downs.max()) + 1))
+    return (blocks, *(tuple(op[np.ix_(b, b)] for b in blocks) for op in operators))

@@ -26,7 +26,7 @@ from spinsplice.optimize import LandscapeAxis, bfgs_maximize, finite_difference_
 from spinsplice.process import ObjectiveSpec, build_objective, prepare_process
 from spinsplice.runner import noise_study
 
-from oracles import cell_size, ground_fidelity, sector_step, step_unitary
+from oracles import cell_size, dense_hamiltonian, ground_fidelity, sector_blocks, sector_step, step_unitary
 
 RING6 = ChainSpec(6, "ring", 1.0, 2.0)
 RING7 = ChainSpec(7, "ring", 1.0, 2.0)
@@ -182,7 +182,7 @@ def test_criterion_07_property_suite(ring6, ring7, table1_reports):
     failures = []
 
     # unitarity of individual steps
-    h0, v = assemble_hamiltonian(ring6.chain)
+    h0, v = dense_hamiltonian(ring6.chain)
     rng = np.random.default_rng(2)
     for _ in range(4):
         u = step_unitary(h0, v, float(rng.uniform(-5, 5)), float(rng.uniform(0.001, 0.2)))
@@ -194,9 +194,9 @@ def test_criterion_07_property_suite(ring6, ring7, table1_reports):
     if np.abs(record.entropy_a - record.entropy_b).max() >= 1e-8:
         failures.append("entropy mirror broken")
     spec5 = ChainSpec(5, "open", 1.0, 2.0)
-    h5, v5 = assemble_hamiltonian(spec5)
+    h5, v5 = dense_hamiltonian(spec5)
     psi = ground_state(h5 + v5).state.astype(complex)
-    prop = SectorPropagator(h5, v5)
+    prop = SectorPropagator(*assemble_hamiltonian(spec5))
     sched5 = linear_baseline(0.7)
     grid = integration_grid(sched5, 40)
     mids = 0.5 * (grid[:-1] + grid[1:])
@@ -236,7 +236,7 @@ def test_criterion_07_property_suite(ring6, ring7, table1_reports):
         ("sine", sine_cut(0.7, (0.4, -0.3))),
         ("pulse", pulse_train(0.7, (-3.0, 2.5))),
     ):
-        psi_t, _ = propagate(SectorPropagator(diag_field, z1z2), schedule, psi0, 90)
+        psi_t, _ = propagate(SectorPropagator(*sector_blocks(diag_field, z1z2)), schedule, psi0, 90)
         rho = reduce_density(psi_t, (1,), n)
         finals[label] = (
             cut_fidelity(rho, np.array([0.0, 1.0])),

@@ -6,7 +6,6 @@ from spinsplice.chain import (
     DegeneracyError,
     assemble_hamiltonian,
     cut_components,
-    detached_block_hamiltonian,
     ground_state,
 )
 
@@ -15,10 +14,24 @@ from oracles import (
     SZ,
     commutator_frobenius_norm,
     decompose,
+    dense_detached_block,
+    dense_hamiltonian,
     kron_exchange,
     kron_hamiltonian,
     pauli_site_operator,
 )
+
+
+def embedded(spec):
+    """The package's sector blocks of (h0, v) placed in full-space matrices."""
+    blocks, *parts = assemble_hamiltonian(spec)
+    out = []
+    for part in parts:
+        m = np.zeros((2**spec.n_spins, 2**spec.n_spins), dtype=np.result_type(*part))
+        for b, block in zip(blocks, part):
+            m[np.ix_(b, b)] = block
+        out.append(m)
+    return tuple(out)
 
 
 class TestPauliSiteOperator:
@@ -51,20 +64,20 @@ class TestAssembleHamiltonian:
     def test_two_spin_cut_everything(self):
         # whole interaction in v: singlet/triplet split
         spec = ChainSpec(2, "open", 1.0, 0.0)
-        h0, v = assemble_hamiltonian(spec)
+        h0, v = embedded(spec)
         assert np.abs(h0).max() == 0.0
         assert np.allclose(np.linalg.eigvalsh(v), [-3.0, 1.0, 1.0, 1.0])
 
     def test_two_spin_with_field(self):
         spec = ChainSpec(2, "open", 1.0, 1.0)
-        h0, v = assemble_hamiltonian(spec)
+        h0, v = embedded(spec)
         assert np.allclose(np.linalg.eigvalsh(h0 + v), [-3.0, -1.0, 1.0, 3.0])
 
     def test_ring_term_presence(self):
         ring = ChainSpec(3, "ring", 1.0, 0.0, frozenset({(1, 2)}))
         open_ = ChainSpec(3, "open", 1.0, 0.0, frozenset({(1, 2)}))
-        h_ring = sum(assemble_hamiltonian(ring))
-        h_open = sum(assemble_hamiltonian(open_))
+        h_ring = sum(embedded(ring))
+        h_open = sum(embedded(open_))
         wrap_bond = kron_exchange(1, 3, 3).real
         diff = h_ring - h_open
         assert np.abs(diff - wrap_bond).max() < 1e-12
@@ -73,7 +86,7 @@ class TestAssembleHamiltonian:
     @pytest.mark.parametrize("n,topology", [(2, "open"), (3, "open"), (3, "ring"), (4, "open"), (4, "ring")])
     def test_matches_kron_oracle(self, n, topology):
         spec = ChainSpec(n, topology, 1.0, 2.0)
-        h0, v = assemble_hamiltonian(spec)
+        h0, v = embedded(spec)
         ref_h0, ref_v = kron_hamiltonian(n, topology, 1.0, 2.0, spec.cut_bonds)
         assert np.abs(h0 - ref_h0).max() < 1e-12
         assert np.abs(v - ref_v).max() < 1e-12
@@ -82,25 +95,40 @@ class TestAssembleHamiltonian:
 
     def test_two_spin_block_cut_matches_oracle(self):
         spec = ChainSpec(5, "open", 1.0, 2.1, frozenset({(2, 3)}))
-        h0, v = assemble_hamiltonian(spec)
+        h0, v = embedded(spec)
         ref_h0, ref_v = kron_hamiltonian(5, "open", 1.0, 2.1, [(2, 3)])
         assert np.abs(h0 - ref_h0).max() < 1e-12
         assert np.abs(v - ref_v).max() < 1e-12
 
     def test_real_symmetric(self):
         spec = ChainSpec(5, "ring", 1.0, 2.0)
-        h0, v = assemble_hamiltonian(spec)
+        h0, v = embedded(spec)
         for m in (h0, v):
             assert not np.iscomplexobj(m)
             assert np.abs(m - m.T).max() == 0.0
 
     def test_magnetization_conserved(self):
         spec = ChainSpec(4, "ring", 1.0, 2.0)
-        h0, v = assemble_hamiltonian(spec)
+        h0, v = embedded(spec)
         mz = sum(pauli_site_operator(s, "z", 4) for s in range(1, 5)).real
         assert commutator_frobenius_norm(mz, h0) < 1e-10
         assert commutator_frobenius_norm(mz, v) < 1e-10
         assert commutator_frobenius_norm(mz, h0 + v) < 1e-10
+
+
+    @pytest.mark.parametrize("n,topology", [(n, "open") for n in range(2, 11)] + [(n, "ring") for n in range(3, 11)])
+    def test_blocks_equal_dense_assembly_bitwise(self, n, topology):
+        for field in (0.0, 2.0, 2.1, -0.7):
+            for cut in (None, frozenset({(n // 2, n // 2 + 1)})):
+                spec = ChainSpec(n, topology, 1.0, field, cut)
+                blocks, h0, v = assemble_hamiltonian(spec)
+                ref_h0, ref_v = dense_hamiltonian(spec)
+                downs = np.array([bin(s).count("1") for s in range(2**n)])
+                assert [b.tolist() for b in blocks] == [np.flatnonzero(downs == k).tolist() for k in range(n + 1)]
+                for b, h0_k, v_k in zip(blocks, h0, v):
+                    assert h0_k.dtype == v_k.dtype == np.float64
+                    assert h0_k.tobytes() == ref_h0[np.ix_(b, b)].tobytes()
+                    assert v_k.tobytes() == ref_v[np.ix_(b, b)].tobytes()
 
 
 class TestCommutatorNorm:
@@ -115,7 +143,7 @@ class TestCommutatorNorm:
 
     def test_split_does_not_commute(self):
         spec = ChainSpec(6, "ring", 1.0, 2.0)
-        h0, v = assemble_hamiltonian(spec)
+        h0, v = dense_hamiltonian(spec)
         assert commutator_frobenius_norm(h0, v) > 1.0
 
     def test_dimension_mismatch(self):
@@ -148,7 +176,7 @@ class TestGroundState:
 
     def test_singlet_ground(self):
         spec = ChainSpec(2, "open", 1.0, 1.0)
-        h = sum(assemble_hamiltonian(spec))
+        h = sum(dense_hamiltonian(spec))
         sel = ground_state(h)
         singlet = np.zeros(4)
         singlet[1], singlet[2] = 1.0, -1.0
@@ -158,7 +186,7 @@ class TestGroundState:
 
     def test_residual_bound(self):
         spec = ChainSpec(5, "open", 1.0, 2.0)
-        h = sum(assemble_hamiltonian(spec))
+        h = sum(dense_hamiltonian(spec))
         sel = ground_state(h)
         resid = np.linalg.norm(h @ sel.state - sel.energy * sel.state)
         assert resid < 1e-9 * max(1.0, abs(sel.energy))
@@ -167,7 +195,7 @@ class TestGroundState:
         # at field 2 the singlet and the all-down state tie at energy -3;
         # weakening the bond favours all-down, so the rule must pick it
         spec = ChainSpec(2, "open", 1.0, 2.0)
-        h0, v = assemble_hamiltonian(spec)
+        h0, v = dense_hamiltonian(spec)
         offset = 1e-6
         sel = ground_state(h0 + v, h0 + (1.0 - offset) * v)
         assert sel.degenerate
@@ -179,20 +207,20 @@ class TestGroundState:
 
     def test_degenerate_without_reference_raises(self):
         spec = ChainSpec(2, "open", 1.0, 2.0)
-        h0, v = assemble_hamiltonian(spec)
+        h0, v = dense_hamiltonian(spec)
         with pytest.raises(DegeneracyError, match="no continuity reference"):
             ground_state(h0 + v)
 
     def test_unresolvable_when_reference_degenerate(self):
         # zero field leaves a Kramers doublet at every coupling strength
         spec = ChainSpec(3, "open", 1.0, 0.0)
-        h0, v = assemble_hamiltonian(spec)
+        h0, v = dense_hamiltonian(spec)
         with pytest.raises(DegeneracyError, match="unresolvable"):
             ground_state(h0 + v, h0 + (1.0 - 1e-6) * v)
 
     def test_ferromagnet_ground_is_all_down_product(self):
         spec = ChainSpec(5, "open", -1.0, 2.0)
-        h = sum(assemble_hamiltonian(spec))
+        h = sum(dense_hamiltonian(spec))
         sel = ground_state(h)
         assert abs(sel.state[-1]) > 1.0 - 1e-10
 
@@ -245,6 +273,6 @@ class TestCutComponents:
 
     def test_detached_block_spectrum(self):
         spec = ChainSpec(5, "open", 1.0, 2.1, frozenset({(2, 3)}))
-        block = detached_block_hamiltonian(spec, (1, 2))
+        block = dense_detached_block(spec, (1, 2))
         assert block.shape == (4, 4)
         assert np.allclose(np.linalg.eigvalsh(block), [-3.2, -3.0, 1.0, 5.2])

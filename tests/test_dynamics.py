@@ -18,7 +18,7 @@ from spinsplice.dynamics import (
     reduce_density,
 )
 
-from oracles import SZ, ground_fidelity, sector_step, step_unitary, taylor_expm
+from oracles import SZ, dense_hamiltonian, ground_fidelity, sector_blocks, sector_step, step_unitary, taylor_expm
 
 DOWN = np.array([0.0, 1.0])
 UP = np.array([1.0, 0.0])
@@ -39,7 +39,7 @@ class TestStepUnitary:
     def test_unitarity_and_norm_preservation(self):
         rng = np.random.default_rng(23)
         spec = ChainSpec(4, "ring", 1.0, 2.0)
-        h0, v = assemble_hamiltonian(spec)
+        h0, v = dense_hamiltonian(spec)
         for _ in range(5):
             g = float(rng.uniform(-6.0, 6.0))
             dt = float(rng.uniform(0.001, 0.5))
@@ -51,7 +51,7 @@ class TestStepUnitary:
 
     def test_against_taylor_series(self):
         spec = ChainSpec(2, "open", 1.0, 0.0)
-        h0, v = assemble_hamiltonian(spec)
+        h0, v = dense_hamiltonian(spec)
         dt = 0.1
         u = step_unitary(h0, v, 1.0, dt)
         ref = taylor_expm(-1j * (h0 + v) * dt)
@@ -66,19 +66,19 @@ class TestPropagate:
     def test_stationary_ground_state(self):
         # with the controlled part removed the ground state only gains phase
         spec = ChainSpec(3, "open", 1.0, 2.0)
-        h_full = sum(assemble_hamiltonian(spec))
+        h_full = sum(dense_hamiltonian(spec))
         zero = np.zeros_like(h_full)
         psi0 = ground_state(h_full).state.astype(complex)
         sched = linear_baseline(1.5, "cut")
-        psi, _ = propagate(SectorPropagator(h_full, zero), sched, psi0, 120)
+        psi, _ = propagate(SectorPropagator(*sector_blocks(h_full, zero)), sched, psi0, 120)
         assert ground_fidelity(psi, h_full) == pytest.approx(1.0, abs=1e-8)
 
     def test_norm_conserved_along_trajectory(self):
         spec = ChainSpec(5, "open", 1.0, 2.0)
-        h0, v = assemble_hamiltonian(spec)
+        h0, v = dense_hamiltonian(spec)
         psi0 = ground_state(h0 + v).state.astype(complex)
         sched = polynomial_cut(0.6, (54.3, -36.3))
-        prop = SectorPropagator(h0, v)
+        prop = SectorPropagator(*assemble_hamiltonian(spec))
         grid = integration_grid(sched, 150)
         mids = 0.5 * (grid[:-1] + grid[1:])
         psi = psi0
@@ -88,11 +88,12 @@ class TestPropagate:
 
     def test_pulse_propagation_is_one_factor_per_pulse(self):
         spec = ChainSpec(3, "open", 1.0, 2.0)
-        h0, v = assemble_hamiltonian(spec)
+        h0, v = dense_hamiltonian(spec)
         psi0 = ground_state(h0 + v).state.astype(complex)
         sched = pulse_train(0.6, (-5.4, 4.1, 0.3))
-        psi_a, _ = propagate(SectorPropagator(h0, v), sched, psi0, 300)
-        psi_b, _ = propagate(SectorPropagator(h0, v), sched, psi0, 7)  # n_steps ignored for pulses
+        prop = SectorPropagator(*assemble_hamiltonian(spec))
+        psi_a, _ = propagate(prop, sched, psi0, 300)
+        psi_b, _ = propagate(prop, sched, psi0, 7)  # n_steps ignored for pulses
         manual = psi0
         for amp in sched.params:
             manual = step_unitary(h0, v, amp, 0.2) @ manual
@@ -102,13 +103,13 @@ class TestPropagate:
     def test_noise_grid_refinement(self):
         # noise windows that do not divide the step grid are split exactly
         spec = ChainSpec(3, "open", 1.0, 2.0)
-        h0, v = assemble_hamiltonian(spec)
+        h0, v = dense_hamiltonian(spec)
         psi0 = ground_state(h0 + v).state.astype(complex)
         noisy = apply_noise(linear_baseline(1.0), NoiseSpec(window=0.3, strength=1.5, seed=8))
         grid = integration_grid(noisy, 7)
         for edge in (0.3, 0.6, 0.9):
             assert np.min(np.abs(grid - edge)) < 1e-12
-        psi, _ = propagate(SectorPropagator(h0, v), noisy, psi0, 7)
+        psi, _ = propagate(SectorPropagator(*assemble_hamiltonian(spec)), noisy, psi0, 7)
         manual = psi0
         for lo, hi in zip(grid[:-1], grid[1:]):
             manual = step_unitary(h0, v, noisy.value(0.5 * (lo + hi)), hi - lo) @ manual
@@ -116,13 +117,14 @@ class TestPropagate:
 
     def test_zero_strength_noise_identical_to_clean(self):
         spec = ChainSpec(4, "ring", 1.0, 2.0)
-        h0, v = assemble_hamiltonian(spec)
+        h0, v = dense_hamiltonian(spec)
         offset = 1e-6
         psi0 = ground_state(h0 + v, h0 + (1 - offset) * v).state.astype(complex)
         base = polynomial_cut(0.6, (10.0, -5.0))
         noisy = apply_noise(base, NoiseSpec(window=0.1, strength=0.0, seed=99))
-        psi_clean, _ = propagate(SectorPropagator(h0, v), base, psi0, 60)
-        psi_noisy, _ = propagate(SectorPropagator(h0, v), noisy, psi0, 60)
+        prop = SectorPropagator(*assemble_hamiltonian(spec))
+        psi_clean, _ = propagate(prop, base, psi0, 60)
+        psi_noisy, _ = propagate(prop, noisy, psi0, 60)
         rho_c = reduce_density(psi_clean, (1,), 4)
         rho_n = reduce_density(psi_noisy, (1,), 4)
         assert abs(cut_fidelity(rho_c, DOWN) - cut_fidelity(rho_n, DOWN)) < 1e-12
@@ -193,7 +195,7 @@ class TestFidelities:
 
     def test_ground_fidelity_limits(self):
         spec = ChainSpec(3, "open", 1.0, 2.0)
-        h = sum(assemble_hamiltonian(spec))
+        h = sum(dense_hamiltonian(spec))
         w, q = np.linalg.eigh(h)
         assert ground_fidelity(q[:, 0].astype(complex), h) == pytest.approx(1.0, abs=1e-12)
         assert ground_fidelity(q[:, 3].astype(complex), h) == pytest.approx(0.0, abs=1e-12)
@@ -219,11 +221,11 @@ class TestPurityEntropy:
 @pytest.fixture(scope="module")
 def recorded_run():
     spec = ChainSpec(5, "open", 1.0, 2.0)
-    h0, v = assemble_hamiltonian(spec)
+    h0, v = dense_hamiltonian(spec)
     psi0 = ground_state(h0 + v).state.astype(complex)
     probe = TrajectoryProbe(n_spins=5, subsystem_sites=(1,), phi_0a=DOWN)
     schedule = polynomial_cut(0.6, (34.9, -23.4))
-    psi, record = propagate(SectorPropagator(h0, v), schedule, psi0, 100, probe=probe)
+    psi, record = propagate(SectorPropagator(*assemble_hamiltonian(spec)), schedule, psi0, 100, probe=probe)
     return psi, record
 
 
@@ -255,10 +257,11 @@ class TestTrajectoryRecord:
 
     def test_stride_subsampling(self):
         spec = ChainSpec(3, "open", 1.0, 2.0)
-        h0, v = assemble_hamiltonian(spec)
+        h0, v = dense_hamiltonian(spec)
         psi0 = ground_state(h0 + v).state.astype(complex)
         probe = TrajectoryProbe(n_spins=3, subsystem_sites=(1,), phi_0a=DOWN, stride=10)
-        _, record = propagate(SectorPropagator(h0, v), linear_baseline(0.5), psi0, 25, probe=probe)
+        prop = SectorPropagator(*assemble_hamiltonian(spec))
+        _, record = propagate(prop, linear_baseline(0.5), psi0, 25, probe=probe)
         # initial sample, every 10th step, and the forced final step
         assert len(record.times) == 4
 

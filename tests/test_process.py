@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,13 @@ from spinsplice.chain import (
     DEFAULT_SELECTION_OFFSET,
     ChainSpec,
     DegeneracyError,
-    assemble_hamiltonian,
     ground_state,
 )
 from spinsplice.control import linear_baseline, polynomial_cut, polynomial_stitch, pulse_train
 from spinsplice.optimize import LandscapeAxis, finite_difference_gradient, scan_landscape
 from spinsplice.process import ObjectiveSpec, build_objective, prepare_process
+
+from oracles import dense_hamiltonian
 
 
 class TestPrepareProcess:
@@ -32,13 +35,13 @@ class TestPrepareProcess:
     def test_seven_ring_start_is_degenerate(self):
         process = prepare_process(ChainSpec(7, "ring", 1.0, 2.0), "cut")
         assert process.start_degenerate
-        h = sum(assemble_hamiltonian(process.chain))
+        h = sum(dense_hamiltonian(process.chain))
         resid = np.linalg.norm(h @ process.psi0 - (process.psi0.conj() @ h @ process.psi0) * process.psi0)
         assert resid < 1e-9
 
     def test_stitch_starts_from_disconnected_ground(self):
         process = prepare_process(ChainSpec(4, "open", 1.0, 2.0), "stitch")
-        h0, _ = assemble_hamiltonian(process.chain)
+        h0, _ = dense_hamiltonian(process.chain)
         w = np.linalg.eigvalsh(h0)
         energy = (process.psi0.conj() @ h0 @ process.psi0).real
         assert energy == pytest.approx(w[0], abs=1e-10)
@@ -48,7 +51,7 @@ class TestPrepareProcess:
         # the final target must still be a resolved eigenvector
         process = prepare_process(ChainSpec(7, "ring", 1.0, 2.2), "stitch")
         assert process.final_degenerate
-        h = sum(assemble_hamiltonian(process.chain))
+        h = sum(dense_hamiltonian(process.chain))
         w = np.linalg.eigvalsh(h)
         energy = (process.final_ground.conj() @ h @ process.final_ground).real
         assert energy == pytest.approx(w[0], abs=1e-8)
@@ -80,6 +83,16 @@ class TestBlockOnlyProcess:
         assert held
         assert all(a.shape != full for a in held)
 
+    def test_no_full_space_matrix_is_allocated(self):
+        # one dense 1024 x 1024 float64 operator alone is 8 MiB
+        tracemalloc.start()
+        try:
+            prepare_process(ChainSpec(10, "ring", 1.0, 2.0), "cut")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024 * 8
+
     @pytest.mark.parametrize("spec,direction", [
         (ChainSpec(2, "open", 1.0, 2.0), "cut"),
         (ChainSpec(7, "ring", 1.0, 2.0), "cut"),
@@ -90,7 +103,7 @@ class TestBlockOnlyProcess:
         # the block spectra give exactly what ground_state gives on the
         # assembled matrices with the nudged reference
         process = prepare_process(spec, direction)
-        h0, v = assemble_hamiltonian(spec)
+        h0, v = dense_hamiltonian(spec)
         inward = -DEFAULT_SELECTION_OFFSET if direction == "cut" else DEFAULT_SELECTION_OFFSET
         g_start = 1.0 if direction == "cut" else 0.0
         g_end = 1.0 - g_start

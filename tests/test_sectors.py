@@ -10,14 +10,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from spinsplice.chain import (
-    DEGENERACY_RTOL,
-    ChainSpec,
-    assemble_hamiltonian,
-    detached_block_hamiltonian,
-    ground_state,
-    sector_partition,
-)
+from spinsplice.chain import DEGENERACY_RTOL, ChainSpec, assemble_hamiltonian, ground_state
 from spinsplice.control import (
     NoiseSpec,
     apply_noise,
@@ -29,7 +22,7 @@ from spinsplice.control import (
 from spinsplice.dynamics import SectorPropagator, TrajectoryProbe, cut_fidelity, propagate, reduce_density
 from spinsplice.process import prepare_process
 
-from oracles import dense_ground_state, dense_propagate, pauli_site_operator
+from oracles import dense_detached_block, dense_ground_state, dense_hamiltonian, dense_propagate, sector_blocks
 
 GATE = 1e-12
 GAP_GATE = 1e-10
@@ -43,13 +36,13 @@ FIG8_CORNERS = ((-30.0, -100.0), (-30.0, 30.0), (140.0, -100.0), (140.0, 30.0))
 
 def dense_fidelities(process, schedule, n_steps):
     """(f_C, f_G) with every state of the process rebuilt by dense eigh."""
-    h0, v = assemble_hamiltonian(process.chain)
+    h0, v = dense_hamiltonian(process.chain)
     g_start = 1.0 if process.direction == "cut" else 0.0
     g_end = 1.0 - g_start
     inward = -OFFSET if process.direction == "cut" else OFFSET
     psi0 = dense_ground_state(h0 + g_start * v, h0 + (g_start + inward) * v)[1]
     final = dense_ground_state(h0 + g_end * v, h0 + (g_end - inward) * v)[1]
-    block = dense_ground_state(detached_block_hamiltonian(process.chain, process.a_sites))[1]
+    block = dense_ground_state(dense_detached_block(process.chain, process.a_sites))[1]
     psi = dense_propagate(h0, v, schedule, psi0, n_steps)
     rho = reduce_density(psi, process.a_sites, process.chain.n_spins)
     return cut_fidelity(rho, block), float(abs(final.conj() @ psi))
@@ -73,19 +66,17 @@ def ring7():
 
 class TestPartition:
     def test_blocks_are_magnetization_sectors(self):
-        h0, v = assemble_hamiltonian(RING6)
-        blocks = sector_partition(h0, v)
+        blocks, _, _ = assemble_hamiltonian(RING6)
         assert [b.size for b in blocks] == [comb(6, k) for k in range(7)]
         for k, block in enumerate(blocks):
             assert all(bin(int(s)).count("1") == k for s in block)
         assert sorted(np.concatenate(blocks).tolist()) == list(range(64))
 
-    def test_any_entry_between_blocks_collapses_to_one_block(self):
-        h0, v = assemble_hamiltonian(ChainSpec(4, "open", 1.0, 2.0))
-        v = v.copy()
+    def test_any_entry_between_blocks_is_rejected(self):
+        h0, v = dense_hamiltonian(ChainSpec(4, "open", 1.0, 2.0))
         v[0, 1] = v[1, 0] = 1e-300
-        (block,) = sector_partition(h0, v)
-        assert np.array_equal(block, np.arange(16))
+        with pytest.raises(ValueError, match="total S\\^z"):
+            ground_state(h0 + v)
 
     def test_process_evolves_one_sector(self, ring6):
         (k,) = ring6.propagator.occupied(ring6.psi0)
@@ -130,7 +121,7 @@ class TestAccuracyGate:
 
     def test_recorded_gap_is_full_spectrum_gap(self, ring7):
         _, record = ring7.run(linear_baseline(20.0), STEPS, stride=15)
-        h0, v = assemble_hamiltonian(ring7.chain)
+        h0, v = dense_hamiltonian(ring7.chain)
         for g, gap, flag in zip(record.g_values, record.gap, record.degenerate_flags):
             w = np.linalg.eigvalsh(h0 + g * v)
             assert abs(gap - (w[1] - w[0])) <= GAP_GATE
@@ -140,14 +131,14 @@ class TestAccuracyGate:
 
 class TestBeyondOneSector:
     def test_superposition_across_two_sectors(self):
-        h0, v = assemble_hamiltonian(RING6)
+        h0, v = dense_hamiltonian(RING6)
         rng = np.random.default_rng(3)
         psi0 = np.zeros(64, dtype=complex)
-        blocks = sector_partition(h0, v)
+        blocks, h0_blocks, v_blocks = sector_blocks(h0, v)
         for k in (2, 3):
             psi0[blocks[k]] = rng.normal(size=blocks[k].size) + 1j * rng.normal(size=blocks[k].size)
         psi0 /= np.linalg.norm(psi0)
-        prop = SectorPropagator(h0, v)
+        prop = SectorPropagator(blocks, h0_blocks, v_blocks)
         assert prop.occupied(psi0) == [2, 3]
         for schedule in (polynomial_cut(0.6, (54.3, -36.3)), pulse_train(0.6, (0.5, -1.0, 2.0))):
             psi, _ = propagate(prop, schedule, psi0, STEPS)
@@ -158,27 +149,10 @@ class TestBeyondOneSector:
             w = np.linalg.eigvalsh(h0 + g * v)
             assert abs(gap - (w[1] - w[0])) <= GAP_GATE
 
-    def test_transverse_field_runs_on_one_block(self):
-        spec = ChainSpec(5, "open", 1.0, 2.0)
-        h0, v = assemble_hamiltonian(spec)
-        h0 = h0 + 0.3 * sum(pauli_site_operator(s, "x", 5).real for s in range(1, 6))
-        prop = SectorPropagator(h0, v)
-        assert len(prop.blocks) == 1
-        energy, state, degenerate, gap = dense_ground_state(h0 + v)
-        selection = ground_state(h0 + v)
-        assert not selection.degenerate and not degenerate
-        assert abs(selection.energy - energy) <= GATE
-        assert abs(selection.gap - gap) <= GAP_GATE
-        assert abs(abs(selection.state @ state) - 1.0) <= GATE
-        psi0 = state.astype(complex)
-        schedule = polynomial_cut(0.6, (10.0, -5.0))
-        psi, _ = propagate(prop, schedule, psi0, 100)
-        assert np.abs(psi - dense_propagate(h0, v, schedule, psi0, 100)).max() <= GATE
-
 
 class TestGroundSelection:
     def test_tie_across_sectors_matches_dense(self, ring7):
-        h0, v = assemble_hamiltonian(ring7.chain)
+        h0, v = dense_hamiltonian(ring7.chain)
         selection = ground_state(h0 + v, h0 + (1.0 - OFFSET) * v)
         energy, state, degenerate, gap = dense_ground_state(h0 + v, h0 + (1.0 - OFFSET) * v)
         assert selection.degenerate and degenerate
