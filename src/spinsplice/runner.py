@@ -10,9 +10,10 @@ A config file (JSON) describes exactly one experiment mode:
     two_spin   detach a two-spin block: linear baseline vs pulse control
 
 One field table (``SCHEMA``) checks a raw config and normalizes it; the
-normalized dict is what a run uses and what its manifest echoes.  Every run
-writes its outputs plus a manifest (config echo, code version, checksums,
-seeds) into the output directory; outputs are bit-reproducible from the
+normalized dict is what a run uses and what its manifest echoes.  ``execute``
+gives every run one lifecycle: it checks the output directory, runs the
+mode, and writes the mode's outputs plus a manifest (config echo, code
+version, checksums, seeds) there; outputs are bit-reproducible from the
 manifest.
 """
 
@@ -393,31 +394,22 @@ def objective_spec(config: RunConfig, duration: float | None = None) -> Objectiv
     )
 
 
-def landscape_with_optimum(path: Path, objective, axes, maximize, base_params=None):
-    """Scan ``objective`` over the two ``axes``, maximize it with
-    ``maximize(objective)``, and write the grid as CSV to ``path``.
+def _optimize_from(config: RunConfig, objective):
+    """Shared BFGS invocation honouring optimizer options, incl. multi-start.
 
-    Returns the grid, the optimizer's report and the grid maximum as
-    ``{"p1", "p2", "value"}``.
+    A single run starts at the schedule's params; multi-start replaces them
+    with its grid of starts.
     """
-    grid = scan_landscape(objective, axes, base_params=base_params)
-    report = maximize(objective)
-    with path.open("w") as fh:
-        grid.to_csv(fh)
-    return grid, report, dict(zip(("p1", "p2", "value"), grid.max_point()))
-
-
-def _optimize_from(config: RunConfig, objective, n_free: int, x0=None):
-    """Shared BFGS invocation honouring optimizer options, incl. multi-start."""
     kwargs = dict(config.optimizer)
     ms = kwargs.pop("multi_start", None)
+    params = config.schedule.params
     if ms:
+        n_free = len(params)
         axes = [np.linspace(ms["lower"], ms["upper"], ms["per_axis"])] * n_free
         starts = [np.asarray(p) for p in np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, n_free)]
         best, _ = multi_start_maximize(objective, starts, **kwargs)
         return best
-    start = np.zeros(n_free) if x0 is None else np.asarray(x0, dtype=float)
-    return bfgs_maximize(objective, start, **kwargs)
+    return bfgs_maximize(objective, np.asarray(params, dtype=float), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +417,9 @@ def _optimize_from(config: RunConfig, objective, n_free: int, x0=None):
 # ---------------------------------------------------------------------------
 
 def run_evolve(config: RunConfig) -> dict:
-    started = time.time()
-    out = config.out_dir
-    ensure_writable(out)
     process = prepare_process(config.chain, config.process)
     psi, record = process.run(config.schedule, config.n_steps)
-    traj = out / "trajectory.csv"
+    traj = config.out_dir / "trajectory.csv"
     with traj.open("w") as fh:
         record.to_csv(fh)
     prop = process.propagator
@@ -440,22 +429,16 @@ def run_evolve(config: RunConfig) -> dict:
         "min_gap": float(record.gap.min()),
         "degenerate_samples": int(record.degenerate_flags.sum()),
     }
-    write_manifest(out, config.data, [traj], None, started, health)
     f_c, f_g = record.final_cut_fidelity(), record.final_ground_fidelity()
     print(f"final f_C = {f_c:.3f}  f_G = {f_g:.3f}")
-    return {"f_c": f_c, "f_g": f_g, "files": [traj]}
+    return {"f_c": f_c, "f_g": f_g, "files": [traj], "health": health}
 
 
 def run_optimize(config: RunConfig) -> dict:
-    started = time.time()
-    out = config.out_dir
-    ensure_writable(out)
-    spec = objective_spec(config)
-    objective, _ = build_objective(spec)
-    report = _optimize_from(config, objective, spec.n_free_params, x0=config.schedule.params)
-    path = out / "optimization.json"
+    objective, _ = build_objective(objective_spec(config))
+    report = _optimize_from(config, objective)
+    path = config.out_dir / "optimization.json"
     path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    write_manifest(out, config.data, [path], None, started)
     print(
         f"optimized fidelity = {report.final_value:.3f} (baseline {report.initial_value:.3f}) "
         f"params = {np.round(report.final_params, 3).tolist()} [{report.status}]"
@@ -464,9 +447,6 @@ def run_optimize(config: RunConfig) -> dict:
 
 
 def run_sweep(config: RunConfig) -> dict:
-    started = time.time()
-    out = config.out_dir
-    ensure_writable(out)
     n_free = len(config.schedule.params)
     process = prepare_process(config.chain, config.process)
     rows = []
@@ -474,45 +454,41 @@ def run_sweep(config: RunConfig) -> dict:
         baseline = process.baseline_fidelity(duration, config.n_steps, config.target)
         if config.sweep["optimize"]:
             objective, _ = build_objective(objective_spec(config, duration), process)
-            report = _optimize_from(config, objective, n_free)
+            report = _optimize_from(config, objective)
             rows.append((duration, baseline, report.final_value, report.final_params, report.status))
         else:
             rows.append((duration, baseline, baseline, (0.0,) * n_free, "baseline"))
-    path = out / "sweep.csv"
+    path = config.out_dir / "sweep.csv"
     with path.open("w") as fh:
         headers = ["T", "f_baseline", "f_opt"] + [f"param_{k + 1}" for k in range(n_free)] + ["status"]
         fh.write(",".join(headers) + "\n")
         for duration, fb, fo, params, status in rows:
             cells = [_fmt(duration), _fmt(fb), _fmt(fo), *(_fmt(p) for p in params), status]
             fh.write(",".join(cells) + "\n")
-    write_manifest(out, config.data, [path], None, started)
     for duration, fb, fo, _, status in rows:
         print(f"T = {duration:g}: baseline {fb:.3f} optimized {fo:.3f} [{status}]")
     return {"rows": rows, "files": [path]}
 
 
 def run_landscape(config: RunConfig) -> dict:
-    started = time.time()
-    out = config.out_dir
-    ensure_writable(out)
-    params = config.schedule.params
+    """Scan the fidelity over the two axes around the schedule's params, then
+    maximize it from there; the optimum and the grid maximum go to optimum.json."""
     objective, _ = build_objective(objective_spec(config))
     axes = tuple(LandscapeAxis(ax["param_index"], ax["min"], ax["max"], ax["resolution"])
                  for ax in config.landscape["axes"])
-    grid_path = out / "landscape.csv"
-    grid, report, grid_max = landscape_with_optimum(
-        grid_path, objective, axes, lambda f: _optimize_from(config, f, len(params), x0=params),
-        base_params=params,
-    )
+    grid = scan_landscape(objective, axes, base_params=config.schedule.params)
+    report = _optimize_from(config, objective)
+    grid_path = config.out_dir / "landscape.csv"
+    with grid_path.open("w") as fh:
+        grid.to_csv(fh)
     marker = {
         "optimum_params": list(report.final_params),
         "optimum_value": report.final_value,
         "status": report.status,
-        "grid_max": grid_max,
+        "grid_max": dict(zip(("p1", "p2", "value"), grid.max_point())),
     }
-    marker_path = out / "optimum.json"
+    marker_path = config.out_dir / "optimum.json"
     marker_path.write_text(json.dumps(marker, indent=2, sort_keys=True) + "\n")
-    write_manifest(out, config.data, [grid_path, marker_path], None, started)
     print(
         f"landscape max {marker['grid_max']['value']:.3f} at "
         f"({marker['grid_max']['p1']:.3g}, {marker['grid_max']['p2']:.3g}); "
@@ -562,29 +538,21 @@ def write_noise_csv(path: Path, rows: list[dict]) -> None:
 
 
 def run_noise(config: RunConfig) -> dict:
-    started = time.time()
-    out = config.out_dir
-    ensure_writable(out)
     process = prepare_process(config.chain, config.process)
     noise = config.noise
     rows, draws = noise_study(
         process, config.schedule, noise["strengths"], noise["window"], noise["realizations"],
         noise["seed"], config.n_steps, config.target,
     )
-    path = out / "noise.csv"
+    path = config.out_dir / "noise.csv"
     write_noise_csv(path, rows)
-    seeds = {"master": noise["seed"], "realizations": draws}
-    write_manifest(out, config.data, [path], seeds, started)
     for row in rows:
         print(f"dg = {row['dg']:g}: mean f = {row['mean_fc']:.3f} +- {row['std_fc']:.3f}")
-    return {"rows": rows, "files": [path]}
+    return {"rows": rows, "files": [path], "seeds": {"master": noise["seed"], "realizations": draws}}
 
 
 def run_two_spin(config: RunConfig) -> dict:
     """Detach a block from the chain: linear baseline vs the configured pulse."""
-    started = time.time()
-    out = config.out_dir
-    ensure_writable(out)
     process = prepare_process(config.chain, config.process)
     baseline = process.baseline_fidelity(config.schedule.duration, config.n_steps, "cut")
     controlled = process.fidelity(config.schedule, config.n_steps, "cut")
@@ -595,9 +563,8 @@ def run_two_spin(config: RunConfig) -> dict:
         "controlled_f_c": controlled,
         "schedule": config.schedule.to_dict(),
     }
-    path = out / "two_spin.json"
+    path = config.out_dir / "two_spin.json"
     path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    write_manifest(out, config.data, [path], None, started)
     print(f"block {process.a_sites}: baseline f_C = {baseline:.3f}, controlled f_C = {controlled:.3f}")
     return {"result": result, "files": [path]}
 
@@ -613,4 +580,12 @@ RUNNERS = {
 
 
 def execute(config: RunConfig) -> dict:
-    return RUNNERS[config.mode](config)
+    """Run one config: check that its out_dir is writable before any
+    computation, run its mode, and write the manifest of the files, seeds
+    and health the mode returns."""
+    started = time.time()
+    ensure_writable(config.out_dir)
+    result = RUNNERS[config.mode](config)
+    write_manifest(config.out_dir, config.data, result["files"], result.get("seeds"), started,
+                   result.get("health"))
+    return result

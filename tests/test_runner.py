@@ -13,16 +13,10 @@ from hypothesis import strategies as st
 
 import spinsplice.runner as runner
 from spinsplice.cli import main
+from spinsplice.control import polynomial_cut
 from spinsplice.process import prepare_process
-from spinsplice.runner import (
-    MODES,
-    ConfigError,
-    execute,
-    load_config,
-    parse_config,
-    run_noise,
-    run_two_spin,
-)
+from spinsplice.reproduce import PIPELINES, reproduce
+from spinsplice.runner import MODES, ConfigError, execute, load_config, parse_config
 
 
 def evolve_config(tmp_path, **overrides):
@@ -186,8 +180,9 @@ class TestRunners:
         assert manifest["version"]
         assert "trajectory.csv" in manifest["outputs"]
 
-    def test_manifest_reproduces_outputs(self, tmp_path):
-        config = parse_config(evolve_config(tmp_path, out_dir=str(tmp_path / "orig")))
+    @pytest.mark.parametrize("mode", MODES)
+    def test_manifest_reproduces_outputs(self, tmp_path, mode, capsys):
+        config = parse_config(mode_config(mode, tmp_path, out_dir=str(tmp_path / "orig")))
         execute(config)
         manifest = json.loads((tmp_path / "orig" / "manifest.json").read_text())
         echoed = dict(manifest["config"])
@@ -246,6 +241,19 @@ class TestRunners:
         assert status in ("converged", "max_iterations", "stalled")
         assert len(params) == 2
 
+    def test_sweep_starts_at_schedule_params(self, tmp_path, capsys):
+        data = evolve_config(tmp_path, mode="sweep")
+        data["sweep"] = {"times": [0.3, 0.5]}
+        data["optimizer"] = {"max_iterations": 0}
+        config = parse_config(data)
+        result = execute(config)
+        process = prepare_process(config.chain, "cut")
+        lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+        for (duration, _, f_opt, params, _), line in zip(result["rows"], lines):
+            assert f_opt == process.fidelity(polynomial_cut(duration, (5.0, -3.0)), config.n_steps)
+            assert params == (5.0, -3.0)
+            assert line.split(",")[3:5] == [f"{5.0:.15e}", f"{-3.0:.15e}"]
+
     def test_landscape_outputs(self, tmp_path):
         data = evolve_config(tmp_path, mode="landscape")
         data["schedule"]["params"] = [0.0, 0.0]
@@ -270,7 +278,7 @@ class TestRunners:
         data["noise"] = {"strengths": [0.0, 0.8], "window": 0.1,
                          "realizations": 4, "seed": 99}
         config = parse_config(data)
-        result = run_noise(config)
+        result = execute(config)
         zero_row, noisy_row = result["rows"]
         from spinsplice.process import prepare_process
 
@@ -280,7 +288,7 @@ class TestRunners:
         assert zero_row["std_fc"] == 0.0
         assert noisy_row["M"] == 4
         first_bytes = (tmp_path / "out" / "noise.csv").read_bytes()
-        run_noise(config)
+        execute(config)
         assert (tmp_path / "out" / "noise.csv").read_bytes() == first_bytes
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         draws = manifest["seeds"]["realizations"]
@@ -290,7 +298,7 @@ class TestRunners:
     def test_two_spin_defaults(self, tmp_path, capsys):
         config = parse_config({"mode": "two_spin", "out_dir": str(tmp_path / "ts"),
                                "n_steps": 60})
-        result = run_two_spin(config)
+        result = execute(config)
         assert result["result"]["block_sites"] == [1, 2]
         assert 0.0 <= result["result"]["baseline_f_c"] <= 1.0
         assert 0.0 <= result["result"]["controlled_f_c"] <= 1.0
@@ -402,8 +410,6 @@ class TestCli:
         # the same pipeline run concurrently and serially emits identical data
         from concurrent.futures import ThreadPoolExecutor
 
-        from spinsplice.reproduce import reproduce
-
         with ThreadPoolExecutor(max_workers=2) as pool:
             futures = [
                 pool.submit(reproduce, "table1", tmp_path / f"par{k}", n_steps=20)
@@ -415,6 +421,20 @@ class TestCli:
         reference = (tmp_path / "serial" / "table1" / "sweep.csv").read_bytes()
         for k in range(2):
             assert (tmp_path / f"par{k}" / "table1" / "sweep.csv").read_bytes() == reference
+
+    @pytest.mark.parametrize("target", sorted(PIPELINES))
+    def test_reproduce_manifests_replay(self, tmp_path, target, capsys):
+        # every run a target writes is an ordinary run: its echoed config
+        # parses and re-running it gives the same output hashes
+        reproduce(target, tmp_path / "orig", n_steps=4)
+        manifests = sorted((tmp_path / "orig").rglob("manifest.json"))
+        assert manifests
+        for k, path in enumerate(manifests):
+            manifest = json.loads(path.read_text())
+            echoed = dict(manifest["config"], out_dir=str(tmp_path / f"replay{k}"))
+            execute(parse_config(echoed))
+            replay = json.loads((tmp_path / f"replay{k}" / "manifest.json").read_text())
+            assert manifest["outputs"] == replay["outputs"], path
 
 
 BAD_VALUES = st.one_of(
