@@ -59,6 +59,8 @@ def main(argv=None) -> int:
              if value is not None}
     try:
         if args.command == "reproduce":
+            if args.config is not None:
+                raise ConfigError("config: reproduce builds its own run configs and reads no file")
             reproduce(args.target, seed=args.seed, **flags)
             return 0
         mode = CONFIG_MODES[args.command]

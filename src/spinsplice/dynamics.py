@@ -6,7 +6,8 @@ generator.  Both h0 and v conserve total S^z, so every step diagonalizes only
 the sectors the state occupies and the state never leaves them.  Smooth
 schedules are sampled at step midpoints on a uniform grid (refined so noise
 windows never straddle a step); pulse trains are propagated with exactly one
-factor per pulse.
+factor per pulse.  The module does no file I/O: ``runner`` writes the
+trajectory CSV from a ``TrajectoryRecord``'s columns.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import numpy as np
 from .chain import Blocks, DegeneracyError, Spectrum, select_ground
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
-
-CSV_COLUMNS = ("t", "g", "f_c", "f_g", "purity_A", "entropy_A", "entropy_B", "gap")
 
 
 class SectorPropagator:
@@ -158,18 +157,6 @@ class TrajectoryRecord:
 
     def final_ground_fidelity(self) -> float:
         return float(self.f_g[-1])
-
-    def rows(self):
-        for k in range(len(self.times)):
-            yield (
-                self.times[k], self.g_values[k], self.f_c[k], self.f_g[k],
-                self.purity_a[k], self.entropy_a[k], self.entropy_b[k], self.gap[k],
-            )
-
-    def to_csv(self, stream) -> None:
-        stream.write(",".join(CSV_COLUMNS) + "\n")
-        for row in self.rows():
-            stream.write(",".join(f"{x:.15e}" for x in row) + "\n")
 
 
 class _Recorder:

@@ -3,7 +3,8 @@
 The maximizer runs BFGS on the negated objective with central finite
 differences (default step 0.1 in parameter space), an Armijo backtracking line
 search that halves the step, and a curvature safeguard on the inverse-Hessian
-update.  It is fully deterministic: identical inputs yield identical traces.
+update.  It is fully deterministic: identical inputs yield identical traces.  The
+module does no file I/O: ``runner`` writes reports and grids.
 """
 
 from __future__ import annotations
@@ -202,19 +203,6 @@ class LandscapeGrid:
             float(self.axes[1].grid()[j]),
             float(self.values[i, j]),
         )
-
-    def to_csv(self, stream) -> None:
-        for label, ax in zip(("axis1", "axis2"), self.axes):
-            stream.write(
-                f"# {label}: param_index={ax.param_index} min={ax.lower:.15e} "
-                f"max={ax.upper:.15e} resolution={ax.resolution}\n"
-            )
-        stream.write(f"# base_params: {[float(b) for b in self.base_params]}\n")
-        stream.write("p1,p2,fidelity\n")
-        g1, g2 = self.axes[0].grid(), self.axes[1].grid()
-        for i, p1 in enumerate(g1):
-            for j, p2 in enumerate(g2):
-                stream.write(f"{p1:.15e},{p2:.15e},{self.values[i, j]:.15e}\n")
 
 
 def scan_landscape(

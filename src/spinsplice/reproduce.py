@@ -16,7 +16,7 @@ import numpy as np
 
 from .control import make_schedule
 from .process import DEFAULT_TIME_STEPS
-from .runner import NOISE, SCHEMA, ConfigError, check_fields, execute, parse_config
+from .runner import NOISE, SCHEMA, ConfigError, check_fields, execute, parse_config, write_csv
 
 RING6 = dict(n_spins=6, topology="ring", exchange=1.0, field=2.0)
 RING7 = dict(n_spins=7, topology="ring", exchange=1.0, field=2.0)
@@ -36,9 +36,8 @@ PIPELINE_ARGS = {key: SCHEMA[key] for key in ("out_dir", "n_steps")}
 PIPELINE_ARGS["seed"] = NOISE["seed"]
 
 
-def _gp(path: Path, lines: list[str]) -> Path:
+def _gp(path: Path, lines: list[str]) -> None:
     path.write_text("set datafile separator ','\n" + "\n".join(lines) + "\n")
-    return path
 
 
 def _run(out: Path, n_steps: int, **fields) -> dict:
@@ -52,98 +51,86 @@ def _sweep(out: Path, n_steps: int, chain: dict, times, process: str = "cut",
                 sweep={"times": list(times)})
 
 
-def reproduce_table1(out_dir: Path, n_steps: int) -> dict:
+def reproduce_table1(out_dir: Path, n_steps: int) -> None:
     out = out_dir / "table1"
-    files = _sweep(out, n_steps, RING6, TABLE1_TIMES)["files"]
-    files.append(_gp(out / "table1.gp", [
+    _sweep(out, n_steps, RING6, TABLE1_TIMES)
+    _gp(out / "table1.gp", [
         "set xlabel 'T'",
         "set ylabel 'fidelity'",
         "plot 'sweep.csv' skip 1 using 1:2 with linespoints title 'f_C0', \\",
         "     'sweep.csv' skip 1 using 1:3 with linespoints title 'f_C'",
-    ]))
-    return {"files": files}
+    ])
 
 
-def reproduce_fig3(out_dir: Path, n_steps: int) -> dict:
+def reproduce_fig3(out_dir: Path, n_steps: int) -> None:
     panels = [
         ("ring_n6", RING6), ("ring_n7", RING7),
         ("open_n6", OPEN6), ("open_n7", OPEN7),
     ]
-    files = []
     for name, chain in panels:
-        files += _sweep(out_dir / "fig3" / name, n_steps, chain, FIDELITY_SWEEP_TIMES)["files"]
-    files.append(_gp(out_dir / "fig3" / "fig3.gp", [
+        _sweep(out_dir / "fig3" / name, n_steps, chain, FIDELITY_SWEEP_TIMES)
+    _gp(out_dir / "fig3" / "fig3.gp", [
         "set xlabel 'T'",
         "set ylabel 'fidelity'",
     ] + [
         f"# panel {name}: plot '{name}/sweep.csv' skip 1 using 1:2 title 'f_C0', "
         f"'{name}/sweep.csv' skip 1 using 1:3 title 'f_C'"
         for name, _ in panels
-    ]))
-    return {"files": files}
+    ])
 
 
-def reproduce_fig6(out_dir: Path, n_steps: int) -> dict:
+def reproduce_fig6(out_dir: Path, n_steps: int) -> None:
     panels = [("ring_n6", RING6), ("ring_n7", RING7_STITCH)]
-    files = []
     for name, chain in panels:
-        files += _sweep(out_dir / "fig6" / name, n_steps, chain, STITCH_TIMES,
-                        "stitch", "polynomial_stitch")["files"]
-    files.append(_gp(out_dir / "fig6" / "fig6.gp", [
+        _sweep(out_dir / "fig6" / name, n_steps, chain, STITCH_TIMES, "stitch", "polynomial_stitch")
+    _gp(out_dir / "fig6" / "fig6.gp", [
         "set xlabel 'T'",
         "set ylabel 'f_G'",
     ] + [
         f"# panel {name}: plot '{name}/sweep.csv' skip 1 using 1:2 title 'f_G0', "
         f"'{name}/sweep.csv' skip 1 using 1:3 title 'f_G'"
         for name, _ in panels
-    ]))
-    return {"files": files}
+    ])
 
 
-def reproduce_fig7(out_dir: Path, n_steps: int, seed: int = DEFAULT_MASTER_SEED) -> dict:
+def reproduce_fig7(out_dir: Path, n_steps: int, seed: int = DEFAULT_MASTER_SEED) -> None:
     """Noise robustness on the optimized cut of the open chain at T = 0.6:
     high-frequency (T/60) and then low-frequency (T/6) noise windows."""
     out = out_dir / "fig7"
     duration = 0.6
     start = {"kind": "polynomial_cut", "T": duration, "params": [0.0, 0.0]}
     optimized = _run(out / "optimize", n_steps, mode="optimize", chain=OPEN6, schedule=start)
-    files = optimized["files"]
     schedule = dict(start, params=list(optimized["report"].final_params))
     for label, window in (("high", duration / 60), ("low", duration / 6)):
         noise = {"strengths": list(NOISE_STRENGTHS), "window": window, "realizations": 50,
                  "seed": seed}
-        files += _run(out / label, n_steps, mode="noise", chain=OPEN6, schedule=schedule,
-                      noise=noise)["files"]
-    files.append(_gp(out / "fig7.gp", [
+        _run(out / label, n_steps, mode="noise", chain=OPEN6, schedule=schedule, noise=noise)
+    _gp(out / "fig7.gp", [
         "set xlabel 'noise strength'",
         "set ylabel 'mean f_C'",
         "plot 'high/noise.csv' skip 1 using 1:3:4 with yerrorlines title 'f_C, window T/60', \\",
         "     'low/noise.csv' skip 1 using 1:3:4 with yerrorlines title 'f_C, window T/6'",
-    ]))
-    return {"files": files}
+    ])
 
 
-def reproduce_fig8(out_dir: Path, n_steps: int) -> dict:
+def reproduce_fig8(out_dir: Path, n_steps: int) -> None:
     """Fidelity landscapes at T = 0.6 for the polynomial and sine controls."""
     out = out_dir / "fig8"
     jobs = [
         ("polynomial", "polynomial_cut", ((-30.0, 140.0), (-100.0, 30.0))),
         ("sine", "sine_cut", ((-1.0, 1.0), (-1.0, 0.5))),
     ]
-    files = []
     for name, kind, ranges in jobs:
         axes = [{"param_index": k, "min": lo, "max": hi, "resolution": 35}
                 for k, (lo, hi) in enumerate(ranges)]
-        files += _run(out / name, n_steps, mode="landscape", chain=RING6,
-                      schedule={"kind": kind, "T": 0.6, "params": [0.0, 0.0]},
-                      landscape={"axes": axes})["files"]
-    files.append(_gp(out / "fig8.gp", [
+        _run(out / name, n_steps, mode="landscape", chain=RING6,
+             schedule={"kind": kind, "T": 0.6, "params": [0.0, 0.0]}, landscape={"axes": axes})
+    _gp(out / "fig8.gp", [
         "set view map",
         "set xlabel 'parameter 1'",
         "set ylabel 'parameter 2'",
         "splot 'polynomial/landscape.csv' skip 4 using 1:2:3 with points palette title 'f_C'",
-    ]))
-    return {"files": files}
+    ])
 
 
 def _ramp_start(n_pulses: int) -> list[float]:
@@ -151,33 +138,26 @@ def _ramp_start(n_pulses: int) -> list[float]:
     return (1.0 - (np.arange(n_pulses) + 0.5) / n_pulses).tolist()
 
 
-def reproduce_fig9(out_dir: Path, n_steps: int) -> dict:
+def reproduce_fig9(out_dir: Path, n_steps: int) -> None:
     """Optimal pulse-train shapes (K = 2 and K = 9) next to the polynomial ones."""
     out = out_dir / "fig9"
     polynomial = _sweep(out / "polynomial", n_steps, RING6, SHAPE_TIMES)
-    files = polynomial["files"]
     for n_pulses in (2, 9):
         pulse = _sweep(out / f"k{n_pulses}", n_steps, RING6, SHAPE_TIMES,
                        kind="pulse", params=_ramp_start(n_pulses))
-        files += pulse["files"]
         for pulse_row, poly_row in zip(pulse["rows"], polynomial["rows"]):
             duration = pulse_row[0]
             t = np.linspace(0.0, duration, 201)
             g_pulse = make_schedule("pulse", duration, pulse_row[3], "cut").values(t)
             g_poly = make_schedule("polynomial_cut", duration, poly_row[3]).values(t)
-            shape = out / f"shape_k{n_pulses}_T{duration:g}.csv"
-            with shape.open("w") as fh:
-                fh.write("t,g_pulse,g_polynomial\n")
-                for row in zip(t, g_pulse, g_poly):
-                    fh.write(",".join(f"{v:.15e}" for v in row) + "\n")
-            files.append(shape)
-    files.append(_gp(out / "fig9.gp", [
+            write_csv(out / f"shape_k{n_pulses}_T{duration:g}.csv", ("t", "g_pulse", "g_polynomial"),
+                      zip(t, g_pulse, g_poly))
+    _gp(out / "fig9.gp", [
         "set xlabel 't'",
         "set ylabel 'g(t)'",
         "plot 'shape_k2_T0.6.csv' skip 1 using 1:2 with steps title 'pulse', \\",
         "     'shape_k2_T0.6.csv' skip 1 using 1:3 with lines title 'polynomial'",
-    ]))
-    return {"files": files}
+    ])
 
 
 PIPELINES = {
@@ -191,7 +171,7 @@ PIPELINES = {
 
 
 def reproduce(name: str, out_dir: str | Path = "runs",
-              n_steps: int = DEFAULT_TIME_STEPS, seed=None) -> dict:
+              n_steps: int = DEFAULT_TIME_STEPS, seed=None) -> None:
     """Run one pipeline; ``seed`` is the master seed of fig7, the only one
     that draws random numbers, and an error for every other target."""
     if name not in PIPELINES:
@@ -201,5 +181,6 @@ def reproduce(name: str, out_dir: str | Path = "runs",
     args = check_fields(PIPELINE_ARGS, {"out_dir": str(out_dir), "n_steps": n_steps, "seed": seed})
     out, n_steps = Path(args["out_dir"]), args["n_steps"]
     if name == "fig7":
-        return reproduce_fig7(out, n_steps, args["seed"])
-    return PIPELINES[name](out, n_steps)
+        reproduce_fig7(out, n_steps, args["seed"])
+    else:
+        PIPELINES[name](out, n_steps)

@@ -15,6 +15,9 @@ gives every run one lifecycle: it checks the output directory, runs the
 mode, and writes the mode's outputs plus a manifest (config echo, code
 version, checksums, seeds) there; outputs are bit-reproducible from the
 manifest.
+
+Every CSV and JSON file a run or a ``reproduce`` target writes goes through
+``write_csv`` or ``write_json``: this module alone owns the output format.
 """
 
 from __future__ import annotations
@@ -59,10 +62,6 @@ MAX_STARTS = 1_000  # multi-start points in all: per_axis ** n_free
 
 class ConfigError(ValueError):
     """A run config failed validation; the message names the offending field."""
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.15e}"
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +280,10 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
     # rules that span fields
     process = cfg["process"]
     cfg.setdefault("target", "cut" if process == "cut" else "ground")
+    if run_mode == "two_spin":  # it scores f_C of a detached block
+        for key in ("process", "target"):
+            if cfg[key] != "cut":
+                raise ConfigError(f"{key}: mode 'two_spin' scores a cut, got {cfg[key]!r}")
     try:
         chain = ChainSpec(**cfg["chain"])
     except ValueError as exc:
@@ -359,6 +362,23 @@ def ensure_writable(out_dir: Path) -> None:
     probe.unlink()
 
 
+def write_csv(path: Path, header, rows, preamble=()) -> Path:
+    """Write ``# `` preamble lines, the header and one line per row.  Floats
+    (numpy's included) are written as ``%.15e``, every other cell with str."""
+    with path.open("w") as fh:
+        for line in preamble:
+            fh.write(f"# {line}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{x:.15e}" if isinstance(x, float) else str(x) for x in row) + "\n")
+    return path
+
+
+def write_json(path: Path, data) -> Path:
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    return path
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -374,9 +394,7 @@ def write_manifest(out_dir: Path, config: dict, outputs: list[Path],
     }
     if health is not None:
         manifest["health"] = health
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_json(out_dir / "manifest.json", manifest)
 
 
 def objective_spec(config: RunConfig, duration: float | None = None) -> ObjectiveSpec:
@@ -416,12 +434,16 @@ def _optimize_from(config: RunConfig, objective):
 # experiment modes
 # ---------------------------------------------------------------------------
 
+TRAJECTORY_COLUMNS = ("t", "g", "f_c", "f_g", "purity_A", "entropy_A", "entropy_B", "gap")
+
+
 def run_evolve(config: RunConfig) -> dict:
     process = prepare_process(config.chain, config.process)
     psi, record = process.run(config.schedule, config.n_steps)
-    traj = config.out_dir / "trajectory.csv"
-    with traj.open("w") as fh:
-        record.to_csv(fh)
+    traj = write_csv(config.out_dir / "trajectory.csv", TRAJECTORY_COLUMNS, zip(
+        record.times, record.g_values, record.f_c, record.f_g,
+        record.purity_a, record.entropy_a, record.entropy_b, record.gap,
+    ))
     prop = process.propagator
     health = {
         "block_dims": [int(prop.blocks[k].size) for k in prop.occupied(process.psi0)],
@@ -437,8 +459,7 @@ def run_evolve(config: RunConfig) -> dict:
 def run_optimize(config: RunConfig) -> dict:
     objective, _ = build_objective(objective_spec(config))
     report = _optimize_from(config, objective)
-    path = config.out_dir / "optimization.json"
-    path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    path = write_json(config.out_dir / "optimization.json", report.to_dict())
     print(
         f"optimized fidelity = {report.final_value:.3f} (baseline {report.initial_value:.3f}) "
         f"params = {np.round(report.final_params, 3).tolist()} [{report.status}]"
@@ -458,13 +479,9 @@ def run_sweep(config: RunConfig) -> dict:
             rows.append((duration, baseline, report.final_value, report.final_params, report.status))
         else:
             rows.append((duration, baseline, baseline, (0.0,) * n_free, "baseline"))
-    path = config.out_dir / "sweep.csv"
-    with path.open("w") as fh:
-        headers = ["T", "f_baseline", "f_opt"] + [f"param_{k + 1}" for k in range(n_free)] + ["status"]
-        fh.write(",".join(headers) + "\n")
-        for duration, fb, fo, params, status in rows:
-            cells = [_fmt(duration), _fmt(fb), _fmt(fo), *(_fmt(p) for p in params), status]
-            fh.write(",".join(cells) + "\n")
+    header = ["T", "f_baseline", "f_opt"] + [f"param_{k + 1}" for k in range(n_free)] + ["status"]
+    path = write_csv(config.out_dir / "sweep.csv", header,
+                     ((d, fb, fo, *params, status) for d, fb, fo, params, status in rows))
     for duration, fb, fo, _, status in rows:
         print(f"T = {duration:g}: baseline {fb:.3f} optimized {fo:.3f} [{status}]")
     return {"rows": rows, "files": [path]}
@@ -478,17 +495,19 @@ def run_landscape(config: RunConfig) -> dict:
                  for ax in config.landscape["axes"])
     grid = scan_landscape(objective, axes, base_params=config.schedule.params)
     report = _optimize_from(config, objective)
-    grid_path = config.out_dir / "landscape.csv"
-    with grid_path.open("w") as fh:
-        grid.to_csv(fh)
+    preamble = [f"axis{k + 1}: param_index={ax.param_index} min={ax.lower:.15e} "
+                f"max={ax.upper:.15e} resolution={ax.resolution}" for k, ax in enumerate(axes)]
+    preamble.append(f"base_params: {list(grid.base_params)}")
+    p1, p2 = np.meshgrid(axes[0].grid(), axes[1].grid(), indexing="ij")
+    grid_path = write_csv(config.out_dir / "landscape.csv", ("p1", "p2", "fidelity"),
+                          zip(p1.ravel(), p2.ravel(), grid.values.ravel()), preamble)
     marker = {
         "optimum_params": list(report.final_params),
         "optimum_value": report.final_value,
         "status": report.status,
         "grid_max": dict(zip(("p1", "p2", "value"), grid.max_point())),
     }
-    marker_path = config.out_dir / "optimum.json"
-    marker_path.write_text(json.dumps(marker, indent=2, sort_keys=True) + "\n")
+    marker_path = write_json(config.out_dir / "optimum.json", marker)
     print(
         f"landscape max {marker['grid_max']['value']:.3f} at "
         f"({marker['grid_max']['p1']:.3g}, {marker['grid_max']['p2']:.3g}); "
@@ -526,17 +545,6 @@ def noise_study(process, schedule, strengths, window, realizations, master_seed,
     return rows, draws
 
 
-def write_noise_csv(path: Path, rows: list[dict]) -> None:
-    """Write noise_study summary rows as ``dg,dt,mean_fc,std_fc,M``."""
-    with path.open("w") as fh:
-        fh.write("dg,dt,mean_fc,std_fc,M\n")
-        for row in rows:
-            fh.write(
-                f"{_fmt(row['dg'])},{_fmt(row['dt'])},{_fmt(row['mean_fc'])},"
-                f"{_fmt(row['std_fc'])},{row['M']}\n"
-            )
-
-
 def run_noise(config: RunConfig) -> dict:
     process = prepare_process(config.chain, config.process)
     noise = config.noise
@@ -544,8 +552,8 @@ def run_noise(config: RunConfig) -> dict:
         process, config.schedule, noise["strengths"], noise["window"], noise["realizations"],
         noise["seed"], config.n_steps, config.target,
     )
-    path = config.out_dir / "noise.csv"
-    write_noise_csv(path, rows)
+    header = ("dg", "dt", "mean_fc", "std_fc", "M")
+    path = write_csv(config.out_dir / "noise.csv", header, ([row[c] for c in header] for row in rows))
     for row in rows:
         print(f"dg = {row['dg']:g}: mean f = {row['mean_fc']:.3f} +- {row['std_fc']:.3f}")
     return {"rows": rows, "files": [path], "seeds": {"master": noise["seed"], "realizations": draws}}
@@ -563,8 +571,7 @@ def run_two_spin(config: RunConfig) -> dict:
         "controlled_f_c": controlled,
         "schedule": config.schedule.to_dict(),
     }
-    path = config.out_dir / "two_spin.json"
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    path = write_json(config.out_dir / "two_spin.json", result)
     print(f"block {process.a_sites}: baseline f_C = {baseline:.3f}, controlled f_C = {controlled:.3f}")
     return {"result": result, "files": [path]}
 

@@ -1,4 +1,3 @@
-import io
 import re
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 from spinsplice.chain import ChainSpec, assemble_hamiltonian, ground_state
 from spinsplice.control import NoiseSpec, apply_noise, linear_baseline, polynomial_cut, pulse_train
 from spinsplice.dynamics import (
-    CSV_COLUMNS,
     SectorPropagator,
     TrajectoryProbe,
     cut_fidelity,
@@ -17,6 +15,7 @@ from spinsplice.dynamics import (
     purity,
     reduce_density,
 )
+from spinsplice.runner import TRAJECTORY_COLUMNS, write_csv
 
 from oracles import SZ, dense_hamiltonian, ground_fidelity, sector_blocks, sector_step, step_unitary, taylor_expm
 
@@ -265,12 +264,14 @@ class TestTrajectoryRecord:
         # initial sample, every 10th step, and the forced final step
         assert len(record.times) == 4
 
-    def test_csv_format(self, recorded_run):
+    def test_csv_format(self, recorded_run, tmp_path):
         _, record = recorded_run
-        buf = io.StringIO()
-        record.to_csv(buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == ",".join(CSV_COLUMNS)
+        path = write_csv(tmp_path / "trajectory.csv", TRAJECTORY_COLUMNS, zip(
+            record.times, record.g_values, record.f_c, record.f_g,
+            record.purity_a, record.entropy_a, record.entropy_b, record.gap,
+        ))
+        lines = path.read_text().splitlines()
+        assert lines[0] == ",".join(TRAJECTORY_COLUMNS)
         assert len(lines) == 1 + len(record.times)
         # every value carries 15 decimal digits (>= 12 significant digits)
         cell = re.compile(r"^-?\d\.\d{15}e[+-]\d{2,3}$")

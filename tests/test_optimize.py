@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -10,6 +8,7 @@ from spinsplice.optimize import (
     multi_start_maximize,
     scan_landscape,
 )
+from spinsplice.runner import execute, parse_config
 
 from oracles import cell_size
 
@@ -129,12 +128,16 @@ class TestLandscape:
         grid = scan_landscape(probe, axes, base_params=(0.0, 0.5, 0.0))
         assert np.all(grid.values == 0.5)
 
-    def test_csv_header_block(self):
-        axes = (LandscapeAxis(0, 0.0, 1.0, 2), LandscapeAxis(1, 0.0, 1.0, 2))
-        grid = scan_landscape(lambda p: 1.0, axes)
-        buf = io.StringIO()
-        grid.to_csv(buf)
-        lines = buf.getvalue().splitlines()
+    def test_csv_header_block(self, tmp_path, capsys):
+        axes = [{"param_index": k, "min": 0.0, "max": 1.0, "resolution": 2} for k in range(2)]
+        config = parse_config({
+            "mode": "landscape", "chain": {"n_spins": 3, "field": 2.0},
+            "schedule": {"T": 0.3, "params": [0.0, 0.0]}, "n_steps": 2,
+            "landscape": {"axes": axes}, "optimizer": {"max_iterations": 0},
+            "out_dir": str(tmp_path),
+        })
+        execute(config)
+        lines = (tmp_path / "landscape.csv").read_text().splitlines()
         assert lines[0].startswith("# axis1: param_index=0")
         assert lines[1].startswith("# axis2: param_index=1")
         assert lines[2].startswith("# base_params:")

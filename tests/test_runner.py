@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,19 @@ class TestRunners:
         execute(parse_config(echoed))
         replay = json.loads((tmp_path / "replay" / "manifest.json").read_text())
         assert manifest["outputs"] == replay["outputs"]
+        # one output format in every mode
+        cell = re.compile(r"^-?\d\.\d{15}e[+-]\d{2,3}$")
+        for name in [*manifest["outputs"], "manifest.json"]:
+            text = (tmp_path / "orig" / name).read_text()
+            if name.endswith(".json"):
+                assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name
+                continue
+            header, *rows = [line.split(",") for line in text.splitlines() if not line.startswith("# ")]
+            assert rows, name
+            for row in rows:
+                assert len(row) == len(header), (name, row)
+                for column, value in zip(header, row):
+                    assert column in ("status", "M") or cell.match(value), (name, column, value)
 
     def test_evolve_manifest_reports_health(self, tmp_path):
         config = parse_config(evolve_config(tmp_path))
@@ -204,10 +218,12 @@ class TestRunners:
         # the health echo leaves the trajectory bytes and their hash alone
         process = prepare_process(config.chain, config.process)
         _, record = process.run(config.schedule, config.n_steps)
-        expected = io.StringIO()
-        record.to_csv(expected)
+        expected = runner.write_csv(tmp_path / "expected.csv", runner.TRAJECTORY_COLUMNS, zip(
+            record.times, record.g_values, record.f_c, record.f_g,
+            record.purity_a, record.entropy_a, record.entropy_b, record.gap,
+        ))
         csv_bytes = (out / "trajectory.csv").read_bytes()
-        assert csv_bytes == expected.getvalue().encode()
+        assert csv_bytes == expected.read_bytes()
         assert manifest["outputs"] == {"trajectory.csv": hashlib.sha256(csv_bytes).hexdigest()}
         assert health["min_gap"] == float(record.gap.min())
         assert health["degenerate_samples"] == int(record.degenerate_flags.sum())
@@ -344,7 +360,11 @@ class TestCli:
             ("seed", ["reproduce", "fig7", "--out", str(tmp_path), "--seed", "-1"]),
             ("seed", ["evolve", "--config", evolve_path, "--seed", "-3"]),
             ("seed", ["reproduce", "table1", "--out", str(tmp_path), "--seed", "9"]),
+            ("config", ["reproduce", "table1", "--out", str(tmp_path), "--config", str(tmp_path / "nope.json")]),
         ]
+        for k, (field, override) in enumerate((("process", "stitch"), ("target", "ground"))):
+            two_spin = mode_config("two_spin", tmp_path, **{field: override})
+            runs.append((field, ["two-spin", "--config", write_config(tmp_path / f"t{k}.json", two_spin)]))
         for field, argv in runs:
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
