@@ -1,17 +1,29 @@
 """Time evolution under h0 + g(t) v and trajectory observables.
 
 Propagation factors the time-ordered exponential into piecewise-constant
-steps, each computed exactly from the spectral decomposition of the Hermitian
-generator.  Both h0 and v conserve total S^z, so every step diagonalizes only
-the sectors the state occupies and the state never leaves them.  Smooth
-schedules are sampled at step midpoints on a uniform grid (refined so noise
-windows never straddle a step); pulse trains are propagated with exactly one
-factor per pulse.  The module does no file I/O: ``runner`` writes the
-trajectory CSV from a ``TrajectoryRecord``'s columns.
+steps: smooth schedules are sampled at step midpoints on a uniform grid
+(refined so noise windows never straddle a step), and pulse trains take
+exactly one factor per pulse.  Both h0 and v conserve total S^z, so only the
+sectors the state occupies are evolved, and the state never leaves them.
+
+Every step acts on a batch: B schedules that share one integration grid
+evolve together as one (d x B) array of sector amplitudes, one column per
+schedule, and a single schedule is the batch B = 1.  A smooth step applies a
+truncated Taylor series of exp(-i (h0 + g v) dt).  Its order m and substep
+count s are fixed in advance from the bound (||h0||_1 + max_b |g_b| ||v||_1) dt,
+as the pair with the least m * s whose truncation tail is at most 2^-53 per
+substep (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), and each
+term is one real matrix product on the float64 view of the amplitudes.  The
+result is the exact factor to round-off, and no smooth step diagonalizes.
+Pulse steps, and any step whose plan needs more than ``MAX_TAYLOR_TERMS``
+terms, take the exact factor from an eigendecomposition of each column's
+generator, stacked over the batch.  The module does no file I/O: ``runner``
+writes the trajectory CSV from a ``TrajectoryRecord``'s columns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +31,46 @@ import numpy as np
 from .chain import Blocks, DegeneracyError, Spectrum, select_ground
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
+UNIT_ROUNDOFF = 2.0**-53
+# Highest Taylor order.  Its largest substep norm is about 1.5, so no partial
+# sum exceeds e^1.5 times the state norm and round-off stays at a few ulps.
+MAX_TAYLOR_ORDER = 20
+# A step whose Taylor plan needs more terms than this takes the exact factor.
+MAX_TAYLOR_TERMS = 64
+# Largest (d x B) amplitude array or (steps x B) coupling table a caller
+# batches, and largest stack of d x d generators one exact step diagonalizes.
+MAX_BATCH_BYTES = 1 << 20
+
+
+def _largest_substep_norm(order: int) -> float:
+    """Largest theta whose Taylor tail after the given order,
+    theta^(m+1) / (m+1)! / (1 - theta / (m+2)), is at most 2^-53."""
+    lo, hi = 0.0, order + 1.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        tail = mid ** (order + 1) / math.factorial(order + 1) / (1.0 - mid / (order + 2))
+        lo, hi = (mid, hi) if tail <= UNIT_ROUNDOFF else (lo, mid)
+    return lo
+
+
+ORDERS = np.arange(MAX_TAYLOR_ORDER, 0, -1)  # highest first: ties go to the fewest substeps
+THETA = np.array([_largest_substep_norm(m) for m in ORDERS])
+_INVERSE_ORDERS = 1.0 / np.arange(1.0, MAX_TAYLOR_ORDER + 1)[:, None, None, None]
+
+
+def taylor_plan(norm_dt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Order m and substep count s for steps whose generator has the 1-norm
+    bound ``norm_dt`` times dt: the pair with the least m * s, and of those
+    the fewest substeps, such that each substep's norm is within the largest
+    that order m truncates to 2^-53 (THETA)."""
+    substeps = np.minimum(np.ceil(np.asarray(norm_dt)[:, None] / THETA), MAX_TAYLOR_TERMS + 1)
+    substeps = np.maximum(substeps, 1.0).astype(int)
+    best = np.argmin(ORDERS * substeps, axis=1)
+    return ORDERS[best], substeps[np.arange(best.size), best]
+
+
+def _norm1(a: np.ndarray) -> float:
+    return float(np.abs(a).sum(axis=0).max())
 
 
 class SectorPropagator:
@@ -26,38 +78,85 @@ class SectorPropagator:
 
     ``blocks`` holds the basis indices of each total-S^z sector, and ``h0``
     and ``v`` the real symmetric float64 blocks of the split Hamiltonian on
-    them, as ``assemble_hamiltonian`` returns them.  Each step diagonalizes
-    only the blocks in which the state has amplitude.
+    them, as ``assemble_hamiltonian`` returns them.  Only the blocks in which
+    the state has amplitude are evolved; their 1-norms and the side-by-side
+    ``[h0 | v]`` matrix of the Taylor terms are built on first use.
     """
 
     def __init__(self, blocks: Blocks, h0: Blocks, v: Blocks):
         self.dim = sum(b.size for b in blocks)
         self.blocks = blocks
-        self._h0 = h0
-        self._v = v
+        self.h0 = h0
+        self.v = v
+        self._norms: dict[int, tuple[float, float]] = {}
+        self._stacked: dict[int, np.ndarray] = {}
 
     def spectrum(self, g: float) -> Spectrum:
         """Eigenpairs of h0 + g v over every block."""
-        return Spectrum(self.dim, self.blocks, [h + g * v for h, v in zip(self._h0, self._v)])
+        return Spectrum(self.dim, self.blocks, [h + g * v for h, v in zip(self.h0, self.v)])
 
     def occupied(self, psi: np.ndarray) -> list[int]:
         """Indices of the blocks in which psi has a nonzero entry."""
         return [k for k, b in enumerate(self.blocks) if np.any(psi[b])]
 
-    def step_block(self, k: int, amp: np.ndarray, g: float, dt: float) -> np.ndarray:
-        """One factor applied to the amplitudes ``amp`` of block k."""
-        w, q = np.linalg.eigh(self._h0[k] + g * self._v[k])
-        # real symmetric generator: split re/im so the matvecs stay real
-        amp = (q.T @ amp.real) + 1j * (q.T @ amp.imag)
-        amp *= np.exp(-1j * w * dt)
-        return (q @ amp.real) + 1j * (q @ amp.imag)
+    def norms(self, k: int) -> tuple[float, float]:
+        """1-norms of h0 and v on block k."""
+        if k not in self._norms:
+            self._norms[k] = (_norm1(self.h0[k]), _norm1(self.v[k]))
+        return self._norms[k]
+
+    def stacked(self, k: int) -> np.ndarray:
+        """``[h0 | v]`` on block k: one product with ``[x; y]`` gives h0 x + v y."""
+        if k not in self._stacked:
+            self._stacked[k] = np.hstack([self.h0[k], self.v[k]])
+        return self._stacked[k]
 
     def embed(self, occupied: list[int], amps: list[np.ndarray]) -> np.ndarray:
-        """The full-space state with the given block amplitudes, zero elsewhere."""
-        psi = np.zeros(self.dim, dtype=complex)
+        """The full-space state (or one column per state) with the given block
+        amplitudes, zero elsewhere."""
+        psi = np.zeros((self.dim, *amps[0].shape[1:]), dtype=complex)
         for k, amp in zip(occupied, amps):
             psi[self.blocks[k]] = amp
         return psi
+
+
+def _taylor_factor(stacked, amp, weight, order, substeps):
+    """exp(-i (h0 + g_b v) dt) on each column b of ``amp``, as ``substeps``
+    Taylor polynomials of the given order.  ``stacked`` is ``[h0 | v]`` and
+    ``weight`` holds the rows -i dt / s and -i g_b dt / s."""
+    d, width = amp.shape
+    coefs = weight[:, None, :] * _INVERSE_ORDERS[:order]
+    scaled = np.empty((2, d, width), dtype=complex)
+    term = np.empty((d, width), dtype=complex)
+    scaled_real, term_real = scaled.reshape(2 * d, width).view(float), term.view(float)
+    for _ in range(substeps):
+        total = amp.copy()
+        src = amp
+        for coef in coefs:
+            # term = (-i dt / (s j)) (h0 src + g v src): one real product on [c src; c g src]
+            np.multiply(src, coef, out=scaled)
+            np.matmul(stacked, scaled_real, out=term_real)
+            total += term
+            src = term
+        amp = total
+    return amp
+
+
+def _exact_factor(h0, v, amp, g, dt):
+    """exp(-i (h0 + g_b v) dt) on each column b of ``amp`` from the
+    eigenpairs of its generator, diagonalized in stacks of at most
+    MAX_BATCH_BYTES."""
+    d, width = amp.shape
+    cols = np.ascontiguousarray(amp.T)
+    out = np.empty_like(cols)
+    chunk = max(1, MAX_BATCH_BYTES // (8 * d * d))
+    for lo in range(0, width, chunk):
+        w, q = np.linalg.eigh(h0 + g[lo:lo + chunk, None, None] * v)
+        # real eigenvectors: the products act on (re, im) as two real columns
+        x = np.matmul(q.transpose(0, 2, 1), cols[lo:lo + chunk].view(float).reshape(-1, d, 2))
+        x = x.view(complex)[..., 0] * np.exp(-1j * w * dt)
+        out[lo:lo + chunk] = np.matmul(q, x.view(float).reshape(-1, d, 2)).view(complex)[..., 0]
+    return out.T
 
 
 def integration_grid(schedule, n_steps: int) -> np.ndarray:
@@ -142,6 +241,10 @@ class TrajectoryProbe:
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
+    """Sampled observables of a recorded run, plus its propagation work:
+    ``max_norm_dt``, the largest bound (||h0||_1 + |g| ||v||_1) dt of any
+    step, and ``taylor_matvecs``, the Taylor terms applied in all."""
+
     times: np.ndarray
     g_values: np.ndarray
     f_c: np.ndarray
@@ -151,6 +254,8 @@ class TrajectoryRecord:
     entropy_b: np.ndarray
     gap: np.ndarray
     degenerate_flags: np.ndarray
+    max_norm_dt: float
+    taylor_matvecs: int
 
     def final_cut_fidelity(self) -> float:
         return float(self.f_c[-1])
@@ -193,13 +298,14 @@ class _Recorder:
             degenerate,
         ))
 
-    def build(self) -> TrajectoryRecord:
+    def build(self, max_norm_dt: float, taylor_matvecs: int) -> TrajectoryRecord:
         arr = np.asarray([c[:8] for c in self._cols], dtype=float)
         flags = np.asarray([c[8] for c in self._cols], dtype=bool)
         return TrajectoryRecord(
             times=arr[:, 0], g_values=arr[:, 1], f_c=arr[:, 2], f_g=arr[:, 3],
             purity_a=arr[:, 4], entropy_a=arr[:, 5], entropy_b=arr[:, 6],
             gap=arr[:, 7], degenerate_flags=flags,
+            max_norm_dt=max_norm_dt, taylor_matvecs=taylor_matvecs,
         )
 
 
@@ -212,25 +318,59 @@ def propagate(
 ) -> tuple[np.ndarray, TrajectoryRecord | None]:
     """Evolve psi0 across the schedule; optionally record a trajectory.
 
-    Returns the final state and, when a probe is given, the sampled record.
-    ``n_steps`` sets the uniform grid for smooth schedules and is ignored for
-    pulse trains, which are propagated one exact factor per pulse.  Only the
-    blocks in which psi0 has amplitude are evolved; the state is assembled in
-    the full space only for samples and the result.
+    ``schedule`` is one schedule, or a list of schedules of one kind (all
+    smooth or all pulse trains) on one integration grid, which evolve as one
+    batch.  Returns the final state, or for a list a (dim, B) array with one
+    column per schedule, and, when a probe is given (one schedule only), the
+    sampled record.  ``n_steps`` sets the uniform grid for smooth schedules
+    and is ignored for pulse trains, which are propagated one exact factor
+    per pulse.  Only the blocks in which psi0 has amplitude are evolved; the
+    state is assembled in the full space only for samples and the result.
     """
-    grid = integration_grid(schedule, n_steps)
+    batch = isinstance(schedule, (list, tuple))
+    schedules = list(schedule) if batch else [schedule]
+    if not schedules:
+        raise ValueError("no schedules to propagate")
+    if probe is not None and batch:
+        raise ValueError("a recorded run propagates one schedule")
+    grid = integration_grid(schedules[0], n_steps)
+    pulses = schedules[0].piecewise_constant
+    for other in schedules[1:]:
+        if other.piecewise_constant != pulses or not np.array_equal(integration_grid(other, n_steps), grid):
+            raise ValueError("a batch needs schedules of one kind on one integration grid")
     mids = 0.5 * (grid[:-1] + grid[1:])
-    g_values = schedule.values(mids)
     dts = np.diff(grid)
+    g_values = np.stack([s.values(mids) for s in schedules], axis=1)
+    g_bound = np.abs(g_values).max(axis=1)
+    g_rows = np.stack([np.ones_like(g_values), g_values], axis=1)  # (steps, 2, B): 1 and g_b
     psi = np.asarray(psi0, dtype=complex)
     occupied = propagator.occupied(psi)
-    amps = [psi[propagator.blocks[k]] for k in occupied]
-    recorder = _Recorder(probe, propagator, schedule) if probe is not None else None
+    amps = [np.repeat(psi[propagator.blocks[k]][:, None], len(schedules), axis=1) for k in occupied]
+
+    plans = []  # per block: (order, substeps, exact, Taylor weights) of every step
+    max_norm_dt, matvecs = 0.0, 0
+    for k in occupied:
+        n0, nv = propagator.norms(k)
+        norm_dt = (n0 + g_bound * nv) * dts
+        orders, substeps = taylor_plan(norm_dt)
+        exact = np.full(dts.size, pulses) | (orders * substeps > MAX_TAYLOR_TERMS)
+        plans.append((orders, substeps, exact, (-1j * dts / substeps)[:, None, None] * g_rows))
+        max_norm_dt = max(max_norm_dt, float(norm_dt.max()))
+        matvecs += int((orders * substeps)[~exact].sum())
+
+    recorder = _Recorder(probe, propagator, schedules[0]) if probe is not None else None
     if recorder is not None:
         recorder.sample(0.0, psi)
-    last = len(mids) - 1
-    for j in range(len(mids)):
-        amps = [propagator.step_block(k, amp, g_values[j], dts[j]) for k, amp in zip(occupied, amps)]
+    last = dts.size - 1
+    for j in range(dts.size):
+        for i, (k, (orders, substeps, exact, weights)) in enumerate(zip(occupied, plans)):
+            if exact[j]:
+                amps[i] = _exact_factor(propagator.h0[k], propagator.v[k], amps[i], g_values[j], dts[j])
+            else:
+                amps[i] = _taylor_factor(propagator.stacked(k), amps[i], weights[j], orders[j], substeps[j])
         if recorder is not None and ((j + 1) % probe.stride == 0 or j == last):
-            recorder.sample(float(grid[j + 1]), propagator.embed(occupied, amps))
-    return propagator.embed(occupied, amps), (recorder.build() if recorder is not None else None)
+            recorder.sample(float(grid[j + 1]), propagator.embed(occupied, [a[:, 0] for a in amps]))
+    psi = propagator.embed(occupied, amps)
+    if not batch:
+        psi = psi[:, 0]
+    return psi, (recorder.build(max_norm_dt, matvecs) if recorder is not None else None)

@@ -5,6 +5,13 @@ differences (default step 0.1 in parameter space), an Armijo backtracking line
 search that halves the step, and a curvature safeguard on the inverse-Hessian
 update.  It is fully deterministic: identical inputs yield identical traces.  The
 module does no file I/O: ``runner`` writes reports and grids.
+
+Objectives take parameters along the first axis: a point ``(n,)`` gives one
+value, and a batch ``(n, B)`` gives ``B`` values, one per column (a scalar
+result is broadcast to every column).  A gradient evaluates its 2n points
+and a landscape its whole grid in one call, so a batching objective (see
+``process.build_objective``) propagates them together; BFGS line searches
+and multi-start runs evaluate one point at a time.
 """
 
 from __future__ import annotations
@@ -24,18 +31,14 @@ SCALE_BOUNDS = (1e-3, 1e3)
 
 def finite_difference_gradient(objective, x: np.ndarray,
                                step: float = DEFAULT_GRADIENT_STEP) -> np.ndarray:
-    """Central-difference gradient; exact on quadratics.  The 2*dim points are
-    evaluated in order, +step before -step for each coordinate."""
+    """Central-difference gradient; exact on quadratics.  The 2*dim points go
+    to the objective as one batch, +step before -step for each coordinate."""
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     x = np.asarray(x, dtype=float)
-    grad = np.empty(x.size, dtype=float)
-    for i in range(x.size):
-        up, down = x.copy(), x.copy()
-        up[i] += step
-        down[i] -= step
-        grad[i] = (objective(up) - objective(down)) / (2.0 * step)
-    return grad
+    values = np.empty(2 * x.size)
+    values[:] = objective(x[:, None] + np.kron(np.eye(x.size), [step, -step]))
+    return (values[0::2] - values[1::2]) / (2.0 * step)
 
 
 @dataclass
@@ -212,14 +215,15 @@ def scan_landscape(
     *,
     workers: int = 1,
 ) -> LandscapeGrid:
-    """Evaluate the objective over the full 2-D grid, row by row.
+    """Evaluate the objective over the full 2-D grid in one call, the cells
+    as columns in row-major order.
 
     ``workers`` accepts only 1 and does nothing: the benchmark's landscape
     pass (``bench/workloads.py``) still passes ``workers=1``, and the
     parameter goes once that call drops it.
     """
     if workers != 1:
-        raise ValueError(f"workers must be 1 (cells are evaluated in one loop), got {workers!r}")
+        raise ValueError(f"workers must be 1 (the grid is evaluated in one call), got {workers!r}")
     ax1, ax2 = axes
     if ax1.param_index == ax2.param_index:
         raise ValueError("landscape axes must vary two different parameters")
@@ -233,12 +237,12 @@ def scan_landscape(
                 f"base_params has {base.size} entries but axes reference parameter "
                 f"{n_params - 1}"
             )
-    values = np.empty((ax1.resolution, ax2.resolution))
-    for i, p1 in enumerate(ax1.grid()):
-        for j, p2 in enumerate(ax2.grid()):
-            params = base.copy()
-            params[ax1.param_index] = p1
-            params[ax2.param_index] = p2
-            values[i, j] = objective(params)
+    p1, p2 = np.meshgrid(ax1.grid(), ax2.grid(), indexing="ij")
+    points = np.repeat(base[:, None], p1.size, axis=1)
+    points[ax1.param_index] = p1.ravel()
+    points[ax2.param_index] = p2.ravel()
+    values = np.empty(p1.size)
+    values[:] = objective(points)
+    values = values.reshape(p1.shape)
     return LandscapeGrid(axes=(ax1, ax2), base_params=tuple(float(b) for b in base),
                          values=values)

@@ -28,10 +28,12 @@ from .chain import (
 )
 from .control import ControlSchedule, linear_baseline, make_schedule
 from .dynamics import (
+    MAX_BATCH_BYTES,
     SectorPropagator,
     TrajectoryProbe,
     TrajectoryRecord,
     cut_fidelity,
+    integration_grid,
     propagate,
     reduce_density,
 )
@@ -63,16 +65,38 @@ class ChainProcess:
                 f"{self.direction!r} process"
             )
 
-    def final_state(self, schedule, n_steps: int = DEFAULT_TIME_STEPS) -> np.ndarray:
-        self._check_schedule(schedule)
-        psi, _ = propagate(self.propagator, schedule, self.psi0, n_steps)
-        return psi
-
     def fidelity(self, schedule, n_steps: int = DEFAULT_TIME_STEPS, target: str = "cut") -> float:
         """Final-time fidelity without recording a trajectory."""
+        return float(self.fidelities([schedule], n_steps, target)[0])
+
+    def fidelities(self, schedules, n_steps: int = DEFAULT_TIME_STEPS, target: str = "cut") -> np.ndarray:
+        """Final-time fidelity of each schedule, in order.
+
+        Schedules of one kind on one integration grid propagate as one batch,
+        split so that neither the (d x B) amplitudes nor the (steps x B)
+        couplings of a batch exceed MAX_BATCH_BYTES; the values do not depend
+        on how the schedules are grouped.
+        """
         if target not in TARGETS:
             raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
-        psi = self.final_state(schedule, n_steps)
+        groups: dict[tuple, list[int]] = {}
+        for i, schedule in enumerate(schedules):
+            self._check_schedule(schedule)
+            grid = integration_grid(schedule, n_steps)
+            groups.setdefault((schedule.piecewise_constant, grid.size, grid.tobytes()), []).append(i)
+        prop = self.propagator
+        d = sum(prop.blocks[k].size for k in prop.occupied(self.psi0))
+        values = np.empty(len(schedules))
+        for (_, points, _), members in groups.items():
+            width = max(1, MAX_BATCH_BYTES // (16 * max(d, points - 1)))
+            for lo in range(0, len(members), width):
+                chunk = members[lo:lo + width]
+                psi, _ = propagate(prop, [schedules[i] for i in chunk], self.psi0, n_steps)
+                for col, i in enumerate(chunk):
+                    values[i] = self._score(psi[:, col], target)
+        return values
+
+    def _score(self, psi: np.ndarray, target: str) -> float:
         if target == "cut":
             rho = reduce_density(psi, self.a_sites, self.chain.n_spins)
             return cut_fidelity(rho, self.phi_0a)
@@ -176,14 +200,23 @@ class ObjectiveSpec:
 def build_objective(
     spec: ObjectiveSpec,
     process: ChainProcess | None = None,
-) -> tuple[Callable[[np.ndarray], float], ChainProcess]:
-    """Deterministic objective closure over a shared prepared process."""
+) -> tuple[Callable[[np.ndarray], float | np.ndarray], ChainProcess]:
+    """Deterministic objective closure over a shared prepared process.
+
+    The objective takes parameters along the first axis: an ``(n,)`` vector
+    gives its fidelity as a float, an ``(n, B)`` array the ``(B,)`` fidelities
+    of its columns, evaluated together by ``ChainProcess.fidelities``.
+    """
     if process is None:
         process = prepare_process(spec.chain, spec.direction)
     elif process.direction != spec.direction:
         raise ValueError("prepared process direction does not match the objective")
 
-    def objective(params) -> float:
-        return process.fidelity(spec.schedule_for(params), spec.n_steps, spec.target)
+    def objective(params):
+        params = np.asarray(params, dtype=float)
+        if params.ndim == 1:
+            return process.fidelity(spec.schedule_for(params), spec.n_steps, spec.target)
+        schedules = [spec.schedule_for(col) for col in params.T]
+        return process.fidelities(schedules, spec.n_steps, spec.target)
 
     return objective, process

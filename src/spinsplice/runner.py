@@ -289,9 +289,13 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"chain: {exc}") from exc
     try:
-        cut_components(chain)
+        block, _ = cut_components(chain)
     except ValueError as exc:
         raise ConfigError(f"chain.cut_bonds: {exc}") from exc
+    if run_mode == "two_spin" and len(block) != 2:
+        raise ConfigError(
+            f"chain.cut_bonds: mode 'two_spin' detaches a two-spin block, got sites {list(block)}"
+        )
     cfg["chain"]["cut_bonds"] = sorted(list(bond) for bond in chain.cut_bonds)
     sched = cfg["schedule"]
     try:
@@ -450,6 +454,8 @@ def run_evolve(config: RunConfig) -> dict:
         "norm_error": abs(float(np.linalg.norm(psi)) - 1.0),
         "min_gap": float(record.gap.min()),
         "degenerate_samples": int(record.degenerate_flags.sum()),
+        "max_norm_dt": record.max_norm_dt,
+        "taylor_matvecs": record.taylor_matvecs,
     }
     f_c, f_g = record.final_cut_fidelity(), record.final_ground_fidelity()
     print(f"final f_C = {f_c:.3f}  f_G = {f_g:.3f}")
@@ -520,28 +526,28 @@ def noise_study(process, schedule, strengths, window, realizations, master_seed,
                 n_steps=DEFAULT_TIME_STEPS, target="cut"):
     """Mean/std of the final fidelity per noise strength, under derived seeds.
 
-    Child seeds are drawn once, in a fixed order, from the master seed.
-    Returns the summary rows plus one {seed, dt, dg} record per realization
-    for the run manifest.
+    Child seeds are drawn once, in a fixed order, from the master seed.  The
+    clean schedule (for a zero strength) and every realization are scored in
+    one ``fidelities`` call.  Returns the summary rows plus one {seed, dt, dg}
+    record per realization for the run manifest.
     """
     rng = np.random.default_rng(int(master_seed))
     child_seeds = rng.integers(0, 2**63, size=(len(strengths), realizations))
+    draws = [{"seed": int(seed), "dt": window, "dg": dg}
+             for dg, seeds in zip(strengths, child_seeds) for seed in seeds]
+    clean = [schedule] if 0.0 in strengths else []
+    noisy = [apply_noise(schedule, NoiseSpec(window=window, strength=dg, seed=int(seed)))
+             for dg, seeds in zip(strengths, child_seeds) if dg != 0.0 for seed in seeds]
+    values = process.fidelities(clean + noisy, n_steps, target)
+    realized = iter(values[len(clean):].reshape(-1, realizations))
     rows = []
-    draws = []
-    for i, dg in enumerate(strengths):
-        draws.extend(
-            {"seed": int(seed), "dt": window, "dg": dg} for seed in child_seeds[i]
-        )
+    for dg in strengths:
         if dg == 0.0:
-            val = process.fidelity(schedule, n_steps, target)
-            rows.append({"dg": dg, "dt": window, "mean_fc": val, "std_fc": 0.0,
-                         "M": realizations})
-            continue
-        noisy = (apply_noise(schedule, NoiseSpec(window=window, strength=dg, seed=int(seed)))
-                 for seed in child_seeds[i])
-        vals = np.array([process.fidelity(n, n_steps, target) for n in noisy])
-        rows.append({"dg": dg, "dt": window, "mean_fc": float(vals.mean()),
-                     "std_fc": float(vals.std()), "M": realizations})
+            mean, std = float(values[0]), 0.0
+        else:
+            vals = next(realized)
+            mean, std = float(vals.mean()), float(vals.std())
+        rows.append({"dg": dg, "dt": window, "mean_fc": mean, "std_fc": std, "M": realizations})
     return rows, draws
 
 

@@ -15,9 +15,12 @@ from hypothesis import strategies as st
 import spinsplice.runner as runner
 from spinsplice.cli import main
 from spinsplice.control import polynomial_cut
+from spinsplice.dynamics import MAX_TAYLOR_TERMS, integration_grid
 from spinsplice.process import prepare_process
 from spinsplice.reproduce import PIPELINES, reproduce
 from spinsplice.runner import MODES, ConfigError, execute, load_config, parse_config
+
+from oracles import dense_hamiltonian
 
 
 def evolve_config(tmp_path, **overrides):
@@ -212,7 +215,8 @@ class TestRunners:
         out = tmp_path / "out"
         manifest = json.loads((out / "manifest.json").read_text())
         health = manifest["health"]
-        assert set(health) == {"block_dims", "norm_error", "min_gap", "degenerate_samples"}
+        assert set(health) == {"block_dims", "norm_error", "min_gap", "degenerate_samples",
+                               "max_norm_dt", "taylor_matvecs"}
         assert health["block_dims"] in ([math.comb(4, k)] for k in range(5))
         assert 0.0 <= health["norm_error"] < 1e-12
         # the health echo leaves the trajectory bytes and their hash alone
@@ -227,6 +231,33 @@ class TestRunners:
         assert manifest["outputs"] == {"trajectory.csv": hashlib.sha256(csv_bytes).hexdigest()}
         assert health["min_gap"] == float(record.gap.min())
         assert health["degenerate_samples"] == int(record.degenerate_flags.sum())
+        assert health["max_norm_dt"] == record.max_norm_dt
+        assert health["taylor_matvecs"] == record.taylor_matvecs
+
+    @pytest.mark.parametrize("schedule", [
+        {"kind": "polynomial_cut", "T": 0.5, "params": [5.0, -3.0]},
+        {"kind": "pulse", "T": 0.5, "params": [0.3, -2.0, 1.5]},
+    ])
+    def test_evolve_health_counts_work(self, tmp_path, schedule):
+        config = parse_config(evolve_config(tmp_path, schedule=schedule))
+        with contextlib.redirect_stdout(io.StringIO()):
+            execute(config)
+        health = json.loads((tmp_path / "out" / "manifest.json").read_text())["health"]
+        # the largest (||h0||_1 + |g| ||v||_1) dt over the steps, from the dense
+        # operators restricted to the sector of the initial state
+        psi0 = prepare_process(config.chain, config.process).psi0
+        downs = np.array([bin(s).count("1") for s in range(psi0.size)])
+        sector = np.flatnonzero(downs == downs[np.flatnonzero(psi0)[0]])
+        assert health["block_dims"] == [sector.size]
+        n0, nv = (np.abs(op[np.ix_(sector, sector)]).sum(axis=0).max() for op in dense_hamiltonian(config.chain))
+        grid = integration_grid(config.schedule, config.n_steps)
+        g = config.schedule.values(0.5 * (grid[:-1] + grid[1:]))
+        expected = float(np.max((n0 + np.abs(g) * nv) * np.diff(grid)))
+        assert health["max_norm_dt"] == pytest.approx(expected, rel=1e-12)
+        if config.schedule.piecewise_constant:
+            assert health["taylor_matvecs"] == 0
+        else:  # at least one term per step, at most the per-step budget
+            assert config.n_steps <= health["taylor_matvecs"] <= MAX_TAYLOR_TERMS * config.n_steps
 
     def test_optimize_writes_report(self, tmp_path, capsys):
         data = evolve_config(tmp_path, mode="optimize")
@@ -365,6 +396,8 @@ class TestCli:
         for k, (field, override) in enumerate((("process", "stitch"), ("target", "ground"))):
             two_spin = mode_config("two_spin", tmp_path, **{field: override})
             runs.append((field, ["two-spin", "--config", write_config(tmp_path / f"t{k}.json", two_spin)]))
+        one_spin = {"mode": "two_spin", "chain": {"n_spins": 4, "field": 2.1}}  # default cut detaches site 1
+        runs.append(("chain.cut_bonds", ["two-spin", "--config", write_config(tmp_path / "t2.json", one_spin)]))
         for field, argv in runs:
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
