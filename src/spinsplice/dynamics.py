@@ -8,17 +8,19 @@ sectors the state occupies are evolved, and the state never leaves them.
 
 Every step acts on a batch: B schedules that share one integration grid
 evolve together as one (d x B) array of sector amplitudes, one column per
-schedule, and a single schedule is the batch B = 1.  A smooth step applies a
+schedule.  ``propagate`` evolves one schedule as the batch B = 1, and a list
+of schedules grouped by integration grid.  A smooth step applies a
 truncated Taylor series of exp(-i (h0 + g v) dt).  Its order m and substep
 count s are fixed in advance from the bound (||h0||_1 + max_b |g_b| ||v||_1) dt,
 as the pair with the least m * s whose truncation tail is at most 2^-53 per
 substep (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), and each
-term is one real matrix product on the float64 view of the amplitudes.  The
-result is the exact factor to round-off, and no smooth step diagonalizes.
-Pulse steps, and any step whose plan needs more than ``MAX_TAYLOR_TERMS``
-terms, take the exact factor from an eigendecomposition of each column's
-generator, stacked over the batch.  The module does no file I/O: ``runner``
-writes the trajectory CSV from a ``TrajectoryRecord``'s columns.
+term is two real matrix products, by h0 and by v, on the float64 view of the
+amplitudes.  The result is the exact factor to round-off, and no smooth step
+diagonalizes.  Pulse steps, and any step whose plan needs more than
+``MAX_TAYLOR_TERMS`` terms, take the exact factor from an eigendecomposition
+of each column's generator, stacked over the batch.  The module does no file
+I/O: ``runner`` writes the trajectory CSV from a ``TrajectoryRecord``'s
+columns.
 """
 
 from __future__ import annotations
@@ -37,8 +39,13 @@ UNIT_ROUNDOFF = 2.0**-53
 MAX_TAYLOR_ORDER = 20
 # A step whose Taylor plan needs more terms than this takes the exact factor.
 MAX_TAYLOR_TERMS = 64
-# Largest (d x B) amplitude array or (steps x B) coupling table a caller
-# batches, and largest stack of d x d generators one exact step diagonalizes.
+# Largest (d x B) amplitude array or (steps x B) coupling table of one batch
+# of propagate, and largest stack of d x d generators one exact step
+# diagonalizes.  A memory guard, not a tuned speed setting: on reproduce fig8
+# (6-ring, 300 steps, 1225 cells per grid; 2-vCPU x86-64, one BLAS thread) it
+# keeps the peak RSS at 42 MiB against 62 MiB for one unchunked batch per
+# grid, at a wall time within run-to-run noise of it; 64 KiB nearly triples
+# the time.
 MAX_BATCH_BYTES = 1 << 20
 
 
@@ -79,8 +86,8 @@ class SectorPropagator:
     ``blocks`` holds the basis indices of each total-S^z sector, and ``h0``
     and ``v`` the real symmetric float64 blocks of the split Hamiltonian on
     them, as ``assemble_hamiltonian`` returns them.  Only the blocks in which
-    the state has amplitude are evolved; their 1-norms and the side-by-side
-    ``[h0 | v]`` matrix of the Taylor terms are built on first use.
+    the state has amplitude are evolved; their 1-norms are computed on first
+    use.
     """
 
     def __init__(self, blocks: Blocks, h0: Blocks, v: Blocks):
@@ -89,7 +96,6 @@ class SectorPropagator:
         self.h0 = h0
         self.v = v
         self._norms: dict[int, tuple[float, float]] = {}
-        self._stacked: dict[int, np.ndarray] = {}
 
     def spectrum(self, g: float) -> Spectrum:
         """Eigenpairs of h0 + g v over every block."""
@@ -105,12 +111,6 @@ class SectorPropagator:
             self._norms[k] = (_norm1(self.h0[k]), _norm1(self.v[k]))
         return self._norms[k]
 
-    def stacked(self, k: int) -> np.ndarray:
-        """``[h0 | v]`` on block k: one product with ``[x; y]`` gives h0 x + v y."""
-        if k not in self._stacked:
-            self._stacked[k] = np.hstack([self.h0[k], self.v[k]])
-        return self._stacked[k]
-
     def embed(self, occupied: list[int], amps: list[np.ndarray]) -> np.ndarray:
         """The full-space state (or one column per state) with the given block
         amplitudes, zero elsewhere."""
@@ -120,22 +120,25 @@ class SectorPropagator:
         return psi
 
 
-def _taylor_factor(stacked, amp, weight, order, substeps):
+def _taylor_factor(h0, v, amp, weight, order, substeps):
     """exp(-i (h0 + g_b v) dt) on each column b of ``amp``, as ``substeps``
-    Taylor polynomials of the given order.  ``stacked`` is ``[h0 | v]`` and
-    ``weight`` holds the rows -i dt / s and -i g_b dt / s."""
+    Taylor polynomials of the given order.  ``weight`` holds the rows
+    -i dt / s and -i g_b dt / s."""
     d, width = amp.shape
     coefs = weight[:, None, :] * _INVERSE_ORDERS[:order]
     scaled = np.empty((2, d, width), dtype=complex)
     term = np.empty((d, width), dtype=complex)
-    scaled_real, term_real = scaled.reshape(2 * d, width).view(float), term.view(float)
+    coupled = np.empty((d, width), dtype=complex)
+    scaled_real, term_real, coupled_real = scaled.view(float), term.view(float), coupled.view(float)
     for _ in range(substeps):
         total = amp.copy()
         src = amp
         for coef in coefs:
-            # term = (-i dt / (s j)) (h0 src + g v src): one real product on [c src; c g src]
+            # term = (-i dt / (s j)) (h0 src + g v src): real products on c src and c g src
             np.multiply(src, coef, out=scaled)
-            np.matmul(stacked, scaled_real, out=term_real)
+            np.matmul(h0, scaled_real[0], out=term_real)
+            np.matmul(v, scaled_real[1], out=coupled_real)
+            term += coupled
             total += term
             src = term
         amp = total
@@ -318,26 +321,43 @@ def propagate(
 ) -> tuple[np.ndarray, TrajectoryRecord | None]:
     """Evolve psi0 across the schedule; optionally record a trajectory.
 
-    ``schedule`` is one schedule, or a list of schedules of one kind (all
-    smooth or all pulse trains) on one integration grid, which evolve as one
-    batch.  Returns the final state, or for a list a (dim, B) array with one
-    column per schedule, and, when a probe is given (one schedule only), the
-    sampled record.  ``n_steps`` sets the uniform grid for smooth schedules
-    and is ignored for pulse trains, which are propagated one exact factor
-    per pulse.  Only the blocks in which psi0 has amplitude are evolved; the
-    state is assembled in the full space only for samples and the result.
+    Returns the final state and, when a probe is given, the sampled record.
+    ``schedule`` may also be a list of schedules, which evolve in batches:
+    schedules of one kind on one integration grid evolve together as one
+    (d x B) array, split so that neither the amplitudes nor the (steps x B)
+    couplings of a batch exceed MAX_BATCH_BYTES.  The result is then a
+    (dim, B) array, one column per schedule in list order, and does not
+    depend on the batching; a probe records one schedule only.  ``n_steps``
+    sets the uniform grid for smooth schedules and is ignored for pulse
+    trains, which are propagated one exact factor per pulse.  Only the blocks
+    in which psi0 has amplitude are evolved; the state is assembled in the
+    full space only for samples and the result.
     """
-    batch = isinstance(schedule, (list, tuple))
-    schedules = list(schedule) if batch else [schedule]
-    if not schedules:
-        raise ValueError("no schedules to propagate")
-    if probe is not None and batch:
+    if not isinstance(schedule, (list, tuple)):
+        psi, record = _evolve(propagator, [schedule], integration_grid(schedule, n_steps), psi0, probe)
+        return psi[:, 0], record
+    if probe is not None:
         raise ValueError("a recorded run propagates one schedule")
-    grid = integration_grid(schedules[0], n_steps)
+    groups: dict[tuple, tuple[np.ndarray, list[int]]] = {}
+    for i, one in enumerate(schedule):
+        grid = integration_grid(one, n_steps)
+        groups.setdefault((one.piecewise_constant, grid.tobytes()), (grid, []))[1].append(i)
+    psi0 = np.asarray(psi0, dtype=complex)
+    d = sum(propagator.blocks[k].size for k in propagator.occupied(psi0))
+    states = np.empty((propagator.dim, len(schedule)), dtype=complex)
+    for grid, members in groups.values():
+        width = max(1, MAX_BATCH_BYTES // (16 * max(d, grid.size - 1)))
+        for lo in range(0, len(members), width):
+            chunk = members[lo:lo + width]
+            states[:, chunk], _ = _evolve(propagator, [schedule[i] for i in chunk], grid, psi0)
+    return states, None
+
+
+def _evolve(propagator, schedules, grid, psi0, probe=None):
+    """The (dim, B) final states of schedules of one kind that share the
+    integration grid ``grid``, evolved together, and the record of the first
+    when a probe is given."""
     pulses = schedules[0].piecewise_constant
-    for other in schedules[1:]:
-        if other.piecewise_constant != pulses or not np.array_equal(integration_grid(other, n_steps), grid):
-            raise ValueError("a batch needs schedules of one kind on one integration grid")
     mids = 0.5 * (grid[:-1] + grid[1:])
     dts = np.diff(grid)
     g_values = np.stack([s.values(mids) for s in schedules], axis=1)
@@ -364,13 +384,12 @@ def propagate(
     last = dts.size - 1
     for j in range(dts.size):
         for i, (k, (orders, substeps, exact, weights)) in enumerate(zip(occupied, plans)):
+            h0, v = propagator.h0[k], propagator.v[k]
             if exact[j]:
-                amps[i] = _exact_factor(propagator.h0[k], propagator.v[k], amps[i], g_values[j], dts[j])
+                amps[i] = _exact_factor(h0, v, amps[i], g_values[j], dts[j])
             else:
-                amps[i] = _taylor_factor(propagator.stacked(k), amps[i], weights[j], orders[j], substeps[j])
+                amps[i] = _taylor_factor(h0, v, amps[i], weights[j], orders[j], substeps[j])
         if recorder is not None and ((j + 1) % probe.stride == 0 or j == last):
             recorder.sample(float(grid[j + 1]), propagator.embed(occupied, [a[:, 0] for a in amps]))
-    psi = propagator.embed(occupied, amps)
-    if not batch:
-        psi = psi[:, 0]
-    return psi, (recorder.build(max_norm_dt, matvecs) if recorder is not None else None)
+    states = propagator.embed(occupied, amps)
+    return states, (recorder.build(max_norm_dt, matvecs) if recorder is not None else None)

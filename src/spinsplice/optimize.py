@@ -7,8 +7,8 @@ update.  It is fully deterministic: identical inputs yield identical traces.  Th
 module does no file I/O: ``runner`` writes reports and grids.
 
 Objectives take parameters along the first axis: a point ``(n,)`` gives one
-value, and a batch ``(n, B)`` gives ``B`` values, one per column (a scalar
-result is broadcast to every column).  A gradient evaluates its 2n points
+value, and a batch ``(n, B)`` gives an array of ``B`` values, one per column;
+any other result shape raises ``ValueError``.  A gradient evaluates its 2n points
 and a landscape its whole grid in one call, so a batching objective (see
 ``process.build_objective``) propagates them together; BFGS line searches
 and multi-start runs evaluate one point at a time.
@@ -29,6 +29,18 @@ CURVATURE_FLOOR = 1e-10
 SCALE_BOUNDS = (1e-3, 1e3)
 
 
+def _batch_values(objective, points: np.ndarray) -> np.ndarray:
+    """The objective's values at the columns of ``points`` (n, B), from one
+    call that must return shape (B,)."""
+    values = np.asarray(objective(points), dtype=float)
+    if values.shape != points.shape[1:]:
+        raise ValueError(
+            f"an objective called with parameters of shape {points.shape} must return "
+            f"shape {points.shape[1:]}, one value per column, got {values.shape}"
+        )
+    return values
+
+
 def finite_difference_gradient(objective, x: np.ndarray,
                                step: float = DEFAULT_GRADIENT_STEP) -> np.ndarray:
     """Central-difference gradient; exact on quadratics.  The 2*dim points go
@@ -36,8 +48,7 @@ def finite_difference_gradient(objective, x: np.ndarray,
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     x = np.asarray(x, dtype=float)
-    values = np.empty(2 * x.size)
-    values[:] = objective(x[:, None] + np.kron(np.eye(x.size), [step, -step]))
+    values = _batch_values(objective, x[:, None] + np.kron(np.eye(x.size), [step, -step]))
     return (values[0::2] - values[1::2]) / (2.0 * step)
 
 
@@ -79,6 +90,9 @@ def bfgs_maximize(
 ) -> OptimizationReport:
     """Maximize the objective from x0; accepted iterates never decrease it.
 
+    The objective is called with one point of shape (n,), where it returns
+    a float, and with the 2n gradient points as one (n, 2n) array, where it
+    returns their 2n values in column order (see the module docstring).
     Terminates when the gradient infinity norm drops below the tolerance, the
     iteration budget runs out, or a line search fails 30 straight halvings
     (status "stalled", returning the best accepted point so far).
@@ -241,8 +255,6 @@ def scan_landscape(
     points = np.repeat(base[:, None], p1.size, axis=1)
     points[ax1.param_index] = p1.ravel()
     points[ax2.param_index] = p2.ravel()
-    values = np.empty(p1.size)
-    values[:] = objective(points)
-    values = values.reshape(p1.shape)
+    values = _batch_values(objective, points).reshape(p1.shape)
     return LandscapeGrid(axes=(ax1, ax2), base_params=tuple(float(b) for b in base),
                          values=values)

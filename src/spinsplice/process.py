@@ -7,6 +7,11 @@ the final-time ground state for the ground fidelity.  Endpoint degeneracies are
 resolved by perturbing the coupling a small offset toward the interior of the
 drive interval and following the unique ground state of that perturbed
 Hamiltonian.
+
+Schedules known up front are scored together: ``ChainProcess.fidelities``
+scores the final states of one batched ``propagate`` call, and ``fidelity`` is
+its one-schedule case.  An objective from ``build_objective`` takes an ``(n, B)``
+parameter array and evaluates its B columns in one such call.
 """
 
 from __future__ import annotations
@@ -28,12 +33,10 @@ from .chain import (
 )
 from .control import ControlSchedule, linear_baseline, make_schedule
 from .dynamics import (
-    MAX_BATCH_BYTES,
     SectorPropagator,
     TrajectoryProbe,
     TrajectoryRecord,
     cut_fidelity,
-    integration_grid,
     propagate,
     reduce_density,
 )
@@ -70,31 +73,14 @@ class ChainProcess:
         return float(self.fidelities([schedule], n_steps, target)[0])
 
     def fidelities(self, schedules, n_steps: int = DEFAULT_TIME_STEPS, target: str = "cut") -> np.ndarray:
-        """Final-time fidelity of each schedule, in order.
-
-        Schedules of one kind on one integration grid propagate as one batch,
-        split so that neither the (d x B) amplitudes nor the (steps x B)
-        couplings of a batch exceed MAX_BATCH_BYTES; the values do not depend
-        on how the schedules are grouped.
-        """
+        """Final-time fidelity of each schedule, in order, from one batched
+        ``propagate`` call; the values do not depend on how it batches them."""
         if target not in TARGETS:
             raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
-        groups: dict[tuple, list[int]] = {}
-        for i, schedule in enumerate(schedules):
+        for schedule in schedules:
             self._check_schedule(schedule)
-            grid = integration_grid(schedule, n_steps)
-            groups.setdefault((schedule.piecewise_constant, grid.size, grid.tobytes()), []).append(i)
-        prop = self.propagator
-        d = sum(prop.blocks[k].size for k in prop.occupied(self.psi0))
-        values = np.empty(len(schedules))
-        for (_, points, _), members in groups.items():
-            width = max(1, MAX_BATCH_BYTES // (16 * max(d, points - 1)))
-            for lo in range(0, len(members), width):
-                chunk = members[lo:lo + width]
-                psi, _ = propagate(prop, [schedules[i] for i in chunk], self.psi0, n_steps)
-                for col, i in enumerate(chunk):
-                    values[i] = self._score(psi[:, col], target)
-        return values
+        states, _ = propagate(self.propagator, list(schedules), self.psi0, n_steps)
+        return np.array([self._score(psi, target) for psi in states.T])
 
     def _score(self, psi: np.ndarray, target: str) -> float:
         if target == "cut":

@@ -10,7 +10,8 @@ package's total-S^z sectors.  ``sector_propagate`` is the exact product of
 one ``eigh`` per step on the package's sector blocks, the reference for the
 Taylor propagator at sizes the dense oracles cannot reach.  The helpers at
 the end (a schedule's slope, a landscape's cell size, sector blocks cut from
-hand-built dense matrices) serve only the tests.
+hand-built dense matrices, a schedule's steps as one-step schedules) serve
+only the tests.
 """
 
 from dataclasses import dataclass
@@ -251,3 +252,34 @@ def sector_blocks(*operators):
         assert not np.any(op[downs[:, None] != downs]), "operator mixes total-S^z sectors"
     blocks = tuple(np.flatnonzero(downs == k) for k in range(int(downs.max()) + 1))
     return (blocks, *(tuple(op[np.ix_(b, b)] for b in blocks) for op in operators))
+
+
+@dataclass(frozen=True)
+class StepSegment:
+    """One step [lo, hi] of a smooth schedule as a schedule of its own on
+    [0, hi - lo]: ``propagate(propagator, segment, psi, 1)`` applies the
+    package's factor for that step, so a run can be checked step by step."""
+
+    schedule: object
+    lo: float
+    hi: float
+    piecewise_constant = False
+
+    @property
+    def duration(self):
+        return self.hi - self.lo
+
+    def breakpoints(self):
+        return ()
+
+    def values(self, t):
+        return self.schedule.values(self.lo + np.asarray(t))
+
+    def value(self, t):
+        return self.schedule.value(self.lo + t)
+
+
+def step_segments(schedule, n_steps):
+    """The steps of integration_grid as StepSegments, in time order."""
+    grid = integration_grid(schedule, n_steps)
+    return [StepSegment(schedule, lo, hi) for lo, hi in zip(grid[:-1], grid[1:])]

@@ -17,7 +17,6 @@ from spinsplice.control import (
 from spinsplice.dynamics import (
     SectorPropagator,
     cut_fidelity,
-    integration_grid,
     propagate,
     purity,
     reduce_density,
@@ -26,7 +25,7 @@ from spinsplice.optimize import LandscapeAxis, bfgs_maximize, finite_difference_
 from spinsplice.process import ObjectiveSpec, build_objective, prepare_process
 from spinsplice.runner import noise_study
 
-from oracles import cell_size, dense_hamiltonian, ground_fidelity, sector_blocks, sector_step, step_unitary
+from oracles import cell_size, dense_hamiltonian, ground_fidelity, sector_blocks, step_segments, step_unitary
 
 RING6 = ChainSpec(6, "ring", 1.0, 2.0)
 RING7 = ChainSpec(7, "ring", 1.0, 2.0)
@@ -197,11 +196,8 @@ def test_criterion_07_property_suite(ring6, ring7, table1_reports):
     h5, v5 = dense_hamiltonian(spec5)
     psi = ground_state(h5 + v5).state.astype(complex)
     prop = SectorPropagator(*assemble_hamiltonian(spec5))
-    sched5 = linear_baseline(0.7)
-    grid = integration_grid(sched5, 40)
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    for g, dt in zip(sched5.values(mids), np.diff(grid)):
-        psi = sector_step(prop, psi, g, dt)
+    for segment in step_segments(linear_baseline(0.7), 40):
+        psi, _ = propagate(prop, segment, psi, 1)
         pa = purity(reduce_density(psi, (1,), 5))
         pb = purity(reduce_density(psi, (2, 3, 4, 5), 5))
         if abs(pa - pb) >= 1e-8:

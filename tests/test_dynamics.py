@@ -17,7 +17,7 @@ from spinsplice.dynamics import (
 )
 from spinsplice.runner import TRAJECTORY_COLUMNS, write_csv
 
-from oracles import SZ, dense_hamiltonian, ground_fidelity, sector_blocks, sector_step, step_unitary, taylor_expm
+from oracles import SZ, dense_hamiltonian, ground_fidelity, sector_blocks, step_segments, step_unitary, taylor_expm
 
 DOWN = np.array([0.0, 1.0])
 UP = np.array([1.0, 0.0])
@@ -78,11 +78,9 @@ class TestPropagate:
         psi0 = ground_state(h0 + v).state.astype(complex)
         sched = polynomial_cut(0.6, (54.3, -36.3))
         prop = SectorPropagator(*assemble_hamiltonian(spec))
-        grid = integration_grid(sched, 150)
-        mids = 0.5 * (grid[:-1] + grid[1:])
         psi = psi0
-        for g, dt in zip(sched.values(mids), np.diff(grid)):
-            psi = sector_step(prop, psi, g, dt)
+        for segment in step_segments(sched, 150):
+            psi, _ = propagate(prop, segment, psi, 1)
             assert abs(np.linalg.norm(psi) - 1.0) < 1e-9
 
     def test_pulse_propagation_is_one_factor_per_pulse(self):

@@ -19,7 +19,7 @@ def negated_quadratic(x):
 
 class TestFiniteDifferenceGradient:
     def test_constant_function(self):
-        g = finite_difference_gradient(lambda x: 3.5, np.zeros(3), 0.1)
+        g = finite_difference_gradient(lambda x: np.full(np.shape(x)[1:], 3.5), np.zeros(3), 0.1)
         assert np.abs(g).max() == 0.0
 
     def test_exact_on_quadratics(self):
@@ -103,7 +103,7 @@ class TestBfgsMaximize:
 class TestLandscape:
     def test_constant_objective(self):
         axes = (LandscapeAxis(0, -1.0, 1.0, 5), LandscapeAxis(1, -1.0, 1.0, 5))
-        grid = scan_landscape(lambda p: 0.75, axes)
+        grid = scan_landscape(lambda p: np.full(np.shape(p)[1:], 0.75), axes)
         assert grid.values.shape == (5, 5)
         assert np.all(grid.values == 0.75)
 
@@ -118,7 +118,7 @@ class TestLandscape:
 
     def test_workers_accepts_only_one(self):
         axes = (LandscapeAxis(0, 0.0, 1.0, 2), LandscapeAxis(1, 0.0, 1.0, 2))
-        assert scan_landscape(lambda p: 0.5, axes, workers=1).values.shape == (2, 2)
+        assert scan_landscape(lambda p: np.full(np.shape(p)[1:], 0.5), axes, workers=1).values.shape == (2, 2)
         with pytest.raises(ValueError, match="workers"):
             scan_landscape(lambda p: 0.5, axes, workers=2)
 

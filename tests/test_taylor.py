@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import spinsplice.dynamics as dynamics_module
 import spinsplice.process as process_module
 from spinsplice.chain import ChainSpec
 from spinsplice.control import (
@@ -126,6 +127,20 @@ def random_pulses(rng, count):
     return [pulse_train(0.6, rng.uniform(-3.0, 3.0, 5)) for _ in range(count)]
 
 
+def record_batches(monkeypatch, schedules):
+    """Each batch propagate evolves from now on, as the positions of its
+    schedules in ``schedules``."""
+    batches, evolve = [], dynamics_module._evolve
+    position = {id(s): i for i, s in enumerate(schedules)}
+
+    def recorded(propagator, batch, *args, **kwargs):
+        batches.append([position[id(s)] for s in batch])
+        return evolve(propagator, batch, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics_module, "_evolve", recorded)
+    return batches
+
+
 class TestBatchSizeIsInvisible:
     @pytest.mark.parametrize("family", [random_polynomials, random_noisy, random_pulses])
     def test_batch_of_64_equals_singles(self, ring6, family):
@@ -147,40 +162,25 @@ class TestBatchSizeIsInvisible:
             pulse_train(0.6, (-1.0, 2.0, 0.5)),
         ]
         singles = [ring6.fidelity(s, 300, "ground") for s in schedules]
-        calls = []
-
-        def counted(prop, batch, *args, **kwargs):
-            calls.append(len(batch))
-            return propagate(prop, batch, *args, **kwargs)
-
-        monkeypatch.setattr(process_module, "propagate", counted)
+        batches = record_batches(monkeypatch, schedules)
         batched = ring6.fidelities(schedules, 300, "ground")
         assert np.abs(batched - singles).max() <= BATCH_GATE
         # four grids: the 300-step grid, the noise-refined one, 3 pulses and 4 pulses
-        assert sorted(calls) == [1, 2, 2, 4]
+        assert batches == [[0, 3, 4, 5], [1, 6], [2, 8], [7]]
 
     def test_chunks_keep_the_values(self, ring6, monkeypatch):
         schedules = random_polynomials(np.random.default_rng(13), 10)
         whole = ring6.fidelities(schedules, 120)
-        calls = []
-
-        def counted(prop, batch, *args, **kwargs):
-            calls.append(len(batch))
-            return propagate(prop, batch, *args, **kwargs)
-
-        monkeypatch.setattr(process_module, "propagate", counted)
+        batches = record_batches(monkeypatch, schedules)
         # 120 steps exceed the sector dimension 15: the (steps x B) couplings set the width
-        monkeypatch.setattr(process_module, "MAX_BATCH_BYTES", 16 * 120 * 4)
+        monkeypatch.setattr(dynamics_module, "MAX_BATCH_BYTES", 16 * 120 * 4)
         chunked = ring6.fidelities(schedules, 120)
-        assert calls == [4, 4, 2]
+        assert batches == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
         assert np.abs(chunked - whole).max() <= BATCH_GATE
 
-    def test_batch_rejects_mixed_grids(self, ring6):
-        schedules = [polynomial_cut(0.6, (1.0,)), polynomial_cut(0.5, (1.0,))]
-        with pytest.raises(ValueError, match="one integration grid"):
-            propagate(ring6.propagator, schedules, ring6.psi0, 50)
+    def test_a_probe_records_one_schedule(self, ring6):
         with pytest.raises(ValueError, match="one schedule"):
-            propagate(ring6.propagator, schedules[:1], ring6.psi0, 50, probe=object())
+            propagate(ring6.propagator, [polynomial_cut(0.6, (1.0,))], ring6.psi0, 50, probe=object())
 
 
 class CountingObjective:
@@ -212,6 +212,15 @@ class TestOneCallPerBatch:
         expected = [(np.sin(x[0] + 0.1) - np.sin(x[0] - 0.1)) / 0.2, 0.0,
                     (0.5 * (x[2] + 0.1) ** 2 - 0.5 * (x[2] - 0.1) ** 2) / 0.2]
         assert grad == pytest.approx(expected, abs=1e-14)
+
+    def test_result_must_have_one_value_per_column(self):
+        # a reduction over all axes would give one value for the whole batch
+        norm = lambda x: -float(np.sum(np.asarray(x) ** 2))
+        with pytest.raises(ValueError, match="one value per column"):
+            finite_difference_gradient(norm, np.zeros(2), 0.1)
+        axes = (LandscapeAxis(0, -1.0, 1.0, 3), LandscapeAxis(1, -1.0, 1.0, 3))
+        with pytest.raises(ValueError, match="one value per column"):
+            scan_landscape(norm, axes)
 
     def test_physics_objective_batches(self, ring6):
         spec = process_module.ObjectiveSpec(chain=ring6.chain, kind="polynomial_cut", duration=0.6,
