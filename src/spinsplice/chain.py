@@ -180,18 +180,21 @@ def cut_components(spec: ChainSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 class Spectrum:
-    """Eigenpairs of a block-diagonal Hermitian matrix, one ``eigh`` per block.
+    """Spectrum of a block-diagonal real symmetric (or Hermitian) matrix.
 
-    ``energies`` is the merged spectrum in ascending order; ``states(k)``
-    embeds the eigenvectors of its k lowest entries in the full space.
+    ``energies`` is the merged spectrum in ascending order, from one
+    ``eigvalsh`` per block.  ``states(k)`` embeds the eigenvectors of its k
+    lowest entries in the full space; a block's eigenvectors come from one
+    ``eigh``, made on the first ``states`` call that reads that block and
+    kept.  ``vector_blocks`` counts those ``eigh`` calls.
     """
 
     def __init__(self, dim: int, blocks: tuple[np.ndarray, ...], matrices) -> None:
         self.dim = dim
         self.blocks = blocks
-        pairs = [np.linalg.eigh(m) for m in matrices]
-        self._vectors = [q for _, q in pairs]
-        w = np.concatenate([w for w, _ in pairs])
+        self._matrices = list(matrices)
+        self._vectors: dict[int, np.ndarray] = {}
+        w = np.concatenate([np.linalg.eigvalsh(m) for m in self._matrices])
         self._order = np.argsort(w, kind="stable")
         self._offsets = np.cumsum([0] + [b.size for b in blocks])
         self.energies = w[self._order]
@@ -200,6 +203,11 @@ class Spectrum:
     def gap(self) -> float:
         """Distance between the two lowest energies of the whole spectrum."""
         return float(self.energies[1] - self.energies[0]) if self.energies.size > 1 else np.inf
+
+    @property
+    def vector_blocks(self) -> int:
+        """Blocks diagonalized with eigenvectors so far."""
+        return len(self._vectors)
 
     def threshold(self) -> float:
         """Energies closer than this to the lowest count as degenerate with it."""
@@ -210,9 +218,13 @@ class Spectrum:
 
     def states(self, k: int) -> np.ndarray:
         """Full-space eigenvector columns of the k lowest energies."""
-        out = np.zeros((self.dim, k), dtype=np.result_type(*self._vectors))
-        for col, i in enumerate(self._order[:k]):
-            b = int(np.searchsorted(self._offsets, i, side="right")) - 1
+        lowest = self._order[:k]
+        owners = (np.searchsorted(self._offsets, lowest, side="right") - 1).tolist()
+        for b in owners:
+            if b not in self._vectors:
+                self._vectors[b] = np.linalg.eigh(self._matrices[b])[1]
+        out = np.zeros((self.dim, k), dtype=np.result_type(*(self._vectors[b] for b in owners)))
+        for col, (i, b) in enumerate(zip(lowest, owners)):
             out[self.blocks[b], col] = self._vectors[b][:, i - self._offsets[b]]
         return out
 

@@ -18,9 +18,16 @@ term is two real matrix products, by h0 and by v, on the float64 view of the
 amplitudes.  The result is the exact factor to round-off, and no smooth step
 diagonalizes.  Pulse steps, and any step whose plan needs more than
 ``MAX_TAYLOR_TERMS`` terms, take the exact factor from an eigendecomposition
-of each column's generator, stacked over the batch.  The module does no file
-I/O: ``runner`` writes the trajectory CSV from a ``TrajectoryRecord``'s
-columns.
+of each column's generator, stacked over the batch.
+
+A recorded run samples the state every ``stride`` steps.  Each sample takes
+the energies of every sector at the current coupling (one ``eigvalsh`` per
+block) for the gap and the degeneracy flag, and eigenvectors only of the
+block(s) holding the ground subspace, for the ground fidelity.  The reduced
+density matrix of the first subsystem gives the cut fidelity and purity; the
+entanglement entropy, equal on both sides of a pure state, comes from the
+smaller of the two reduced density matrices.  The module does no file I/O:
+``runner`` writes the trajectory CSV from a ``TrajectoryRecord``'s columns.
 """
 
 from __future__ import annotations
@@ -98,7 +105,7 @@ class SectorPropagator:
         self._norms: dict[int, tuple[float, float]] = {}
 
     def spectrum(self, g: float) -> Spectrum:
-        """Eigenpairs of h0 + g v over every block."""
+        """Spectrum of h0 + g v over every block; eigenvectors on demand."""
         return Spectrum(self.dim, self.blocks, [h + g * v for h, v in zip(self.h0, self.v)])
 
     def occupied(self, psi: np.ndarray) -> list[int]:
@@ -244,9 +251,16 @@ class TrajectoryProbe:
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """Sampled observables of a recorded run, plus its propagation work:
-    ``max_norm_dt``, the largest bound (||h0||_1 + |g| ||v||_1) dt of any
-    step, and ``taylor_matvecs``, the Taylor terms applied in all."""
+    """Sampled observables of a recorded run, plus its work counts.
+
+    ``gap`` and the degenerate flags come from the energies of every sector,
+    ``f_g`` from eigenvectors of the sector(s) holding the ground subspace
+    only; ``vector_blocks`` counts those block eigendecompositions over all
+    samples.  The state is pure, so its two subsystems share one Schmidt
+    spectrum: the entropy is computed once, on the smaller side, and fills
+    both ``entropy_a`` and ``entropy_b``.  ``max_norm_dt`` is the largest
+    bound (||h0||_1 + |g| ||v||_1) dt of any step, and ``taylor_matvecs`` the
+    Taylor terms applied in all."""
 
     times: np.ndarray
     g_values: np.ndarray
@@ -259,6 +273,7 @@ class TrajectoryRecord:
     degenerate_flags: np.ndarray
     max_norm_dt: float
     taylor_matvecs: int
+    vector_blocks: int
 
     def final_cut_fidelity(self) -> float:
         return float(self.f_c[-1])
@@ -272,7 +287,11 @@ class _Recorder:
         self._probe = probe
         self._prop = propagator
         self._schedule = schedule
+        rest = tuple(s for s in range(1, probe.n_spins + 1) if s not in probe.subsystem_sites)
+        # the side whose reduced density matrix is the smaller one
+        self._schmidt_sites = probe.subsystem_sites if len(probe.subsystem_sites) <= len(rest) else rest
         self._prev_ground: np.ndarray | None = None
+        self._vector_blocks = 0
         self._cols: list[tuple] = []
 
     def sample(self, t: float, psi: np.ndarray) -> None:
@@ -286,17 +305,20 @@ class _Recorder:
         except DegeneracyError:
             ground, degenerate = spectrum.states(1)[:, 0], True  # diagnostic only; the flag marks the sample
         self._prev_ground = ground
+        self._vector_blocks += spectrum.vector_blocks
         f_g = float(abs(ground.conj() @ psi))
         rho_a = reduce_density(psi, probe.subsystem_sites, probe.n_spins)
-        rest = tuple(s for s in range(1, probe.n_spins + 1) if s not in probe.subsystem_sites)
-        rho_b = reduce_density(psi, rest, probe.n_spins)
+        if self._schmidt_sites == probe.subsystem_sites:
+            schmidt_entropy = entropy(rho_a)
+        else:
+            schmidt_entropy = entropy(reduce_density(psi, self._schmidt_sites, probe.n_spins))
         self._cols.append((
             t, g,
             cut_fidelity(rho_a, probe.phi_0a),
             f_g,
             purity(rho_a),
-            entropy(rho_a),
-            entropy(rho_b),
+            schmidt_entropy,
+            schmidt_entropy,
             spectrum.gap,
             degenerate,
         ))
@@ -309,6 +331,7 @@ class _Recorder:
             purity_a=arr[:, 4], entropy_a=arr[:, 5], entropy_b=arr[:, 6],
             gap=arr[:, 7], degenerate_flags=flags,
             max_norm_dt=max_norm_dt, taylor_matvecs=taylor_matvecs,
+            vector_blocks=self._vector_blocks,
         )
 
 

@@ -456,6 +456,7 @@ def run_evolve(config: RunConfig) -> dict:
         "degenerate_samples": int(record.degenerate_flags.sum()),
         "max_norm_dt": record.max_norm_dt,
         "taylor_matvecs": record.taylor_matvecs,
+        "vector_blocks": record.vector_blocks,
     }
     f_c, f_g = record.final_cut_fidelity(), record.final_ground_fidelity()
     print(f"final f_C = {f_c:.3f}  f_G = {f_g:.3f}")

@@ -8,7 +8,10 @@ sector blocks must equal bitwise.  Spectra, ground states and propagation are
 computed with dense eigendecompositions of the full space, bypassing the
 package's total-S^z sectors.  ``sector_propagate`` is the exact product of
 one ``eigh`` per step on the package's sector blocks, the reference for the
-Taylor propagator at sizes the dense oracles cannot reach.  The helpers at
+Taylor propagator at sizes the dense oracles cannot reach.
+``recorded_observables`` computes a recorded run's columns the long way: both
+reduced density matrices with an entropy each, and an eager spectrum with
+eigenvectors of every block at each sample.  The helpers at
 the end (a schedule's slope, a landscape's cell size, sector blocks cut from
 hand-built dense matrices, a schedule's steps as one-step schedules) serve
 only the tests.
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from spinsplice.chain import DEGENERACY_RTOL, DegeneracyError
-from spinsplice.dynamics import integration_grid
+from spinsplice.dynamics import cut_fidelity, entropy, integration_grid, propagate, purity, reduce_density
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -283,3 +286,60 @@ def step_segments(schedule, n_steps):
     """The steps of integration_grid as StepSegments, in time order."""
     grid = integration_grid(schedule, n_steps)
     return [StepSegment(schedule, lo, hi) for lo, hi in zip(grid[:-1], grid[1:])]
+
+
+def eager_spectrum(propagator, g):
+    """(energies, vectors) of h0 + g v from one ``eigh`` of every block of a
+    SectorPropagator, merged in ascending order with a stable sort; the
+    vectors are embedded in the full space, one column per energy."""
+    pairs = [np.linalg.eigh(h + g * v) for h, v in zip(propagator.h0, propagator.v)]
+    w = np.concatenate([e for e, _ in pairs])
+    q = np.zeros((propagator.dim, w.size))
+    col = 0
+    for block, (_, vectors) in zip(propagator.blocks, pairs):
+        q[block, col:col + block.size] = vectors
+        col += block.size
+    order = np.argsort(w, kind="stable")
+    return w[order], q[:, order]
+
+
+def recorded_observables(process, schedule, n_steps, stride):
+    """The columns of ``process.run(schedule, n_steps, stride)``, computed
+    the long way.  The run is stepped with ``step_segments``.  Each sample
+    forms the reduced density matrices of both sides, A and the rest, and
+    takes the entropy of each; ``gap``, ``f_g`` and the degenerate flag come
+    from ``eager_spectrum``, the ground subspace resolved toward the previous
+    sample's ground state (the state itself at the first sample), and the
+    lowest state taken when the reference is orthogonal to it.  Returns a
+    dict keyed by the TrajectoryRecord field names."""
+    prop, n = process.propagator, process.chain.n_spins
+    rest = tuple(s for s in range(1, n + 1) if s not in process.a_sites)
+    rows, previous = [], None
+
+    def sample(t, psi):
+        nonlocal previous
+        g = float(schedule.value(t))
+        w, q = eager_spectrum(prop, g)
+        threshold = DEGENERACY_RTOL * float(w[-1] - w[0])
+        gap = float(w[1] - w[0])
+        ground = q[:, 0]
+        if gap <= threshold:
+            k = int(np.searchsorted(w, w[0] + threshold, side="right"))
+            coeff = q[:, :k].T @ (psi if previous is None else previous)
+            if np.linalg.norm(coeff) >= 1e-12:
+                ground = q[:, :k] @ (coeff / np.linalg.norm(coeff))
+        previous = ground
+        rho_a = reduce_density(psi, process.a_sites, n)
+        rho_b = reduce_density(psi, rest, n)
+        rows.append((t, g, cut_fidelity(rho_a, process.phi_0a), float(abs(ground.conj() @ psi)), purity(rho_a),
+                     entropy(rho_a), entropy(rho_b), gap, gap <= threshold))
+
+    psi = process.psi0
+    sample(0.0, psi)
+    segments = step_segments(schedule, n_steps)
+    for j, segment in enumerate(segments):
+        psi, _ = propagate(prop, segment, psi, 1)
+        if (j + 1) % stride == 0 or j == len(segments) - 1:
+            sample(segment.hi, psi)
+    names = ("times", "g_values", "f_c", "f_g", "purity_a", "entropy_a", "entropy_b", "gap", "degenerate_flags")
+    return {name: np.asarray(column) for name, column in zip(names, zip(*rows))}

@@ -208,7 +208,7 @@ class TestRunners:
                 for column, value in zip(header, row):
                     assert column in ("status", "M") or cell.match(value), (name, column, value)
 
-    def test_evolve_manifest_reports_health(self, tmp_path):
+    def test_evolve_manifest_reports_health(self, tmp_path, monkeypatch):
         config = parse_config(evolve_config(tmp_path))
         with contextlib.redirect_stdout(io.StringIO()):
             execute(config)
@@ -216,12 +216,20 @@ class TestRunners:
         manifest = json.loads((out / "manifest.json").read_text())
         health = manifest["health"]
         assert set(health) == {"block_dims", "norm_error", "min_gap", "degenerate_samples",
-                               "max_norm_dt", "taylor_matvecs"}
+                               "max_norm_dt", "taylor_matvecs", "vector_blocks"}
         assert health["block_dims"] in ([math.comb(4, k)] for k in range(5))
         assert 0.0 <= health["norm_error"] < 1e-12
         # the health echo leaves the trajectory bytes and their hash alone
         process = prepare_process(config.chain, config.process)
+        eigh, eigh_calls = np.linalg.eigh, []
+
+        def counted_eigh(a, *args, **kwargs):
+            eigh_calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         _, record = process.run(config.schedule, config.n_steps)
+        monkeypatch.undo()
         expected = runner.write_csv(tmp_path / "expected.csv", runner.TRAJECTORY_COLUMNS, zip(
             record.times, record.g_values, record.f_c, record.f_g,
             record.purity_a, record.entropy_a, record.entropy_b, record.gap,
@@ -233,6 +241,11 @@ class TestRunners:
         assert health["degenerate_samples"] == int(record.degenerate_flags.sum())
         assert health["max_norm_dt"] == record.max_norm_dt
         assert health["taylor_matvecs"] == record.taylor_matvecs
+        # every eigh of the run is a recorder sample's ground block: at least
+        # one per sample, at most every block of every sample
+        samples, n_blocks = len(record.times), len(process.propagator.blocks)
+        assert health["vector_blocks"] == record.vector_blocks == len(eigh_calls)
+        assert samples <= health["vector_blocks"] <= samples * n_blocks
 
     @pytest.mark.parametrize("schedule", [
         {"kind": "polynomial_cut", "T": 0.5, "params": [5.0, -3.0]},

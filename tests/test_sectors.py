@@ -2,7 +2,10 @@
 
 Every sector result is compared with the dense full-space oracles of
 ``oracles.py``: ``dense_propagate`` (one ``step_unitary`` per step) and
-``dense_ground_state`` (one dense ``eigh``).  The tolerance is round-off.
+``dense_ground_state`` (one dense ``eigh``).  Recorded trajectories are
+compared with ``recorded_observables``, which forms both reduced density
+matrices and diagonalizes every block with eigenvectors at each sample.  The
+tolerance is round-off.
 """
 
 from math import comb
@@ -10,7 +13,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from spinsplice.chain import DEGENERACY_RTOL, ChainSpec, assemble_hamiltonian, ground_state
+from spinsplice.chain import DEGENERACY_RTOL, ChainSpec, assemble_hamiltonian, ground_state, select_ground
 from spinsplice.control import (
     NoiseSpec,
     apply_noise,
@@ -22,7 +25,14 @@ from spinsplice.control import (
 from spinsplice.dynamics import SectorPropagator, TrajectoryProbe, cut_fidelity, propagate, reduce_density
 from spinsplice.process import prepare_process
 
-from oracles import dense_detached_block, dense_ground_state, dense_hamiltonian, dense_propagate, sector_blocks
+from oracles import (
+    dense_detached_block,
+    dense_ground_state,
+    dense_hamiltonian,
+    dense_propagate,
+    recorded_observables,
+    sector_blocks,
+)
 
 GATE = 1e-12
 GAP_GATE = 1e-10
@@ -30,6 +40,7 @@ OFFSET = 1e-6
 STEPS = 300
 
 RING6 = ChainSpec(6, "ring", 1.0, 2.0)
+RING8 = ChainSpec(8, "ring", 1.0, 2.0)
 TABLE1 = ((0.3, (122.8, -82.0)), (0.6, (54.3, -36.3)), (0.9, (20.0, -13.5)), (2.0, (0.87, -0.72)))
 FIG8_CORNERS = ((-30.0, -100.0), (-30.0, 30.0), (140.0, -100.0), (140.0, 30.0))
 
@@ -120,13 +131,105 @@ class TestAccuracyGate:
         assert_gate(ring7, linear_baseline(20.0))
 
     def test_recorded_gap_is_full_spectrum_gap(self, ring7):
-        _, record = ring7.run(linear_baseline(20.0), STEPS, stride=15)
-        h0, v = dense_hamiltonian(ring7.chain)
-        for g, gap, flag in zip(record.g_values, record.gap, record.degenerate_flags):
-            w = np.linalg.eigvalsh(h0 + g * v)
-            assert abs(gap - (w[1] - w[0])) <= GAP_GATE
-            assert flag == (w[1] - w[0] <= DEGENERACY_RTOL * (w[-1] - w[0]))
-        assert record.degenerate_flags[0]
+        cases = (  # process, schedule, stride, whether the first sample is degenerate
+            (ring7, linear_baseline(20.0), 15, True),
+            # about four samples keep the dense 1024^2 eigvalsh cheap
+            (prepare_process(ChainSpec(10, "ring", 1.0, 2.0), "cut"), polynomial_cut(0.6, TABLE1[1][1]), 100, False),
+        )
+        for process, schedule, stride, first_degenerate in cases:
+            _, record = process.run(schedule, STEPS, stride=stride)
+            h0, v = dense_hamiltonian(process.chain)
+            for g, gap, flag in zip(record.g_values, record.gap, record.degenerate_flags):
+                w = np.linalg.eigvalsh(h0 + g * v)
+                assert abs(gap - (w[1] - w[0])) <= GAP_GATE
+                assert flag == (w[1] - w[0] <= DEGENERACY_RTOL * (w[-1] - w[0]))
+            assert record.degenerate_flags[0] == first_degenerate
+
+
+RECORDED_CASES = {
+    "ring8": (RING8, polynomial_cut(0.6, TABLE1[1][1]), 60, 1),
+    "ring7_crossing": (ChainSpec(7, "ring", 1.0, 2.0), linear_baseline(20.0), STEPS, 15),
+    # A = sites 1..5 is the larger side
+    "open6_cut56": (ChainSpec(6, "open", 1.0, 2.0, frozenset({(5, 6)})), polynomial_cut(0.6, (34.9, -23.4)), 100, 5),
+}
+
+
+class TestRecorder:
+    @pytest.mark.parametrize("case", RECORDED_CASES)
+    def test_matches_two_sided_eager_oracle(self, case):
+        spec, schedule, n_steps, stride = RECORDED_CASES[case]
+        process = prepare_process(spec, "cut")
+        _, record = process.run(schedule, n_steps, stride)
+        expected = recorded_observables(process, schedule, n_steps, stride)
+        assert np.array_equal(record.times, expected["times"])
+        assert np.array_equal(record.degenerate_flags, expected["degenerate_flags"])
+        for name in ("g_values", "f_c", "f_g", "purity_a", "entropy_a", "entropy_b"):
+            assert np.abs(getattr(record, name) - expected[name]).max() <= GATE, name
+        assert np.abs(record.gap - expected["gap"]).max() <= GAP_GATE
+        if case == "ring7_crossing":
+            assert expected["degenerate_flags"].any()
+        if case == "open6_cut56":
+            assert len(process.a_sites) > len(process.b_sites)
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The matrices passed to np.linalg.eigh while the test runs."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.array(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+class TestLazySpectrum:
+    def test_prepare_diagonalizes_only_the_selected_ground_blocks(self, eigh_calls):
+        process = prepare_process(RING8, "cut")
+        prop = process.propagator
+        assert not (process.start_degenerate or process.final_degenerate)
+        (start,) = prop.occupied(process.psi0)
+        (final,) = prop.occupied(process.final_ground)
+        # the 1x1 block of the detached spin's target, then one block per endpoint
+        assert [m.shape for m in eigh_calls] == [(1, 1), prop.h0[start].shape, prop.h0[final].shape]
+        assert np.array_equal(eigh_calls[1], prop.h0[start] + 1.0 * prop.v[start])
+        assert np.array_equal(eigh_calls[2], prop.h0[final] + 0.0 * prop.v[final])
+
+    @pytest.mark.parametrize("crossing", [False, True], ids=["in_block", "cross_sector"])
+    def test_tie_diagonalizes_exactly_the_tied_blocks(self, crossing, eigh_calls):
+        # ring7 at g = 1: a twofold tie inside the k = 4 block at field 2.0,
+        # and at the field where the k = 5 block's twofold lowest level meets
+        # it, a fourfold tie across the two blocks; block k shifts by
+        # field * (7 - 2k)
+        field = 2.0
+        if crossing:
+            bare = SectorPropagator(*assemble_hamiltonian(ChainSpec(7, "ring", 1.0, 0.0)))
+            e4, e5 = (np.linalg.eigvalsh(bare.h0[k] + bare.v[k])[0] for k in (4, 5))
+            field = float(e5 - e4) / 2.0
+        prop = SectorPropagator(*assemble_hamiltonian(ChainSpec(7, "ring", 1.0, field)))
+        spectrum = prop.spectrum(1.0)
+        lowest = [np.linalg.eigvalsh(h + v)[0] for h, v in zip(prop.h0, prop.v)]
+        tied = [k for k, e in enumerate(lowest) if e <= spectrum.energies[0] + spectrum.threshold()]
+        assert tied == ([4, 5] if crossing else [4])
+        reference = np.random.default_rng(7).normal(size=prop.dim)
+        del eigh_calls[:]
+        assert select_ground(spectrum, reference).degenerate
+        assert spectrum.vector_blocks == len(eigh_calls) == len(tied)
+        matched = [k for m in eigh_calls for k in tied
+                   if m.shape == prop.h0[k].shape and np.array_equal(m, prop.h0[k] + 1.0 * prop.v[k])]
+        assert sorted(matched) == tied
+
+    def test_energies_match_eager_spectrum(self, eigh_calls):
+        prop = SectorPropagator(*assemble_hamiltonian(RING8))
+        for g in (-2.5, 0.0, 0.37, 1.0):
+            spectrum = prop.spectrum(g)
+            assert not eigh_calls and spectrum.vector_blocks == 0
+            eager = np.sort(np.concatenate([np.linalg.eigh(h + g * v)[0] for h, v in zip(prop.h0, prop.v)]))
+            del eigh_calls[:]
+            assert np.abs(spectrum.energies - eager).max() <= GATE
 
 
 class TestBeyondOneSector:
