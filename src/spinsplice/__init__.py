@@ -46,7 +46,7 @@ from .process import (
     build_objective,
     prepare_process,
 )
-from .reproduce import reproduce
+from . import reproduce
 from .runner import ConfigError, RunConfig, execute, load_config, parse_config
 
 __all__ = [

@@ -7,9 +7,14 @@ bit 0.  Basis index ``s`` therefore encodes site ``i`` (1-based) in bit
 
 All Heisenberg + Zeeman Hamiltonians are real symmetric in this basis.  They
 conserve total S^z, so they are block diagonal over the sectors of basis
-states with equal numbers of down spins.  They are assembled directly as
-float64 sector blocks, never as 2**N x 2**N matrices, and ground states are
-found block by block.
+states with equal numbers of down spins.  A reflection of the chain that
+maps the cut bonds to themselves commutes with both parts of the split
+Hamiltonian, and splits every sector further into an even and an odd
+``Block``: (e_a + e_Ra)/sqrt 2 and (e_a - e_Ra)/sqrt 2 for a pair of mirror
+configurations, e_a (even only) for a configuration that is its own mirror.
+The blocks are assembled directly as float64 matrices, never as 2**N x 2**N
+matrices, and ground states are found block by block.  A chain with no such
+reflection keeps the plain sectors.
 """
 
 from __future__ import annotations
@@ -29,7 +34,69 @@ class DegeneracyError(RuntimeError):
 
 
 Bond = tuple[int, int]
-Blocks = tuple[np.ndarray, ...]
+Matrices = tuple[np.ndarray, ...]
+SQRT_HALF = float(np.sqrt(0.5))
+# sigma(s) n_s / n_t for a row state s of a parity-p block and a column
+# representative t, indexed [p, kind of s + 1, kind of t].  The kind is 1 on
+# the representative of a pair, -1 on its partner and 0 on a fixed point; n
+# is 1/sqrt 2 on a pair and 1 on a fixed point, and sigma is -1 on a
+# partner's odd row.  A fixed point has no odd row, and odd columns are
+# pairs.  The sqrt 2 and 1/sqrt 2 are an exact double and half of each
+# other, so the blocks are symmetric to the last bit.
+_WEIGHT = np.array([
+    [[SQRT_HALF, 1.0], [1.0, 2.0 * SQRT_HALF], [SQRT_HALF, 1.0]],
+    [[0.0, -1.0], [0.0, 0.0], [0.0, 1.0]],
+])
+
+
+class Block:
+    """An orthonormal basis of one invariant block of a total-S^z sector.
+
+    ``states`` holds the block's representatives a, ascending, ``partners``
+    their reflected configurations Ra, and ``sign`` the parity.  A pair
+    a != Ra contributes the vector (e_a + sign e_Ra) / sqrt 2, a fixed point
+    a = Ra (even blocks only) the vector e_a.  Without a reflection every
+    state is its own partner, and the block is the plain sector.
+    """
+
+    __slots__ = ("states", "partners", "sign", "_pairs", "_paired")
+
+    def __init__(self, states: np.ndarray, partners: np.ndarray, sign: float) -> None:
+        self.states = states
+        self.partners = partners
+        self.sign = sign
+        self._pairs = None  # found on first use: set-up builds every block but embeds few
+
+    @property
+    def size(self) -> int:
+        return self.states.size
+
+    def _pair_data(self) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of the block's pairs, and their partners."""
+        if self._pairs is None:
+            self._pairs = np.flatnonzero(self.states != self.partners)
+            self._paired = self.partners[self._pairs]
+        return self._pairs, self._paired
+
+    def amplitudes(self, psi: np.ndarray) -> np.ndarray:
+        """Coordinates in this block's basis of ``psi``, or of each of its columns."""
+        amp = psi[self.states]
+        pairs, paired = self._pair_data()
+        if pairs.size:
+            amp[pairs] = SQRT_HALF * (amp[pairs] + self.sign * psi[paired])
+        return amp
+
+    def embed(self, amps: np.ndarray, out: np.ndarray) -> None:
+        """Add to ``out`` the vector, or the columns, with these coordinates."""
+        pairs, paired = self._pair_data()
+        if pairs.size:
+            amps = np.array(amps)
+            amps[pairs] *= SQRT_HALF
+            out[paired] += self.sign * amps[pairs]
+        out[self.states] += amps
+
+
+Blocks = tuple[Block, ...]
 
 
 def _normalize_bond(bond: Iterable[int]) -> Bond:
@@ -64,7 +131,7 @@ class ChainSpec:
         if self.n_spins > DEFAULT_SPIN_CAP:
             raise ValueError(
                 f"n_spins={self.n_spins} exceeds the cap of {DEFAULT_SPIN_CAP} "
-                f"(the sector blocks of each operator hold C(2N, N) entries)"
+                f"(the blocks of each operator hold about C(2N, N) / 2 entries)"
             )
         if self.topology == "ring" and self.n_spins < 3:
             raise ValueError("a ring needs at least 3 spins")
@@ -93,66 +160,133 @@ class ChainSpec:
         return out
 
 
-def _sectors(n_spins: int) -> tuple[np.ndarray, np.ndarray, Blocks]:
-    """Total-S^z sectors of ``n_spins`` spins.
+def reflection(spec: ChainSpec) -> tuple[int, ...] | None:
+    """A reflection of the chain that maps the cut bonds to themselves.
 
-    Returns each basis state's down count (the set bits of its index), its
-    position inside its sector, and the basis indices of every sector
-    k = 0..n_spins, ascending.
+    Returns the image of each site 1..N, or None when no reflection does.  A
+    ring has N reflections, tried from the one through site 1
+    (i -> N + 2 - i); an open chain has one (i -> N + 1 - i).  Every
+    reflection maps bonds to bonds, and the field is uniform, so one that
+    keeps the cut bonds commutes with both h0 and v.
     """
-    downs = np.zeros(1, dtype=np.int64)
-    for _ in range(n_spins):
-        downs = np.concatenate([downs, downs + 1])
-    order = np.argsort(downs, kind="stable")
-    sizes = np.bincount(downs)
-    pos = np.empty_like(downs)
-    pos[order] = np.arange(downs.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    return downs, pos, tuple(np.split(order, np.cumsum(sizes)[:-1]))
+    n = spec.n_spins
+    if spec.topology == "ring":
+        candidates = (tuple((c - i) % n + 1 for i in range(n)) for c in range(n))
+    else:
+        candidates = (tuple(range(n, 0, -1)),)
+    for images in candidates:
+        if all(_normalize_bond((images[i - 1], images[j - 1])) in spec.cut_bonds for i, j in spec.cut_bonds):
+            return images
+    return None
+
+
+def _basis(n_spins: int, images: tuple[int, ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Down count of every basis state (the set bits of its index) and the
+    basis state that the site map ``images`` sends it to (itself without
+    one), both read off one table of every state's bits."""
+    states = np.arange(1 << n_spins)
+    bits = (states[:, None] >> np.arange(n_spins - 1, -1, -1)) & 1  # column i - 1 is site i
+    image = states if images is None else bits @ (1 << (n_spins - np.asarray(images)))
+    return bits.sum(axis=1), image
+
+
+def _layout(downs: np.ndarray, image: np.ndarray):
+    """The blocks of the reflection ``image`` on the sectors of ``downs``.
+
+    A slot is one basis vector of one block: every representative
+    a = min(s, Rs) once with even parity, and every paired one (a != Ra)
+    again with odd parity.  Blocks are ordered by sector, even before odd,
+    and list their representatives ascending; empty blocks are left out.
+    Returns the blocks, every slot's parity, representative, block key
+    2k + parity and position in its block, and the dimension of the block
+    of every key.
+    """
+    states = np.arange(downs.size)
+    rep = states <= image
+    parity, slot = np.array([rep, rep & (states != image)]).nonzero()
+    key = 2 * downs[slot] + parity
+    order = key.argsort(kind="stable")
+    sizes = np.bincount(key, minlength=2 * int(downs[-1]) + 2)
+    ends = sizes.cumsum()
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size) - (ends - sizes).repeat(sizes)
+    ordered = slot[order]
+    partners = image[ordered]
+    blocks = tuple(
+        Block(ordered[hi - d:hi], partners[hi - d:hi], -1.0 if k % 2 else 1.0)
+        for k, (d, hi) in enumerate(zip(sizes.tolist(), ends.tolist())) if d
+    )
+    return blocks, parity, slot, key, rank, sizes
 
 
 def _sector_hamiltonian(
     n_spins: int, bonds: Iterable[Bond], cut: frozenset[Bond], exchange: float, field: float,
-) -> tuple[Blocks, Blocks, Blocks]:
-    """Sector blocks of the split Heisenberg + Zeeman Hamiltonian.
+    images: tuple[int, ...] | None = None,
+) -> tuple[Blocks, Matrices, Matrices]:
+    """Blocks of the split Heisenberg + Zeeman Hamiltonian.
 
-    Returns ``(blocks, h0, v)``: the basis indices of each total-S^z sector
-    and the float64 blocks of the static and controlled parts on it.  Each
-    operator is one flat buffer, and its blocks are square views of it.
+    Returns ``(blocks, h0, v)``: the blocks of every total-S^z sector, split
+    in two by the reflection ``images`` (a site map that commutes with both
+    parts, or None), and the float64 matrices of the static and controlled
+    parts on them.  Both operators are one flat buffer, summed by one
+    ``bincount`` over every bond at once, and their matrices are square
+    views of it.  Column t of a block is a representative; its entry in row
+    a sums sigma(s) n_s / n_t <s|H|t> over the states s of a's pair, where n
+    is 1/sqrt 2 on a pair and 1 on a fixed point, and sigma(s) is -1 on a
+    partner's odd row.
     """
-    downs, pos, blocks = _sectors(n_spins)
-    sizes = np.bincount(downs)
-    ends = np.cumsum(sizes * sizes)
-    row = (ends - sizes * sizes)[downs] + pos * sizes[downs]  # buffer index where each state's row begins
-    diag = row + pos
-    states = np.arange(1 << n_spins)
-    h0, v = np.zeros(ends[-1]), np.zeros(ends[-1])
-    for i, j in bonds:
-        # sigma_i . sigma_j: z_i z_j on the diagonal plus a weight-2 pair flip
-        # between antiparallel configurations
-        target = v if (i, j) in cut else h0
-        bi = (states >> (n_spins - i)) & 1
-        bj = (states >> (n_spins - j)) & 1
-        target[diag] += exchange * (1.0 - 2.0 * bi) * (1.0 - 2.0 * bj)
-        flip = states[bi != bj]
-        target[row[flip ^ ((1 << (n_spins - i)) | (1 << (n_spins - j)))] + pos[flip]] += 2.0 * exchange
-    # the field goes in last, so each diagonal entry sums in the order of the
-    # dense reference assembly; added first, it differs at round-off
+    downs, image = _basis(n_spins, images)
+    blocks, parity, slot, key, rank, sizes = _layout(downs, image)
+    area = sizes * sizes
+    starts = area.cumsum() - area
+    total = int(starts[-1] + area[-1])
+    row = np.zeros((2, downs.size), dtype=np.int64)  # where the row of each (parity, representative) begins
+    row[parity, slot] = first = starts[key] + rank * sizes[key]
+    diag = first + rank
+    kind = np.sign(image - np.arange(downs.size))  # 1 on a representative, -1 on its partner, 0 if fixed
+
+    bonds = list(bonds)
+    shifts = n_spins - np.array(bonds, dtype=np.int64).reshape(-1, 2)
+    offset = np.array([total if bond in cut else 0 for bond in bonds], dtype=np.int64)  # v after h0
+    # sigma_i . sigma_j: z_i z_j on the diagonal plus a weight-2 pair flip
+    # between antiparallel configurations; one row per bond
+    differ = ((slot >> shifts[:, :1]) ^ (slot >> shifts[:, 1:])) & 1
+    bond, flip = differ.nonzero()
+    p, t = parity[flip], slot[flip]
+    s = t ^ ((1 << shifts[:, 0]) | (1 << shifts[:, 1]))[bond]
+    weight = _WEIGHT[p, kind[s] + 1, kind[t]]
+    keep = weight != 0.0
+    # bond by bond, so each entry sums in the order of the dense reference
+    # assembly; the field goes in last, as there: added first, it differs
+    # at round-off
+    index = [(diag + offset[:, None]).ravel(), (row[p, np.minimum(s, image[s])] + rank[flip] + offset[bond])[keep]]
+    value = [(exchange * (1.0 - 2.0 * differ)).ravel(), 2.0 * exchange * weight[keep]]
     if field != 0.0:
-        h0[diag] += field * (n_spins - 2 * downs)
-    h0, v = (tuple(part.reshape(d, d) for part, d in zip(np.split(buf, ends[:-1]), sizes)) for buf in (h0, v))
+        index.append(diag)
+        value.append(field * (n_spins - 2 * downs[slot]))
+    buf = np.bincount(np.concatenate(index), np.concatenate(value), 2 * total)
+    h0, v = (
+        tuple(buf[lo:lo + d * d].reshape(d, d) for lo, d in zip((starts + shift).tolist(), sizes.tolist()) if d)
+        for shift in (0, total)
+    )
     return blocks, h0, v
 
 
-def assemble_hamiltonian(spec: ChainSpec) -> tuple[Blocks, Blocks, Blocks]:
-    """Split Hamiltonian as ``(blocks, h0, v)`` over the total-S^z sectors.
+def assemble_hamiltonian(spec: ChainSpec) -> tuple[Blocks, Matrices, Matrices]:
+    """Split Hamiltonian as ``(blocks, h0, v)`` over its symmetry blocks.
 
-    ``blocks[k]`` holds the basis indices with k down spins, ascending, and
-    ``h0[k]``, ``v[k]`` are the real float64 blocks on them.  The static part
-    h0 carries every exchange bond not in ``cut_bonds`` plus the full Zeeman
-    term; the controlled part v is the sum of the cut-bond exchange terms.
-    Their sum is the complete chain (or ring) Hamiltonian.
+    Every total-S^z sector splits into an even and an odd block of the
+    ``reflection`` of the chain that maps the cut bonds to themselves; a
+    chain with no such reflection keeps its plain sectors, ``blocks[k]``
+    then holding the basis indices with k down spins.  ``h0[b]``, ``v[b]``
+    are the real float64 matrices on block b.  The static part h0 carries
+    every exchange bond not in ``cut_bonds`` plus the full Zeeman term; the
+    controlled part v is the sum of the cut-bond exchange terms.  Their sum
+    is the complete chain (or ring) Hamiltonian.
     """
-    return _sector_hamiltonian(spec.n_spins, spec.bonds(), spec.cut_bonds, spec.exchange, spec.field)
+    return _sector_hamiltonian(
+        spec.n_spins, spec.bonds(), spec.cut_bonds, spec.exchange, spec.field, reflection(spec),
+    )
 
 
 def cut_components(spec: ChainSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -179,24 +313,37 @@ def cut_components(spec: ChainSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(sorted(seen)), rest
 
 
+Groups = list[tuple[list[int], np.ndarray]]
+
+
+def by_size(matrices: Matrices) -> Groups:
+    """Block matrices grouped by dimension, ascending: the indices of the
+    blocks of each dimension and their matrices stacked."""
+    members: dict[int, list[int]] = {}
+    for b, m in enumerate(matrices):
+        members.setdefault(len(m), []).append(b)
+    return [(members[d], np.array([matrices[b] for b in members[d]])) for d in sorted(members)]
+
+
 class Spectrum:
     """Spectrum of a block-diagonal real symmetric (or Hermitian) matrix.
 
-    ``energies`` is the merged spectrum in ascending order, from one
-    ``eigvalsh`` per block.  ``states(k)`` embeds the eigenvectors of its k
+    ``groups`` holds, for each block dimension, the indices of the blocks
+    of that dimension and their matrices as one stack, as ``by_size`` gives
+    them.  ``energies`` is the merged spectrum in ascending order, from one
+    ``eigvalsh`` per stack.  ``states(k)`` embeds the eigenvectors of its k
     lowest entries in the full space; a block's eigenvectors come from one
     ``eigh``, made on the first ``states`` call that reads that block and
     kept.  ``vector_blocks`` counts those ``eigh`` calls.
     """
 
-    def __init__(self, dim: int, blocks: tuple[np.ndarray, ...], matrices) -> None:
+    def __init__(self, dim: int, blocks: Blocks, groups: Groups) -> None:
         self.dim = dim
         self.blocks = blocks
-        self._matrices = list(matrices)
+        self._groups = groups
         self._vectors: dict[int, np.ndarray] = {}
-        w = np.concatenate([np.linalg.eigvalsh(m) for m in self._matrices])
+        w = np.concatenate([np.linalg.eigvalsh(stack).ravel() for _, stack in groups])
         self._order = np.argsort(w, kind="stable")
-        self._offsets = np.cumsum([0] + [b.size for b in blocks])
         self.energies = w[self._order]
 
     @property
@@ -218,14 +365,19 @@ class Spectrum:
 
     def states(self, k: int) -> np.ndarray:
         """Full-space eigenvector columns of the k lowest energies."""
-        lowest = self._order[:k]
-        owners = (np.searchsorted(self._offsets, lowest, side="right") - 1).tolist()
-        for b in owners:
-            if b not in self._vectors:
-                self._vectors[b] = np.linalg.eigh(self._matrices[b])[1]
-        out = np.zeros((self.dim, k), dtype=np.result_type(*(self._vectors[b] for b in owners)))
-        for col, (i, b) in enumerate(zip(lowest, owners)):
-            out[self.blocks[b], col] = self._vectors[b][:, i - self._offsets[b]]
+        located = []  # (block, column) of each of the k lowest entries
+        for i in self._order[:k].tolist():
+            for members, stack in self._groups:  # i indexes the energies concatenated group by group
+                j, column = divmod(i, stack.shape[1])
+                if j < len(members):
+                    break
+                i -= stack.shape[0] * stack.shape[1]
+            if members[j] not in self._vectors:
+                self._vectors[members[j]] = np.linalg.eigh(stack[j])[1]
+            located.append((members[j], column))
+        out = np.zeros((self.dim, k), dtype=np.result_type(*(self._vectors[b] for b, _ in located)))
+        for col, (b, column) in enumerate(located):
+            self.blocks[b].embed(self._vectors[b][:, column], out[:, col])
         return out
 
 
@@ -298,13 +450,14 @@ def ground_state(h: np.ndarray, continuity_reference: np.ndarray | None = None) 
     slightly perturbed Hamiltonian supplied by the caller.  A nonzero entry
     between two sectors, however small, is an error.
     """
-    downs, _, blocks = _sectors(h.shape[0].bit_length() - 1)
+    downs, image = _basis(h.shape[0].bit_length() - 1)
+    blocks = _layout(downs, image)[0]
     operators = (h,) if continuity_reference is None else (h, continuity_reference)
     if any(np.any((downs[:, None] != downs) & (op != 0)) for op in operators):
         raise ValueError("ground_state needs a matrix that conserves total S^z")
 
     def spectrum(m: np.ndarray) -> Spectrum:
-        return Spectrum(h.shape[0], blocks, [m.take(b, axis=0).take(b, axis=1) for b in blocks])
+        return Spectrum(h.shape[0], blocks, by_size([m.take(b.states, axis=0).take(b.states, axis=1) for b in blocks]))
 
     nudged = None if continuity_reference is None else (lambda: spectrum(continuity_reference))
     return resolve_ground(spectrum(h), nudged)

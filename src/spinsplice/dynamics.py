@@ -3,31 +3,34 @@
 Propagation factors the time-ordered exponential into piecewise-constant
 steps: smooth schedules are sampled at step midpoints on a uniform grid
 (refined so noise windows never straddle a step), and pulse trains take
-exactly one factor per pulse.  Both h0 and v conserve total S^z, so only the
-sectors the state occupies are evolved, and the state never leaves them.
+exactly one factor per pulse.  Both h0 and v conserve total S^z and commute
+with the chain's reflection that keeps the cut bonds, so only the blocks the
+state occupies, parity halves of its total-S^z sectors, are evolved, and the
+state never leaves them.
 
 Every step acts on a batch: B schedules that share one integration grid
-evolve together as one (d x B) array of sector amplitudes, one column per
+evolve together as one (d x B) array of block amplitudes, one column per
 schedule.  ``propagate`` evolves one schedule as the batch B = 1, and a list
 of schedules grouped by integration grid.  A smooth step applies a
 truncated Taylor series of exp(-i (h0 + g v) dt).  Its order m and substep
 count s are fixed in advance from the bound (||h0||_1 + max_b |g_b| ||v||_1) dt,
 as the pair with the least m * s whose truncation tail is at most 2^-53 per
 substep (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), and each
-term is two real matrix products, by h0 and by v, on the float64 view of the
-amplitudes.  The result is the exact factor to round-off, and no smooth step
+term is one real matrix product: [h0 v], side by side, times the float64
+views of the scaled amplitudes and of g times them, stacked.  The result is the exact factor to round-off, and no smooth step
 diagonalizes.  Pulse steps, and any step whose plan needs more than
 ``MAX_TAYLOR_TERMS`` terms, take the exact factor from an eigendecomposition
 of each column's generator, stacked over the batch.
 
 A recorded run samples the state every ``stride`` steps.  Each sample takes
-the energies of every sector at the current coupling (one ``eigvalsh`` per
-block) for the gap and the degeneracy flag, and eigenvectors only of the
-block(s) holding the ground subspace, for the ground fidelity.  The reduced
-density matrix of the first subsystem gives the cut fidelity and purity; the
-entanglement entropy, equal on both sides of a pure state, comes from the
-smaller of the two reduced density matrices.  The module does no file I/O:
-``runner`` writes the trajectory CSV from a ``TrajectoryRecord``'s columns.
+the energies of every block at the current coupling (one ``eigvalsh`` per
+block dimension) for the gap and the degeneracy flag, and eigenvectors only
+of the block(s) holding the ground subspace, for the ground fidelity.  The
+reduced density matrix of the first subsystem gives the cut fidelity and
+purity; the entanglement entropy, equal on both sides of a pure state, comes
+from the smaller of the two reduced density matrices.  The module does no
+file I/O: ``runner`` writes the trajectory CSV from a ``TrajectoryRecord``'s
+columns.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Blocks, DegeneracyError, Spectrum, select_ground
+from .chain import Blocks, DegeneracyError, Matrices, Spectrum, by_size, select_ground
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
 UNIT_ROUNDOFF = 2.0**-53
@@ -90,14 +93,16 @@ def _norm1(a: np.ndarray) -> float:
 class SectorPropagator:
     """Applies exp(-i (h0 + g v) dt) block by block.
 
-    ``blocks`` holds the basis indices of each total-S^z sector, and ``h0``
-    and ``v`` the real symmetric float64 blocks of the split Hamiltonian on
-    them, as ``assemble_hamiltonian`` returns them.  Only the blocks in which
-    the state has amplitude are evolved; their 1-norms are computed on first
-    use.
+    ``blocks`` holds the ``Block`` bases, parity halves of the total-S^z
+    sectors (or the plain sectors), and ``h0`` and ``v`` the real symmetric
+    float64 matrices of the split Hamiltonian on them, as
+    ``assemble_hamiltonian`` returns them.  States enter and leave in the
+    full space, through ``Block.amplitudes`` and ``embed``.  Only the blocks
+    in which the state has amplitude are evolved; their 1-norms are computed
+    on first use.
     """
 
-    def __init__(self, blocks: Blocks, h0: Blocks, v: Blocks):
+    def __init__(self, blocks: Blocks, h0: Matrices, v: Matrices):
         self.dim = sum(b.size for b in blocks)
         self.blocks = blocks
         self.h0 = h0
@@ -105,12 +110,13 @@ class SectorPropagator:
         self._norms: dict[int, tuple[float, float]] = {}
 
     def spectrum(self, g: float) -> Spectrum:
-        """Spectrum of h0 + g v over every block; eigenvectors on demand."""
-        return Spectrum(self.dim, self.blocks, [h + g * v for h, v in zip(self.h0, self.v)])
+        """Spectrum of h0 + g v over every block, one ``eigvalsh`` per block
+        dimension; eigenvectors on demand."""
+        return Spectrum(self.dim, self.blocks, by_size([h + g * v for h, v in zip(self.h0, self.v)]))
 
     def occupied(self, psi: np.ndarray) -> list[int]:
-        """Indices of the blocks in which psi has a nonzero entry."""
-        return [k for k, b in enumerate(self.blocks) if np.any(psi[b])]
+        """Indices of the blocks in which psi has a nonzero amplitude."""
+        return [k for k, b in enumerate(self.blocks) if np.any(b.amplitudes(psi))]
 
     def norms(self, k: int) -> tuple[float, float]:
         """1-norms of h0 and v on block k."""
@@ -123,29 +129,27 @@ class SectorPropagator:
         amplitudes, zero elsewhere."""
         psi = np.zeros((self.dim, *amps[0].shape[1:]), dtype=complex)
         for k, amp in zip(occupied, amps):
-            psi[self.blocks[k]] = amp
+            self.blocks[k].embed(amp, psi)
         return psi
 
 
-def _taylor_factor(h0, v, amp, weight, order, substeps):
+def _taylor_factor(hv, amp, weight, order, substeps):
     """exp(-i (h0 + g_b v) dt) on each column b of ``amp``, as ``substeps``
-    Taylor polynomials of the given order.  ``weight`` holds the rows
-    -i dt / s and -i g_b dt / s."""
+    Taylor polynomials of the given order.  ``hv`` is [h0 v] side by side,
+    and ``weight`` holds the rows -i dt / s and -i g_b dt / s."""
     d, width = amp.shape
     coefs = weight[:, None, :] * _INVERSE_ORDERS[:order]
     scaled = np.empty((2, d, width), dtype=complex)
     term = np.empty((d, width), dtype=complex)
-    coupled = np.empty((d, width), dtype=complex)
-    scaled_real, term_real, coupled_real = scaled.view(float), term.view(float), coupled.view(float)
+    stacked, term_real = scaled.view(float).reshape(2 * d, 2 * width), term.view(float)
     for _ in range(substeps):
         total = amp.copy()
         src = amp
         for coef in coefs:
-            # term = (-i dt / (s j)) (h0 src + g v src): real products on c src and c g src
+            # term = (-i dt / (s j)) (h0 src + g v src): one real product of
+            # [h0 v] with c src stacked over c g src
             np.multiply(src, coef, out=scaled)
-            np.matmul(h0, scaled_real[0], out=term_real)
-            np.matmul(v, scaled_real[1], out=coupled_real)
-            term += coupled
+            np.matmul(hv, stacked, out=term_real)
             total += term
             src = term
         amp = total
@@ -253,8 +257,8 @@ class TrajectoryProbe:
 class TrajectoryRecord:
     """Sampled observables of a recorded run, plus its work counts.
 
-    ``gap`` and the degenerate flags come from the energies of every sector,
-    ``f_g`` from eigenvectors of the sector(s) holding the ground subspace
+    ``gap`` and the degenerate flags come from the energies of every block,
+    ``f_g`` from eigenvectors of the block(s) holding the ground subspace
     only; ``vector_blocks`` counts those block eigendecompositions over all
     samples.  The state is pure, so its two subsystems share one Schmidt
     spectrum: the entropy is computed once, on the smaller side, and fills
@@ -388,8 +392,9 @@ def _evolve(propagator, schedules, grid, psi0, probe=None):
     g_rows = np.stack([np.ones_like(g_values), g_values], axis=1)  # (steps, 2, B): 1 and g_b
     psi = np.asarray(psi0, dtype=complex)
     occupied = propagator.occupied(psi)
-    amps = [np.repeat(psi[propagator.blocks[k]][:, None], len(schedules), axis=1) for k in occupied]
+    amps = [np.repeat(propagator.blocks[k].amplitudes(psi)[:, None], len(schedules), axis=1) for k in occupied]
 
+    hvs = [np.hstack([propagator.h0[k], propagator.v[k]]) for k in occupied]
     plans = []  # per block: (order, substeps, exact, Taylor weights) of every step
     max_norm_dt, matvecs = 0.0, 0
     for k in occupied:
@@ -411,7 +416,7 @@ def _evolve(propagator, schedules, grid, psi0, probe=None):
             if exact[j]:
                 amps[i] = _exact_factor(h0, v, amps[i], g_values[j], dts[j])
             else:
-                amps[i] = _taylor_factor(h0, v, amps[i], weights[j], orders[j], substeps[j])
+                amps[i] = _taylor_factor(hvs[i], amps[i], weights[j], orders[j], substeps[j])
         if recorder is not None and ((j + 1) % probe.stride == 0 or j == last):
             recorder.sample(float(grid[j + 1]), propagator.embed(occupied, [a[:, 0] for a in amps]))
     states = propagator.embed(occupied, amps)

@@ -1,7 +1,7 @@
 """Cut and stitch process setup: initial states, targets, and objectives.
 
 A process fixes everything the schedule does not: the split Hamiltonian, held
-only as the propagator's total-S^z blocks, the initial state (the ground state
+only as the propagator's symmetry blocks, the initial state (the ground state
 at the starting coupling), the detached-block target for the cut fidelity, and
 the final-time ground state for the ground fidelity.  Endpoint degeneracies are
 resolved by perturbing the coupling a small offset toward the interior of the
@@ -28,6 +28,7 @@ from .chain import (
     Spectrum,
     _sector_hamiltonian,
     assemble_hamiltonian,
+    by_size,
     cut_components,
     resolve_ground,
 )
@@ -109,11 +110,12 @@ class ChainProcess:
 
 
 def prepare_process(spec: ChainSpec, direction: str = "cut") -> ChainProcess:
-    """Assemble the sector blocks, pick the initial state, and fix both fidelity targets.
+    """Assemble the blocks, pick the initial state, and fix both fidelity targets.
 
-    The chain is assembled once, as total-S^z blocks; both ground states come
-    from their spectra.  The cut target is the ground state of the detached
-    block A, assembled the same way on A's sites renumbered 1..len(A).
+    The chain is assembled once, as the reflection-parity halves of its
+    total-S^z sectors; both ground states come from their spectra.  The cut
+    target is the ground state of the detached block A, assembled as plain
+    sectors on A's sites renumbered 1..len(A).
     """
     if direction not in ("cut", "stitch"):
         raise ValueError(f"direction must be 'cut' or 'stitch', got {direction!r}")
@@ -125,7 +127,7 @@ def prepare_process(spec: ChainSpec, direction: str = "cut") -> ChainProcess:
              if (i, j) not in spec.cut_bonds and i in order and j in order]
     blocks, h_a, _ = _sector_hamiltonian(len(a_sites), inner, frozenset(), spec.exchange, spec.field)
     try:
-        phi_0a = resolve_ground(Spectrum(1 << len(a_sites), blocks, h_a), None).state
+        phi_0a = resolve_ground(Spectrum(1 << len(a_sites), blocks, by_size(h_a)), None).state
     except DegeneracyError as exc:
         raise DegeneracyError(
             f"the detached block {a_sites} has a degenerate ground state; "

@@ -4,25 +4,34 @@ Operators are built from literal 2x2 matrices and np.kron, deliberately
 bypassing the package's bit-arithmetic Hamiltonian assembly so the two routes
 check each other.  ``dense_hamiltonian`` and ``dense_detached_block`` are the
 bit-arithmetic assembly on the full 2**N space, the reference the package's
-sector blocks must equal bitwise.  Spectra, ground states and propagation are
-computed with dense eigendecompositions of the full space, bypassing the
-package's total-S^z sectors.  ``sector_propagate`` is the exact product of
-one ``eigh`` per step on the package's sector blocks, the reference for the
-Taylor propagator at sizes the dense oracles cannot reach.
-``recorded_observables`` computes a recorded run's columns the long way: both
-reduced density matrices with an entropy each, and an eager spectrum with
-eigenvectors of every block at each sample.  The helpers at
-the end (a schedule's slope, a landscape's cell size, sector blocks cut from
-hand-built dense matrices, a schedule's steps as one-step schedules) serve
-only the tests.
+plain sector blocks must equal bitwise.  Spectra, ground states and
+propagation are computed with dense eigendecompositions of the full space,
+bypassing the package's blocks.  ``sector_reference`` cuts the plain
+total-S^z blocks out of the dense operators, with no reflection parity, and
+``sector_propagate`` is the exact product of one ``eigh`` per step on them:
+the reference for the package's parity blocks at sizes the dense oracles
+cannot reach.  ``recorded_observables`` computes a recorded run's columns the
+long way on those plain sectors: both reduced density matrices with an
+entropy each, and an eager spectrum with eigenvectors of every sector at each
+sample.  The helpers at the end (a schedule's slope, a landscape's cell size,
+sector blocks cut from hand-built dense matrices, a schedule's steps as
+one-step schedules) serve only the tests.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from spinsplice.chain import DEGENERACY_RTOL, DegeneracyError
-from spinsplice.dynamics import cut_fidelity, entropy, integration_grid, propagate, purity, reduce_density
+from spinsplice.chain import DEGENERACY_RTOL, Block, DegeneracyError
+from spinsplice.dynamics import (
+    SectorPropagator,
+    cut_fidelity,
+    entropy,
+    integration_grid,
+    propagate,
+    purity,
+    reduce_density,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -223,38 +232,61 @@ def cell_size(grid):
     return tuple((ax.upper - ax.lower) / (ax.resolution - 1) for ax in grid.axes)
 
 
-def sector_step(propagator, psi, g, dt):
+def sector_step(reference, psi, g, dt):
     """One exact factor exp(-i (h0 + g v) dt) applied to a full-space state,
-    block by block: one ``eigh`` of each occupied block of a SectorPropagator."""
-    occupied = propagator.occupied(psi)
-    amps = []
-    for k in occupied:
-        w, q = np.linalg.eigh(propagator.h0[k] + g * propagator.v[k])
-        amps.append(q @ (np.exp(-1j * w * dt) * (q.T @ psi[propagator.blocks[k]])))
-    return propagator.embed(occupied, amps)
+    sector by sector: one ``eigh`` of each occupied block of a ``sector_blocks``
+    reference."""
+    out = np.zeros_like(psi)
+    for block, h0, v in zip(*reference):
+        if np.any(psi[block]):
+            w, q = np.linalg.eigh(h0 + g * v)
+            out[block] = q @ (np.exp(-1j * w * dt) * (q.T @ psi[block]))
+    return out
 
 
-def sector_propagate(propagator, schedule, psi0, n_steps):
+def sector_propagate(reference, schedule, psi0, n_steps):
     """Final state as the exact product of ``sector_step`` factors, one per
     step of integration_grid at its midpoint coupling: the eigh-per-step
-    sector reference for sizes the dense oracle cannot reach."""
+    total-S^z reference for sizes the dense oracle cannot reach."""
     grid = integration_grid(schedule, n_steps)
     psi = np.asarray(psi0, dtype=complex)
     for lo, hi in zip(grid[:-1], grid[1:]):
-        psi = sector_step(propagator, psi, float(schedule.value(0.5 * (lo + hi))), hi - lo)
+        psi = sector_step(reference, psi, float(schedule.value(0.5 * (lo + hi))), hi - lo)
     return psi
 
 
 def sector_blocks(*operators):
     """(blocks, *parts) for dense operators that conserve total S^z: the basis
-    indices with k down spins, and each operator's blocks on them, the form a
-    SectorPropagator takes."""
+    indices with k down spins, and each operator's blocks on them."""
     dim = operators[0].shape[0]
     downs = np.array([bin(s).count("1") for s in range(dim)])
     for op in operators:
         assert not np.any(op[downs[:, None] != downs]), "operator mixes total-S^z sectors"
     blocks = tuple(np.flatnonzero(downs == k) for k in range(int(downs.max()) + 1))
     return (blocks, *(tuple(op[np.ix_(b, b)] for b in blocks) for op in operators))
+
+
+def sector_reference(spec):
+    """``sector_blocks`` of a ChainSpec's dense (h0, v), one full-space
+    operator alive at a time."""
+    parts = []
+    for in_cut in (False, True):
+        op = np.zeros((1 << spec.n_spins,) * 2)
+        for bond in spec.bonds():
+            if (bond in spec.cut_bonds) == in_cut:
+                _add_exchange_bond(op, *bond, spec.exchange, spec.n_spins)
+        if not in_cut:
+            _add_field(op, spec.field, spec.n_spins)
+        blocks, part = sector_blocks(op)
+        parts.append(part)
+    return (blocks, *parts)
+
+
+def sector_propagator(reference):
+    """A package SectorPropagator on the plain total-S^z blocks of a
+    ``sector_blocks`` reference, with no reflection parity."""
+    blocks, *parts = reference
+    return SectorPropagator(tuple(Block(b, b, 1.0) for b in blocks), *parts)
 
 
 @dataclass(frozen=True)
@@ -288,15 +320,16 @@ def step_segments(schedule, n_steps):
     return [StepSegment(schedule, lo, hi) for lo, hi in zip(grid[:-1], grid[1:])]
 
 
-def eager_spectrum(propagator, g):
+def eager_spectrum(reference, g):
     """(energies, vectors) of h0 + g v from one ``eigh`` of every block of a
-    SectorPropagator, merged in ascending order with a stable sort; the
-    vectors are embedded in the full space, one column per energy."""
-    pairs = [np.linalg.eigh(h + g * v) for h, v in zip(propagator.h0, propagator.v)]
+    ``sector_blocks`` reference, merged in ascending order with a stable
+    sort; the vectors are embedded in the full space, one column per energy."""
+    blocks, h0, v = reference
+    pairs = [np.linalg.eigh(h + g * u) for h, u in zip(h0, v)]
     w = np.concatenate([e for e, _ in pairs])
-    q = np.zeros((propagator.dim, w.size))
+    q = np.zeros((sum(b.size for b in blocks), w.size))
     col = 0
-    for block, (_, vectors) in zip(propagator.blocks, pairs):
+    for block, (_, vectors) in zip(blocks, pairs):
         q[block, col:col + block.size] = vectors
         col += block.size
     order = np.argsort(w, kind="stable")
@@ -305,21 +338,24 @@ def eager_spectrum(propagator, g):
 
 def recorded_observables(process, schedule, n_steps, stride):
     """The columns of ``process.run(schedule, n_steps, stride)``, computed
-    the long way.  The run is stepped with ``step_segments``.  Each sample
+    the long way, on plain total-S^z blocks built from the dense operators
+    (no reflection parity).  The run is stepped with ``step_segments``.  Each sample
     forms the reduced density matrices of both sides, A and the rest, and
     takes the entropy of each; ``gap``, ``f_g`` and the degenerate flag come
     from ``eager_spectrum``, the ground subspace resolved toward the previous
     sample's ground state (the state itself at the first sample), and the
     lowest state taken when the reference is orthogonal to it.  Returns a
     dict keyed by the TrajectoryRecord field names."""
-    prop, n = process.propagator, process.chain.n_spins
+    n = process.chain.n_spins
+    reference = sector_reference(process.chain)
+    prop = sector_propagator(reference)
     rest = tuple(s for s in range(1, n + 1) if s not in process.a_sites)
     rows, previous = [], None
 
     def sample(t, psi):
         nonlocal previous
         g = float(schedule.value(t))
-        w, q = eager_spectrum(prop, g)
+        w, q = eager_spectrum(reference, g)
         threshold = DEGENERACY_RTOL * float(w[-1] - w[0])
         gap = float(w[1] - w[0])
         ground = q[:, 0]

@@ -25,7 +25,15 @@ from spinsplice.optimize import LandscapeAxis, bfgs_maximize, finite_difference_
 from spinsplice.process import ObjectiveSpec, build_objective, prepare_process
 from spinsplice.runner import noise_study
 
-from oracles import cell_size, dense_hamiltonian, ground_fidelity, sector_blocks, step_segments, step_unitary
+from oracles import (
+    cell_size,
+    dense_hamiltonian,
+    ground_fidelity,
+    sector_blocks,
+    sector_propagator,
+    step_segments,
+    step_unitary,
+)
 
 RING6 = ChainSpec(6, "ring", 1.0, 2.0)
 RING7 = ChainSpec(7, "ring", 1.0, 2.0)
@@ -232,7 +240,7 @@ def test_criterion_07_property_suite(ring6, ring7, table1_reports):
         ("sine", sine_cut(0.7, (0.4, -0.3))),
         ("pulse", pulse_train(0.7, (-3.0, 2.5))),
     ):
-        psi_t, _ = propagate(SectorPropagator(*sector_blocks(diag_field, z1z2)), schedule, psi0, 90)
+        psi_t, _ = propagate(sector_propagator(sector_blocks(diag_field, z1z2)), schedule, psi0, 90)
         rho = reduce_density(psi_t, (1,), n)
         finals[label] = (
             cut_fidelity(rho, np.array([0.0, 1.0])),

@@ -4,9 +4,11 @@ import pytest
 from spinsplice.chain import (
     ChainSpec,
     DegeneracyError,
+    _sector_hamiltonian,
     assemble_hamiltonian,
     cut_components,
     ground_state,
+    reflection,
 )
 
 from oracles import (
@@ -23,13 +25,16 @@ from oracles import (
 
 
 def embedded(spec):
-    """The package's sector blocks of (h0, v) placed in full-space matrices."""
+    """The package's blocks of (h0, v) mapped back to full-space matrices:
+    the sum of P h P^T over the blocks, P holding a block's basis vectors."""
     blocks, *parts = assemble_hamiltonian(spec)
     out = []
     for part in parts:
         m = np.zeros((2**spec.n_spins, 2**spec.n_spins), dtype=np.result_type(*part))
         for b, block in zip(blocks, part):
-            m[np.ix_(b, b)] = block
+            p = np.zeros((m.shape[0], b.size))
+            b.embed(np.eye(b.size), p)
+            m += p @ block @ p.T
         out.append(m)
     return tuple(out)
 
@@ -81,7 +86,8 @@ class TestAssembleHamiltonian:
         wrap_bond = kron_exchange(1, 3, 3).real
         diff = h_ring - h_open
         assert np.abs(diff - wrap_bond).max() < 1e-12
-        assert np.abs(diff).max() == np.abs(wrap_bond).max()
+        # the ring's parity blocks map back through 1/sqrt 2 weights: equal to round-off
+        assert abs(np.abs(diff).max() - np.abs(wrap_bond).max()) <= 1e-15
 
     @pytest.mark.parametrize("n,topology", [(2, "open"), (3, "open"), (3, "ring"), (4, "open"), (4, "ring")])
     def test_matches_kron_oracle(self, n, topology):
@@ -102,10 +108,11 @@ class TestAssembleHamiltonian:
 
     def test_real_symmetric(self):
         spec = ChainSpec(5, "ring", 1.0, 2.0)
-        h0, v = embedded(spec)
-        for m in (h0, v):
-            assert not np.iscomplexobj(m)
-            assert np.abs(m - m.T).max() == 0.0
+        _, *parts = assemble_hamiltonian(spec)
+        for part in parts:
+            for m in part:
+                assert m.dtype == np.float64
+                assert np.abs(m - m.T).max() == 0.0
 
     def test_magnetization_conserved(self):
         spec = ChainSpec(4, "ring", 1.0, 2.0)
@@ -118,17 +125,40 @@ class TestAssembleHamiltonian:
 
     @pytest.mark.parametrize("n,topology", [(n, "open") for n in range(2, 11)] + [(n, "ring") for n in range(3, 11)])
     def test_blocks_equal_dense_assembly_bitwise(self, n, topology):
+        # the plain sector assembly equals the dense one bitwise; a chain
+        # with no reflection keeps exactly those blocks, and the parity
+        # blocks of one with a reflection map back to the dense operators
+        downs = np.array([bin(s).count("1") for s in range(2**n)])
         for field in (0.0, 2.0, 2.1, -0.7):
             for cut in (None, frozenset({(n // 2, n // 2 + 1)})):
                 spec = ChainSpec(n, topology, 1.0, field, cut)
-                blocks, h0, v = assemble_hamiltonian(spec)
                 ref_h0, ref_v = dense_hamiltonian(spec)
-                downs = np.array([bin(s).count("1") for s in range(2**n)])
-                assert [b.tolist() for b in blocks] == [np.flatnonzero(downs == k).tolist() for k in range(n + 1)]
-                for b, h0_k, v_k in zip(blocks, h0, v):
+                sectors = _sector_hamiltonian(n, spec.bonds(), spec.cut_bonds, 1.0, field)
+                assert [b.states.tolist() for b in sectors[0]] == [np.flatnonzero(downs == k).tolist() for k in range(n + 1)]
+                for b, h0_k, v_k in zip(*sectors):
                     assert h0_k.dtype == v_k.dtype == np.float64
-                    assert h0_k.tobytes() == ref_h0[np.ix_(b, b)].tobytes()
-                    assert v_k.tobytes() == ref_v[np.ix_(b, b)].tobytes()
+                    assert h0_k.tobytes() == ref_h0[np.ix_(b.states, b.states)].tobytes()
+                    assert v_k.tobytes() == ref_v[np.ix_(b.states, b.states)].tobytes()
+                blocks, h0, v = assemble_hamiltonian(spec)
+                if reflection(spec) is None:
+                    assert [b.states.tolist() for b in blocks] == [b.states.tolist() for b in sectors[0]]
+                    assert all(a.tobytes() == b.tobytes() for a, b in zip(h0 + v, sectors[1] + sectors[2]))
+                else:
+                    assert sorted(b.sign for b in blocks) != [1.0] * len(blocks)
+                    h0_full, v_full = embedded(spec)
+                    assert np.abs(h0_full - ref_h0).max() <= 1e-13
+                    assert np.abs(v_full - ref_v).max() <= 1e-13
+
+    @pytest.mark.parametrize("spec,images", [
+        (ChainSpec(6, "ring", 1.0, 2.0), (1, 6, 5, 4, 3, 2)),  # through site 1
+        (ChainSpec(6, "ring", 1.0, 2.0, frozenset({(1, 6), (2, 3)})), (2, 1, 6, 5, 4, 3)),  # the two-spin cut
+        (ChainSpec(5, "ring", 1.0, 2.0, frozenset({(2, 3)})), (4, 3, 2, 1, 5)),  # through the bond's middle
+        (ChainSpec(6, "open", 1.0, 2.0, frozenset({(3, 4)})), (6, 5, 4, 3, 2, 1)),
+        (ChainSpec(6, "open", 1.0, 2.0), None),
+        (ChainSpec(5, "open", 1.0, 2.0, frozenset({(2, 3)})), None),
+    ])
+    def test_reflection_keeps_the_cut(self, spec, images):
+        assert reflection(spec) == images
 
 
 class TestCommutatorNorm:

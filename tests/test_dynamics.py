@@ -17,7 +17,16 @@ from spinsplice.dynamics import (
 )
 from spinsplice.runner import TRAJECTORY_COLUMNS, write_csv
 
-from oracles import SZ, dense_hamiltonian, ground_fidelity, sector_blocks, step_segments, step_unitary, taylor_expm
+from oracles import (
+    SZ,
+    dense_hamiltonian,
+    ground_fidelity,
+    sector_blocks,
+    sector_propagator,
+    step_segments,
+    step_unitary,
+    taylor_expm,
+)
 
 DOWN = np.array([0.0, 1.0])
 UP = np.array([1.0, 0.0])
@@ -69,7 +78,7 @@ class TestPropagate:
         zero = np.zeros_like(h_full)
         psi0 = ground_state(h_full).state.astype(complex)
         sched = linear_baseline(1.5, "cut")
-        psi, _ = propagate(SectorPropagator(*sector_blocks(h_full, zero)), sched, psi0, 120)
+        psi, _ = propagate(sector_propagator(sector_blocks(h_full, zero)), sched, psi0, 120)
         assert ground_fidelity(psi, h_full) == pytest.approx(1.0, abs=1e-8)
 
     def test_norm_conserved_along_trajectory(self):

@@ -99,9 +99,13 @@ class TestBlockOnlyProcess:
         (ChainSpec(7, "ring", 1.0, 2.2), "cut"),
         (ChainSpec(7, "ring", 1.0, 2.2), "stitch"),
     ])
-    def test_states_equal_dense_selection_bitwise(self, spec, direction):
-        # the block spectra give exactly what ground_state gives on the
-        # assembled matrices with the nudged reference
+    def test_states_match_dense_selection(self, spec, direction):
+        # the parity blocks give what ground_state gives on the plain sectors
+        # of the assembled matrices with the nudged reference, up to a sign.
+        # A degenerate selection follows the nudged ground state, whose
+        # eigenvector the plain sectors resolve only to round-off over the
+        # nudge's splitting (about 1e-10 here; the parity blocks put the two
+        # nudged levels in different blocks): such states agree as rays.
         process = prepare_process(spec, direction)
         h0, v = dense_hamiltonian(spec)
         inward = -DEFAULT_SELECTION_OFFSET if direction == "cut" else DEFAULT_SELECTION_OFFSET
@@ -109,8 +113,11 @@ class TestBlockOnlyProcess:
         g_end = 1.0 - g_start
         start = ground_state(h0 + g_start * v, h0 + (g_start + inward) * v)
         final = ground_state(h0 + g_end * v, h0 + (g_end - inward) * v)
-        assert np.array_equal(process.psi0, start.state.astype(complex))
-        assert np.array_equal(process.final_ground, final.state.astype(complex))
+        for state, expected in ((process.psi0, start), (process.final_ground, final)):
+            overlap = expected.state.conj() @ state
+            assert abs(abs(overlap) - 1.0) <= 1e-12
+            if not expected.degenerate:
+                assert np.abs(state - np.sign(overlap.real) * expected.state).max() <= 1e-12
         assert (process.start_degenerate, process.final_degenerate) == (start.degenerate, final.degenerate)
 
 

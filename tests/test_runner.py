@@ -36,6 +36,25 @@ def evolve_config(tmp_path, **overrides):
     return data
 
 
+def occupied_block(psi0, images):
+    """Orthonormal columns spanning the block a state occupies: its sector,
+    split by the reflection ``images`` (site i goes to images[i - 1]) into
+    (e_a +- e_Ra) / sqrt 2 and e_a, with the state's own parity."""
+    n = len(images)
+    mirror = [sum(1 << (n - images[i - 1]) for i in range(1, n + 1) if (s >> (n - i)) & 1) for s in range(psi0.size)]
+    downs = np.array([bin(s).count("1") for s in range(psi0.size)])
+    (k,) = set(downs[np.abs(psi0) > 0])
+    (sign,) = {round(float((psi0[mirror[s]] / psi0[s]).real)) for s in np.flatnonzero(np.abs(psi0) > 0)}
+    columns = []
+    for a in np.flatnonzero(downs == k):
+        if a < mirror[a] or (a == mirror[a] and sign == 1):
+            column = np.zeros(psi0.size)
+            column[a] += 1.0
+            column[mirror[a]] += sign
+            columns.append(column / np.linalg.norm(column))
+    return np.stack(columns, axis=1)
+
+
 def mode_config(mode, tmp_path, **overrides):
     """A valid N = 4 config for any mode, with small counts."""
     data = evolve_config(tmp_path, mode=mode, n_steps=12)
@@ -217,10 +236,12 @@ class TestRunners:
         health = manifest["health"]
         assert set(health) == {"block_dims", "norm_error", "min_gap", "degenerate_samples",
                                "max_norm_dt", "taylor_matvecs", "vector_blocks"}
-        assert health["block_dims"] in ([math.comb(4, k)] for k in range(5))
+        # the ground state of the 4-ring fills one parity half of its sector
+        process = prepare_process(config.chain, config.process)
+        assert health["block_dims"] == [occupied_block(process.psi0, (1, 4, 3, 2)).shape[1]]
+        assert health["block_dims"][0] < max(math.comb(4, k) for k in range(5))
         assert 0.0 <= health["norm_error"] < 1e-12
         # the health echo leaves the trajectory bytes and their hash alone
-        process = prepare_process(config.chain, config.process)
         eigh, eigh_calls = np.linalg.eigh, []
 
         def counted_eigh(a, *args, **kwargs):
@@ -257,12 +278,11 @@ class TestRunners:
             execute(config)
         health = json.loads((tmp_path / "out" / "manifest.json").read_text())["health"]
         # the largest (||h0||_1 + |g| ||v||_1) dt over the steps, from the dense
-        # operators restricted to the sector of the initial state
-        psi0 = prepare_process(config.chain, config.process).psi0
-        downs = np.array([bin(s).count("1") for s in range(psi0.size)])
-        sector = np.flatnonzero(downs == downs[np.flatnonzero(psi0)[0]])
-        assert health["block_dims"] == [sector.size]
-        n0, nv = (np.abs(op[np.ix_(sector, sector)]).sum(axis=0).max() for op in dense_hamiltonian(config.chain))
+        # operators restricted to the block of the initial state: its sector's
+        # half of one parity under the reflection through site 1
+        basis = occupied_block(prepare_process(config.chain, config.process).psi0, (1, 4, 3, 2))
+        assert health["block_dims"] == [basis.shape[1]]
+        n0, nv = (np.abs(basis.T @ op @ basis).sum(axis=0).max() for op in dense_hamiltonian(config.chain))
         grid = integration_grid(config.schedule, config.n_steps)
         g = config.schedule.values(0.5 * (grid[:-1] + grid[1:]))
         expected = float(np.max((n0 + np.abs(g) * nv) * np.diff(grid)))
@@ -487,6 +507,14 @@ class TestCli:
         reference = (tmp_path / "serial" / "table1" / "sweep.csv").read_bytes()
         for k in range(2):
             assert (tmp_path / f"par{k}" / "table1" / "sweep.csv").read_bytes() == reference
+
+    def test_reproduce_module_is_not_shadowed(self):
+        # the package exports the reproduce module, not the function of that name
+        import spinsplice
+        import spinsplice.reproduce as module
+
+        assert module is spinsplice.reproduce
+        assert module.PIPELINES is PIPELINES and module.reproduce is reproduce
 
     @pytest.mark.parametrize("target", sorted(PIPELINES))
     def test_reproduce_manifests_replay(self, tmp_path, target, capsys):

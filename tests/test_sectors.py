@@ -1,10 +1,12 @@
-"""Accuracy gate for total-S^z sector propagation and ground-state selection.
+"""Accuracy gate for block propagation and ground-state selection.
 
-Every sector result is compared with the dense full-space oracles of
-``oracles.py``: ``dense_propagate`` (one ``step_unitary`` per step) and
-``dense_ground_state`` (one dense ``eigh``).  Recorded trajectories are
-compared with ``recorded_observables``, which forms both reduced density
-matrices and diagonalizes every block with eigenvectors at each sample.  The
+The package evolves each total-S^z sector split in two by a reflection of
+the chain that keeps the cut bonds.  Every result is compared with the dense
+full-space oracles of ``oracles.py``: ``dense_propagate`` (one
+``step_unitary`` per step) and ``dense_ground_state`` (one dense ``eigh``).
+Recorded trajectories are compared with ``recorded_observables``, which
+steps on the plain total-S^z sectors, forms both reduced density matrices
+and diagonalizes every sector with eigenvectors at each sample.  The
 tolerance is round-off.
 """
 
@@ -13,7 +15,14 @@ from math import comb
 import numpy as np
 import pytest
 
-from spinsplice.chain import DEGENERACY_RTOL, ChainSpec, assemble_hamiltonian, ground_state, select_ground
+from spinsplice.chain import (
+    DEGENERACY_RTOL,
+    ChainSpec,
+    assemble_hamiltonian,
+    ground_state,
+    resolve_ground,
+    select_ground,
+)
 from spinsplice.control import (
     NoiseSpec,
     apply_noise,
@@ -30,8 +39,9 @@ from oracles import (
     dense_ground_state,
     dense_hamiltonian,
     dense_propagate,
+    eager_spectrum,
     recorded_observables,
-    sector_blocks,
+    sector_reference,
 )
 
 GATE = 1e-12
@@ -75,13 +85,52 @@ def ring7():
     return prepare_process(ChainSpec(7, "ring", 1.0, 2.0), "cut")
 
 
+def sector_of(block):
+    """The number of down spins of every state of a block."""
+    (k,) = {bin(int(s)).count("1") for s in block.states}
+    return k
+
+
+def reflected(n_spins, images):
+    """Each basis state's image under the site map ``images`` (site i goes to
+    images[i - 1]), one bit at a time."""
+    out = np.zeros(1 << n_spins, dtype=np.int64)
+    for s in range(1 << n_spins):
+        for i in range(1, n_spins + 1):
+            if (s >> (n_spins - i)) & 1:
+                out[s] |= 1 << (n_spins - images[i - 1])
+    return out
+
+
+def block_vectors(block, dim):
+    """The block's basis vectors as the columns of a full-space matrix."""
+    out = np.zeros((dim, block.size))
+    block.embed(np.eye(block.size), out)
+    return out
+
+
 class TestPartition:
     def test_blocks_are_magnetization_sectors(self):
+        # every block lies in one sector, and the even and odd halves of
+        # each sector together span it
         blocks, _, _ = assemble_hamiltonian(RING6)
+        sizes = np.zeros(7, dtype=int)
+        for block in blocks:
+            sizes[sector_of(block)] += block.size
+        assert sizes.tolist() == [comb(6, k) for k in range(7)]
+        # the reflection through site 1 maps each block vector to sign times itself
+        image = reflected(6, (1, 6, 5, 4, 3, 2))
+        basis = np.hstack([block_vectors(b, 64) for b in blocks])
+        assert np.abs(basis.T @ basis - np.eye(64)).max() <= GATE
+        for block in blocks:
+            vectors = block_vectors(block, 64)
+            assert block.sign in (1.0, -1.0)
+            assert np.array_equal(vectors[image], block.sign * vectors)
+        # an open chain cut at (1,2) has no reflection: its blocks are the sectors
+        blocks, _, _ = assemble_hamiltonian(ChainSpec(6, "open", 1.0, 2.0))
         assert [b.size for b in blocks] == [comb(6, k) for k in range(7)]
-        for k, block in enumerate(blocks):
-            assert all(bin(int(s)).count("1") == k for s in block)
-        assert sorted(np.concatenate(blocks).tolist()) == list(range(64))
+        assert [sector_of(b) for b in blocks] == list(range(7))
+        assert all(b.sign == 1.0 and np.array_equal(b.partners, b.states) for b in blocks)
 
     def test_any_entry_between_blocks_is_rejected(self):
         h0, v = dense_hamiltonian(ChainSpec(4, "open", 1.0, 2.0))
@@ -92,8 +141,20 @@ class TestPartition:
     def test_process_evolves_one_sector(self, ring6):
         (k,) = ring6.propagator.occupied(ring6.psi0)
         block = ring6.propagator.blocks[k]
-        assert block.size == comb(6, 4)  # the field favours four down spins
-        assert np.all(np.delete(ring6.psi0, block) == 0.0)
+        assert sector_of(block) == 4  # the field favours four down spins
+        assert block.sign == 1.0 and block.size == 9  # the even half of C(6, 4) = 15
+        assert np.all(np.delete(ring6.psi0, np.concatenate([block.states, block.partners])) == 0.0)
+
+    @pytest.mark.parametrize("n_spins", [6, 8, 10])
+    def test_ground_state_occupies_one_parity_block(self, n_spins):
+        process = prepare_process(ChainSpec(n_spins, "ring", 1.0, 2.0), "cut")
+        prop = process.propagator
+        (k,) = prop.occupied(process.psi0)
+        # no round-off leaks into the other half of the sector
+        (other,) = [b for j, b in enumerate(prop.blocks)
+                    if j != k and sector_of(b) == sector_of(prop.blocks[k])]
+        assert not np.any(other.amplitudes(process.psi0))
+        assert abs(np.linalg.norm(prop.blocks[k].amplitudes(process.psi0)) - 1.0) <= GATE
 
 
 class TestAccuracyGate:
@@ -132,7 +193,9 @@ class TestAccuracyGate:
 
     def test_recorded_gap_is_full_spectrum_gap(self, ring7):
         cases = (  # process, schedule, stride, whether the first sample is degenerate
-            (ring7, linear_baseline(20.0), 15, True),
+            (ring7, linear_baseline(20.0), 15, True),  # a tie between the two parities of one sector
+            (prepare_process(ChainSpec(7, "ring", 1.0, cross_sector_field()), "cut"),
+             linear_baseline(20.0), 15, True),  # a tie across two sectors and four blocks
             # about four samples keep the dense 1024^2 eigvalsh cheap
             (prepare_process(ChainSpec(10, "ring", 1.0, 2.0), "cut"), polynomial_cut(0.6, TABLE1[1][1]), 100, False),
         )
@@ -200,20 +263,17 @@ class TestLazySpectrum:
 
     @pytest.mark.parametrize("crossing", [False, True], ids=["in_block", "cross_sector"])
     def test_tie_diagonalizes_exactly_the_tied_blocks(self, crossing, eigh_calls):
-        # ring7 at g = 1: a twofold tie inside the k = 4 block at field 2.0,
-        # and at the field where the k = 5 block's twofold lowest level meets
-        # it, a fourfold tie across the two blocks; block k shifts by
-        # field * (7 - 2k)
-        field = 2.0
-        if crossing:
-            bare = SectorPropagator(*assemble_hamiltonian(ChainSpec(7, "ring", 1.0, 0.0)))
-            e4, e5 = (np.linalg.eigvalsh(bare.h0[k] + bare.v[k])[0] for k in (4, 5))
-            field = float(e5 - e4) / 2.0
+        # ring7 at g = 1: a twofold tie inside the k = 4 sector at field 2.0,
+        # split between its even and odd blocks, and at the field where the
+        # k = 5 sector's twofold lowest level meets it, a fourfold tie across
+        # the four blocks of the two sectors
+        field = cross_sector_field() if crossing else 2.0
         prop = SectorPropagator(*assemble_hamiltonian(ChainSpec(7, "ring", 1.0, field)))
         spectrum = prop.spectrum(1.0)
         lowest = [np.linalg.eigvalsh(h + v)[0] for h, v in zip(prop.h0, prop.v)]
         tied = [k for k, e in enumerate(lowest) if e <= spectrum.energies[0] + spectrum.threshold()]
-        assert tied == ([4, 5] if crossing else [4])
+        expected = [(4, 1.0), (4, -1.0), (5, 1.0), (5, -1.0)] if crossing else [(4, 1.0), (4, -1.0)]
+        assert [(sector_of(prop.blocks[k]), prop.blocks[k].sign) for k in tied] == expected
         reference = np.random.default_rng(7).normal(size=prop.dim)
         del eigh_calls[:]
         assert select_ground(spectrum, reference).degenerate
@@ -224,25 +284,36 @@ class TestLazySpectrum:
 
     def test_energies_match_eager_spectrum(self, eigh_calls):
         prop = SectorPropagator(*assemble_hamiltonian(RING8))
+        reference = sector_reference(RING8)
         for g in (-2.5, 0.0, 0.37, 1.0):
             spectrum = prop.spectrum(g)
             assert not eigh_calls and spectrum.vector_blocks == 0
-            eager = np.sort(np.concatenate([np.linalg.eigh(h + g * v)[0] for h, v in zip(prop.h0, prop.v)]))
+            eager, _ = eager_spectrum(reference, g)
             del eigh_calls[:]
             assert np.abs(spectrum.energies - eager).max() <= GATE
 
+    def test_equal_dimensions_share_one_eigvalsh(self, monkeypatch):
+        calls, eigvalsh = [], np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        prop = SectorPropagator(*assemble_hamiltonian(RING6))
+        prop.spectrum(0.5)
+        # spin flip commutes with the reflection: sectors k and 6 - k split
+        # alike, so 12 blocks need no more calls than the 7 sectors did
+        assert len(prop.blocks) == 12
+        assert len(calls) == len({b.size for b in prop.blocks}) == 7
+        assert sum(shape[0] for shape in calls) == len(prop.blocks)
+
 
 class TestBeyondOneSector:
-    def test_superposition_across_two_sectors(self):
+    def assert_matches_dense(self, psi0, expected_blocks):
         h0, v = dense_hamiltonian(RING6)
-        rng = np.random.default_rng(3)
-        psi0 = np.zeros(64, dtype=complex)
-        blocks, h0_blocks, v_blocks = sector_blocks(h0, v)
-        for k in (2, 3):
-            psi0[blocks[k]] = rng.normal(size=blocks[k].size) + 1j * rng.normal(size=blocks[k].size)
-        psi0 /= np.linalg.norm(psi0)
-        prop = SectorPropagator(blocks, h0_blocks, v_blocks)
-        assert prop.occupied(psi0) == [2, 3]
+        prop = SectorPropagator(*assemble_hamiltonian(RING6))
+        assert [(sector_of(prop.blocks[k]), prop.blocks[k].sign) for k in prop.occupied(psi0)] == expected_blocks
         for schedule in (polynomial_cut(0.6, (54.3, -36.3)), pulse_train(0.6, (0.5, -1.0, 2.0))):
             psi, _ = propagate(prop, schedule, psi0, STEPS)
             assert np.abs(psi - dense_propagate(h0, v, schedule, psi0, STEPS)).max() <= GATE
@@ -252,13 +323,57 @@ class TestBeyondOneSector:
             w = np.linalg.eigvalsh(h0 + g * v)
             assert abs(gap - (w[1] - w[0])) <= GAP_GATE
 
+    def test_superposition_across_two_sectors(self):
+        downs = np.array([bin(s).count("1") for s in range(64)])
+        psi0 = random_state(np.isin(downs, (2, 3)), 3)
+        self.assert_matches_dense(psi0, [(2, 1.0), (2, -1.0), (3, 1.0), (3, -1.0)])
+
+    def test_superposition_across_both_parities(self):
+        # a basis state and its mirror image with unequal weights
+        psi0 = np.zeros(64, dtype=complex)
+        psi0[0b110000], psi0[0b100010] = 0.8, 0.6j  # downs on sites (1, 2) and (1, 6)
+        self.assert_matches_dense(psi0, [(2, 1.0), (2, -1.0)])
+
+
+def random_state(support, seed):
+    rng = np.random.default_rng(seed)
+    psi = np.where(support, rng.normal(size=support.size) + 1j * rng.normal(size=support.size), 0.0)
+    return psi / np.linalg.norm(psi)
+
+
+def cross_sector_field():
+    """The field at which the twofold lowest levels of the k = 4 and k = 5
+    sectors of the 7-ring meet at g = 1: block k shifts by field * (7 - 2k)."""
+    _, h0, v = sector_reference(ChainSpec(7, "ring", 1.0, 0.0))
+    e4, e5 = (np.linalg.eigvalsh(h0[k] + v[k])[0] for k in (4, 5))
+    return float(e5 - e4) / 2.0
+
 
 class TestGroundSelection:
-    def test_tie_across_sectors_matches_dense(self, ring7):
-        h0, v = dense_hamiltonian(ring7.chain)
-        selection = ground_state(h0 + v, h0 + (1.0 - OFFSET) * v)
+    @staticmethod
+    def assert_matches_dense(spec, tied_sectors):
+        h0, v = dense_hamiltonian(spec)
         energy, state, degenerate, gap = dense_ground_state(h0 + v, h0 + (1.0 - OFFSET) * v)
-        assert selection.degenerate and degenerate
-        assert abs(selection.energy - energy) <= GATE
-        assert abs(selection.gap - gap) <= GAP_GATE
-        assert abs(abs(selection.state.conj() @ state) - 1.0) <= GATE
+        assert degenerate
+        # the sectors that the dense ground subspace spans
+        w, q = np.linalg.eigh(h0 + v)
+        tied = q[:, w <= w[0] + DEGENERACY_RTOL * (w[-1] - w[0])]
+        downs = np.array([bin(s).count("1") for s in range(state.size)])
+        assert sorted(set(downs[np.abs(tied).max(axis=1) > 1e-9])) == tied_sectors
+        prop = SectorPropagator(*assemble_hamiltonian(spec))
+        for selection in (
+            ground_state(h0 + v, h0 + (1.0 - OFFSET) * v),  # the plain sectors of the dense matrix
+            resolve_ground(prop.spectrum(1.0), lambda: prop.spectrum(1.0 - OFFSET)),  # the parity blocks
+        ):
+            assert selection.degenerate
+            assert abs(selection.energy - energy) <= GATE
+            assert abs(selection.gap - gap) <= GAP_GATE
+            assert abs(abs(selection.state.conj() @ state) - 1.0) <= GATE
+
+    def test_tie_across_sectors_matches_dense(self):
+        self.assert_matches_dense(ChainSpec(7, "ring", 1.0, cross_sector_field()), [4, 5])
+
+    def test_tie_across_parities_matches_dense(self, ring7):
+        # at field 2.0 the tie lies inside the k = 4 sector, between its
+        # even and odd blocks
+        self.assert_matches_dense(ring7.chain, [4])

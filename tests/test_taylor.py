@@ -3,8 +3,9 @@
 Smooth schedules are propagated by truncated Taylor series on (d x B)
 batches; pulse trains keep one exact factor per pulse.  The reference here
 is ``oracles.sector_propagate``, the exact product of one ``eigh`` per step
-on the same sector blocks, which reaches the 10- and 12-rings where the
-dense oracles of ``test_sectors.py`` cannot.  The tolerance is round-off.
+on the plain total-S^z sectors cut from the dense operators, with no
+reflection parity.  It reaches the 10- and 12-rings where the dense oracles
+of ``test_sectors.py`` cannot.  The tolerance is round-off.
 """
 
 import math
@@ -35,23 +36,23 @@ from spinsplice.dynamics import (
 from spinsplice.optimize import LandscapeAxis, finite_difference_gradient, scan_landscape
 from spinsplice.process import prepare_process
 
-from oracles import sector_propagate
+from oracles import sector_propagate, sector_reference
 
 GATE = 1e-12
 BATCH_GATE = 1e-13
 
 
-def reference_fidelities(process, schedule, n_steps):
-    """(f_C, f_G) of the eigh-per-step sector product."""
-    psi = sector_propagate(process.propagator, schedule, process.psi0, n_steps)
-    rho = reduce_density(psi, process.a_sites, process.chain.n_spins)
-    return cut_fidelity(rho, process.phi_0a), float(abs(process.final_ground.conj() @ psi))
-
-
-def assert_gate(process, schedule, n_steps):
-    f_c, f_g = reference_fidelities(process, schedule, n_steps)
-    assert abs(process.fidelity(schedule, n_steps, "cut") - f_c) <= GATE
-    assert abs(process.fidelity(schedule, n_steps, "ground") - f_g) <= GATE
+def assert_gate(process, schedule, n_steps, reference=None):
+    """The final state and both fidelities agree with the eigh-per-step
+    product on the plain sectors."""
+    if reference is None:
+        reference = sector_reference(process.chain)
+    expected = sector_propagate(reference, schedule, process.psi0, n_steps)
+    psi, _ = propagate(process.propagator, schedule, process.psi0, n_steps)
+    assert np.abs(psi - expected).max() <= GATE
+    rho = reduce_density(expected, process.a_sites, process.chain.n_spins)
+    assert abs(process.fidelity(schedule, n_steps, "cut") - cut_fidelity(rho, process.phi_0a)) <= GATE
+    assert abs(process.fidelity(schedule, n_steps, "ground") - abs(process.final_ground.conj() @ expected)) <= GATE
 
 
 @pytest.fixture(scope="module")
@@ -63,15 +64,17 @@ class TestExactReference:
     @pytest.mark.parametrize("n_spins,n_steps", [(10, 300), (12, 40)])
     def test_matches_eigh_per_step_product(self, n_spins, n_steps):
         ring = ChainSpec(n_spins, "ring", 1.0, 2.0)
+        reference = sector_reference(ring)
         cut = prepare_process(ring, "cut")
         for schedule in (
             polynomial_cut(0.6, (54.3, -36.3)),
             sine_cut(0.6, (0.4, -0.3)),
             apply_noise(polynomial_cut(0.6, (34.9, -23.4)), NoiseSpec(window=0.05, strength=1.5, seed=5)),
+            pulse_train(0.6, 1.0 - (np.arange(9) + 0.5) / 9 + np.linspace(-0.4, 0.4, 9)),
         ):
-            assert_gate(cut, schedule, n_steps)
+            assert_gate(cut, schedule, n_steps, reference)
         del cut
-        assert_gate(prepare_process(ring, "stitch"), polynomial_stitch(0.6, (3.0, -2.0)), n_steps)
+        assert_gate(prepare_process(ring, "stitch"), polynomial_stitch(0.6, (3.0, -2.0)), n_steps, reference)
 
     def test_steps_beyond_the_term_budget_take_the_exact_factor(self, ring6):
         # |g| ~ 1e4 over 20 steps needs thousands of Taylor terms per step
@@ -172,7 +175,7 @@ class TestBatchSizeIsInvisible:
         schedules = random_polynomials(np.random.default_rng(13), 10)
         whole = ring6.fidelities(schedules, 120)
         batches = record_batches(monkeypatch, schedules)
-        # 120 steps exceed the sector dimension 15: the (steps x B) couplings set the width
+        # 120 steps exceed the block dimension 9: the (steps x B) couplings set the width
         monkeypatch.setattr(dynamics_module, "MAX_BATCH_BYTES", 16 * 120 * 4)
         chunked = ring6.fidelities(schedules, 120)
         assert batches == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
