@@ -1,13 +1,7 @@
 """Cutting and stitching Heisenberg spin chains with optimized bond control."""
 
 from ._version import __version__
-from .chain import (
-    ChainSpec,
-    DegeneracyError,
-    GroundStateSelection,
-    assemble_hamiltonian,
-    ground_state,
-)
+from .chain import ChainSpec, DegeneracyError, assemble_hamiltonian
 from .control import (
     ControlSchedule,
     NoiseSpec,
@@ -51,8 +45,7 @@ from .runner import ConfigError, RunConfig, execute, load_config, parse_config
 
 __all__ = [
     "__version__",
-    "ChainSpec", "DegeneracyError", "GroundStateSelection",
-    "assemble_hamiltonian", "ground_state",
+    "ChainSpec", "DegeneracyError", "assemble_hamiltonian",
     "ControlSchedule", "NoiseSpec", "NoisySchedule", "apply_noise", "linear_baseline",
     "make_schedule", "polynomial_cut", "polynomial_stitch", "pulse_train", "sine_cut",
     "SectorPropagator", "TrajectoryProbe", "TrajectoryRecord", "cut_fidelity", "entropy",

@@ -26,7 +26,6 @@ import numpy as np
 
 DEFAULT_SPIN_CAP = 12
 DEGENERACY_RTOL = 1e-9
-DEFAULT_SELECTION_OFFSET = 1e-6
 
 
 class DegeneracyError(RuntimeError):
@@ -313,36 +312,27 @@ def cut_components(spec: ChainSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(sorted(seen)), rest
 
 
-Groups = list[tuple[list[int], np.ndarray]]
-
-
-def by_size(matrices: Matrices) -> Groups:
-    """Block matrices grouped by dimension, ascending: the indices of the
-    blocks of each dimension and their matrices stacked."""
-    members: dict[int, list[int]] = {}
-    for b, m in enumerate(matrices):
-        members.setdefault(len(m), []).append(b)
-    return [(members[d], np.array([matrices[b] for b in members[d]])) for d in sorted(members)]
-
-
 class Spectrum:
     """Spectrum of a block-diagonal real symmetric (or Hermitian) matrix.
 
-    ``groups`` holds, for each block dimension, the indices of the blocks
-    of that dimension and their matrices as one stack, as ``by_size`` gives
-    them.  ``energies`` is the merged spectrum in ascending order, from one
-    ``eigvalsh`` per stack.  ``states(k)`` embeds the eigenvectors of its k
-    lowest entries in the full space; a block's eigenvectors come from one
-    ``eigh``, made on the first ``states`` call that reads that block and
-    kept.  ``vector_blocks`` counts those ``eigh`` calls.
+    ``matrices[b]`` is the matrix on ``blocks[b]``.  Blocks of equal
+    dimension are stacked, and ``energies`` is the merged spectrum in
+    ascending order, from one ``eigvalsh`` per stack.  ``states(k)`` embeds
+    the eigenvectors of its k lowest entries in the full space; a block's
+    eigenvectors come from one ``eigh``, made on the first ``states`` call
+    that reads that block and kept.  ``vector_blocks`` counts those ``eigh``
+    calls.  ``ground`` applies the degeneracy rule.
     """
 
-    def __init__(self, dim: int, blocks: Blocks, groups: Groups) -> None:
-        self.dim = dim
+    def __init__(self, blocks: Blocks, matrices: Matrices) -> None:
         self.blocks = blocks
-        self._groups = groups
+        members: dict[int, list[int]] = {}
+        for b, m in enumerate(matrices):
+            members.setdefault(len(m), []).append(b)
+        # for each dimension, ascending: its blocks and their matrices as one stack
+        self._groups = [(members[d], np.array([matrices[b] for b in members[d]])) for d in sorted(members)]
         self._vectors: dict[int, np.ndarray] = {}
-        w = np.concatenate([np.linalg.eigvalsh(stack).ravel() for _, stack in groups])
+        w = np.concatenate([np.linalg.eigvalsh(stack).ravel() for _, stack in self._groups])
         self._order = np.argsort(w, kind="stable")
         self.energies = w[self._order]
 
@@ -375,54 +365,40 @@ class Spectrum:
             if members[j] not in self._vectors:
                 self._vectors[members[j]] = np.linalg.eigh(stack[j])[1]
             located.append((members[j], column))
-        out = np.zeros((self.dim, k), dtype=np.result_type(*(self._vectors[b] for b, _ in located)))
+        dim = sum(b.size for b in self.blocks)
+        out = np.zeros((dim, k), dtype=np.result_type(*(self._vectors[b] for b, _ in located)))
         for col, (b, column) in enumerate(located):
             self.blocks[b].embed(self._vectors[b][:, column], out[:, col])
         return out
 
+    def ground(self, reference: np.ndarray | None = None) -> np.ndarray:
+        """The lowest state, picked by ``reference`` when it is degenerate.
 
-@dataclass(frozen=True)
-class GroundStateSelection:
-    energy: float
-    state: np.ndarray
-    degenerate: bool
-    gap: float
-
-
-def select_in_subspace(basis: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Unit vector of span(basis columns) with maximal overlap with reference.
-
-    That maximizer is the normalized projection of the reference onto the
-    subspace; a vanishing projection means the reference cannot discriminate.
-    """
-    coeff = basis.conj().T @ reference
-    norm = np.linalg.norm(coeff)
-    if norm < 1e-12:
-        raise DegeneracyError(
-            "continuity reference is orthogonal to the degenerate ground subspace"
-        )
-    return basis @ (coeff / norm)
-
-
-def select_ground(spectrum: Spectrum, reference: np.ndarray | None = None) -> GroundStateSelection:
-    """Lowest state of ``spectrum``, picked by ``reference`` when degenerate.
-
-    The ground subspace holds the eigenvectors of every block whose energies
-    lie within ``DEGENERACY_RTOL`` times the full spectral range of the
-    lowest; the state is the one in it closest to the reference state.
-    """
-    energy, gap = float(spectrum.energies[0]), spectrum.gap
-    if not spectrum.degenerate():
-        return GroundStateSelection(energy, spectrum.states(1)[:, 0], False, gap)
-    if reference is None:
-        raise DegeneracyError(
-            "ground state is degenerate and no continuity reference was supplied"
-        )
-    k = int(np.searchsorted(spectrum.energies, energy + spectrum.threshold(), side="right"))
-    return GroundStateSelection(energy, select_in_subspace(spectrum.states(k), reference), True, gap)
+        The ground subspace holds the eigenvectors of every energy within
+        ``threshold`` of the lowest, from whichever blocks they lie in.  When
+        it has more than one dimension, the state is its unit vector closest
+        to ``reference``: the normalized projection of the reference onto it.
+        A missing reference, or one orthogonal to the subspace, cannot pick
+        a state, and is an error.
+        """
+        if not self.degenerate():
+            return self.states(1)[:, 0]
+        if reference is None:
+            raise DegeneracyError(
+                "ground state is degenerate and no continuity reference was supplied"
+            )
+        k = int(np.searchsorted(self.energies, self.energies[0] + self.threshold(), side="right"))
+        basis = self.states(k)
+        coeff = basis.conj().T @ reference
+        norm = np.linalg.norm(coeff)
+        if norm < 1e-12:
+            raise DegeneracyError(
+                "continuity reference is orthogonal to the degenerate ground subspace"
+            )
+        return basis @ (coeff / norm)
 
 
-def resolve_ground(spectrum: Spectrum, nudged: Callable[[], Spectrum] | None) -> GroundStateSelection:
+def resolve_ground(spectrum: Spectrum, nudged: Callable[[], Spectrum] | None) -> np.ndarray:
     """Lowest state of ``spectrum``, a degeneracy resolved by a perturbed spectrum.
 
     When ``spectrum`` is degenerate, ``nudged()`` (called only then) gives the
@@ -439,12 +415,21 @@ def resolve_ground(spectrum: Spectrum, nudged: Callable[[], Spectrum] | None) ->
                 "unresolvable degeneracy: the perturbed reference Hamiltonian is degenerate too"
             )
         reference = perturbed.states(1)[:, 0]
-    return select_ground(spectrum, reference)
+    return spectrum.ground(reference)
+
+
+@dataclass(frozen=True)
+class GroundStateSelection:
+    energy: float
+    state: np.ndarray
+    degenerate: bool
+    gap: float
 
 
 def ground_state(h: np.ndarray, continuity_reference: np.ndarray | None = None) -> GroundStateSelection:
     """Lowest eigenpair of a dense 2**N matrix ``h`` with explicit handling of degeneracy.
 
+    A dense-matrix helper: the package works on blocks and never calls it.
     ``h`` is diagonalized block by block over the total-S^z sectors.  When it
     is degenerate, ``resolve_ground`` follows ``continuity_reference``, a
     slightly perturbed Hamiltonian supplied by the caller.  A nonzero entry
@@ -457,7 +442,9 @@ def ground_state(h: np.ndarray, continuity_reference: np.ndarray | None = None) 
         raise ValueError("ground_state needs a matrix that conserves total S^z")
 
     def spectrum(m: np.ndarray) -> Spectrum:
-        return Spectrum(h.shape[0], blocks, by_size([m.take(b.states, axis=0).take(b.states, axis=1) for b in blocks]))
+        return Spectrum(blocks, [m.take(b.states, axis=0).take(b.states, axis=1) for b in blocks])
 
+    full = spectrum(h)
     nudged = None if continuity_reference is None else (lambda: spectrum(continuity_reference))
-    return resolve_ground(spectrum(h), nudged)
+    state = resolve_ground(full, nudged)
+    return GroundStateSelection(float(full.energies[0]), state, full.degenerate(), full.gap)

@@ -15,16 +15,9 @@ import numpy as np
 
 from .chain import DegeneracyError
 from .reproduce import PIPELINES, reproduce
-from .runner import ConfigError, execute, parse_config, read_config
+from .runner import MODES, ConfigError, execute, parse_config, read_config
 
-CONFIG_MODES = {
-    "evolve": "evolve",
-    "optimize": "optimize",
-    "sweep": "sweep",
-    "landscape": "landscape",
-    "noise": "noise",
-    "two-spin": "two_spin",
-}
+CONFIG_MODES = {mode.replace("_", "-"): mode for mode in MODES}  # sub-command: mode
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,10 +34,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--steps", type=int, help="time steps for smooth schedules")
         p.add_argument("--seed", type=int, help="master RNG seed (noise and reproduce fig7 only)")
 
-    for command in ("evolve", "optimize", "sweep", "landscape", "noise"):
-        common(sub.add_parser(command, help=f"run a {command} experiment"), True)
-    common(sub.add_parser("two-spin", help="two-spin block cut (defaults from the reference setting)"),
-           False)
+    for command, mode in CONFIG_MODES.items():
+        if mode == "two_spin":  # the one mode that runs without a config
+            common(sub.add_parser(command, help="two-spin block cut (defaults from the reference setting)"), False)
+        else:
+            common(sub.add_parser(command, help=f"run a {command} experiment"), True)
 
     rep = sub.add_parser("reproduce", help="rebuild a published table or figure dataset")
     rep.add_argument("target", choices=sorted(PIPELINES))

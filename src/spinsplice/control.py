@@ -14,7 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-KINDS = ("polynomial_cut", "sine_cut", "pulse", "polynomial_stitch")
+# The direction each schedule kind drives; pulse trains drive either.
+DIRECTIONS = {"polynomial_cut": "cut", "sine_cut": "cut", "pulse": None, "polynomial_stitch": "stitch"}
+KINDS = tuple(DIRECTIONS)
 
 
 def _horner_from_one(coeffs: tuple[float, ...], x: np.ndarray | float):
@@ -39,12 +41,10 @@ class ControlSchedule:
             raise ValueError(f"duration must be positive, got {self.duration}")
         if self.direction not in ("cut", "stitch"):
             raise ValueError(f"direction must be 'cut' or 'stitch', got {self.direction!r}")
-        if self.kind == "polynomial_cut" and self.direction != "cut":
-            raise ValueError("polynomial_cut schedules have direction 'cut'")
-        if self.kind == "sine_cut" and self.direction != "cut":
-            raise ValueError("sine_cut schedules have direction 'cut'")
-        if self.kind == "polynomial_stitch" and self.direction != "stitch":
-            raise ValueError("polynomial_stitch schedules have direction 'stitch'")
+        if DIRECTIONS[self.kind] not in (None, self.direction):
+            raise ValueError(
+                f"{self.kind} schedules have direction {DIRECTIONS[self.kind]!r}, got {self.direction!r}"
+            )
         if self.kind == "pulse" and not self.params:
             raise ValueError("pulse schedules need at least one amplitude")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
@@ -136,13 +136,10 @@ def make_schedule(
     params: Sequence[float] = (),
     direction: str | None = None,
 ) -> ControlSchedule:
-    """Schedule factory used by config files; direction is required for pulses."""
-    if kind == "pulse":
-        return pulse_train(duration, params, direction or "cut")
-    implied = "stitch" if kind == "polynomial_stitch" else "cut"
-    if direction is not None and direction != implied:
-        raise ValueError(f"schedule kind {kind!r} implies direction {implied!r}, got {direction!r}")
-    return ControlSchedule(kind, float(duration), tuple(params), implied)
+    """Schedule factory used by config files.  A pulse train drives
+    ``direction`` (a cut when omitted); every other kind drives its own
+    direction, and a different ``direction`` is an error."""
+    return ControlSchedule(kind, float(duration), tuple(params), direction or DIRECTIONS.get(kind) or "cut")
 
 
 @dataclass(frozen=True)

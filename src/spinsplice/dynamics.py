@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Blocks, DegeneracyError, Matrices, Spectrum, by_size, select_ground
+from .chain import Blocks, DegeneracyError, Matrices, Spectrum
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
 UNIT_ROUNDOFF = 2.0**-53
@@ -112,7 +112,7 @@ class SectorPropagator:
     def spectrum(self, g: float) -> Spectrum:
         """Spectrum of h0 + g v over every block, one ``eigvalsh`` per block
         dimension; eigenvectors on demand."""
-        return Spectrum(self.dim, self.blocks, by_size([h + g * v for h, v in zip(self.h0, self.v)]))
+        return Spectrum(self.blocks, [h + g * v for h, v in zip(self.h0, self.v)])
 
     def occupied(self, psi: np.ndarray) -> list[int]:
         """Indices of the blocks in which psi has a nonzero amplitude."""
@@ -303,11 +303,11 @@ class _Recorder:
         g = float(self._schedule.value(t))
         spectrum = self._prop.spectrum(g)
         reference = self._prev_ground if self._prev_ground is not None else psi
+        degenerate = spectrum.degenerate()
         try:
-            selection = select_ground(spectrum, reference)
-            ground, degenerate = selection.state, selection.degenerate
-        except DegeneracyError:
-            ground, degenerate = spectrum.states(1)[:, 0], True  # diagnostic only; the flag marks the sample
+            ground = spectrum.ground(reference)
+        except DegeneracyError:  # an orthogonal reference
+            ground = spectrum.states(1)[:, 0]  # diagnostic only; the flag marks the sample
         self._prev_ground = ground
         self._vector_blocks += spectrum.vector_blocks
         f_g = float(abs(ground.conj() @ psi))

@@ -22,13 +22,11 @@ from typing import Callable
 import numpy as np
 
 from .chain import (
-    DEFAULT_SELECTION_OFFSET,
     ChainSpec,
     DegeneracyError,
     Spectrum,
     _sector_hamiltonian,
     assemble_hamiltonian,
-    by_size,
     cut_components,
     resolve_ground,
 )
@@ -43,6 +41,9 @@ from .dynamics import (
 )
 
 DEFAULT_TIME_STEPS = 300
+# How far an endpoint's coupling is nudged toward the interior of [0, 1] for
+# the reference that resolves a degenerate ground state there.
+DEFAULT_SELECTION_OFFSET = 1e-6
 
 TARGETS = ("cut", "ground")
 
@@ -127,30 +128,34 @@ def prepare_process(spec: ChainSpec, direction: str = "cut") -> ChainProcess:
              if (i, j) not in spec.cut_bonds and i in order and j in order]
     blocks, h_a, _ = _sector_hamiltonian(len(a_sites), inner, frozenset(), spec.exchange, spec.field)
     try:
-        phi_0a = resolve_ground(Spectrum(1 << len(a_sites), blocks, by_size(h_a)), None).state
+        phi_0a = Spectrum(blocks, h_a).ground()
     except DegeneracyError as exc:
         raise DegeneracyError(
             f"the detached block {a_sites} has a degenerate ground state; "
             f"the cut fidelity target is not unique"
         ) from exc
 
+    def ground(g: float) -> tuple[np.ndarray, bool]:
+        """The ground state at coupling g, a tie resolved by nudging g toward
+        the interior of the drive interval, and whether there was a tie."""
+        spectrum = propagator.spectrum(g)
+        nudged = g + (DEFAULT_SELECTION_OFFSET if g < 0.5 else -DEFAULT_SELECTION_OFFSET)
+        return resolve_ground(spectrum, lambda: propagator.spectrum(nudged)).astype(complex), spectrum.degenerate()
+
     g_start = 1.0 if direction == "cut" else 0.0
-    g_end = 1.0 - g_start
-    # references nudge the coupling toward the interior of the drive interval
-    inward = -DEFAULT_SELECTION_OFFSET if direction == "cut" else DEFAULT_SELECTION_OFFSET
-    start = resolve_ground(propagator.spectrum(g_start), lambda: propagator.spectrum(g_start + inward))
-    final = resolve_ground(propagator.spectrum(g_end), lambda: propagator.spectrum(g_end - inward))
+    psi0, start_degenerate = ground(g_start)
+    final_ground, final_degenerate = ground(1.0 - g_start)
 
     return ChainProcess(
         chain=spec,
         direction=direction,
-        psi0=start.state.astype(complex),
-        start_degenerate=start.degenerate,
+        psi0=psi0,
+        start_degenerate=start_degenerate,
         a_sites=a_sites,
         b_sites=b_sites,
         phi_0a=phi_0a,
-        final_ground=final.state.astype(complex),
-        final_degenerate=final.degenerate,
+        final_ground=final_ground,
+        final_degenerate=final_degenerate,
         propagator=propagator,
     )
 
@@ -174,15 +179,12 @@ class ObjectiveSpec:
             raise ValueError("n_free_params must be >= 1")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        # reject kind/direction mismatches early
-        make_schedule(self.kind, self.duration, (0.0,) * self.n_free_params,
-                      self.direction if self.kind == "pulse" else None)
+        self.schedule_for((0.0,) * self.n_free_params)  # reject kind/direction mismatches early
 
     def schedule_for(self, params) -> ControlSchedule:
         if len(params) != self.n_free_params:
             raise ValueError(f"expected {self.n_free_params} parameters, got {len(params)}")
-        return make_schedule(self.kind, self.duration, tuple(float(p) for p in params),
-                             self.direction if self.kind == "pulse" else None)
+        return make_schedule(self.kind, self.duration, tuple(float(p) for p in params), self.direction)
 
 
 def build_objective(

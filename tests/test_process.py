@@ -3,15 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinsplice.chain import (
-    DEFAULT_SELECTION_OFFSET,
-    ChainSpec,
-    DegeneracyError,
-    ground_state,
-)
+from spinsplice.chain import ChainSpec, DegeneracyError, ground_state
 from spinsplice.control import linear_baseline, polynomial_cut, polynomial_stitch, pulse_train
 from spinsplice.optimize import LandscapeAxis, finite_difference_gradient, scan_landscape
-from spinsplice.process import ObjectiveSpec, build_objective, prepare_process
+from spinsplice.process import DEFAULT_SELECTION_OFFSET, ObjectiveSpec, build_objective, prepare_process
 
 from oracles import dense_hamiltonian
 

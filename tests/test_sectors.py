@@ -19,9 +19,9 @@ from spinsplice.chain import (
     DEGENERACY_RTOL,
     ChainSpec,
     assemble_hamiltonian,
+    DegeneracyError,
     ground_state,
     resolve_ground,
-    select_ground,
 )
 from spinsplice.control import (
     NoiseSpec,
@@ -276,7 +276,8 @@ class TestLazySpectrum:
         assert [(sector_of(prop.blocks[k]), prop.blocks[k].sign) for k in tied] == expected
         reference = np.random.default_rng(7).normal(size=prop.dim)
         del eigh_calls[:]
-        assert select_ground(spectrum, reference).degenerate
+        assert spectrum.degenerate()
+        spectrum.ground(reference)
         assert spectrum.vector_blocks == len(eigh_calls) == len(tied)
         matched = [k for m in eigh_calls for k in tied
                    if m.shape == prop.h0[k].shape and np.array_equal(m, prop.h0[k] + 1.0 * prop.v[k])]
@@ -360,15 +361,18 @@ class TestGroundSelection:
         tied = q[:, w <= w[0] + DEGENERACY_RTOL * (w[-1] - w[0])]
         downs = np.array([bin(s).count("1") for s in range(state.size)])
         assert sorted(set(downs[np.abs(tied).max(axis=1) > 1e-9])) == tied_sectors
+        dense = ground_state(h0 + v, h0 + (1.0 - OFFSET) * v)  # the plain sectors of the dense matrix
         prop = SectorPropagator(*assemble_hamiltonian(spec))
-        for selection in (
-            ground_state(h0 + v, h0 + (1.0 - OFFSET) * v),  # the plain sectors of the dense matrix
-            resolve_ground(prop.spectrum(1.0), lambda: prop.spectrum(1.0 - OFFSET)),  # the parity blocks
+        spectrum = prop.spectrum(1.0)  # the parity blocks
+        blocks = resolve_ground(spectrum, lambda: prop.spectrum(1.0 - OFFSET))
+        for found, tie, lowest, found_gap in (
+            (dense.state, dense.degenerate, dense.energy, dense.gap),
+            (blocks, spectrum.degenerate(), spectrum.energies[0], spectrum.gap),
         ):
-            assert selection.degenerate
-            assert abs(selection.energy - energy) <= GATE
-            assert abs(selection.gap - gap) <= GAP_GATE
-            assert abs(abs(selection.state.conj() @ state) - 1.0) <= GATE
+            assert tie
+            assert abs(lowest - energy) <= GATE
+            assert abs(found_gap - gap) <= GAP_GATE
+            assert abs(abs(found.conj() @ state) - 1.0) <= GATE
 
     def test_tie_across_sectors_matches_dense(self):
         self.assert_matches_dense(ChainSpec(7, "ring", 1.0, cross_sector_field()), [4, 5])
@@ -377,3 +381,25 @@ class TestGroundSelection:
         # at field 2.0 the tie lies inside the k = 4 sector, between its
         # even and odd blocks
         self.assert_matches_dense(ring7.chain, [4])
+
+    def test_orthogonal_reference_is_an_error(self):
+        # ring7 at field 2.0 and g = 1 has a twofold tie in the k = 4 sector;
+        # the all-up state lies in k = 0 and cannot pick a state in it
+        prop = SectorPropagator(*assemble_hamiltonian(ChainSpec(7, "ring", 1.0, 2.0)))
+        spectrum = prop.spectrum(1.0)
+        assert spectrum.degenerate()
+        e_0 = np.zeros(prop.dim)
+        e_0[0] = 1.0
+        with pytest.raises(DegeneracyError, match="orthogonal"):
+            spectrum.ground(e_0)
+
+    def test_recorder_flags_an_orthogonal_reference(self):
+        # the first sample's reference is the state itself; orthogonal to the
+        # tied ground subspace, it falls back to the lowest state and is flagged
+        prop = SectorPropagator(*assemble_hamiltonian(ChainSpec(7, "ring", 1.0, 2.0)))
+        e_0 = np.zeros(prop.dim, dtype=complex)
+        e_0[0] = 1.0
+        probe = TrajectoryProbe(n_spins=7, subsystem_sites=(1,), phi_0a=np.array([0.0, 1.0]), stride=10)
+        _, record = propagate(prop, polynomial_cut(0.6), e_0, 20, probe=probe)
+        assert record.degenerate_flags[0]
+        assert record.f_g[0] == 0.0
