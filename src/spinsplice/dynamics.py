@@ -8,19 +8,25 @@ with the chain's reflection that keeps the cut bonds, so only the blocks the
 state occupies, parity halves of its total-S^z sectors, are evolved, and the
 state never leaves them.
 
-Every step acts on a batch: B schedules that share one integration grid
-evolve together as one (d x B) array of block amplitudes, one column per
-schedule.  ``propagate`` evolves one schedule as the batch B = 1, and a list
-of schedules grouped by integration grid.  A smooth step applies a
-truncated Taylor series of exp(-i (h0 + g v) dt).  Its order m and substep
-count s are fixed in advance from the bound (||h0||_1 + max_b |g_b| ||v||_1) dt,
-as the pair with the least m * s whose truncation tail is at most 2^-53 per
-substep (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), and each
-term is one real matrix product: [h0 v], side by side, times the float64
-views of the scaled amplitudes and of g times them, stacked.  The result is the exact factor to round-off, and no smooth step
-diagonalizes.  Pulse steps, and any step whose plan needs more than
-``MAX_TAYLOR_TERMS`` terms, take the exact factor from an eigendecomposition
-of each column's generator, stacked over the batch.
+Every step acts on a batch: B schedules of one kind (smooth or pulse
+train) with the same number of steps evolve together as one (d x B) array
+of block amplitudes, one column per schedule, each column on its own
+integration grid, so schedules of different durations share a batch.
+``propagate`` evolves one schedule as the batch B = 1, and a list of
+schedules grouped by kind and step count.  A smooth step applies a
+truncated Taylor series of exp(-i (h0 + g_b v) dt_b) to column b.  Its order
+m and substep count s are fixed in advance, for all columns, from the
+largest bound (||h0||_1 + |g_b| ||v||_1) dt_b over the batch, as the pair
+with the least m * s whose truncation tail is at most 2^-53 per substep
+(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)); on one shared grid
+that is the plan of the largest |g_b|.  Each term is one real matrix
+product: [h0 v], side by side, times the float64 views of the scaled
+amplitudes and of g times them, stacked, with each column's own weights
+-i dt_b / s and -i g_b dt_b / s.  The result is the exact factor to
+round-off, and no smooth step diagonalizes.  Pulse steps, and any step
+whose plan needs more than ``MAX_TAYLOR_TERMS`` terms, take the exact
+factor from an eigendecomposition of each column's generator, stacked over
+the batch, with each column's own dt.
 
 A recorded run samples the state every ``stride`` steps.  Each sample takes
 the energies of every block at the current coupling (one ``eigvalsh`` per
@@ -134,9 +140,9 @@ class SectorPropagator:
 
 
 def _taylor_factor(hv, amp, weight, order, substeps):
-    """exp(-i (h0 + g_b v) dt) on each column b of ``amp``, as ``substeps``
+    """exp(-i (h0 + g_b v) dt_b) on each column b of ``amp``, as ``substeps``
     Taylor polynomials of the given order.  ``hv`` is [h0 v] side by side,
-    and ``weight`` holds the rows -i dt / s and -i g_b dt / s."""
+    and ``weight`` holds the rows -i dt_b / s and -i g_b dt_b / s."""
     d, width = amp.shape
     coefs = weight[:, None, :] * _INVERSE_ORDERS[:order]
     scaled = np.empty((2, d, width), dtype=complex)
@@ -157,7 +163,7 @@ def _taylor_factor(hv, amp, weight, order, substeps):
 
 
 def _exact_factor(h0, v, amp, g, dt):
-    """exp(-i (h0 + g_b v) dt) on each column b of ``amp`` from the
+    """exp(-i (h0 + g_b v) dt_b) on each column b of ``amp`` from the
     eigenpairs of its generator, diagonalized in stacks of at most
     MAX_BATCH_BYTES."""
     d, width = amp.shape
@@ -168,7 +174,7 @@ def _exact_factor(h0, v, amp, g, dt):
         w, q = np.linalg.eigh(h0 + g[lo:lo + chunk, None, None] * v)
         # real eigenvectors: the products act on (re, im) as two real columns
         x = np.matmul(q.transpose(0, 2, 1), cols[lo:lo + chunk].view(float).reshape(-1, d, 2))
-        x = x.view(complex)[..., 0] * np.exp(-1j * w * dt)
+        x = x.view(complex)[..., 0] * np.exp(-1j * w * dt[lo:lo + chunk, None])
         out[lo:lo + chunk] = np.matmul(q, x.view(float).reshape(-1, d, 2)).view(complex)[..., 0]
     return out.T
 
@@ -350,45 +356,47 @@ def propagate(
 
     Returns the final state and, when a probe is given, the sampled record.
     ``schedule`` may also be a list of schedules, which evolve in batches:
-    schedules of one kind on one integration grid evolve together as one
-    (d x B) array, split so that neither the amplitudes nor the (steps x B)
-    couplings of a batch exceed MAX_BATCH_BYTES.  The result is then a
-    (dim, B) array, one column per schedule in list order, and does not
-    depend on the batching; a probe records one schedule only.  ``n_steps``
-    sets the uniform grid for smooth schedules and is ignored for pulse
-    trains, which are propagated one exact factor per pulse.  Only the blocks
-    in which psi0 has amplitude are evolved; the state is assembled in the
-    full space only for samples and the result.
+    schedules of one kind with the same number of integration steps evolve
+    together as one (d x B) array, each on its own grid, split so that
+    neither the amplitudes nor the (steps x B) couplings of a batch exceed
+    MAX_BATCH_BYTES.  The result is then a (dim, B) array, one column per
+    schedule in list order, and does not depend on the batching; a probe
+    records one schedule only.  ``n_steps`` sets the uniform grid for smooth
+    schedules and is ignored for pulse trains, which are propagated one
+    exact factor per pulse.  Only the blocks in which psi0 has amplitude are
+    evolved; the state is assembled in the full space only for samples and
+    the result.
     """
     if not isinstance(schedule, (list, tuple)):
-        psi, record = _evolve(propagator, [schedule], integration_grid(schedule, n_steps), psi0, probe)
+        grids = integration_grid(schedule, n_steps)[:, None]
+        psi, record = _evolve(propagator, [schedule], grids, psi0, probe)
         return psi[:, 0], record
     if probe is not None:
         raise ValueError("a recorded run propagates one schedule")
-    groups: dict[tuple, tuple[np.ndarray, list[int]]] = {}
-    for i, one in enumerate(schedule):
-        grid = integration_grid(one, n_steps)
-        groups.setdefault((one.piecewise_constant, grid.tobytes()), (grid, []))[1].append(i)
+    grids = [integration_grid(one, n_steps) for one in schedule]
+    groups: dict[tuple, list[int]] = {}
+    for i, (one, grid) in enumerate(zip(schedule, grids)):
+        groups.setdefault((one.piecewise_constant, grid.size), []).append(i)
     psi0 = np.asarray(psi0, dtype=complex)
     d = sum(propagator.blocks[k].size for k in propagator.occupied(psi0))
     states = np.empty((propagator.dim, len(schedule)), dtype=complex)
-    for grid, members in groups.values():
-        width = max(1, MAX_BATCH_BYTES // (16 * max(d, grid.size - 1)))
+    for (_, size), members in groups.items():
+        width = max(1, MAX_BATCH_BYTES // (16 * max(d, size - 1)))
         for lo in range(0, len(members), width):
             chunk = members[lo:lo + width]
-            states[:, chunk], _ = _evolve(propagator, [schedule[i] for i in chunk], grid, psi0)
+            states[:, chunk], _ = _evolve(propagator, [schedule[i] for i in chunk],
+                                          np.stack([grids[i] for i in chunk], axis=1), psi0)
     return states, None
 
 
-def _evolve(propagator, schedules, grid, psi0, probe=None):
-    """The (dim, B) final states of schedules of one kind that share the
-    integration grid ``grid``, evolved together, and the record of the first
-    when a probe is given."""
+def _evolve(propagator, schedules, grids, psi0, probe=None):
+    """The (dim, B) final states of schedules of one kind with the same step
+    count, column b evolved on the integration grid ``grids[:, b]``, and the
+    record of the first when a probe is given."""
     pulses = schedules[0].piecewise_constant
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    dts = np.diff(grid)
-    g_values = np.stack([s.values(mids) for s in schedules], axis=1)
-    g_bound = np.abs(g_values).max(axis=1)
+    dts = np.diff(grids, axis=0)
+    g_values = np.stack([s.values(0.5 * (grid[:-1] + grid[1:])) for s, grid in zip(schedules, grids.T)],
+                        axis=1)
     g_rows = np.stack([np.ones_like(g_values), g_values], axis=1)  # (steps, 2, B): 1 and g_b
     psi = np.asarray(psi0, dtype=complex)
     occupied = propagator.occupied(psi)
@@ -399,18 +407,18 @@ def _evolve(propagator, schedules, grid, psi0, probe=None):
     max_norm_dt, matvecs = 0.0, 0
     for k in occupied:
         n0, nv = propagator.norms(k)
-        norm_dt = (n0 + g_bound * nv) * dts
+        norm_dt = ((n0 + np.abs(g_values) * nv) * dts).max(axis=1)
         orders, substeps = taylor_plan(norm_dt)
-        exact = np.full(dts.size, pulses) | (orders * substeps > MAX_TAYLOR_TERMS)
-        plans.append((orders, substeps, exact, (-1j * dts / substeps)[:, None, None] * g_rows))
+        exact = np.full(norm_dt.size, pulses) | (orders * substeps > MAX_TAYLOR_TERMS)
+        plans.append((orders, substeps, exact, (-1j * dts / substeps[:, None])[:, None, :] * g_rows))
         max_norm_dt = max(max_norm_dt, float(norm_dt.max()))
         matvecs += int((orders * substeps)[~exact].sum())
 
     recorder = _Recorder(probe, propagator, schedules[0]) if probe is not None else None
     if recorder is not None:
         recorder.sample(0.0, psi)
-    last = dts.size - 1
-    for j in range(dts.size):
+    last = dts.shape[0] - 1
+    for j in range(dts.shape[0]):
         for i, (k, (orders, substeps, exact, weights)) in enumerate(zip(occupied, plans)):
             h0, v = propagator.h0[k], propagator.v[k]
             if exact[j]:
@@ -418,6 +426,6 @@ def _evolve(propagator, schedules, grid, psi0, probe=None):
             else:
                 amps[i] = _taylor_factor(hvs[i], amps[i], weights[j], orders[j], substeps[j])
         if recorder is not None and ((j + 1) % probe.stride == 0 or j == last):
-            recorder.sample(float(grid[j + 1]), propagator.embed(occupied, [a[:, 0] for a in amps]))
+            recorder.sample(float(grids[j + 1, 0]), propagator.embed(occupied, [a[:, 0] for a in amps]))
     states = propagator.embed(occupied, amps)
     return states, (recorder.build(max_norm_dt, matvecs) if recorder is not None else None)

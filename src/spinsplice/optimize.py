@@ -3,15 +3,25 @@
 The maximizer runs BFGS on the negated objective with central finite
 differences (default step 0.1 in parameter space), an Armijo backtracking line
 search that halves the step, and a curvature safeguard on the inverse-Hessian
-update.  It is fully deterministic: identical inputs yield identical traces.  The
-module does no file I/O: ``runner`` writes reports and grids.
+update (Nocedal & Wright, *Numerical Optimization*, 2nd ed., ch. 3 and 6).  It
+is fully deterministic: identical inputs yield identical traces.  The module
+does no file I/O: ``runner`` writes reports and grids.
 
-Objectives take parameters along the first axis: a point ``(n,)`` gives one
-value, and a batch ``(n, B)`` gives an array of ``B`` values, one per column;
-any other result shape raises ``ValueError``.  A gradient evaluates its 2n points
-and a landscape its whole grid in one call, so a batching objective (see
-``process.build_objective``) propagates them together; BFGS line searches
-and multi-start runs evaluate one point at a time.
+Objectives take parameters along the first axis: a batch ``(n, B)`` gives an
+array of ``B`` values, one per column, and any other result shape raises
+``ValueError``.  Every evaluation is a batch.  A landscape sends its whole grid
+in one call and a gradient its 2n points, so a batching objective (see
+``process.build_objective``) propagates them together.
+
+BFGS is written as a step machine (``bfgs_steps``): a generator that yields
+the points it needs and is sent their values.  Each request is one point
+followed by its 2n central-difference points, so the start and every
+line-search trial arrive with their gradient.  ``lockstep`` drives several
+machines at once and merges the requests of all live machines into one
+objective call per round: ``bfgs_maximize`` drives one machine,
+``multi_start_maximize`` one per start, and a sweep (``runner.run_sweep``)
+one per duration and start.  A machine's results do not depend on the
+machines it runs beside.
 """
 
 from __future__ import annotations
@@ -41,6 +51,17 @@ def _batch_values(objective, points: np.ndarray) -> np.ndarray:
     return values
 
 
+def _stencil(x: np.ndarray, step: float) -> np.ndarray:
+    """The 2n central-difference points around x as columns, +step before
+    -step for each coordinate."""
+    return x[:, None] + np.kron(np.eye(x.size), [step, -step])
+
+
+def _central(values: np.ndarray, step: float) -> np.ndarray:
+    """The gradient from the values at ``_stencil``'s points."""
+    return (values[0::2] - values[1::2]) / (2.0 * step)
+
+
 def finite_difference_gradient(objective, x: np.ndarray,
                                step: float = DEFAULT_GRADIENT_STEP) -> np.ndarray:
     """Central-difference gradient; exact on quadratics.  The 2*dim points go
@@ -48,12 +69,15 @@ def finite_difference_gradient(objective, x: np.ndarray,
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     x = np.asarray(x, dtype=float)
-    values = _batch_values(objective, x[:, None] + np.kron(np.eye(x.size), [step, -step]))
-    return (values[0::2] - values[1::2]) / (2.0 * step)
+    return _central(_batch_values(objective, _stencil(x, step)), step)
 
 
 @dataclass
 class OptimizationReport:
+    """One BFGS run.  ``evaluations`` counts the points it sent to the
+    objective, ``rounds`` the objective calls it took part in (one per
+    request), and ``halvings`` the line-search step halvings."""
+
     initial_params: tuple[float, ...]
     final_params: tuple[float, ...]
     initial_value: float
@@ -63,6 +87,8 @@ class OptimizationReport:
     line_search_failures: int
     status: str
     evaluations: int
+    rounds: int
+    halvings: int
     trace: list[tuple[tuple[float, ...], float]] = field(default_factory=list)
     inverse_hessian: np.ndarray | None = None  # diagnostic; not serialized
 
@@ -77,48 +103,50 @@ class OptimizationReport:
             "line_search_failures": self.line_search_failures,
             "status": self.status,
             "evaluations": self.evaluations,
+            "rounds": self.rounds,
+            "halvings": self.halvings,
             "trace": [{"params": list(p), "value": v} for p, v in self.trace],
         }
 
 
-def bfgs_maximize(
-    objective,
+def bfgs_steps(
     x0,
     grad_step: float = DEFAULT_GRADIENT_STEP,
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> OptimizationReport:
-    """Maximize the objective from x0; accepted iterates never decrease it.
+):
+    """BFGS from x0 as a step machine: a generator that yields (n, 2n + 1)
+    point batches, is sent their 2n + 1 values, and returns the
+    ``OptimizationReport``.  Each batch is one point, the start or a
+    line-search trial, followed by its ``_stencil`` points.
 
-    The objective is called with one point of shape (n,), where it returns
-    a float, and with the 2n gradient points as one (n, 2n) array, where it
-    returns their 2n values in column order (see the module docstring).
-    Terminates when the gradient infinity norm drops below the tolerance, the
-    iteration budget runs out, or a line search fails 30 straight halvings
-    (status "stalled", returning the best accepted point so far).
+    Accepted iterates never decrease the objective.  The run terminates when
+    the gradient infinity norm drops below the tolerance, the iteration
+    budget runs out, or a line search fails 30 straight halvings (status
+    "stalled", returning the best accepted point so far).
     """
+    if grad_step <= 0:
+        raise ValueError(f"step must be positive, got {grad_step}")
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
-    evals = 0
+    evals = rounds = halvings = 0
 
-    def value(point: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
-        return float(objective(point))
-
-    def gradient(point: np.ndarray) -> np.ndarray:
-        nonlocal evals
-        evals += 2 * point.size
-        return finite_difference_gradient(objective, point, grad_step)
+    def probe(point: np.ndarray):
+        """The value at point and the gradient of the minimized -objective."""
+        nonlocal evals, rounds
+        batch = np.concatenate([point[:, None], _stencil(point, grad_step)], axis=1)
+        values = yield batch
+        evals += batch.shape[1]
+        rounds += 1
+        return float(values[0]), -_central(values[1:], grad_step)
 
     def as_point(arr: np.ndarray) -> tuple[float, ...]:
         return tuple(float(v) for v in arr)
 
-    f_x = value(x)
+    f_x, g = yield from probe(x)
     initial_value = f_x
     trace = [(as_point(x), f_x)]
-    g = -gradient(x)  # gradient of the minimized -objective
     g_inf = float(np.abs(g).max())
 
     dim = x.size
@@ -141,16 +169,16 @@ def bfgs_maximize(
         accepted = False
         for _ in range(MAX_HALVINGS):
             x_new = x + alpha * p
-            f_new = value(x_new)
+            f_new, g_new = yield from probe(x_new)
             if -f_new <= -f_x + ARMIJO_C1 * alpha * slope:
                 accepted = True
                 break
             alpha *= 0.5
+            halvings += 1
         if not accepted:
             failures += 1
             status = "stalled"
             break
-        g_new = -gradient(x_new)
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)
@@ -175,16 +203,74 @@ def bfgs_maximize(
         line_search_failures=failures,
         status=status,
         evaluations=evals,
+        rounds=rounds,
+        halvings=halvings,
         trace=trace,
         inverse_hessian=h_inv,
     )
 
 
+def lockstep(evaluate, machines) -> tuple[list[OptimizationReport], int]:
+    """Drive step machines together until every one has returned.
+
+    Each round makes one ``evaluate`` call with the ``(k, points)`` requests
+    of the live machines, k being a machine's position in ``machines``;
+    it must return one flat array of their values, the requests' columns in
+    order.  Returns the reports in machine order and the number of rounds.
+    """
+    machines = list(machines)
+    reports: list[OptimizationReport | None] = [None] * len(machines)
+    requests = {k: next(machine) for k, machine in enumerate(machines)}
+    rounds = 0
+    while requests:
+        live = list(requests.items())
+        values = evaluate(live)
+        rounds += 1
+        requests = {}
+        edges = np.cumsum([points.shape[1] for _, points in live])[:-1]
+        for (k, _), chunk in zip(live, np.split(values, edges)):
+            try:
+                requests[k] = machines[k].send(chunk)
+            except StopIteration as done:
+                reports[k] = done.value
+    return reports, rounds
+
+
+def _shared(objective):
+    """``lockstep``'s evaluate for machines on one objective: every request
+    of a round in one (n, B) call."""
+    return lambda requests: _batch_values(objective, np.hstack([points for _, points in requests]))
+
+
+def best_of(reports: list[OptimizationReport]) -> OptimizationReport:
+    """The report with the highest final value; ties go to the earliest."""
+    return max(reports, key=lambda r: r.final_value)
+
+
+def bfgs_maximize(
+    objective,
+    x0,
+    grad_step: float = DEFAULT_GRADIENT_STEP,
+    tolerance: float = DEFAULT_TOLERANCE,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+) -> OptimizationReport:
+    """Maximize the objective from x0 with one ``bfgs_steps`` machine.
+
+    The objective is always called with a batch: the start, and then each
+    line-search trial, as one (n, 2n + 1) array of the point followed by its
+    2n gradient points, and must return their 2n + 1 values in column order
+    (see the module docstring).  So every call brings a value and its
+    gradient, and a run makes one call per trial.
+    """
+    (report,), _ = lockstep(_shared(objective), [bfgs_steps(x0, grad_step, tolerance, max_iterations)])
+    return report
+
+
 def multi_start_maximize(objective, starts, **options) -> tuple[OptimizationReport, list[OptimizationReport]]:
-    """Run the maximizer from several starts; ties break on the earliest start."""
-    reports = [bfgs_maximize(objective, s, **options) for s in starts]
-    best = max(reports, key=lambda r: r.final_value)
-    return best, reports
+    """Run the maximizer from several starts in lockstep, one objective call
+    per round for all of them; ties break on the earliest start."""
+    reports, _ = lockstep(_shared(objective), [bfgs_steps(s, **options) for s in starts])
+    return best_of(reports), reports
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ Each target is a list of run configs, every one executed by
 ``runner.execute`` into its own subdirectory of ``<out>/<target>/``, so
 every manifest a target writes replays like any other run.  A target adds
 a small gnuplot script, and fig9 the pulse-shape CSVs computed from its
-sweeps' rows.  They are batch jobs; the heavier ones (fig3 in particular)
-optimize dozens of schedules and take minutes.
+sweeps' rows.  They are batch jobs; the heavier ones (fig3 and fig6)
+optimize dozens of schedules, each sweep's runs in lockstep.
 """
 
 from __future__ import annotations

@@ -35,13 +35,16 @@ import numpy as np
 
 from ._version import __version__
 from .chain import DEFAULT_SPIN_CAP, ChainSpec, cut_components
-from .control import KINDS, ControlSchedule, NoiseSpec, apply_noise, make_schedule
+from .control import KINDS, ControlSchedule, NoiseSpec, apply_noise, linear_baseline, make_schedule
 from .optimize import (
     DEFAULT_GRADIENT_STEP,
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
     LandscapeAxis,
+    best_of,
     bfgs_maximize,
+    bfgs_steps,
+    lockstep,
     multi_start_maximize,
     scan_landscape,
 )
@@ -416,22 +419,29 @@ def objective_spec(config: RunConfig, duration: float | None = None) -> Objectiv
     )
 
 
-def _optimize_from(config: RunConfig, objective):
-    """Shared BFGS invocation honouring optimizer options, incl. multi-start.
-
-    A single run starts at the schedule's params; multi-start replaces them
-    with its grid of starts.
-    """
-    kwargs = dict(config.optimizer)
-    ms = kwargs.pop("multi_start", None)
+def _starts(config: RunConfig) -> list[np.ndarray]:
+    """Where BFGS starts: the schedule's params, or the multi-start grid that
+    replaces them."""
+    ms = config.optimizer.get("multi_start")
     params = config.schedule.params
-    if ms:
-        n_free = len(params)
-        axes = [np.linspace(ms["lower"], ms["upper"], ms["per_axis"])] * n_free
-        starts = [np.asarray(p) for p in np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, n_free)]
-        best, _ = multi_start_maximize(objective, starts, **kwargs)
+    if not ms:
+        return [np.asarray(params, dtype=float)]
+    n_free = len(params)
+    axes = [np.linspace(ms["lower"], ms["upper"], ms["per_axis"])] * n_free
+    return [np.asarray(p) for p in np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, n_free)]
+
+
+def _bfgs_options(config: RunConfig) -> dict:
+    return {k: v for k, v in config.optimizer.items() if k != "multi_start"}
+
+
+def _optimize_from(config: RunConfig, objective):
+    """Shared BFGS invocation honouring optimizer options, incl. multi-start."""
+    options = _bfgs_options(config)
+    if config.optimizer.get("multi_start"):
+        best, _ = multi_start_maximize(objective, _starts(config), **options)
         return best
-    return bfgs_maximize(objective, np.asarray(params, dtype=float), **kwargs)
+    return bfgs_maximize(objective, _starts(config)[0], **options)
 
 
 # ---------------------------------------------------------------------------
@@ -475,23 +485,36 @@ def run_optimize(config: RunConfig) -> dict:
 
 
 def run_sweep(config: RunConfig) -> dict:
+    """Baseline and optimized fidelity at each duration.  The baselines are one
+    ``fidelities`` call; the optimizations run one BFGS machine per duration
+    and start, all in lockstep, so each round is one ``fidelities`` call."""
     n_free = len(config.schedule.params)
     process = prepare_process(config.chain, config.process)
-    rows = []
-    for duration in config.sweep["times"]:
-        baseline = process.baseline_fidelity(duration, config.n_steps, config.target)
-        if config.sweep["optimize"]:
-            objective, _ = build_objective(objective_spec(config, duration), process)
-            report = _optimize_from(config, objective)
-            rows.append((duration, baseline, report.final_value, report.final_params, report.status))
-        else:
-            rows.append((duration, baseline, baseline, (0.0,) * n_free, "baseline"))
+    times = config.sweep["times"]
+    baselines = process.fidelities([linear_baseline(d, config.process) for d in times],
+                                   config.n_steps, config.target)
+    if config.sweep["optimize"]:
+        starts = _starts(config)
+        specs = [objective_spec(config, duration) for duration in times]
+
+        def evaluate(requests):
+            schedules = [specs[k // len(starts)].schedule_for(col) for k, points in requests for col in points.T]
+            return process.fidelities(schedules, config.n_steps, config.target)
+
+        options = _bfgs_options(config)
+        reports, rounds = lockstep(evaluate, [bfgs_steps(x0, **options) for _ in times for x0 in starts])
+        best = [best_of(reports[i:i + len(starts)]) for i in range(0, len(reports), len(starts))]
+        rows = [(d, float(fb), r.final_value, r.final_params, r.status) for d, fb, r in zip(times, baselines, best)]
+    else:
+        reports, rounds = [], 0
+        rows = [(d, float(fb), float(fb), (0.0,) * n_free, "baseline") for d, fb in zip(times, baselines)]
     header = ["T", "f_baseline", "f_opt"] + [f"param_{k + 1}" for k in range(n_free)] + ["status"]
     path = write_csv(config.out_dir / "sweep.csv", header,
                      ((d, fb, fo, *params, status) for d, fb, fo, params, status in rows))
     for duration, fb, fo, _, status in rows:
         print(f"T = {duration:g}: baseline {fb:.3f} optimized {fo:.3f} [{status}]")
-    return {"rows": rows, "files": [path]}
+    health = {"rounds": rounds, "evaluations": sum(r.evaluations for r in reports)}
+    return {"rows": rows, "files": [path], "health": health}
 
 
 def run_landscape(config: RunConfig) -> dict:

@@ -14,8 +14,8 @@ cannot reach.  ``recorded_observables`` computes a recorded run's columns the
 long way on those plain sectors: both reduced density matrices with an
 entropy each, and an eager spectrum with eigenvectors of every sector at each
 sample.  The helpers at the end (a schedule's slope, a landscape's cell size,
-sector blocks cut from hand-built dense matrices, a schedule's steps as
-one-step schedules) serve only the tests.
+an objective that records its calls, sector blocks cut from hand-built dense
+matrices, a schedule's steps as one-step schedules) serve only the tests.
 """
 
 from dataclasses import dataclass
@@ -230,6 +230,18 @@ def schedule_derivative(schedule, t):
 def cell_size(grid):
     """Spacing of a LandscapeGrid along each of its two axes."""
     return tuple((ax.upper - ax.lower) / (ax.resolution - 1) for ax in grid.axes)
+
+
+class CountingObjective:
+    """Records the shape of every call; values depend on the parameters."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def __call__(self, params):
+        params = np.asarray(params)
+        self.shapes.append(params.shape)
+        return np.sin(params[0]) + 0.5 * params[-1] ** 2
 
 
 def sector_step(reference, psi, g, dt):

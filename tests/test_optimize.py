@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spinsplice.chain import ChainSpec
 from spinsplice.optimize import (
     LandscapeAxis,
     bfgs_maximize,
@@ -8,13 +9,57 @@ from spinsplice.optimize import (
     multi_start_maximize,
     scan_landscape,
 )
+from spinsplice.process import ObjectiveSpec, build_objective, prepare_process
 from spinsplice.runner import execute, parse_config
 
-from oracles import cell_size
+from oracles import CountingObjective, cell_size
 
 
 def negated_quadratic(x):
     return -((x[0] - 1.0) ** 2 + (x[1] + 2.0) ** 2)
+
+
+def cusp(x):
+    return -(x[0] + 10.1 * abs(x[0]))
+
+
+def double_well(x):
+    return -((x[0] ** 2 - 1.0) ** 2) + 0.1 * x[0]
+
+
+# Results of the one-point-per-call BFGS that the step machine replaced: the
+# same arithmetic on the same values must give them bit for bit.
+# (objective, x0, options) -> (status, iterations, trace, inverse Hessian)
+PINNED = {
+    "quadratic": (
+        negated_quadratic, (0.0, 0.0), {},
+        ("converged", 2,
+         [((0.0, 0.0), -5.0), ((0.4999999999999989, -1.0), -1.250000000000001),
+          ((0.9999999999999991, -2.0), -7.888609052210118e-31)],
+         [[0.30000000000000004, -0.10000000000000009], [-0.10000000000000009, 0.4499999999999995]]),
+    ),
+    "cusp": (cusp, (0.0,), {}, ("stalled", 0, [((0.0,), -0.0)], [[0.9999999999999998]])),
+    "linear": (
+        lambda x: x[0], (0.0,), {"max_iterations": 3},
+        ("max_iterations", 3,
+         [((0.0,), 0.0), ((1.0,), 1.0), ((2.0,), 2.0), ((3.000000000000001,), 3.000000000000001)],
+         [[1.0]]),
+    ),
+    "double_well_left": (
+        double_well, (-2.0,), {},
+        ("stalled", 3,
+         [((-2.0,), -9.2), ((-1.0,), -0.1), ((-0.9941763727121464,), -0.09955250693579801),
+          ((-0.9824346836590044,), -0.0994560464811028)],
+         [[0.12884752111448594]]),
+    ),
+    "double_well_right": (
+        double_well, (2.0,), {},
+        ("stalled", 3,
+         [((2.0,), -8.8), ((1.0,), 0.1), ((1.002495840266223,), 0.10022460492474236),
+          ((1.0074349672705907,), 0.10052073473562062)],
+         [[0.12255668017786332]]),
+    ),
+}
 
 
 class TestFiniteDifferenceGradient:
@@ -69,12 +114,24 @@ class TestBfgsMaximize:
     def test_stall_returns_best_so_far(self):
         # the finite-difference slope points along a direction in which the
         # objective strictly decreases, so every halving fails
-        cusp = lambda x: -(x[0] + 10.1 * abs(x[0]))
         report = bfgs_maximize(cusp, np.array([0.0]))
         assert report.status == "stalled"
         assert report.line_search_failures == 1
         assert report.final_params == (0.0,)
         assert report.final_value == report.initial_value
+        # the start and 30 trials, each a point with its 2 gradient points
+        assert (report.rounds, report.halvings, report.evaluations) == (31, 30, 93)
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_results(self, name):
+        objective, x0, options, (status, iterations, trace, h_inv) = PINNED[name]
+        report = bfgs_maximize(objective, np.array(x0), **options)
+        assert report.status == status
+        assert report.iterations == iterations
+        assert report.trace == trace
+        assert report.final_params == trace[-1][0]
+        assert report.final_value == trace[-1][1]
+        assert report.inverse_hessian.tolist() == h_inv
 
     def test_iteration_budget(self):
         report = bfgs_maximize(lambda x: x[0], np.zeros(1), max_iterations=3)
@@ -91,13 +148,42 @@ class TestBfgsMaximize:
         data = report.to_dict()
         assert data["status"] == "converged"
         assert len(data["trace"]) == report.iterations + 1
+        # one round for the start, one per accepted trial, one per halving
+        assert data["rounds"] == 1 + report.iterations + data["halvings"]
+        assert data["evaluations"] == 5 * data["rounds"]
 
     def test_multi_start_picks_best(self):
-        double_well = lambda x: -((x[0] ** 2 - 1.0) ** 2) + 0.1 * x[0]
         best, reports = multi_start_maximize(double_well, [np.array([-2.0]), np.array([2.0])])
         assert len(reports) == 2
         assert best.final_value == max(r.final_value for r in reports)
         assert best.final_params[0] == pytest.approx(1.0, abs=0.1)
+
+
+class TestLockstep:
+    def test_one_call_per_round(self):
+        # a start with p3 = 0 converges in p1 alone; the others climb in p3
+        # until the budget, so machines leave at different rounds
+        objective = CountingObjective()
+        starts = [np.array([0.3, -0.2, 0.7]), np.array([1.0, 0.5, 0.0]), np.array([-0.4, 0.1, -1.5])]
+        _, reports = multi_start_maximize(objective, starts, max_iterations=6)
+        assert len({r.rounds for r in reports}) > 1
+        live = [sum(r.rounds > k for r in reports) for k in range(max(r.rounds for r in reports))]
+        assert objective.shapes == [(3, 7 * n) for n in live]
+        assert sum(r.evaluations for r in reports) == sum(shape[1] for shape in objective.shapes)
+
+    def test_multi_start_equals_separate_runs(self):
+        ring6 = prepare_process(ChainSpec(6, "ring", 1.0, 2.0), "cut")
+        spec = ObjectiveSpec(chain=ring6.chain, kind="polynomial_cut", duration=0.6,
+                             n_free_params=2, n_steps=120)
+        objective, _ = build_objective(spec, ring6)
+        starts = [np.zeros(2), np.array([1.0, -1.0]), np.array([54.0, -36.0])]
+        _, together = multi_start_maximize(objective, starts)
+        assert len({r.iterations for r in together}) > 1
+        for start, report in zip(starts, together):
+            alone = bfgs_maximize(objective, start)
+            assert (report.iterations, report.status) == (alone.iterations, alone.status)
+            assert abs(report.final_value - alone.final_value) <= 1e-12
+            assert np.abs(np.subtract(report.final_params, alone.final_params)).max() <= 1e-6
 
 
 class TestLandscape:

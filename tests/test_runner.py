@@ -16,7 +16,8 @@ import spinsplice.runner as runner
 from spinsplice.cli import main
 from spinsplice.control import polynomial_cut
 from spinsplice.dynamics import MAX_TAYLOR_TERMS, integration_grid
-from spinsplice.process import prepare_process
+from spinsplice.optimize import multi_start_maximize
+from spinsplice.process import build_objective, prepare_process
 from spinsplice.reproduce import PIPELINES, reproduce
 from spinsplice.runner import MODES, ConfigError, execute, load_config, parse_config
 
@@ -333,6 +334,27 @@ class TestRunners:
             assert f_opt == process.fidelity(polynomial_cut(duration, (5.0, -3.0)), config.n_steps)
             assert params == (5.0, -3.0)
             assert line.split(",")[3:5] == [f"{5.0:.15e}", f"{-3.0:.15e}"]
+
+    def test_sweep_runs_every_duration_and_start_in_lockstep(self, tmp_path):
+        data = evolve_config(tmp_path, mode="sweep")
+        data["sweep"] = {"times": [0.3, 0.5]}
+        data["optimizer"] = {"max_iterations": 3, "multi_start": {"per_axis": 2}}
+        config = parse_config(data)
+        result = execute(config)
+        process = prepare_process(config.chain, "cut")
+        separate = []
+        for duration, _, f_opt, params, status in result["rows"]:
+            objective, _ = build_objective(runner.objective_spec(config, duration), process)
+            best, reports = multi_start_maximize(objective, runner._starts(config), max_iterations=3)
+            assert status == best.status
+            assert abs(f_opt - best.final_value) <= 1e-12
+            assert np.abs(np.subtract(params, best.final_params)).max() <= 1e-6
+            separate += reports
+        # the sweep's rounds are those of its longest run, not their sum
+        health = json.loads((tmp_path / "out" / "manifest.json").read_text())["health"]
+        assert health == result["health"]
+        assert health["rounds"] == max(r.rounds for r in separate)
+        assert health["evaluations"] == sum(r.evaluations for r in separate)
 
     def test_landscape_outputs(self, tmp_path):
         data = evolve_config(tmp_path, mode="landscape")

@@ -36,7 +36,7 @@ from spinsplice.dynamics import (
 from spinsplice.optimize import LandscapeAxis, finite_difference_gradient, scan_landscape
 from spinsplice.process import prepare_process
 
-from oracles import sector_propagate, sector_reference
+from oracles import CountingObjective, sector_propagate, sector_reference
 
 GATE = 1e-12
 BATCH_GATE = 1e-13
@@ -171,6 +171,21 @@ class TestBatchSizeIsInvisible:
         # four grids: the 300-step grid, the noise-refined one, 3 pulses and 4 pulses
         assert batches == [[0, 3, 4, 5], [1, 6], [2, 8], [7]]
 
+    def test_mixed_durations_share_a_batch(self, ring6, monkeypatch):
+        # each column keeps its own grid: one batch per kind and step count
+        schedules = [
+            polynomial_cut(0.01, (54.3, -36.3)),
+            pulse_train(0.3, (1.0, -2.0, 0.5)),
+            polynomial_cut(0.6, (54.3, -36.3)),
+            pulse_train(0.9, (0.3, -1.0, 2.0)),
+            polynomial_cut(2.0, (20.0, -13.5)),
+        ]
+        singles = [ring6.fidelity(s, 300) for s in schedules]
+        batches = record_batches(monkeypatch, schedules)
+        batched = ring6.fidelities(schedules, 300)
+        assert np.abs(batched - singles).max() <= BATCH_GATE
+        assert batches == [[0, 2, 4], [1, 3]]
+
     def test_chunks_keep_the_values(self, ring6, monkeypatch):
         schedules = random_polynomials(np.random.default_rng(13), 10)
         whole = ring6.fidelities(schedules, 120)
@@ -184,18 +199,6 @@ class TestBatchSizeIsInvisible:
     def test_a_probe_records_one_schedule(self, ring6):
         with pytest.raises(ValueError, match="one schedule"):
             propagate(ring6.propagator, [polynomial_cut(0.6, (1.0,))], ring6.psi0, 50, probe=object())
-
-
-class CountingObjective:
-    """Records the shape of every call; values depend on the parameters."""
-
-    def __init__(self):
-        self.shapes = []
-
-    def __call__(self, params):
-        params = np.asarray(params)
-        self.shapes.append(params.shape)
-        return np.sin(params[0]) + 0.5 * params[-1] ** 2
 
 
 class TestOneCallPerBatch:
