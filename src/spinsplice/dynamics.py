@@ -1,32 +1,31 @@
 """Time evolution under h0 + g(t) v and trajectory observables.
 
 Propagation factors the time-ordered exponential into piecewise-constant
-steps: smooth schedules are sampled at step midpoints on a uniform grid
-(refined so noise windows never straddle a step), and pulse trains take
-exactly one factor per pulse.  Both h0 and v conserve total S^z and commute
-with the chain's reflection that keeps the cut bonds, so only the blocks the
-state occupies, parity halves of its total-S^z sectors, are evolved, and the
-state never leaves them.
+steps, sampled at step midpoints on a uniform grid refined by the schedule's
+jump points, so that no pulse edge or noise window straddles a step: a smooth
+schedule takes n_steps uniform steps, and a pulse train, piecewise constant
+already, one uniform step cut at its edges, so exactly one factor per pulse.
+Both h0 and v conserve total S^z and commute with the chain's reflection that
+keeps the cut bonds, so only the blocks the state occupies, parity halves of
+its total-S^z sectors, are evolved, and the state never leaves them.
 
-Every step acts on a batch: B schedules of one kind (smooth or pulse
-train) with the same number of steps evolve together as one (d x B) array
-of block amplitudes, one column per schedule, each column on its own
-integration grid, so schedules of different durations share a batch.
-``propagate`` evolves one schedule as the batch B = 1, and a list of
-schedules grouped by kind and step count.  A smooth step applies a
-truncated Taylor series of exp(-i (h0 + g_b v) dt_b) to column b.  Its order
-m and substep count s are fixed in advance, for all columns, from the
-largest bound (||h0||_1 + |g_b| ||v||_1) dt_b over the batch, as the pair
-with the least m * s whose truncation tail is at most 2^-53 per substep
-(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)); on one shared grid
-that is the plan of the largest |g_b|.  Each term is one real matrix
-product: [h0 v], side by side, times the float64 views of the scaled
-amplitudes and of g times them, stacked, with each column's own weights
--i dt_b / s and -i g_b dt_b / s.  The result is the exact factor to
-round-off, and no smooth step diagonalizes.  Pulse steps, and any step
-whose plan needs more than ``MAX_TAYLOR_TERMS`` terms, take the exact
-factor from an eigendecomposition of each column's generator, stacked over
-the batch, with each column's own dt.
+Every step acts on a batch: B schedules with the same number of steps evolve
+together as one (d x B) array of block amplitudes, one column per schedule,
+each column on its own integration grid, so schedules of different kinds and
+durations share a batch.  ``propagate`` groups its schedules by step count;
+one schedule is the batch B = 1.  A step applies a truncated Taylor series
+of exp(-i (h0 + g_b v) dt_b) to column b.  Its order m and substep count s
+are fixed in advance, for all columns, from the largest bound
+(||h0||_1 + |g_b| ||v||_1) dt_b over the batch, as the pair with the least
+m * s whose truncation tail is at most 2^-53 per substep (Al-Mohy & Higham,
+SIAM J. Sci. Comput. 33, 488 (2011)); on one shared grid that is the plan of
+the largest |g_b|.  Each term is one real matrix product: [h0 v], side by
+side, times the float64 views of the scaled amplitudes and of g times them,
+stacked, with each column's own weights -i dt_b / s and -i g_b dt_b / s.
+The result is the exact factor to round-off.  A step whose plan needs more
+than ``MAX_TAYLOR_TERMS`` terms takes the exact factor instead, from an
+eigendecomposition of each column's generator, stacked over the batch, with
+each column's own dt.
 
 A recorded run samples the state every ``stride`` steps.  Each sample takes
 the energies of every block at the current coupling (one ``eigvalsh`` per
@@ -182,18 +181,15 @@ def _exact_factor(h0, v, amp, g, dt):
 def integration_grid(schedule, n_steps: int) -> np.ndarray:
     """Step boundaries in [0, duration] for the piecewise-constant factorization.
 
-    Pulse trains use the pulse edges themselves; smooth schedules use a uniform
-    n_steps grid refined by any jump points (noise windows), merging boundaries
-    closer than 1e-9 of the duration.
+    A uniform grid of n_steps steps, or of one step for a piecewise-constant
+    schedule (a pulse train), refined by the schedule's jump points (pulse
+    edges, noise windows), merging boundaries closer than 1e-9 of the duration.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     T = schedule.duration
-    breaks = list(schedule.breakpoints())
-    if schedule.piecewise_constant:
-        pts = [0.0, *breaks, T]
-    else:
-        pts = sorted(set(np.linspace(0.0, T, n_steps + 1)) | set(breaks))
+    uniform = np.linspace(0.0, T, (1 if schedule.piecewise_constant else n_steps) + 1)
+    pts = sorted(set(uniform) | set(schedule.breakpoints()))
     grid = [pts[0]]
     for p in pts[1:]:
         if p - grid[-1] > 1e-9 * T:
@@ -295,6 +291,7 @@ class TrajectoryRecord:
 class _Recorder:
     def __init__(self, probe: TrajectoryProbe, propagator: SectorPropagator, schedule):
         self._probe = probe
+        self.stride = probe.stride
         self._prop = propagator
         self._schedule = schedule
         rest = tuple(s for s in range(1, probe.n_spins + 1) if s not in probe.subsystem_sites)
@@ -356,51 +353,55 @@ def propagate(
 
     Returns the final state and, when a probe is given, the sampled record.
     ``schedule`` may also be a list of schedules, which evolve in batches:
-    schedules of one kind with the same number of integration steps evolve
-    together as one (d x B) array, each on its own grid, split so that
-    neither the amplitudes nor the (steps x B) couplings of a batch exceed
+    schedules with the same number of integration steps evolve together as
+    one (d x B) array, each on its own grid, split so that neither the
+    amplitudes nor the (steps x B) couplings of a batch exceed
     MAX_BATCH_BYTES.  The result is then a (dim, B) array, one column per
     schedule in list order, and does not depend on the batching; a probe
-    records one schedule only.  ``n_steps`` sets the uniform grid for smooth
-    schedules and is ignored for pulse trains, which are propagated one
-    exact factor per pulse.  Only the blocks in which psi0 has amplitude are
-    evolved; the state is assembled in the full space only for samples and
-    the result.
+    records one schedule only, passed alone.  ``n_steps`` sets the uniform
+    grid of ``integration_grid``, which takes one factor per pulse of a pulse
+    train whatever its value.  Only the blocks in which psi0 has amplitude
+    are evolved; the state is assembled in the full space only for samples
+    and the result.
     """
-    if not isinstance(schedule, (list, tuple)):
-        grids = integration_grid(schedule, n_steps)[:, None]
-        psi, record = _evolve(propagator, [schedule], grids, psi0, probe)
-        return psi[:, 0], record
-    if probe is not None:
+    single = not isinstance(schedule, (list, tuple))
+    if probe is not None and not single:
         raise ValueError("a recorded run propagates one schedule")
-    grids = [integration_grid(one, n_steps) for one in schedule]
-    groups: dict[tuple, list[int]] = {}
-    for i, (one, grid) in enumerate(zip(schedule, grids)):
-        groups.setdefault((one.piecewise_constant, grid.size), []).append(i)
+    schedules = [schedule] if single else schedule
     psi0 = np.asarray(psi0, dtype=complex)
-    d = sum(propagator.blocks[k].size for k in propagator.occupied(psi0))
-    states = np.empty((propagator.dim, len(schedule)), dtype=complex)
-    for (_, size), members in groups.items():
+    occupied = propagator.occupied(psi0)
+    amps = [propagator.blocks[k].amplitudes(psi0) for k in occupied]
+    d = sum(a.size for a in amps)
+    recorder = _Recorder(probe, propagator, schedule) if probe is not None else None
+    if recorder is not None:
+        recorder.sample(0.0, psi0)
+    grids = [integration_grid(one, n_steps) for one in schedules]
+    groups: dict[int, list[int]] = {}
+    for i, grid in enumerate(grids):
+        groups.setdefault(grid.size, []).append(i)
+    states = np.empty((propagator.dim, len(schedules)), dtype=complex)
+    record = None
+    for size, members in groups.items():
         width = max(1, MAX_BATCH_BYTES // (16 * max(d, size - 1)))
         for lo in range(0, len(members), width):
             chunk = members[lo:lo + width]
-            states[:, chunk], _ = _evolve(propagator, [schedule[i] for i in chunk],
-                                          np.stack([grids[i] for i in chunk], axis=1), psi0)
-    return states, None
+            states[:, chunk], record = _evolve(propagator, [schedules[i] for i in chunk],
+                                               np.stack([grids[i] for i in chunk], axis=1),
+                                               occupied, amps, recorder)
+    return (states[:, 0] if single else states), record
 
 
-def _evolve(propagator, schedules, grids, psi0, probe=None):
-    """The (dim, B) final states of schedules of one kind with the same step
-    count, column b evolved on the integration grid ``grids[:, b]``, and the
-    record of the first when a probe is given."""
-    pulses = schedules[0].piecewise_constant
+def _evolve(propagator, schedules, grids, occupied, amps, recorder=None):
+    """The (dim, B) final states of schedules with the same step count,
+    column b evolved on the integration grid ``grids[:, b]`` from the state
+    with amplitudes ``amps`` in the ``occupied`` blocks, and, when a recorder
+    is given, the record of the first, sampled every ``recorder.stride``
+    steps after its initial sample."""
     dts = np.diff(grids, axis=0)
     g_values = np.stack([s.values(0.5 * (grid[:-1] + grid[1:])) for s, grid in zip(schedules, grids.T)],
                         axis=1)
     g_rows = np.stack([np.ones_like(g_values), g_values], axis=1)  # (steps, 2, B): 1 and g_b
-    psi = np.asarray(psi0, dtype=complex)
-    occupied = propagator.occupied(psi)
-    amps = [np.repeat(propagator.blocks[k].amplitudes(psi)[:, None], len(schedules), axis=1) for k in occupied]
+    amps = [np.repeat(a[:, None], len(schedules), axis=1) for a in amps]
 
     hvs = [np.hstack([propagator.h0[k], propagator.v[k]]) for k in occupied]
     plans = []  # per block: (order, substeps, exact, Taylor weights) of every step
@@ -409,14 +410,11 @@ def _evolve(propagator, schedules, grids, psi0, probe=None):
         n0, nv = propagator.norms(k)
         norm_dt = ((n0 + np.abs(g_values) * nv) * dts).max(axis=1)
         orders, substeps = taylor_plan(norm_dt)
-        exact = np.full(norm_dt.size, pulses) | (orders * substeps > MAX_TAYLOR_TERMS)
+        exact = orders * substeps > MAX_TAYLOR_TERMS
         plans.append((orders, substeps, exact, (-1j * dts / substeps[:, None])[:, None, :] * g_rows))
         max_norm_dt = max(max_norm_dt, float(norm_dt.max()))
         matvecs += int((orders * substeps)[~exact].sum())
 
-    recorder = _Recorder(probe, propagator, schedules[0]) if probe is not None else None
-    if recorder is not None:
-        recorder.sample(0.0, psi)
     last = dts.shape[0] - 1
     for j in range(dts.shape[0]):
         for i, (k, (orders, substeps, exact, weights)) in enumerate(zip(occupied, plans)):
@@ -425,7 +423,7 @@ def _evolve(propagator, schedules, grids, psi0, probe=None):
                 amps[i] = _exact_factor(h0, v, amps[i], g_values[j], dts[j])
             else:
                 amps[i] = _taylor_factor(hvs[i], amps[i], weights[j], orders[j], substeps[j])
-        if recorder is not None and ((j + 1) % probe.stride == 0 or j == last):
+        if recorder is not None and ((j + 1) % recorder.stride == 0 or j == last):
             recorder.sample(float(grids[j + 1, 0]), propagator.embed(occupied, [a[:, 0] for a in amps]))
     states = propagator.embed(occupied, amps)
     return states, (recorder.build(max_norm_dt, matvecs) if recorder is not None else None)

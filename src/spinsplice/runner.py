@@ -35,7 +35,7 @@ import numpy as np
 
 from ._version import __version__
 from .chain import DEFAULT_SPIN_CAP, ChainSpec, cut_components
-from .control import KINDS, ControlSchedule, NoiseSpec, apply_noise, linear_baseline, make_schedule
+from .control import KINDS, ControlSchedule, NoiseSpec, apply_noise, linear_baseline, make_schedule, noise_window_count
 from .optimize import (
     DEFAULT_GRADIENT_STEP,
     DEFAULT_MAX_ITERATIONS,
@@ -56,11 +56,13 @@ MODES = ("evolve", "optimize", "sweep", "landscape", "noise", "two_spin")
 # unbounded work or memory.  README "Command line" lists them.
 MAX_MAGNITUDE = 1e6  # every real-valued field
 MAX_STEPS = 100_000  # n_steps, and noise windows per schedule (T / window)
+MAX_PARAMS = 100  # schedule.params entries
+MAX_NOISE_WINDOWS = 1_000_000  # noise windows over all noisy realizations of a run
 MAX_RESOLUTION = 100  # landscape points per axis
 MAX_REALIZATIONS = 10_000  # noise realizations per strength
 MAX_ITERATIONS = 10_000  # optimizer.max_iterations
 MAX_PER_AXIS = 10  # multi-start points per free parameter
-MAX_STARTS = 1_000  # multi-start points in all: per_axis ** n_free
+MAX_STARTS = 1_000  # BFGS runs: per_axis ** n_free starts, times a sweep's durations
 
 
 class ConfigError(ValueError):
@@ -127,8 +129,10 @@ def items(item: Check, min_len: int = 1, max_len: float = math.inf) -> Check:
 
     def check(value, path):
         if not isinstance(value, (list, tuple)) or not min_len <= len(value) <= max_len:
-            size = min_len if min_len == max_len else f"at least {min_len}"
-            raise ConfigError(f"{path}: must be a list of {size} entries, got {value!r}")
+            size = (min_len if min_len == max_len else f"at least {min_len}" if max_len == math.inf
+                    else f"{min_len} to {max_len}")
+            got = f"{len(value)} entries" if isinstance(value, (list, tuple)) else repr(value)
+            raise ConfigError(f"{path}: must be a list of {size} entries, got {got}")
         return [item(v, f"{path}[{k}]") for k, v in enumerate(value)]
 
     return check
@@ -183,7 +187,7 @@ CHAIN = {
 SCHEDULE = {
     "kind": Field(choice(*KINDS), "polynomial_cut"),
     "T": Field(POSITIVE),
-    "params": Field(items(real(), 0), []),
+    "params": Field(items(real(), 0, MAX_PARAMS), []),
     "direction": Field(choice("cut", "stitch"), None),
 }
 MULTI_START = {
@@ -316,15 +320,23 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
     sched["direction"] = schedule.direction
     n_free = len(schedule.params)
 
+    n_starts = 1
     if run_mode in ("optimize", "landscape") or (run_mode == "sweep" and cfg["sweep"]["optimize"]):
         if n_free == 0:
             raise ConfigError(f"schedule.params: mode '{run_mode}' needs at least one free parameter")
         starts = cfg["optimizer"].get("multi_start")
-        if starts and starts["per_axis"] ** n_free > MAX_STARTS:
-            raise ConfigError(
-                f"optimizer.multi_start.per_axis: {starts['per_axis']} points on each of "
-                f"{n_free} parameters exceed {MAX_STARTS} starts"
-            )
+        if starts:
+            n_starts = starts["per_axis"] ** n_free
+            if n_starts > MAX_STARTS:
+                raise ConfigError(
+                    f"optimizer.multi_start.per_axis: {starts['per_axis']} points on each of "
+                    f"{n_free} parameters exceed {MAX_STARTS} starts"
+                )
+    if run_mode == "sweep" and len(cfg["sweep"]["times"]) * n_starts > MAX_STARTS:
+        raise ConfigError(
+            f"sweep.times: {len(cfg['sweep']['times'])} durations of {n_starts} starts each "
+            f"exceed {MAX_STARTS} runs"
+        )
     if run_mode == "landscape":
         axes = cfg["landscape"]["axes"]
         for k, axis in enumerate(axes):
@@ -337,8 +349,17 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
                 raise ConfigError(f"landscape.axes[{k}].max: must exceed min")
         if axes[0]["param_index"] == axes[1]["param_index"]:
             raise ConfigError("landscape.axes: the two axes must vary different parameters")
-    if run_mode == "noise" and schedule.duration / cfg["noise"]["window"] > MAX_STEPS:
-        raise ConfigError(f"noise.window: T / window exceeds {MAX_STEPS} noise windows")
+    if run_mode == "noise":
+        noise = cfg["noise"]
+        if schedule.duration / noise["window"] > MAX_STEPS:
+            raise ConfigError(f"noise.window: T / window exceeds {MAX_STEPS} noise windows")
+        noisy = sum(1 for dg in noise["strengths"] if dg != 0.0) * noise["realizations"]
+        windows = noise_window_count(schedule.duration, noise["window"])
+        if noisy * windows > MAX_NOISE_WINDOWS:
+            raise ConfigError(
+                f"noise: {noisy} noisy realizations of {windows} windows each exceed "
+                f"{MAX_NOISE_WINDOWS} noise windows"
+            )
     return RunConfig(cfg, chain, schedule)
 
 

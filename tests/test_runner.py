@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import spinsplice.runner as runner
 from spinsplice.cli import main
 from spinsplice.control import polynomial_cut
-from spinsplice.dynamics import MAX_TAYLOR_TERMS, integration_grid
+from spinsplice.dynamics import MAX_TAYLOR_TERMS, integration_grid, taylor_plan
 from spinsplice.optimize import multi_start_maximize
 from spinsplice.process import build_objective, prepare_process
 from spinsplice.reproduce import PIPELINES, reproduce
@@ -288,10 +288,10 @@ class TestRunners:
         g = config.schedule.values(0.5 * (grid[:-1] + grid[1:]))
         expected = float(np.max((n0 + np.abs(g) * nv) * np.diff(grid)))
         assert health["max_norm_dt"] == pytest.approx(expected, rel=1e-12)
-        if config.schedule.piecewise_constant:
-            assert health["taylor_matvecs"] == 0
-        else:  # at least one term per step, at most the per-step budget
-            assert config.n_steps <= health["taylor_matvecs"] <= MAX_TAYLOR_TERMS * config.n_steps
+        # every step within the term budget applies its Taylor plan, of either kind
+        orders, substeps = taylor_plan((n0 + np.abs(g) * nv) * np.diff(grid))
+        work = orders * substeps
+        assert health["taylor_matvecs"] == work[work <= MAX_TAYLOR_TERMS].sum() > 0
 
     def test_optimize_writes_report(self, tmp_path, capsys):
         data = evolve_config(tmp_path, mode="optimize")
@@ -434,6 +434,14 @@ class TestCli:
             ("noise.strengths[0]", mode_config("noise", tmp_path, noise=dict(noise, strengths=[-1]))),
             ("optimizer.tolerance", mode_config("optimize", tmp_path, optimizer={"tolerance": "abc"})),
             ("optimizer.multi_start", mode_config("optimize", tmp_path, optimizer={"multi_start": "yes"})),
+            # bounds on the work a config asks for: each is rejected before any allocation
+            ("schedule.params", mode_config(
+                "optimize", tmp_path, schedule={"kind": "polynomial_cut", "T": 0.5, "params": [0.0] * 50_000})),
+            ("sweep.times", mode_config("sweep", tmp_path, sweep={"times": [0.3] * 1001, "optimize": False})),
+            ("sweep.times", mode_config("sweep", tmp_path, sweep={"times": [0.3] * 251},
+                                        optimizer={"multi_start": {"per_axis": 2}})),  # 251 x 4 starts
+            ("noise", mode_config("noise", tmp_path, noise=dict(noise, strengths=[1.0], window=5e-5,
+                                                                 realizations=10_000))),
         ]
         runs = [(field, [data["mode"], "--config", write_config(tmp_path / f"c{k}.json", data)])
                 for k, (field, data) in enumerate(bad)]

@@ -1,7 +1,8 @@
 """Accuracy gate and batch invariance of the Taylor propagator.
 
-Smooth schedules are propagated by truncated Taylor series on (d x B)
-batches; pulse trains keep one exact factor per pulse.  The reference here
+Every step, of a smooth schedule or of a pulse train, is a truncated Taylor
+series on a (d x B) batch, unless its plan needs more than MAX_TAYLOR_TERMS
+terms and it takes the exact factor.  The reference here
 is ``oracles.sector_propagate``, the exact product of one ``eigh`` per step
 on the plain total-S^z sectors cut from the dense operators, with no
 reflection parity.  It reaches the 10- and 12-rings where the dense oracles
@@ -29,6 +30,7 @@ from spinsplice.dynamics import (
     MAX_TAYLOR_TERMS,
     UNIT_ROUNDOFF,
     cut_fidelity,
+    integration_grid,
     propagate,
     reduce_density,
     taylor_plan,
@@ -76,17 +78,34 @@ class TestExactReference:
         del cut
         assert_gate(prepare_process(ring, "stitch"), polynomial_stitch(0.6, (3.0, -2.0)), n_steps, reference)
 
-    def test_steps_beyond_the_term_budget_take_the_exact_factor(self, ring6):
-        # |g| ~ 1e4 over 20 steps needs thousands of Taylor terms per step
-        schedule = polynomial_cut(0.6, (4e4, -3e4))
+    @pytest.mark.parametrize("schedule", [
+        polynomial_cut(0.6, (4e4, -3e4)),  # |g| ~ 1e4 over 20 steps
+        pulse_train(0.6, (400.0, -300.0, 500.0)),  # |g| ~ 500 over pulses 0.2 long
+    ], ids=["polynomial", "pulse_train"])
+    def test_steps_beyond_the_term_budget_take_the_exact_factor(self, ring6, schedule):
+        # each step needs thousands of Taylor terms
         assert_gate(ring6, schedule, 20)
         _, record = ring6.run(schedule, 20, stride=20)
         assert record.taylor_matvecs == 0
         assert record.max_norm_dt > 100.0
 
-    def test_pulse_train_is_exact(self, ring6):
-        _, record = ring6.run(pulse_train(0.6, (0.5, -1.0, 2.0)), 300, stride=10)
-        assert record.taylor_matvecs == 0
+    @pytest.mark.parametrize("schedule", [
+        polynomial_cut(0.6, (54.3, -36.3)),
+        pulse_train(0.6, (0.5, -1.0, 2.0)),
+        pulse_train(0.6, (0.5, -40.0, 2.0)),  # the middle pulse is beyond the budget
+    ], ids=["polynomial", "pulse_train", "pulse_beyond_budget"])
+    def test_steps_within_the_budget_take_their_taylor_plan(self, ring6, schedule):
+        _, record = ring6.run(schedule, 300, stride=10)
+        prop = ring6.propagator
+        grid = integration_grid(schedule, 300)
+        g = schedule.values(0.5 * (grid[:-1] + grid[1:]))
+        expected = 0
+        for k in prop.occupied(ring6.psi0):
+            n0, nv = prop.norms(k)
+            orders, substeps = taylor_plan((n0 + np.abs(g) * nv) * np.diff(grid))
+            work = orders * substeps
+            expected += int(work[work <= MAX_TAYLOR_TERMS].sum())
+        assert record.taylor_matvecs == expected > 0
 
 
 class TestTaylorPlan:
@@ -172,7 +191,7 @@ class TestBatchSizeIsInvisible:
         assert batches == [[0, 3, 4, 5], [1, 6], [2, 8], [7]]
 
     def test_mixed_durations_share_a_batch(self, ring6, monkeypatch):
-        # each column keeps its own grid: one batch per kind and step count
+        # each column keeps its own grid: one batch per step count
         schedules = [
             polynomial_cut(0.01, (54.3, -36.3)),
             pulse_train(0.3, (1.0, -2.0, 0.5)),
@@ -185,6 +204,20 @@ class TestBatchSizeIsInvisible:
         batched = ring6.fidelities(schedules, 300)
         assert np.abs(batched - singles).max() <= BATCH_GATE
         assert batches == [[0, 2, 4], [1, 3]]
+
+    def test_mixed_kinds_share_a_batch(self, ring6, monkeypatch):
+        # a 3-pulse train and smooth schedules at 3 steps have grids of one size
+        schedules = [
+            polynomial_cut(0.6, (54.3, -36.3)),
+            pulse_train(0.6, (1.0, -2.0, 0.5)),
+            sine_cut(0.6, (0.4, -0.3)),
+            pulse_train(0.3, (0.3, 0.2, 0.1)),
+        ]
+        singles = [ring6.fidelity(s, 3) for s in schedules]
+        batches = record_batches(monkeypatch, schedules)
+        batched = ring6.fidelities(schedules, 3)
+        assert np.abs(batched - singles).max() <= BATCH_GATE
+        assert batches == [[0, 1, 2, 3]]
 
     def test_chunks_keep_the_values(self, ring6, monkeypatch):
         schedules = random_polynomials(np.random.default_rng(13), 10)
