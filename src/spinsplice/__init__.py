@@ -30,7 +30,6 @@ from .optimize import (
     OptimizationReport,
     bfgs_maximize,
     finite_difference_gradient,
-    multi_start_maximize,
     scan_landscape,
 )
 from .process import (
@@ -41,7 +40,7 @@ from .process import (
     prepare_process,
 )
 from . import reproduce
-from .runner import ConfigError, RunConfig, execute, load_config, parse_config
+from .runner import ConfigError, RunConfig, execute, parse_config
 
 __all__ = [
     "__version__",
@@ -51,9 +50,9 @@ __all__ = [
     "SectorPropagator", "TrajectoryProbe", "TrajectoryRecord", "cut_fidelity", "entropy",
     "propagate", "purity", "reduce_density",
     "LandscapeAxis", "LandscapeGrid", "OptimizationReport", "bfgs_maximize",
-    "finite_difference_gradient", "multi_start_maximize", "scan_landscape",
+    "finite_difference_gradient", "scan_landscape",
     "DEFAULT_TIME_STEPS", "ChainProcess", "ObjectiveSpec", "build_objective",
     "prepare_process",
     "reproduce",
-    "ConfigError", "RunConfig", "execute", "load_config", "parse_config",
+    "ConfigError", "RunConfig", "execute", "parse_config",
 ]

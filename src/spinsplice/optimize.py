@@ -18,10 +18,11 @@ the points it needs and is sent their values.  Each request is one point
 followed by its 2n central-difference points, so the start and every
 line-search trial arrive with their gradient.  ``lockstep`` drives several
 machines at once and merges the requests of all live machines into one
-objective call per round: ``bfgs_maximize`` drives one machine,
-``multi_start_maximize`` one per start, and a sweep (``runner.run_sweep``)
-one per duration and start.  A machine's results do not depend on the
-machines it runs beside.
+objective call per round, and ``best_of`` picks the best of several runs.
+``bfgs_maximize`` is the library entry: one machine on one objective.  The
+runner (``runner._maximize``) drives one machine per duration and start of
+every optimize, landscape and sweep run.  A machine's results do not depend
+on the machines it runs beside.
 """
 
 from __future__ import annotations
@@ -264,13 +265,6 @@ def bfgs_maximize(
     """
     (report,), _ = lockstep(_shared(objective), [bfgs_steps(x0, grad_step, tolerance, max_iterations)])
     return report
-
-
-def multi_start_maximize(objective, starts, **options) -> tuple[OptimizationReport, list[OptimizationReport]]:
-    """Run the maximizer from several starts in lockstep, one objective call
-    per round for all of them; ties break on the earliest start."""
-    reports, _ = lockstep(_shared(objective), [bfgs_steps(s, **options) for s in starts])
-    return best_of(reports), reports
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,14 @@ A config file (JSON) describes exactly one experiment mode:
 
 One field table (``SCHEMA``) checks a raw config and normalizes it; the
 normalized dict is what a run uses and what its manifest echoes.  ``execute``
-gives every run one lifecycle: it checks the output directory, runs the
-mode, and writes the mode's outputs plus a manifest (config echo, code
-version, checksums, seeds) there; outputs are bit-reproducible from the
-manifest.
+gives every run one lifecycle: it checks the output directory, prepares the
+run's one process, runs the mode on it, and writes the mode's outputs plus a
+manifest (config echo, code version, checksums, seeds, health) there;
+outputs are bit-reproducible from the manifest.
+
+The optimize, landscape and sweep modes share one BFGS path, ``_maximize``:
+one step machine per duration and start, all in one ``lockstep``, so every
+round is one ``fidelities`` call.
 
 Every CSV and JSON file a run or a ``reproduce`` target writes goes through
 ``write_csv`` or ``write_json``: this module alone owns the output format.
@@ -41,14 +45,13 @@ from .optimize import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
     LandscapeAxis,
+    OptimizationReport,
     best_of,
-    bfgs_maximize,
     bfgs_steps,
     lockstep,
-    multi_start_maximize,
     scan_landscape,
 )
-from .process import DEFAULT_TIME_STEPS, ObjectiveSpec, build_objective, prepare_process
+from .process import DEFAULT_TIME_STEPS, prepare_process
 
 MODES = ("evolve", "optimize", "sweep", "landscape", "noise", "two_spin")
 
@@ -63,6 +66,8 @@ MAX_REALIZATIONS = 10_000  # noise realizations per strength
 MAX_ITERATIONS = 10_000  # optimizer.max_iterations
 MAX_PER_AXIS = 10  # multi-start points per free parameter
 MAX_STARTS = 1_000  # BFGS runs: per_axis ** n_free starts, times a sweep's durations
+MAX_STRENGTHS = 100  # noise.strengths entries
+MAX_CALL_VALUES = 50_000_000  # one fidelities call: schedules x (2^N + grid points) each
 
 
 class ConfigError(ValueError):
@@ -208,7 +213,7 @@ LANDSCAPE_AXIS = {
     "resolution": Field(integer(2, MAX_RESOLUTION)),
 }
 NOISE = {
-    "strengths": Field(items(real(0.0))),
+    "strengths": Field(items(real(0.0), 1, MAX_STRENGTHS)),
     "window": Field(POSITIVE),
     "realizations": Field(integer(2, MAX_REALIZATIONS), 50),
     "seed": Field(integer(0, 2**64 - 1), 20240901),
@@ -320,6 +325,10 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
     sched["direction"] = schedule.direction
     n_free = len(schedule.params)
 
+    # the schedules of each fidelities call the run makes, by the field that sets their number
+    calls = {"n_steps": 2 if run_mode == "two_spin" else 1}
+    durations = len(cfg["sweep"]["times"]) if run_mode == "sweep" else 1
+    windows = 0  # noise windows per schedule
     n_starts = 1
     if run_mode in ("optimize", "landscape") or (run_mode == "sweep" and cfg["sweep"]["optimize"]):
         if n_free == 0:
@@ -332,11 +341,15 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
                     f"optimizer.multi_start.per_axis: {starts['per_axis']} points on each of "
                     f"{n_free} parameters exceed {MAX_STARTS} starts"
                 )
-    if run_mode == "sweep" and len(cfg["sweep"]["times"]) * n_starts > MAX_STARTS:
-        raise ConfigError(
-            f"sweep.times: {len(cfg['sweep']['times'])} durations of {n_starts} starts each "
-            f"exceed {MAX_STARTS} runs"
-        )
+        # a BFGS round: every run's point and its 2n gradient points
+        field = "sweep.times" if run_mode == "sweep" else "optimizer.multi_start"
+        calls[field] = durations * n_starts * (2 * n_free + 1)
+    if run_mode == "sweep":
+        if durations * n_starts > MAX_STARTS:
+            raise ConfigError(
+                f"sweep.times: {durations} durations of {n_starts} starts each exceed {MAX_STARTS} runs"
+            )
+        calls.setdefault("sweep.times", durations)  # the baselines, when nothing is optimized
     if run_mode == "landscape":
         axes = cfg["landscape"]["axes"]
         for k, axis in enumerate(axes):
@@ -349,6 +362,7 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
                 raise ConfigError(f"landscape.axes[{k}].max: must exceed min")
         if axes[0]["param_index"] == axes[1]["param_index"]:
             raise ConfigError("landscape.axes: the two axes must vary different parameters")
+        calls["landscape.axes"] = axes[0]["resolution"] * axes[1]["resolution"]
     if run_mode == "noise":
         noise = cfg["noise"]
         if schedule.duration / noise["window"] > MAX_STEPS:
@@ -359,6 +373,15 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
             raise ConfigError(
                 f"noise: {noisy} noisy realizations of {windows} windows each exceed "
                 f"{MAX_NOISE_WINDOWS} noise windows"
+            )
+        calls["noise"] = 1 + noisy
+    # each schedule of a call holds a 2^N state and a grid of its steps, noise windows and pulse edges
+    size = 2 ** chain.n_spins + cfg["n_steps"] + 1 + windows + len(schedule.breakpoints())
+    for name, columns in calls.items():
+        if columns * size > MAX_CALL_VALUES:
+            raise ConfigError(
+                f"{name}: one fidelities call of {columns} schedules of {size} values each "
+                f"exceeds {MAX_CALL_VALUES} values"
             )
     return RunConfig(cfg, chain, schedule)
 
@@ -372,10 +395,6 @@ def read_config(path: str | Path):
         return json.loads(path.read_text())
     except ValueError as exc:  # invalid JSON or undecodable bytes
         raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
-
-
-def load_config(path: str | Path, mode: str | None = None) -> RunConfig:
-    return parse_config(read_config(path), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -425,21 +444,6 @@ def write_manifest(out_dir: Path, config: dict, outputs: list[Path],
     return write_json(out_dir / "manifest.json", manifest)
 
 
-def objective_spec(config: RunConfig, duration: float | None = None) -> ObjectiveSpec:
-    """The objective a config optimizes: its schedule's kind and parameter
-    count, at the schedule's own duration unless another is given."""
-    schedule = config.schedule
-    return ObjectiveSpec(
-        chain=config.chain,
-        kind=schedule.kind,
-        duration=schedule.duration if duration is None else duration,
-        n_free_params=len(schedule.params),
-        target=config.target,
-        n_steps=config.n_steps,
-        direction=config.process,
-    )
-
-
 def _starts(config: RunConfig) -> list[np.ndarray]:
     """Where BFGS starts: the schedule's params, or the multi-start grid that
     replaces them."""
@@ -452,17 +456,25 @@ def _starts(config: RunConfig) -> list[np.ndarray]:
     return [np.asarray(p) for p in np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, n_free)]
 
 
-def _bfgs_options(config: RunConfig) -> dict:
-    return {k: v for k, v in config.optimizer.items() if k != "multi_start"}
+def _schedule(config: RunConfig, duration: float, params) -> ControlSchedule:
+    """The config's schedule kind at another duration and parameters."""
+    return make_schedule(config.schedule.kind, duration, tuple(map(float, params)), config.process)
 
 
-def _optimize_from(config: RunConfig, objective):
-    """Shared BFGS invocation honouring optimizer options, incl. multi-start."""
-    options = _bfgs_options(config)
-    if config.optimizer.get("multi_start"):
-        best, _ = multi_start_maximize(objective, _starts(config), **options)
-        return best
-    return bfgs_maximize(objective, _starts(config)[0], **options)
+def _maximize(config: RunConfig, process, durations) -> tuple[list[OptimizationReport], dict]:
+    """BFGS at each duration from every start, all runs in one ``lockstep``,
+    so each round is one ``fidelities`` call.  Returns the best report per
+    duration (ties go to the earliest start) and the health counts."""
+    starts = _starts(config)
+    options = {k: v for k, v in config.optimizer.items() if k != "multi_start"}
+
+    def evaluate(requests):
+        schedules = [_schedule(config, durations[k // len(starts)], col) for k, points in requests for col in points.T]
+        return process.fidelities(schedules, config.n_steps, config.target)
+
+    reports, rounds = lockstep(evaluate, [bfgs_steps(x0, **options) for _ in durations for x0 in starts])
+    best = [best_of(reports[i:i + len(starts)]) for i in range(0, len(reports), len(starts))]
+    return best, {"rounds": rounds, "evaluations": sum(r.evaluations for r in reports)}
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +484,7 @@ def _optimize_from(config: RunConfig, objective):
 TRAJECTORY_COLUMNS = ("t", "g", "f_c", "f_g", "purity_A", "entropy_A", "entropy_B", "gap")
 
 
-def run_evolve(config: RunConfig) -> dict:
-    process = prepare_process(config.chain, config.process)
+def run_evolve(config: RunConfig, process) -> dict:
     psi, record = process.run(config.schedule, config.n_steps)
     traj = write_csv(config.out_dir / "trajectory.csv", TRAJECTORY_COLUMNS, zip(
         record.times, record.g_values, record.f_c, record.f_g,
@@ -494,58 +505,50 @@ def run_evolve(config: RunConfig) -> dict:
     return {"f_c": f_c, "f_g": f_g, "files": [traj], "health": health}
 
 
-def run_optimize(config: RunConfig) -> dict:
-    objective, _ = build_objective(objective_spec(config))
-    report = _optimize_from(config, objective)
+def run_optimize(config: RunConfig, process) -> dict:
+    (report,), health = _maximize(config, process, [config.schedule.duration])
     path = write_json(config.out_dir / "optimization.json", report.to_dict())
     print(
         f"optimized fidelity = {report.final_value:.3f} (baseline {report.initial_value:.3f}) "
         f"params = {np.round(report.final_params, 3).tolist()} [{report.status}]"
     )
-    return {"report": report, "files": [path]}
+    return {"report": report, "files": [path], "health": health}
 
 
-def run_sweep(config: RunConfig) -> dict:
+def run_sweep(config: RunConfig, process) -> dict:
     """Baseline and optimized fidelity at each duration.  The baselines are one
-    ``fidelities`` call; the optimizations run one BFGS machine per duration
-    and start, all in lockstep, so each round is one ``fidelities`` call."""
+    ``fidelities`` call; the optimizations are one ``_maximize`` over every
+    duration."""
     n_free = len(config.schedule.params)
-    process = prepare_process(config.chain, config.process)
     times = config.sweep["times"]
     baselines = process.fidelities([linear_baseline(d, config.process) for d in times],
                                    config.n_steps, config.target)
     if config.sweep["optimize"]:
-        starts = _starts(config)
-        specs = [objective_spec(config, duration) for duration in times]
-
-        def evaluate(requests):
-            schedules = [specs[k // len(starts)].schedule_for(col) for k, points in requests for col in points.T]
-            return process.fidelities(schedules, config.n_steps, config.target)
-
-        options = _bfgs_options(config)
-        reports, rounds = lockstep(evaluate, [bfgs_steps(x0, **options) for _ in times for x0 in starts])
-        best = [best_of(reports[i:i + len(starts)]) for i in range(0, len(reports), len(starts))]
+        best, health = _maximize(config, process, times)
         rows = [(d, float(fb), r.final_value, r.final_params, r.status) for d, fb, r in zip(times, baselines, best)]
     else:
-        reports, rounds = [], 0
+        health = {"rounds": 0, "evaluations": 0}
         rows = [(d, float(fb), float(fb), (0.0,) * n_free, "baseline") for d, fb in zip(times, baselines)]
     header = ["T", "f_baseline", "f_opt"] + [f"param_{k + 1}" for k in range(n_free)] + ["status"]
     path = write_csv(config.out_dir / "sweep.csv", header,
                      ((d, fb, fo, *params, status) for d, fb, fo, params, status in rows))
     for duration, fb, fo, _, status in rows:
         print(f"T = {duration:g}: baseline {fb:.3f} optimized {fo:.3f} [{status}]")
-    health = {"rounds": rounds, "evaluations": sum(r.evaluations for r in reports)}
     return {"rows": rows, "files": [path], "health": health}
 
 
-def run_landscape(config: RunConfig) -> dict:
-    """Scan the fidelity over the two axes around the schedule's params, then
-    maximize it from there; the optimum and the grid maximum go to optimum.json."""
-    objective, _ = build_objective(objective_spec(config))
+def run_landscape(config: RunConfig, process) -> dict:
+    """Scan the fidelity over the two axes around the schedule's params, in one
+    ``fidelities`` call, then maximize it from there; the optimum and the grid
+    maximum go to optimum.json."""
+    duration = config.schedule.duration
     axes = tuple(LandscapeAxis(ax["param_index"], ax["min"], ax["max"], ax["resolution"])
                  for ax in config.landscape["axes"])
-    grid = scan_landscape(objective, axes, base_params=config.schedule.params)
-    report = _optimize_from(config, objective)
+    grid = scan_landscape(
+        lambda points: process.fidelities([_schedule(config, duration, col) for col in points.T],
+                                          config.n_steps, config.target),
+        axes, base_params=config.schedule.params)
+    (report,), health = _maximize(config, process, [duration])
     preamble = [f"axis{k + 1}: param_index={ax.param_index} min={ax.lower:.15e} "
                 f"max={ax.upper:.15e} resolution={ax.resolution}" for k, ax in enumerate(axes)]
     preamble.append(f"base_params: {list(grid.base_params)}")
@@ -564,7 +567,7 @@ def run_landscape(config: RunConfig) -> dict:
         f"({marker['grid_max']['p1']:.3g}, {marker['grid_max']['p2']:.3g}); "
         f"optimizer reached {report.final_value:.3f}"
     )
-    return {"grid": grid, "report": report, "files": [grid_path, marker_path]}
+    return {"grid": grid, "report": report, "files": [grid_path, marker_path], "health": health}
 
 
 def noise_study(process, schedule, strengths, window, realizations, master_seed,
@@ -596,8 +599,7 @@ def noise_study(process, schedule, strengths, window, realizations, master_seed,
     return rows, draws
 
 
-def run_noise(config: RunConfig) -> dict:
-    process = prepare_process(config.chain, config.process)
+def run_noise(config: RunConfig, process) -> dict:
     noise = config.noise
     rows, draws = noise_study(
         process, config.schedule, noise["strengths"], noise["window"], noise["realizations"],
@@ -610,11 +612,11 @@ def run_noise(config: RunConfig) -> dict:
     return {"rows": rows, "files": [path], "seeds": {"master": noise["seed"], "realizations": draws}}
 
 
-def run_two_spin(config: RunConfig) -> dict:
-    """Detach a block from the chain: linear baseline vs the configured pulse."""
-    process = prepare_process(config.chain, config.process)
-    baseline = process.baseline_fidelity(config.schedule.duration, config.n_steps, "cut")
-    controlled = process.fidelity(config.schedule, config.n_steps, "cut")
+def run_two_spin(config: RunConfig, process) -> dict:
+    """Detach a block from the chain: linear baseline vs the configured pulse,
+    scored in one ``fidelities`` call."""
+    baseline, controlled = map(float, process.fidelities(
+        [linear_baseline(config.schedule.duration, "cut"), config.schedule], config.n_steps, "cut"))
     result = {
         "block_sites": list(process.a_sites),
         "duration": config.schedule.duration,
@@ -639,11 +641,11 @@ RUNNERS = {
 
 def execute(config: RunConfig) -> dict:
     """Run one config: check that its out_dir is writable before any
-    computation, run its mode, and write the manifest of the files, seeds
-    and health the mode returns."""
+    computation, prepare its process, run its mode on it, and write the
+    manifest of the files, seeds and health the mode returns."""
     started = time.time()
     ensure_writable(config.out_dir)
-    result = RUNNERS[config.mode](config)
+    result = RUNNERS[config.mode](config, prepare_process(config.chain, config.process))
     write_manifest(config.out_dir, config.data, result["files"], result.get("seeds"), started,
                    result.get("health"))
     return result

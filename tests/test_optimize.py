@@ -4,9 +4,11 @@ import pytest
 from spinsplice.chain import ChainSpec
 from spinsplice.optimize import (
     LandscapeAxis,
+    best_of,
     bfgs_maximize,
+    bfgs_steps,
     finite_difference_gradient,
-    multi_start_maximize,
+    lockstep,
     scan_landscape,
 )
 from spinsplice.process import ObjectiveSpec, build_objective, prepare_process
@@ -25,6 +27,14 @@ def cusp(x):
 
 def double_well(x):
     return -((x[0] ** 2 - 1.0) ** 2) + 0.1 * x[0]
+
+
+def multi_start(objective, starts, **options):
+    """BFGS from every start in lockstep on one objective: each round's
+    requests in one (n, B) call.  Returns the reports in start order."""
+    shared = lambda requests: objective(np.hstack([points for _, points in requests]))
+    reports, _ = lockstep(shared, [bfgs_steps(x0, **options) for x0 in starts])
+    return reports
 
 
 # Results of the one-point-per-call BFGS that the step machine replaced: the
@@ -153,7 +163,8 @@ class TestBfgsMaximize:
         assert data["evaluations"] == 5 * data["rounds"]
 
     def test_multi_start_picks_best(self):
-        best, reports = multi_start_maximize(double_well, [np.array([-2.0]), np.array([2.0])])
+        reports = multi_start(double_well, [np.array([-2.0]), np.array([2.0])])
+        best = best_of(reports)
         assert len(reports) == 2
         assert best.final_value == max(r.final_value for r in reports)
         assert best.final_params[0] == pytest.approx(1.0, abs=0.1)
@@ -165,7 +176,7 @@ class TestLockstep:
         # until the budget, so machines leave at different rounds
         objective = CountingObjective()
         starts = [np.array([0.3, -0.2, 0.7]), np.array([1.0, 0.5, 0.0]), np.array([-0.4, 0.1, -1.5])]
-        _, reports = multi_start_maximize(objective, starts, max_iterations=6)
+        reports = multi_start(objective, starts, max_iterations=6)
         assert len({r.rounds for r in reports}) > 1
         live = [sum(r.rounds > k for r in reports) for k in range(max(r.rounds for r in reports))]
         assert objective.shapes == [(3, 7 * n) for n in live]
@@ -177,7 +188,7 @@ class TestLockstep:
                              n_free_params=2, n_steps=120)
         objective, _ = build_objective(spec, ring6)
         starts = [np.zeros(2), np.array([1.0, -1.0]), np.array([54.0, -36.0])]
-        _, together = multi_start_maximize(objective, starts)
+        together = multi_start(objective, starts)
         assert len({r.iterations for r in together}) > 1
         for start, report in zip(starts, together):
             alone = bfgs_maximize(objective, start)

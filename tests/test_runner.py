@@ -16,10 +16,10 @@ import spinsplice.runner as runner
 from spinsplice.cli import main
 from spinsplice.control import polynomial_cut
 from spinsplice.dynamics import MAX_TAYLOR_TERMS, integration_grid, taylor_plan
-from spinsplice.optimize import multi_start_maximize
-from spinsplice.process import build_objective, prepare_process
+from spinsplice.optimize import best_of, bfgs_maximize
+from spinsplice.process import ObjectiveSpec, build_objective, prepare_process
 from spinsplice.reproduce import PIPELINES, reproduce
-from spinsplice.runner import MODES, ConfigError, execute, load_config, parse_config
+from spinsplice.runner import MODES, ConfigError, execute, parse_config, read_config
 
 from oracles import dense_hamiltonian
 
@@ -74,6 +74,17 @@ def mode_config(mode, tmp_path, **overrides):
     }.get(mode, {}))
     data.update(overrides)
     return data
+
+
+def separate_runs(config, duration, process):
+    """One ``bfgs_maximize`` run per start of the config, at the duration,
+    each on its own objective calls."""
+    spec = ObjectiveSpec(chain=config.chain, kind=config.schedule.kind, duration=duration,
+                         n_free_params=len(config.schedule.params), target=config.target,
+                         n_steps=config.n_steps, direction=config.process)
+    objective, _ = build_objective(spec, process)
+    options = {k: v for k, v in config.optimizer.items() if k != "multi_start"}
+    return [bfgs_maximize(objective, x0, **options) for x0 in runner._starts(config)]
 
 
 def write_config(path, data):
@@ -180,13 +191,13 @@ class TestConfigValidation:
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError, match="file not found"):
-            load_config(tmp_path / "nope.json")
+            parse_config(read_config(tmp_path / "nope.json"))
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="invalid JSON"):
-            load_config(path)
+            parse_config(read_config(path))
 
 
 class TestRunners:
@@ -344,14 +355,38 @@ class TestRunners:
         process = prepare_process(config.chain, "cut")
         separate = []
         for duration, _, f_opt, params, status in result["rows"]:
-            objective, _ = build_objective(runner.objective_spec(config, duration), process)
-            best, reports = multi_start_maximize(objective, runner._starts(config), max_iterations=3)
+            reports = separate_runs(config, duration, process)
+            best = best_of(reports)
             assert status == best.status
             assert abs(f_opt - best.final_value) <= 1e-12
             assert np.abs(np.subtract(params, best.final_params)).max() <= 1e-6
             separate += reports
         # the sweep's rounds are those of its longest run, not their sum
         health = json.loads((tmp_path / "out" / "manifest.json").read_text())["health"]
+        assert health == result["health"]
+        assert health["rounds"] == max(r.rounds for r in separate)
+        assert health["evaluations"] == sum(r.evaluations for r in separate)
+
+    @pytest.mark.parametrize("mode", ["optimize", "landscape"])
+    def test_optimize_and_landscape_report_health(self, tmp_path, mode):
+        # one start: the manifest's health is the report's own work
+        data = mode_config(mode, tmp_path, out_dir=str(tmp_path / "one"), optimizer={"max_iterations": 3})
+        report = execute(parse_config(data))["report"]
+        health = json.loads((tmp_path / "one" / "manifest.json").read_text())["health"]
+        assert health == {"rounds": report.rounds, "evaluations": report.evaluations}
+        assert health["rounds"] > 0
+        # two starts per parameter: the best of separate runs, and all their work
+        data["out_dir"] = str(tmp_path / "four")
+        data["optimizer"]["multi_start"] = {"per_axis": 2}
+        config = parse_config(data)
+        result = execute(config)
+        separate = separate_runs(config, config.schedule.duration, prepare_process(config.chain, "cut"))
+        assert len(separate) == 4
+        best, report = best_of(separate), result["report"]
+        assert (report.status, report.iterations) == (best.status, best.iterations)
+        assert abs(report.final_value - best.final_value) <= 1e-12
+        assert np.abs(np.subtract(report.final_params, best.final_params)).max() <= 1e-6
+        health = json.loads((tmp_path / "four" / "manifest.json").read_text())["health"]
         assert health == result["health"]
         assert health["rounds"] == max(r.rounds for r in separate)
         assert health["evaluations"] == sum(r.evaluations for r in separate)
@@ -442,6 +477,18 @@ class TestCli:
                                         optimizer={"multi_start": {"per_axis": 2}})),  # 251 x 4 starts
             ("noise", mode_config("noise", tmp_path, noise=dict(noise, strengths=[1.0], window=5e-5,
                                                                  realizations=10_000))),
+            ("noise.strengths", mode_config("noise", tmp_path, noise=dict(noise, strengths=[0.0] * 101))),
+            # bounds on one fidelities call: schedules x (2^N + grid points), each
+            # input here is within every other bound
+            ("landscape.axes", mode_config(
+                "landscape", tmp_path, chain=dict(ring4, n_spins=12), n_steps=100_000,
+                landscape={"axes": [{"param_index": k, "min": -2.0, "max": 2.0, "resolution": 100}
+                                    for k in range(2)]})),  # 10^4 grids of 10^5 points
+            ("noise", mode_config("noise", tmp_path, chain=dict(ring4, n_spins=12), noise=dict(
+                noise, strengths=[1.0] * 100, window=0.5, realizations=10_000))),  # 10^6 states of 2^12
+            ("sweep.times", mode_config(
+                "sweep", tmp_path, n_steps=300, sweep={"times": [0.3] * 1000},
+                schedule={"kind": "polynomial_cut", "T": 0.5, "params": [0.0] * 100})),  # 201 000 columns
         ]
         runs = [(field, [data["mode"], "--config", write_config(tmp_path / f"c{k}.json", data)])
                 for k, (field, data) in enumerate(bad)]
@@ -485,7 +532,7 @@ class TestCli:
         assert main(["evolve", "--config", str(path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
-        def eigensolver_failure(config):
+        def eigensolver_failure(config, process):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setitem(runner.RUNNERS, "evolve", eigensolver_failure)
