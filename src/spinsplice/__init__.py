@@ -16,8 +16,6 @@ from .control import (
 )
 from .dynamics import (
     SectorPropagator,
-    TrajectoryProbe,
-    TrajectoryRecord,
     cut_fidelity,
     entropy,
     propagate,
@@ -36,6 +34,7 @@ from .process import (
     DEFAULT_TIME_STEPS,
     ChainProcess,
     ObjectiveSpec,
+    TrajectoryRecord,
     build_objective,
     prepare_process,
 )
@@ -47,12 +46,11 @@ __all__ = [
     "ChainSpec", "DegeneracyError", "assemble_hamiltonian",
     "ControlSchedule", "NoiseSpec", "NoisySchedule", "apply_noise", "linear_baseline",
     "make_schedule", "polynomial_cut", "polynomial_stitch", "pulse_train", "sine_cut",
-    "SectorPropagator", "TrajectoryProbe", "TrajectoryRecord", "cut_fidelity", "entropy",
-    "propagate", "purity", "reduce_density",
+    "SectorPropagator", "cut_fidelity", "entropy", "propagate", "purity", "reduce_density",
     "LandscapeAxis", "LandscapeGrid", "OptimizationReport", "bfgs_maximize",
     "finite_difference_gradient", "scan_landscape",
-    "DEFAULT_TIME_STEPS", "ChainProcess", "ObjectiveSpec", "build_objective",
-    "prepare_process",
+    "DEFAULT_TIME_STEPS", "ChainProcess", "ObjectiveSpec", "TrajectoryRecord",
+    "build_objective", "prepare_process",
     "reproduce",
     "ConfigError", "RunConfig", "execute", "parse_config",
 ]

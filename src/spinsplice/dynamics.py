@@ -27,25 +27,20 @@ than ``MAX_TAYLOR_TERMS`` terms takes the exact factor instead, from an
 eigendecomposition of each column's generator, stacked over the batch, with
 each column's own dt.
 
-A recorded run samples the state every ``stride`` steps.  Each sample takes
-the energies of every block at the current coupling (one ``eigvalsh`` per
-block dimension) for the gap and the degeneracy flag, and eigenvectors only
-of the block(s) holding the ground subspace, for the ground fidelity.  The
-reduced density matrix of the first subsystem gives the cut fidelity and
-purity; the entanglement entropy, equal on both sides of a pure state, comes
-from the smaller of the two reduced density matrices.  The module does no
-file I/O: ``runner`` writes the trajectory CSV from a ``TrajectoryRecord``'s
-columns.
+``propagate`` reports its work: the largest step norm bound and the Taylor
+terms applied.  A probe passed to it sees the full-space state at chosen step
+boundaries; what it measures there is the caller's (``ChainProcess.run``
+records a trajectory this way).  The module does no file I/O.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .chain import Blocks, DegeneracyError, Matrices, Spectrum
+from .chain import Blocks, Matrices, Spectrum
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
 UNIT_ROUNDOFF = 2.0**-53
@@ -237,166 +232,67 @@ def entropy(rho: np.ndarray) -> float:
     return float(-np.sum(lam * np.log(lam)))
 
 
-@dataclass(frozen=True)
-class TrajectoryProbe:
-    """Sampling policy for recorded runs: what to measure and how often.
+class Work(NamedTuple):
+    """Work of one ``propagate`` call: the largest bound
+    (||h0||_1 + |g| ||v||_1) dt of any step, and the Taylor terms applied in
+    all (each one matrix product per occupied block)."""
 
-    ``stride`` records every stride-th step boundary (the initial and final
-    times are always included).
-    """
-
-    n_spins: int
-    subsystem_sites: tuple[int, ...]
-    phi_0a: np.ndarray
-    stride: int = 1
-
-    def __post_init__(self) -> None:
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """Sampled observables of a recorded run, plus its work counts.
-
-    ``gap`` and the degenerate flags come from the energies of every block,
-    ``f_g`` from eigenvectors of the block(s) holding the ground subspace
-    only; ``vector_blocks`` counts those block eigendecompositions over all
-    samples.  The state is pure, so its two subsystems share one Schmidt
-    spectrum: the entropy is computed once, on the smaller side, and fills
-    both ``entropy_a`` and ``entropy_b``.  ``max_norm_dt`` is the largest
-    bound (||h0||_1 + |g| ||v||_1) dt of any step, and ``taylor_matvecs`` the
-    Taylor terms applied in all."""
-
-    times: np.ndarray
-    g_values: np.ndarray
-    f_c: np.ndarray
-    f_g: np.ndarray
-    purity_a: np.ndarray
-    entropy_a: np.ndarray
-    entropy_b: np.ndarray
-    gap: np.ndarray
-    degenerate_flags: np.ndarray
     max_norm_dt: float
     taylor_matvecs: int
-    vector_blocks: int
-
-    def final_cut_fidelity(self) -> float:
-        return float(self.f_c[-1])
-
-    def final_ground_fidelity(self) -> float:
-        return float(self.f_g[-1])
 
 
-class _Recorder:
-    def __init__(self, probe: TrajectoryProbe, propagator: SectorPropagator, schedule):
-        self._probe = probe
-        self.stride = probe.stride
-        self._prop = propagator
-        self._schedule = schedule
-        rest = tuple(s for s in range(1, probe.n_spins + 1) if s not in probe.subsystem_sites)
-        # the side whose reduced density matrix is the smaller one
-        self._schmidt_sites = probe.subsystem_sites if len(probe.subsystem_sites) <= len(rest) else rest
-        self._prev_ground: np.ndarray | None = None
-        self._vector_blocks = 0
-        self._cols: list[tuple] = []
+def propagate(propagator: SectorPropagator, schedule, psi0: np.ndarray, n_steps: int,
+              probe: Callable[[float, np.ndarray], None] | None = None, stride: int = 1) -> tuple[np.ndarray, Work]:
+    """Evolve psi0 across the schedule; return the final state and the Work.
 
-    def sample(self, t: float, psi: np.ndarray) -> None:
-        probe = self._probe
-        g = float(self._schedule.value(t))
-        spectrum = self._prop.spectrum(g)
-        reference = self._prev_ground if self._prev_ground is not None else psi
-        degenerate = spectrum.degenerate()
-        try:
-            ground = spectrum.ground(reference)
-        except DegeneracyError:  # an orthogonal reference
-            ground = spectrum.states(1)[:, 0]  # diagnostic only; the flag marks the sample
-        self._prev_ground = ground
-        self._vector_blocks += spectrum.vector_blocks
-        f_g = float(abs(ground.conj() @ psi))
-        rho_a = reduce_density(psi, probe.subsystem_sites, probe.n_spins)
-        if self._schmidt_sites == probe.subsystem_sites:
-            schmidt_entropy = entropy(rho_a)
-        else:
-            schmidt_entropy = entropy(reduce_density(psi, self._schmidt_sites, probe.n_spins))
-        self._cols.append((
-            t, g,
-            cut_fidelity(rho_a, probe.phi_0a),
-            f_g,
-            purity(rho_a),
-            schmidt_entropy,
-            schmidt_entropy,
-            spectrum.gap,
-            degenerate,
-        ))
-
-    def build(self, max_norm_dt: float, taylor_matvecs: int) -> TrajectoryRecord:
-        arr = np.asarray([c[:8] for c in self._cols], dtype=float)
-        flags = np.asarray([c[8] for c in self._cols], dtype=bool)
-        return TrajectoryRecord(
-            times=arr[:, 0], g_values=arr[:, 1], f_c=arr[:, 2], f_g=arr[:, 3],
-            purity_a=arr[:, 4], entropy_a=arr[:, 5], entropy_b=arr[:, 6],
-            gap=arr[:, 7], degenerate_flags=flags,
-            max_norm_dt=max_norm_dt, taylor_matvecs=taylor_matvecs,
-            vector_blocks=self._vector_blocks,
-        )
-
-
-def propagate(
-    propagator: SectorPropagator,
-    schedule,
-    psi0: np.ndarray,
-    n_steps: int,
-    probe: TrajectoryProbe | None = None,
-) -> tuple[np.ndarray, TrajectoryRecord | None]:
-    """Evolve psi0 across the schedule; optionally record a trajectory.
-
-    Returns the final state and, when a probe is given, the sampled record.
     ``schedule`` may also be a list of schedules, which evolve in batches:
     schedules with the same number of integration steps evolve together as
     one (d x B) array, each on its own grid, split so that neither the
     amplitudes nor the (steps x B) couplings of a batch exceed
     MAX_BATCH_BYTES.  The result is then a (dim, B) array, one column per
-    schedule in list order, and does not depend on the batching; a probe
-    records one schedule only, passed alone.  ``n_steps`` sets the uniform
-    grid of ``integration_grid``, which takes one factor per pulse of a pulse
-    train whatever its value.  Only the blocks in which psi0 has amplitude
-    are evolved; the state is assembled in the full space only for samples
-    and the result.
+    schedule in list order, and does not depend on the batching; the Work
+    holds the largest norm bound and the total Taylor terms over all batches.
+    ``n_steps`` sets the uniform grid of ``integration_grid``, which takes
+    one factor per pulse of a pulse train whatever its value.  A probe, for
+    one schedule passed alone, is called as ``probe(t, psi)`` with the
+    full-space state at t = 0, at every ``stride``-th step boundary and at
+    the end.  Only the blocks in which psi0 has amplitude are evolved; the
+    state is assembled in the full space only for the probe and the result.
     """
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
     single = not isinstance(schedule, (list, tuple))
     if probe is not None and not single:
-        raise ValueError("a recorded run propagates one schedule")
+        raise ValueError("a probed run propagates one schedule")
     schedules = [schedule] if single else schedule
     psi0 = np.asarray(psi0, dtype=complex)
     occupied = propagator.occupied(psi0)
     amps = [propagator.blocks[k].amplitudes(psi0) for k in occupied]
     d = sum(a.size for a in amps)
-    recorder = _Recorder(probe, propagator, schedule) if probe is not None else None
-    if recorder is not None:
-        recorder.sample(0.0, psi0)
+    if probe is not None:
+        probe(0.0, psi0)
     grids = [integration_grid(one, n_steps) for one in schedules]
     groups: dict[int, list[int]] = {}
     for i, grid in enumerate(grids):
         groups.setdefault(grid.size, []).append(i)
     states = np.empty((propagator.dim, len(schedules)), dtype=complex)
-    record = None
+    max_norm_dt, matvecs = 0.0, 0
     for size, members in groups.items():
         width = max(1, MAX_BATCH_BYTES // (16 * max(d, size - 1)))
         for lo in range(0, len(members), width):
             chunk = members[lo:lo + width]
-            states[:, chunk], record = _evolve(propagator, [schedules[i] for i in chunk],
-                                               np.stack([grids[i] for i in chunk], axis=1),
-                                               occupied, amps, recorder)
-    return (states[:, 0] if single else states), record
+            states[:, chunk], work = _evolve(propagator, [schedules[i] for i in chunk],
+                                             np.stack([grids[i] for i in chunk], axis=1),
+                                             occupied, amps, probe, stride)
+            max_norm_dt, matvecs = max(max_norm_dt, work.max_norm_dt), matvecs + work.taylor_matvecs
+    return (states[:, 0] if single else states), Work(max_norm_dt, matvecs)
 
 
-def _evolve(propagator, schedules, grids, occupied, amps, recorder=None):
+def _evolve(propagator, schedules, grids, occupied, amps, probe, stride):
     """The (dim, B) final states of schedules with the same step count,
     column b evolved on the integration grid ``grids[:, b]`` from the state
-    with amplitudes ``amps`` in the ``occupied`` blocks, and, when a recorder
-    is given, the record of the first, sampled every ``recorder.stride``
-    steps after its initial sample."""
+    with amplitudes ``amps`` in the ``occupied`` blocks, and their Work; a
+    probe sees the first column every ``stride`` steps and at the end."""
     dts = np.diff(grids, axis=0)
     g_values = np.stack([s.values(0.5 * (grid[:-1] + grid[1:])) for s, grid in zip(schedules, grids.T)],
                         axis=1)
@@ -423,7 +319,6 @@ def _evolve(propagator, schedules, grids, occupied, amps, recorder=None):
                 amps[i] = _exact_factor(h0, v, amps[i], g_values[j], dts[j])
             else:
                 amps[i] = _taylor_factor(hvs[i], amps[i], weights[j], orders[j], substeps[j])
-        if recorder is not None and ((j + 1) % recorder.stride == 0 or j == last):
-            recorder.sample(float(grids[j + 1, 0]), propagator.embed(occupied, [a[:, 0] for a in amps]))
-    states = propagator.embed(occupied, amps)
-    return states, (recorder.build(max_norm_dt, matvecs) if recorder is not None else None)
+        if probe is not None and ((j + 1) % stride == 0 or j == last):
+            probe(float(grids[j + 1, 0]), propagator.embed(occupied, [a[:, 0] for a in amps]))
+    return propagator.embed(occupied, amps), Work(max_norm_dt, matvecs)

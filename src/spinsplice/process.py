@@ -1,4 +1,4 @@
-"""Cut and stitch process setup: initial states, targets, and objectives.
+"""Cut and stitch process setup: initial states, targets, objectives and recorded trajectories.
 
 A process fixes everything the schedule does not: the split Hamiltonian, held
 only as the propagator's symmetry blocks, the initial state (the ground state
@@ -30,15 +30,8 @@ from .chain import (
     cut_components,
     resolve_ground,
 )
-from .control import ControlSchedule, linear_baseline, make_schedule
-from .dynamics import (
-    SectorPropagator,
-    TrajectoryProbe,
-    TrajectoryRecord,
-    cut_fidelity,
-    propagate,
-    reduce_density,
-)
+from .control import ControlSchedule, make_schedule
+from .dynamics import SectorPropagator, cut_fidelity, entropy, propagate, purity, reduce_density
 
 DEFAULT_TIME_STEPS = 300
 # How far an endpoint's coupling is nudged toward the interior of [0, 1] for
@@ -46,6 +39,38 @@ DEFAULT_TIME_STEPS = 300
 DEFAULT_SELECTION_OFFSET = 1e-6
 
 TARGETS = ("cut", "ground")
+
+
+@dataclass(frozen=True)
+class TrajectoryRecord:
+    """Sampled observables of a recorded run, plus its work counts.
+
+    ``gap`` and the degenerate flags come from the energies of every block,
+    ``f_g`` from eigenvectors of the block(s) holding the ground subspace
+    only; ``vector_blocks`` counts those block eigendecompositions over all
+    samples.  The state is pure, so its two subsystems share one Schmidt
+    spectrum: the entropy is computed once, on the smaller side, and fills
+    both ``entropy_a`` and ``entropy_b``.  ``max_norm_dt`` and
+    ``taylor_matvecs`` are the run's ``Work``."""
+
+    times: np.ndarray
+    g_values: np.ndarray
+    f_c: np.ndarray
+    f_g: np.ndarray
+    purity_a: np.ndarray
+    entropy_a: np.ndarray
+    entropy_b: np.ndarray
+    gap: np.ndarray
+    degenerate_flags: np.ndarray
+    max_norm_dt: float
+    taylor_matvecs: int
+    vector_blocks: int
+
+    def final_cut_fidelity(self) -> float:
+        return float(self.f_c[-1])
+
+    def final_ground_fidelity(self) -> float:
+        return float(self.f_g[-1])
 
 
 @dataclass
@@ -90,24 +115,51 @@ class ChainProcess:
             return cut_fidelity(rho, self.phi_0a)
         return float(abs(self.final_ground.conj() @ psi))
 
-    def baseline_fidelity(self, duration: float, n_steps: int = DEFAULT_TIME_STEPS, target: str = "cut") -> float:
-        return self.fidelity(linear_baseline(duration, self.direction), n_steps, target)
+    def run(self, schedule, n_steps: int = DEFAULT_TIME_STEPS,
+            stride: int = 1) -> tuple[np.ndarray, TrajectoryRecord]:
+        """Propagate and record the trajectory, sampled at t = 0, every
+        ``stride`` steps and at the end.
 
-    def run(
-        self,
-        schedule,
-        n_steps: int = DEFAULT_TIME_STEPS,
-        stride: int = 1,
-    ) -> tuple[np.ndarray, TrajectoryRecord]:
-        """Propagate and record the full trajectory."""
+        Each sample takes the energies of every block at the current coupling
+        (one ``eigvalsh`` per block dimension) for the gap and the degeneracy
+        flag, and eigenvectors only of the block(s) holding the ground
+        subspace, for the ground fidelity.  A tied ground state follows the
+        previous sample's, the first sample's the state itself; a reference
+        orthogonal to the tie falls back to the lowest state, and the flag
+        marks the sample.  The reduced density matrix of A gives the cut
+        fidelity and purity; the entanglement entropy, equal on both sides of
+        a pure state, comes from the smaller of the two reduced density
+        matrices.
+        """
         self._check_schedule(schedule)
-        probe = TrajectoryProbe(
-            n_spins=self.chain.n_spins,
-            subsystem_sites=self.a_sites,
-            phi_0a=self.phi_0a,
-            stride=stride,
+        n_spins = self.chain.n_spins
+        schmidt_sites = self.a_sites if len(self.a_sites) <= len(self.b_sites) else self.b_sites
+        rows: list[tuple] = []
+        previous_ground, vector_blocks = None, 0
+
+        def sample(t: float, psi: np.ndarray) -> None:
+            nonlocal previous_ground, vector_blocks
+            g = float(schedule.value(t))
+            spectrum = self.propagator.spectrum(g)
+            degenerate = spectrum.degenerate()
+            try:
+                ground = spectrum.ground(psi if previous_ground is None else previous_ground)
+            except DegeneracyError:  # an orthogonal reference
+                ground = spectrum.states(1)[:, 0]  # diagnostic only; the flag marks the sample
+            previous_ground = ground
+            vector_blocks += spectrum.vector_blocks
+            rho_a = reduce_density(psi, self.a_sites, n_spins)
+            rho_small = rho_a if schmidt_sites == self.a_sites else reduce_density(psi, schmidt_sites, n_spins)
+            schmidt_entropy = entropy(rho_small)
+            rows.append((t, g, cut_fidelity(rho_a, self.phi_0a), float(abs(ground.conj() @ psi)),
+                         purity(rho_a), schmidt_entropy, schmidt_entropy, spectrum.gap, degenerate))
+
+        psi, work = propagate(self.propagator, schedule, self.psi0, n_steps, probe=sample, stride=stride)
+        *columns, flags = zip(*rows)
+        return psi, TrajectoryRecord(
+            *np.asarray(columns, dtype=float), degenerate_flags=np.asarray(flags, dtype=bool),
+            max_norm_dt=work.max_norm_dt, taylor_matvecs=work.taylor_matvecs, vector_blocks=vector_blocks,
         )
-        return propagate(self.propagator, schedule, self.psi0, n_steps, probe=probe)
 
 
 def prepare_process(spec: ChainSpec, direction: str = "cut") -> ChainProcess:

@@ -26,7 +26,6 @@ Every CSV and JSON file a run or a ``reproduce`` target writes goes through
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import math
@@ -267,9 +266,6 @@ class RunConfig:
     @property
     def out_dir(self) -> Path:
         return Path(self.data["out_dir"])
-
-    def to_dict(self) -> dict:
-        return copy.deepcopy(self.data)
 
 
 def parse_config(data: dict, mode: str | None = None) -> RunConfig:

@@ -101,7 +101,7 @@ def open6_optimized():
 def test_criterion_01_table1_baselines(ring6):
     failures, shown = [], []
     for duration, (expected, *_rest) in TABLE1.items():
-        value = ring6.baseline_fidelity(duration, STEPS)
+        value = ring6.fidelity(linear_baseline(duration), STEPS)
         shown.append(f"{value:.3f}")
         if abs(value - expected) > 0.005:
             failures.append(f"T={duration}: f_C0={value:.4f} vs {expected}+-0.005")
@@ -147,7 +147,7 @@ def test_criterion_03_optimizer_reproduction(table1_objectives, table1_reports):
 
 def test_criterion_04_two_spin_cut():
     process = prepare_process(TWO_SPIN, "cut")
-    baseline = process.baseline_fidelity(0.6, STEPS)
+    baseline = process.fidelity(linear_baseline(0.6), STEPS)
     pulsed = process.fidelity(pulse_train(0.6, (-5.4, 4.1)), STEPS)
     failures = []
     if abs(baseline - 0.26) > 0.02:
@@ -159,8 +159,8 @@ def test_criterion_04_two_spin_cut():
 
 def test_criterion_05_level_crossing_ring7(ring7):
     duration = 20.0
-    f_c = ring7.baseline_fidelity(duration, STEPS, "cut")
-    f_g = ring7.baseline_fidelity(duration, STEPS, "ground")
+    f_c = ring7.fidelity(linear_baseline(duration), STEPS, "cut")
+    f_g = ring7.fidelity(linear_baseline(duration), STEPS, "ground")
     failures = []
     if f_c < 0.95:
         failures.append(f"f_C0={f_c:.4f} < 0.95")
@@ -222,8 +222,8 @@ def test_criterion_07_property_suite(ring6, ring7, table1_reports):
             f_g = ring6.fidelity(schedule, STEPS, "ground")
             if f_c < f_g - 1e-8:
                 failures.append(f"bound broken at T={duration}")
-    f_c7 = ring7.baseline_fidelity(5.0, STEPS, "cut")
-    f_g7 = ring7.baseline_fidelity(5.0, STEPS, "ground")
+    f_c7 = ring7.fidelity(linear_baseline(5.0), STEPS, "cut")
+    f_g7 = ring7.fidelity(linear_baseline(5.0), STEPS, "ground")
     if f_c7 < f_g7 - 1e-8:
         failures.append("bound broken on the 7-ring")
 
@@ -261,12 +261,12 @@ def test_criterion_07_property_suite(ring6, ring7, table1_reports):
                                 n_free_params=2, n_steps=STEPS)
     quench_obj, _ = build_objective(quench_spec, ring6)
     quench = bfgs_maximize(quench_obj, np.zeros(2))
-    gap = abs(quench.final_value - ring6.baseline_fidelity(0.01, STEPS))
+    gap = abs(quench.final_value - ring6.fidelity(linear_baseline(0.01), STEPS))
     if gap >= 0.01:
         failures.append(f"quench-limit gap {gap:.4f} >= 0.01")
 
     # adiabatic limit of the linear ramp
-    slow = ring6.baseline_fidelity(20.0, STEPS)
+    slow = ring6.fidelity(linear_baseline(20.0), STEPS)
     if slow < 0.99:
         failures.append(f"f_C0(T=20)={slow:.4f} < 0.99")
 

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from spinsplice.chain import ChainSpec, assemble_hamiltonian, ground_state
 from spinsplice.control import NoiseSpec, apply_noise, linear_baseline, polynomial_cut, pulse_train
 from spinsplice.dynamics import (
     SectorPropagator,
-    TrajectoryProbe,
     cut_fidelity,
     entropy,
     integration_grid,
@@ -15,6 +15,7 @@ from spinsplice.dynamics import (
     purity,
     reduce_density,
 )
+from spinsplice.process import prepare_process
 from spinsplice.runner import TRAJECTORY_COLUMNS, write_csv
 
 from oracles import (
@@ -139,6 +140,43 @@ class TestPropagate:
         with pytest.raises(ValueError, match="n_steps"):
             integration_grid(linear_baseline(1.0), 0)
 
+    def test_probe_times(self):
+        spec = ChainSpec(3, "open", 1.0, 2.0)
+        h0, v = dense_hamiltonian(spec)
+        psi0 = ground_state(h0 + v).state.astype(complex)
+        prop = SectorPropagator(*assemble_hamiltonian(spec))
+        times = []
+        propagate(prop, linear_baseline(0.5), psi0, 25, probe=lambda t, psi: times.append(t), stride=10)
+        # t = 0, every 10th of the 25 steps, and the end
+        assert times == pytest.approx([0.0, 0.2, 0.4, 0.5], abs=1e-15)
+
+    def test_rejects_bad_stride_and_a_probed_list(self):
+        spec = ChainSpec(3, "open", 1.0, 2.0)
+        prop = SectorPropagator(*assemble_hamiltonian(spec))
+        psi0 = ground_state(sum(dense_hamiltonian(spec))).state.astype(complex)
+        with pytest.raises(ValueError, match="stride"):
+            propagate(prop, linear_baseline(0.5), psi0, 25, stride=0)
+        with pytest.raises(ValueError, match="one schedule"):
+            propagate(prop, [linear_baseline(0.5)], psi0, 25, probe=lambda t, psi: None)
+
+    @pytest.mark.parametrize("n_steps", [40, 75])
+    def test_work_is_the_max_and_sum_over_batches(self, n_steps):
+        spec = ChainSpec(4, "ring", 1.0, 2.0)
+        h0, v = dense_hamiltonian(spec)
+        psi0 = ground_state(h0 + v, h0 + (1 - 1e-6) * v).state.astype(complex)
+        prop = SectorPropagator(*assemble_hamiltonian(spec))
+        schedules = [
+            polynomial_cut(0.6, (10.0, -5.0)),
+            pulse_train(0.6, (-5.4, 4.1, 0.3)),
+            apply_noise(linear_baseline(0.6), NoiseSpec(window=0.25, strength=1.5, seed=8)),
+        ]
+        # three step counts: each schedule is a batch of its own
+        assert len({integration_grid(s, n_steps).size for s in schedules}) == 3
+        _, work = propagate(prop, schedules, psi0, n_steps)
+        singles = [propagate(prop, s, psi0, n_steps)[1] for s in schedules]
+        assert work.max_norm_dt == max(w.max_norm_dt for w in singles) > 0.0
+        assert work.taylor_matvecs == sum(w.taylor_matvecs for w in singles) > 0
+
 
 class TestReducedDensity:
     def test_product_state(self):
@@ -224,15 +262,19 @@ class TestPurityEntropy:
         assert entropy(rho) == pytest.approx(0.3250829733914483, abs=1e-12)
 
 
+RECORDED_SCHEDULE = polynomial_cut(0.6, (34.9, -23.4))
+
+
 @pytest.fixture(scope="module")
-def recorded_run():
+def open5():
     spec = ChainSpec(5, "open", 1.0, 2.0)
     h0, v = dense_hamiltonian(spec)
-    psi0 = ground_state(h0 + v).state.astype(complex)
-    probe = TrajectoryProbe(n_spins=5, subsystem_sites=(1,), phi_0a=DOWN)
-    schedule = polynomial_cut(0.6, (34.9, -23.4))
-    psi, record = propagate(SectorPropagator(*assemble_hamiltonian(spec)), schedule, psi0, 100, probe=probe)
-    return psi, record
+    return replace(prepare_process(spec, "cut"), psi0=ground_state(h0 + v).state.astype(complex))
+
+
+@pytest.fixture(scope="module")
+def recorded_run(open5):
+    return open5.run(RECORDED_SCHEDULE, 100)
 
 
 class TestTrajectoryRecord:
@@ -261,15 +303,10 @@ class TestTrajectoryRecord:
         assert record.f_g[0] == pytest.approx(1.0, abs=1e-9)
         assert np.all(record.gap >= 0.0)
 
-    def test_stride_subsampling(self):
-        spec = ChainSpec(3, "open", 1.0, 2.0)
-        h0, v = dense_hamiltonian(spec)
-        psi0 = ground_state(h0 + v).state.astype(complex)
-        probe = TrajectoryProbe(n_spins=3, subsystem_sites=(1,), phi_0a=DOWN, stride=10)
-        prop = SectorPropagator(*assemble_hamiltonian(spec))
-        _, record = propagate(prop, linear_baseline(0.5), psi0, 25, probe=probe)
-        # initial sample, every 10th step, and the forced final step
-        assert len(record.times) == 4
+    def test_work_counts_are_the_propagation_work(self, open5, recorded_run):
+        _, record = recorded_run
+        _, work = propagate(open5.propagator, RECORDED_SCHEDULE, open5.psi0, 100)
+        assert (record.max_norm_dt, record.taylor_matvecs) == work
 
     def test_csv_format(self, recorded_run, tmp_path):
         _, record = recorded_run

@@ -131,7 +131,7 @@ class TestObjective:
                              n_free_params=2, n_steps=80)
         objective, process = build_objective(spec)
         assert objective(np.zeros(2)) == pytest.approx(
-            process.baseline_fidelity(0.5, 80), abs=1e-12
+            process.fidelity(linear_baseline(0.5), 80), abs=1e-12
         )
 
     def test_deterministic_and_bounded(self):
@@ -160,7 +160,7 @@ class TestObjective:
         value = objective(np.zeros(2))
         assert 0.0 < value <= 1.0
         assert value == pytest.approx(
-            process.baseline_fidelity(0.5, 60, "ground"), abs=1e-12
+            process.fidelity(linear_baseline(0.5, "stitch"), 60, "ground"), abs=1e-12
         )
 
 
@@ -211,5 +211,5 @@ class TestPublishedLandscapeGeometry:
         objective, process = build_objective(spec)
         axes = (LandscapeAxis(0, -1.0, 1.0, 3), LandscapeAxis(1, -1.0, 1.0, 3))
         grid = scan_landscape(objective, axes)
-        baseline = process.baseline_fidelity(0.4, 60)
+        baseline = process.fidelity(linear_baseline(0.4), 60)
         assert grid.values[1, 1] == pytest.approx(baseline, abs=1e-12)

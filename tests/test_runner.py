@@ -187,7 +187,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("mode", MODES)
     def test_echo_round_trip(self, tmp_path, mode):
         config = parse_config(mode_config(mode, tmp_path))
-        assert parse_config(config.to_dict()) == config
+        assert parse_config(config.data) == config
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError, match="file not found"):

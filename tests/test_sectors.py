@@ -10,6 +10,7 @@ and diagonalizes every sector with eigenvectors at each sample.  The
 tolerance is round-off.
 """
 
+from dataclasses import replace
 from math import comb
 
 import numpy as np
@@ -31,7 +32,7 @@ from spinsplice.control import (
     polynomial_stitch,
     pulse_train,
 )
-from spinsplice.dynamics import SectorPropagator, TrajectoryProbe, cut_fidelity, propagate, reduce_density
+from spinsplice.dynamics import SectorPropagator, cut_fidelity, propagate, reduce_density
 from spinsplice.process import prepare_process
 
 from oracles import (
@@ -311,29 +312,28 @@ class TestLazySpectrum:
 
 
 class TestBeyondOneSector:
-    def assert_matches_dense(self, psi0, expected_blocks):
+    def assert_matches_dense(self, ring6, psi0, expected_blocks):
         h0, v = dense_hamiltonian(RING6)
-        prop = SectorPropagator(*assemble_hamiltonian(RING6))
+        prop = ring6.propagator
         assert [(sector_of(prop.blocks[k]), prop.blocks[k].sign) for k in prop.occupied(psi0)] == expected_blocks
         for schedule in (polynomial_cut(0.6, (54.3, -36.3)), pulse_train(0.6, (0.5, -1.0, 2.0))):
             psi, _ = propagate(prop, schedule, psi0, STEPS)
             assert np.abs(psi - dense_propagate(h0, v, schedule, psi0, STEPS)).max() <= GATE
-        probe = TrajectoryProbe(n_spins=6, subsystem_sites=(1,), phi_0a=np.array([0.0, 1.0]), stride=50)
-        _, record = propagate(prop, linear_baseline(0.6), psi0, STEPS, probe=probe)
+        _, record = replace(ring6, psi0=psi0).run(linear_baseline(0.6), STEPS, stride=50)
         for g, gap in zip(record.g_values, record.gap):
             w = np.linalg.eigvalsh(h0 + g * v)
             assert abs(gap - (w[1] - w[0])) <= GAP_GATE
 
-    def test_superposition_across_two_sectors(self):
+    def test_superposition_across_two_sectors(self, ring6):
         downs = np.array([bin(s).count("1") for s in range(64)])
         psi0 = random_state(np.isin(downs, (2, 3)), 3)
-        self.assert_matches_dense(psi0, [(2, 1.0), (2, -1.0), (3, 1.0), (3, -1.0)])
+        self.assert_matches_dense(ring6, psi0, [(2, 1.0), (2, -1.0), (3, 1.0), (3, -1.0)])
 
-    def test_superposition_across_both_parities(self):
+    def test_superposition_across_both_parities(self, ring6):
         # a basis state and its mirror image with unequal weights
         psi0 = np.zeros(64, dtype=complex)
         psi0[0b110000], psi0[0b100010] = 0.8, 0.6j  # downs on sites (1, 2) and (1, 6)
-        self.assert_matches_dense(psi0, [(2, 1.0), (2, -1.0)])
+        self.assert_matches_dense(ring6, psi0, [(2, 1.0), (2, -1.0)])
 
 
 def random_state(support, seed):
@@ -393,13 +393,11 @@ class TestGroundSelection:
         with pytest.raises(DegeneracyError, match="orthogonal"):
             spectrum.ground(e_0)
 
-    def test_recorder_flags_an_orthogonal_reference(self):
+    def test_recorder_flags_an_orthogonal_reference(self, ring7):
         # the first sample's reference is the state itself; orthogonal to the
         # tied ground subspace, it falls back to the lowest state and is flagged
-        prop = SectorPropagator(*assemble_hamiltonian(ChainSpec(7, "ring", 1.0, 2.0)))
-        e_0 = np.zeros(prop.dim, dtype=complex)
+        e_0 = np.zeros(ring7.propagator.dim, dtype=complex)
         e_0[0] = 1.0
-        probe = TrajectoryProbe(n_spins=7, subsystem_sites=(1,), phi_0a=np.array([0.0, 1.0]), stride=10)
-        _, record = propagate(prop, polynomial_cut(0.6), e_0, 20, probe=probe)
+        _, record = replace(ring7, psi0=e_0).run(polynomial_cut(0.6), 20, stride=10)
         assert record.degenerate_flags[0]
         assert record.f_g[0] == 0.0
