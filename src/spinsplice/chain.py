@@ -312,34 +312,103 @@ def cut_components(spec: ChainSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(sorted(seen)), rest
 
 
+def eigvalsh_by_size(sizes: list[int], members: Iterable[int], matrix: Callable[[int], np.ndarray]):
+    """For each dimension among these blocks: the blocks, and the ascending
+    energies of each, from one ``eigvalsh`` of their matrices stacked."""
+    by_size: dict[int, list[int]] = {}
+    for b in members:
+        by_size.setdefault(sizes[b], []).append(b)
+    for same in by_size.values():
+        yield same, np.linalg.eigvalsh(np.array([matrix(b) for b in same]))
+
+
 class Spectrum:
     """Spectrum of a block-diagonal real symmetric (or Hermitian) matrix.
 
-    ``matrices[b]`` is the matrix on ``blocks[b]``.  Blocks of equal
-    dimension are stacked, and ``energies`` is the merged spectrum in
-    ascending order, from one ``eigvalsh`` per stack.  ``states(k)`` embeds
-    the eigenvectors of its k lowest entries in the full space; a block's
-    eigenvectors come from one ``eigh``, made on the first ``states`` call
-    that reads that block and kept.  ``vector_blocks`` counts those ``eigh``
-    calls.  ``ground`` applies the degeneracy rule.
+    ``matrix(b)`` forms the matrix on ``blocks[b]``; it is called only for
+    the blocks that get diagonalized, and again for those whose eigenvectors
+    are read.  ``known`` holds the ascending energies of blocks diagonalized
+    before, taken as they are.  ``lower[b]`` and ``upper[b]``, when given,
+    bound the energies of block b.  Blocks are diagonalized from the top, in
+    descending order of their upper bounds, until no block left can hold an
+    energy above the highest found, then from the bottom, in ascending order
+    of their lower bounds, until no block left can hold an energy at or below
+    max(E1, E0 + DEGENERACY_RTOL (E_top - E0)) of those found.  That cut-off
+    only falls as blocks are added, so the blocks left out hold none of the
+    energies it covers.  Without bounds every block is diagonalized; blocks
+    of equal bound go together, one ``eigvalsh`` per dimension.
+
+    ``energies`` is the merged spectrum of only the blocks diagonalized or
+    known; ``value_blocks`` counts them.  Exact, as if every
+    block had been diagonalized: the two lowest energies and so ``gap``, the
+    top energy and so ``threshold()`` and ``degenerate()``, and every energy
+    within the threshold of the lowest, the tie that ``ground`` resolves.
+    ``states(k)`` embeds the eigenvectors of the k lowest entries in the full
+    space (k within that tie, or at most 2); a block's eigenvectors come from
+    one ``eigh``, made on the first ``states`` call that reads that block and
+    kept.  ``vector_blocks`` counts those ``eigh`` calls.  ``ground``
+    applies the degeneracy rule.
     """
 
-    def __init__(self, blocks: Blocks, matrices: Matrices) -> None:
+    def __init__(self, blocks: Blocks, matrix: Callable[[int], np.ndarray],
+                 lower: np.ndarray | None = None, upper: np.ndarray | None = None,
+                 known: dict[int, np.ndarray] | None = None) -> None:
         self.blocks = blocks
-        members: dict[int, list[int]] = {}
-        for b, m in enumerate(matrices):
-            members.setdefault(len(m), []).append(b)
-        # for each dimension, ascending: its blocks and their matrices as one stack
-        self._groups = [(members[d], np.array([matrices[b] for b in members[d]])) for d in sorted(members)]
+        self._matrix = matrix
+        self._sizes = [block.size for block in blocks]
+        self._energies: dict[int, np.ndarray] = {}  # each diagonalized or known block's, ascending
         self._vectors: dict[int, np.ndarray] = {}
-        w = np.concatenate([np.linalg.eigvalsh(stack).ravel() for _, stack in self._groups])
+        self._top, self._low = -np.inf, [np.inf, np.inf]  # the highest and two lowest energies found
+        if known:
+            self._record(list(known), known.values())
+        unbounded = [-np.inf] * len(blocks)
+
+        self._sweep(unbounded if upper is None else (-upper).tolist(), lambda bound: -bound < self._top)
+        top = self._top  # exact: every block left has a lower upper bound
+        self._sweep(unbounded if lower is None else lower.tolist(), lambda bound: bound > max(
+            self._low[1], self._low[0] + DEGENERACY_RTOL * (top - self._low[0])))
+        # merged in the order of dimension, then block: ties sort as in the full spectrum
+        self._done = sorted(self._energies, key=lambda b: (self._sizes[b], b))
+        w = np.concatenate([self._energies[b] for b in self._done])
         self._order = np.argsort(w, kind="stable")
         self.energies = w[self._order]
+
+    def _sweep(self, bounds: list[float], beyond: Callable[[float], bool]) -> None:
+        """Diagonalize the blocks in ascending order of ``bounds``, those with
+        equal bounds together, until ``beyond`` holds for the next bound."""
+        order = sorted(range(len(bounds)), key=bounds.__getitem__)
+        i = 0
+        while i < len(order):
+            bound = bounds[order[i]]
+            if beyond(bound):
+                return
+            j = i + 1
+            while j < len(order) and bounds[order[j]] == bound:
+                j += 1
+            members = [b for b in order[i:j] if b not in self._energies]
+            for same, w in eigvalsh_by_size(self._sizes, members, self._matrix):
+                self._record(same, w)
+            i = j
+
+    def _record(self, members: list[int], energies: Iterable[np.ndarray]) -> None:
+        """Keep the ascending energies of these blocks, and the highest and
+        two lowest of all so far."""
+        low = self._low
+        for b, w in zip(members, energies):
+            self._energies[b] = w
+            self._top = max(self._top, w[-1])
+            low = low + w[:2].tolist()
+        self._low = sorted(low)[:2]
 
     @property
     def gap(self) -> float:
         """Distance between the two lowest energies of the whole spectrum."""
         return float(self.energies[1] - self.energies[0]) if self.energies.size > 1 else np.inf
+
+    @property
+    def value_blocks(self) -> int:
+        """Blocks whose energies it holds."""
+        return len(self._energies)
 
     @property
     def vector_blocks(self) -> int:
@@ -353,20 +422,25 @@ class Spectrum:
     def degenerate(self) -> bool:
         return self.gap <= self.threshold()
 
+    def _tied(self) -> int:
+        """How many energies lie within ``threshold`` of the lowest."""
+        return int(np.searchsorted(self.energies, self.energies[0] + self.threshold(), side="right"))
+
     def states(self, k: int) -> np.ndarray:
         """Full-space eigenvector columns of the k lowest energies."""
+        exact = max(2, self._tied())
+        if k > exact:
+            raise ValueError(f"only the {exact} lowest states are exact")
         located = []  # (block, column) of each of the k lowest entries
         for i in self._order[:k].tolist():
-            for members, stack in self._groups:  # i indexes the energies concatenated group by group
-                j, column = divmod(i, stack.shape[1])
-                if j < len(members):
+            for b in self._done:  # i indexes the energies concatenated block by block
+                if i < self._sizes[b]:
                     break
-                i -= stack.shape[0] * stack.shape[1]
-            if members[j] not in self._vectors:
-                self._vectors[members[j]] = np.linalg.eigh(stack[j])[1]
-            located.append((members[j], column))
-        dim = sum(b.size for b in self.blocks)
-        out = np.zeros((dim, k), dtype=np.result_type(*(self._vectors[b] for b, _ in located)))
+                i -= self._sizes[b]
+            if b not in self._vectors:
+                self._vectors[b] = np.linalg.eigh(self._matrix(b))[1]
+            located.append((b, i))
+        out = np.zeros((sum(self._sizes), k), dtype=np.result_type(*(self._vectors[b] for b, _ in located)))
         for col, (b, column) in enumerate(located):
             self.blocks[b].embed(self._vectors[b][:, column], out[:, col])
         return out
@@ -387,8 +461,7 @@ class Spectrum:
             raise DegeneracyError(
                 "ground state is degenerate and no continuity reference was supplied"
             )
-        k = int(np.searchsorted(self.energies, self.energies[0] + self.threshold(), side="right"))
-        basis = self.states(k)
+        basis = self.states(self._tied())
         coeff = basis.conj().T @ reference
         norm = np.linalg.norm(coeff)
         if norm < 1e-12:
@@ -442,7 +515,7 @@ def ground_state(h: np.ndarray, continuity_reference: np.ndarray | None = None) 
         raise ValueError("ground_state needs a matrix that conserves total S^z")
 
     def spectrum(m: np.ndarray) -> Spectrum:
-        return Spectrum(blocks, [m.take(b.states, axis=0).take(b.states, axis=1) for b in blocks])
+        return Spectrum(blocks, lambda b: m.take(blocks[b].states, axis=0).take(blocks[b].states, axis=1))
 
     full = spectrum(h)
     nudged = None if continuity_reference is None else (lambda: spectrum(continuity_reference))

@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .chain import Blocks, Matrices, Spectrum
+from .chain import Blocks, Matrices, Spectrum, eigvalsh_by_size
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
 UNIT_ROUNDOFF = 2.0**-53
@@ -108,11 +108,59 @@ class SectorPropagator:
         self.h0 = h0
         self.v = v
         self._norms: dict[int, tuple[float, float]] = {}
+        self._endpoints = None  # every block's energies at g = 0 and g = 1
+        self._v_range = None
 
     def spectrum(self, g: float) -> Spectrum:
-        """Spectrum of h0 + g v over every block, one ``eigvalsh`` per block
-        dimension; eigenvectors on demand."""
-        return Spectrum(self.blocks, [h + g * v for h, v in zip(self.h0, self.v)])
+        """Spectrum of h0 + g v, pruned by Weyl's bounds; eigenvectors on demand.
+
+        The first call diagonalizes every block of h0 and of h0 + v, one
+        ``eigvalsh`` per dimension for both: the whole spectra at g = 0 and
+        g = 1, kept for those couplings, and each block's energy range there.
+        At any other g, h0 + g v = (1 - g) h0 + g (h0 + v), and Weyl's
+        inequality bounds block b's energies by (1 - g) lambda_min(h0) +
+        g lambda_min(h0 + v) from below, each end taken from the top where its
+        weight is negative, and likewise from above.  Outside [0, 1] the
+        same inequality on h0 + g v, from v's ranges (found on the first such
+        g), tightens them; inside, it never does.  Each bound is widened by
+        4 d eps times the weighted norms on a block of dimension d, above the
+        round-off of the diagonalizations it compares, so that it never
+        excludes an energy ``eigvalsh`` would compute.  The ``Spectrum``
+        diagonalizes only the blocks its bounds admit.
+        """
+        if self._endpoints is None:
+            coupled = [h + 1.0 * v for h, v in zip(self.h0, self.v)]
+            (rest, self._h0_range), (joined, self._h1_range) = self._ranges(self.h0, coupled)
+            self._endpoints = {0.0: rest, 1.0: joined}
+
+        def matrix(b: int) -> np.ndarray:
+            return self.h0[b] + g * self.v[b]
+
+        if g in self._endpoints:
+            return Spectrum(self.blocks, matrix, known=self._endpoints[g])
+        lower, upper = _weyl((1.0 - g, self._h0_range), (g, self._h1_range))
+        if not 0.0 < g < 1.0:
+            if self._v_range is None:
+                ((_, self._v_range),) = self._ranges(self.v)
+            by_v = _weyl((1.0, self._h0_range), (g, self._v_range))
+            lower, upper = np.maximum(lower, by_v[0]), np.minimum(upper, by_v[1])
+        return Spectrum(self.blocks, matrix, lower, upper)
+
+    def _ranges(self, *operators: Matrices) -> list[tuple[dict[int, np.ndarray], np.ndarray]]:
+        """For each operator, the energies of every block, from one
+        ``eigvalsh`` per dimension for all the operators, and the rows of a
+        (3, blocks) array: each block's lowest and highest energy and its
+        round-off slack 4 d eps ||M||."""
+        n, sizes = len(self.blocks), [b.size for b in self.blocks]
+        flat = [m for op in operators for m in op]
+        energies: list[np.ndarray] = [np.empty(0)] * len(flat)
+        for same, w in eigvalsh_by_size(sizes * len(operators), range(len(flat)), flat.__getitem__):
+            for b, e in zip(same, w):
+                energies[b] = e
+        ends = np.array([(e[0], e[-1]) for e in energies]).T.reshape(2, len(operators), n)
+        slack = 4 * np.finfo(float).eps * np.array(sizes) * np.abs(ends).max(axis=0)
+        return [(dict(enumerate(energies[k * n:(k + 1) * n])), np.array([*ends[:, k], slack[k]]))
+                for k in range(len(operators))]
 
     def occupied(self, psi: np.ndarray) -> list[int]:
         """Indices of the blocks in which psi has a nonzero amplitude."""
@@ -131,6 +179,17 @@ class SectorPropagator:
         for k, amp in zip(occupied, amps):
             self.blocks[k].embed(amp, psi)
         return psi
+
+
+def _weyl(*terms: tuple[float, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-block lower and upper bounds on the energies of sum_k c_k M_k,
+    from the (lowest, highest, slack) rows of each M_k's ranges: Weyl's
+    inequality, each bound widened by the weighted slacks."""
+    lower = upper = 0.0
+    for c, (lo, hi, slack) in terms:
+        lower = lower + c * (lo if c >= 0 else hi) - abs(c) * slack
+        upper = upper + c * (hi if c >= 0 else lo) + abs(c) * slack
+    return lower, upper
 
 
 def _taylor_factor(hv, amp, weight, order, substeps):

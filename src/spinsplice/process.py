@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .chain import (
+    Block,
     ChainSpec,
     DegeneracyError,
     Spectrum,
@@ -45,13 +46,15 @@ TARGETS = ("cut", "ground")
 class TrajectoryRecord:
     """Sampled observables of a recorded run, plus its work counts.
 
-    ``gap`` and the degenerate flags come from the energies of every block,
-    ``f_g`` from eigenvectors of the block(s) holding the ground subspace
-    only; ``vector_blocks`` counts those block eigendecompositions over all
-    samples.  The state is pure, so its two subsystems share one Schmidt
-    spectrum: the entropy is computed once, on the smaller side, and fills
-    both ``entropy_a`` and ``entropy_b``.  ``max_norm_dt`` and
-    ``taylor_matvecs`` are the run's ``Work``."""
+    ``gap`` and the degenerate flags are those of the full spectrum, from the
+    energies of only the blocks that Weyl's bounds admit (``Spectrum``);
+    ``value_blocks`` counts those blocks over all samples.  ``f_g`` comes
+    from eigenvectors of the block(s) holding the ground subspace only;
+    ``vector_blocks`` counts those block eigendecompositions.  The state is
+    pure, so its two subsystems share one Schmidt spectrum: the entropy is
+    computed once, on the smaller side, and fills both ``entropy_a`` and
+    ``entropy_b``.  ``max_norm_dt`` and ``taylor_matvecs`` are the run's
+    ``Work``."""
 
     times: np.ndarray
     g_values: np.ndarray
@@ -64,6 +67,7 @@ class TrajectoryRecord:
     degenerate_flags: np.ndarray
     max_norm_dt: float
     taylor_matvecs: int
+    value_blocks: int
     vector_blocks: int
 
     def final_cut_fidelity(self) -> float:
@@ -120,9 +124,10 @@ class ChainProcess:
         """Propagate and record the trajectory, sampled at t = 0, every
         ``stride`` steps and at the end.
 
-        Each sample takes the energies of every block at the current coupling
-        (one ``eigvalsh`` per block dimension) for the gap and the degeneracy
-        flag, and eigenvectors only of the block(s) holding the ground
+        Each sample takes ``propagator.spectrum`` at the current coupling:
+        the energies of only the blocks that can hold its two lowest, its top
+        or a tie with its lowest, which fix the gap and the degeneracy flag
+        exactly, and eigenvectors only of the block(s) holding the ground
         subspace, for the ground fidelity.  A tied ground state follows the
         previous sample's, the first sample's the state itself; a reference
         orthogonal to the tie falls back to the lowest state, and the flag
@@ -135,10 +140,10 @@ class ChainProcess:
         n_spins = self.chain.n_spins
         schmidt_sites = self.a_sites if len(self.a_sites) <= len(self.b_sites) else self.b_sites
         rows: list[tuple] = []
-        previous_ground, vector_blocks = None, 0
+        previous_ground, value_blocks, vector_blocks = None, 0, 0
 
         def sample(t: float, psi: np.ndarray) -> None:
-            nonlocal previous_ground, vector_blocks
+            nonlocal previous_ground, value_blocks, vector_blocks
             g = float(schedule.value(t))
             spectrum = self.propagator.spectrum(g)
             degenerate = spectrum.degenerate()
@@ -147,6 +152,7 @@ class ChainProcess:
             except DegeneracyError:  # an orthogonal reference
                 ground = spectrum.states(1)[:, 0]  # diagnostic only; the flag marks the sample
             previous_ground = ground
+            value_blocks += spectrum.value_blocks
             vector_blocks += spectrum.vector_blocks
             rho_a = reduce_density(psi, self.a_sites, n_spins)
             rho_small = rho_a if schmidt_sites == self.a_sites else reduce_density(psi, schmidt_sites, n_spins)
@@ -158,7 +164,8 @@ class ChainProcess:
         *columns, flags = zip(*rows)
         return psi, TrajectoryRecord(
             *np.asarray(columns, dtype=float), degenerate_flags=np.asarray(flags, dtype=bool),
-            max_norm_dt=work.max_norm_dt, taylor_matvecs=work.taylor_matvecs, vector_blocks=vector_blocks,
+            max_norm_dt=work.max_norm_dt, taylor_matvecs=work.taylor_matvecs,
+            value_blocks=value_blocks, vector_blocks=vector_blocks,
         )
 
 
@@ -166,21 +173,26 @@ def prepare_process(spec: ChainSpec, direction: str = "cut") -> ChainProcess:
     """Assemble the blocks, pick the initial state, and fix both fidelity targets.
 
     The chain is assembled once, as the reflection-parity halves of its
-    total-S^z sectors; both ground states come from their spectra.  The cut
-    target is the ground state of the detached block A, assembled as plain
-    sectors on A's sites renumbered 1..len(A).
+    total-S^z sectors; both ground states come from their spectra
+    (``SectorPropagator.spectrum``).  The cut target is the ground state of
+    the detached block A: a lone spin's two states, or the plain sectors
+    assembled on A's sites renumbered 1..len(A).
     """
     if direction not in ("cut", "stitch"):
         raise ValueError(f"direction must be 'cut' or 'stitch', got {direction!r}")
     propagator = SectorPropagator(*assemble_hamiltonian(spec))
     a_sites, b_sites = cut_components(spec)
 
-    order = {site: k + 1 for k, site in enumerate(a_sites)}
-    inner = [(order[i], order[j]) for i, j in spec.bonds()
-             if (i, j) not in spec.cut_bonds and i in order and j in order]
-    blocks, h_a, _ = _sector_hamiltonian(len(a_sites), inner, frozenset(), spec.exchange, spec.field)
+    if len(a_sites) == 1:  # a lone spin: up at energy +field, down at -field
+        blocks = (Block(np.array([0]), np.array([0]), 1.0), Block(np.array([1]), np.array([1]), 1.0))
+        h_a = (np.array([[spec.field]]), np.array([[-spec.field]]))
+    else:
+        order = {site: k + 1 for k, site in enumerate(a_sites)}
+        inner = [(order[i], order[j]) for i, j in spec.bonds()
+                 if (i, j) not in spec.cut_bonds and i in order and j in order]
+        blocks, h_a, _ = _sector_hamiltonian(len(a_sites), inner, frozenset(), spec.exchange, spec.field)
     try:
-        phi_0a = Spectrum(blocks, h_a).ground()
+        phi_0a = Spectrum(blocks, h_a.__getitem__).ground()
     except DegeneracyError as exc:
         raise DegeneracyError(
             f"the detached block {a_sites} has a degenerate ground state; "

@@ -494,6 +494,7 @@ def run_evolve(config: RunConfig, process) -> dict:
         "degenerate_samples": int(record.degenerate_flags.sum()),
         "max_norm_dt": record.max_norm_dt,
         "taylor_matvecs": record.taylor_matvecs,
+        "value_blocks": record.value_blocks,
         "vector_blocks": record.vector_blocks,
     }
     f_c, f_g = record.final_cut_fidelity(), record.final_ground_fidelity()

@@ -247,7 +247,7 @@ class TestRunners:
         manifest = json.loads((out / "manifest.json").read_text())
         health = manifest["health"]
         assert set(health) == {"block_dims", "norm_error", "min_gap", "degenerate_samples",
-                               "max_norm_dt", "taylor_matvecs", "vector_blocks"}
+                               "max_norm_dt", "taylor_matvecs", "value_blocks", "vector_blocks"}
         # the ground state of the 4-ring fills one parity half of its sector
         process = prepare_process(config.chain, config.process)
         assert health["block_dims"] == [occupied_block(process.psi0, (1, 4, 3, 2)).shape[1]]
@@ -279,6 +279,9 @@ class TestRunners:
         samples, n_blocks = len(record.times), len(process.propagator.blocks)
         assert health["vector_blocks"] == record.vector_blocks == len(eigh_calls)
         assert samples <= health["vector_blocks"] <= samples * n_blocks
+        # the blocks whose energies the samples took: at least the ground block's
+        assert health["value_blocks"] == record.value_blocks
+        assert health["vector_blocks"] <= health["value_blocks"] <= samples * n_blocks
 
     @pytest.mark.parametrize("schedule", [
         {"kind": "polynomial_cut", "T": 0.5, "params": [5.0, -3.0]},

@@ -10,15 +10,19 @@ and diagonalizes every sector with eigenvectors at each sample.  The
 tolerance is round-off.
 """
 
+import functools
 from dataclasses import replace
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinsplice.chain import (
     DEGENERACY_RTOL,
     ChainSpec,
+    Spectrum,
     assemble_hamiltonian,
     DegeneracyError,
     ground_state,
@@ -193,18 +197,29 @@ class TestAccuracyGate:
         assert_gate(ring7, linear_baseline(20.0))
 
     def test_recorded_gap_is_full_spectrum_gap(self, ring7):
-        cases = (  # process, schedule, stride, whether the first sample is degenerate
-            (ring7, linear_baseline(20.0), 15, True),  # a tie between the two parities of one sector
-            (prepare_process(ChainSpec(7, "ring", 1.0, cross_sector_field()), "cut"),
-             linear_baseline(20.0), 15, True),  # a tie across two sectors and four blocks
-            # about four samples keep the dense 1024^2 eigvalsh cheap
-            (prepare_process(ChainSpec(10, "ring", 1.0, 2.0), "cut"), polynomial_cut(0.6, TABLE1[1][1]), 100, False),
-        )
-        for process, schedule, stride, first_degenerate in cases:
-            _, record = process.run(schedule, STEPS, stride=stride)
+        def dense(process):
             h0, v = dense_hamiltonian(process.chain)
+            return lambda g: np.linalg.eigvalsh(h0 + g * v)
+
+        def every_block(process):  # the 4096^2 matrix itself would take minutes
+            _, h0, v = assemble_hamiltonian(process.chain)
+            return lambda g: np.sort(np.concatenate([np.linalg.eigvalsh(h + g * u) for h, u in zip(h0, v)]))
+
+        cases = (  # process, schedule, stride, whether the first sample is degenerate, oracle
+            (ring7, linear_baseline(20.0), 15, True, dense),  # a tie between the two parities of one sector
+            (prepare_process(ChainSpec(7, "ring", 1.0, cross_sector_field()), "cut"),
+             linear_baseline(20.0), 15, True, dense),  # a tie across two sectors and four blocks
+            # about four samples keep the dense 1024^2 eigvalsh, and every ring12 block, cheap
+            (prepare_process(ChainSpec(10, "ring", 1.0, 2.0), "cut"), polynomial_cut(0.6, TABLE1[1][1]), 100, False,
+             dense),
+            (prepare_process(ChainSpec(12, "ring", 1.0, 2.0), "cut"), polynomial_cut(0.6, TABLE1[1][1]), 100, False,
+             every_block),
+        )
+        for process, schedule, stride, first_degenerate, oracle in cases:
+            _, record = process.run(schedule, STEPS, stride=stride)
+            spectrum = oracle(process)
             for g, gap, flag in zip(record.g_values, record.gap, record.degenerate_flags):
-                w = np.linalg.eigvalsh(h0 + g * v)
+                w = spectrum(g)
                 assert abs(gap - (w[1] - w[0])) <= GAP_GATE
                 assert flag == (w[1] - w[0] <= DEGENERACY_RTOL * (w[-1] - w[0]))
             assert record.degenerate_flags[0] == first_degenerate
@@ -292,7 +307,15 @@ class TestLazySpectrum:
             assert not eigh_calls and spectrum.vector_blocks == 0
             eager, _ = eager_spectrum(reference, g)
             del eigh_calls[:]
-            assert np.abs(spectrum.energies - eager).max() <= GATE
+            # g = 0 and g = 1 keep every block's energies from the bounds;
+            # any other g holds only some blocks', but the two lowest, the
+            # tie and the top are those of the whole spectrum
+            assert (spectrum.value_blocks == len(prop.blocks)) == (g in (0.0, 1.0))
+            tied = int(np.searchsorted(eager, eager[0] + DEGENERACY_RTOL * (eager[-1] - eager[0]), side="right"))
+            low = max(2, tied)
+            assert np.abs(spectrum.energies[:low] - eager[:low]).max() <= GATE
+            assert abs(spectrum.energies[-1] - eager[-1]) <= GATE
+            assert spectrum.degenerate() == (tied > 1)
 
     def test_equal_dimensions_share_one_eigvalsh(self, monkeypatch):
         calls, eigvalsh = [], np.linalg.eigvalsh
@@ -303,12 +326,73 @@ class TestLazySpectrum:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         prop = SectorPropagator(*assemble_hamiltonian(RING6))
-        prop.spectrum(0.5)
-        # spin flip commutes with the reflection: sectors k and 6 - k split
+        prop.spectrum(0.0)
+        # the bounds: every block at g = 0 and at g = 1, stacked together.
+        # Spin flip commutes with the reflection: sectors k and 6 - k split
         # alike, so 12 blocks need no more calls than the 7 sectors did
         assert len(prop.blocks) == 12
-        assert len(calls) == len({b.size for b in prop.blocks}) == 7
-        assert sum(shape[0] for shape in calls) == len(prop.blocks)
+        dims = len({b.size for b in prop.blocks})
+        assert len(calls) == dims == 7
+        assert sum(shape[0] for shape in calls) == 2 * len(prop.blocks)
+        # they hold the whole spectra at g = 0 and g = 1: no further call
+        del calls[:]
+        assert prop.spectrum(0.0).value_blocks == prop.spectrum(1.0).value_blocks == len(prop.blocks)
+        assert not calls
+        # any other spectrum diagonalizes only the blocks its bounds admit,
+        # one call each: no two of them share a bound
+        spectrum = prop.spectrum(0.5)
+        assert len(calls) == spectrum.value_blocks < len(prop.blocks)
+        assert all(shape[0] == 1 for shape in calls)
+        # outside [0, 1], v's ranges join the bounds, found once, stacked
+        for g in (1.5, -0.5):
+            del calls[:]
+            spectrum = prop.spectrum(g)
+            assert len(calls) == (dims if g == 1.5 else 0) + spectrum.value_blocks
+            assert spectrum.value_blocks < len(prop.blocks)
+
+    def test_recorder_prunes_the_value_work(self):
+        process = prepare_process(RING8, "cut")
+        _, record = process.run(polynomial_cut(0.6, TABLE1[1][1]), 60)
+        samples = len(record.times)
+        assert len(process.propagator.blocks) == 16
+        assert samples <= record.value_blocks < 16 * samples / 2
+
+
+@functools.cache
+def pruned_propagator(name):
+    spec = {
+        "ring6": RING6, "ring7": ChainSpec(7, "ring", 1.0, 2.0), "ring8": RING8,
+        "open6": ChainSpec(6, "open", 1.0, 2.0), "ring7_crossing": ChainSpec(7, "ring", 1.0, cross_sector_field()),
+    }[name]
+    return SectorPropagator(*assemble_hamiltonian(spec))
+
+
+def tie_count(spectrum):
+    return int(np.searchsorted(spectrum.energies, spectrum.energies[0] + spectrum.threshold(), side="right"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(("ring6", "ring7", "ring8", "open6", "ring7_crossing")),
+       g=st.floats(-3.0, 3.0, allow_nan=False))
+@example(name="ring7_crossing", g=1.0)  # a four-fold tie across two sectors
+@example(name="ring7", g=1.0)  # a tie between the parities of one sector
+@example(name="ring8", g=0.0)
+@example(name="ring8", g=0.5)
+@example(name="open6", g=-1.5)
+def test_pruned_spectrum_is_bitwise_the_full_one(name, g):
+    """The bounded spectrum against the one of every block: the same bits in
+    everything it promises, and the same ground state of the tie."""
+    prop = pruned_propagator(name)
+    pruned, full = prop.spectrum(g), Spectrum(prop.blocks, lambda b: prop.h0[b] + g * prop.v[b])
+    assert full.value_blocks == len(full.blocks)
+    assert pruned.energies[0] == full.energies[0]
+    assert pruned.energies[1] == full.energies[1]
+    assert pruned.energies[-1] == full.energies[-1]
+    assert pruned.gap == full.gap and pruned.threshold() == full.threshold()
+    assert pruned.degenerate() == full.degenerate()
+    assert tie_count(pruned) == tie_count(full)
+    reference = np.random.default_rng(0).normal(size=prop.dim)
+    assert np.array_equal(pruned.ground(reference), full.ground(reference))
 
 
 class TestBeyondOneSector:
