@@ -4,8 +4,6 @@ from ._version import __version__
 from .chain import ChainSpec, DegeneracyError, assemble_hamiltonian
 from .control import (
     ControlSchedule,
-    NoiseSpec,
-    NoisySchedule,
     apply_noise,
     linear_baseline,
     make_schedule,
@@ -44,8 +42,8 @@ from .runner import ConfigError, RunConfig, execute, parse_config
 __all__ = [
     "__version__",
     "ChainSpec", "DegeneracyError", "assemble_hamiltonian",
-    "ControlSchedule", "NoiseSpec", "NoisySchedule", "apply_noise", "linear_baseline",
-    "make_schedule", "polynomial_cut", "polynomial_stitch", "pulse_train", "sine_cut",
+    "ControlSchedule", "apply_noise", "linear_baseline", "make_schedule", "polynomial_cut",
+    "polynomial_stitch", "pulse_train", "sine_cut",
     "SectorPropagator", "cut_fidelity", "entropy", "propagate", "purity", "reduce_density",
     "LandscapeAxis", "LandscapeGrid", "OptimizationReport", "bfgs_maximize",
     "finite_difference_gradient", "scan_landscape",

@@ -1,15 +1,18 @@
-"""Control schedules g(t) for bond cutting and stitching, plus apparatus noise.
+"""Control schedules g(t) for bond cutting and stitching, with frozen noise.
 
 A cut drives the bond coupling from 1 to 0 over [0, duration]; a stitch drives
 it from 0 to 1.  Outside [0, duration] every schedule sits on its process
 plateau (cut: 1 before, 0 after; stitch: the mirror).  Three families are
 provided: polynomials with pinned endpoints, a linear ramp plus a sine series,
-and trains of rectangular pulses with free amplitudes.
+and trains of rectangular pulses with free amplitudes.  ``apply_noise`` adds
+one seeded realization of rectangular apparatus noise: a schedule with a
+positive ``window`` and one offset per window k, added to g on
+[k window, (k + 1) window) inside [0, duration).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +36,8 @@ class ControlSchedule:
     duration: float
     params: tuple[float, ...]
     direction: str
+    window: float = 0.0  # noise window length; 0 for a clean schedule
+    offsets: tuple[float, ...] = ()  # one frozen noise offset per window
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -47,7 +52,10 @@ class ControlSchedule:
             )
         if self.kind == "pulse" and not self.params:
             raise ValueError("pulse schedules need at least one amplitude")
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        if self.offsets and not self.window > 0:
+            raise ValueError(f"noise offsets need a positive window, got {self.window}")
+        object.__setattr__(self, "params", tuple(map(float, self.params)))
+        object.__setattr__(self, "offsets", tuple(map(float, self.offsets)))
 
     # -- plateau values outside the drive window ---------------------------
     @property
@@ -83,22 +91,34 @@ class ControlSchedule:
             inside = 1.0 - x
             for n, b in enumerate(self.params, start=1):
                 inside = inside + b * np.sin(n * np.pi * x)
-        out = np.where(t < 0.0, self.start_value, np.where(t >= T, self.end_value, inside))
-        return out.astype(float)
+        clean = np.where(t < 0.0, self.start_value, np.where(t >= T, self.end_value, inside)).astype(float)
+        if not self.offsets:
+            return clean
+        idx = np.clip((t // self.window).astype(int), 0, len(self.offsets) - 1)
+        bump = np.asarray(self.offsets)[idx]
+        return np.where((t >= 0.0) & (t < T), clean + bump, clean)
 
     def breakpoints(self) -> tuple[float, ...]:
-        """Interior times where g jumps; empty for smooth schedules."""
-        if self.kind != "pulse":
-            return ()
-        dt = self.duration / len(self.params)
-        return tuple(k * dt for k in range(1, len(self.params)))
+        """Interior times where g jumps: the pulse edges, and with noise the
+        sorted union of those with the window edges."""
+        K = len(self.params)
+        edges = tuple(k * (self.duration / K) for k in range(1, K)) if self.kind == "pulse" else ()
+        if not self.offsets:
+            return edges
+        union, k = set(edges), 1
+        while k * self.window < self.duration - 1e-12 * self.duration:
+            union.add(k * self.window)
+            k += 1
+        return tuple(sorted(union))
 
     @property
     def piecewise_constant(self) -> bool:
         return self.kind == "pulse"
 
     def to_dict(self) -> dict:
-        """Wire format used by config files and manifests."""
+        """Wire format used by config files and manifests: the clean
+        schedule.  A noise realization is recorded by its seed in the
+        manifest, not by its offsets."""
         return {
             "kind": self.kind,
             "T": self.duration,
@@ -142,77 +162,25 @@ def make_schedule(
     return ControlSchedule(kind, float(duration), tuple(params), direction or DIRECTIONS.get(kind) or "cut")
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Rectangular apparatus noise: per-window offsets of random strength.
-
-    Windows of length ``window`` are aligned to t = 0; within window k the
-    control picks up strength * (1/2 - r_k) with r_k uniform on [0, 1) from a
-    deterministic seeded generator.
-    """
-
-    window: float
-    strength: float
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.window <= 0:
-            raise ValueError(f"noise window must be positive, got {self.window}")
-        if self.strength < 0:
-            raise ValueError(f"noise strength must be >= 0, got {self.strength}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-
-
-@dataclass(frozen=True)
-class NoisySchedule:
-    """A schedule with a frozen noise realization added on [0, duration)."""
-
-    base: ControlSchedule
-    noise: NoiseSpec
-    offsets: tuple[float, ...]
-
-    @property
-    def duration(self) -> float:
-        return self.base.duration
-
-    @property
-    def direction(self) -> str:
-        return self.base.direction
-
-    @property
-    def piecewise_constant(self) -> bool:
-        return self.base.piecewise_constant
-
-    def value(self, t: float) -> float:
-        return float(self.values(np.asarray([t], dtype=float))[0])
-
-    def values(self, times: np.ndarray) -> np.ndarray:
-        t = np.asarray(times, dtype=float)
-        base = self.base.values(t)
-        idx = np.clip((t // self.noise.window).astype(int), 0, len(self.offsets) - 1)
-        bump = np.asarray(self.offsets)[idx]
-        return np.where((t >= 0.0) & (t < self.duration), base + bump, base)
-
-    def breakpoints(self) -> tuple[float, ...]:
-        edges = set(self.base.breakpoints())
-        k = 1
-        while k * self.noise.window < self.duration - 1e-12 * self.duration:
-            edges.add(k * self.noise.window)
-            k += 1
-        return tuple(sorted(edges))
-
-
 def noise_window_count(duration: float, window: float) -> int:
     """Number of aligned noise windows needed to cover [0, duration)."""
-    ratio = duration / window
-    n = int(np.ceil(ratio - 1e-9))
-    return max(n, 1)
+    return max(int(np.ceil(duration / window - 1e-9)), 1)
 
 
-def apply_noise(schedule: ControlSchedule, noise: NoiseSpec) -> NoisySchedule:
-    """Freeze one seeded noise realization on top of a schedule."""
-    n = noise_window_count(schedule.duration, noise.window)
-    r = np.random.default_rng(int(noise.seed)).random(n)
-    offsets = tuple(noise.strength * (0.5 - rk) for rk in r)
-    return NoisySchedule(schedule, noise, offsets)
+def apply_noise(schedule: ControlSchedule, window: float, strength: float, seed: int) -> ControlSchedule:
+    """Freeze one seeded noise realization on top of a clean schedule.
+
+    Windows of length ``window`` are aligned to t = 0; within window k the
+    control picks up strength * (1/2 - r_k), with r_k uniform on [0, 1) from
+    ``numpy.random.default_rng(seed)``.
+    """
+    if schedule.offsets:
+        raise ValueError("schedule already carries a noise realization")
+    if window <= 0:
+        raise ValueError(f"noise window must be positive, got {window}")
+    if strength < 0:
+        raise ValueError(f"noise strength must be >= 0, got {strength}")
+    if not 0 <= int(seed) < 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    r = np.random.default_rng(int(seed)).random(noise_window_count(schedule.duration, window))
+    return replace(schedule, window=float(window), offsets=tuple(strength * (0.5 - rk) for rk in r))

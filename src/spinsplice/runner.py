@@ -38,7 +38,7 @@ import numpy as np
 
 from ._version import __version__
 from .chain import DEFAULT_SPIN_CAP, ChainSpec, cut_components
-from .control import KINDS, ControlSchedule, NoiseSpec, apply_noise, linear_baseline, make_schedule, noise_window_count
+from .control import KINDS, ControlSchedule, apply_noise, linear_baseline, make_schedule, noise_window_count
 from .optimize import (
     DEFAULT_GRADIENT_STEP,
     DEFAULT_MAX_ITERATIONS,
@@ -66,7 +66,7 @@ MAX_ITERATIONS = 10_000  # optimizer.max_iterations
 MAX_PER_AXIS = 10  # multi-start points per free parameter
 MAX_STARTS = 1_000  # BFGS runs: per_axis ** n_free starts, times a sweep's durations
 MAX_STRENGTHS = 100  # noise.strengths entries
-MAX_CALL_VALUES = 50_000_000  # one fidelities call: schedules x (2^N + grid points) each
+MAX_CALL_VALUES = 50_000_000  # a fidelities call: schedules x (2^N + grid points); a recorded evolve: samples x 2^N
 
 
 class ConfigError(ValueError):
@@ -371,6 +371,13 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
                 f"{MAX_NOISE_WINDOWS} noise windows"
             )
         calls["noise"] = 1 + noisy
+    if run_mode == "evolve":  # a recorded run reads the full-space state at every grid point
+        samples = (1 if schedule.piecewise_constant else cfg["n_steps"]) + len(schedule.breakpoints()) + 1
+        if samples * 2 ** chain.n_spins > MAX_CALL_VALUES:
+            raise ConfigError(
+                f"n_steps: a recorded evolve of {samples} samples of {2 ** chain.n_spins} values each "
+                f"exceeds {MAX_CALL_VALUES} values"
+            )
     # each schedule of a call holds a 2^N state and a grid of its steps, noise windows and pulse edges
     size = 2 ** chain.n_spins + cfg["n_steps"] + 1 + windows + len(schedule.breakpoints())
     for name, columns in calls.items():
@@ -581,7 +588,7 @@ def noise_study(process, schedule, strengths, window, realizations, master_seed,
     draws = [{"seed": int(seed), "dt": window, "dg": dg}
              for dg, seeds in zip(strengths, child_seeds) for seed in seeds]
     clean = [schedule] if 0.0 in strengths else []
-    noisy = [apply_noise(schedule, NoiseSpec(window=window, strength=dg, seed=int(seed)))
+    noisy = [apply_noise(schedule, window, dg, int(seed))
              for dg, seeds in zip(strengths, child_seeds) if dg != 0.0 for seed in seeds]
     values = process.fidelities(clean + noisy, n_steps, target)
     realized = iter(values[len(clean):].reshape(-1, realizations))

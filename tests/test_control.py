@@ -3,7 +3,6 @@ import pytest
 
 from spinsplice.control import (
     ControlSchedule,
-    NoiseSpec,
     apply_noise,
     linear_baseline,
     make_schedule,
@@ -164,22 +163,21 @@ class TestValidation:
 class TestNoise:
     def test_zero_strength_is_identity(self):
         base = polynomial_cut(0.6, (54.3, -36.3))
-        noisy = apply_noise(base, NoiseSpec(window=0.01, strength=0.0, seed=42))
+        noisy = apply_noise(base, window=0.01, strength=0.0, seed=42)
         ts = np.linspace(-0.1, 0.7, 50)
         assert np.abs(noisy.values(ts) - base.values(ts)).max() < 1e-15
 
     def test_fixed_seed_is_reproducible(self):
         base = linear_baseline(0.6)
-        spec = NoiseSpec(window=0.1, strength=0.8, seed=123456)
-        first = apply_noise(base, spec)
-        second = apply_noise(base, spec)
-        assert first.offsets == second.offsets
-        assert apply_noise(base, NoiseSpec(0.1, 0.8, seed=654321)).offsets != first.offsets
+        first = apply_noise(base, 0.1, 0.8, 123456)
+        second = apply_noise(base, 0.1, 0.8, 123456)
+        assert first == second
+        assert apply_noise(base, 0.1, 0.8, 654321).offsets != first.offsets
 
     def test_offsets_bounded_and_windows_counted(self):
         base = linear_baseline(0.6)
         strength = 1.4
-        noisy = apply_noise(base, NoiseSpec(window=0.01, strength=strength, seed=5))
+        noisy = apply_noise(base, window=0.01, strength=strength, seed=5)
         assert len(noisy.offsets) == 60
         assert noise_window_count(0.6, 0.01) == 60
         assert noise_window_count(0.6, 0.25) == 3
@@ -190,7 +188,7 @@ class TestNoise:
         strength = 1.0
         t_probe = 0.37
         draws = [
-            apply_noise(base, NoiseSpec(window=0.5, strength=strength, seed=s)).value(t_probe)
+            apply_noise(base, window=0.5, strength=strength, seed=s).value(t_probe)
             - base.value(t_probe)
             for s in range(4000)
         ]
@@ -200,20 +198,53 @@ class TestNoise:
 
     def test_outside_window_unchanged(self):
         base = linear_baseline(0.6)
-        noisy = apply_noise(base, NoiseSpec(window=0.1, strength=2.0, seed=11))
+        noisy = apply_noise(base, window=0.1, strength=2.0, seed=11)
         assert noisy.value(-0.2) == base.value(-0.2)
         assert noisy.value(0.6) == base.value(0.6)
         assert noisy.value(1.0) == base.value(1.0)
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError, match="window"):
-            NoiseSpec(window=0.0, strength=1.0, seed=1)
-        with pytest.raises(ValueError, match="strength"):
-            NoiseSpec(window=0.1, strength=-1.0, seed=1)
-        with pytest.raises(ValueError, match="seed"):
-            NoiseSpec(window=0.1, strength=1.0, seed=-5)
+        base = linear_baseline(0.6)
+        with pytest.raises(ValueError, match="noise window must be positive, got 0.0"):
+            apply_noise(base, window=0.0, strength=1.0, seed=1)
+        with pytest.raises(ValueError, match="noise strength must be >= 0, got -1.0"):
+            apply_noise(base, window=0.1, strength=-1.0, seed=1)
+        with pytest.raises(ValueError, match="seed must fit in an unsigned 64-bit integer"):
+            apply_noise(base, window=0.1, strength=1.0, seed=-5)
+
+    def test_noise_applies_to_a_clean_schedule_only(self):
+        noisy = apply_noise(linear_baseline(0.6), window=0.1, strength=1.0, seed=1)
+        with pytest.raises(ValueError, match="already carries a noise realization"):
+            apply_noise(noisy, window=0.1, strength=1.0, seed=2)
+
+    @pytest.mark.parametrize("window", [0.0, -0.1, float("nan")])
+    def test_offsets_need_a_positive_window(self, window):
+        with pytest.raises(ValueError, match="noise offsets need a positive window"):
+            ControlSchedule("polynomial_cut", 0.6, (), "cut", window=window, offsets=(0.1,))
+
+    def test_wire_format_is_the_clean_schedule(self):
+        base = pulse_train(0.6, (1.0, -2.0))
+        assert apply_noise(base, window=0.2, strength=0.5, seed=3).to_dict() == base.to_dict()
+
+    @pytest.mark.parametrize("base", [polynomial_cut(0.6, (54.3, -36.3)), pulse_train(0.6, (4.0, -2.5, 1.5, 3.0))],
+                             ids=["polynomial", "pulse"])
+    def test_each_window_adds_its_offset_exactly(self, base):
+        noisy = apply_noise(base, window=0.07, strength=1.3, seed=17)
+        assert len(noisy.offsets) == 9
+        for k, offset in enumerate(noisy.offsets):
+            t = (k + 0.5) * 0.07  # inside window k
+            assert noisy.value(t) == base.value(t) + offset
+            assert noisy.values(np.array([t]))[0] == base.values(np.array([t]))[0] + offset
+        for t in (-1.0, -1e-12, 0.6, 0.6 + 1e-12, 2.0):
+            assert noisy.value(t) == base.value(t) == (1.0 if t < 0 else 0.0)
+
+    def test_breakpoints_at_the_smallest_duration(self):
+        # T / K underflows to 0: the pulse edges stay k T / K, apart from the noise loop
+        base = pulse_train(5e-324, (1.0, -2.0, 0.5))
+        assert base.breakpoints() == (0.0, 0.0)
+        assert apply_noise(base, window=5e-324, strength=0.5, seed=3).breakpoints() == (0.0,)
 
     def test_breakpoints_cover_noise_windows(self):
         base = pulse_train(0.6, (1.0, -2.0))
-        noisy = apply_noise(base, NoiseSpec(window=0.2, strength=0.5, seed=3))
+        noisy = apply_noise(base, window=0.2, strength=0.5, seed=3)
         assert noisy.breakpoints() == pytest.approx((0.2, 0.3, 0.4))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spinsplice.chain import ChainSpec, assemble_hamiltonian, ground_state
-from spinsplice.control import NoiseSpec, apply_noise, linear_baseline, polynomial_cut, pulse_train
+from spinsplice.control import apply_noise, linear_baseline, polynomial_cut, pulse_train
 from spinsplice.dynamics import (
     SectorPropagator,
     cut_fidelity,
@@ -112,7 +112,7 @@ class TestPropagate:
         spec = ChainSpec(3, "open", 1.0, 2.0)
         h0, v = dense_hamiltonian(spec)
         psi0 = ground_state(h0 + v).state.astype(complex)
-        noisy = apply_noise(linear_baseline(1.0), NoiseSpec(window=0.3, strength=1.5, seed=8))
+        noisy = apply_noise(linear_baseline(1.0), window=0.3, strength=1.5, seed=8)
         grid = integration_grid(noisy, 7)
         for edge in (0.3, 0.6, 0.9):
             assert np.min(np.abs(grid - edge)) < 1e-12
@@ -128,7 +128,7 @@ class TestPropagate:
         offset = 1e-6
         psi0 = ground_state(h0 + v, h0 + (1 - offset) * v).state.astype(complex)
         base = polynomial_cut(0.6, (10.0, -5.0))
-        noisy = apply_noise(base, NoiseSpec(window=0.1, strength=0.0, seed=99))
+        noisy = apply_noise(base, window=0.1, strength=0.0, seed=99)
         prop = SectorPropagator(*assemble_hamiltonian(spec))
         psi_clean, _ = propagate(prop, base, psi0, 60)
         psi_noisy, _ = propagate(prop, noisy, psi0, 60)
@@ -168,7 +168,7 @@ class TestPropagate:
         schedules = [
             polynomial_cut(0.6, (10.0, -5.0)),
             pulse_train(0.6, (-5.4, 4.1, 0.3)),
-            apply_noise(linear_baseline(0.6), NoiseSpec(window=0.25, strength=1.5, seed=8)),
+            apply_noise(linear_baseline(0.6), window=0.25, strength=1.5, seed=8),
         ]
         # three step counts: each schedule is a batch of its own
         assert len({integration_grid(s, n_steps).size for s in schedules}) == 3

@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,3 +215,21 @@ class TestPublishedLandscapeGeometry:
         grid = scan_landscape(objective, axes)
         baseline = process.fidelity(linear_baseline(0.4), 60)
         assert grid.values[1, 1] == pytest.approx(baseline, abs=1e-12)
+
+
+def test_readme_quick_start_prints_what_it_claims(capsys):
+    # the README's first python block, run as written; every `# ~x` comment on
+    # a print line must match the numbers that line prints, to the digits shown
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(prints) == 4
+    number = r"-?\d+\.\d+"
+    for line, out in zip(prints, printed):
+        claimed = re.findall(number, line.partition("# ~")[2])
+        got = [float(x) for x in re.findall(number, out)]
+        assert claimed and len(got) == len(claimed), (line, out)
+        for c, g in zip(claimed, got):
+            assert abs(g - float(c)) <= 0.5 * 10.0 ** -len(c.partition(".")[2]), (line, out)

@@ -123,6 +123,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="n_steps"):
             parse_config(evolve_config(tmp_path, n_steps=0))
 
+    def test_recorded_evolve_is_bounded(self, tmp_path):
+        # samples (n_steps + 1) x 2^12 values: 12 207 x 4096 <= 5e7 < 12 208 x 4096
+        ring12 = {"n_spins": 12, "topology": "ring", "field": 2.0}
+        assert parse_config(evolve_config(tmp_path, chain=ring12, n_steps=12_206)).n_steps == 12_206
+        with pytest.raises(ConfigError, match="^n_steps: a recorded evolve of 12208 samples"):
+            parse_config(evolve_config(tmp_path, chain=ring12, n_steps=12_207))
+        # a pulse train records one sample per pulse edge, whatever n_steps; small chains keep the step cap
+        pulses = {"kind": "pulse", "T": 0.6, "params": [1.0] * 100}
+        parse_config(evolve_config(tmp_path, chain=ring12, schedule=pulses, n_steps=100_000))
+        parse_config(evolve_config(tmp_path, chain=dict(ring12, n_spins=8), n_steps=100_000))
+
     def test_empty_cut_set_rejected(self, tmp_path):
         bad = evolve_config(tmp_path)
         bad["chain"]["cut_bonds"] = []
@@ -489,6 +500,7 @@ class TestCli:
                                     for k in range(2)]})),  # 10^4 grids of 10^5 points
             ("noise", mode_config("noise", tmp_path, chain=dict(ring4, n_spins=12), noise=dict(
                 noise, strengths=[1.0] * 100, window=0.5, realizations=10_000))),  # 10^6 states of 2^12
+            ("n_steps", evolve_config(tmp_path, chain=dict(ring4, n_spins=12), n_steps=100_000)),  # recorded
             ("sweep.times", mode_config(
                 "sweep", tmp_path, n_steps=300, sweep={"times": [0.3] * 1000},
                 schedule={"kind": "polynomial_cut", "T": 0.5, "params": [0.0] * 100})),  # 201 000 columns

@@ -29,7 +29,6 @@ from spinsplice.chain import (
     resolve_ground,
 )
 from spinsplice.control import (
-    NoiseSpec,
     apply_noise,
     linear_baseline,
     polynomial_cut,
@@ -178,7 +177,7 @@ class TestAccuracyGate:
 
     def test_noisy_schedule(self):
         process = prepare_process(ChainSpec(6, "open", 1.0, 2.0), "cut")
-        noisy = apply_noise(polynomial_cut(0.6, (34.9, -23.4)), NoiseSpec(window=0.01, strength=1.5, seed=5))
+        noisy = apply_noise(polynomial_cut(0.6, (34.9, -23.4)), window=0.01, strength=1.5, seed=5)
         assert_gate(process, noisy)
 
     def test_two_spin_cut(self):

@@ -18,7 +18,6 @@ import spinsplice.dynamics as dynamics_module
 import spinsplice.process as process_module
 from spinsplice.chain import ChainSpec
 from spinsplice.control import (
-    NoiseSpec,
     apply_noise,
     polynomial_cut,
     polynomial_stitch,
@@ -71,7 +70,7 @@ class TestExactReference:
         for schedule in (
             polynomial_cut(0.6, (54.3, -36.3)),
             sine_cut(0.6, (0.4, -0.3)),
-            apply_noise(polynomial_cut(0.6, (34.9, -23.4)), NoiseSpec(window=0.05, strength=1.5, seed=5)),
+            apply_noise(polynomial_cut(0.6, (34.9, -23.4)), window=0.05, strength=1.5, seed=5),
             pulse_train(0.6, 1.0 - (np.arange(9) + 0.5) / 9 + np.linspace(-0.4, 0.4, 9)),
         ):
             assert_gate(cut, schedule, n_steps, reference)
@@ -141,7 +140,7 @@ def random_polynomials(rng, count):
 
 def random_noisy(rng, count):
     base = polynomial_cut(0.6, (34.9, -23.4))
-    return [apply_noise(base, NoiseSpec(window=0.01, strength=1.2, seed=int(seed)))
+    return [apply_noise(base, window=0.01, strength=1.2, seed=int(seed))
             for seed in rng.integers(0, 2**32, count)]
 
 
@@ -176,10 +175,10 @@ class TestBatchSizeIsInvisible:
         base = polynomial_cut(0.6, (54.3, -36.3))
         schedules = [
             base,
-            apply_noise(base, NoiseSpec(window=0.0655, strength=1.0, seed=1)),  # windows off the step grid
+            apply_noise(base, window=0.0655, strength=1.0, seed=1),  # windows off the step grid
             pulse_train(0.6, (1.0, -2.0, 0.5)),
             *random_polynomials(rng, 3),
-            apply_noise(base, NoiseSpec(window=0.0655, strength=1.0, seed=2)),
+            apply_noise(base, window=0.0655, strength=1.0, seed=2),
             pulse_train(0.6, (0.3, 0.2, 0.1, 0.0)),
             pulse_train(0.6, (-1.0, 2.0, 0.5)),
         ]
