@@ -42,8 +42,8 @@ class ControlSchedule:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+        if not 0 < self.duration < np.inf:
+            raise ValueError(f"duration must be positive and finite, got {self.duration}")
         if self.direction not in ("cut", "stitch"):
             raise ValueError(f"direction must be 'cut' or 'stitch', got {self.direction!r}")
         if DIRECTIONS[self.kind] not in (None, self.direction):
@@ -56,6 +56,9 @@ class ControlSchedule:
             raise ValueError(f"noise offsets need a positive window, got {self.window}")
         object.__setattr__(self, "params", tuple(map(float, self.params)))
         object.__setattr__(self, "offsets", tuple(map(float, self.offsets)))
+        for field in ("params", "offsets"):
+            if not np.isfinite(getattr(self, field)).all():
+                raise ValueError(f"{field} must be finite, got {getattr(self, field)}")
 
     # -- plateau values outside the drive window ---------------------------
     @property
@@ -98,18 +101,13 @@ class ControlSchedule:
         bump = np.asarray(self.offsets)[idx]
         return np.where((t >= 0.0) & (t < T), clean + bump, clean)
 
-    def breakpoints(self) -> tuple[float, ...]:
-        """Interior times where g jumps: the pulse edges, and with noise the
-        sorted union of those with the window edges."""
-        K = len(self.params)
-        edges = tuple(k * (self.duration / K) for k in range(1, K)) if self.kind == "pulse" else ()
-        if not self.offsets:
-            return edges
-        union, k = set(edges), 1
-        while k * self.window < self.duration - 1e-12 * self.duration:
-            union.add(k * self.window)
-            k += 1
-        return tuple(sorted(union))
+    def breakpoints(self) -> np.ndarray:
+        """Times where g may jump, sorted: the pulse edges k duration / K for
+        k = 1 .. K - 1, and the noise window edges k window for k = 1 ..
+        len(offsets) - 1, those below the duration."""
+        K = len(self.params) if self.kind == "pulse" else 1
+        edges = np.concatenate([np.arange(1, K) * (self.duration / K), np.arange(1, len(self.offsets)) * self.window])
+        return np.sort(edges[edges < self.duration], kind="stable")
 
     @property
     def piecewise_constant(self) -> bool:
@@ -176,9 +174,9 @@ def apply_noise(schedule: ControlSchedule, window: float, strength: float, seed:
     """
     if schedule.offsets:
         raise ValueError("schedule already carries a noise realization")
-    if window <= 0:
+    if not window > 0:
         raise ValueError(f"noise window must be positive, got {window}")
-    if strength < 0:
+    if not strength >= 0:
         raise ValueError(f"noise strength must be >= 0, got {strength}")
     if not 0 <= int(seed) < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")

@@ -236,20 +236,18 @@ def integration_grid(schedule, n_steps: int) -> np.ndarray:
     """Step boundaries in [0, duration] for the piecewise-constant factorization.
 
     A uniform grid of n_steps steps, or of one step for a piecewise-constant
-    schedule (a pulse train), refined by the schedule's jump points (pulse
-    edges, noise windows), merging boundaries closer than 1e-9 of the duration.
+    schedule (a pulse train), sorted together with the schedule's jump points
+    (pulse edges, noise window edges).  A boundary within 1e-9 of the
+    duration of the one before it is dropped, and the last is the duration.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     T = schedule.duration
     uniform = np.linspace(0.0, T, (1 if schedule.piecewise_constant else n_steps) + 1)
-    pts = sorted(set(uniform) | set(schedule.breakpoints()))
-    grid = [pts[0]]
-    for p in pts[1:]:
-        if p - grid[-1] > 1e-9 * T:
-            grid.append(p)
+    pts = np.sort(np.concatenate([uniform, schedule.breakpoints()]), kind="stable")
+    grid = pts[np.diff(pts, prepend=-np.inf) > 1e-9 * T]
     grid[-1] = T
-    return np.asarray(grid)
+    return grid
 
 
 def reduce_density(psi: np.ndarray, keep_sites, n_spins: int) -> np.ndarray:

@@ -39,6 +39,7 @@ import numpy as np
 from ._version import __version__
 from .chain import DEFAULT_SPIN_CAP, ChainSpec, cut_components
 from .control import KINDS, ControlSchedule, apply_noise, linear_baseline, make_schedule, noise_window_count
+from .dynamics import integration_grid
 from .optimize import (
     DEFAULT_GRADIENT_STEP,
     DEFAULT_MAX_ITERATIONS,
@@ -372,7 +373,7 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
             )
         calls["noise"] = 1 + noisy
     if run_mode == "evolve":  # a recorded run reads the full-space state at every grid point
-        samples = (1 if schedule.piecewise_constant else cfg["n_steps"]) + len(schedule.breakpoints()) + 1
+        samples = integration_grid(schedule, cfg["n_steps"]).size
         if samples * 2 ** chain.n_spins > MAX_CALL_VALUES:
             raise ConfigError(
                 f"n_steps: a recorded evolve of {samples} samples of {2 ** chain.n_spins} values each "
@@ -396,7 +397,7 @@ def read_config(path: str | Path):
         raise ConfigError(f"config: file not found: {path}")
     try:
         return json.loads(path.read_text())
-    except ValueError as exc:  # invalid JSON or undecodable bytes
+    except (ValueError, RecursionError) as exc:  # invalid JSON, undecodable bytes or too deeply nested
         raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
 
 

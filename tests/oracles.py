@@ -13,9 +13,11 @@ the reference for the package's parity blocks at sizes the dense oracles
 cannot reach.  ``recorded_observables`` computes a recorded run's columns the
 long way on those plain sectors: both reduced density matrices with an
 entropy each, and an eager spectrum with eigenvectors of every sector at each
-sample.  The helpers at the end (a schedule's slope, a landscape's cell size,
-an objective that records its calls, sector blocks cut from hand-built dense
-matrices, a schedule's steps as one-step schedules) serve only the tests.
+sample.  ``reference_grid`` is the earlier, loop-based rule for a
+schedule's step boundaries.  The helpers at the end (a schedule's slope, a
+landscape's cell size, an objective that records its calls, sector blocks cut
+from hand-built dense matrices, a schedule's steps as one-step schedules)
+serve only the tests.
 """
 
 from dataclasses import dataclass
@@ -317,13 +319,38 @@ class StepSegment:
         return self.hi - self.lo
 
     def breakpoints(self):
-        return ()
+        return np.empty(0)
 
     def values(self, t):
         return self.schedule.values(self.lo + np.asarray(t))
 
     def value(self, t):
         return self.schedule.value(self.lo + t)
+
+
+def reference_grid(schedule, n_steps):
+    """The step boundaries of ``integration_grid`` by its earlier rule, kept
+    verbatim: pulse edges, and with noise the window edges from a loop that
+    stops 1e-12 of the duration short of it, unioned in a set with the
+    uniform grid, sorted, then merged greedily, a point kept only if it lies
+    more than 1e-9 of the duration past the last kept one."""
+    K = len(schedule.params)
+    edges = tuple(k * (schedule.duration / K) for k in range(1, K)) if schedule.kind == "pulse" else ()
+    if schedule.offsets:
+        union, k = set(edges), 1
+        while k * schedule.window < schedule.duration - 1e-12 * schedule.duration:
+            union.add(k * schedule.window)
+            k += 1
+        edges = tuple(sorted(union))
+    T = schedule.duration
+    uniform = np.linspace(0.0, T, (1 if schedule.piecewise_constant else n_steps) + 1)
+    pts = sorted(set(uniform) | set(edges))
+    grid = [pts[0]]
+    for p in pts[1:]:
+        if p - grid[-1] > 1e-9 * T:
+            grid.append(p)
+    grid[-1] = T
+    return np.asarray(grid)
 
 
 def step_segments(schedule, n_steps):

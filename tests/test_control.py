@@ -12,9 +12,10 @@ from spinsplice.control import (
     pulse_train,
     sine_cut,
 )
+from spinsplice.dynamics import integration_grid
 from spinsplice.runner import parse_config
 
-from oracles import schedule_derivative
+from oracles import reference_grid, schedule_derivative
 
 
 class TestEvaluate:
@@ -133,6 +134,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="duration"):
             polynomial_cut(-1.0, (1.0,))
 
+    @pytest.mark.parametrize("build, field", [
+        (lambda: polynomial_cut(float("nan")), "duration"),
+        (lambda: pulse_train(float("inf"), (1.0, -2.0)), "duration"),
+        (lambda: polynomial_cut(0.6, (float("nan"),)), "params"),
+        (lambda: pulse_train(0.6, (1.0, float("inf"))), "params"),
+        (lambda: sine_cut(0.6, (float("-inf"),)), "params"),
+        (lambda: ControlSchedule("polynomial_cut", 0.6, (), "cut", 0.1, (0.2, float("nan"))), "offsets"),
+        (lambda: apply_noise(linear_baseline(0.6), float("nan"), 1.0, 1), "noise window"),
+        (lambda: apply_noise(linear_baseline(0.6), 0.1, float("nan"), 1), "noise strength"),
+        (lambda: apply_noise(linear_baseline(0.6), 0.1, float("inf"), 1), "offsets"),
+    ], ids=["nan-T", "inf-T", "nan-param", "inf-amplitude", "-inf-param", "nan-offset", "nan-window",
+            "nan-strength", "inf-strength"])
+    def test_non_finite_inputs_are_refused(self, build, field):
+        with pytest.raises(ValueError, match=field):
+            build()
+
     def test_kind_direction_consistency(self):
         with pytest.raises(ValueError, match="direction"):
             ControlSchedule("polynomial_cut", 1.0, (), "stitch")
@@ -239,12 +256,20 @@ class TestNoise:
             assert noisy.value(t) == base.value(t) == (1.0 if t < 0 else 0.0)
 
     def test_breakpoints_at_the_smallest_duration(self):
-        # T / K underflows to 0: the pulse edges stay k T / K, apart from the noise loop
+        # T / K underflows to 0: the pulse edges are k T / K = 0, sorted, and
+        # the grid still ends in one step [0, T]
         base = pulse_train(5e-324, (1.0, -2.0, 0.5))
-        assert base.breakpoints() == (0.0, 0.0)
-        assert apply_noise(base, window=5e-324, strength=0.5, seed=3).breakpoints() == (0.0,)
+        noisy = apply_noise(base, window=5e-324, strength=0.5, seed=3)
+        for schedule in (base, noisy):
+            assert schedule.breakpoints().dtype == np.float64
+            assert schedule.breakpoints().tolist() == [0.0, 0.0]
+            assert integration_grid(schedule, 300).tolist() == [0.0, 5e-324]
 
     def test_breakpoints_cover_noise_windows(self):
         base = pulse_train(0.6, (1.0, -2.0))
         noisy = apply_noise(base, window=0.2, strength=0.5, seed=3)
         assert noisy.breakpoints() == pytest.approx((0.2, 0.3, 0.4))
+        # window edges past the duration (more offsets than windows) add no jump
+        extra = ControlSchedule("polynomial_cut", 0.6, (), "cut", 0.2, (0.1, 0.2, 0.3, 0.4, 0.5))
+        assert extra.breakpoints().tolist() == [0.2, 0.4]
+        assert integration_grid(extra, 6).tobytes() == reference_grid(extra, 6).tobytes()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spinsplice.chain import ChainSpec, assemble_hamiltonian, ground_state
-from spinsplice.control import apply_noise, linear_baseline, polynomial_cut, pulse_train
+from spinsplice.control import apply_noise, linear_baseline, polynomial_cut, polynomial_stitch, pulse_train, sine_cut
 from spinsplice.dynamics import (
     SectorPropagator,
     cut_fidelity,
@@ -22,6 +22,7 @@ from oracles import (
     SZ,
     dense_hamiltonian,
     ground_fidelity,
+    reference_grid,
     sector_blocks,
     sector_propagator,
     step_segments,
@@ -135,6 +136,23 @@ class TestPropagate:
         rho_c = reduce_density(psi_clean, (1,), 4)
         rho_n = reduce_density(psi_noisy, (1,), 4)
         assert abs(cut_fidelity(rho_c, DOWN) - cut_fidelity(rho_n, DOWN)) < 1e-12
+
+    @pytest.mark.parametrize("T", [5e-324, 1e-300, 1e-6, 0.6, 1.0, 7.3, 1e6])
+    def test_grid_equals_the_reference_rule_bitwise(self, T):
+        # smooth, sine and stitch schedules and pulse trains of 1 to 100 pulses,
+        # clean and under noise windows that divide T, nearly divide it (the
+        # last edge 3e-11 T, 7e-10 T or 7e-9 T short of T), cover it once or
+        # exceed it, at 1 to 1000 steps
+        clean = [polynomial_cut(T, (54.3, -36.3)), sine_cut(T, (0.4, -0.2)), polynomial_stitch(T, (1.5,))]
+        clean += [pulse_train(T, np.linspace(-3.0, 3.0, K)) for K in (1, 2, 3, 7, 9, 10, 33, 100)]
+        for n_steps in (1, 7, 60, 300, 1000):
+            windows = [T / 60, T / 6, T / 7, T / 300, T / 2, T / 4, T / (3 + 1e-10), T / (3 + 2e-9), T / (3 + 2e-8),
+                       1.5 * T, T / 1000.3, T / n_steps, T / (2 * n_steps)]
+            for base in clean:
+                noisy = [apply_noise(base, window=w, strength=0.5, seed=3) for w in windows if w > 0]
+                for schedule in [base, *noisy]:
+                    grid = integration_grid(schedule, n_steps)
+                    assert grid.tobytes() == reference_grid(schedule, n_steps).tobytes(), (schedule, n_steps)
 
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError, match="n_steps"):

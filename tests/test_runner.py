@@ -518,6 +518,9 @@ class TestCli:
             ("seed", ["reproduce", "table1", "--out", str(tmp_path), "--seed", "9"]),
             ("config", ["reproduce", "table1", "--out", str(tmp_path), "--config", str(tmp_path / "nope.json")]),
         ]
+        deep = tmp_path / "deep.json"  # json.loads raises RecursionError, not ValueError
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        runs.append(("config", ["optimize", "--config", str(deep)]))
         for k, (field, override) in enumerate((("process", "stitch"), ("target", "ground"))):
             two_spin = mode_config("two_spin", tmp_path, **{field: override})
             runs.append((field, ["two-spin", "--config", write_config(tmp_path / f"t{k}.json", two_spin)]))
