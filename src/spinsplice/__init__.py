@@ -6,7 +6,6 @@ from .control import (
     ControlSchedule,
     apply_noise,
     linear_baseline,
-    make_schedule,
     polynomial_cut,
     polynomial_stitch,
     pulse_train,
@@ -42,7 +41,7 @@ from .runner import ConfigError, RunConfig, execute, parse_config
 __all__ = [
     "__version__",
     "ChainSpec", "DegeneracyError", "assemble_hamiltonian",
-    "ControlSchedule", "apply_noise", "linear_baseline", "make_schedule", "polynomial_cut",
+    "ControlSchedule", "apply_noise", "linear_baseline", "polynomial_cut",
     "polynomial_stitch", "pulse_train", "sine_cut",
     "SectorPropagator", "cut_fidelity", "entropy", "propagate", "purity", "reduce_density",
     "LandscapeAxis", "LandscapeGrid", "OptimizationReport", "bfgs_maximize",

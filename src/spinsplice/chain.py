@@ -134,6 +134,9 @@ class ChainSpec:
             )
         if self.topology == "ring" and self.n_spins < 3:
             raise ValueError("a ring needs at least 3 spins")
+        for name in ("exchange", "field"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.cut_bonds is None:
             cut = {(1, 2)}
             if self.topology == "ring":

@@ -1,12 +1,12 @@
 """Control schedules g(t) for bond cutting and stitching, with frozen noise.
 
-A cut drives the bond coupling from 1 to 0 over [0, duration]; a stitch drives
-it from 0 to 1.  Outside [0, duration] every schedule sits on its process
-plateau (cut: 1 before, 0 after; stitch: the mirror).  Three families are
-provided: polynomials with pinned endpoints, a linear ramp plus a sine series,
-and trains of rectangular pulses with free amplitudes.  ``apply_noise`` adds
-one seeded realization of rectangular apparatus noise: a schedule with a
-positive ``window`` and one offset per window k, added to g on
+A cut drives the bond coupling from 1 to 0 over [0, duration], a stitch from
+0 to 1; before and after, g holds its start and end value.  Polynomials with
+pinned endpoints and a linear ramp plus a sine series drive their own way;
+trains of rectangular pulses drive either.  ``ControlSchedule(kind, duration,
+params, direction)`` builds every schedule, and ``dataclasses.replace``
+derives one at another duration or params.  ``apply_noise`` adds one seeded
+realization of rectangular apparatus noise: offset k is added to g on
 [k window, (k + 1) window) inside [0, duration).
 """
 
@@ -60,15 +60,6 @@ class ControlSchedule:
             if not np.isfinite(getattr(self, field)).all():
                 raise ValueError(f"{field} must be finite, got {getattr(self, field)}")
 
-    # -- plateau values outside the drive window ---------------------------
-    @property
-    def start_value(self) -> float:
-        return 1.0 if self.direction == "cut" else 0.0
-
-    @property
-    def end_value(self) -> float:
-        return 0.0 if self.direction == "cut" else 1.0
-
     def _full_poly_coeffs(self) -> tuple[float, ...]:
         # leading coefficient is derived so the drive hits its far endpoint
         return (-(1.0 + float(sum(self.params))),) + self.params
@@ -81,6 +72,7 @@ class ControlSchedule:
         """Vectorized g(t) over an array of times."""
         t = np.asarray(times, dtype=float)
         T = self.duration
+        start, end = (1.0, 0.0) if self.direction == "cut" else (0.0, 1.0)
         if self.kind == "pulse":
             dt = T / len(self.params)
             idx = np.clip((t // dt).astype(int), 0, len(self.params) - 1)
@@ -94,7 +86,7 @@ class ControlSchedule:
             inside = 1.0 - x
             for n, b in enumerate(self.params, start=1):
                 inside = inside + b * np.sin(n * np.pi * x)
-        clean = np.where(t < 0.0, self.start_value, np.where(t >= T, self.end_value, inside)).astype(float)
+        clean = np.where(t < 0.0, start, np.where(t >= T, end, inside)).astype(float)
         if not self.offsets:
             return clean
         idx = np.clip((t // self.window).astype(int), 0, len(self.offsets) - 1)
@@ -148,18 +140,6 @@ def linear_baseline(duration: float, direction: str = "cut") -> ControlSchedule:
     return polynomial_stitch(duration)
 
 
-def make_schedule(
-    kind: str,
-    duration: float,
-    params: Sequence[float] = (),
-    direction: str | None = None,
-) -> ControlSchedule:
-    """Schedule factory used by config files.  A pulse train drives
-    ``direction`` (a cut when omitted); every other kind drives its own
-    direction, and a different ``direction`` is an error."""
-    return ControlSchedule(kind, float(duration), tuple(params), direction or DIRECTIONS.get(kind) or "cut")
-
-
 def noise_window_count(duration: float, window: float) -> int:
     """Number of aligned noise windows needed to cover [0, duration)."""
     return max(int(np.ceil(duration / window - 1e-9)), 1)
@@ -176,8 +156,8 @@ def apply_noise(schedule: ControlSchedule, window: float, strength: float, seed:
         raise ValueError("schedule already carries a noise realization")
     if not window > 0:
         raise ValueError(f"noise window must be positive, got {window}")
-    if not strength >= 0:
-        raise ValueError(f"noise strength must be >= 0, got {strength}")
+    if not 0 <= strength < np.inf:
+        raise ValueError(f"noise strength must be finite and >= 0, got {strength}")
     if not 0 <= int(seed) < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     r = np.random.default_rng(int(seed)).random(noise_window_count(schedule.duration, window))

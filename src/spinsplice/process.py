@@ -31,7 +31,7 @@ from .chain import (
     cut_components,
     resolve_ground,
 )
-from .control import ControlSchedule, make_schedule
+from .control import ControlSchedule
 from .dynamics import SectorPropagator, cut_fidelity, entropy, propagate, purity, reduce_density
 
 DEFAULT_TIME_STEPS = 300
@@ -248,7 +248,7 @@ class ObjectiveSpec:
     def schedule_for(self, params) -> ControlSchedule:
         if len(params) != self.n_free_params:
             raise ValueError(f"expected {self.n_free_params} parameters, got {len(params)}")
-        return make_schedule(self.kind, self.duration, tuple(float(p) for p in params), self.direction)
+        return ControlSchedule(self.kind, float(self.duration), tuple(params), self.direction)
 
 
 def build_objective(

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import make_schedule
+from .control import polynomial_cut, pulse_train
 from .process import DEFAULT_TIME_STEPS
 from .runner import NOISE, SCHEMA, ConfigError, check_fields, execute, parse_config, write_csv
 
@@ -148,8 +148,8 @@ def reproduce_fig9(out_dir: Path, n_steps: int) -> None:
         for pulse_row, poly_row in zip(pulse["rows"], polynomial["rows"]):
             duration = pulse_row[0]
             t = np.linspace(0.0, duration, 201)
-            g_pulse = make_schedule("pulse", duration, pulse_row[3], "cut").values(t)
-            g_poly = make_schedule("polynomial_cut", duration, poly_row[3]).values(t)
+            g_pulse = pulse_train(duration, pulse_row[3]).values(t)
+            g_poly = polynomial_cut(duration, poly_row[3]).values(t)
             write_csv(out / f"shape_k{n_pulses}_T{duration:g}.csv", ("t", "g_pulse", "g_polynomial"),
                       zip(t, g_pulse, g_poly))
     _gp(out / "fig9.gp", [

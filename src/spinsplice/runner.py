@@ -30,7 +30,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -38,7 +38,7 @@ import numpy as np
 
 from ._version import __version__
 from .chain import DEFAULT_SPIN_CAP, ChainSpec, cut_components
-from .control import KINDS, ControlSchedule, apply_noise, linear_baseline, make_schedule, noise_window_count
+from .control import DIRECTIONS, KINDS, ControlSchedule, apply_noise, linear_baseline, noise_window_count
 from .dynamics import integration_grid
 from .optimize import (
     DEFAULT_GRADIENT_STEP,
@@ -245,7 +245,7 @@ TWO_SPIN_DEFAULTS = {
         "field": 2.1,
         "cut_bonds": [[2, 3]],
     },
-    "schedule": {"kind": "pulse", "T": 0.6, "params": [-5.4, 4.1], "direction": "cut"},
+    "schedule": {"kind": "pulse", "T": 0.6, "params": [-5.4, 4.1]},
 }
 
 
@@ -281,9 +281,6 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
         for key, value in TWO_SPIN_DEFAULTS.items():
             if data.get(key) is None:
                 data[key] = value
-    sched = data.get("schedule")
-    if isinstance(sched, dict) and "T" not in sched and "duration" in sched:
-        data["schedule"] = {("T" if k == "duration" else k): v for k, v in sched.items()}
     cfg = check_fields(SCHEMA, data, "", run_mode)
 
     # rules that span fields
@@ -308,10 +305,8 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
     cfg["chain"]["cut_bonds"] = sorted(list(bond) for bond in chain.cut_bonds)
     sched = cfg["schedule"]
     try:
-        schedule = make_schedule(
-            sched["kind"], sched["T"], sched["params"],
-            sched.get("direction") or (process if sched["kind"] == "pulse" else None),
-        )
+        schedule = ControlSchedule(sched["kind"], sched["T"], sched["params"],
+                                   sched.get("direction") or DIRECTIONS[sched["kind"]] or process)
     except ValueError as exc:
         raise ConfigError(f"schedule: {exc}") from exc
     if schedule.direction != process:
@@ -319,7 +314,7 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
             f"schedule.direction: schedule is a {schedule.direction!r} drive but the "
             f"process is {process!r}"
         )
-    sched["direction"] = schedule.direction
+    sched["direction"] = process
     n_free = len(schedule.params)
 
     # the schedules of each fidelities call the run makes, by the field that sets their number
@@ -461,8 +456,8 @@ def _starts(config: RunConfig) -> list[np.ndarray]:
 
 
 def _schedule(config: RunConfig, duration: float, params) -> ControlSchedule:
-    """The config's schedule kind at another duration and parameters."""
-    return make_schedule(config.schedule.kind, duration, tuple(map(float, params)), config.process)
+    """The config's schedule at another duration and params (as a tuple: ``ControlSchedule`` tests it for emptiness)."""
+    return replace(config.schedule, duration=duration, params=tuple(params))
 
 
 def _maximize(config: RunConfig, process, durations) -> tuple[list[OptimizationReport], dict]:

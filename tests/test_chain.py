@@ -276,6 +276,12 @@ class TestChainSpecValidation:
         with pytest.raises(ValueError, match="empty"):
             ChainSpec(4, "open", cut_bonds=frozenset())
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["exchange", "field"])
+    def test_rejects_non_finite_coupling(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            ChainSpec(4, "ring", **{name: value})
+
     def test_rejects_above_cap(self):
         with pytest.raises(ValueError, match="cap"):
             ChainSpec(13, "open")

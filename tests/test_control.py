@@ -5,7 +5,6 @@ from spinsplice.control import (
     ControlSchedule,
     apply_noise,
     linear_baseline,
-    make_schedule,
     noise_window_count,
     polynomial_cut,
     polynomial_stitch,
@@ -143,7 +142,7 @@ class TestValidation:
         (lambda: ControlSchedule("polynomial_cut", 0.6, (), "cut", 0.1, (0.2, float("nan"))), "offsets"),
         (lambda: apply_noise(linear_baseline(0.6), float("nan"), 1.0, 1), "noise window"),
         (lambda: apply_noise(linear_baseline(0.6), 0.1, float("nan"), 1), "noise strength"),
-        (lambda: apply_noise(linear_baseline(0.6), 0.1, float("inf"), 1), "offsets"),
+        (lambda: apply_noise(linear_baseline(0.6), 0.1, float("inf"), 1), "noise strength"),
     ], ids=["nan-T", "inf-T", "nan-param", "inf-amplitude", "-inf-param", "nan-offset", "nan-window",
             "nan-strength", "inf-strength"])
     def test_non_finite_inputs_are_refused(self, build, field):
@@ -154,7 +153,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="direction"):
             ControlSchedule("polynomial_cut", 1.0, (), "stitch")
         with pytest.raises(ValueError, match="direction"):
-            make_schedule("sine_cut", 1.0, (0.1,), "stitch")
+            ControlSchedule("sine_cut", 1.0, (0.1,), "stitch")
 
     def test_pulse_needs_amplitudes(self):
         with pytest.raises(ValueError, match="amplitude"):
@@ -162,7 +161,7 @@ class TestValidation:
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
-            make_schedule("spline", 1.0)
+            ControlSchedule("spline", 1.0, (), "cut")
 
     def test_roundtrip_serialization(self):
         # the wire format is read back by the run-config parser
@@ -224,7 +223,7 @@ class TestNoise:
         base = linear_baseline(0.6)
         with pytest.raises(ValueError, match="noise window must be positive, got 0.0"):
             apply_noise(base, window=0.0, strength=1.0, seed=1)
-        with pytest.raises(ValueError, match="noise strength must be >= 0, got -1.0"):
+        with pytest.raises(ValueError, match="noise strength must be finite and >= 0, got -1.0"):
             apply_noise(base, window=0.1, strength=-1.0, seed=1)
         with pytest.raises(ValueError, match="seed must fit in an unsigned 64-bit integer"):
             apply_noise(base, window=0.1, strength=1.0, seed=-5)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import spinsplice.runner as runner
 from spinsplice.cli import main
-from spinsplice.control import polynomial_cut
+from spinsplice.control import KINDS, polynomial_cut
 from spinsplice.dynamics import MAX_TAYLOR_TERMS, integration_grid, taylor_plan
 from spinsplice.optimize import best_of, bfgs_maximize
 from spinsplice.process import ObjectiveSpec, build_objective, prepare_process
@@ -114,10 +114,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="schedule.T"):
             parse_config(bad)
 
-    def test_duration_key_alias(self, tmp_path):
+    def test_duration_key_rejected(self, tmp_path):
         data = evolve_config(tmp_path)
         data["schedule"] = {"kind": "polynomial_cut", "duration": 0.5, "params": []}
-        assert parse_config(data).schedule.duration == 0.5
+        with pytest.raises(ConfigError, match="^schedule.duration: unknown config key$"):
+            parse_config(data)
 
     def test_bad_steps_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="n_steps"):
@@ -172,6 +173,31 @@ class TestConfigValidation:
         data = evolve_config(tmp_path, process="stitch")
         with pytest.raises(ConfigError, match="schedule.direction"):
             parse_config(data)
+
+    @pytest.mark.parametrize("direction", [None, "cut", "stitch"])
+    @pytest.mark.parametrize("process", ["cut", "stitch"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_schedule_direction_rule(self, tmp_path, kind, process, direction):
+        """A pulse train drives the process's direction; every other kind
+        drives its own.  A config direction must agree with both, and the
+        echo always records the process's."""
+        own = {"polynomial_cut": "cut", "sine_cut": "cut", "polynomial_stitch": "stitch", "pulse": None}[kind]
+        schedule = {"kind": kind, "T": 0.5, "params": [5.0, -3.0]}
+        if direction is not None:
+            schedule["direction"] = direction
+        data = evolve_config(tmp_path, process=process, schedule=schedule)
+        drive = direction or own or process
+        if own not in (None, drive):
+            error = f"schedule: {kind} schedules have direction {own!r}, got {drive!r}"
+        elif drive != process:
+            error = f"schedule.direction: schedule is a {drive!r} drive but the process is {process!r}"
+        else:
+            config = parse_config(data)
+            assert config.schedule.direction == config.data["schedule"]["direction"] == process
+            return
+        with pytest.raises(ConfigError) as caught:
+            parse_config(data)
+        assert str(caught.value) == error
 
     def test_sweep_times_validated(self, tmp_path):
         data = evolve_config(tmp_path, mode="sweep")
@@ -477,6 +503,8 @@ class TestCli:
             ("schedule.T", evolve_config(tmp_path, schedule={"kind": "polynomial_cut", "T": math.inf})),
             ("n_steps", evolve_config(tmp_path, n_steps=True)),
             ("workers", evolve_config(tmp_path, workers=True)),
+            ("schedule.duration", evolve_config(
+                tmp_path, schedule={"kind": "polynomial_cut", "duration": 0.5, "params": []})),
             ("out_dir", evolve_config(tmp_path, out_dir=5)),
             ("noise.realizations", mode_config("noise", tmp_path, noise=dict(noise, realizations="x"))),
             ("noise.seed", mode_config("noise", tmp_path, noise=dict(noise, seed=-1))),
