@@ -19,6 +19,7 @@ reflection keeps the plain sectors.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -315,16 +316,6 @@ def cut_components(spec: ChainSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(sorted(seen)), rest
 
 
-def eigvalsh_by_size(sizes: list[int], members: Iterable[int], matrix: Callable[[int], np.ndarray]):
-    """For each dimension among these blocks: the blocks, and the ascending
-    energies of each, from one ``eigvalsh`` of their matrices stacked."""
-    by_size: dict[int, list[int]] = {}
-    for b in members:
-        by_size.setdefault(sizes[b], []).append(b)
-    for same in by_size.values():
-        yield same, np.linalg.eigvalsh(np.array([matrix(b) for b in same]))
-
-
 class Spectrum:
     """Spectrum of a block-diagonal real symmetric (or Hermitian) matrix.
 
@@ -339,7 +330,14 @@ class Spectrum:
     max(E1, E0 + DEGENERACY_RTOL (E_top - E0)) of those found.  That cut-off
     only falls as blocks are added, so the blocks left out hold none of the
     energies it covers.  Without bounds every block is diagonalized; blocks
-    of equal bound go together, one ``eigvalsh`` per dimension.
+    of equal bound go together.
+
+    The two sweeps are a generator that asks for one list of blocks at a
+    time, and nothing is diagonalized at construction: ``diagonalize`` runs
+    the sweeps of many spectra together, one ``eigvalsh`` per block dimension
+    per round over every block any of them asks for, and a spectrum read
+    before that runs its own the same way.  The energies do not depend on
+    which spectra share a call.
 
     ``energies`` is the merged spectrum of only the blocks diagonalized or
     known; ``value_blocks`` counts them.  Exact, as if every
@@ -348,8 +346,9 @@ class Spectrum:
     within the threshold of the lowest, the tie that ``ground`` resolves.
     ``states(k)`` embeds the eigenvectors of the k lowest entries in the full
     space (k within that tie, or at most 2); a block's eigenvectors come from
-    one ``eigh``, made on the first ``states`` call that reads that block and
-    kept.  ``vector_blocks`` counts those ``eigh`` calls.  ``ground``
+    one ``eigh``, made on the first ``states`` call that reads that block, or
+    stacked with other spectra's by ``diagonalize_grounds``, and kept.
+    ``vector_blocks`` counts those block eigendecompositions.  ``ground``
     applies the degeneracy rule.
     """
 
@@ -363,21 +362,22 @@ class Spectrum:
         self._vectors: dict[int, np.ndarray] = {}
         self._top, self._low = -np.inf, [np.inf, np.inf]  # the highest and two lowest energies found
         if known:
-            self._record(list(known), known.values())
-        unbounded = [-np.inf] * len(blocks)
+            self._record(known)
+        self._sweeps = self._requests(lower, upper)  # None once they have run
 
-        self._sweep(unbounded if upper is None else (-upper).tolist(), lambda bound: -bound < self._top)
+    def _requests(self, lower: np.ndarray | None, upper: np.ndarray | None):
+        """The two sweeps: yield each list of blocks to diagonalize, and
+        receive their energies by block."""
+        if len(self._energies) == len(self.blocks):  # every block known
+            return
+        unbounded = [-np.inf] * len(self.blocks)
+        yield from self._sweep(unbounded if upper is None else (-upper).tolist(), lambda bound: -bound < self._top)
         top = self._top  # exact: every block left has a lower upper bound
-        self._sweep(unbounded if lower is None else lower.tolist(), lambda bound: bound > max(
+        yield from self._sweep(unbounded if lower is None else lower.tolist(), lambda bound: bound > max(
             self._low[1], self._low[0] + DEGENERACY_RTOL * (top - self._low[0])))
-        # merged in the order of dimension, then block: ties sort as in the full spectrum
-        self._done = sorted(self._energies, key=lambda b: (self._sizes[b], b))
-        w = np.concatenate([self._energies[b] for b in self._done])
-        self._order = np.argsort(w, kind="stable")
-        self.energies = w[self._order]
 
-    def _sweep(self, bounds: list[float], beyond: Callable[[float], bool]) -> None:
-        """Diagonalize the blocks in ascending order of ``bounds``, those with
+    def _sweep(self, bounds: list[float], beyond: Callable[[float], bool]):
+        """Ask for the blocks in ascending order of ``bounds``, those with
         equal bounds together, until ``beyond`` holds for the next bound."""
         order = sorted(range(len(bounds)), key=bounds.__getitem__)
         i = 0
@@ -389,29 +389,49 @@ class Spectrum:
             while j < len(order) and bounds[order[j]] == bound:
                 j += 1
             members = [b for b in order[i:j] if b not in self._energies]
-            for same, w in eigvalsh_by_size(self._sizes, members, self._matrix):
-                self._record(same, w)
+            if members:
+                self._record((yield members))
             i = j
 
-    def _record(self, members: list[int], energies: Iterable[np.ndarray]) -> None:
+    def _record(self, energies: dict[int, np.ndarray]) -> None:
         """Keep the ascending energies of these blocks, and the highest and
         two lowest of all so far."""
-        low = self._low
-        for b, w in zip(members, energies):
-            self._energies[b] = w
-            self._top = max(self._top, w[-1])
-            low = low + w[:2].tolist()
-        self._low = sorted(low)[:2]
+        self._energies.update(energies)
+        self._top = max(self._top, *(w[-1] for w in energies.values()))
+        self._low = sorted([*self._low, *(e for w in energies.values() for e in w[:2].tolist())])[:2]
+
+    def _diagonalized(self) -> dict[int, np.ndarray]:
+        """The energies of each block diagonalized or known, once the sweeps
+        have run."""
+        if self._sweeps is not None:
+            diagonalize((self,))
+        return self._energies
+
+    @functools.cached_property
+    def _merged(self) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """The blocks in merge order, the stable sort of their energies
+        concatenated in that order, and the sorted energies.  Merged in the
+        order of dimension, then block: ties sort as in the full spectrum."""
+        energies = self._diagonalized()
+        done = sorted(energies, key=lambda b: (self._sizes[b], b))
+        w = np.concatenate([energies[b] for b in done])
+        order = np.argsort(w, kind="stable")
+        return done, order, w[order]
+
+    @property
+    def energies(self) -> np.ndarray:
+        return self._merged[2]
 
     @property
     def gap(self) -> float:
         """Distance between the two lowest energies of the whole spectrum."""
-        return float(self.energies[1] - self.energies[0]) if self.energies.size > 1 else np.inf
+        w = self.energies
+        return float(w[1] - w[0]) if w.size > 1 else np.inf
 
     @property
     def value_blocks(self) -> int:
         """Blocks whose energies it holds."""
-        return len(self._energies)
+        return len(self._diagonalized())
 
     @property
     def vector_blocks(self) -> int:
@@ -420,29 +440,38 @@ class Spectrum:
 
     def threshold(self) -> float:
         """Energies closer than this to the lowest count as degenerate with it."""
-        return DEGENERACY_RTOL * float(self.energies[-1] - self.energies[0])
+        w = self.energies
+        return DEGENERACY_RTOL * float(w[-1] - w[0])
 
     def degenerate(self) -> bool:
         return self.gap <= self.threshold()
 
     def _tied(self) -> int:
         """How many energies lie within ``threshold`` of the lowest."""
-        return int(np.searchsorted(self.energies, self.energies[0] + self.threshold(), side="right"))
+        w = self.energies
+        return int(np.searchsorted(w, w[0] + self.threshold(), side="right"))
+
+    def _located(self, k: int) -> list[tuple[int, int]]:
+        """(block, column) of each of the k lowest entries."""
+        done, order, _ = self._merged
+        located = []
+        for i in order[:k].tolist():
+            for b in done:  # i indexes the energies concatenated block by block
+                if i < self._sizes[b]:
+                    break
+                i -= self._sizes[b]
+            located.append((b, i))
+        return located
 
     def states(self, k: int) -> np.ndarray:
         """Full-space eigenvector columns of the k lowest energies."""
         exact = max(2, self._tied())
         if k > exact:
             raise ValueError(f"only the {exact} lowest states are exact")
-        located = []  # (block, column) of each of the k lowest entries
-        for i in self._order[:k].tolist():
-            for b in self._done:  # i indexes the energies concatenated block by block
-                if i < self._sizes[b]:
-                    break
-                i -= self._sizes[b]
+        located = self._located(k)
+        for b, _ in located:
             if b not in self._vectors:
                 self._vectors[b] = np.linalg.eigh(self._matrix(b))[1]
-            located.append((b, i))
         out = np.zeros((sum(self._sizes), k), dtype=np.result_type(*(self._vectors[b] for b, _ in located)))
         for col, (b, column) in enumerate(located):
             self.blocks[b].embed(self._vectors[b][:, column], out[:, col])
@@ -472,6 +501,67 @@ class Spectrum:
                 "continuity reference is orthogonal to the degenerate ground subspace"
             )
         return basis @ (coeff / norm)
+
+
+def solve_by_size(solve: Callable[[np.ndarray], np.ndarray], asks) -> list[dict[int, np.ndarray]]:
+    """``solve`` applied to the blocks each ask names, one stacked call per
+    block dimension over every ask.
+
+    An ask is ``(matrix, sizes, blocks)``: ``matrix(b)`` forms block b's
+    matrix, of dimension ``sizes[b]``.  The matrices of one dimension are
+    stacked in order of ask, then block.  Returns one dict per ask, from
+    block to its result.  A stacked LAPACK call computes each matrix's
+    result as a call of its own would.
+    """
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for i, (_, sizes, blocks) in enumerate(asks):
+        for b in blocks:
+            groups.setdefault(sizes[b], []).append((i, b))
+    results: list[dict[int, np.ndarray]] = [{} for _ in asks]
+    for pairs in groups.values():
+        for (i, b), result in zip(pairs, solve(np.array([asks[i][0](b) for i, b in pairs]))):
+            results[i][b] = result
+    return results
+
+
+def _advance(spectrum: Spectrum, energies: dict[int, np.ndarray] | None) -> list[int] | None:
+    """Send a spectrum's sweeps the energies they asked for; return their
+    next request, or None once they are done."""
+    try:
+        return spectrum._sweeps.send(energies)
+    except StopIteration:
+        spectrum._sweeps = None
+        return None
+
+
+def diagonalize(spectra: Iterable[Spectrum]) -> None:
+    """Run the sweeps of these spectra together, in rounds.
+
+    Each round, every spectrum still sweeping asks for a list of blocks, and
+    the blocks of one dimension, over every spectrum that asked, go to one
+    ``eigvalsh`` of their matrices stacked (``solve_by_size``), so every
+    spectrum ends as it would alone.
+    """
+    asking = [(s, request) for s in dict.fromkeys(spectra) if s._sweeps is not None
+              if (request := _advance(s, None)) is not None]
+    while asking:
+        answers = solve_by_size(np.linalg.eigvalsh, [(s._matrix, s._sizes, request) for s, request in asking])
+        asking = [(s, request) for (s, _), answer in zip(asking, answers)
+                  if (request := _advance(s, answer)) is not None]
+
+
+def diagonalize_grounds(spectra: Iterable[Spectrum]) -> None:
+    """Diagonalize, with eigenvectors, the blocks that hold each spectrum's
+    ground subspace: the block of its lowest state, or those of every state
+    of its tie, known from its energies alone.  One ``eigh`` per block
+    dimension over all the spectra, its matrices in order of spectrum, then
+    block; ``ground`` then makes no ``eigh`` of its own."""
+    spectra = list(spectra)
+    diagonalize(spectra)
+    asks = [(s._matrix, s._sizes, [b for b in dict.fromkeys(b for b, _ in s._located(s._tied()))
+                                   if b not in s._vectors]) for s in spectra]
+    for s, vectors in zip(spectra, solve_by_size(lambda a: np.linalg.eigh(a)[1], asks)):
+        s._vectors.update(vectors)
 
 
 def resolve_ground(spectrum: Spectrum, nudged: Callable[[], Spectrum] | None) -> np.ndarray:

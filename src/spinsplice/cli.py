@@ -20,8 +20,16 @@ from .runner import MODES, ConfigError, execute, parse_config, read_config
 CONFIG_MODES = {mode.replace("_", "-"): mode for mode in MODES}  # sub-command: mode
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument as one ``config error`` line and exit 2, as a
+    bad config field is; sub-command parsers are of the same class."""
+
+    def error(self, message):
+        self.exit(2, f"config error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinsplice",
         description="Simulate and optimize non-adiabatic cutting and stitching of Heisenberg spin chains.",
     )

@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .chain import Blocks, Matrices, Spectrum, eigvalsh_by_size
+from .chain import Blocks, Matrices, Spectrum, diagonalize, solve_by_size
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
 UNIT_ROUNDOFF = 2.0**-53
@@ -112,7 +112,13 @@ class SectorPropagator:
         self._v_range = None
 
     def spectrum(self, g: float) -> Spectrum:
-        """Spectrum of h0 + g v, pruned by Weyl's bounds; eigenvectors on demand.
+        """The spectrum of h0 + g v: the one-coupling case of ``spectra``."""
+        return self.spectra([g])[0]
+
+    def spectra(self, gs) -> list[Spectrum]:
+        """Spectra of h0 + g v at each coupling g, pruned by Weyl's bounds
+        and diagonalized together (``chain.diagonalize``); eigenvectors on
+        demand.
 
         The first call diagonalizes every block of h0 and of h0 + v, one
         ``eigvalsh`` per dimension for both: the whole spectra at g = 0 and
@@ -125,42 +131,48 @@ class SectorPropagator:
         g), tightens them; inside, it never does.  Each bound is widened by
         4 d eps times the weighted norms on a block of dimension d, above the
         round-off of the diagonalizations it compares, so that it never
-        excludes an energy ``eigvalsh`` would compute.  The ``Spectrum``
+        excludes an energy ``eigvalsh`` would compute.  Each ``Spectrum``
         diagonalizes only the blocks its bounds admit.
         """
         if self._endpoints is None:
             coupled = [h + 1.0 * v for h, v in zip(self.h0, self.v)]
             (rest, self._h0_range), (joined, self._h1_range) = self._ranges(self.h0, coupled)
             self._endpoints = {0.0: rest, 1.0: joined}
+        gs = list(gs)
+        bounded = np.array([g for g in gs if g not in self._endpoints], dtype=float)[:, None]
+        bounds = zip(*self._bounds(bounded)) if bounded.size else iter(())
+        out = [Spectrum(self.blocks, self._matrix(g), known=self._endpoints[g]) if g in self._endpoints
+               else Spectrum(self.blocks, self._matrix(g), *next(bounds)) for g in gs]
+        diagonalize(out)
+        return out
 
-        def matrix(b: int) -> np.ndarray:
-            return self.h0[b] + g * self.v[b]
-
-        if g in self._endpoints:
-            return Spectrum(self.blocks, matrix, known=self._endpoints[g])
+    def _bounds(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Weyl's lower and upper bounds on every block's energies, one row
+        per coupling of the column ``g``."""
         lower, upper = _weyl((1.0 - g, self._h0_range), (g, self._h1_range))
-        if not 0.0 < g < 1.0:
+        outside = ~((0.0 < g) & (g < 1.0))
+        if outside.any():
             if self._v_range is None:
                 ((_, self._v_range),) = self._ranges(self.v)
             by_v = _weyl((1.0, self._h0_range), (g, self._v_range))
-            lower, upper = np.maximum(lower, by_v[0]), np.minimum(upper, by_v[1])
-        return Spectrum(self.blocks, matrix, lower, upper)
+            lower = np.where(outside, np.maximum(lower, by_v[0]), lower)
+            upper = np.where(outside, np.minimum(upper, by_v[1]), upper)
+        return lower, upper
+
+    def _matrix(self, g: float) -> Callable[[int], np.ndarray]:
+        """The block matrices of h0 + g v, formed on request."""
+        return lambda b: self.h0[b] + g * self.v[b]
 
     def _ranges(self, *operators: Matrices) -> list[tuple[dict[int, np.ndarray], np.ndarray]]:
         """For each operator, the energies of every block, from one
         ``eigvalsh`` per dimension for all the operators, and the rows of a
         (3, blocks) array: each block's lowest and highest energy and its
         round-off slack 4 d eps ||M||."""
-        n, sizes = len(self.blocks), [b.size for b in self.blocks]
-        flat = [m for op in operators for m in op]
-        energies: list[np.ndarray] = [np.empty(0)] * len(flat)
-        for same, w in eigvalsh_by_size(sizes * len(operators), range(len(flat)), flat.__getitem__):
-            for b, e in zip(same, w):
-                energies[b] = e
-        ends = np.array([(e[0], e[-1]) for e in energies]).T.reshape(2, len(operators), n)
-        slack = 4 * np.finfo(float).eps * np.array(sizes) * np.abs(ends).max(axis=0)
-        return [(dict(enumerate(energies[k * n:(k + 1) * n])), np.array([*ends[:, k], slack[k]]))
-                for k in range(len(operators))]
+        blocks, sizes = range(len(self.blocks)), [b.size for b in self.blocks]
+        energies = solve_by_size(np.linalg.eigvalsh, [(op.__getitem__, sizes, blocks) for op in operators])
+        ends = np.array([[(e[b][0], e[b][-1]) for b in blocks] for e in energies])
+        slack = 4 * np.finfo(float).eps * np.array(sizes) * np.abs(ends).max(axis=2)
+        return [(e, np.array([*end.T, s])) for e, end, s in zip(energies, ends, slack)]
 
     def occupied(self, psi: np.ndarray) -> list[int]:
         """Indices of the blocks in which psi has a nonzero amplitude."""
@@ -181,14 +193,16 @@ class SectorPropagator:
         return psi
 
 
-def _weyl(*terms: tuple[float, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _weyl(*terms: tuple[float | np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Per-block lower and upper bounds on the energies of sum_k c_k M_k,
     from the (lowest, highest, slack) rows of each M_k's ranges: Weyl's
-    inequality, each bound widened by the weighted slacks."""
+    inequality, each bound widened by the weighted slacks.  A weight may be
+    a column of couplings, one row of bounds each."""
     lower = upper = 0.0
     for c, (lo, hi, slack) in terms:
-        lower = lower + c * (lo if c >= 0 else hi) - abs(c) * slack
-        upper = upper + c * (hi if c >= 0 else lo) + abs(c) * slack
+        positive = np.asarray(c) >= 0
+        lower = lower + c * np.where(positive, lo, hi) - np.abs(c) * slack
+        upper = upper + c * np.where(positive, hi, lo) + np.abs(c) * slack
     return lower, upper
 
 
@@ -253,8 +267,10 @@ def integration_grid(schedule, n_steps: int) -> np.ndarray:
 def reduce_density(psi: np.ndarray, keep_sites, n_spins: int) -> np.ndarray:
     """Reduced density matrix of the given sites, tracing out the rest.
 
-    The reduced basis orders the kept sites ascending, most significant first,
-    matching the full-space convention.
+    ``psi`` is one full-space state, or a stack of them along a leading
+    axis, each of which gets its own matrix.  The reduced basis orders the
+    kept sites ascending, most significant first, matching the full-space
+    convention.
     """
     keep = sorted(set(int(s) for s in keep_sites))
     if not keep or len(keep) >= n_spins:
@@ -262,9 +278,10 @@ def reduce_density(psi: np.ndarray, keep_sites, n_spins: int) -> np.ndarray:
     if keep[0] < 1 or keep[-1] > n_spins:
         raise ValueError(f"keep_sites {keep} outside 1..{n_spins}")
     rest = [s for s in range(1, n_spins + 1) if s not in keep]
-    perm = [s - 1 for s in keep] + [s - 1 for s in rest]
-    block = psi.reshape((2,) * n_spins).transpose(perm).reshape(1 << len(keep), -1)
-    return block @ block.conj().T
+    stack = psi.shape[:-1]
+    perm = [*range(len(stack)), *(len(stack) + s - 1 for s in keep + rest)]
+    block = psi.reshape(*stack, *(2,) * n_spins).transpose(perm).reshape(*stack, 1 << len(keep), -1)
+    return block @ block.conj().swapaxes(-1, -2)
 
 
 def cut_fidelity(rho_a: np.ndarray, phi_0a: np.ndarray) -> float:
@@ -282,11 +299,13 @@ def purity(rho: np.ndarray) -> float:
     return float(np.vdot(rho, rho).real)
 
 
-def entropy(rho: np.ndarray) -> float:
-    """Von Neumann entropy -sum(lam ln lam) over eigenvalues above 1e-14."""
-    lam = np.linalg.eigvalsh(rho)
-    lam = lam[lam > ENTROPY_EIGENVALUE_FLOOR]
-    return float(-np.sum(lam * np.log(lam)))
+def entropy(rho: np.ndarray) -> float | np.ndarray:
+    """Von Neumann entropy -sum(lam ln lam) over eigenvalues above 1e-14,
+    of one matrix, or of each of a stack from one stacked ``eigvalsh``."""
+    lams = np.linalg.eigvalsh(rho)
+    out = np.array([-np.sum(lam * np.log(lam)) for lam in (
+        row[row > ENTROPY_EIGENVALUE_FLOOR] for row in lams.reshape(-1, lams.shape[-1]))])
+    return float(out[0]) if lams.ndim == 1 else out.reshape(lams.shape[:-1])
 
 
 class Work(NamedTuple):

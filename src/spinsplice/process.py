@@ -29,10 +29,19 @@ from .chain import (
     _sector_hamiltonian,
     assemble_hamiltonian,
     cut_components,
+    diagonalize_grounds,
     resolve_ground,
 )
 from .control import ControlSchedule
-from .dynamics import SectorPropagator, cut_fidelity, entropy, propagate, purity, reduce_density
+from .dynamics import (
+    MAX_BATCH_BYTES,
+    SectorPropagator,
+    cut_fidelity,
+    entropy,
+    propagate,
+    purity,
+    reduce_density,
+)
 
 DEFAULT_TIME_STEPS = 300
 # How far an endpoint's coupling is nudged toward the interior of [0, 1] for
@@ -50,7 +59,9 @@ class TrajectoryRecord:
     energies of only the blocks that Weyl's bounds admit (``Spectrum``);
     ``value_blocks`` counts those blocks over all samples.  ``f_g`` comes
     from eigenvectors of the block(s) holding the ground subspace only;
-    ``vector_blocks`` counts those block eigendecompositions.  The state is
+    ``vector_blocks`` counts those block eigendecompositions.  Both count
+    blocks, not LAPACK calls: the samples of a chunk share one stacked call
+    per block size, in which every block counts.  The state is
     pure, so its two subsystems share one Schmidt spectrum: the entropy is
     computed once, on the smaller side, and fills both ``entropy_a`` and
     ``entropy_b``.  ``max_norm_dt`` and ``taylor_matvecs`` are the run's
@@ -124,43 +135,64 @@ class ChainProcess:
         """Propagate and record the trajectory, sampled at t = 0, every
         ``stride`` steps and at the end.
 
-        Each sample takes ``propagator.spectrum`` at the current coupling:
-        the energies of only the blocks that can hold its two lowest, its top
-        or a tie with its lowest, which fix the gap and the degeneracy flag
-        exactly, and eigenvectors only of the block(s) holding the ground
-        subspace, for the ground fidelity.  A tied ground state follows the
-        previous sample's, the first sample's the state itself; a reference
-        orthogonal to the tie falls back to the lowest state, and the flag
-        marks the sample.  The reduced density matrix of A gives the cut
-        fidelity and purity; the entanglement entropy, equal on both sides of
-        a pure state, comes from the smaller of the two reduced density
-        matrices.
+        The probe only buffers each sample's state.  The samples are scored
+        in chunks of MAX_BATCH_BYTES // (16 * 2^N), one chunk whenever the
+        buffer fills and one at the end: one ``schedule.values`` call, the
+        chunk's spectra from ``propagator.spectra``, which make one
+        ``eigvalsh`` per block dimension per round over every sample, then
+        one ``eigh`` per block dimension for the blocks holding each sample's
+        ground subspace (``diagonalize_grounds``), the reduced density
+        matrices of the whole chunk from one product, and one stacked
+        ``eigvalsh`` for the entropies.  Each spectrum holds the energies of
+        only the blocks that can hold its two lowest, its top or a tie with
+        its lowest, which fix the gap and the degeneracy flag exactly.  Ground
+        states are then resolved sample by sample: a tied ground state follows
+        the previous sample's, the first sample's the state itself; a
+        reference orthogonal to the tie falls back to the lowest state, and
+        the flag marks the sample.  The reduced density matrix of A gives the
+        cut fidelity and purity; the entanglement entropy, equal on both
+        sides of a pure state, comes from the smaller of the two reduced
+        density matrices.  Every value is bitwise what scoring the samples
+        one at a time gives.
         """
         self._check_schedule(schedule)
         n_spins = self.chain.n_spins
         schmidt_sites = self.a_sites if len(self.a_sites) <= len(self.b_sites) else self.b_sites
+        chunk = max(1, MAX_BATCH_BYTES // (16 * self.propagator.dim))
+        buffered: list[tuple[float, np.ndarray]] = []
         rows: list[tuple] = []
         previous_ground, value_blocks, vector_blocks = None, 0, 0
 
-        def sample(t: float, psi: np.ndarray) -> None:
+        def score() -> None:
             nonlocal previous_ground, value_blocks, vector_blocks
-            g = float(schedule.value(t))
-            spectrum = self.propagator.spectrum(g)
-            degenerate = spectrum.degenerate()
-            try:
-                ground = spectrum.ground(psi if previous_ground is None else previous_ground)
-            except DegeneracyError:  # an orthogonal reference
-                ground = spectrum.states(1)[:, 0]  # diagnostic only; the flag marks the sample
-            previous_ground = ground
-            value_blocks += spectrum.value_blocks
-            vector_blocks += spectrum.vector_blocks
-            rho_a = reduce_density(psi, self.a_sites, n_spins)
-            rho_small = rho_a if schmidt_sites == self.a_sites else reduce_density(psi, schmidt_sites, n_spins)
-            schmidt_entropy = entropy(rho_small)
-            rows.append((t, g, cut_fidelity(rho_a, self.phi_0a), float(abs(ground.conj() @ psi)),
-                         purity(rho_a), schmidt_entropy, schmidt_entropy, spectrum.gap, degenerate))
+            times, states = zip(*buffered)
+            buffered.clear()
+            gs = schedule.values(np.array(times)).tolist()
+            spectra = self.propagator.spectra(gs)
+            diagonalize_grounds(spectra)
+            psis = np.array(states)
+            rho_a = reduce_density(psis, self.a_sites, n_spins)
+            rho_small = rho_a if schmidt_sites == self.a_sites else reduce_density(psis, schmidt_sites, n_spins)
+            entropies = entropy(rho_small)
+            for t, g, psi, spectrum, rho, schmidt_entropy in zip(times, gs, states, spectra, rho_a, entropies):
+                try:
+                    ground = spectrum.ground(psi if previous_ground is None else previous_ground)
+                except DegeneracyError:  # an orthogonal reference
+                    ground = spectrum.states(1)[:, 0]  # diagnostic only; the flag marks the sample
+                previous_ground = ground
+                value_blocks += spectrum.value_blocks
+                vector_blocks += spectrum.vector_blocks
+                rows.append((t, g, cut_fidelity(rho, self.phi_0a), float(abs(ground.conj() @ psi)),
+                             purity(rho), schmidt_entropy, schmidt_entropy, spectrum.gap, spectrum.degenerate()))
+
+        def sample(t: float, psi: np.ndarray) -> None:
+            buffered.append((t, psi))
+            if len(buffered) == chunk:
+                score()
 
         psi, work = propagate(self.propagator, schedule, self.psi0, n_steps, probe=sample, stride=stride)
+        if buffered:
+            score()
         *columns, flags = zip(*rows)
         return psi, TrajectoryRecord(
             *np.asarray(columns, dtype=float), degenerate_flags=np.asarray(flags, dtype=bool),
@@ -174,7 +206,8 @@ def prepare_process(spec: ChainSpec, direction: str = "cut") -> ChainProcess:
 
     The chain is assembled once, as the reflection-parity halves of its
     total-S^z sectors; both ground states come from their spectra
-    (``SectorPropagator.spectrum``).  The cut target is the ground state of
+    (``SectorPropagator.spectra``, their ground blocks diagonalized together
+    by ``diagonalize_grounds``).  The cut target is the ground state of
     the detached block A: a lone spin's two states, or the plain sectors
     assembled on A's sites renumbered 1..len(A).
     """
@@ -199,16 +232,17 @@ def prepare_process(spec: ChainSpec, direction: str = "cut") -> ChainProcess:
             f"the cut fidelity target is not unique"
         ) from exc
 
-    def ground(g: float) -> tuple[np.ndarray, bool]:
-        """The ground state at coupling g, a tie resolved by nudging g toward
-        the interior of the drive interval, and whether there was a tie."""
-        spectrum = propagator.spectrum(g)
+    def ground(g: float, spectrum: Spectrum) -> tuple[np.ndarray, bool]:
+        """The ground state of the spectrum at coupling g, a tie resolved by
+        nudging g toward the interior of the drive interval, and whether
+        there was a tie."""
         nudged = g + (DEFAULT_SELECTION_OFFSET if g < 0.5 else -DEFAULT_SELECTION_OFFSET)
         return resolve_ground(spectrum, lambda: propagator.spectrum(nudged)).astype(complex), spectrum.degenerate()
 
-    g_start = 1.0 if direction == "cut" else 0.0
-    psi0, start_degenerate = ground(g_start)
-    final_ground, final_degenerate = ground(1.0 - g_start)
+    ends = (1.0, 0.0) if direction == "cut" else (0.0, 1.0)
+    spectra = propagator.spectra(ends)
+    diagonalize_grounds(spectra)
+    (psi0, start_degenerate), (final_ground, final_degenerate) = map(ground, ends, spectra)
 
     return ChainProcess(
         chain=spec,

@@ -186,7 +186,7 @@ CHAIN = {
     "n_spins": Field(integer(2, DEFAULT_SPIN_CAP)),
     "topology": Field(choice("open", "ring"), "open"),
     "exchange": Field(real(), 1.0),
-    "field": Field(real(), 0.0),
+    "field": Field(real()),
     "cut_bonds": Field(items(items(integer(1, DEFAULT_SPIN_CAP), 2, 2)), None),
 }
 SCHEDULE = {

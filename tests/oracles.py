@@ -14,7 +14,8 @@ cannot reach.  ``recorded_observables`` computes a recorded run's columns the
 long way on those plain sectors: both reduced density matrices with an
 entropy each, and an eager spectrum with eigenvectors of every sector at each
 sample.  ``reference_grid`` is the earlier, loop-based rule for a
-schedule's step boundaries.  The helpers at the end (a schedule's slope, a
+schedule's step boundaries, and ``reference_record`` the earlier recorder
+that scored a run's samples one at a time.  The helpers at the end (a schedule's slope, a
 landscape's cell size, an objective that records its calls, sector blocks cut
 from hand-built dense matrices, a schedule's steps as one-step schedules)
 serve only the tests.
@@ -34,6 +35,7 @@ from spinsplice.dynamics import (
     purity,
     reduce_density,
 )
+from spinsplice.process import TrajectoryRecord
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -418,3 +420,41 @@ def recorded_observables(process, schedule, n_steps, stride):
             sample(segment.hi, psi)
     names = ("times", "g_values", "f_c", "f_g", "purity_a", "entropy_a", "entropy_b", "gap", "degenerate_flags")
     return {name: np.asarray(column) for name, column in zip(names, zip(*rows))}
+
+
+def reference_record(process, schedule, n_steps, stride=1):
+    """``process.run(schedule, n_steps, stride)`` scored one sample at a
+    time, as the recorder did before it scored chunks: each sample takes
+    ``propagator.spectrum`` at its own coupling, its reduced density
+    matrices and its entropy on their own, and a block ``eigh`` on the first
+    ``states`` call that reads the block.  Returns ``(psi, TrajectoryRecord)``."""
+    n_spins = process.chain.n_spins
+    schmidt_sites = process.a_sites if len(process.a_sites) <= len(process.b_sites) else process.b_sites
+    rows = []
+    previous_ground, value_blocks, vector_blocks = None, 0, 0
+
+    def sample(t, psi):
+        nonlocal previous_ground, value_blocks, vector_blocks
+        g = float(schedule.value(t))
+        spectrum = process.propagator.spectrum(g)
+        degenerate = spectrum.degenerate()
+        try:
+            ground = spectrum.ground(psi if previous_ground is None else previous_ground)
+        except DegeneracyError:
+            ground = spectrum.states(1)[:, 0]
+        previous_ground = ground
+        value_blocks += spectrum.value_blocks
+        vector_blocks += spectrum.vector_blocks
+        rho_a = reduce_density(psi, process.a_sites, n_spins)
+        rho_small = rho_a if schmidt_sites == process.a_sites else reduce_density(psi, schmidt_sites, n_spins)
+        schmidt_entropy = entropy(rho_small)
+        rows.append((t, g, cut_fidelity(rho_a, process.phi_0a), float(abs(ground.conj() @ psi)),
+                     purity(rho_a), schmidt_entropy, schmidt_entropy, spectrum.gap, degenerate))
+
+    psi, work = propagate(process.propagator, schedule, process.psi0, n_steps, probe=sample, stride=stride)
+    *columns, flags = zip(*rows)
+    return psi, TrajectoryRecord(
+        *np.asarray(columns, dtype=float), degenerate_flags=np.asarray(flags, dtype=bool),
+        max_norm_dt=work.max_norm_dt, taylor_matvecs=work.taylor_matvecs,
+        value_blocks=value_blocks, vector_blocks=vector_blocks,
+    )

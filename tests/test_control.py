@@ -171,7 +171,7 @@ class TestValidation:
             pulse_train(0.6, (-5.4, 4.1), "stitch"),
             polynomial_stitch(2.0, (0.87, -0.72)),
         ):
-            config = parse_config({"mode": "evolve", "chain": {"n_spins": 3},
+            config = parse_config({"mode": "evolve", "chain": {"n_spins": 3, "field": 2.0},
                                    "process": sched.direction, "schedule": sched.to_dict()})
             assert config.schedule == sched
 

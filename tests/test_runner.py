@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,13 @@ class TestConfigValidation:
     def test_mode_required(self, tmp_path):
         with pytest.raises(ConfigError, match="mode"):
             parse_config({"chain": {"n_spins": 3}})
+
+    def test_field_is_required(self, tmp_path, capsys):
+        # no default field is safe: at field 0 the default one-site cut
+        # detaches a block with a degenerate ground state
+        data = mode_config("optimize", tmp_path, chain={"n_spins": 4}, schedule={"T": 0.5, "params": [1, 1]})
+        assert main(["optimize", "--config", write_config(tmp_path / "config.json", data)]) == 2
+        assert capsys.readouterr().err == "config error: chain.field: required\n"
 
     def test_small_chain_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="chain.n_spins"):
@@ -293,8 +301,8 @@ class TestRunners:
         # the health echo leaves the trajectory bytes and their hash alone
         eigh, eigh_calls = np.linalg.eigh, []
 
-        def counted_eigh(a, *args, **kwargs):
-            eigh_calls.append(np.shape(a))
+        def counted_eigh(a, *args, **kwargs):  # each matrix of a stacked call counts
+            eigh_calls.extend([np.shape(a)[-2:]] * math.prod(np.shape(a)[:-2]))
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
@@ -690,20 +698,114 @@ def mutated_configs(draw):
     return mode, data
 
 
+# An example that takes longer than this breaks the contract as surely as a
+# traceback: every config is bounded, and these ones are small.
+EXAMPLE_SECONDS = 20.0
+# every object-valued entry of each mode's small config
+SECTION_VALUES = [value for mode in MODES for value in mode_config(mode, Path()).values() if isinstance(value, dict)]
+OTHER_VALUES = st.sampled_from([None, [], {}, "x", 3, 2.5, True, [{"n_spins": 4}]])
+
+
+def assert_cli_contract(workdir, argv):
+    """Run the CLI in ``workdir``: exit 0, 2, 3 or 4, no traceback, and
+    one line on stderr for a failure (none on success), within the time
+    limit.  An argument parser error exits through SystemExit."""
+    stderr = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)  # a mutated out_dir is relative to the working directory
+    start = time.perf_counter()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    assert time.perf_counter() - start < EXAMPLE_SECONDS, argv
+    assert code in (0, 2, 3, 4), argv
+    assert "Traceback" not in stderr.getvalue()
+    assert len(stderr.getvalue().splitlines()) == (0 if code == 0 else 1), stderr.getvalue()
+
+
+def fuzz_dir(tmp_path_factory):
+    workdir = tmp_path_factory.getbasetemp() / "fuzz"  # one directory for all examples
+    workdir.mkdir(exist_ok=True)
+    return workdir
+
+
 @settings(max_examples=1000, deadline=None, derandomize=True)
 @given(mutated_configs())
 def test_fuzzed_config_keeps_exit_code_contract(tmp_path_factory, case):
     mode, data = case
-    workdir = tmp_path_factory.getbasetemp() / "fuzz"  # one directory for all examples
-    workdir.mkdir(exist_ok=True)
-    path = write_config(workdir / "config.json", data)
-    stderr = io.StringIO()
-    cwd = os.getcwd()
-    os.chdir(workdir)  # a mutated out_dir is relative to the working directory
-    try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            code = main([mode.replace("_", "-"), "--config", path])
-    finally:
-        os.chdir(cwd)
-    assert code in (0, 2, 3, 4)
-    assert "Traceback" not in stderr.getvalue()
+    workdir = fuzz_dir(tmp_path_factory)
+    assert_cli_contract(workdir, [mode.replace("_", "-"), "--config", write_config(workdir / "config.json", data)])
+
+
+def _sections(data):
+    """(path, object) of every object in a config, the top level included."""
+    yield (), data
+    for key, value in data.items():
+        if isinstance(value, dict):
+            for path, inner in _sections(value):
+                yield (key, *path), inner
+
+
+@st.composite
+def restructured_configs(draw):
+    """A valid small config for a random mode, changed in its structure: a
+    top-level key dropped, written twice (JSON keeps the last copy) or
+    given another type, or a key of any mode's config moved into one of its
+    objects.  Returns the mode and the config file's text."""
+    mode = draw(st.sampled_from(MODES))
+    data = mode_config(mode, Path(), n_steps=draw(st.integers(1, 8)), out_dir="out")
+    if mode == "noise":
+        data["noise"]["realizations"] = 2
+    change = draw(st.sampled_from(["drop", "duplicate", "retype", "move"]))
+    key = draw(st.sampled_from(sorted(data)))
+    if change == "drop":
+        del data[key]
+    elif change == "retype":
+        data[key] = draw(OTHER_VALUES)
+    elif change == "duplicate":
+        again = draw(st.one_of(st.just(data[key]), OTHER_VALUES, st.sampled_from(SECTION_VALUES)))
+        return mode, json.dumps(data)[:-1] + f", {json.dumps(key)}: {json.dumps(again)}}}"
+    else:
+        other = mode_config(draw(st.sampled_from(MODES)), Path())
+        source_path, source = draw(st.sampled_from([s for s in _sections(other) if s[1]]))
+        moved = draw(st.sampled_from(sorted(source)))
+        sections = dict(_sections(data))
+        target = sections[draw(st.sampled_from(sorted(sections)))]
+        sections.get(source_path, {}).pop(moved, None)
+        target[moved] = source[moved]
+    return mode, json.dumps(data)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(restructured_configs())
+def test_restructured_config_keeps_exit_code_contract(tmp_path_factory, case):
+    mode, text = case
+    workdir = fuzz_dir(tmp_path_factory)
+    (workdir / "config.json").write_text(text)
+    assert_cli_contract(workdir, [mode.replace("_", "-"), "--config", str(workdir / "config.json")])
+
+
+@st.composite
+def reproduce_arguments(draw):
+    """``reproduce`` with a target (or a wrong one) and its flags: a few
+    steps or a bad count, a seed or a bad one, a config it must refuse, and
+    an output directory that may be a file."""
+    argv = ["reproduce", draw(st.sampled_from([*sorted(PIPELINES), "fig4", ""]))]
+    argv += ["--steps", draw(st.sampled_from(["1", "2", "0", "-3", "100001", "2.5", "x"]))]
+    argv += draw(st.sampled_from([[], ["--seed", "7"], ["--seed", str(2**64)], ["--seed", "-1"], ["--seed", "x"]]))
+    argv += draw(st.sampled_from([[], ["--config", "config.json"]]))
+    argv += ["--out", draw(st.sampled_from(["out", "config.json"]))]
+    return argv
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(reproduce_arguments())
+def test_fuzzed_reproduce_keeps_exit_code_contract(tmp_path_factory, argv):
+    workdir = fuzz_dir(tmp_path_factory)
+    (workdir / "config.json").write_text("{}")
+    assert_cli_contract(workdir, argv)

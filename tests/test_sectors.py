@@ -36,7 +36,8 @@ from spinsplice.control import (
     pulse_train,
 )
 from spinsplice.dynamics import SectorPropagator, cut_fidelity, propagate, reduce_density
-from spinsplice.process import prepare_process
+import spinsplice.process as process_module
+from spinsplice.process import TrajectoryRecord, prepare_process
 
 from oracles import (
     dense_detached_block,
@@ -45,6 +46,7 @@ from oracles import (
     dense_propagate,
     eager_spectrum,
     recorded_observables,
+    reference_record,
     sector_reference,
 )
 
@@ -250,14 +252,88 @@ class TestRecorder:
             assert len(process.a_sites) > len(process.b_sites)
 
 
+BATCH_CHAINS = {"ring4": (4, "ring"), "ring6": (6, "ring"), "ring8": (8, "ring"), "ring10": (10, "ring"),
+                "open5": (5, "open"), "open8": (8, "open")}
+BATCH_SCHEDULES = {"cut": polynomial_cut(0.6, TABLE1[1][1]), "stitch": polynomial_stitch(0.9, (1.0, -0.5))}
+
+
+@functools.cache
+def batch_process(name, direction, field):
+    n_spins, topology = BATCH_CHAINS[name]
+    return prepare_process(ChainSpec(n_spins, topology, 1.0, field), direction)
+
+
+def assert_same_record(record, expected):
+    """Every field bitwise equal: the arrays' dtypes, shapes and bytes, and
+    the work counts."""
+    for name in TrajectoryRecord.__dataclass_fields__:
+        got, want = getattr(record, name), getattr(expected, name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        else:
+            assert type(got) is type(want) and got == want, name
+
+
+class TestBatchedRecorder:
+    """The chunked recorder against ``reference_record``, which scores the
+    same samples one at a time: every array and count is bitwise equal."""
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("field", [2.0, 0.3])
+    @pytest.mark.parametrize("direction", ["cut", "stitch"])
+    @pytest.mark.parametrize("name", BATCH_CHAINS)
+    def test_matches_one_sample_at_a_time(self, name, direction, field, stride):
+        process = batch_process(name, direction, field)
+        schedule = BATCH_SCHEDULES[direction]
+        psi, record = process.run(schedule, 24, stride)
+        expected_psi, expected = reference_record(process, schedule, 24, stride)
+        assert psi.tobytes() == expected_psi.tobytes()
+        assert_same_record(record, expected)
+
+    @pytest.mark.parametrize("per_chunk", [1, 7])
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("name", ["ring6", "ring8"])
+    def test_several_chunks(self, name, stride, per_chunk, monkeypatch):
+        process = batch_process(name, "cut", 2.0)
+        schedule = BATCH_SCHEDULES["cut"]
+        expected = reference_record(process, schedule, 40, stride)[1]
+        monkeypatch.setattr(process_module, "MAX_BATCH_BYTES", 16 * process.propagator.dim * per_chunk)
+        record = process.run(schedule, 40, stride)[1]
+        assert len(record.times) > 2 * per_chunk  # the run spans more than two chunks
+        assert_same_record(record, expected)
+
+    @pytest.mark.parametrize("per_chunk", [None, 1, 2])
+    @pytest.mark.parametrize("run", ["ring7_crossing", "in_block_tie", "cross_sector_tie"])
+    def test_tie_follows_the_previous_sample(self, run, per_chunk, monkeypatch):
+        # ring7 at g = 1: a twofold tie inside the k = 4 sector at field 2.0,
+        # a fourfold one across sectors at the crossing field.  Pulses of
+        # amplitude 1 put it at later samples, which resolve it toward the
+        # ground state of the sample before them, across chunk boundaries too
+        pulses = pulse_train(0.6, (1.0, 0.4, 1.0, 1.0, -0.5, 1.0))
+        spec, schedule, n_steps, stride = {
+            "ring7_crossing": RECORDED_CASES["ring7_crossing"],
+            "in_block_tie": (ChainSpec(7, "ring", 1.0, 2.0), pulses, 1, 1),
+            "cross_sector_tie": (ChainSpec(7, "ring", 1.0, cross_sector_field()), pulses, 1, 1),
+        }[run]
+        process = prepare_process(spec, "cut")
+        expected = reference_record(process, schedule, n_steps, stride)[1]
+        assert expected.degenerate_flags[0]
+        assert expected.degenerate_flags[1:].any() == (run != "ring7_crossing")
+        if per_chunk is not None:
+            monkeypatch.setattr(process_module, "MAX_BATCH_BYTES", 16 * process.propagator.dim * per_chunk)
+        assert_same_record(process.run(schedule, n_steps, stride)[1], expected)
+
+
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """The matrices passed to np.linalg.eigh while the test runs."""
+    """The matrices passed to np.linalg.eigh while the test runs, each
+    matrix of a stacked call on its own, in stack order."""
     calls = []
     eigh = np.linalg.eigh
 
     def counted(a, *args, **kwargs):
-        calls.append(np.array(a))
+        calls.extend(np.reshape(a, (-1, *np.shape(a)[-2:])))
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
