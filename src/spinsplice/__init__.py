@@ -24,15 +24,12 @@ from .optimize import (
     LandscapeGrid,
     OptimizationReport,
     bfgs_maximize,
-    finite_difference_gradient,
     scan_landscape,
 )
 from .process import (
     DEFAULT_TIME_STEPS,
     ChainProcess,
-    ObjectiveSpec,
     TrajectoryRecord,
-    build_objective,
     prepare_process,
 )
 from . import reproduce
@@ -44,10 +41,8 @@ __all__ = [
     "ControlSchedule", "apply_noise", "linear_baseline", "polynomial_cut",
     "polynomial_stitch", "pulse_train", "sine_cut",
     "SectorPropagator", "cut_fidelity", "entropy", "propagate", "purity", "reduce_density",
-    "LandscapeAxis", "LandscapeGrid", "OptimizationReport", "bfgs_maximize",
-    "finite_difference_gradient", "scan_landscape",
-    "DEFAULT_TIME_STEPS", "ChainProcess", "ObjectiveSpec", "TrajectoryRecord",
-    "build_objective", "prepare_process",
+    "LandscapeAxis", "LandscapeGrid", "OptimizationReport", "bfgs_maximize", "scan_landscape",
+    "DEFAULT_TIME_STEPS", "ChainProcess", "TrajectoryRecord", "prepare_process",
     "reproduce",
     "ConfigError", "RunConfig", "execute", "parse_config",
 ]

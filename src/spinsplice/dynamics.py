@@ -9,28 +9,16 @@ Both h0 and v conserve total S^z and commute with the chain's reflection that
 keeps the cut bonds, so only the blocks the state occupies, parity halves of
 its total-S^z sectors, are evolved, and the state never leaves them.
 
-Every step acts on a batch: B schedules with the same number of steps evolve
-together as one (d x B) array of block amplitudes, one column per schedule,
-each column on its own integration grid, so schedules of different kinds and
-durations share a batch.  ``propagate`` groups its schedules by step count;
-one schedule is the batch B = 1.  A step applies a truncated Taylor series
-of exp(-i (h0 + g_b v) dt_b) to column b.  Its order m and substep count s
-are fixed in advance, for all columns, from the largest bound
-(||h0||_1 + |g_b| ||v||_1) dt_b over the batch, as the pair with the least
-m * s whose truncation tail is at most 2^-53 per substep (Al-Mohy & Higham,
-SIAM J. Sci. Comput. 33, 488 (2011)); on one shared grid that is the plan of
-the largest |g_b|.  Each term is one real matrix product: [h0 v], side by
-side, times the float64 views of the scaled amplitudes and of g times them,
-stacked, with each column's own weights -i dt_b / s and -i g_b dt_b / s.
-The result is the exact factor to round-off.  A step whose plan needs more
-than ``MAX_TAYLOR_TERMS`` terms takes the exact factor instead, from an
-eigendecomposition of each column's generator, stacked over the batch, with
-each column's own dt.
+Every step acts on a batch (``propagate``): one column of block amplitudes
+per schedule, B = 1 included.  A step applies a truncated Taylor series of
+exp(-i (h0 + g_b v) dt_b) to column b, planned by ``taylor_plan`` so that
+the result is the exact factor to round-off (``_taylor_factor``); a step
+whose plan needs more than ``MAX_TAYLOR_TERMS`` terms takes the exact factor
+from an eigendecomposition instead (``_exact_factor``).
 
-``propagate`` reports its work: the largest step norm bound and the Taylor
-terms applied.  A probe passed to it sees the full-space state at chosen step
-boundaries; what it measures there is the caller's (``ChainProcess.run``
-records a trajectory this way).  The module does no file I/O.
+The observables (``reduce_density``, ``cut_fidelity``, ``entropy``) take a
+stack of states or matrices along a leading axis.  The module does no file
+I/O.
 """
 
 from __future__ import annotations
@@ -79,7 +67,8 @@ def taylor_plan(norm_dt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Order m and substep count s for steps whose generator has the 1-norm
     bound ``norm_dt`` times dt: the pair with the least m * s, and of those
     the fewest substeps, such that each substep's norm is within the largest
-    that order m truncates to 2^-53 (THETA)."""
+    that order m truncates to 2^-53 (THETA; Al-Mohy & Higham, SIAM J. Sci.
+    Comput. 33, 488 (2011))."""
     substeps = np.minimum(np.ceil(np.asarray(norm_dt)[:, None] / THETA), MAX_TAYLOR_TERMS + 1)
     substeps = np.maximum(substeps, 1.0).astype(int)
     best = np.argmin(ORDERS * substeps, axis=1)
@@ -110,10 +99,6 @@ class SectorPropagator:
         self._norms: dict[int, tuple[float, float]] = {}
         self._endpoints = None  # every block's energies at g = 0 and g = 1
         self._v_range = None
-
-    def spectrum(self, g: float) -> Spectrum:
-        """The spectrum of h0 + g v: the one-coupling case of ``spectra``."""
-        return self.spectra([g])[0]
 
     def spectra(self, gs) -> list[Spectrum]:
         """Spectra of h0 + g v at each coupling g, pruned by Weyl's bounds
@@ -280,18 +265,21 @@ def reduce_density(psi: np.ndarray, keep_sites, n_spins: int) -> np.ndarray:
     rest = [s for s in range(1, n_spins + 1) if s not in keep]
     stack = psi.shape[:-1]
     perm = [*range(len(stack)), *(len(stack) + s - 1 for s in keep + rest)]
-    block = psi.reshape(*stack, *(2,) * n_spins).transpose(perm).reshape(*stack, 1 << len(keep), -1)
+    block = psi.reshape(*stack, *(2,) * n_spins).transpose(perm).reshape(*stack, 1 << len(keep), 1 << len(rest))
     return block @ block.conj().swapaxes(-1, -2)
 
 
-def cut_fidelity(rho_a: np.ndarray, phi_0a: np.ndarray) -> float:
-    """sqrt(<phi|rho|phi>): overlap of a reduced state with a target pure state."""
-    if rho_a.shape[0] != phi_0a.shape[0]:
+def cut_fidelity(rho_a: np.ndarray, phi_0a: np.ndarray) -> float | np.ndarray:
+    """sqrt(<phi|rho|phi>): overlap of a reduced state with a target pure
+    state, for one matrix or each of a stack along a leading axis."""
+    if rho_a.shape[-1] != phi_0a.shape[0]:
         raise ValueError(
-            f"dimension mismatch: rho is {rho_a.shape[0]}-dim, target is {phi_0a.shape[0]}-dim"
+            f"dimension mismatch: rho is {rho_a.shape[-1]}-dim, target is {phi_0a.shape[0]}-dim"
         )
-    val = float(np.real(phi_0a.conj() @ rho_a @ phi_0a))
-    return float(np.sqrt(max(val, 0.0)))
+    # (1, d) rows times (d, 1): one dot per matrix, as for a lone vector
+    val = np.real((phi_0a.conj() @ rho_a)[..., None, :] @ phi_0a[:, None])[..., 0, 0]
+    out = np.sqrt(np.where(val < 0.0, 0.0, val))
+    return float(out) if rho_a.ndim == 2 else out
 
 
 def purity(rho: np.ndarray) -> float:
@@ -368,7 +356,9 @@ def _evolve(propagator, schedules, grids, occupied, amps, probe, stride):
     """The (dim, B) final states of schedules with the same step count,
     column b evolved on the integration grid ``grids[:, b]`` from the state
     with amplitudes ``amps`` in the ``occupied`` blocks, and their Work; a
-    probe sees the first column every ``stride`` steps and at the end."""
+    probe sees the first column every ``stride`` steps and at the end.  Each
+    step of a block has one Taylor plan for every column, from the largest
+    bound (||h0||_1 + |g_b| ||v||_1) dt_b of the batch."""
     dts = np.diff(grids, axis=0)
     g_values = np.stack([s.values(0.5 * (grid[:-1] + grid[1:])) for s, grid in zip(schedules, grids.T)],
                         axis=1)

@@ -10,8 +10,8 @@ does no file I/O: ``runner`` writes reports and grids.
 Objectives take parameters along the first axis: a batch ``(n, B)`` gives an
 array of ``B`` values, one per column, and any other result shape raises
 ``ValueError``.  Every evaluation is a batch.  A landscape sends its whole grid
-in one call and a gradient its 2n points, so a batching objective (see
-``process.build_objective``) propagates them together.
+in one call and a gradient its 2n points, so a batching objective
+propagates them together.
 
 BFGS is written as a step machine (``bfgs_steps``): a generator that yields
 the points it needs and is sent their values.  Each request is one point
@@ -27,7 +27,7 @@ on the machines it runs beside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -94,20 +94,12 @@ class OptimizationReport:
     inverse_hessian: np.ndarray | None = None  # diagnostic; not serialized
 
     def to_dict(self) -> dict:
-        return {
-            "initial_params": list(self.initial_params),
-            "final_params": list(self.final_params),
-            "initial_value": self.initial_value,
-            "final_value": self.final_value,
-            "iterations": self.iterations,
-            "gradient_inf_norm": self.gradient_inf_norm,
-            "line_search_failures": self.line_search_failures,
-            "status": self.status,
-            "evaluations": self.evaluations,
-            "rounds": self.rounds,
-            "halvings": self.halvings,
-            "trace": [{"params": list(p), "value": v} for p, v in self.trace],
-        }
+        """Every field but ``inverse_hessian``, in order: tuples as lists, trace
+        points as ``{params, value}`` records."""
+        out = {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v
+               for f in fields(self) if f.name != "inverse_hessian"}
+        out["trace"] = [{"params": list(p), "value": v} for p, v in self.trace]
+        return out
 
 
 def bfgs_steps(
@@ -237,12 +229,6 @@ def lockstep(evaluate, machines) -> tuple[list[OptimizationReport], int]:
     return reports, rounds
 
 
-def _shared(objective):
-    """``lockstep``'s evaluate for machines on one objective: every request
-    of a round in one (n, B) call."""
-    return lambda requests: _batch_values(objective, np.hstack([points for _, points in requests]))
-
-
 def best_of(reports: list[OptimizationReport]) -> OptimizationReport:
     """The report with the highest final value; ties go to the earliest."""
     return max(reports, key=lambda r: r.final_value)
@@ -263,7 +249,9 @@ def bfgs_maximize(
     (see the module docstring).  So every call brings a value and its
     gradient, and a run makes one call per trial.
     """
-    (report,), _ = lockstep(_shared(objective), [bfgs_steps(x0, grad_step, tolerance, max_iterations)])
+    # one machine: each round holds its one request
+    (report,), _ = lockstep(lambda requests: _batch_values(objective, requests[0][1]),
+                            [bfgs_steps(x0, grad_step, tolerance, max_iterations)])
     return report
 
 

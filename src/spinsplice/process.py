@@ -7,11 +7,6 @@ the final-time ground state for the ground fidelity.  Endpoint degeneracies are
 resolved by perturbing the coupling a small offset toward the interior of the
 drive interval and following the unique ground state of that perturbed
 Hamiltonian.
-
-Schedules known up front are scored together: ``ChainProcess.fidelities``
-scores the final states of one batched ``propagate`` call, and ``fidelity`` is
-its one-schedule case.  An objective from ``build_objective`` takes an ``(n, B)``
-parameter array and evaluates its B columns in one such call.
 """
 
 from __future__ import annotations
@@ -53,19 +48,14 @@ TARGETS = ("cut", "ground")
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """Sampled observables of a recorded run, plus its work counts.
+    """Sampled observables of a recorded run (``ChainProcess.run``), plus its
+    work counts.
 
-    ``gap`` and the degenerate flags are those of the full spectrum, from the
-    energies of only the blocks that Weyl's bounds admit (``Spectrum``);
-    ``value_blocks`` counts those blocks over all samples.  ``f_g`` comes
-    from eigenvectors of the block(s) holding the ground subspace only;
-    ``vector_blocks`` counts those block eigendecompositions.  Both count
-    blocks, not LAPACK calls: the samples of a chunk share one stacked call
-    per block size, in which every block counts.  The state is
-    pure, so its two subsystems share one Schmidt spectrum: the entropy is
-    computed once, on the smaller side, and fills both ``entropy_a`` and
-    ``entropy_b``.  ``max_norm_dt`` and ``taylor_matvecs`` are the run's
-    ``Work``."""
+    ``gap`` and the degenerate flags are those of the full spectrum.
+    ``value_blocks`` and ``vector_blocks`` sum the samples' ``Spectrum``
+    counts of the same names; they count blocks, not LAPACK calls, since a
+    stacked call diagonalizes many blocks.  ``max_norm_dt`` and
+    ``taylor_matvecs`` are the run's ``Work``."""
 
     times: np.ndarray
     g_values: np.ndarray
@@ -80,12 +70,6 @@ class TrajectoryRecord:
     taylor_matvecs: int
     value_blocks: int
     vector_blocks: int
-
-    def final_cut_fidelity(self) -> float:
-        return float(self.f_c[-1])
-
-    def final_ground_fidelity(self) -> float:
-        return float(self.f_g[-1])
 
 
 @dataclass
@@ -116,19 +100,18 @@ class ChainProcess:
 
     def fidelities(self, schedules, n_steps: int = DEFAULT_TIME_STEPS, target: str = "cut") -> np.ndarray:
         """Final-time fidelity of each schedule, in order, from one batched
-        ``propagate`` call; the values do not depend on how it batches them."""
+        ``propagate`` call; the values do not depend on how it batches them.
+        The cut fidelities come from one stacked ``reduce_density`` and one
+        ``cut_fidelity`` call."""
         if target not in TARGETS:
             raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
         for schedule in schedules:
             self._check_schedule(schedule)
         states, _ = propagate(self.propagator, list(schedules), self.psi0, n_steps)
-        return np.array([self._score(psi, target) for psi in states.T])
-
-    def _score(self, psi: np.ndarray, target: str) -> float:
         if target == "cut":
-            rho = reduce_density(psi, self.a_sites, self.chain.n_spins)
-            return cut_fidelity(rho, self.phi_0a)
-        return float(abs(self.final_ground.conj() @ psi))
+            return cut_fidelity(reduce_density(states.T, self.a_sites, self.chain.n_spins), self.phi_0a)
+        # one dot per column: a stacked product changes the last bit
+        return np.array([abs(self.final_ground.conj() @ psi) for psi in states.T])
 
     def run(self, schedule, n_steps: int = DEFAULT_TIME_STEPS,
             stride: int = 1) -> tuple[np.ndarray, TrajectoryRecord]:
@@ -142,18 +125,17 @@ class ChainProcess:
         ``eigvalsh`` per block dimension per round over every sample, then
         one ``eigh`` per block dimension for the blocks holding each sample's
         ground subspace (``diagonalize_grounds``), the reduced density
-        matrices of the whole chunk from one product, and one stacked
-        ``eigvalsh`` for the entropies.  Each spectrum holds the energies of
-        only the blocks that can hold its two lowest, its top or a tie with
-        its lowest, which fix the gap and the degeneracy flag exactly.  Ground
-        states are then resolved sample by sample: a tied ground state follows
-        the previous sample's, the first sample's the state itself; a
-        reference orthogonal to the tie falls back to the lowest state, and
-        the flag marks the sample.  The reduced density matrix of A gives the
-        cut fidelity and purity; the entanglement entropy, equal on both
-        sides of a pure state, comes from the smaller of the two reduced
-        density matrices.  Every value is bitwise what scoring the samples
-        one at a time gives.
+        matrices of A for the whole chunk from one product and their cut
+        fidelities from one ``cut_fidelity`` call, and one stacked
+        ``eigvalsh`` for the entropies.  The entanglement entropy, equal on
+        both sides of a pure state, comes from the smaller of the two reduced
+        density matrices.  Ground states are then resolved sample by sample:
+        a tied ground state follows the previous sample's, the first sample's
+        the state itself; a reference orthogonal to the tie falls back to the
+        lowest state, and the flag marks the sample.  The ground fidelity and
+        the purity stay one product per sample, since a stacked one changes
+        the last bit.  Every value is bitwise what scoring the samples one at
+        a time gives.
         """
         self._check_schedule(schedule)
         n_spins = self.chain.n_spins
@@ -174,7 +156,8 @@ class ChainProcess:
             rho_a = reduce_density(psis, self.a_sites, n_spins)
             rho_small = rho_a if schmidt_sites == self.a_sites else reduce_density(psis, schmidt_sites, n_spins)
             entropies = entropy(rho_small)
-            for t, g, psi, spectrum, rho, schmidt_entropy in zip(times, gs, states, spectra, rho_a, entropies):
+            f_c = cut_fidelity(rho_a, self.phi_0a)
+            for t, g, psi, spectrum, rho, f, schmidt_entropy in zip(times, gs, states, spectra, rho_a, f_c, entropies):
                 try:
                     ground = spectrum.ground(psi if previous_ground is None else previous_ground)
                 except DegeneracyError:  # an orthogonal reference
@@ -182,7 +165,7 @@ class ChainProcess:
                 previous_ground = ground
                 value_blocks += spectrum.value_blocks
                 vector_blocks += spectrum.vector_blocks
-                rows.append((t, g, cut_fidelity(rho, self.phi_0a), float(abs(ground.conj() @ psi)),
+                rows.append((t, g, f, float(abs(ground.conj() @ psi)),
                              purity(rho), schmidt_entropy, schmidt_entropy, spectrum.gap, spectrum.degenerate()))
 
         def sample(t: float, psi: np.ndarray) -> None:
@@ -237,7 +220,7 @@ def prepare_process(spec: ChainSpec, direction: str = "cut") -> ChainProcess:
         nudging g toward the interior of the drive interval, and whether
         there was a tie."""
         nudged = g + (DEFAULT_SELECTION_OFFSET if g < 0.5 else -DEFAULT_SELECTION_OFFSET)
-        return resolve_ground(spectrum, lambda: propagator.spectrum(nudged)).astype(complex), spectrum.degenerate()
+        return resolve_ground(spectrum, lambda: propagator.spectra([nudged])[0]).astype(complex), spectrum.degenerate()
 
     ends = (1.0, 0.0) if direction == "cut" else (0.0, 1.0)
     spectra = propagator.spectra(ends)

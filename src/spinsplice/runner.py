@@ -500,7 +500,7 @@ def run_evolve(config: RunConfig, process) -> dict:
         "value_blocks": record.value_blocks,
         "vector_blocks": record.vector_blocks,
     }
-    f_c, f_g = record.final_cut_fidelity(), record.final_ground_fidelity()
+    f_c, f_g = float(record.f_c[-1]), float(record.f_g[-1])
     print(f"final f_C = {f_c:.3f}  f_G = {f_g:.3f}")
     return {"f_c": f_c, "f_g": f_g, "files": [traj], "health": health}
 

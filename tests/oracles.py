@@ -425,7 +425,7 @@ def recorded_observables(process, schedule, n_steps, stride):
 def reference_record(process, schedule, n_steps, stride=1):
     """``process.run(schedule, n_steps, stride)`` scored one sample at a
     time, as the recorder did before it scored chunks: each sample takes
-    ``propagator.spectrum`` at its own coupling, its reduced density
+    ``propagator.spectra([g])[0]`` at its own coupling, its reduced density
     matrices and its entropy on their own, and a block ``eigh`` on the first
     ``states`` call that reads the block.  Returns ``(psi, TrajectoryRecord)``."""
     n_spins = process.chain.n_spins
@@ -436,7 +436,7 @@ def reference_record(process, schedule, n_steps, stride=1):
     def sample(t, psi):
         nonlocal previous_ground, value_blocks, vector_blocks
         g = float(schedule.value(t))
-        spectrum = process.propagator.spectrum(g)
+        spectrum = process.propagator.spectra([g])[0]
         degenerate = spectrum.degenerate()
         try:
             ground = spectrum.ground(psi if previous_ground is None else previous_ground)

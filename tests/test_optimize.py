@@ -4,6 +4,7 @@ import pytest
 from spinsplice.chain import ChainSpec
 from spinsplice.optimize import (
     LandscapeAxis,
+    OptimizationReport,
     best_of,
     bfgs_maximize,
     bfgs_steps,
@@ -161,6 +162,29 @@ class TestBfgsMaximize:
         # one round for the start, one per accepted trial, one per halving
         assert data["rounds"] == 1 + report.iterations + data["halvings"]
         assert data["evaluations"] == 5 * data["rounds"]
+
+    def test_hand_built_report_to_dict(self):
+        report = OptimizationReport(
+            initial_params=(0.0, 1.0), final_params=(0.5, -0.25), initial_value=0.125,
+            final_value=0.875, iterations=1, gradient_inf_norm=2e-5, line_search_failures=0,
+            status="converged", evaluations=15, rounds=3, halvings=1,
+            trace=[((0.0, 1.0), 0.125), ((0.5, -0.25), 0.875)], inverse_hessian=np.eye(2),
+        )
+        data = report.to_dict()
+        assert list(data) == [
+            "initial_params", "final_params", "initial_value", "final_value", "iterations",
+            "gradient_inf_norm", "line_search_failures", "status", "evaluations", "rounds",
+            "halvings", "trace",
+        ]
+        assert data == {
+            "initial_params": [0.0, 1.0], "final_params": [0.5, -0.25], "initial_value": 0.125,
+            "final_value": 0.875, "iterations": 1, "gradient_inf_norm": 2e-5,
+            "line_search_failures": 0, "status": "converged", "evaluations": 15, "rounds": 3,
+            "halvings": 1,
+            "trace": [{"params": [0.0, 1.0], "value": 0.125}, {"params": [0.5, -0.25], "value": 0.875}],
+        }
+        assert all(type(data[key]) is list for key in ("initial_params", "final_params"))
+        assert all(type(point["params"]) is list for point in data["trace"])
 
     def test_multi_start_picks_best(self):
         reports = multi_start(double_well, [np.array([-2.0]), np.array([2.0])])

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from spinsplice.chain import ChainSpec, DegeneracyError, ground_state
-from spinsplice.control import linear_baseline, polynomial_cut, polynomial_stitch, pulse_train
+from spinsplice.control import apply_noise, linear_baseline, polynomial_cut, polynomial_stitch, pulse_train
+from spinsplice.dynamics import cut_fidelity, propagate, reduce_density
 from spinsplice.optimize import LandscapeAxis, finite_difference_gradient, scan_landscape
 from spinsplice.process import DEFAULT_SELECTION_OFFSET, ObjectiveSpec, build_objective, prepare_process
 
@@ -126,6 +127,69 @@ class TestFerromagnetShortcut:
         assert process.fidelity(linear_baseline(0.01), 50) == pytest.approx(1.0, abs=1e-8)
 
 
+SCORED = {
+    "ring6": (ChainSpec(6, "ring", 1.0, 2.0), "cut"),
+    "open6": (ChainSpec(6, "open", 1.0, 2.0), "cut"),
+    "ring7_stitch": (ChainSpec(7, "ring", 1.0, 2.0), "stitch"),
+}
+SCORED_STEPS = 60
+
+
+@pytest.fixture(scope="module", params=sorted(SCORED))
+def scored_process(request):
+    return prepare_process(*SCORED[request.param])
+
+
+def mixed_schedules(direction, count, seed):
+    """Smooth, pulse and noisy schedules in turn, of mixed durations."""
+    rng = np.random.default_rng(seed)
+    smooth = polynomial_cut if direction == "cut" else polynomial_stitch
+    out = []
+    for k in range(count):
+        duration = float(rng.uniform(0.3, 1.0))
+        if k % 3 == 0:
+            out.append(smooth(duration, rng.uniform(-20.0, 20.0, 2)))
+        elif k % 3 == 1:
+            out.append(pulse_train(duration, rng.uniform(-3.0, 3.0, 4), direction))
+        else:
+            out.append(apply_noise(smooth(duration, rng.uniform(-20.0, 20.0, 2)),
+                                   window=0.05, strength=1.0, seed=int(rng.integers(2**32))))
+    return out
+
+
+class TestStackedScoring:
+    """``fidelities`` scores one stack; each value is bitwise the score of
+    its own column of the same ``propagate`` call."""
+
+    @staticmethod
+    def per_column(process, schedules, target):
+        states, _ = propagate(process.propagator, schedules, process.psi0, SCORED_STEPS)
+        if target == "cut":
+            return [cut_fidelity(reduce_density(psi, process.a_sites, process.chain.n_spins), process.phi_0a)
+                    for psi in states.T]
+        return [float(abs(process.final_ground.conj() @ psi)) for psi in states.T]
+
+    @pytest.mark.parametrize("target", ["cut", "ground"])
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["smooth", "pulse", "noisy"])
+    def test_one_column(self, scored_process, target, position):
+        schedules = [mixed_schedules(scored_process.direction, 3, 5)[position]]
+        scores = scored_process.fidelities(schedules, SCORED_STEPS, target)
+        assert scores.shape == (1,)
+        assert np.array_equal(scores, self.per_column(scored_process, schedules, target))
+
+    @pytest.mark.parametrize("target", ["cut", "ground"])
+    def test_no_columns(self, scored_process, target):
+        scores = scored_process.fidelities([], SCORED_STEPS, target)
+        assert scores.shape == (0,) and scores.dtype == float
+
+    @pytest.mark.parametrize("target", ["cut", "ground"])
+    def test_many_columns(self, scored_process, target):
+        schedules = mixed_schedules(scored_process.direction, 33, 6)
+        scores = scored_process.fidelities(schedules, SCORED_STEPS, target)
+        assert scores.shape == (33,)
+        assert np.array_equal(scores, self.per_column(scored_process, schedules, target))
+
+
 class TestObjective:
     def test_zero_params_give_baseline(self):
         chain = ChainSpec(4, "ring", 1.0, 2.0)
@@ -176,7 +240,7 @@ class TestOptimizedTrajectoryCharacter:
         assert np.allclose(lin.times, opt.times)
         dips = opt.f_g - lin.f_g
         assert dips.min() < -0.1
-        assert opt.final_cut_fidelity() > lin.final_cut_fidelity() + 0.1
+        assert opt.f_c[-1] > lin.f_c[-1] + 0.1
 
 
 class TestPublishedLandscapeGeometry:

@@ -360,7 +360,7 @@ class TestLazySpectrum:
         # the four blocks of the two sectors
         field = cross_sector_field() if crossing else 2.0
         prop = SectorPropagator(*assemble_hamiltonian(ChainSpec(7, "ring", 1.0, field)))
-        spectrum = prop.spectrum(1.0)
+        spectrum = prop.spectra([1.0])[0]
         lowest = [np.linalg.eigvalsh(h + v)[0] for h, v in zip(prop.h0, prop.v)]
         tied = [k for k, e in enumerate(lowest) if e <= spectrum.energies[0] + spectrum.threshold()]
         expected = [(4, 1.0), (4, -1.0), (5, 1.0), (5, -1.0)] if crossing else [(4, 1.0), (4, -1.0)]
@@ -378,7 +378,7 @@ class TestLazySpectrum:
         prop = SectorPropagator(*assemble_hamiltonian(RING8))
         reference = sector_reference(RING8)
         for g in (-2.5, 0.0, 0.37, 1.0):
-            spectrum = prop.spectrum(g)
+            spectrum = prop.spectra([g])[0]
             assert not eigh_calls and spectrum.vector_blocks == 0
             eager, _ = eager_spectrum(reference, g)
             del eigh_calls[:]
@@ -401,7 +401,7 @@ class TestLazySpectrum:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         prop = SectorPropagator(*assemble_hamiltonian(RING6))
-        prop.spectrum(0.0)
+        prop.spectra([0.0])[0]
         # the bounds: every block at g = 0 and at g = 1, stacked together.
         # Spin flip commutes with the reflection: sectors k and 6 - k split
         # alike, so 12 blocks need no more calls than the 7 sectors did
@@ -411,17 +411,17 @@ class TestLazySpectrum:
         assert sum(shape[0] for shape in calls) == 2 * len(prop.blocks)
         # they hold the whole spectra at g = 0 and g = 1: no further call
         del calls[:]
-        assert prop.spectrum(0.0).value_blocks == prop.spectrum(1.0).value_blocks == len(prop.blocks)
+        assert prop.spectra([0.0])[0].value_blocks == prop.spectra([1.0])[0].value_blocks == len(prop.blocks)
         assert not calls
         # any other spectrum diagonalizes only the blocks its bounds admit,
         # one call each: no two of them share a bound
-        spectrum = prop.spectrum(0.5)
+        spectrum = prop.spectra([0.5])[0]
         assert len(calls) == spectrum.value_blocks < len(prop.blocks)
         assert all(shape[0] == 1 for shape in calls)
         # outside [0, 1], v's ranges join the bounds, found once, stacked
         for g in (1.5, -0.5):
             del calls[:]
-            spectrum = prop.spectrum(g)
+            spectrum = prop.spectra([g])[0]
             assert len(calls) == (dims if g == 1.5 else 0) + spectrum.value_blocks
             assert spectrum.value_blocks < len(prop.blocks)
 
@@ -458,7 +458,7 @@ def test_pruned_spectrum_is_bitwise_the_full_one(name, g):
     """The bounded spectrum against the one of every block: the same bits in
     everything it promises, and the same ground state of the tie."""
     prop = pruned_propagator(name)
-    pruned, full = prop.spectrum(g), Spectrum(prop.blocks, lambda b: prop.h0[b] + g * prop.v[b])
+    pruned, full = prop.spectra([g])[0], Spectrum(prop.blocks, lambda b: prop.h0[b] + g * prop.v[b])
     assert full.value_blocks == len(full.blocks)
     assert pruned.energies[0] == full.energies[0]
     assert pruned.energies[1] == full.energies[1]
@@ -522,8 +522,8 @@ class TestGroundSelection:
         assert sorted(set(downs[np.abs(tied).max(axis=1) > 1e-9])) == tied_sectors
         dense = ground_state(h0 + v, h0 + (1.0 - OFFSET) * v)  # the plain sectors of the dense matrix
         prop = SectorPropagator(*assemble_hamiltonian(spec))
-        spectrum = prop.spectrum(1.0)  # the parity blocks
-        blocks = resolve_ground(spectrum, lambda: prop.spectrum(1.0 - OFFSET))
+        spectrum = prop.spectra([1.0])[0]  # the parity blocks
+        blocks = resolve_ground(spectrum, lambda: prop.spectra([1.0 - OFFSET])[0])
         for found, tie, lowest, found_gap in (
             (dense.state, dense.degenerate, dense.energy, dense.gap),
             (blocks, spectrum.degenerate(), spectrum.energies[0], spectrum.gap),
@@ -545,7 +545,7 @@ class TestGroundSelection:
         # ring7 at field 2.0 and g = 1 has a twofold tie in the k = 4 sector;
         # the all-up state lies in k = 0 and cannot pick a state in it
         prop = SectorPropagator(*assemble_hamiltonian(ChainSpec(7, "ring", 1.0, 2.0)))
-        spectrum = prop.spectrum(1.0)
+        spectrum = prop.spectra([1.0])[0]
         assert spectrum.degenerate()
         e_0 = np.zeros(prop.dim)
         e_0[0] = 1.0
