@@ -19,7 +19,7 @@ reflection keeps the plain sectors.
 
 from __future__ import annotations
 
-import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -317,110 +317,30 @@ def cut_components(spec: ChainSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 class Spectrum:
-    """Spectrum of a block-diagonal real symmetric (or Hermitian) matrix.
-
-    ``matrix(b)`` forms the matrix on ``blocks[b]``; it is called only for
-    the blocks that get diagonalized, and again for those whose eigenvectors
-    are read.  ``known`` holds the ascending energies of blocks diagonalized
-    before, taken as they are.  ``lower[b]`` and ``upper[b]``, when given,
-    bound the energies of block b.  Blocks are diagonalized from the top, in
-    descending order of their upper bounds, until no block left can hold an
-    energy above the highest found, then from the bottom, in ascending order
-    of their lower bounds, until no block left can hold an energy at or below
-    max(E1, E0 + DEGENERACY_RTOL (E_top - E0)) of those found.  That cut-off
-    only falls as blocks are added, so the blocks left out hold none of the
-    energies it covers.  Without bounds every block is diagonalized; blocks
-    of equal bound go together.
-
-    The two sweeps are a generator that asks for one list of blocks at a
-    time, and nothing is diagonalized at construction: ``diagonalize`` runs
-    the sweeps of many spectra together, one ``eigvalsh`` per block dimension
-    per round over every block any of them asks for, and a spectrum read
-    before that runs its own the same way.  The energies do not depend on
-    which spectra share a call.
+    """Spectrum of a block-diagonal real symmetric (or Hermitian) matrix, as
+    ``diagonalize`` builds it from the energies of some of its blocks.
 
     ``energies`` is the merged spectrum of only the blocks diagonalized or
-    known; ``value_blocks`` counts them.  Exact, as if every
-    block had been diagonalized: the two lowest energies and so ``gap``, the
-    top energy and so ``threshold()`` and ``degenerate()``, and every energy
-    within the threshold of the lowest, the tie that ``ground`` resolves.
-    ``states(k)`` embeds the eigenvectors of the k lowest entries in the full
-    space (k within that tie, or at most 2); a block's eigenvectors come from
-    one ``eigh``, made on the first ``states`` call that reads that block, or
-    stacked with other spectra's by ``diagonalize_grounds``, and kept.
-    ``vector_blocks`` counts those block eigendecompositions.  ``ground``
-    applies the degeneracy rule.
+    known, ``value_blocks`` counts them, and they are merged in the order of
+    dimension, then block, so that ties sort as in the full spectrum.  Exact,
+    as if every block had been diagonalized: the two lowest energies and so
+    ``gap``, the top energy and so ``threshold()`` and ``degenerate()``, and
+    every energy within the threshold of the lowest, the tie that ``ground``
+    resolves.  ``vectors`` holds the eigenvectors of the block of the lowest
+    energy, or of the blocks of every energy of the tie; ``vector_blocks``
+    counts them.  ``states(k)`` embeds those of the k lowest energies in the
+    full space, k within the tie.  ``ground`` applies the degeneracy rule.
     """
 
-    def __init__(self, blocks: Blocks, matrix: Callable[[int], np.ndarray],
-                 lower: np.ndarray | None = None, upper: np.ndarray | None = None,
-                 known: dict[int, np.ndarray] | None = None) -> None:
+    def __init__(self, blocks: Blocks, energies: dict[int, np.ndarray]) -> None:
         self.blocks = blocks
-        self._matrix = matrix
+        self.value_blocks = len(energies)
         self._sizes = [block.size for block in blocks]
-        self._energies: dict[int, np.ndarray] = {}  # each diagonalized or known block's, ascending
-        self._vectors: dict[int, np.ndarray] = {}
-        self._top, self._low = -np.inf, [np.inf, np.inf]  # the highest and two lowest energies found
-        if known:
-            self._record(known)
-        self._sweeps = self._requests(lower, upper)  # None once they have run
-
-    def _requests(self, lower: np.ndarray | None, upper: np.ndarray | None):
-        """The two sweeps: yield each list of blocks to diagonalize, and
-        receive their energies by block."""
-        if len(self._energies) == len(self.blocks):  # every block known
-            return
-        unbounded = [-np.inf] * len(self.blocks)
-        yield from self._sweep(unbounded if upper is None else (-upper).tolist(), lambda bound: -bound < self._top)
-        top = self._top  # exact: every block left has a lower upper bound
-        yield from self._sweep(unbounded if lower is None else lower.tolist(), lambda bound: bound > max(
-            self._low[1], self._low[0] + DEGENERACY_RTOL * (top - self._low[0])))
-
-    def _sweep(self, bounds: list[float], beyond: Callable[[float], bool]):
-        """Ask for the blocks in ascending order of ``bounds``, those with
-        equal bounds together, until ``beyond`` holds for the next bound."""
-        order = sorted(range(len(bounds)), key=bounds.__getitem__)
-        i = 0
-        while i < len(order):
-            bound = bounds[order[i]]
-            if beyond(bound):
-                return
-            j = i + 1
-            while j < len(order) and bounds[order[j]] == bound:
-                j += 1
-            members = [b for b in order[i:j] if b not in self._energies]
-            if members:
-                self._record((yield members))
-            i = j
-
-    def _record(self, energies: dict[int, np.ndarray]) -> None:
-        """Keep the ascending energies of these blocks, and the highest and
-        two lowest of all so far."""
-        self._energies.update(energies)
-        self._top = max(self._top, *(w[-1] for w in energies.values()))
-        self._low = sorted([*self._low, *(e for w in energies.values() for e in w[:2].tolist())])[:2]
-
-    def _diagonalized(self) -> dict[int, np.ndarray]:
-        """The energies of each block diagonalized or known, once the sweeps
-        have run."""
-        if self._sweeps is not None:
-            diagonalize((self,))
-        return self._energies
-
-    @functools.cached_property
-    def _merged(self) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """The blocks in merge order, the stable sort of their energies
-        concatenated in that order, and the sorted energies.  Merged in the
-        order of dimension, then block: ties sort as in the full spectrum."""
-        energies = self._diagonalized()
-        done = sorted(energies, key=lambda b: (self._sizes[b], b))
-        w = np.concatenate([energies[b] for b in done])
-        order = np.argsort(w, kind="stable")
-        return done, order, w[order]
-
-    @property
-    def energies(self) -> np.ndarray:
-        return self._merged[2]
+        self._done = sorted(energies, key=lambda b: (self._sizes[b], b))
+        w = np.concatenate([energies[b] for b in self._done])
+        self._order = np.argsort(w, kind="stable")
+        self.energies = w[self._order]
+        self.vectors: dict[int, np.ndarray] = {}  # filled by diagonalize
 
     @property
     def gap(self) -> float:
@@ -429,14 +349,9 @@ class Spectrum:
         return float(w[1] - w[0]) if w.size > 1 else np.inf
 
     @property
-    def value_blocks(self) -> int:
-        """Blocks whose energies it holds."""
-        return len(self._diagonalized())
-
-    @property
     def vector_blocks(self) -> int:
-        """Blocks diagonalized with eigenvectors so far."""
-        return len(self._vectors)
+        """Blocks whose eigenvectors it holds."""
+        return len(self.vectors)
 
     def threshold(self) -> float:
         """Energies closer than this to the lowest count as degenerate with it."""
@@ -453,10 +368,9 @@ class Spectrum:
 
     def _located(self, k: int) -> list[tuple[int, int]]:
         """(block, column) of each of the k lowest entries."""
-        done, order, _ = self._merged
         located = []
-        for i in order[:k].tolist():
-            for b in done:  # i indexes the energies concatenated block by block
+        for i in self._order[:k].tolist():
+            for b in self._done:  # i indexes the energies concatenated block by block
                 if i < self._sizes[b]:
                     break
                 i -= self._sizes[b]
@@ -465,16 +379,12 @@ class Spectrum:
 
     def states(self, k: int) -> np.ndarray:
         """Full-space eigenvector columns of the k lowest energies."""
-        exact = max(2, self._tied())
-        if k > exact:
-            raise ValueError(f"only the {exact} lowest states are exact")
+        if k > self._tied():
+            raise ValueError(f"only the {self._tied()} lowest states are held")
         located = self._located(k)
-        for b, _ in located:
-            if b not in self._vectors:
-                self._vectors[b] = np.linalg.eigh(self._matrix(b))[1]
-        out = np.zeros((sum(self._sizes), k), dtype=np.result_type(*(self._vectors[b] for b, _ in located)))
+        out = np.zeros((sum(self._sizes), k), dtype=np.result_type(*(self.vectors[b] for b, _ in located)))
         for col, (b, column) in enumerate(located):
-            self.blocks[b].embed(self._vectors[b][:, column], out[:, col])
+            self.blocks[b].embed(self.vectors[b][:, column], out[:, col])
         return out
 
     def ground(self, reference: np.ndarray | None = None) -> np.ndarray:
@@ -524,44 +434,74 @@ def solve_by_size(solve: Callable[[np.ndarray], np.ndarray], asks) -> list[dict[
     return results
 
 
-def _advance(spectrum: Spectrum, energies: dict[int, np.ndarray] | None) -> list[int] | None:
-    """Send a spectrum's sweeps the energies they asked for; return their
-    next request, or None once they are done."""
-    try:
-        return spectrum._sweeps.send(energies)
-    except StopIteration:
-        spectrum._sweeps = None
-        return None
+def _sweeps(energies: dict[int, np.ndarray], lower: list[float], upper: list[float]):
+    """The blocks one spectrum diagonalizes: yields each list of blocks in
+    turn, whose ascending energies the caller adds to ``energies`` before
+    asking for the next.
 
-
-def diagonalize(spectra: Iterable[Spectrum]) -> None:
-    """Run the sweeps of these spectra together, in rounds.
-
-    Each round, every spectrum still sweeping asks for a list of blocks, and
-    the blocks of one dimension, over every spectrum that asked, go to one
-    ``eigvalsh`` of their matrices stacked (``solve_by_size``), so every
-    spectrum ends as it would alone.
+    First from the top, in descending order of the upper bounds, until no
+    block left can hold an energy above the highest found; then from the
+    bottom, in ascending order of the lower bounds, until no block left can
+    hold an energy at or below max(E1, E0 + DEGENERACY_RTOL (E_top - E0)) of
+    those found.  That cut-off only falls as blocks are added, so the blocks
+    left out hold none of the energies it covers.  Blocks of equal bound go
+    together, and blocks already in ``energies`` are not asked for.
     """
-    asking = [(s, request) for s in dict.fromkeys(spectra) if s._sweeps is not None
-              if (request := _advance(s, None)) is not None]
+    if len(energies) == len(lower):  # every block known
+        return
+
+    def top() -> float:
+        return max((w[-1] for w in energies.values()), default=-np.inf)
+
+    def cutoff() -> float:
+        e0, e1 = sorted([np.inf, np.inf, *(e for w in energies.values() for e in w[:2].tolist())])[:2]
+        return max(e1, e0 + DEGENERACY_RTOL * (highest - e0))
+
+    for bounds, beyond in (([-u for u in upper], lambda bound: -bound < top()),
+                           (lower, lambda bound: bound > cutoff())):
+        for bound, group in itertools.groupby(sorted(range(len(bounds)), key=bounds.__getitem__),
+                                              bounds.__getitem__):
+            if beyond(bound):
+                break
+            if members := [b for b in group if b not in energies]:
+                yield members
+        highest = top()  # exact after the first sweep: every block left has a lower upper bound
+
+
+def diagonalize(blocks: Blocks, matrices: list[Callable[[int], np.ndarray]],
+                bounds: list[tuple[np.ndarray, np.ndarray] | None] | None = None,
+                known: list[dict[int, np.ndarray] | None] | None = None) -> list[Spectrum]:
+    """The ``Spectrum`` of each block-diagonal matrix on ``blocks``.
+
+    ``matrices[i](b)`` forms the i-th matrix on ``blocks[b]``; it is called
+    only for the blocks that get diagonalized.  ``known[i]``, when given,
+    holds the ascending energies of blocks diagonalized before, taken as
+    they are.  ``bounds[i]``, when given, is a pair of arrays bounding each
+    block's energies from below and above; without it every block not known
+    is diagonalized.  The sweeps of every spectrum (``_sweeps``) run
+    together, in rounds: each round, the blocks of one dimension, over every
+    spectrum still asking, go to one ``eigvalsh`` of their matrices stacked
+    (``solve_by_size``).  Then one ``eigh`` per block dimension, over every
+    spectrum, gives the eigenvectors of each one's ground or tie blocks.
+    Every spectrum ends bitwise as it would alone.
+    """
+    sizes = [block.size for block in blocks]
+    unbounded = ([-np.inf] * len(blocks), [np.inf] * len(blocks))
+    energies = [dict(k or {}) for k in known or [None] * len(matrices)]
+    sweeps = [_sweeps(e, *(unbounded if b is None else (b[0].tolist(), b[1].tolist())))
+              for e, b in zip(energies, bounds or [None] * len(matrices))]
+    asking = [(i, request) for i, sweep in enumerate(sweeps) if (request := next(sweep, None))]
     while asking:
-        answers = solve_by_size(np.linalg.eigvalsh, [(s._matrix, s._sizes, request) for s, request in asking])
-        asking = [(s, request) for (s, _), answer in zip(asking, answers)
-                  if (request := _advance(s, answer)) is not None]
-
-
-def diagonalize_grounds(spectra: Iterable[Spectrum]) -> None:
-    """Diagonalize, with eigenvectors, the blocks that hold each spectrum's
-    ground subspace: the block of its lowest state, or those of every state
-    of its tie, known from its energies alone.  One ``eigh`` per block
-    dimension over all the spectra, its matrices in order of spectrum, then
-    block; ``ground`` then makes no ``eigh`` of its own."""
-    spectra = list(spectra)
-    diagonalize(spectra)
-    asks = [(s._matrix, s._sizes, [b for b in dict.fromkeys(b for b, _ in s._located(s._tied()))
-                                   if b not in s._vectors]) for s in spectra]
-    for s, vectors in zip(spectra, solve_by_size(lambda a: np.linalg.eigh(a)[1], asks)):
-        s._vectors.update(vectors)
+        answers = solve_by_size(np.linalg.eigvalsh, [(matrices[i], sizes, request) for i, request in asking])
+        for (i, _), answer in zip(asking, answers):
+            energies[i].update(answer)
+        asking = [(i, request) for i, _ in asking if (request := next(sweeps[i], None))]
+    spectra = [Spectrum(blocks, e) for e in energies]
+    grounds = [(matrix, sizes, list(dict.fromkeys(b for b, _ in s._located(s._tied()))))
+               for matrix, s in zip(matrices, spectra)]
+    for s, vectors in zip(spectra, solve_by_size(lambda a: np.linalg.eigh(a)[1], grounds)):
+        s.vectors = vectors
+    return spectra
 
 
 def resolve_ground(spectrum: Spectrum, nudged: Callable[[], Spectrum] | None) -> np.ndarray:
@@ -608,7 +548,7 @@ def ground_state(h: np.ndarray, continuity_reference: np.ndarray | None = None) 
         raise ValueError("ground_state needs a matrix that conserves total S^z")
 
     def spectrum(m: np.ndarray) -> Spectrum:
-        return Spectrum(blocks, lambda b: m.take(blocks[b].states, axis=0).take(blocks[b].states, axis=1))
+        return diagonalize(blocks, [lambda b: m.take(blocks[b].states, axis=0).take(blocks[b].states, axis=1)])[0]
 
     full = spectrum(h)
     nudged = None if continuity_reference is None else (lambda: spectrum(continuity_reference))

@@ -102,8 +102,8 @@ class SectorPropagator:
 
     def spectra(self, gs) -> list[Spectrum]:
         """Spectra of h0 + g v at each coupling g, pruned by Weyl's bounds
-        and diagonalized together (``chain.diagonalize``); eigenvectors on
-        demand.
+        and diagonalized together (``chain.diagonalize``), with the
+        eigenvectors of each one's ground or tie blocks.
 
         The first call diagonalizes every block of h0 and of h0 + v, one
         ``eigvalsh`` per dimension for both: the whole spectra at g = 0 and
@@ -116,8 +116,9 @@ class SectorPropagator:
         g), tightens them; inside, it never does.  Each bound is widened by
         4 d eps times the weighted norms on a block of dimension d, above the
         round-off of the diagonalizations it compares, so that it never
-        excludes an energy ``eigvalsh`` would compute.  Each ``Spectrum``
-        diagonalizes only the blocks its bounds admit.
+        excludes an energy ``eigvalsh`` would compute.  Each spectrum
+        diagonalizes only the blocks its bounds admit.  g = 0 and g = 1 get
+        their kept energies and no bounds, which there would need v's ranges.
         """
         if self._endpoints is None:
             coupled = [h + 1.0 * v for h, v in zip(self.h0, self.v)]
@@ -126,10 +127,9 @@ class SectorPropagator:
         gs = list(gs)
         bounded = np.array([g for g in gs if g not in self._endpoints], dtype=float)[:, None]
         bounds = zip(*self._bounds(bounded)) if bounded.size else iter(())
-        out = [Spectrum(self.blocks, self._matrix(g), known=self._endpoints[g]) if g in self._endpoints
-               else Spectrum(self.blocks, self._matrix(g), *next(bounds)) for g in gs]
-        diagonalize(out)
-        return out
+        return diagonalize(self.blocks, [self._matrix(g) for g in gs],
+                           [None if g in self._endpoints else next(bounds) for g in gs],
+                           [self._endpoints.get(g) for g in gs])
 
     def _bounds(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Weyl's lower and upper bounds on every block's energies, one row

@@ -91,13 +91,11 @@ class OptimizationReport:
     rounds: int
     halvings: int
     trace: list[tuple[tuple[float, ...], float]] = field(default_factory=list)
-    inverse_hessian: np.ndarray | None = None  # diagnostic; not serialized
 
     def to_dict(self) -> dict:
-        """Every field but ``inverse_hessian``, in order: tuples as lists, trace
-        points as ``{params, value}`` records."""
-        out = {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v
-               for f in fields(self) if f.name != "inverse_hessian"}
+        """Every field, in order: tuples as lists, trace points as
+        ``{params, value}`` records."""
+        out = {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v for f in fields(self)}
         out["trace"] = [{"params": list(p), "value": v} for p, v in self.trace]
         return out
 
@@ -199,7 +197,6 @@ def bfgs_steps(
         rounds=rounds,
         halvings=halvings,
         trace=trace,
-        inverse_hessian=h_inv,
     )
 
 

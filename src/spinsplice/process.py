@@ -24,7 +24,7 @@ from .chain import (
     _sector_hamiltonian,
     assemble_hamiltonian,
     cut_components,
-    diagonalize_grounds,
+    diagonalize,
     resolve_ground,
 )
 from .control import ControlSchedule
@@ -53,8 +53,9 @@ class TrajectoryRecord:
 
     ``gap`` and the degenerate flags are those of the full spectrum.
     ``value_blocks`` and ``vector_blocks`` sum the samples' ``Spectrum``
-    counts of the same names; they count blocks, not LAPACK calls, since a
-    stacked call diagonalizes many blocks.  ``max_norm_dt`` and
+    counts of the same names, the blocks diagonalized for energies and for
+    eigenvectors; they count blocks, not LAPACK calls, since a stacked call
+    diagonalizes many blocks.  ``max_norm_dt`` and
     ``taylor_matvecs`` are the run's ``Work``."""
 
     times: np.ndarray
@@ -121,13 +122,11 @@ class ChainProcess:
         The probe only buffers each sample's state.  The samples are scored
         in chunks of MAX_BATCH_BYTES // (16 * 2^N), one chunk whenever the
         buffer fills and one at the end: one ``schedule.values`` call, the
-        chunk's spectra from ``propagator.spectra``, which make one
-        ``eigvalsh`` per block dimension per round over every sample, then
-        one ``eigh`` per block dimension for the blocks holding each sample's
-        ground subspace (``diagonalize_grounds``), the reduced density
-        matrices of A for the whole chunk from one product and their cut
-        fidelities from one ``cut_fidelity`` call, and one stacked
-        ``eigvalsh`` for the entropies.  The entanglement entropy, equal on
+        chunk's spectra, with each sample's ground vectors, from one
+        ``propagator.spectra`` call, the reduced density matrices of A for
+        the whole chunk from one product and their cut fidelities from one
+        ``cut_fidelity`` call, and one stacked ``eigvalsh`` for the
+        entropies.  The entanglement entropy, equal on
         both sides of a pure state, comes from the smaller of the two reduced
         density matrices.  Ground states are then resolved sample by sample:
         a tied ground state follows the previous sample's, the first sample's
@@ -151,7 +150,6 @@ class ChainProcess:
             buffered.clear()
             gs = schedule.values(np.array(times)).tolist()
             spectra = self.propagator.spectra(gs)
-            diagonalize_grounds(spectra)
             psis = np.array(states)
             rho_a = reduce_density(psis, self.a_sites, n_spins)
             rho_small = rho_a if schmidt_sites == self.a_sites else reduce_density(psis, schmidt_sites, n_spins)
@@ -188,11 +186,12 @@ def prepare_process(spec: ChainSpec, direction: str = "cut") -> ChainProcess:
     """Assemble the blocks, pick the initial state, and fix both fidelity targets.
 
     The chain is assembled once, as the reflection-parity halves of its
-    total-S^z sectors; both ground states come from their spectra
-    (``SectorPropagator.spectra``, their ground blocks diagonalized together
-    by ``diagonalize_grounds``).  The cut target is the ground state of
-    the detached block A: a lone spin's two states, or the plain sectors
-    assembled on A's sites renumbered 1..len(A).
+    total-S^z sectors; both ground states come from one
+    ``SectorPropagator.spectra`` call at the two endpoint couplings, which
+    diagonalizes their ground blocks together.  The cut target is the ground
+    state of the detached block A, from ``chain.diagonalize``: a lone spin's
+    two states, or the plain sectors assembled on A's sites renumbered
+    1..len(A).
     """
     if direction not in ("cut", "stitch"):
         raise ValueError(f"direction must be 'cut' or 'stitch', got {direction!r}")
@@ -208,7 +207,7 @@ def prepare_process(spec: ChainSpec, direction: str = "cut") -> ChainProcess:
                  if (i, j) not in spec.cut_bonds and i in order and j in order]
         blocks, h_a, _ = _sector_hamiltonian(len(a_sites), inner, frozenset(), spec.exchange, spec.field)
     try:
-        phi_0a = Spectrum(blocks, h_a.__getitem__).ground()
+        phi_0a = diagonalize(blocks, [h_a.__getitem__])[0].ground()
     except DegeneracyError as exc:
         raise DegeneracyError(
             f"the detached block {a_sites} has a degenerate ground state; "
@@ -224,7 +223,6 @@ def prepare_process(spec: ChainSpec, direction: str = "cut") -> ChainProcess:
 
     ends = (1.0, 0.0) if direction == "cut" else (0.0, 1.0)
     spectra = propagator.spectra(ends)
-    diagonalize_grounds(spectra)
     (psi0, start_degenerate), (final_ground, final_degenerate) = map(ground, ends, spectra)
 
     return ChainProcess(

@@ -426,8 +426,8 @@ def reference_record(process, schedule, n_steps, stride=1):
     """``process.run(schedule, n_steps, stride)`` scored one sample at a
     time, as the recorder did before it scored chunks: each sample takes
     ``propagator.spectra([g])[0]`` at its own coupling, its reduced density
-    matrices and its entropy on their own, and a block ``eigh`` on the first
-    ``states`` call that reads the block.  Returns ``(psi, TrajectoryRecord)``."""
+    matrices and its entropy on their own, and the ``eigh`` of its ground
+    blocks with its spectrum.  Returns ``(psi, TrajectoryRecord)``."""
     n_spins = process.chain.n_spins
     schmidt_sites = process.a_sites if len(process.a_sites) <= len(process.b_sites) else process.b_sites
     rows = []

@@ -40,35 +40,31 @@ def multi_start(objective, starts, **options):
 
 # Results of the one-point-per-call BFGS that the step machine replaced: the
 # same arithmetic on the same values must give them bit for bit.
-# (objective, x0, options) -> (status, iterations, trace, inverse Hessian)
+# (objective, x0, options) -> (status, iterations, trace)
 PINNED = {
     "quadratic": (
         negated_quadratic, (0.0, 0.0), {},
         ("converged", 2,
          [((0.0, 0.0), -5.0), ((0.4999999999999989, -1.0), -1.250000000000001),
-          ((0.9999999999999991, -2.0), -7.888609052210118e-31)],
-         [[0.30000000000000004, -0.10000000000000009], [-0.10000000000000009, 0.4499999999999995]]),
+          ((0.9999999999999991, -2.0), -7.888609052210118e-31)]),
     ),
-    "cusp": (cusp, (0.0,), {}, ("stalled", 0, [((0.0,), -0.0)], [[0.9999999999999998]])),
+    "cusp": (cusp, (0.0,), {}, ("stalled", 0, [((0.0,), -0.0)])),
     "linear": (
         lambda x: x[0], (0.0,), {"max_iterations": 3},
         ("max_iterations", 3,
-         [((0.0,), 0.0), ((1.0,), 1.0), ((2.0,), 2.0), ((3.000000000000001,), 3.000000000000001)],
-         [[1.0]]),
+         [((0.0,), 0.0), ((1.0,), 1.0), ((2.0,), 2.0), ((3.000000000000001,), 3.000000000000001)]),
     ),
     "double_well_left": (
         double_well, (-2.0,), {},
         ("stalled", 3,
          [((-2.0,), -9.2), ((-1.0,), -0.1), ((-0.9941763727121464,), -0.09955250693579801),
-          ((-0.9824346836590044,), -0.0994560464811028)],
-         [[0.12884752111448594]]),
+          ((-0.9824346836590044,), -0.0994560464811028)]),
     ),
     "double_well_right": (
         double_well, (2.0,), {},
         ("stalled", 3,
          [((2.0,), -8.8), ((1.0,), 0.1), ((1.002495840266223,), 0.10022460492474236),
-          ((1.0074349672705907,), 0.10052073473562062)],
-         [[0.12255668017786332]]),
+          ((1.0074349672705907,), 0.10052073473562062)]),
     ),
 }
 
@@ -116,12 +112,6 @@ class TestBfgsMaximize:
         assert a.final_params == b.final_params
         assert a.evaluations == b.evaluations
 
-    def test_inverse_hessian_spd_under_curvature(self):
-        report = bfgs_maximize(negated_quadratic, np.zeros(2), tolerance=1e-10)
-        h_inv = report.inverse_hessian
-        assert np.abs(h_inv - h_inv.T).max() < 1e-10
-        assert np.linalg.eigvalsh(h_inv).min() > 0.0
-
     def test_stall_returns_best_so_far(self):
         # the finite-difference slope points along a direction in which the
         # objective strictly decreases, so every halving fails
@@ -135,14 +125,13 @@ class TestBfgsMaximize:
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_pinned_results(self, name):
-        objective, x0, options, (status, iterations, trace, h_inv) = PINNED[name]
+        objective, x0, options, (status, iterations, trace) = PINNED[name]
         report = bfgs_maximize(objective, np.array(x0), **options)
         assert report.status == status
         assert report.iterations == iterations
         assert report.trace == trace
         assert report.final_params == trace[-1][0]
         assert report.final_value == trace[-1][1]
-        assert report.inverse_hessian.tolist() == h_inv
 
     def test_iteration_budget(self):
         report = bfgs_maximize(lambda x: x[0], np.zeros(1), max_iterations=3)
@@ -168,7 +157,7 @@ class TestBfgsMaximize:
             initial_params=(0.0, 1.0), final_params=(0.5, -0.25), initial_value=0.125,
             final_value=0.875, iterations=1, gradient_inf_norm=2e-5, line_search_failures=0,
             status="converged", evaluations=15, rounds=3, halvings=1,
-            trace=[((0.0, 1.0), 0.125), ((0.5, -0.25), 0.875)], inverse_hessian=np.eye(2),
+            trace=[((0.0, 1.0), 0.125), ((0.5, -0.25), 0.875)],
         )
         data = report.to_dict()
         assert list(data) == [

@@ -22,9 +22,9 @@ from hypothesis import strategies as st
 from spinsplice.chain import (
     DEGENERACY_RTOL,
     ChainSpec,
-    Spectrum,
     assemble_hamiltonian,
     DegeneracyError,
+    diagonalize,
     ground_state,
     resolve_ground,
 )
@@ -361,32 +361,43 @@ class TestLazySpectrum:
         field = cross_sector_field() if crossing else 2.0
         prop = SectorPropagator(*assemble_hamiltonian(ChainSpec(7, "ring", 1.0, field)))
         spectrum = prop.spectra([1.0])[0]
+        calls = list(eigh_calls)
         lowest = [np.linalg.eigvalsh(h + v)[0] for h, v in zip(prop.h0, prop.v)]
         tied = [k for k, e in enumerate(lowest) if e <= spectrum.energies[0] + spectrum.threshold()]
         expected = [(4, 1.0), (4, -1.0), (5, 1.0), (5, -1.0)] if crossing else [(4, 1.0), (4, -1.0)]
         assert [(sector_of(prop.blocks[k]), prop.blocks[k].sign) for k in tied] == expected
-        reference = np.random.default_rng(7).normal(size=prop.dim)
-        del eigh_calls[:]
+        # the spectrum comes with the eigenvectors of exactly the tied blocks
         assert spectrum.degenerate()
-        spectrum.ground(reference)
-        assert spectrum.vector_blocks == len(eigh_calls) == len(tied)
-        matched = [k for m in eigh_calls for k in tied
+        assert spectrum.vector_blocks == len(calls) == len(tied)
+        matched = [k for m in calls for k in tied
                    if m.shape == prop.h0[k].shape and np.array_equal(m, prop.h0[k] + 1.0 * prop.v[k])]
         assert sorted(matched) == tied
+        # and resolving the tie diagonalizes nothing more
+        del eigh_calls[:]
+        spectrum.ground(np.random.default_rng(7).normal(size=prop.dim))
+        assert not eigh_calls
 
     def test_energies_match_eager_spectrum(self, eigh_calls):
         prop = SectorPropagator(*assemble_hamiltonian(RING8))
         reference = sector_reference(RING8)
         for g in (-2.5, 0.0, 0.37, 1.0):
-            spectrum = prop.spectra([g])[0]
-            assert not eigh_calls and spectrum.vector_blocks == 0
-            eager, _ = eager_spectrum(reference, g)
             del eigh_calls[:]
+            spectrum = prop.spectra([g])[0]
+            calls = len(eigh_calls)
+            del eigh_calls[:]
+            spectrum.ground(np.ones(prop.dim))
+            assert not eigh_calls  # the spectrum holds its ground vectors
+            eager, _ = eager_spectrum(reference, g)
             # g = 0 and g = 1 keep every block's energies from the bounds;
             # any other g holds only some blocks', but the two lowest, the
             # tie and the top are those of the whole spectrum
             assert (spectrum.value_blocks == len(prop.blocks)) == (g in (0.0, 1.0))
-            tied = int(np.searchsorted(eager, eager[0] + DEGENERACY_RTOL * (eager[-1] - eager[0]), side="right"))
+            limit = eager[0] + DEGENERACY_RTOL * (eager[-1] - eager[0])
+            tied = int(np.searchsorted(eager, limit, side="right"))
+            # eigenvectors of exactly the blocks that hold the tie (the
+            # lowest energy alone when there is none)
+            tie_blocks = [k for k, (h, u) in enumerate(zip(prop.h0, prop.v)) if np.linalg.eigvalsh(h + g * u)[0] <= limit]
+            assert spectrum.vector_blocks == calls == len(tie_blocks)
             low = max(2, tied)
             assert np.abs(spectrum.energies[:low] - eager[:low]).max() <= GATE
             assert abs(spectrum.energies[-1] - eager[-1]) <= GATE
@@ -458,7 +469,7 @@ def test_pruned_spectrum_is_bitwise_the_full_one(name, g):
     """The bounded spectrum against the one of every block: the same bits in
     everything it promises, and the same ground state of the tie."""
     prop = pruned_propagator(name)
-    pruned, full = prop.spectra([g])[0], Spectrum(prop.blocks, lambda b: prop.h0[b] + g * prop.v[b])
+    pruned, full = prop.spectra([g])[0], diagonalize(prop.blocks, [lambda b: prop.h0[b] + g * prop.v[b]])[0]
     assert full.value_blocks == len(full.blocks)
     assert pruned.energies[0] == full.energies[0]
     assert pruned.energies[1] == full.energies[1]
@@ -468,6 +479,42 @@ def test_pruned_spectrum_is_bitwise_the_full_one(name, g):
     assert tie_count(pruned) == tie_count(full)
     reference = np.random.default_rng(0).normal(size=prop.dim)
     assert np.array_equal(pruned.ground(reference), full.ground(reference))
+
+
+@pytest.mark.parametrize("names, g", [
+    (("ring7", "ring7_crossing"), 1.0),  # ties across parities and across sectors, one set of blocks
+    (("ring8",), 0.5),
+    (("open6",), -1.5),
+])
+def test_diagonalize_together_is_bitwise_alone(names, g):
+    """One ``chain.diagonalize`` call over bounded, known and unbounded
+    matrices: every spectrum is bitwise the one diagonalized alone."""
+    def matrix(prop, c):
+        return lambda b: prop.h0[b] + c * prop.v[b]
+
+    asks = []  # (matrix, bounds, known)
+    for prop in map(pruned_propagator, names):
+        prop.spectra([0.0])  # the endpoint energies and ranges
+        lower, upper = prop._bounds(np.array([[g]]))
+        asks += [(matrix(prop, g), (lower[0], upper[0]), None),
+                 (matrix(prop, 0.0), None, prop._endpoints[0.0]),
+                 (matrix(prop, 1.0), None, prop._endpoints[1.0]),
+                 (matrix(prop, g), None, None)]
+    blocks = prop.blocks
+    together = diagonalize(blocks, *map(list, zip(*asks)))
+    assert [s.degenerate() for s in together[::4]] == [g == 1.0] * len(names)
+    assert all(s.value_blocks == len(blocks) for s in together[3::4])
+    reference = np.random.default_rng(3).normal(size=prop.dim)
+    for spectrum, ask in zip(together, asks):
+        alone = diagonalize(blocks, *([item] for item in ask))[0]
+        assert np.array_equal(spectrum.energies, alone.energies)
+        assert spectrum.gap == alone.gap and spectrum.threshold() == alone.threshold()
+        assert spectrum.degenerate() == alone.degenerate()
+        assert spectrum.value_blocks == alone.value_blocks
+        assert spectrum.vector_blocks == alone.vector_blocks > 0
+        assert np.array_equal(spectrum.ground(reference), alone.ground(reference))
+        with pytest.raises(ValueError, match="lowest states"):
+            spectrum.states(tie_count(spectrum) + 1)
 
 
 class TestBeyondOneSector:
