@@ -74,8 +74,8 @@ class ControlSchedule:
         T = self.duration
         start, end = (1.0, 0.0) if self.direction == "cut" else (0.0, 1.0)
         if self.kind == "pulse":
-            dt = T / len(self.params)
-            idx = np.clip((t // dt).astype(int), 0, len(self.params) - 1)
+            dt = T / len(self.params)  # 0 at the smallest T: then [0, T) is all the first pulse
+            idx = np.clip((t // dt).astype(int), 0, len(self.params) - 1) if dt > 0 else 0
             inside = np.asarray(self.params)[idx]
         elif self.kind == "polynomial_cut":
             inside = _horner_from_one(self._full_poly_coeffs(), t / T)

@@ -111,10 +111,10 @@ def bfgs_steps(
     ``OptimizationReport``.  Each batch is one point, the start or a
     line-search trial, followed by its ``_stencil`` points.
 
-    Accepted iterates never decrease the objective.  The run terminates when
-    the gradient infinity norm drops below the tolerance, the iteration
-    budget runs out, or a line search fails 30 straight halvings (status
-    "stalled", returning the best accepted point so far).
+    Accepted iterates never decrease the objective.  A run is "converged"
+    once the gradient infinity norm is at most ``tolerance``, "stalled" after
+    a line search fails 30 straight halvings, and "max_iterations" otherwise.
+    The report is read off the trace of accepted points, start to result.
     """
     if grad_step <= 0:
         raise ValueError(f"step must be positive, got {grad_step}")
@@ -136,19 +136,15 @@ def bfgs_steps(
         return tuple(float(v) for v in arr)
 
     f_x, g = yield from probe(x)
-    initial_value = f_x
     trace = [(as_point(x), f_x)]
     g_inf = float(np.abs(g).max())
 
-    dim = x.size
-    eye = np.eye(dim)
+    eye = np.eye(x.size)
     scale = float(np.clip(1.0 / g_inf, *SCALE_BOUNDS)) if g_inf > 0 else 1.0
     h_inv = eye * scale
 
-    iterations = 0
-    failures = 0
-    status = "converged" if g_inf < tolerance else "max_iterations"
-    while iterations < max_iterations and g_inf >= tolerance:
+    stalled = False
+    while len(trace) <= max_iterations and g_inf > tolerance:
         p = -(h_inv @ g)
         slope = float(g @ p)
         if slope >= 0.0:
@@ -157,18 +153,15 @@ def bfgs_steps(
             p = -scale * g
             slope = float(g @ p)
         alpha = 1.0
-        accepted = False
         for _ in range(MAX_HALVINGS):
             x_new = x + alpha * p
             f_new, g_new = yield from probe(x_new)
             if -f_new <= -f_x + ARMIJO_C1 * alpha * slope:
-                accepted = True
                 break
             alpha *= 0.5
             halvings += 1
-        if not accepted:
-            failures += 1
-            status = "stalled"
+        else:
+            stalled = True
             break
         s = x_new - x
         y = g_new - g
@@ -179,20 +172,17 @@ def bfgs_steps(
             h_inv = left @ h_inv @ left.T + rho * np.outer(s, s)
         x, f_x, g = x_new, f_new, g_new
         g_inf = float(np.abs(g).max())
-        iterations += 1
         trace.append((as_point(x), f_x))
-        if g_inf < tolerance:
-            status = "converged"
 
     return OptimizationReport(
         initial_params=trace[0][0],
-        final_params=as_point(x),
-        initial_value=initial_value,
-        final_value=f_x,
-        iterations=iterations,
+        final_params=trace[-1][0],
+        initial_value=trace[0][1],
+        final_value=trace[-1][1],
+        iterations=len(trace) - 1,
         gradient_inf_norm=g_inf,
-        line_search_failures=failures,
-        status=status,
+        line_search_failures=int(stalled),
+        status="stalled" if stalled else "converged" if g_inf <= tolerance else "max_iterations",
         evaluations=evals,
         rounds=rounds,
         halvings=halvings,
@@ -200,22 +190,21 @@ def bfgs_steps(
     )
 
 
-def lockstep(evaluate, machines) -> tuple[list[OptimizationReport], int]:
+def lockstep(evaluate, machines) -> list[OptimizationReport]:
     """Drive step machines together until every one has returned.
 
     Each round makes one ``evaluate`` call with the ``(k, points)`` requests
     of the live machines, k being a machine's position in ``machines``;
     it must return one flat array of their values, the requests' columns in
-    order.  Returns the reports in machine order and the number of rounds.
+    order.  Returns the reports in machine order; as every machine is live
+    from the first round, the rounds made are the largest report ``rounds``.
     """
     machines = list(machines)
     reports: list[OptimizationReport | None] = [None] * len(machines)
     requests = {k: next(machine) for k, machine in enumerate(machines)}
-    rounds = 0
     while requests:
         live = list(requests.items())
         values = evaluate(live)
-        rounds += 1
         requests = {}
         edges = np.cumsum([points.shape[1] for _, points in live])[:-1]
         for (k, _), chunk in zip(live, np.split(values, edges)):
@@ -223,7 +212,7 @@ def lockstep(evaluate, machines) -> tuple[list[OptimizationReport], int]:
                 requests[k] = machines[k].send(chunk)
             except StopIteration as done:
                 reports[k] = done.value
-    return reports, rounds
+    return reports
 
 
 def best_of(reports: list[OptimizationReport]) -> OptimizationReport:
@@ -247,8 +236,8 @@ def bfgs_maximize(
     gradient, and a run makes one call per trial.
     """
     # one machine: each round holds its one request
-    (report,), _ = lockstep(lambda requests: _batch_values(objective, requests[0][1]),
-                            [bfgs_steps(x0, grad_step, tolerance, max_iterations)])
+    (report,) = lockstep(lambda requests: _batch_values(objective, requests[0][1]),
+                         [bfgs_steps(x0, grad_step, tolerance, max_iterations)])
     return report
 
 

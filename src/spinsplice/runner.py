@@ -471,9 +471,10 @@ def _maximize(config: RunConfig, process, durations) -> tuple[list[OptimizationR
         schedules = [_schedule(config, durations[k // len(starts)], col) for k, points in requests for col in points.T]
         return process.fidelities(schedules, config.n_steps, config.target)
 
-    reports, rounds = lockstep(evaluate, [bfgs_steps(x0, **options) for _ in durations for x0 in starts])
+    reports = lockstep(evaluate, [bfgs_steps(x0, **options) for _ in durations for x0 in starts])
     best = [best_of(reports[i:i + len(starts)]) for i in range(0, len(reports), len(starts))]
-    return best, {"rounds": rounds, "evaluations": sum(r.evaluations for r in reports)}
+    return best, {"rounds": max((r.rounds for r in reports), default=0),
+                  "evaluations": sum(r.evaluations for r in reports)}
 
 
 # ---------------------------------------------------------------------------

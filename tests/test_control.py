@@ -264,6 +264,15 @@ class TestNoise:
             assert schedule.breakpoints().tolist() == [0.0, 0.0]
             assert integration_grid(schedule, 300).tolist() == [0.0, 5e-324]
 
+    @pytest.mark.filterwarnings("error")
+    def test_values_at_the_smallest_duration(self):
+        # the pulse width T / K underflows to 0: [0, T) is all the first pulse
+        base = pulse_train(5e-324, (1.0, 0.5, 0.2))
+        noisy = apply_noise(base, window=5e-324, strength=0.5, seed=3)
+        times = np.array([0.0, 5e-324])
+        assert base.values(times).tolist() == [1.0, 0.0]
+        assert noisy.values(times).tolist() == [1.0 + noisy.offsets[0], 0.0]
+
     def test_breakpoints_cover_noise_windows(self):
         base = pulse_train(0.6, (1.0, -2.0))
         noisy = apply_noise(base, window=0.2, strength=0.5, seed=3)

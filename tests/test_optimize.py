@@ -34,7 +34,7 @@ def multi_start(objective, starts, **options):
     """BFGS from every start in lockstep on one objective: each round's
     requests in one (n, B) call.  Returns the reports in start order."""
     shared = lambda requests: objective(np.hstack([points for _, points in requests]))
-    reports, _ = lockstep(shared, [bfgs_steps(x0, **options) for x0 in starts])
+    reports = lockstep(shared, [bfgs_steps(x0, **options) for x0 in starts])
     return reports
 
 
@@ -67,6 +67,10 @@ PINNED = {
           ((1.0074349672705907,), 0.10052073473562062)]),
     ),
 }
+
+
+# A constant objective: its gradient is exactly zero everywhere.
+FLAT = (lambda x: np.ones(x.shape[1]), (0.0, 0.0), {"tolerance": 0.0})
 
 
 class TestFiniteDifferenceGradient:
@@ -132,6 +136,23 @@ class TestBfgsMaximize:
         assert report.trace == trace
         assert report.final_params == trace[-1][0]
         assert report.final_value == trace[-1][1]
+
+    def test_zero_gradient_ends_the_run(self):
+        # a zero gradient meets tolerance 0 at the start: one round, no iteration
+        objective, x0, options = FLAT
+        report = bfgs_maximize(objective, np.array(x0), **options)
+        assert (report.status, report.iterations) == ("converged", 0)
+        assert (report.rounds, report.evaluations, report.halvings) == (1, 5, 0)
+        assert report.trace == [((0.0, 0.0), 1.0)]
+
+    @pytest.mark.parametrize("name", sorted(PINNED) + ["flat"])
+    def test_report_is_read_off_the_trace(self, name):
+        objective, x0, options = PINNED[name][:3] if name in PINNED else FLAT
+        report = bfgs_maximize(objective, np.array(x0), **options)
+        assert report.iterations == len(report.trace) - 1
+        assert (report.initial_params, report.initial_value) == report.trace[0]
+        assert (report.final_params, report.final_value) == report.trace[-1]
+        assert report.line_search_failures == (report.status == "stalled")
 
     def test_iteration_budget(self):
         report = bfgs_maximize(lambda x: x[0], np.zeros(1), max_iterations=3)

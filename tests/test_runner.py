@@ -439,6 +439,18 @@ class TestRunners:
         assert health["rounds"] == max(r.rounds for r in separate)
         assert health["evaluations"] == sum(r.evaluations for r in separate)
 
+    def test_zero_gradient_optimize_stops_after_one_round(self, tmp_path):
+        # a gradient step too small to move the fidelity gives a zero
+        # gradient, which meets tolerance 0: the start is the result
+        data = mode_config("optimize", tmp_path, n_steps=8)
+        data["schedule"]["params"] = [3.0, -2.0]
+        data["optimizer"] = {"grad_step": 1e-300, "tolerance": 0.0, "max_iterations": 50}
+        assert main(["optimize", "--config", write_config(tmp_path / "config.json", data)]) == 0
+        health = json.loads((tmp_path / "out" / "manifest.json").read_text())["health"]
+        assert health == {"rounds": 1, "evaluations": 5}
+        report = json.loads((tmp_path / "out" / "optimization.json").read_text())
+        assert (report["status"], report["iterations"], report["final_params"]) == ("converged", 0, [3.0, -2.0])
+
     def test_landscape_outputs(self, tmp_path):
         data = evolve_config(tmp_path, mode="landscape")
         data["schedule"]["params"] = [0.0, 0.0]
