@@ -73,23 +73,27 @@ class ControlSchedule:
         t = np.asarray(times, dtype=float)
         T = self.duration
         start, end = (1.0, 0.0) if self.direction == "cut" else (0.0, 1.0)
+        # the drive and the indices read the time clipped to [0, T], so that a
+        # plateau time far past a tiny pulse width, noise window or duration
+        # overflows nothing; the plateaus are masked in from t itself
+        tc = np.clip(t, 0.0, T)
         if self.kind == "pulse":
             dt = T / len(self.params)  # 0 at the smallest T: then [0, T) is all the first pulse
-            idx = np.clip((t // dt).astype(int), 0, len(self.params) - 1) if dt > 0 else 0
+            idx = np.clip((tc // dt).astype(int), 0, len(self.params) - 1) if dt > 0 else 0
             inside = np.asarray(self.params)[idx]
         elif self.kind == "polynomial_cut":
-            inside = _horner_from_one(self._full_poly_coeffs(), t / T)
+            inside = _horner_from_one(self._full_poly_coeffs(), tc / T)
         elif self.kind == "polynomial_stitch":
-            inside = _horner_from_one(self._full_poly_coeffs(), (T - t) / T)
+            inside = _horner_from_one(self._full_poly_coeffs(), (T - tc) / T)
         else:  # sine_cut
-            x = t / T
+            x = tc / T
             inside = 1.0 - x
             for n, b in enumerate(self.params, start=1):
                 inside = inside + b * np.sin(n * np.pi * x)
         clean = np.where(t < 0.0, start, np.where(t >= T, end, inside)).astype(float)
         if not self.offsets:
             return clean
-        idx = np.clip((t // self.window).astype(int), 0, len(self.offsets) - 1)
+        idx = np.clip((tc // self.window).astype(int), 0, len(self.offsets) - 1)
         bump = np.asarray(self.offsets)[idx]
         return np.where((t >= 0.0) & (t < T), clean + bump, clean)
 

@@ -10,11 +10,16 @@ keeps the cut bonds, so only the blocks the state occupies, parity halves of
 its total-S^z sectors, are evolved, and the state never leaves them.
 
 Every step acts on a batch (``propagate``): one column of block amplitudes
-per schedule, B = 1 included.  A step applies a truncated Taylor series of
-exp(-i (h0 + g_b v) dt_b) to column b, planned by ``taylor_plan`` so that
-the result is the exact factor to round-off (``_taylor_factor``); a step
-whose plan needs more than ``MAX_TAYLOR_TERMS`` terms takes the exact factor
-from an eigendecomposition instead (``_exact_factor``).
+per schedule, B = 1 included.  In each block the generator is centred:
+with c0, cv the midpoints and r0, rv the half-widths of the spectra of h0
+and v there, a step applies exp(-i ((h0 - c0) + g_b (v - cv)) dt_b) to
+column b and the scalar phase exp(-i (c0 + g_b cv) dt_b) is restored when
+the state is read.  By Weyl's inequality the centred generator has 2-norm
+at most r0 + |g_b| rv, and the Taylor series planned by ``taylor_plan`` on
+the bound (r0 + |g_b| rv) dt_b is the exact factor to round-off
+(``_taylor_factor``); a step whose plan needs more than
+``MAX_TAYLOR_TERMS`` terms takes the exact factor from an
+eigendecomposition instead (``_exact_factor``).
 
 The observables (``reduce_density``, ``cut_fidelity``, ``entropy``) take a
 stack of states or matrices along a leading axis.  The module does no file
@@ -32,8 +37,9 @@ from .chain import Blocks, Matrices, Spectrum, diagonalize, solve_by_size
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
 UNIT_ROUNDOFF = 2.0**-53
-# Highest Taylor order.  Its largest substep norm is about 1.5, so no partial
-# sum exceeds e^1.5 times the state norm and round-off stays at a few ulps.
+# Highest Taylor order.  Its largest substep bound (r0 + |g| rv) dt / s is
+# about 1.5, so no partial sum exceeds e^1.5 times the state norm and
+# round-off stays at a few ulps.
 MAX_TAYLOR_ORDER = 20
 # A step whose Taylor plan needs more terms than this takes the exact factor.
 MAX_TAYLOR_TERMS = 64
@@ -64,19 +70,16 @@ _INVERSE_ORDERS = 1.0 / np.arange(1.0, MAX_TAYLOR_ORDER + 1)[:, None, None, None
 
 
 def taylor_plan(norm_dt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Order m and substep count s for steps whose generator has the 1-norm
-    bound ``norm_dt`` times dt: the pair with the least m * s, and of those
-    the fewest substeps, such that each substep's norm is within the largest
-    that order m truncates to 2^-53 (THETA; Al-Mohy & Higham, SIAM J. Sci.
-    Comput. 33, 488 (2011))."""
+    """Order m and substep count s for steps whose Hermitian generator times
+    dt has 2-norm at most ``norm_dt``, the centred bound (r0 + |g| rv) dt:
+    the pair with the least m * s, and of those the fewest substeps, such
+    that each substep's norm is within the largest that order m truncates to
+    2^-53 (THETA; Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
+    The tail bound holds in the 2-norm, the norm of the state."""
     substeps = np.minimum(np.ceil(np.asarray(norm_dt)[:, None] / THETA), MAX_TAYLOR_TERMS + 1)
     substeps = np.maximum(substeps, 1.0).astype(int)
     best = np.argmin(ORDERS * substeps, axis=1)
     return ORDERS[best], substeps[np.arange(best.size), best]
-
-
-def _norm1(a: np.ndarray) -> float:
-    return float(np.abs(a).sum(axis=0).max())
 
 
 class SectorPropagator:
@@ -87,8 +90,8 @@ class SectorPropagator:
     float64 matrices of the split Hamiltonian on them, as
     ``assemble_hamiltonian`` returns them.  States enter and leave in the
     full space, through ``Block.amplitudes`` and ``embed``.  Only the blocks
-    in which the state has amplitude are evolved; their 1-norms are computed
-    on first use.
+    in which the state has amplitude are evolved; their centres and
+    half-widths (``norms``) are computed on first use.
     """
 
     def __init__(self, blocks: Blocks, h0: Matrices, v: Matrices):
@@ -120,16 +123,20 @@ class SectorPropagator:
         diagonalizes only the blocks its bounds admit.  g = 0 and g = 1 get
         their kept energies and no bounds, which there would need v's ranges.
         """
-        if self._endpoints is None:
-            coupled = [h + 1.0 * v for h, v in zip(self.h0, self.v)]
-            (rest, self._h0_range), (joined, self._h1_range) = self._ranges(self.h0, coupled)
-            self._endpoints = {0.0: rest, 1.0: joined}
+        self._diagonalize_endpoints()
         gs = list(gs)
         bounded = np.array([g for g in gs if g not in self._endpoints], dtype=float)[:, None]
         bounds = zip(*self._bounds(bounded)) if bounded.size else iter(())
         return diagonalize(self.blocks, [self._matrix(g) for g in gs],
                            [None if g in self._endpoints else next(bounds) for g in gs],
                            [self._endpoints.get(g) for g in gs])
+
+    def _diagonalize_endpoints(self) -> None:
+        """Every block's energies at g = 0 and g = 1 and their ranges, once."""
+        if self._endpoints is None:
+            coupled = [h + 1.0 * v for h, v in zip(self.h0, self.v)]
+            (rest, self._h0_range), (joined, self._h1_range) = self._ranges(self.h0, coupled)
+            self._endpoints = {0.0: rest, 1.0: joined}
 
     def _bounds(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Weyl's lower and upper bounds on every block's energies, one row
@@ -156,17 +163,25 @@ class SectorPropagator:
         blocks, sizes = range(len(self.blocks)), [b.size for b in self.blocks]
         energies = solve_by_size(np.linalg.eigvalsh, [(op.__getitem__, sizes, blocks) for op in operators])
         ends = np.array([[(e[b][0], e[b][-1]) for b in blocks] for e in energies])
-        slack = 4 * np.finfo(float).eps * np.array(sizes) * np.abs(ends).max(axis=2)
+        slack = _slack(np.array(sizes), np.abs(ends).max(axis=2))
         return [(e, np.array([*end.T, s])) for e, end, s in zip(energies, ends, slack)]
 
     def occupied(self, psi: np.ndarray) -> list[int]:
         """Indices of the blocks in which psi has a nonzero amplitude."""
         return [k for k, b in enumerate(self.blocks) if np.any(b.amplitudes(psi))]
 
-    def norms(self, k: int) -> tuple[float, float]:
-        """1-norms of h0 and v on block k."""
+    def norms(self, k: int) -> tuple[float, float, float, float]:
+        """Centres and half-widths (c0, r0, cv, rv) of the spectra of h0 and
+        of v on block k: each the midpoint and half the width of the block's
+        energy range, the half-width widened by the range's round-off slack
+        4 d eps ||M||, so that ||M - c||_2 <= r.  h0's range is the one
+        ``spectra`` keeps; v's comes from one ``eigvalsh`` on first use."""
         if k not in self._norms:
-            self._norms[k] = (_norm1(self.h0[k]), _norm1(self.v[k]))
+            self._diagonalize_endpoints()
+            energies = np.linalg.eigvalsh(self.v[k])
+            ends = energies[[0, -1]]
+            v_range = (*ends, _slack(energies.size, np.abs(ends).max()))
+            self._norms[k] = (*_centre(*self._h0_range[:, k]), *_centre(*v_range))
         return self._norms[k]
 
     def embed(self, occupied: list[int], amps: list[np.ndarray]) -> np.ndarray:
@@ -176,6 +191,17 @@ class SectorPropagator:
         for k, amp in zip(occupied, amps):
             self.blocks[k].embed(amp, psi)
         return psi
+
+
+def _slack(size, magnitude):
+    """Round-off slack 4 d eps ||M|| of energies ``eigvalsh`` computes on a
+    block of dimension d whose largest energy magnitude is ||M||."""
+    return 4 * np.finfo(float).eps * size * magnitude
+
+
+def _centre(lowest: float, highest: float, slack: float) -> tuple[float, float]:
+    """Midpoint and half-width, widened by ``slack``, of an energy range."""
+    return float(0.5 * (lowest + highest)), float(0.5 * (highest - lowest) + slack)
 
 
 def _weyl(*terms: tuple[float | np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -297,9 +323,11 @@ def entropy(rho: np.ndarray) -> float | np.ndarray:
 
 
 class Work(NamedTuple):
-    """Work of one ``propagate`` call: the largest bound
-    (||h0||_1 + |g| ||v||_1) dt of any step, and the Taylor terms applied in
-    all (each one matrix product per occupied block)."""
+    """Work of one ``propagate`` call: the largest centred bound
+    (r0 + |g| rv) dt of any step on any occupied block, where r0 and rv are
+    the half-widths of h0's and v's spectra there (``SectorPropagator.norms``),
+    and the Taylor terms applied in all (each one matrix product per occupied
+    block)."""
 
     max_norm_dt: float
     taylor_matvecs: int
@@ -315,7 +343,7 @@ def propagate(propagator: SectorPropagator, schedule, psi0: np.ndarray, n_steps:
     amplitudes nor the (steps x B) couplings of a batch exceed
     MAX_BATCH_BYTES.  The result is then a (dim, B) array, one column per
     schedule in list order, and does not depend on the batching; the Work
-    holds the largest norm bound and the total Taylor terms over all batches.
+    holds the largest step bound and the total Taylor terms over all batches.
     ``n_steps`` sets the uniform grid of ``integration_grid``, which takes
     one factor per pulse of a pulse train whatever its value.  A probe, for
     one schedule passed alone, is called as ``probe(t, psi)`` with the
@@ -357,34 +385,42 @@ def _evolve(propagator, schedules, grids, occupied, amps, probe, stride):
     column b evolved on the integration grid ``grids[:, b]`` from the state
     with amplitudes ``amps`` in the ``occupied`` blocks, and their Work; a
     probe sees the first column every ``stride`` steps and at the end.  Each
-    step of a block has one Taylor plan for every column, from the largest
-    bound (||h0||_1 + |g_b| ||v||_1) dt_b of the batch."""
+    block evolves under its centred h0 - c0 and v - cv, and its columns take
+    back the phase exp(-i sum (c0 + g_b cv) dt_b) of the steps so far
+    whenever the state is read.  Each step of a block has one Taylor plan
+    for every column, from the largest bound (r0 + |g_b| rv) dt_b of the
+    batch."""
     dts = np.diff(grids, axis=0)
     g_values = np.stack([s.values(0.5 * (grid[:-1] + grid[1:])) for s, grid in zip(schedules, grids.T)],
                         axis=1)
     g_rows = np.stack([np.ones_like(g_values), g_values], axis=1)  # (steps, 2, B): 1 and g_b
     amps = [np.repeat(a[:, None], len(schedules), axis=1) for a in amps]
 
-    hvs = [np.hstack([propagator.h0[k], propagator.v[k]]) for k in occupied]
+    centred = []  # per block: h0 - c0 and v - cv
     plans = []  # per block: (order, substeps, exact, Taylor weights) of every step
+    phases = []  # per block: exp(-i sum (c0 + g_b cv) dt_b) up to each step's end
     max_norm_dt, matvecs = 0.0, 0
     for k in occupied:
-        n0, nv = propagator.norms(k)
-        norm_dt = ((n0 + np.abs(g_values) * nv) * dts).max(axis=1)
+        c0, r0, cv, rv = propagator.norms(k)
+        shift = np.eye(propagator.h0[k].shape[0])
+        centred.append((propagator.h0[k] - c0 * shift, propagator.v[k] - cv * shift))
+        phases.append(np.exp(-1j * np.cumsum((c0 + cv * g_values) * dts, axis=0)))
+        norm_dt = ((r0 + np.abs(g_values) * rv) * dts).max(axis=1)
         orders, substeps = taylor_plan(norm_dt)
         exact = orders * substeps > MAX_TAYLOR_TERMS
         plans.append((orders, substeps, exact, (-1j * dts / substeps[:, None])[:, None, :] * g_rows))
         max_norm_dt = max(max_norm_dt, float(norm_dt.max()))
         matvecs += int((orders * substeps)[~exact].sum())
+    hvs = [np.hstack(pair) for pair in centred]
 
     last = dts.shape[0] - 1
     for j in range(dts.shape[0]):
-        for i, (k, (orders, substeps, exact, weights)) in enumerate(zip(occupied, plans)):
-            h0, v = propagator.h0[k], propagator.v[k]
+        for i, (orders, substeps, exact, weights) in enumerate(plans):
             if exact[j]:
-                amps[i] = _exact_factor(h0, v, amps[i], g_values[j], dts[j])
+                amps[i] = _exact_factor(*centred[i], amps[i], g_values[j], dts[j])
             else:
                 amps[i] = _taylor_factor(hvs[i], amps[i], weights[j], orders[j], substeps[j])
         if probe is not None and ((j + 1) % stride == 0 or j == last):
-            probe(float(grids[j + 1, 0]), propagator.embed(occupied, [a[:, 0] for a in amps]))
-    return propagator.embed(occupied, amps), Work(max_norm_dt, matvecs)
+            probe(float(grids[j + 1, 0]),
+                  propagator.embed(occupied, [a[:, 0] * phase[j, 0] for a, phase in zip(amps, phases)]))
+    return propagator.embed(occupied, [a * phase[-1] for a, phase in zip(amps, phases)]), Work(max_norm_dt, matvecs)

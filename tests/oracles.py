@@ -10,7 +10,8 @@ bypassing the package's blocks.  ``sector_reference`` cuts the plain
 total-S^z blocks out of the dense operators, with no reflection parity, and
 ``sector_propagate`` is the exact product of one ``eigh`` per step on them:
 the reference for the package's parity blocks at sizes the dense oracles
-cannot reach.  ``recorded_observables`` computes a recorded run's columns the
+cannot reach; ``reference_block`` restricts them to one parity block, and
+``centre_and_half_width`` reads the spectral range a Taylor plan is sized on.  ``recorded_observables`` computes a recorded run's columns the
 long way on those plain sectors: both reduced density matrices with an
 entropy each, and an eager spectrum with eigenvectors of every sector at each
 sample.  ``reference_grid`` is the earlier, loop-based rule for a
@@ -303,6 +304,27 @@ def sector_propagator(reference):
     ``sector_blocks`` reference, with no reflection parity."""
     blocks, *parts = reference
     return SectorPropagator(tuple(Block(b, b, 1.0) for b in blocks), *parts)
+
+
+def reference_block(reference, block):
+    """The dense (h0, v) of a ``sector_reference`` on one package Block:
+    Q^T M Q, with Q the block's basis vectors cut to their total-S^z sector."""
+    sectors, *parts = reference
+    k = bin(int(block.states[0])).count("1")
+    q = np.zeros((1 << (len(sectors) - 1), block.size))
+    block.embed(np.eye(block.size), q)
+    q = q[sectors[k]]
+    return tuple(q.T @ part[k] @ q for part in parts)
+
+
+def centre_and_half_width(matrix):
+    """Midpoint of a real symmetric matrix's lowest and highest energy, from
+    a dense ``eigvalsh``, and half their distance widened by 4 d eps times
+    the larger of their magnitudes: the round-off slack the package's energy
+    ranges carry."""
+    energies = np.linalg.eigvalsh(matrix)
+    lo, hi = energies[0], energies[-1]
+    return 0.5 * (lo + hi), 0.5 * (hi - lo) + 4 * np.finfo(float).eps * energies.size * max(abs(lo), abs(hi))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,18 @@ class TestEvaluate:
         for sched in schedules:
             vec = sched.values(ts)
             assert np.allclose(vec, [sched.value(t) for t in ts], atol=1e-14)
+
+    def test_tiny_widths_index_without_warnings(self):
+        # far past a tiny pulse width or noise window the index reads the
+        # clipped time: no cast or floor_divide overflow, the same values
+        pulses = pulse_train(1e-300, (1.0, 0.5))
+        noisy = apply_noise(pulse_train(1e-323, (1.0, 0.5)), window=5e-324, strength=1.0, seed=3)
+        assert len(noisy.offsets) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pulses.values([1.0, -1.0, 0.0, 0.6e-300]).tolist() == [0.0, 1.0, 1.0, 0.5]
+            values = noisy.values([1.0, -1.0, 0.0, 5e-324, 1e-323])
+        assert values.tolist() == [0.0, 1.0, 1.0 + noisy.offsets[0], 0.5 + noisy.offsets[1], 0.0]
 
 
 class TestStitchMirror:

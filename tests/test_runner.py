@@ -22,7 +22,7 @@ from spinsplice.process import ObjectiveSpec, build_objective, prepare_process
 from spinsplice.reproduce import PIPELINES, reproduce
 from spinsplice.runner import MODES, ConfigError, execute, parse_config, read_config
 
-from oracles import dense_hamiltonian
+from oracles import centre_and_half_width, dense_hamiltonian
 
 
 def evolve_config(tmp_path, **overrides):
@@ -337,18 +337,19 @@ class TestRunners:
         with contextlib.redirect_stdout(io.StringIO()):
             execute(config)
         health = json.loads((tmp_path / "out" / "manifest.json").read_text())["health"]
-        # the largest (||h0||_1 + |g| ||v||_1) dt over the steps, from the dense
-        # operators restricted to the block of the initial state: its sector's
-        # half of one parity under the reflection through site 1
+        # the largest (r0 + |g| rv) dt over the steps, r0 and rv the spectral
+        # half-widths of the dense operators restricted to the block of the
+        # initial state: its sector's half of one parity under the reflection
+        # through site 1
         basis = occupied_block(prepare_process(config.chain, config.process).psi0, (1, 4, 3, 2))
         assert health["block_dims"] == [basis.shape[1]]
-        n0, nv = (np.abs(basis.T @ op @ basis).sum(axis=0).max() for op in dense_hamiltonian(config.chain))
+        (_, r0), (_, rv) = (centre_and_half_width(basis.T @ op @ basis) for op in dense_hamiltonian(config.chain))
         grid = integration_grid(config.schedule, config.n_steps)
         g = config.schedule.values(0.5 * (grid[:-1] + grid[1:]))
-        expected = float(np.max((n0 + np.abs(g) * nv) * np.diff(grid)))
+        expected = float(np.max((r0 + np.abs(g) * rv) * np.diff(grid)))
         assert health["max_norm_dt"] == pytest.approx(expected, rel=1e-12)
         # every step within the term budget applies its Taylor plan, of either kind
-        orders, substeps = taylor_plan((n0 + np.abs(g) * nv) * np.diff(grid))
+        orders, substeps = taylor_plan((r0 + np.abs(g) * rv) * np.diff(grid))
         work = orders * substeps
         assert health["taylor_matvecs"] == work[work <= MAX_TAYLOR_TERMS].sum() > 0
 

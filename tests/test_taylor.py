@@ -37,7 +37,13 @@ from spinsplice.dynamics import (
 from spinsplice.optimize import LandscapeAxis, finite_difference_gradient, scan_landscape
 from spinsplice.process import prepare_process
 
-from oracles import CountingObjective, sector_propagate, sector_reference
+from oracles import (
+    CountingObjective,
+    centre_and_half_width,
+    reference_block,
+    sector_propagate,
+    sector_reference,
+)
 
 GATE = 1e-12
 BATCH_GATE = 1e-13
@@ -94,17 +100,59 @@ class TestExactReference:
         pulse_train(0.6, (0.5, -40.0, 2.0)),  # the middle pulse is beyond the budget
     ], ids=["polynomial", "pulse_train", "pulse_beyond_budget"])
     def test_steps_within_the_budget_take_their_taylor_plan(self, ring6, schedule):
+        # each plan is sized on (r0 + |g| rv) dt, the half-widths of the dense
+        # operators' spectra on the occupied block
         _, record = ring6.run(schedule, 300, stride=10)
         prop = ring6.propagator
+        reference = sector_reference(ring6.chain)
         grid = integration_grid(schedule, 300)
         g = schedule.values(0.5 * (grid[:-1] + grid[1:]))
         expected = 0
         for k in prop.occupied(ring6.psi0):
-            n0, nv = prop.norms(k)
-            orders, substeps = taylor_plan((n0 + np.abs(g) * nv) * np.diff(grid))
+            (_, r0), (_, rv) = (centre_and_half_width(op) for op in reference_block(reference, prop.blocks[k]))
+            orders, substeps = taylor_plan((r0 + np.abs(g) * rv) * np.diff(grid))
             work = orders * substeps
             expected += int(work[work <= MAX_TAYLOR_TERMS].sum())
         assert record.taylor_matvecs == expected > 0
+
+
+CHAINS = {
+    "ring6": ChainSpec(6, "ring", 1.0, 2.0),
+    "ring8": ChainSpec(8, "ring", 1.0, 2.0),
+    "ring10": ChainSpec(10, "ring", 1.0, 2.0),
+    "ring12": ChainSpec(12, "ring", 1.0, 2.0),
+    "open6": ChainSpec(6, "open", 1.0, 2.0),
+    "ring7": ChainSpec(7, "ring", 1.0, 2.0),  # a twofold tie across both parities
+}
+
+
+class TestCentredBound:
+    @pytest.mark.parametrize("name", CHAINS)
+    def test_half_widths_bound_the_centred_blocks(self, name):
+        # r >= ||M - c||_2 on every occupied block, from the dense operators;
+        # and r is the spectral half-width itself, not a looser norm
+        chain = CHAINS[name]
+        process = prepare_process(chain, "cut")
+        prop = process.propagator
+        reference = sector_reference(chain)
+        occupied = prop.occupied(process.psi0)
+        assert len(occupied) == (2 if name == "ring7" else 1)
+        for k in occupied:
+            c0, r0, cv, rv = prop.norms(k)
+            for op, c, r in zip(reference_block(reference, prop.blocks[k]), (c0, cv), (r0, rv)):
+                energies = np.linalg.eigvalsh(op - c * np.eye(len(op)))
+                assert r >= np.abs(energies).max()
+                assert r - 0.5 * (energies[-1] - energies[0]) <= 1e-12 * max(1.0, abs(c))
+
+    @pytest.mark.parametrize("name", ["open6", "ring7"])
+    @pytest.mark.parametrize("schedule", [
+        pulse_train(0.6, (-2.0, 3.0)),
+        pulse_train(0.9, (3.0, -2.0, 1.5, -0.5)),
+    ], ids=["two_pulses", "four_pulses"])
+    def test_amplitudes_outside_the_unit_interval(self, name, schedule):
+        # each block's phase exp(-i sum (c0 + g cv) dt) comes back exactly,
+        # the relative phase of ring7's two tied blocks included
+        assert_gate(prepare_process(CHAINS[name], "cut"), schedule, 300)
 
 
 class TestTaylorPlan:
