@@ -43,6 +43,15 @@ UNIT_ROUNDOFF = 2.0**-53
 MAX_TAYLOR_ORDER = 20
 # A step whose Taylor plan needs more terms than this takes the exact factor.
 MAX_TAYLOR_TERMS = 64
+# Entries M[k, l], 0 <= l <= k <= MAX_TAYLOR_ORDER, of a block's g-expansion
+# (h + g v)^k = sum_l g^l M[k, l]: a block of dimension d whose table of
+# 8 d^2 EXPANSION_TERMS bytes fits MAX_BATCH_BYTES (d <= 23) takes step factors.
+EXPANSION_TERMS = (MAX_TAYLOR_ORDER + 1) * (MAX_TAYLOR_ORDER + 2) // 2
+# Step factors are formed as products of this many rows by one polynomial's
+# coefficients: each product has the same shape in any batch, padded rows
+# included, and reads the coefficients once per FACTOR_ROWS factors (numpy
+# would send a one-row product to gemv, four times slower here).
+FACTOR_ROWS = 4
 # Largest (d x B) amplitude array or (steps x B) coupling table of one batch
 # of propagate, and largest stack of d x d generators one exact step
 # diagonalizes.  A memory guard, not a tuned speed setting: on reproduce fig8
@@ -67,6 +76,37 @@ def _largest_substep_norm(order: int) -> float:
 ORDERS = np.arange(MAX_TAYLOR_ORDER, 0, -1)  # highest first: ties go to the fewest substeps
 THETA = np.array([_largest_substep_norm(m) for m in ORDERS])
 _INVERSE_ORDERS = 1.0 / np.arange(1.0, MAX_TAYLOR_ORDER + 1)[:, None, None, None]
+# (k, l) of each entry of an expansion table, k-major, so that the entries up
+# to order m are its first (m + 1)(m + 2) / 2; and each (-i)^k / k! as the
+# sign of its real (k even) or imaginary (k odd) part over k!
+_EXPANSION_K, _EXPANSION_L = np.tril_indices(MAX_TAYLOR_ORDER + 1)
+_POWER_OF_MINUS_I = np.array([(-1.0) ** ((k + 1) // 2) / math.factorial(k) for k in range(MAX_TAYLOR_ORDER + 1)])
+
+
+def _least_work(norm_dt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``taylor_plan`` from its definition, one row of candidates per bound."""
+    substeps = np.minimum(np.ceil(np.asarray(norm_dt)[:, None] / THETA), MAX_TAYLOR_TERMS + 1)
+    substeps = np.maximum(substeps, 1.0).astype(int)
+    best = np.argmin(ORDERS * substeps, axis=1)
+    return ORDERS[best], substeps[np.arange(best.size), best]
+
+
+def _first_above(count: float, theta: float) -> float:
+    """The least float x with x / theta > count, as rounded."""
+    x = count * theta
+    while x / theta > count:
+        x = math.nextafter(x, 0.0)
+    while not x / theta > count:
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+# Each float at which some order's substep count ceil(x / theta) passes a
+# count up to MAX_TAYLOR_TERMS, and the plan from 0 and from each edge on:
+# every count, and so the plan, is constant between two edges.
+_PLAN_EDGES = np.array(sorted({_first_above(float(s), theta) for theta in THETA.tolist()
+                               for s in range(1, MAX_TAYLOR_TERMS + 1)}))
+_PLANS = _least_work(np.concatenate([[0.0], _PLAN_EDGES]))
 
 
 def taylor_plan(norm_dt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -75,11 +115,11 @@ def taylor_plan(norm_dt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the pair with the least m * s, and of those the fewest substeps, such
     that each substep's norm is within the largest that order m truncates to
     2^-53 (THETA; Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
-    The tail bound holds in the 2-norm, the norm of the state."""
-    substeps = np.minimum(np.ceil(np.asarray(norm_dt)[:, None] / THETA), MAX_TAYLOR_TERMS + 1)
-    substeps = np.maximum(substeps, 1.0).astype(int)
-    best = np.argmin(ORDERS * substeps, axis=1)
-    return ORDERS[best], substeps[np.arange(best.size), best]
+    The tail bound holds in the 2-norm, the norm of the state.  Read off a
+    table of the plan between the bounds at which a substep count changes,
+    for an array of bounds of any shape."""
+    at = np.searchsorted(_PLAN_EDGES, norm_dt, side="right")
+    return _PLANS[0][at], _PLANS[1][at]
 
 
 class SectorPropagator:
@@ -91,7 +131,8 @@ class SectorPropagator:
     ``assemble_hamiltonian`` returns them.  States enter and leave in the
     full space, through ``Block.amplitudes`` and ``embed``.  Only the blocks
     in which the state has amplitude are evolved; their centres and
-    half-widths (``norms``) are computed on first use.
+    half-widths (``norms``) and centred matrices (``centred``) are computed
+    on first use.
     """
 
     def __init__(self, blocks: Blocks, h0: Matrices, v: Matrices):
@@ -100,6 +141,7 @@ class SectorPropagator:
         self.h0 = h0
         self.v = v
         self._norms: dict[int, tuple[float, float]] = {}
+        self._centred: dict[int, Centred] = {}
         self._endpoints = None  # every block's energies at g = 0 and g = 1
         self._v_range = None
 
@@ -184,6 +226,21 @@ class SectorPropagator:
             self._norms[k] = (*_centre(*self._h0_range[:, k]), *_centre(*v_range))
         return self._norms[k]
 
+    def centred(self, k: int) -> Centred:
+        """Block k's centred matrices h0 - c0 and v - cv, with (c0, r0, cv,
+        rv) its ``norms``, the two side by side, and, when its table fits
+        MAX_BATCH_BYTES, the expansion of (h0 - c0) / r0 + g (v - cv) / rv."""
+        if k not in self._centred:
+            c0, r0, cv, rv = self.norms(k)
+            shift = np.eye(self.h0[k].shape[0])
+            h, v = self.h0[k] - c0 * shift, self.v[k] - cv * shift
+            expansion = None
+            if 8 * EXPANSION_TERMS * h.size <= MAX_BATCH_BYTES:
+                # a zero half-width leaves its matrix, zero itself, as it is
+                expansion = _Expansion(h / (r0 or 1.0), v / (rv or 1.0))
+            self._centred[k] = Centred(h, v, np.hstack((h, v)), expansion, (r0, rv))
+        return self._centred[k]
+
     def embed(self, occupied: list[int], amps: list[np.ndarray]) -> np.ndarray:
         """The full-space state (or one column per state) with the given block
         amplitudes, zero elsewhere."""
@@ -191,6 +248,44 @@ class SectorPropagator:
         for k, amp in zip(occupied, amps):
             self.blocks[k].embed(amp, psi)
         return psi
+
+
+class Centred(NamedTuple):
+    """One block's centred generator parts (``SectorPropagator.centred``):
+    h = h0 - c0 and v = v - cv, [h v], and the half-widths (r0, rv) that
+    bound them.  ``expansion`` is the table of (h / r0 + g v / rv)^k, whose
+    entries are at most binomial(k, l) in norm, or None for a block too
+    large for step factors."""
+
+    h: np.ndarray
+    v: np.ndarray
+    hv: np.ndarray
+    expansion: _Expansion | None
+    half_widths: tuple[float, float]
+
+
+class _Expansion:
+    """The real matrices M[k, l] with (h + g v)^k = sum_l g^l M[k, l]:
+    M[0, 0] = I and M[k, l] = h M[k-1, l] + v M[k-1, l-1], a term absent
+    when its l is out of 0..k-1.  Rows are filled up to the highest order
+    asked for, so that a table's untouched pages take no memory."""
+
+    def __init__(self, h: np.ndarray, v: np.ndarray):
+        self.h, self.v = h, v
+        self.table = np.empty((EXPANSION_TERMS, *h.shape))
+        self.table[0] = np.eye(h.shape[0])
+        self.order = 0
+
+    def rows(self, order: int) -> np.ndarray:
+        """The entries up to ``order``, k-major, as rows of d^2."""
+        for k in range(self.order + 1, order + 1):
+            below = self.table[k * (k - 1) // 2:k * (k + 1) // 2]
+            row = self.table[k * (k + 1) // 2:(k + 1) * (k + 2) // 2]
+            np.matmul(self.h, below, out=row[:k])
+            row[k] = 0.0
+            row[1:] += np.matmul(self.v, below)
+        self.order = max(self.order, order)
+        return self.table[:(order + 1) * (order + 2) // 2].reshape((order + 1) * (order + 2) // 2, -1)
 
 
 def _slack(size, magnitude):
@@ -240,21 +335,152 @@ def _taylor_factor(hv, amp, weight, order, substeps):
     return amp
 
 
-def _exact_factor(h0, v, amp, g, dt):
-    """exp(-i (h0 + g_b v) dt_b) on each column b of ``amp`` from the
-    eigenpairs of its generator, diagonalized in stacks of at most
-    MAX_BATCH_BYTES."""
-    d, width = amp.shape
-    cols = np.ascontiguousarray(amp.T)
-    out = np.empty_like(cols)
+def _exact_factor(h0, v, rows, g, dt):
+    """exp(-i (h0 + g_b v) dt_b) on each row b of ``rows`` (one column's
+    block amplitudes each) from the eigenpairs of its generator,
+    diagonalized in stacks of at most MAX_BATCH_BYTES."""
+    width, d = rows.shape
+    rows = np.ascontiguousarray(rows)
+    out = np.empty_like(rows)
     chunk = max(1, MAX_BATCH_BYTES // (8 * d * d))
     for lo in range(0, width, chunk):
         w, q = np.linalg.eigh(h0 + g[lo:lo + chunk, None, None] * v)
         # real eigenvectors: the products act on (re, im) as two real columns
-        x = np.matmul(q.transpose(0, 2, 1), cols[lo:lo + chunk].view(float).reshape(-1, d, 2))
+        x = np.matmul(q.transpose(0, 2, 1), rows[lo:lo + chunk].view(float).reshape(-1, d, 2))
         x = x.view(complex)[..., 0] * np.exp(-1j * w * dt[lo:lo + chunk, None])
         out[lo:lo + chunk] = np.matmul(q, x.view(float).reshape(-1, d, 2)).view(complex)[..., 0]
-    return out.T
+    return out
+
+
+def _taylor_steps(block, amp, g_values, dts, bound):
+    """Yields the (d x B) amplitudes ``amp`` after each step: one Taylor plan
+    per step for every column, from the step's largest bound, as one
+    (d x B) product per term (``_taylor_factor``), or the exact factor."""
+    orders, substeps = taylor_plan(bound.max(axis=1))
+    weights = (-1j * dts / substeps[:, None])[:, None, :] * np.stack([np.ones_like(g_values), g_values], axis=1)
+    for j in range(dts.shape[0]):
+        if orders[j] * substeps[j] > MAX_TAYLOR_TERMS:
+            amp = _exact_factor(block.h, block.v, amp.T, g_values[j], dts[j]).T
+        else:
+            amp = _taylor_factor(block.hv, amp, weights[j], orders[j], substeps[j])
+        yield amp
+
+
+def _factor_steps(block, amp, g_values, dts, bound):
+    """Yields the (d x B) amplitudes ``amp`` after each step, each column on
+    its own Taylor plan (order m, s substeps of tau = dt / s).  With
+    a = tau r0 and u = g tau rv, the plan's polynomial in
+    -i (a h / r0 + u v / rv) is the step factor F = sum_l u^l N_l(a, m),
+    applied s times; |a| and |u| are at most the substep bound.  The N_l of
+    each (m, a) in the batch come from the expansion table
+    (``_coefficients``).  The factors of one (m, a) in a chunk of steps are
+    formed FACTOR_ROWS at a time, so that each product has the same shape in
+    any batch and no column's arithmetic depends on the others in it.  A
+    step past MAX_TAYLOR_TERMS takes the exact factor.  Factors are formed
+    in chunks of steps of at most MAX_BATCH_BYTES / 16."""
+    steps, width = dts.shape
+    d = block.h.shape[0]
+    r0, rv = block.half_widths
+    orders, substeps = taylor_plan(bound)
+    exact = orders * substeps > MAX_TAYLOR_TERMS
+    # the Taylor entries (step j, column b) at j * B + b, keyed by their (m, tau)
+    taylor = np.flatnonzero(~exact.ravel())
+    order, tau = orders.ravel()[taylor], (dts / substeps).ravel()[taylor]
+    at = np.lexsort((tau, order))
+    first = np.ones(taylor.size, dtype=bool)
+    first[1:] = (np.diff(order[at]) != 0) | (np.diff(tau[at]) != 0)
+    key = np.empty(taylor.size, dtype=int)
+    key[at] = np.cumsum(first) - 1
+    polynomials = _coefficients(block.expansion, order[at][first], tau[at][first] * r0)
+    # grouped by chunk of steps, then by key, each group padded to whole products
+    chunk = max(1, MAX_BATCH_BYTES // (16 * 16 * d * d * width)) * width  # entries per chunk
+    at = np.lexsort((key, taylor // chunk))
+    taylor, key, u = taylor[at], key[at], g_values.ravel()[taylor[at]] * tau[at] * rv
+    heads = np.ones(taylor.size, dtype=bool)
+    heads[1:] = (np.diff(key) != 0) | (np.diff(taylor // chunk) != 0)
+    heads = np.flatnonzero(heads)
+    size = np.diff(np.append(heads, taylor.size))
+    padded = -(-size // FACTOR_ROWS) * FACTOR_ROWS
+    slot = np.cumsum(padded) - padded  # each group's first row
+    where = np.repeat(slot - (np.cumsum(size) - size), size) + np.arange(taylor.size)  # each entry's row
+    padded_u = np.zeros(int(padded.sum()))
+    padded_u[where] = u
+    # the first group of each chunk, and one past the last
+    groups = np.searchsorted(heads, np.searchsorted(taylor, np.arange(0, steps * width + chunk, chunk))).tolist()
+    group_key, slot, padded = key[heads].tolist(), slot.tolist(), padded.tolist()
+
+    formed = np.empty((max(np.diff(np.take(slot + [sum(padded)], groups)), default=0), 2 * d * d))  # by group
+    factors = np.empty((chunk, d, d), dtype=complex)  # and by step
+    mixed = (exact.any(axis=1) | (substeps != substeps[:, :1]).any(axis=1)).tolist()
+    repeats = substeps[:, 0].tolist()
+    rows, spare = np.ascontiguousarray(amp.T)[:, :, None], np.empty((width, d, 1), dtype=complex)
+    for c, lo in enumerate(range(0, steps * width, chunk)):
+        entries = slice(*np.searchsorted(taylor, (lo, lo + chunk)))
+        if groups[c + 1] > groups[c]:
+            base, end = slot[groups[c]], slot[groups[c + 1] - 1] + padded[groups[c + 1] - 1]
+            # u^l for l = 0..MAX_TAYLOR_ORDER, whatever the orders in the chunk
+            table = np.repeat(padded_u[base:end, None], MAX_TAYLOR_ORDER + 1, axis=1)
+            table[:, 0] = 1.0
+            np.cumprod(table, axis=1, out=table)
+            for g in range(groups[c], groups[c + 1]):
+                n = polynomials[group_key[g]]
+                a, b = slot[g] - base, slot[g] - base + padded[g]
+                # (FACTOR_ROWS x (m+1)) by ((m+1) x 2 d^2) products
+                np.matmul(table[a:b, :n.shape[0]].reshape(-1, FACTOR_ROWS, n.shape[0]), n,
+                          out=formed[a:b].reshape(-1, FACTOR_ROWS, n.shape[1]))
+            stack = formed[:end - base].view(complex).reshape(-1, d, d)
+            cols, at = taylor[entries] - lo, where[entries] - base
+        if chunk == width and not mixed[lo // width]:
+            # a chunk of one step, every column on a factor: the columns take
+            # the factors' order rather than the factors the columns'
+            held = np.zeros((len(stack), d, 1), dtype=complex)
+            held[at] = rows[cols]
+            for _ in range(repeats[lo // width]):
+                held = np.matmul(stack, held)
+            rows[cols] = held[at]
+            yield rows[:, :, 0].T
+            continue
+        if groups[c + 1] > groups[c]:
+            factors[cols] = stack[at]
+        for j in range(lo // width, min(steps, (lo + chunk) // width)):
+            step = factors[j * width - lo:(j + 1) * width - lo]
+            if mixed[j]:
+                _apply_mixed(block, rows[:, :, 0], step, substeps[j], exact[j], g_values[j], dts[j])
+            else:
+                for _ in range(repeats[j]):
+                    rows, spare = np.matmul(step, rows, out=spare), rows
+            yield rows[:, :, 0].T
+
+
+def _coefficients(expansion, orders, scaled):
+    """For each (m, a): N_l = sum_{k=l..m} (-i)^k a^(k-l) / k! M[k, l] for
+    l = 0..m, as the rows of an (m + 1) x 2 d^2 real array (each N_l the
+    complex d x d matrix).  The keys of one order are formed together, one
+    product each."""
+    out = [None] * len(orders)
+    for m in sorted(set(orders.tolist())):
+        which = np.flatnonzero(orders == m)
+        terms = (m + 1) * (m + 2) // 2
+        k, l = _EXPANSION_K[:terms], _EXPANSION_L[:terms]
+        # as rows (Re N_l, Im N_l): (-i)^k / k! is real for even k, imaginary for odd k
+        coefs = np.zeros((which.size, m + 1, 2, terms))
+        coefs[:, l, k % 2, np.arange(terms)] = _POWER_OF_MINUS_I[k] * scaled[which, None] ** (k - l)
+        parts = np.matmul(coefs.reshape(which.size, 2 * (m + 1), terms), expansion.rows(m))
+        n = np.ascontiguousarray(parts.reshape(which.size, m + 1, 2, -1).transpose(0, 1, 3, 2))
+        for i, one in zip(which.tolist(), n.reshape(which.size, m + 1, -1)):
+            out[i] = one
+    return out
+
+
+def _apply_mixed(block, rows, step, substeps, exact, g, dt):
+    """One step on ``rows`` in place whose columns differ in substeps or
+    include exact ones."""
+    for i in range(substeps[~exact].max(initial=0)):
+        cols = np.flatnonzero(~exact & (substeps > i))
+        rows[cols] = np.matmul(step[cols], rows[cols, :, None])[:, :, 0]
+    cols = np.flatnonzero(exact)
+    if cols.size:
+        rows[cols] = _exact_factor(block.h, block.v, rows[cols], g[cols], dt[cols])
 
 
 def integration_grid(schedule, n_steps: int) -> np.ndarray:
@@ -387,39 +613,30 @@ def _evolve(propagator, schedules, grids, occupied, amps, probe, stride):
     probe sees the first column every ``stride`` steps and at the end.  Each
     block evolves under its centred h0 - c0 and v - cv, and its columns take
     back the phase exp(-i sum (c0 + g_b cv) dt_b) of the steps so far
-    whenever the state is read.  Each step of a block has one Taylor plan
-    for every column, from the largest bound (r0 + |g_b| rv) dt_b of the
-    batch."""
+    whenever the state is read.  A block with an expansion table takes step
+    factors (``_factor_steps``), any other block the Taylor terms
+    (``_taylor_steps``)."""
     dts = np.diff(grids, axis=0)
     g_values = np.stack([s.values(0.5 * (grid[:-1] + grid[1:])) for s, grid in zip(schedules, grids.T)],
                         axis=1)
-    g_rows = np.stack([np.ones_like(g_values), g_values], axis=1)  # (steps, 2, B): 1 and g_b
-    amps = [np.repeat(a[:, None], len(schedules), axis=1) for a in amps]
-
-    centred = []  # per block: h0 - c0 and v - cv
-    plans = []  # per block: (order, substeps, exact, Taylor weights) of every step
+    steppers = []  # per block: its amplitudes after each step
     phases = []  # per block: exp(-i sum (c0 + g_b cv) dt_b) up to each step's end
     max_norm_dt, matvecs = 0.0, 0
-    for k in occupied:
+    for k, amp in zip(occupied, amps):
         c0, r0, cv, rv = propagator.norms(k)
-        shift = np.eye(propagator.h0[k].shape[0])
-        centred.append((propagator.h0[k] - c0 * shift, propagator.v[k] - cv * shift))
+        block = propagator.centred(k)
         phases.append(np.exp(-1j * np.cumsum((c0 + cv * g_values) * dts, axis=0)))
-        norm_dt = ((r0 + np.abs(g_values) * rv) * dts).max(axis=1)
+        bound = (r0 + np.abs(g_values) * rv) * dts  # every column's centred bound, each step
+        norm_dt = bound.max(axis=1)
         orders, substeps = taylor_plan(norm_dt)
-        exact = orders * substeps > MAX_TAYLOR_TERMS
-        plans.append((orders, substeps, exact, (-1j * dts / substeps[:, None])[:, None, :] * g_rows))
+        work = orders * substeps
         max_norm_dt = max(max_norm_dt, float(norm_dt.max()))
-        matvecs += int((orders * substeps)[~exact].sum())
-    hvs = [np.hstack(pair) for pair in centred]
+        matvecs += int(work[work <= MAX_TAYLOR_TERMS].sum())
+        steps = _taylor_steps if block.expansion is None else _factor_steps
+        steppers.append(steps(block, np.repeat(amp[:, None], len(schedules), axis=1), g_values, dts, bound))
 
     last = dts.shape[0] - 1
-    for j in range(dts.shape[0]):
-        for i, (orders, substeps, exact, weights) in enumerate(plans):
-            if exact[j]:
-                amps[i] = _exact_factor(*centred[i], amps[i], g_values[j], dts[j])
-            else:
-                amps[i] = _taylor_factor(hvs[i], amps[i], weights[j], orders[j], substeps[j])
+    for j, amps in enumerate(zip(*steppers)):
         if probe is not None and ((j + 1) % stride == 0 or j == last):
             probe(float(grids[j + 1, 0]),
                   propagator.embed(occupied, [a[:, 0] * phase[j, 0] for a, phase in zip(amps, phases)]))
