@@ -76,10 +76,7 @@ def _largest_substep_norm(order: int) -> float:
 ORDERS = np.arange(MAX_TAYLOR_ORDER, 0, -1)  # highest first: ties go to the fewest substeps
 THETA = np.array([_largest_substep_norm(m) for m in ORDERS])
 _INVERSE_ORDERS = 1.0 / np.arange(1.0, MAX_TAYLOR_ORDER + 1)[:, None, None, None]
-# (k, l) of each entry of an expansion table, k-major, so that the entries up
-# to order m are its first (m + 1)(m + 2) / 2; and each (-i)^k / k! as the
-# sign of its real (k even) or imaginary (k odd) part over k!
-_EXPANSION_K, _EXPANSION_L = np.tril_indices(MAX_TAYLOR_ORDER + 1)
+# each (-i)^k / k! as the sign of its real (k even) or imaginary (k odd) part over k!
 _POWER_OF_MINUS_I = np.array([(-1.0) ** ((k + 1) // 2) / math.factorial(k) for k in range(MAX_TAYLOR_ORDER + 1)])
 
 
@@ -267,8 +264,10 @@ class Centred(NamedTuple):
 class _Expansion:
     """The real matrices M[k, l] with (h + g v)^k = sum_l g^l M[k, l]:
     M[0, 0] = I and M[k, l] = h M[k-1, l] + v M[k-1, l-1], a term absent
-    when its l is out of 0..k-1.  Rows are filled up to the highest order
-    asked for, so that a table's untouched pages take no memory."""
+    when its l is out of 0..k-1.  They are stored l-major, so that the
+    entries of one l up to an order are one run of rows (``run``), and
+    filled up to the highest order asked for, so that a table's untouched
+    pages take no memory."""
 
     def __init__(self, h: np.ndarray, v: np.ndarray):
         self.h, self.v = h, v
@@ -276,16 +275,20 @@ class _Expansion:
         self.table[0] = np.eye(h.shape[0])
         self.order = 0
 
-    def rows(self, order: int) -> np.ndarray:
-        """The entries up to ``order``, k-major, as rows of d^2."""
+    @staticmethod
+    def _row(k: int, l: int) -> int:
+        return l * (MAX_TAYLOR_ORDER + 1) - l * (l - 1) // 2 + k - l
+
+    def run(self, l: int, order: int) -> np.ndarray:
+        """M[l, l] .. M[order, l] as rows of d^2, filling the table up to ``order``."""
         for k in range(self.order + 1, order + 1):
-            below = self.table[k * (k - 1) // 2:k * (k + 1) // 2]
-            row = self.table[k * (k + 1) // 2:(k + 1) * (k + 2) // 2]
+            below = self.table[[self._row(k - 1, j) for j in range(k)]]
+            row = np.zeros((k + 1, *self.h.shape))
             np.matmul(self.h, below, out=row[:k])
-            row[k] = 0.0
             row[1:] += np.matmul(self.v, below)
+            self.table[[self._row(k, j) for j in range(k + 1)]] = row
         self.order = max(self.order, order)
-        return self.table[:(order + 1) * (order + 2) // 2].reshape((order + 1) * (order + 2) // 2, -1)
+        return self.table[self._row(l, l):self._row(order, l) + 1].reshape(order + 1 - l, -1)
 
 
 def _slack(size, magnitude):
@@ -377,7 +380,7 @@ def _factor_steps(block, amp, g_values, dts, bound):
     formed FACTOR_ROWS at a time, so that each product has the same shape in
     any batch and no column's arithmetic depends on the others in it.  A
     step past MAX_TAYLOR_TERMS takes the exact factor.  Factors are formed
-    in chunks of steps of at most MAX_BATCH_BYTES / 16."""
+    in chunks of steps of at most MAX_BATCH_BYTES / 4."""
     steps, width = dts.shape
     d = block.h.shape[0]
     r0, rv = block.half_widths
@@ -393,7 +396,7 @@ def _factor_steps(block, amp, g_values, dts, bound):
     key[at] = np.cumsum(first) - 1
     polynomials = _coefficients(block.expansion, order[at][first], tau[at][first] * r0)
     # grouped by chunk of steps, then by key, each group padded to whole products
-    chunk = max(1, MAX_BATCH_BYTES // (16 * 16 * d * d * width)) * width  # entries per chunk
+    chunk = max(1, MAX_BATCH_BYTES // (4 * 16 * d * d * width)) * width  # entries per chunk
     at = np.lexsort((key, taylor // chunk))
     taylor, key, u = taylor[at], key[at], g_values.ravel()[taylor[at]] * tau[at] * rv
     heads = np.ones(taylor.size, dtype=bool)
@@ -402,48 +405,58 @@ def _factor_steps(block, amp, g_values, dts, bound):
     size = np.diff(np.append(heads, taylor.size))
     padded = -(-size // FACTOR_ROWS) * FACTOR_ROWS
     slot = np.cumsum(padded) - padded  # each group's first row
-    where = np.repeat(slot - (np.cumsum(size) - size), size) + np.arange(taylor.size)  # each entry's row
+    where = np.repeat(slot - heads, size) + np.arange(taylor.size)  # each entry's row
     padded_u = np.zeros(int(padded.sum()))
     padded_u[where] = u
-    # the first group of each chunk, and one past the last
-    groups = np.searchsorted(heads, np.searchsorted(taylor, np.arange(0, steps * width + chunk, chunk))).tolist()
+    # the first group of each chunk, one past the last, and the first row of each
+    groups = np.searchsorted(heads, np.searchsorted(taylor, np.arange(0, steps * width + chunk, chunk)))
+    bases = np.append(slot, padded_u.size)[groups]
+    at = np.zeros(steps * width, dtype=int)  # each entry's row among its chunk's factors (0 if exact)
+    at[taylor] = where - np.repeat(bases[:-1], np.diff(np.searchsorted(taylor, np.arange(0, steps * width + chunk, chunk))))
+    groups, bases = groups.tolist(), bases.tolist()
     group_key, slot, padded = key[heads].tolist(), slot.tolist(), padded.tolist()
 
-    formed = np.empty((max(np.diff(np.take(slot + [sum(padded)], groups)), default=0), 2 * d * d))  # by group
-    factors = np.empty((chunk, d, d), dtype=complex)  # and by step
+    formed = np.empty((max(np.diff(bases), default=0), 2 * d * d))
+    powers, powered = np.empty((0, MAX_TAYLOR_ORDER + 1)), 0  # u^l of the rows from ``powered`` on
     mixed = (exact.any(axis=1) | (substeps != substeps[:, :1]).any(axis=1)).tolist()
     repeats = substeps[:, 0].tolist()
     rows, spare = np.ascontiguousarray(amp.T)[:, :, None], np.empty((width, d, 1), dtype=complex)
+    step = np.empty((width, d, d), dtype=complex)
     for c, lo in enumerate(range(0, steps * width, chunk)):
-        entries = slice(*np.searchsorted(taylor, (lo, lo + chunk)))
-        if groups[c + 1] > groups[c]:
-            base, end = slot[groups[c]], slot[groups[c + 1] - 1] + padded[groups[c + 1] - 1]
-            # u^l for l = 0..MAX_TAYLOR_ORDER, whatever the orders in the chunk
-            table = np.repeat(padded_u[base:end, None], MAX_TAYLOR_ORDER + 1, axis=1)
-            table[:, 0] = 1.0
-            np.cumprod(table, axis=1, out=table)
+        base, end = bases[c], bases[c + 1]
+        if end > base:
+            if end > powered + len(powers):
+                # u^l for l = 0..MAX_TAYLOR_ORDER, whatever the orders, for this
+                # chunk's rows and those after it up to MAX_BATCH_BYTES / 16
+                powered = base
+                rows_ahead = max(end - base, MAX_BATCH_BYTES // (16 * 8 * (MAX_TAYLOR_ORDER + 1)))
+                powers = np.repeat(padded_u[base:base + rows_ahead, None], MAX_TAYLOR_ORDER + 1, axis=1)
+                powers[:, 0] = 1.0
+                np.cumprod(powers, axis=1, out=powers)
+            table = powers[base - powered:end - powered]
             for g in range(groups[c], groups[c + 1]):
                 n = polynomials[group_key[g]]
                 a, b = slot[g] - base, slot[g] - base + padded[g]
                 # (FACTOR_ROWS x (m+1)) by ((m+1) x 2 d^2) products
-                np.matmul(table[a:b, :n.shape[0]].reshape(-1, FACTOR_ROWS, n.shape[0]), n,
-                          out=formed[a:b].reshape(-1, FACTOR_ROWS, n.shape[1]))
+                if b - a == FACTOR_ROWS:
+                    np.matmul(table[a:b, :len(n)], n, out=formed[a:b])
+                else:
+                    np.matmul(table[a:b, :len(n)].reshape(-1, FACTOR_ROWS, len(n)), n,
+                              out=formed[a:b].reshape(-1, FACTOR_ROWS, n.shape[1]))
             stack = formed[:end - base].view(complex).reshape(-1, d, d)
-            cols, at = taylor[entries] - lo, where[entries] - base
         if chunk == width and not mixed[lo // width]:
             # a chunk of one step, every column on a factor: the columns take
             # the factors' order rather than the factors the columns'
             held = np.zeros((len(stack), d, 1), dtype=complex)
-            held[at] = rows[cols]
+            held[at[lo:lo + width]] = rows
             for _ in range(repeats[lo // width]):
                 held = np.matmul(stack, held)
-            rows[cols] = held[at]
+            rows[:] = held[at[lo:lo + width]]
             yield rows[:, :, 0].T
             continue
-        if groups[c + 1] > groups[c]:
-            factors[cols] = stack[at]
         for j in range(lo // width, min(steps, (lo + chunk) // width)):
-            step = factors[j * width - lo:(j + 1) * width - lo]
+            if end > base:
+                np.take(stack, at[j * width:(j + 1) * width], axis=0, out=step)
             if mixed[j]:
                 _apply_mixed(block, rows[:, :, 0], step, substeps[j], exact[j], g_values[j], dts[j])
             else:
@@ -455,18 +468,25 @@ def _factor_steps(block, amp, g_values, dts, bound):
 def _coefficients(expansion, orders, scaled):
     """For each (m, a): N_l = sum_{k=l..m} (-i)^k a^(k-l) / k! M[k, l] for
     l = 0..m, as the rows of an (m + 1) x 2 d^2 real array (each N_l the
-    complex d x d matrix).  The keys of one order are formed together, one
-    product each."""
+    complex d x d matrix).  The keys of one order are formed together: for
+    each l, one product of that run of the table by each key's (Re, Im)
+    coefficients of M[l..m, l]."""
     out = [None] * len(orders)
     for m in sorted(set(orders.tolist())):
         which = np.flatnonzero(orders == m)
-        terms = (m + 1) * (m + 2) // 2
-        k, l = _EXPANSION_K[:terms], _EXPANSION_L[:terms]
-        # as rows (Re N_l, Im N_l): (-i)^k / k! is real for even k, imaginary for odd k
-        coefs = np.zeros((which.size, m + 1, 2, terms))
-        coefs[:, l, k % 2, np.arange(terms)] = _POWER_OF_MINUS_I[k] * scaled[which, None] ** (k - l)
-        parts = np.matmul(coefs.reshape(which.size, 2 * (m + 1), terms), expansion.rows(m))
-        n = np.ascontiguousarray(parts.reshape(which.size, m + 1, 2, -1).transpose(0, 1, 3, 2))
+        # the (k, l) of each coefficient, run by run of l
+        l = np.repeat(np.arange(m + 1), np.arange(m + 1, 0, -1))
+        k = l + np.arange(l.size) - np.repeat(np.cumsum(np.arange(m + 1, 0, -1)) - np.arange(m + 1, 0, -1),
+                                              np.arange(m + 1, 0, -1))
+        # (-i)^k / k! is real for even k and imaginary for odd k
+        coefs = np.zeros((which.size, 2, l.size))
+        coefs[:, k % 2, np.arange(l.size)] = _POWER_OF_MINUS_I[k] * scaled[which, None] ** (k - l)
+        n = np.empty((which.size, m + 1, expansion.h.size, 2))
+        start = 0
+        for j in range(m + 1):
+            # (d^2 x (m+1-j)) by ((m+1-j) x 2): N_j with (Re, Im) side by side
+            np.matmul(expansion.run(j, m).T, coefs[:, :, start:start + m + 1 - j].transpose(0, 2, 1), out=n[:, j])
+            start += m + 1 - j
         for i, one in zip(which.tolist(), n.reshape(which.size, m + 1, -1)):
             out[i] = one
     return out
