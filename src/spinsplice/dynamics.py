@@ -377,44 +377,15 @@ def _factor_steps(block, amp, g_values, dts, bound):
     applied s times; |a| and |u| are at most the substep bound.  The N_l of
     each (m, a) in the batch come from the expansion table
     (``_coefficients``).  The factors of one (m, a) in a chunk of steps are
-    formed FACTOR_ROWS at a time, so that each product has the same shape in
-    any batch and no column's arithmetic depends on the others in it.  A
-    step past MAX_TAYLOR_TERMS takes the exact factor.  Factors are formed
-    in chunks of steps of at most MAX_BATCH_BYTES / 4."""
+    formed FACTOR_ROWS at a time (``_factor_layout``), so that each product
+    has the same shape in any batch and no column's arithmetic depends on
+    the others in it.  A step past MAX_TAYLOR_TERMS takes the exact factor.
+    Factors are formed in chunks of steps of at most MAX_BATCH_BYTES / 4."""
     steps, width = dts.shape
     d = block.h.shape[0]
-    r0, rv = block.half_widths
-    orders, substeps = taylor_plan(bound)
-    exact = orders * substeps > MAX_TAYLOR_TERMS
-    # the Taylor entries (step j, column b) at j * B + b, keyed by their (m, tau)
-    taylor = np.flatnonzero(~exact.ravel())
-    order, tau = orders.ravel()[taylor], (dts / substeps).ravel()[taylor]
-    at = np.lexsort((tau, order))
-    first = np.ones(taylor.size, dtype=bool)
-    first[1:] = (np.diff(order[at]) != 0) | (np.diff(tau[at]) != 0)
-    key = np.empty(taylor.size, dtype=int)
-    key[at] = np.cumsum(first) - 1
-    polynomials = _coefficients(block.expansion, order[at][first], tau[at][first] * r0)
-    # grouped by chunk of steps, then by key, each group padded to whole products
     chunk = max(1, MAX_BATCH_BYTES // (4 * 16 * d * d * width)) * width  # entries per chunk
-    at = np.lexsort((key, taylor // chunk))
-    taylor, key, u = taylor[at], key[at], g_values.ravel()[taylor[at]] * tau[at] * rv
-    heads = np.ones(taylor.size, dtype=bool)
-    heads[1:] = (np.diff(key) != 0) | (np.diff(taylor // chunk) != 0)
-    heads = np.flatnonzero(heads)
-    size = np.diff(np.append(heads, taylor.size))
-    padded = -(-size // FACTOR_ROWS) * FACTOR_ROWS
-    slot = np.cumsum(padded) - padded  # each group's first row
-    where = np.repeat(slot - heads, size) + np.arange(taylor.size)  # each entry's row
-    padded_u = np.zeros(int(padded.sum()))
-    padded_u[where] = u
-    # the first group of each chunk, one past the last, and the first row of each
-    groups = np.searchsorted(heads, np.searchsorted(taylor, np.arange(0, steps * width + chunk, chunk)))
-    bases = np.append(slot, padded_u.size)[groups]
-    at = np.zeros(steps * width, dtype=int)  # each entry's row among its chunk's factors (0 if exact)
-    at[taylor] = where - np.repeat(bases[:-1], np.diff(np.searchsorted(taylor, np.arange(0, steps * width + chunk, chunk))))
-    groups, bases = groups.tolist(), bases.tolist()
-    group_key, slot, padded = key[heads].tolist(), slot.tolist(), padded.tolist()
+    substeps, exact, polynomials, group_key, slot, padded, groups, bases, row, padded_u = _factor_layout(
+        block, bound, g_values, dts, chunk)
 
     formed = np.empty((max(np.diff(bases), default=0), 2 * d * d))
     powers, powered = np.empty((0, MAX_TAYLOR_ORDER + 1)), 0  # u^l of the rows from ``powered`` on
@@ -448,21 +419,63 @@ def _factor_steps(block, amp, g_values, dts, bound):
             # a chunk of one step, every column on a factor: the columns take
             # the factors' order rather than the factors the columns'
             held = np.zeros((len(stack), d, 1), dtype=complex)
-            held[at[lo:lo + width]] = rows
+            held[row[lo:lo + width]] = rows
             for _ in range(repeats[lo // width]):
                 held = np.matmul(stack, held)
-            rows[:] = held[at[lo:lo + width]]
+            rows[:] = held[row[lo:lo + width]]
             yield rows[:, :, 0].T
             continue
         for j in range(lo // width, min(steps, (lo + chunk) // width)):
             if end > base:
-                np.take(stack, at[j * width:(j + 1) * width], axis=0, out=step)
+                np.take(stack, row[j * width:(j + 1) * width], axis=0, out=step)
             if mixed[j]:
                 _apply_mixed(block, rows[:, :, 0], step, substeps[j], exact[j], g_values[j], dts[j])
             else:
                 for _ in range(repeats[j]):
                     rows, spare = np.matmul(step, rows, out=spare), rows
             yield rows[:, :, 0].T
+
+
+def _factor_layout(block, bound, g_values, dts, chunk):
+    """Each column's plan on each step of the (steps x B) ``bound``, and
+    where its factor is formed.  The entries (step j, column b) at j * B + b
+    that take a Taylor plan are keyed by their (m, tau), sorted by chunk of
+    ``chunk`` entries and by key within it, and each run of one key (a
+    group) is padded to whole FACTOR_ROWS.  Returns the substeps and the
+    exact flags of the entries; the coefficients of each key
+    (``_coefficients``); each group's key, first row and padded rows; the
+    first group and the first row of each chunk, and one past the last;
+    each entry's row among its chunk's factors (0 if it is exact); and u of
+    each row, 0 on padding."""
+    r0, rv = block.half_widths
+    orders, substeps = taylor_plan(bound)
+    exact = orders * substeps > MAX_TAYLOR_TERMS
+    taylor = np.flatnonzero(~exact.ravel())
+    order, tau = orders.ravel()[taylor], (dts / substeps).ravel()[taylor]
+    by_key = np.lexsort((tau, order))
+    first = np.ones(taylor.size, dtype=bool)
+    first[1:] = (np.diff(order[by_key]) != 0) | (np.diff(tau[by_key]) != 0)
+    key = np.empty(taylor.size, dtype=int)
+    key[by_key] = np.cumsum(first) - 1
+    polynomials = _coefficients(block.expansion, order[by_key][first], tau[by_key][first] * r0)
+    at = np.lexsort((key, taylor // chunk))
+    taylor, key, u = taylor[at], key[at], g_values.ravel()[taylor[at]] * tau[at] * rv
+    heads = np.ones(taylor.size, dtype=bool)
+    heads[1:] = (np.diff(key) != 0) | (np.diff(taylor // chunk) != 0)
+    heads = np.flatnonzero(heads)
+    size = np.diff(np.append(heads, taylor.size))
+    padded = -(-size // FACTOR_ROWS) * FACTOR_ROWS
+    slot = np.cumsum(padded) - padded
+    where = np.repeat(slot - heads, size) + np.arange(taylor.size)  # each entry's row
+    padded_u = np.zeros(int(padded.sum()))
+    padded_u[where] = u
+    firsts = np.searchsorted(taylor, np.arange(0, exact.size + chunk, chunk))  # each chunk's first entry
+    groups = np.searchsorted(heads, firsts)
+    bases = np.append(slot, padded_u.size)[groups]
+    row = np.zeros(exact.size, dtype=int)
+    row[taylor] = where - np.repeat(bases[:-1], np.diff(firsts))
+    return (substeps, exact, polynomials, key[heads].tolist(), slot.tolist(), padded.tolist(), groups.tolist(),
+            bases.tolist(), row, padded_u)
 
 
 def _coefficients(expansion, orders, scaled):

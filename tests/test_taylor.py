@@ -67,6 +67,11 @@ def ring6():
     return prepare_process(ChainSpec(6, "ring", 1.0, 2.0), "cut")
 
 
+@pytest.fixture(scope="module")
+def ring8():
+    return prepare_process(ChainSpec(8, "ring", 1.0, 2.0), "cut")
+
+
 class TestExactReference:
     @pytest.mark.parametrize("n_spins,n_steps", [(10, 300), (12, 40)])
     def test_matches_eigh_per_step_product(self, n_spins, n_steps):
@@ -155,6 +160,17 @@ class TestCentredBound:
         assert_gate(prepare_process(CHAINS[name], "cut"), schedule, 300)
 
 
+class TestLongRuns:
+    @pytest.mark.parametrize("name", ["ring6", "open6", "ring7"])
+    def test_3000_steps_stay_within_the_gate(self, name):
+        # every step factor carries its own round-off, so the error of a run
+        # grows with its step count: ten times the default steps, both of
+        # ring7's tied blocks included
+        process = prepare_process(CHAINS[name], "cut")
+        assert_gate(process, polynomial_cut(2.0, (20.0, -13.5)), 3000)
+        assert_gate(process, sine_cut(0.6, (0.4, -0.3)), 3000)
+
+
 class TestTaylorPlan:
     def test_tail_bound_and_least_work(self):
         def tail(m, theta):
@@ -237,7 +253,34 @@ class TestBatchSizeIsInvisible:
         # four grids: the 300-step grid, the noise-refined one, 3 pulses and 4 pulses
         assert batches == [[0, 3, 4, 5], [1, 6], [2, 8], [7]]
 
-    def test_mixed_durations_share_a_batch(self, ring6, monkeypatch):
+    def test_mixed_durations_share_a_batch(self, ring6, ring8, monkeypatch):
+        # one duration with a single column next to wider groups: on the
+        # factor path (the 9-state ring6 block) each column is bitwise its
+        # single run, whatever the batch does with its products; on the
+        # Taylor path (the 31-state ring8 block) a step has one plan for
+        # the whole batch, so only within BATCH_GATE
+        lone = [
+            polynomial_cut(0.3, (122.8, -82.0)),
+            polynomial_cut(0.3, (100.0, -70.0)),
+            polynomial_cut(0.3, (80.0, -60.0)),
+            polynomial_cut(0.6, (54.3, -36.3)),
+            polynomial_cut(0.9, (20.0, -13.5)),
+            polynomial_cut(0.9, (30.0, -20.0)),
+        ]
+        for process, bitwise in ((ring6, True), (ring8, False)):
+            assert (process.propagator.centred(process.propagator.occupied(process.psi0)[0]).expansion
+                    is not None) == bitwise
+            batched, _ = propagate(process.propagator, lone, process.psi0, 300)
+            singles = np.stack([propagate(process.propagator, s, process.psi0, 300)[0] for s in lone], axis=1)
+            values = process.fidelities(lone, 300)
+            single_values = [process.fidelity(s, 300) for s in lone]
+            if bitwise:
+                assert np.array_equal(batched, singles)
+                assert values.tolist() == single_values
+            else:
+                assert np.abs(batched - singles).max() <= BATCH_GATE
+                assert np.abs(values - single_values).max() <= BATCH_GATE
+
         # each column keeps its own grid: one batch per step count
         schedules = [
             polynomial_cut(0.01, (54.3, -36.3)),
