@@ -16,10 +16,19 @@ and v there, a step applies exp(-i ((h0 - c0) + g_b (v - cv)) dt_b) to
 column b and the scalar phase exp(-i (c0 + g_b cv) dt_b) is restored when
 the state is read.  By Weyl's inequality the centred generator has 2-norm
 at most r0 + |g_b| rv, and the Taylor series planned by ``taylor_plan`` on
-the bound (r0 + |g_b| rv) dt_b is the exact factor to round-off
-(``_taylor_factor``); a step whose plan needs more than
-``MAX_TAYLOR_TERMS`` terms takes the exact factor from an
-eigendecomposition instead (``_exact_factor``).
+the bound (r0 + |g_b| rv) dt_b is the exact factor to round-off; a step
+whose plan needs more than ``MAX_TAYLOR_TERMS`` terms takes the exact
+factor from an eigendecomposition instead (``_exact_factor``).
+
+The block dimension d alone picks how the series is applied.  A block whose
+table of (h + g v)^k up to MAX_TAYLOR_ORDER fits MAX_BATCH_BYTES (d <= 23:
+every block of the 4- to 7-spin chains) takes step factors
+(``_factor_steps``): each column on its own plan, each step's polynomial
+one d x d matrix from the cached table, applied in one batched product per
+substep, so that a column's value is bitwise that of its single run.  A
+larger block applies the series term by term (``_taylor_steps``), one
+(d x B) product per term, on one plan per step for the batch, from its
+largest bound.
 
 The observables (``reduce_density``, ``cut_fidelity``, ``entropy``) take a
 stack of states or matrices along a leading axis.  The module does no file
@@ -585,8 +594,11 @@ class Work(NamedTuple):
     """Work of one ``propagate`` call: the largest centred bound
     (r0 + |g| rv) dt of any step on any occupied block, where r0 and rv are
     the half-widths of h0's and v's spectra there (``SectorPropagator.norms``),
-    and the Taylor terms applied in all (each one matrix product per occupied
-    block)."""
+    and the Taylor terms m s of the steps within MAX_TAYLOR_TERMS, summed
+    over the occupied blocks, each step counted at the plan of its largest
+    bound in the batch.  For one schedule those are the terms its
+    polynomials have: one (d x 1) product each on the Taylor path, summed
+    into one d x d factor per step on the factor path."""
 
     max_norm_dt: float
     taylor_matvecs: int
@@ -601,8 +613,10 @@ def propagate(propagator: SectorPropagator, schedule, psi0: np.ndarray, n_steps:
     one (d x B) array, each on its own grid, split so that neither the
     amplitudes nor the (steps x B) couplings of a batch exceed
     MAX_BATCH_BYTES.  The result is then a (dim, B) array, one column per
-    schedule in list order, and does not depend on the batching; the Work
-    holds the largest step bound and the total Taylor terms over all batches.
+    schedule in list order.  It does not depend on the batching: bitwise in
+    blocks that take step factors, within round-off in the larger ones,
+    whose steps have one plan per batch.  The Work holds the largest step
+    bound and the total Taylor terms over all batches.
     ``n_steps`` sets the uniform grid of ``integration_grid``, which takes
     one factor per pulse of a pulse train whatever its value.  A probe, for
     one schedule passed alone, is called as ``probe(t, psi)`` with the

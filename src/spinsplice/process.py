@@ -101,9 +101,10 @@ class ChainProcess:
 
     def fidelities(self, schedules, n_steps: int = DEFAULT_TIME_STEPS, target: str = "cut") -> np.ndarray:
         """Final-time fidelity of each schedule, in order, from one batched
-        ``propagate`` call; the values do not depend on how it batches them.
-        The cut fidelities come from one stacked ``reduce_density`` and one
-        ``cut_fidelity`` call."""
+        ``propagate`` call; the values do not depend on how it batches them
+        (bitwise where the occupied blocks take step factors, to round-off
+        on larger blocks).  The cut fidelities come from one stacked
+        ``reduce_density`` and one ``cut_fidelity`` call."""
         if target not in TARGETS:
             raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
         for schedule in schedules:
