@@ -59,7 +59,7 @@ EXPANSION_TERMS = (MAX_TAYLOR_ORDER + 1) * (MAX_TAYLOR_ORDER + 2) // 2
 # Step factors are formed as products of this many rows by one polynomial's
 # coefficients: each product has the same shape in any batch, padded rows
 # included, and reads the coefficients once per FACTOR_ROWS factors (numpy
-# would send a one-row product to gemv, four times slower here).
+# sends a one-row product to gemv, about three times slower per factor).
 FACTOR_ROWS = 4
 # Largest (d x B) amplitude array or (steps x B) coupling table of one batch
 # of propagate, and largest stack of d x d generators one exact step
@@ -445,17 +445,28 @@ def _factor_steps(block, amp, g_values, dts, bound):
             yield rows[:, :, 0].T
 
 
-def _factor_layout(block, bound, g_values, dts, chunk):
+class _Layout(NamedTuple):
+    """Where the step factors of a batch are formed (``_factor_layout``).
+    An entry is a (step j, column b), numbered j * B + b; a group is a run
+    of entries of one (m, tau) in one chunk, padded to whole FACTOR_ROWS."""
+
+    substeps: np.ndarray  # (steps x B) substep counts
+    exact: np.ndarray  # (steps x B): the step takes the exact factor
+    polynomials: list  # each key's N_l, an (m + 1) x 2 d^2 array (``_coefficients``)
+    group_key: list  # each group's key
+    slot: list  # each group's first row, the groups of all chunks in turn
+    padded: list  # each group's rows
+    groups: list  # each chunk's first group, and one past the last
+    bases: list  # each chunk's first row, and one past the last
+    row: np.ndarray  # each entry's row among its chunk's factors (0 if exact)
+    u: np.ndarray  # u = g tau rv of each row, 0 on padding
+
+
+def _factor_layout(block, bound, g_values, dts, chunk) -> _Layout:
     """Each column's plan on each step of the (steps x B) ``bound``, and
-    where its factor is formed.  The entries (step j, column b) at j * B + b
-    that take a Taylor plan are keyed by their (m, tau), sorted by chunk of
-    ``chunk`` entries and by key within it, and each run of one key (a
-    group) is padded to whole FACTOR_ROWS.  Returns the substeps and the
-    exact flags of the entries; the coefficients of each key
-    (``_coefficients``); each group's key, first row and padded rows; the
-    first group and the first row of each chunk, and one past the last;
-    each entry's row among its chunk's factors (0 if it is exact); and u of
-    each row, 0 on padding."""
+    where its factor is formed: the entries that take a Taylor plan, keyed
+    by their (m, tau), sorted by chunk of ``chunk`` entries and by key
+    within it."""
     r0, rv = block.half_widths
     orders, substeps = taylor_plan(bound)
     exact = orders * substeps > MAX_TAYLOR_TERMS
@@ -483,8 +494,8 @@ def _factor_layout(block, bound, g_values, dts, chunk):
     bases = np.append(slot, padded_u.size)[groups]
     row = np.zeros(exact.size, dtype=int)
     row[taylor] = where - np.repeat(bases[:-1], np.diff(firsts))
-    return (substeps, exact, polynomials, key[heads].tolist(), slot.tolist(), padded.tolist(), groups.tolist(),
-            bases.tolist(), row, padded_u)
+    return _Layout(substeps, exact, polynomials, key[heads].tolist(), slot.tolist(), padded.tolist(),
+                   groups.tolist(), bases.tolist(), row, padded_u)
 
 
 def _coefficients(expansion, orders, scaled):
@@ -497,9 +508,8 @@ def _coefficients(expansion, orders, scaled):
     for m in sorted(set(orders.tolist())):
         which = np.flatnonzero(orders == m)
         # the (k, l) of each coefficient, run by run of l
-        l = np.repeat(np.arange(m + 1), np.arange(m + 1, 0, -1))
-        k = l + np.arange(l.size) - np.repeat(np.cumsum(np.arange(m + 1, 0, -1)) - np.arange(m + 1, 0, -1),
-                                              np.arange(m + 1, 0, -1))
+        l = np.concatenate([np.full(m + 1 - j, j) for j in range(m + 1)])
+        k = np.concatenate([np.arange(j, m + 1) for j in range(m + 1)])
         # (-i)^k / k! is real for even k and imaginary for odd k
         coefs = np.zeros((which.size, 2, l.size))
         coefs[:, k % 2, np.arange(l.size)] = _POWER_OF_MINUS_I[k] * scaled[which, None] ** (k - l)

@@ -149,6 +149,23 @@ class TestCentredBound:
                 assert r >= np.abs(energies).max()
                 assert r - 0.5 * (energies[-1] - energies[0]) <= 1e-12 * max(1.0, abs(c))
 
+    @pytest.mark.parametrize("name", ["ring6", "ring8"])
+    def test_centred_matrices_are_formed_once(self, name):
+        # h0 - c0 I, v - cv I and the two side by side, kept for every
+        # propagate; the expansion table only for a block of at most 23 states
+        process = prepare_process(CHAINS[name], "cut")
+        prop = process.propagator
+        (k,) = prop.occupied(process.psi0)
+        process.fidelity(polynomial_cut(0.6, (54.3, -36.3)), 30)
+        block = prop.centred(k)
+        assert prop.centred(k) is block
+        c0, _, cv, _ = prop.norms(k)
+        eye = np.eye(prop.blocks[k].size)
+        assert np.array_equal(block.h, prop.h0[k] - c0 * eye)
+        assert np.array_equal(block.v, prop.v[k] - cv * eye)
+        assert np.array_equal(block.hv, np.hstack((block.h, block.v)))
+        assert (block.expansion is None) == (prop.blocks[k].size > 23)
+
     @pytest.mark.parametrize("name", ["open6", "ring7"])
     @pytest.mark.parametrize("schedule", [
         pulse_train(0.6, (-2.0, 3.0)),
@@ -187,6 +204,21 @@ class TestTaylorPlan:
                 for s in range(1, order * substeps):
                     if m * s < order * substeps:
                         assert tail(m, norm_dt / s) > UNIT_ROUNDOFF, (norm_dt, m, s)
+
+    def test_table_equals_the_least_work_pair(self):
+        # the plan read off the table of edges is the definition's pair, at
+        # every edge, one float either side of it, and in between
+        edges = dynamics_module._PLAN_EDGES
+        norms = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+                                np.random.default_rng(3).uniform(0.0, 400.0, 2000), [0.0, 1e-300, 1e300]])
+        orders, substeps = taylor_plan(norms)
+        for norm_dt, order, count in zip(norms.tolist(), orders.tolist(), substeps.tolist()):
+            # highest order first: ties go to the fewest substeps
+            candidates = [(m * max(1, min(math.ceil(norm_dt / theta), MAX_TAYLOR_TERMS + 1)), i)
+                          for i, (m, theta) in enumerate(zip(dynamics_module.ORDERS.tolist(),
+                                                             dynamics_module.THETA.tolist()))]
+            work, best = min(candidates)
+            assert (order, count) == (dynamics_module.ORDERS[best], work // dynamics_module.ORDERS[best])
 
     def test_work_grows_with_the_norm(self):
         orders, substeps = taylor_plan(np.linspace(0.0, 4.5, 91))
