@@ -238,13 +238,14 @@ class SectorPropagator:
         MAX_BATCH_BYTES, the expansion of (h0 - c0) / r0 + g (v - cv) / rv."""
         if k not in self._centred:
             c0, r0, cv, rv = self.norms(k)
-            shift = np.eye(self.h0[k].shape[0])
-            h, v = self.h0[k] - c0 * shift, self.v[k] - cv * shift
+            d = self.h0[k].shape[0]
+            hv = np.hstack((self.h0[k] - c0 * np.eye(d), self.v[k] - cv * np.eye(d)))
+            h, v = hv[:, :d], hv[:, d:]
             expansion = None
             if 8 * EXPANSION_TERMS * h.size <= MAX_BATCH_BYTES:
                 # a zero half-width leaves its matrix, zero itself, as it is
                 expansion = _Expansion(h / (r0 or 1.0), v / (rv or 1.0))
-            self._centred[k] = Centred(h, v, np.hstack((h, v)), expansion, (r0, rv))
+            self._centred[k] = Centred(h, v, hv, expansion, (r0, rv))
         return self._centred[k]
 
     def embed(self, occupied: list[int], amps: list[np.ndarray]) -> np.ndarray:
@@ -258,10 +259,10 @@ class SectorPropagator:
 
 class Centred(NamedTuple):
     """One block's centred generator parts (``SectorPropagator.centred``):
-    h = h0 - c0 and v = v - cv, [h v], and the half-widths (r0, rv) that
-    bound them.  ``expansion`` is the table of (h / r0 + g v / rv)^k, whose
-    entries are at most binomial(k, l) in norm, or None for a block too
-    large for step factors."""
+    h = h0 - c0 and v = v - cv, the two halves of ``hv`` = [h v], and the
+    half-widths (r0, rv) that bound them.  ``expansion`` is the table of
+    (h / r0 + g v / rv)^k, whose entries are at most binomial(k, l) in norm,
+    or None for a block too large for step factors."""
 
     h: np.ndarray
     v: np.ndarray
@@ -418,11 +419,8 @@ def _factor_steps(block, amp, g_values, dts, bound):
                 n = polynomials[group_key[g]]
                 a, b = slot[g] - base, slot[g] - base + padded[g]
                 # (FACTOR_ROWS x (m+1)) by ((m+1) x 2 d^2) products
-                if b - a == FACTOR_ROWS:
-                    np.matmul(table[a:b, :len(n)], n, out=formed[a:b])
-                else:
-                    np.matmul(table[a:b, :len(n)].reshape(-1, FACTOR_ROWS, len(n)), n,
-                              out=formed[a:b].reshape(-1, FACTOR_ROWS, n.shape[1]))
+                np.matmul(table[a:b, :len(n)].reshape(-1, FACTOR_ROWS, len(n)), n,
+                          out=formed[a:b].reshape(-1, FACTOR_ROWS, n.shape[1]))
             stack = formed[:end - base].view(complex).reshape(-1, d, d)
         if chunk == width and not mixed[lo // width]:
             # a chunk of one step, every column on a factor: the columns take
