@@ -87,6 +87,11 @@ THETA = np.array([_largest_substep_norm(m) for m in ORDERS])
 _INVERSE_ORDERS = 1.0 / np.arange(1.0, MAX_TAYLOR_ORDER + 1)[:, None, None, None]
 # each (-i)^k / k! as the sign of its real (k even) or imaginary (k odd) part over k!
 _POWER_OF_MINUS_I = np.array([(-1.0) ** ((k + 1) // 2) / math.factorial(k) for k in range(MAX_TAYLOR_ORDER + 1)])
+# first row of each l's run M[l, l], M[l + 1, l], .. in an l-major expansion table
+_RUN_START = np.cumsum([0, *range(MAX_TAYLOR_ORDER + 1, 1, -1)])
+# for each order m, the (k, l) of the coefficients of N_0 .. N_m, run by run of l
+_RUN_INDEX = [(np.concatenate([np.arange(l, m + 1) for l in range(m + 1)]),
+               np.concatenate([np.full(m + 1 - l, l) for l in range(m + 1)])) for m in range(MAX_TAYLOR_ORDER + 1)]
 
 
 def _least_work(norm_dt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -275,7 +280,7 @@ class _Expansion:
     """The real matrices M[k, l] with (h + g v)^k = sum_l g^l M[k, l]:
     M[0, 0] = I and M[k, l] = h M[k-1, l] + v M[k-1, l-1], a term absent
     when its l is out of 0..k-1.  They are stored l-major, so that the
-    entries of one l up to an order are one run of rows (``run``), and
+    entries of one l up to an order are one run of rows (``runs``), and
     filled up to the highest order asked for, so that a table's untouched
     pages take no memory."""
 
@@ -285,20 +290,18 @@ class _Expansion:
         self.table[0] = np.eye(h.shape[0])
         self.order = 0
 
-    @staticmethod
-    def _row(k: int, l: int) -> int:
-        return l * (MAX_TAYLOR_ORDER + 1) - l * (l - 1) // 2 + k - l
-
-    def run(self, l: int, order: int) -> np.ndarray:
-        """M[l, l] .. M[order, l] as rows of d^2, filling the table up to ``order``."""
+    def runs(self, order: int) -> list[np.ndarray]:
+        """For l = 0..order, M[l, l] .. M[order, l] as rows of d^2, filling
+        the table up to ``order``."""
         for k in range(self.order + 1, order + 1):
-            below = self.table[[self._row(k - 1, j) for j in range(k)]]
+            below = self.table[_RUN_START[:k] + k - 1 - np.arange(k)]
             row = np.zeros((k + 1, *self.h.shape))
             np.matmul(self.h, below, out=row[:k])
             row[1:] += np.matmul(self.v, below)
-            self.table[[self._row(k, j) for j in range(k + 1)]] = row
+            self.table[_RUN_START[:k + 1] + k - np.arange(k + 1)] = row
         self.order = max(self.order, order)
-        return self.table[self._row(l, l):self._row(order, l) + 1].reshape(order + 1 - l, -1)
+        rows = self.table.reshape(EXPANSION_TERMS, -1)
+        return [rows[start:start + order + 1 - l] for l, start in enumerate(_RUN_START[:order + 1].tolist())]
 
 
 def _slack(size, magnitude):
@@ -434,7 +437,7 @@ def _factor_steps(block, amp, g_values, dts, bound):
             continue
         for j in range(lo // width, min(steps, (lo + chunk) // width)):
             if end > base:
-                np.take(stack, row[j * width:(j + 1) * width], axis=0, out=step)
+                stack.take(row[j * width:(j + 1) * width], axis=0, out=step)
             if mixed[j]:
                 _apply_mixed(block, rows[:, :, 0], step, substeps[j], exact[j], g_values[j], dts[j])
             else:
@@ -505,18 +508,16 @@ def _coefficients(expansion, orders, scaled):
     out = [None] * len(orders)
     for m in sorted(set(orders.tolist())):
         which = np.flatnonzero(orders == m)
-        # the (k, l) of each coefficient, run by run of l
-        l = np.concatenate([np.full(m + 1 - j, j) for j in range(m + 1)])
-        k = np.concatenate([np.arange(j, m + 1) for j in range(m + 1)])
+        k, l = _RUN_INDEX[m]
         # (-i)^k / k! is real for even k and imaginary for odd k
-        coefs = np.zeros((which.size, 2, l.size))
-        coefs[:, k % 2, np.arange(l.size)] = _POWER_OF_MINUS_I[k] * scaled[which, None] ** (k - l)
+        coefs = np.zeros((which.size, k.size, 2))
+        coefs[:, np.arange(k.size), k % 2] = _POWER_OF_MINUS_I[k] * scaled[which, None] ** (k - l)
         n = np.empty((which.size, m + 1, expansion.h.size, 2))
         start = 0
-        for j in range(m + 1):
+        for j, run in enumerate(expansion.runs(m)):
             # (d^2 x (m+1-j)) by ((m+1-j) x 2): N_j with (Re, Im) side by side
-            np.matmul(expansion.run(j, m).T, coefs[:, :, start:start + m + 1 - j].transpose(0, 2, 1), out=n[:, j])
-            start += m + 1 - j
+            np.matmul(run.T, coefs[:, start:start + len(run)], out=n[:, j])
+            start += len(run)
         for i, one in zip(which.tolist(), n.reshape(which.size, m + 1, -1)):
             out[i] = one
     return out
