@@ -286,16 +286,18 @@ class TestBatchSizeIsInvisible:
         assert batches == [[0, 3, 4, 5], [1, 6], [2, 8], [7]]
 
     def test_mixed_durations_share_a_batch(self, ring6, ring8, monkeypatch):
-        # one duration with a single column next to wider groups: on the
-        # factor path (the 9-state ring6 block) each column is bitwise its
-        # single run, whatever the batch does with its products; on the
-        # Taylor path (the 31-state ring8 block) a step has one plan for
-        # the whole batch, so only within BATCH_GATE
+        # one duration with a single column next to wider groups, and one
+        # whose steps are beyond the term budget: on the factor path (the
+        # 9-state ring6 block) each column is bitwise its single run,
+        # whatever the batch does with its products; on the Taylor path (the
+        # 31-state ring8 block) a step has one plan for the whole batch, so
+        # only within BATCH_GATE
         lone = [
             polynomial_cut(0.3, (122.8, -82.0)),
             polynomial_cut(0.3, (100.0, -70.0)),
             polynomial_cut(0.3, (80.0, -60.0)),
             polynomial_cut(0.6, (54.3, -36.3)),
+            polynomial_cut(0.45, (4e4, -3e4)),
             polynomial_cut(0.9, (20.0, -13.5)),
             polynomial_cut(0.9, (30.0, -20.0)),
         ]
