@@ -26,7 +26,8 @@ every block of the 4- to 7-spin chains) takes step factors
 (``_factor_steps``): each column on its own plan, each step's polynomial
 one d x d matrix from the cached table, applied in one batched product per
 substep, so that a column's value is bitwise that of its single run.  A
-larger block applies the series term by term (``_taylor_steps``), one
+batch whose step factors' coefficients would exceed MAX_BATCH_BYTES
+evolves in parts of its columns (``_column_parts``).  A larger block applies the series term by term (``_taylor_steps``), one
 (d x B) product per term, on one plan per step for the batch, from its
 largest bound.
 
@@ -55,6 +56,9 @@ MAX_TAYLOR_TERMS = 64
 # Entries M[k, l], 0 <= l <= k <= MAX_TAYLOR_ORDER, of a block's g-expansion
 # (h + g v)^k = sum_l g^l M[k, l]: a block of dimension d whose table of
 # 8 d^2 EXPANSION_TERMS bytes fits MAX_BATCH_BYTES (d <= 23) takes step factors.
+# The 8-ring's 31-state block, given them, ran 300-step single schedules 4x
+# faster, but its 60-step runs on a new propagator (table filled anew) 10-50%
+# slower, and its peak RSS rose 1.4 MiB (2-vCPU x86-64, one BLAS thread).
 EXPANSION_TERMS = (MAX_TAYLOR_ORDER + 1) * (MAX_TAYLOR_ORDER + 2) // 2
 # Step factors are formed as products of this many rows by one polynomial's
 # coefficients: each product has the same shape in any batch, padded rows
@@ -62,12 +66,12 @@ EXPANSION_TERMS = (MAX_TAYLOR_ORDER + 1) * (MAX_TAYLOR_ORDER + 2) // 2
 # sends a one-row product to gemv, about three times slower per factor).
 FACTOR_ROWS = 4
 # Largest (d x B) amplitude array or (steps x B) coupling table of one batch
-# of propagate, and largest stack of d x d generators one exact step
-# diagonalizes.  A memory guard, not a tuned speed setting: on reproduce fig8
-# (6-ring, 300 steps, 1225 cells per grid; 2-vCPU x86-64, one BLAS thread) it
-# keeps the peak RSS at 42 MiB against 62 MiB for one unchunked batch per
-# grid, at a wall time within run-to-run noise of it; 64 KiB nearly triples
-# the time.
+# of propagate, largest set of step-factor coefficients one part of a batch
+# holds, and largest stack of d x d generators one exact step diagonalizes.
+# A memory guard, not a tuned speed setting: on reproduce fig8 (6-ring, 300
+# steps, 1225 cells per grid; 2-vCPU x86-64, one BLAS thread) it keeps the
+# peak RSS at 42 MiB against 62 MiB for one unchunked batch per grid, at a
+# wall time within run-to-run noise of it; 64 KiB nearly triples the time.
 MAX_BATCH_BYTES = 1 << 20
 
 
@@ -114,7 +118,9 @@ def _first_above(count: float, theta: float) -> float:
 
 # Each float at which some order's substep count ceil(x / theta) passes a
 # count up to MAX_TAYLOR_TERMS, and the plan from 0 and from each edge on:
-# every count, and so the plan, is constant between two edges.
+# every count, and so the plan, is constant between two edges.  On the
+# 65536 bounds of a 218-column, 300-step batch the table takes 5 ms and
+# 1.5 MiB, the definition 16 ms and 30 MiB of (bounds x orders) temporaries.
 _PLAN_EDGES = np.array(sorted({_first_above(float(s), theta) for theta in THETA.tolist()
                                for s in range(1, MAX_TAYLOR_TERMS + 1)}))
 _PLANS = _least_work(np.concatenate([[0.0], _PLAN_EDGES]))
@@ -250,7 +256,7 @@ class SectorPropagator:
             if 8 * EXPANSION_TERMS * h.size <= MAX_BATCH_BYTES:
                 # a zero half-width leaves its matrix, zero itself, as it is
                 expansion = _Expansion(h / (r0 or 1.0), v / (rv or 1.0))
-            self._centred[k] = Centred(h, v, hv, expansion, (r0, rv))
+            self._centred[k] = Centred(h, v, hv, expansion)
         return self._centred[k]
 
     def embed(self, occupied: list[int], amps: list[np.ndarray]) -> np.ndarray:
@@ -264,16 +270,15 @@ class SectorPropagator:
 
 class Centred(NamedTuple):
     """One block's centred generator parts (``SectorPropagator.centred``):
-    h = h0 - c0 and v = v - cv, the two halves of ``hv`` = [h v], and the
-    half-widths (r0, rv) that bound them.  ``expansion`` is the table of
-    (h / r0 + g v / rv)^k, whose entries are at most binomial(k, l) in norm,
-    or None for a block too large for step factors."""
+    h = h0 - c0 and v = v - cv, the two halves of ``hv`` = [h v].
+    ``expansion`` is the table of (h / r0 + g v / rv)^k, with r0 and rv the
+    half-widths of ``SectorPropagator.norms``, whose entries are at most
+    binomial(k, l) in norm, or None for a block too large for step factors."""
 
     h: np.ndarray
     v: np.ndarray
     hv: np.ndarray
     expansion: _Expansion | None
-    half_widths: tuple[float, float]
 
 
 class _Expansion:
@@ -368,11 +373,11 @@ def _exact_factor(h0, v, rows, g, dt):
     return out
 
 
-def _taylor_steps(block, amp, g_values, dts, bound):
-    """Yields the (d x B) amplitudes ``amp`` after each step: one Taylor plan
-    per step for every column, from the step's largest bound, as one
-    (d x B) product per term (``_taylor_factor``), or the exact factor."""
-    orders, substeps = taylor_plan(bound.max(axis=1))
+def _taylor_steps(block, amp, g_values, dts, orders, substeps):
+    """Yields the (d x B) amplitudes ``amp`` after each step: step j on one
+    Taylor plan (``orders[j]``, ``substeps[j]``) for every column, from its
+    largest bound in the batch, as one (d x B) product per term
+    (``_taylor_factor``), or the exact factor."""
     weights = (-1j * dts / substeps[:, None])[:, None, :] * np.stack([np.ones_like(g_values), g_values], axis=1)
     for j in range(dts.shape[0]):
         if orders[j] * substeps[j] > MAX_TAYLOR_TERMS:
@@ -382,30 +387,90 @@ def _taylor_steps(block, amp, g_values, dts, bound):
         yield amp
 
 
-def _factor_steps(block, amp, g_values, dts, bound):
+class _FactorPlan(NamedTuple):
+    """Each column's Taylor plan on a block that takes step factors.  Each
+    (step, column) entry has its substep count and its key: the index of
+    its (m, tau = dt / s) among the distinct pairs of the batch, or -1 for
+    an entry past MAX_TAYLOR_TERMS, which takes the exact factor."""
+
+    substeps: np.ndarray  # (steps x B)
+    key: np.ndarray  # (steps x B)
+    order: np.ndarray  # each key's m
+    tau: np.ndarray  # each key's tau
+    half_widths: tuple[float, float]  # the block's r0, rv
+
+    @classmethod
+    def of(cls, bound, dts, half_widths) -> _FactorPlan:
+        """The plans of the (steps x B) centred ``bound`` and their keys."""
+        orders, substeps = taylor_plan(bound)
+        taylor = np.flatnonzero(orders.ravel() * substeps.ravel() <= MAX_TAYLOR_TERMS)
+        order, tau = orders.ravel()[taylor], (dts / substeps).ravel()[taylor]
+        by_key = np.lexsort((tau, order))
+        first = np.ones(taylor.size, dtype=bool)
+        first[1:] = (np.diff(order[by_key]) != 0) | (np.diff(tau[by_key]) != 0)
+        key = np.full(bound.size, -1)
+        key[taylor[by_key]] = np.cumsum(first) - 1
+        return cls(substeps, key.reshape(bound.shape), order[by_key][first], tau[by_key][first], half_widths)
+
+    def columns(self, cols) -> _FactorPlan:
+        return self._replace(substeps=self.substeps[:, cols], key=self.key[:, cols])
+
+
+def _column_parts(plans, durations):
+    """The batch's columns in parts that evolve one after another: all in
+    one, unless the coefficients of the keys of ``plans``, (m + 1) complex
+    d x d matrices each, exceed MAX_BATCH_BYTES (``plans`` pairs each
+    step-factor block's ``_FactorPlan`` with its dimension d).  Then in runs
+    by duration (whose columns share most keys), each run's coefficients
+    within MAX_BATCH_BYTES or of one column."""
+    costs = [(16 * d * d * (plan.order + 1)).tolist() for plan, d in plans]
+    if sum(map(sum, costs)) <= MAX_BATCH_BYTES:
+        return [slice(None)]
+    parts, held = [], set()
+    for b in np.argsort(durations, kind="stable").tolist():
+        mine = {(i, key) for i, (plan, _) in enumerate(plans) for key in np.unique(plan.key[:, b]).tolist()
+                if key >= 0}
+        if not parts or sum(costs[i][key] for i, key in held | mine) > MAX_BATCH_BYTES:
+            parts.append([])
+            held = set()
+        parts[-1].append(b)
+        held |= mine
+    return [np.array(part) for part in parts]
+
+
+def _factor_steps(block, amp, g_values, dts, plan):
     """Yields the (d x B) amplitudes ``amp`` after each step, each column on
-    its own Taylor plan (order m, s substeps of tau = dt / s).  With
-    a = tau r0 and u = g tau rv, the plan's polynomial in
+    its own Taylor plan (``_FactorPlan``: order m, s substeps of tau = dt / s).
+    With a = tau r0 and u = g tau rv, the plan's polynomial in
     -i (a h / r0 + u v / rv) is the step factor F = sum_l u^l N_l(a, m),
     applied s times; |a| and |u| are at most the substep bound.  The N_l of
-    each (m, a) in the batch come from the expansion table
-    (``_coefficients``).  The factors of one (m, a) in a chunk of steps are
+    each key (m, a) of the columns come from the expansion table
+    (``_coefficients``).  The factors of one key in a chunk of steps are
     formed FACTOR_ROWS at a time (``_factor_layout``), so that each product
     has the same shape in any batch and no column's arithmetic depends on
     the others in it.  A step past MAX_TAYLOR_TERMS takes the exact factor.
     Factors are formed in chunks of steps of at most MAX_BATCH_BYTES / 4."""
     steps, width = dts.shape
     d = block.h.shape[0]
+    r0, rv = plan.half_widths
+    exact = plan.key < 0
+    present = np.flatnonzero(np.bincount(plan.key[~exact], minlength=plan.order.size))
+    polynomials = _coefficients(block.expansion, plan.order[present], plan.tau[present] * r0)
+    local = np.full(plan.order.size + 1, -1)  # each key's index among those present; -1 stays -1
+    local[present] = np.arange(present.size)
     chunk = max(1, MAX_BATCH_BYTES // (4 * 16 * d * d * width)) * width  # entries per chunk
-    substeps, exact, polynomials, group_key, slot, padded, groups, bases, row, padded_u = _factor_layout(
-        block, bound, g_values, dts, chunk)
+    layout = _factor_layout(local[plan.key], g_values * (dts / plan.substeps) * rv, chunk)
 
+    bases = layout.bases
     formed = np.empty((max(np.diff(bases), default=0), 2 * d * d))
     powers, powered = np.empty((0, MAX_TAYLOR_ORDER + 1)), 0  # u^l of the rows from ``powered`` on
-    mixed = (exact.any(axis=1) | (substeps != substeps[:, :1]).any(axis=1)).tolist()
-    repeats = substeps[:, 0].tolist()
+    mixed = (exact.any(axis=1) | (plan.substeps != plan.substeps[:, :1]).any(axis=1)).tolist()
+    repeats = plan.substeps[:, 0].tolist()
     rows, spare = np.ascontiguousarray(amp.T)[:, :, None], np.empty((width, d, 1), dtype=complex)
-    step = np.empty((width, d, d), dtype=complex)
+    by_step = layout.row.reshape(steps, width)
+    # a step whose factors were formed in column order reads them in place
+    in_order = (np.diff(by_step, axis=1) == 1).all(axis=1).tolist()
+    step = gathered = np.empty((width, d, d), dtype=complex)
     for c, lo in enumerate(range(0, steps * width, chunk)):
         base, end = bases[c], bases[c + 1]
         if end > base:
@@ -414,32 +479,35 @@ def _factor_steps(block, amp, g_values, dts, bound):
                 # chunk's rows and those after it up to MAX_BATCH_BYTES / 16
                 powered = base
                 rows_ahead = max(end - base, MAX_BATCH_BYTES // (16 * 8 * (MAX_TAYLOR_ORDER + 1)))
-                powers = np.repeat(padded_u[base:base + rows_ahead, None], MAX_TAYLOR_ORDER + 1, axis=1)
+                powers = np.repeat(layout.u[base:base + rows_ahead, None], MAX_TAYLOR_ORDER + 1, axis=1)
                 powers[:, 0] = 1.0
                 np.cumprod(powers, axis=1, out=powers)
             table = powers[base - powered:end - powered]
-            for g in range(groups[c], groups[c + 1]):
-                n = polynomials[group_key[g]]
-                a, b = slot[g] - base, slot[g] - base + padded[g]
+            for g in range(layout.groups[c], layout.groups[c + 1]):
+                n = polynomials[layout.group_key[g]]
+                a, b = layout.slot[g] - base, layout.slot[g] - base + layout.padded[g]
                 # (FACTOR_ROWS x (m+1)) by ((m+1) x 2 d^2) products
                 np.matmul(table[a:b, :len(n)].reshape(-1, FACTOR_ROWS, len(n)), n,
                           out=formed[a:b].reshape(-1, FACTOR_ROWS, n.shape[1]))
             stack = formed[:end - base].view(complex).reshape(-1, d, d)
         if chunk == width and not mixed[lo // width]:
-            # a chunk of one step, every column on a factor: the columns take
-            # the factors' order rather than the factors the columns'
+            # a chunk of one step, every column on a factor: the amplitudes
+            # move to the factors' rows rather than the factors to the
+            # columns, saving the gather of B d x d factors (on reproduce
+            # fig7's 218-column batches of 15 states, a quarter of the time)
             held = np.zeros((len(stack), d, 1), dtype=complex)
-            held[row[lo:lo + width]] = rows
+            held[by_step[lo // width]] = rows
             for _ in range(repeats[lo // width]):
                 held = np.matmul(stack, held)
-            rows[:] = held[row[lo:lo + width]]
+            rows[:] = held[by_step[lo // width]]
             yield rows[:, :, 0].T
             continue
         for j in range(lo // width, min(steps, (lo + chunk) // width)):
             if end > base:
-                stack.take(row[j * width:(j + 1) * width], axis=0, out=step)
+                at = by_step[j, 0]
+                step = stack[at:at + width] if in_order[j] else stack.take(by_step[j], axis=0, out=gathered)
             if mixed[j]:
-                _apply_mixed(block, rows[:, :, 0], step, substeps[j], exact[j], g_values[j], dts[j])
+                _apply_mixed(block, rows[:, :, 0], step, plan.substeps[j], exact[j], g_values[j], dts[j])
             else:
                 for _ in range(repeats[j]):
                     rows, spare = np.matmul(step, rows, out=spare), rows
@@ -449,11 +517,8 @@ def _factor_steps(block, amp, g_values, dts, bound):
 class _Layout(NamedTuple):
     """Where the step factors of a batch are formed (``_factor_layout``).
     An entry is a (step j, column b), numbered j * B + b; a group is a run
-    of entries of one (m, tau) in one chunk, padded to whole FACTOR_ROWS."""
+    of entries of one key in one chunk, padded to whole FACTOR_ROWS."""
 
-    substeps: np.ndarray  # (steps x B) substep counts
-    exact: np.ndarray  # (steps x B): the step takes the exact factor
-    polynomials: list  # each key's N_l, an (m + 1) x 2 d^2 array (``_coefficients``)
     group_key: list  # each group's key
     slot: list  # each group's first row, the groups of all chunks in turn
     padded: list  # each group's rows
@@ -463,24 +528,14 @@ class _Layout(NamedTuple):
     u: np.ndarray  # u = g tau rv of each row, 0 on padding
 
 
-def _factor_layout(block, bound, g_values, dts, chunk) -> _Layout:
-    """Each column's plan on each step of the (steps x B) ``bound``, and
-    where its factor is formed: the entries that take a Taylor plan, keyed
-    by their (m, tau), sorted by chunk of ``chunk`` entries and by key
-    within it."""
-    r0, rv = block.half_widths
-    orders, substeps = taylor_plan(bound)
-    exact = orders * substeps > MAX_TAYLOR_TERMS
-    taylor = np.flatnonzero(~exact.ravel())
-    order, tau = orders.ravel()[taylor], (dts / substeps).ravel()[taylor]
-    by_key = np.lexsort((tau, order))
-    first = np.ones(taylor.size, dtype=bool)
-    first[1:] = (np.diff(order[by_key]) != 0) | (np.diff(tau[by_key]) != 0)
-    key = np.empty(taylor.size, dtype=int)
-    key[by_key] = np.cumsum(first) - 1
-    polynomials = _coefficients(block.expansion, order[by_key][first], tau[by_key][first] * r0)
-    at = np.lexsort((key, taylor // chunk))
-    taylor, key, u = taylor[at], key[at], g_values.ravel()[taylor[at]] * tau[at] * rv
+def _factor_layout(key, u, chunk) -> _Layout:
+    """Where the factor of each entry of the (steps x B) ``key`` (-1 for an
+    exact step) and ``u`` is formed: sorted by chunk of ``chunk`` entries and
+    by key within it."""
+    taylor = np.flatnonzero(key.ravel() >= 0)
+    at = np.lexsort((key.ravel()[taylor], taylor // chunk))
+    taylor = taylor[at]
+    key = key.ravel()[taylor]
     heads = np.ones(taylor.size, dtype=bool)
     heads[1:] = (np.diff(key) != 0) | (np.diff(taylor // chunk) != 0)
     heads = np.flatnonzero(heads)
@@ -489,14 +544,13 @@ def _factor_layout(block, bound, g_values, dts, chunk) -> _Layout:
     slot = np.cumsum(padded) - padded
     where = np.repeat(slot - heads, size) + np.arange(taylor.size)  # each entry's row
     padded_u = np.zeros(int(padded.sum()))
-    padded_u[where] = u
-    firsts = np.searchsorted(taylor, np.arange(0, exact.size + chunk, chunk))  # each chunk's first entry
+    padded_u[where] = u.ravel()[taylor]
+    firsts = np.searchsorted(taylor, np.arange(0, u.size + chunk, chunk))  # each chunk's first entry
     groups = np.searchsorted(heads, firsts)
     bases = np.append(slot, padded_u.size)[groups]
-    row = np.zeros(exact.size, dtype=int)
+    row = np.zeros(u.size, dtype=int)
     row[taylor] = where - np.repeat(bases[:-1], np.diff(firsts))
-    return _Layout(substeps, exact, polynomials, key[heads].tolist(), slot.tolist(), padded.tolist(),
-                   groups.tolist(), bases.tolist(), row, padded_u)
+    return _Layout(key[heads].tolist(), slot.tolist(), padded.tolist(), groups.tolist(), bases.tolist(), row, padded_u)
 
 
 def _coefficients(expansion, orders, scaled):
@@ -671,16 +725,17 @@ def _evolve(propagator, schedules, grids, occupied, amps, probe, stride):
     back the phase exp(-i sum (c0 + g_b cv) dt_b) of the steps so far
     whenever the state is read.  A block with an expansion table takes step
     factors (``_factor_steps``), any other block the Taylor terms
-    (``_taylor_steps``)."""
+    (``_taylor_steps``).  The columns evolve in parts (``_column_parts``)
+    when the step factors' coefficients of the whole batch would exceed
+    MAX_BATCH_BYTES; a part's columns take the plans of the whole batch."""
     dts = np.diff(grids, axis=0)
     g_values = np.stack([s.values(0.5 * (grid[:-1] + grid[1:])) for s, grid in zip(schedules, grids.T)],
                         axis=1)
-    steppers = []  # per block: its amplitudes after each step
+    plans = []  # per block: its plan for the Taylor terms or for step factors
     phases = []  # per block: exp(-i sum (c0 + g_b cv) dt_b) up to each step's end
     max_norm_dt, matvecs = 0.0, 0
-    for k, amp in zip(occupied, amps):
+    for k in occupied:
         c0, r0, cv, rv = propagator.norms(k)
-        block = propagator.centred(k)
         phases.append(np.exp(-1j * np.cumsum((c0 + cv * g_values) * dts, axis=0)))
         bound = (r0 + np.abs(g_values) * rv) * dts  # every column's centred bound, each step
         norm_dt = bound.max(axis=1)
@@ -688,12 +743,26 @@ def _evolve(propagator, schedules, grids, occupied, amps, probe, stride):
         work = orders * substeps
         max_norm_dt = max(max_norm_dt, float(norm_dt.max()))
         matvecs += int(work[work <= MAX_TAYLOR_TERMS].sum())
-        steps = _taylor_steps if block.expansion is None else _factor_steps
-        steppers.append(steps(block, np.repeat(amp[:, None], len(schedules), axis=1), g_values, dts, bound))
+        taylor = propagator.centred(k).expansion is None
+        plans.append((orders, substeps) if taylor else _FactorPlan.of(bound, dts, (r0, rv)))
 
+    factored = [(plan, a.size) for plan, a in zip(plans, amps) if isinstance(plan, _FactorPlan)]
+    finals = [np.empty((a.size, len(schedules)), dtype=complex) for a in amps]
     last = dts.shape[0] - 1
-    for j, amps in enumerate(zip(*steppers)):
-        if probe is not None and ((j + 1) % stride == 0 or j == last):
-            probe(float(grids[j + 1, 0]),
-                  propagator.embed(occupied, [a[:, 0] * phase[j, 0] for a, phase in zip(amps, phases)]))
-    return propagator.embed(occupied, [a * phase[-1] for a, phase in zip(amps, phases)]), Work(max_norm_dt, matvecs)
+    for cols in _column_parts(factored, grids[-1]):
+        g, dt = g_values[:, cols], dts[:, cols]
+        steppers = []  # per block: its amplitudes after each step
+        for k, amp, plan in zip(occupied, amps, plans):
+            start = np.repeat(amp[:, None], g.shape[1], axis=1)
+            if isinstance(plan, _FactorPlan):
+                steppers.append(_factor_steps(propagator.centred(k), start, g, dt, plan.columns(cols)))
+            else:
+                steppers.append(_taylor_steps(propagator.centred(k), start, g, dt, *plan))
+        for j, stepped in enumerate(zip(*steppers)):
+            if probe is not None and ((j + 1) % stride == 0 or j == last):
+                probe(float(grids[j + 1, 0]),
+                      propagator.embed(occupied, [a[:, 0] * phase[j, 0] for a, phase in zip(stepped, phases)]))
+        for final, a in zip(finals, stepped):
+            final[:, cols] = a
+    return (propagator.embed(occupied, [a * phase[-1] for a, phase in zip(finals, phases)]),
+            Work(max_norm_dt, matvecs))

@@ -353,6 +353,38 @@ class TestBatchSizeIsInvisible:
         assert batches == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
         assert np.abs(chunked - whole).max() <= BATCH_GATE
 
+    def test_one_step_chunks_equal_singles(self, ring6):
+        # 203 columns of the 9-state block fill a chunk of factors with one
+        # step; where every column takes the same substeps, the amplitudes
+        # move to the factors' rows rather than the factors to the columns
+        shifts = np.random.default_rng(14).normal(0.0, 1.0, (203, 2))
+        schedules = [polynomial_cut(0.6, np.array([54.3, -36.3]) + shift) for shift in shifts]
+        batched, _ = propagate(ring6.propagator, schedules, ring6.psi0, 300)
+        singles = np.stack([propagate(ring6.propagator, s, ring6.psi0, 300)[0] for s in schedules], axis=1)
+        assert np.array_equal(batched, singles)
+
+    def test_many_durations_keep_the_coefficients_within_the_batch_bytes(self, monkeypatch):
+        # 24 durations on the 21-state open7 block: each has its own step
+        # lengths, and so its own (order, tau) keys, and the coefficients of
+        # all of them take about 13 MB; the batch evolves in parts whose
+        # coefficients each fit MAX_BATCH_BYTES, and every column is still
+        # bitwise its single run
+        process = prepare_process(ChainSpec(7, "open", 1.0, 2.0), "cut")
+        schedules = [polynomial_cut(T, (54.3, -36.3)) for T in np.linspace(0.2, 1.2, 24)]
+        held, coefficients = [], dynamics_module._coefficients
+
+        def recorded(expansion, orders, scaled):
+            out = coefficients(expansion, orders, scaled)
+            held.append(sum(n.nbytes for n in out))
+            return out
+
+        monkeypatch.setattr(dynamics_module, "_coefficients", recorded)
+        batched, _ = propagate(process.propagator, schedules, process.psi0, 300)
+        assert len(held) > 1
+        assert max(held) <= dynamics_module.MAX_BATCH_BYTES < sum(held)
+        singles = np.stack([propagate(process.propagator, s, process.psi0, 300)[0] for s in schedules], axis=1)
+        assert np.array_equal(batched, singles)
+
     def test_a_probe_records_one_schedule(self, ring6):
         with pytest.raises(ValueError, match="one schedule"):
             propagate(ring6.propagator, [polynomial_cut(0.6, (1.0,))], ring6.psi0, 50, probe=object())
