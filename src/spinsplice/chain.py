@@ -19,14 +19,17 @@ reflection keeps the plain sectors.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 DEFAULT_SPIN_CAP = 12
 DEGENERACY_RTOL = 1e-9
+UNIT_ROUNDOFF = 2.0**-53
+# How far a recorded f_G may be from the one of the exact ground vector
+# before its block's vector comes from eigh rather than inverse iteration.
+GROUND_TOLERANCE = 1e-12
 
 
 class DegeneracyError(RuntimeError):
@@ -434,74 +437,224 @@ def solve_by_size(solve: Callable[[np.ndarray], np.ndarray], asks) -> list[dict[
     return results
 
 
-def _sweeps(energies: dict[int, np.ndarray], lower: list[float], upper: list[float]):
-    """The blocks one spectrum diagonalizes: yields each list of blocks in
-    turn, whose ascending energies the caller adds to ``energies`` before
-    asking for the next.
+def _slack(size, magnitude):
+    """Round-off slack 4 d eps ||M|| of energies ``eigvalsh`` computes on a
+    block of dimension d whose largest energy magnitude is ||M||."""
+    return 4 * np.finfo(float).eps * size * magnitude
 
-    First from the top, in descending order of the upper bounds, until no
-    block left can hold an energy above the highest found; then from the
-    bottom, in ascending order of the lower bounds, until no block left can
-    hold an energy at or below max(E1, E0 + DEGENERACY_RTOL (E_top - E0)) of
-    those found.  That cut-off only falls as blocks are added, so the blocks
-    left out hold none of the energies it covers.  Blocks of equal bound go
-    together, and blocks already in ``energies`` are not asked for.
+
+def _summaries(energies: list[dict[int, np.ndarray]], sizes: np.ndarray) -> np.ndarray:
+    """(3, matrices, blocks): each block's lowest, second (inf on one state)
+    and highest energy in each dict, and inf, inf, -inf where it lacks one."""
+    out = np.full((3, len(energies), sizes.size), np.inf)
+    out[2] = -np.inf
+    if rows := [i for i, found in enumerate(energies) for _ in found]:
+        cols = [b for found in energies for b in found]
+        d = sizes[cols]
+        ends, w = d.cumsum(), np.concatenate([w for found in energies for w in found.values()])
+        out[:, rows, cols] = w[ends - d], np.where(d > 1, w[np.minimum(ends - d + 1, ends - 1)], np.inf), w[ends - 1]
+    return out
+
+
+def _two_lowest(lowest: np.ndarray, second: np.ndarray) -> np.ndarray:
+    return np.partition(np.concatenate((lowest, second), axis=1), 1, axis=1)[:, :2].T
+
+
+def levels(blocks: Blocks, matrices: list[Callable[[int], np.ndarray]],
+           bounds: list[tuple[np.ndarray, np.ndarray] | None] | None = None,
+           known: list[dict[int, np.ndarray] | None] | None = None) -> list[dict[int, np.ndarray]]:
+    """For each block-diagonal matrix on ``blocks``, a dict from each block
+    diagonalized or known to its ascending energies.
+
+    ``matrices[i](b)`` forms matrix i on block b, only for the blocks that
+    get diagonalized; ``known[i]`` holds energies found before.  Without
+    ``bounds[i]`` (per-block lower and upper bounds on the energies) every
+    block not known is diagonalized, one ``eigvalsh`` per block dimension
+    over every such matrix.  With them, the matrix sweeps its blocks from the
+    top, by descending upper bound, until no block left can hold an energy
+    above the highest found, then from the bottom, by ascending lower bound,
+    until none left can hold one at or below max(E1, E0 + DEGENERACY_RTOL
+    (E_top - E0)) of those found; that cut-off only falls as blocks are
+    added.  The sweeps run together in rounds over (matrices x blocks)
+    arrays of the bounds and of each block's lowest, second and highest
+    energy: each round, each matrix still sweeping asks for every block left
+    at its next bound, and the blocks of one dimension, over every matrix,
+    go to one stacked ``eigvalsh``, which gives each matrix bitwise the
+    energies of a call of its own.
     """
-    if len(energies) == len(lower):  # every block known
-        return
+    count, sizes = len(matrices), np.array([block.size for block in blocks])
+    energies = [dict(k or {}) for k in known or [None] * count]
+    bounds = bounds or [None] * count
+    unbounded = [i for i, bound in enumerate(bounds) if bound is None]
+    asks = [(matrices[i], sizes.tolist(), [b for b in range(sizes.size) if b not in energies[i]]) for i in unbounded]
+    for i, found in zip(unbounded, solve_by_size(np.linalg.eigvalsh, asks)):
+        energies[i].update(found)
+    if len(unbounded) == count:
+        return energies
+    lowest, second, highest = _summaries([{} if bound is None else e for e, bound in zip(energies, bounds)], sizes)
+    done = lowest < np.inf
+    lower, upper = np.full((count, sizes.size), -np.inf), np.full((count, sizes.size), np.inf)
+    sweep = np.full(count, 2)  # 0 from the top, 1 from the bottom, 2 ended (or no bounds)
+    for i, bound in enumerate(bounds):
+        if bound is not None:
+            (lower[i], upper[i]), sweep[i] = bound, 0
+    while True:
+        left, top = ~done, highest.max(axis=1)
+        upper_left = np.where(left, upper, -np.inf).max(axis=1)
+        sweep[(sweep == 0) & (upper_left < top)] = 1
+        rising = np.flatnonzero(sweep == 1)
+        e0, e1 = _two_lowest(lowest[rising], second[rising])
+        # the top is exact in the bottom sweep: every block left has a lower upper bound
+        cutoff = np.maximum(e1, e0 + DEGENERACY_RTOL * (top[rising] - e0))
+        lower_left = np.where(left[rising], lower[rising], np.inf).min(axis=1)
+        sweep[rising[lower_left > cutoff]] = 2
+        ask = left & (upper == upper_left[:, None]) & (sweep == 0)[:, None]
+        ask[rising] |= left[rising] & (lower[rising] == lower_left[:, None]) & (lower_left <= cutoff)[:, None]
+        if not ask.any():
+            return energies
+        rows, cols = ask.nonzero()
+        for d in dict.fromkeys(sizes[cols].tolist()):
+            r, c = rows[sizes[cols] == d], cols[sizes[cols] == d]
+            w = np.linalg.eigvalsh(np.array([matrices[i](b) for i, b in zip(r.tolist(), c.tolist())]))
+            lowest[r, c], highest[r, c], done[r, c] = w[:, 0], w[:, -1], True
+            if d > 1:
+                second[r, c] = w[:, 1]
+            for i, b, row in zip(r.tolist(), c.tolist(), w):
+                energies[i][b] = row
 
-    def top() -> float:
-        return max((w[-1] for w in energies.values()), default=-np.inf)
 
-    def cutoff() -> float:
-        e0, e1 = sorted([np.inf, np.inf, *(e for w in energies.values() for e in w[:2].tolist())])[:2]
-        return max(e1, e0 + DEGENERACY_RTOL * (highest - e0))
-
-    for bounds, beyond in (([-u for u in upper], lambda bound: -bound < top()),
-                           (lower, lambda bound: bound > cutoff())):
-        for bound, group in itertools.groupby(sorted(range(len(bounds)), key=bounds.__getitem__),
-                                              bounds.__getitem__):
-            if beyond(bound):
-                break
-            if members := [b for b in group if b not in energies]:
-                yield members
-        highest = top()  # exact after the first sweep: every block left has a lower upper bound
+def _attach_vectors(spectra: list[Spectrum], matrices: list[Callable[[int], np.ndarray]]) -> None:
+    """Give each spectrum the eigenvectors of its ground or tie blocks, from
+    one ``eigh`` per block dimension over every spectrum."""
+    sizes = [block.size for block in spectra[0].blocks] if spectra else []
+    grounds = [(matrix, sizes, list(dict.fromkeys(b for b, _ in s._located(s._tied()))))
+               for matrix, s in zip(matrices, spectra)]
+    for s, vectors in zip(spectra, solve_by_size(lambda a: np.linalg.eigh(a)[1], grounds)):
+        s.vectors = vectors
 
 
 def diagonalize(blocks: Blocks, matrices: list[Callable[[int], np.ndarray]],
                 bounds: list[tuple[np.ndarray, np.ndarray] | None] | None = None,
                 known: list[dict[int, np.ndarray] | None] | None = None) -> list[Spectrum]:
-    """The ``Spectrum`` of each block-diagonal matrix on ``blocks``.
-
-    ``matrices[i](b)`` forms the i-th matrix on ``blocks[b]``; it is called
-    only for the blocks that get diagonalized.  ``known[i]``, when given,
-    holds the ascending energies of blocks diagonalized before, taken as
-    they are.  ``bounds[i]``, when given, is a pair of arrays bounding each
-    block's energies from below and above; without it every block not known
-    is diagonalized.  The sweeps of every spectrum (``_sweeps``) run
-    together, in rounds: each round, the blocks of one dimension, over every
-    spectrum still asking, go to one ``eigvalsh`` of their matrices stacked
-    (``solve_by_size``).  Then one ``eigh`` per block dimension, over every
-    spectrum, gives the eigenvectors of each one's ground or tie blocks.
-    Every spectrum ends bitwise as it would alone.
-    """
-    sizes = [block.size for block in blocks]
-    unbounded = ([-np.inf] * len(blocks), [np.inf] * len(blocks))
-    energies = [dict(k or {}) for k in known or [None] * len(matrices)]
-    sweeps = [_sweeps(e, *(unbounded if b is None else (b[0].tolist(), b[1].tolist())))
-              for e, b in zip(energies, bounds or [None] * len(matrices))]
-    asking = [(i, request) for i, sweep in enumerate(sweeps) if (request := next(sweep, None))]
-    while asking:
-        answers = solve_by_size(np.linalg.eigvalsh, [(matrices[i], sizes, request) for i, request in asking])
-        for (i, _), answer in zip(asking, answers):
-            energies[i].update(answer)
-        asking = [(i, request) for i, _ in asking if (request := next(sweeps[i], None))]
-    spectra = [Spectrum(blocks, e) for e in energies]
-    grounds = [(matrix, sizes, list(dict.fromkeys(b for b, _ in s._located(s._tied()))))
-               for matrix, s in zip(matrices, spectra)]
-    for s, vectors in zip(spectra, solve_by_size(lambda a: np.linalg.eigh(a)[1], grounds)):
-        s.vectors = vectors
+    """The ``Spectrum`` of each matrix of ``levels``, with the ``eigh``
+    vectors of its ground or tie blocks; each bitwise as it would be alone."""
+    spectra = [Spectrum(blocks, e) for e in levels(blocks, matrices, bounds, known)]
+    _attach_vectors(spectra, matrices)
     return spectra
+
+
+class Samples(NamedTuple):
+    """What a recorded sample reads of each spectrum: its gap, degenerate
+    flag and block counts, as its ``Spectrum`` has them, and in ``grounds``
+    its ground state in the full space, or for a tie its ``Spectrum``."""
+
+    gap: np.ndarray
+    degenerate: np.ndarray
+    value_blocks: np.ndarray
+    vector_blocks: np.ndarray
+    grounds: list[np.ndarray | Spectrum]
+
+
+def diagonalize_samples(blocks: Blocks, matrices: list[Callable[[int], np.ndarray]],
+                        bounds: list[tuple[np.ndarray, np.ndarray] | None] | None = None,
+                        known: list[dict[int, np.ndarray] | None] | None = None) -> Samples:
+    """``diagonalize`` as a recorded sample reads it, from (matrices x
+    blocks) arrays of the energies ``levels`` finds.  A lone ground, the
+    lowest energy alone within the threshold, takes its block's vector from
+    ``_lowest_vectors``, one stacked call per block dimension; any other
+    matrix gets its ``Spectrum``, as from ``diagonalize``."""
+    energies = levels(blocks, matrices, bounds, known)
+    sizes = np.array([block.size for block in blocks])
+    lowest, second, highest = _summaries(energies, sizes)
+    (e0, e1), top = _two_lowest(lowest, second), highest.max(axis=1)
+    gap, threshold = e1 - e0, DEGENERACY_RTOL * (top - e0)
+    lone = (gap > threshold) & (e1 > e0 + threshold)
+    tied = np.flatnonzero(~lone).tolist()
+    spectra = [Spectrum(blocks, energies[i]) for i in tied]
+    _attach_vectors(spectra, [matrices[i] for i in tied])
+    grounds: list[np.ndarray | Spectrum] = [None] * len(matrices)
+    vector_blocks = np.ones(len(matrices), dtype=int)
+    for i, spectrum in zip(tied, spectra):
+        grounds[i], vector_blocks[i] = spectrum, spectrum.vector_blocks
+    rows = np.flatnonzero(lone)
+    cols = lowest[rows].argmin(axis=1)
+    for d in dict.fromkeys(sizes[cols].tolist()):
+        r, c = rows[sizes[cols] == d], cols[sizes[cols] == d]
+        stack = np.array([matrices[i](b) for i, b in zip(r.tolist(), c.tolist())])
+        slack = _slack(d, np.maximum(np.abs(lowest[r, c]), np.abs(highest[r, c])))
+        states = np.zeros((r.size, sizes.sum()))
+        for i, b, x, state in zip(r.tolist(), c.tolist(), _lowest_vectors(stack, lowest[r, c], second[r, c], slack), states):
+            blocks[b].embed(x, state)
+            grounds[i] = state
+    return Samples(gap, gap <= threshold, np.array([len(e) for e in energies]), vector_blocks, grounds)
+
+
+def _lowest_vectors(stack: np.ndarray, e0: np.ndarray, e1: np.ndarray, slack: np.ndarray) -> np.ndarray:
+    """The lowest eigenvector of each real symmetric matrix M of ``stack``,
+    one row each, from its two lowest energies e0 < e1 (inf on one state)
+    and their round-off ``slack``.
+
+    Inverse iteration x <- y / ||y||, (M - (e0 - slack)) y = x, from a fixed
+    start shrinks tan of x's angle to the ground vector by a factor of at
+    most rho = 2 slack / (e1 - e0) a step (Ipsen, SIAM Rev. 39, 254 (1997)),
+    so M takes the steps that bring rho^k below eps / d.  With r = M x - e0 x,
+    the sine of the angle is at most ||r|| / delta, delta = e1 - e0 - slack
+    (Davis-Kahan), and |<x|psi>| moves by at most sqrt 2 times the sine for
+    a unit psi; the computed ||r|| is within gamma_m (||M||_inf + |e0|),
+    with m - 2 the most nonzeros in a row.  Where that bound exceeds
+    ``GROUND_TOLERANCE``, even at r = 0 (which keeps rho below about 1e-11 d
+    where it passes), or a shifted matrix is exactly singular, the vector
+    comes from ``eigh``.  Each matrix's vector is bitwise the same whatever
+    the stack: each step solves and normalizes its own x.
+    """
+    d = stack.shape[-1]
+    m = np.count_nonzero(stack, axis=2).max(axis=1) + 2
+    noise = m * UNIT_ROUNDOFF / (1 - m * UNIT_ROUNDOFF) * (np.abs(stack).sum(axis=2).max(axis=1) + np.abs(e0))
+    delta = e1 - e0 - slack
+    vectors = np.empty(stack.shape[:2])
+    trying = np.flatnonzero(np.isfinite(delta) & (np.sqrt(2.0) * noise <= GROUND_TOLERANCE * delta))
+    if trying.size:
+        steps = np.ceil(np.log(UNIT_ROUNDOFF / d) / np.log(2 * slack[trying] / (e1 - e0)[trying]))
+        shifted = stack[trying]
+        shifted[:, np.arange(d), np.arange(d)] -= (e0 - slack)[trying, None]
+        x = np.tile(np.sin(np.arange(1.0, d + 1)), (trying.size, 1))  # a fixed start
+        solved = np.ones(trying.size, dtype=bool)
+        for step in range(int(steps.max())):
+            active = np.flatnonzero(solved & (step < steps))
+            y, singular = _solve(_rows(shifted, active), x[active])
+            solved[active[singular]] = False
+            y, active = y[~singular], active[~singular]
+            x[active] = y / np.sqrt((y * y).sum(axis=1))[:, None]
+        trying, x = trying[solved], x[solved]
+        residual = (_rows(stack, trying) @ x[:, :, None])[:, :, 0] - e0[trying, None] * x
+        bound = np.sqrt(2.0) * (np.sqrt((residual * residual).sum(axis=1)) + noise[trying])
+        certified = bound <= GROUND_TOLERANCE * delta[trying]
+        trying = trying[certified]
+        vectors[trying] = x[certified]
+    rest = np.ones(len(stack), dtype=bool)
+    rest[trying] = False
+    if rest.any():
+        vectors[rest] = np.linalg.eigh(stack[rest])[1][:, :, 0]
+    return vectors
+
+
+def _rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """a[rows] for ascending distinct rows, with no copy when they are all."""
+    return a if rows.size == len(a) else a[rows]
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x with a[j] x[j] = b[j], and which a[j] are exactly singular (x[j] 0)."""
+    try:
+        return np.linalg.solve(a, b[:, :, None])[:, :, 0], np.zeros(len(a), dtype=bool)
+    except np.linalg.LinAlgError:  # one matrix a call, to find which
+        x, singular = np.zeros(b.shape), np.zeros(len(a), dtype=bool)
+        for j in range(len(a)):
+            try:
+                x[j] = np.linalg.solve(a[j:j + 1], b[j:j + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                singular[j] = True
+        return x, singular
 
 
 def resolve_ground(spectrum: Spectrum, nudged: Callable[[], Spectrum] | None) -> np.ndarray:

@@ -43,10 +43,19 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .chain import Blocks, Matrices, Spectrum, diagonalize, solve_by_size
+from .chain import (
+    UNIT_ROUNDOFF,
+    Blocks,
+    Matrices,
+    Samples,
+    Spectrum,
+    _slack,
+    diagonalize,
+    diagonalize_samples,
+    solve_by_size,
+)
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
-UNIT_ROUNDOFF = 2.0**-53
 # Highest Taylor order.  Its largest substep bound (r0 + |g| rv) dt / s is
 # about 1.5, so no partial sum exceeds e^1.5 times the state norm and
 # round-off stays at a few ulps.
@@ -182,13 +191,24 @@ class SectorPropagator:
         diagonalizes only the blocks its bounds admit.  g = 0 and g = 1 get
         their kept energies and no bounds, which there would need v's ranges.
         """
+        return diagonalize(self.blocks, *self._asks(gs))
+
+    def samples(self, gs) -> Samples:
+        """What a recorded sample reads of each spectrum of ``spectra``,
+        from ``chain.diagonalize_samples``: the gap, degenerate flag and
+        counts of each, and the ground state, a lone ground's vector by
+        inverse iteration, or the ``Spectrum`` of a tie."""
+        return diagonalize_samples(self.blocks, *self._asks(gs))
+
+    def _asks(self, gs) -> tuple[list, list, list]:
+        """The block matrices, bounds and known energies of each coupling."""
         self._diagonalize_endpoints()
         gs = list(gs)
         bounded = np.array([g for g in gs if g not in self._endpoints], dtype=float)[:, None]
         bounds = zip(*self._bounds(bounded)) if bounded.size else iter(())
-        return diagonalize(self.blocks, [self._matrix(g) for g in gs],
-                           [None if g in self._endpoints else next(bounds) for g in gs],
-                           [self._endpoints.get(g) for g in gs])
+        return ([self._matrix(g) for g in gs],
+                [None if g in self._endpoints else next(bounds) for g in gs],
+                [self._endpoints.get(g) for g in gs])
 
     def _diagonalize_endpoints(self) -> None:
         """Every block's energies at g = 0 and g = 1 and their ranges, once."""
@@ -307,12 +327,6 @@ class _Expansion:
         self.order = max(self.order, order)
         rows = self.table.reshape(EXPANSION_TERMS, -1)
         return [rows[start:start + order + 1 - l] for l, start in enumerate(_RUN_START[:order + 1].tolist())]
-
-
-def _slack(size, magnitude):
-    """Round-off slack 4 d eps ||M|| of energies ``eigvalsh`` computes on a
-    block of dimension d whose largest energy magnitude is ||M||."""
-    return 4 * np.finfo(float).eps * size * magnitude
 
 
 def _centre(lowest: float, highest: float, slack: float) -> tuple[float, float]:

@@ -52,11 +52,13 @@ class TrajectoryRecord:
     work counts.
 
     ``gap`` and the degenerate flags are those of the full spectrum.
-    ``value_blocks`` and ``vector_blocks`` sum the samples' ``Spectrum``
-    counts of the same names, the blocks diagonalized for energies and for
-    eigenvectors; they count blocks, not LAPACK calls, since a stacked call
-    diagonalizes many blocks.  ``max_norm_dt`` and
-    ``taylor_matvecs`` are the run's ``Work``."""
+    ``value_blocks`` and ``vector_blocks`` sum the samples' counts of the
+    same names (``chain.Samples``): the blocks diagonalized for energies, and
+    those whose ground vectors were found, one per sample whose ground state
+    is not tied (by inverse iteration, or ``eigh``) and every block of a tie
+    (by ``eigh``).  They count blocks, not LAPACK calls, since a stacked call
+    diagonalizes many blocks.
+    ``max_norm_dt`` and ``taylor_matvecs`` are the run's ``Work``."""
 
     times: np.ndarray
     g_values: np.ndarray
@@ -123,19 +125,22 @@ class ChainProcess:
         The probe only buffers each sample's state.  The samples are scored
         in chunks of MAX_BATCH_BYTES // (16 * 2^N), one chunk whenever the
         buffer fills and one at the end: one ``schedule.values`` call, the
-        chunk's spectra, with each sample's ground vectors, from one
-        ``propagator.spectra`` call, the reduced density matrices of A for
+        chunk's gaps, flags and ground states from one
+        ``propagator.samples`` call, the reduced density matrices of A for
         the whole chunk from one product and their cut fidelities from one
         ``cut_fidelity`` call, and one stacked ``eigvalsh`` for the
         entropies.  The entanglement entropy, equal on
         both sides of a pure state, comes from the smaller of the two reduced
-        density matrices.  Ground states are then resolved sample by sample:
-        a tied ground state follows the previous sample's, the first sample's
-        the state itself; a reference orthogonal to the tie falls back to the
-        lowest state, and the flag marks the sample.  The ground fidelity and
-        the purity stay one product per sample, since a stacked one changes
-        the last bit.  Every value is bitwise what scoring the samples one at
-        a time gives.
+        density matrices.  A lone ground state, its block's vector by
+        shifted inverse iteration (``chain.diagonalize_samples``), gives
+        ``f_g`` within ``chain.GROUND_TOLERANCE`` (1e-12) of the ``eigh``
+        vector's.  A tie comes as a ``Spectrum`` with its blocks' ``eigh``
+        vectors and is resolved sample by sample: it follows the previous
+        sample's ground state, the first sample's the state itself; a
+        reference orthogonal to the tie falls back to the lowest state, and
+        the flag marks the sample.  The ground fidelity and the purity stay
+        one product per sample, since a stacked one changes the last bit.
+        Every value is bitwise what scoring the samples one at a time gives.
         """
         self._check_schedule(schedule)
         n_spins = self.chain.n_spins
@@ -150,22 +155,25 @@ class ChainProcess:
             times, states = zip(*buffered)
             buffered.clear()
             gs = schedule.values(np.array(times)).tolist()
-            spectra = self.propagator.spectra(gs)
+            found = self.propagator.samples(gs)
             psis = np.array(states)
             rho_a = reduce_density(psis, self.a_sites, n_spins)
             rho_small = rho_a if schmidt_sites == self.a_sites else reduce_density(psis, schmidt_sites, n_spins)
             entropies = entropy(rho_small)
             f_c = cut_fidelity(rho_a, self.phi_0a)
-            for t, g, psi, spectrum, rho, f, schmidt_entropy in zip(times, gs, states, spectra, rho_a, f_c, entropies):
-                try:
-                    ground = spectrum.ground(psi if previous_ground is None else previous_ground)
-                except DegeneracyError:  # an orthogonal reference
-                    ground = spectrum.states(1)[:, 0]  # diagnostic only; the flag marks the sample
+            for t, g, psi, ground, gap, flag, rho, f, schmidt_entropy in zip(
+                    times, gs, states, found.grounds, found.gap.tolist(), found.degenerate.tolist(),
+                    rho_a, f_c, entropies):
+                if isinstance(ground, Spectrum):  # a tie, or the lowest energy's neighbour within the threshold
+                    try:
+                        ground = ground.ground(psi if previous_ground is None else previous_ground)
+                    except DegeneracyError:  # an orthogonal reference
+                        ground = ground.states(1)[:, 0]  # diagnostic only; the flag marks the sample
                 previous_ground = ground
-                value_blocks += spectrum.value_blocks
-                vector_blocks += spectrum.vector_blocks
                 rows.append((t, g, f, float(abs(ground.conj() @ psi)),
-                             purity(rho), schmidt_entropy, schmidt_entropy, spectrum.gap, spectrum.degenerate()))
+                             purity(rho), schmidt_entropy, schmidt_entropy, gap, flag))
+            value_blocks += int(found.value_blocks.sum())
+            vector_blocks += int(found.vector_blocks.sum())
 
         def sample(t: float, psi: np.ndarray) -> None:
             buffered.append((t, psi))

@@ -15,18 +15,21 @@ cannot reach; ``reference_block`` restricts them to one parity block, and
 long way on those plain sectors: both reduced density matrices with an
 entropy each, and an eager spectrum with eigenvectors of every sector at each
 sample.  ``reference_grid`` is the earlier, loop-based rule for a
-schedule's step boundaries, and ``reference_record`` the earlier recorder
+schedule's step boundaries, ``sweeps`` the earlier per-spectrum generator
+of the blocks a pruned spectrum diagonalizes (``reference_levels`` runs it
+one spectrum at a time), and ``reference_record`` the earlier recorder
 that scored a run's samples one at a time.  The helpers at the end (a schedule's slope, a
 landscape's cell size, an objective that records its calls, sector blocks cut
 from hand-built dense matrices, a schedule's steps as one-step schedules)
 serve only the tests.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from spinsplice.chain import DEGENERACY_RTOL, Block, DegeneracyError
+from spinsplice.chain import DEGENERACY_RTOL, Block, DegeneracyError, Spectrum, solve_by_size
 from spinsplice.dynamics import (
     SectorPropagator,
     cut_fidelity,
@@ -444,12 +447,62 @@ def recorded_observables(process, schedule, n_steps, stride):
     return {name: np.asarray(column) for name, column in zip(names, zip(*rows))}
 
 
-def reference_record(process, schedule, n_steps, stride=1):
+def sweeps(energies, lower, upper):
+    """The blocks one spectrum diagonalizes, the per-spectrum generator that
+    ``chain.levels`` replaced with array rounds: yields each list of blocks
+    in turn, whose ascending energies the caller adds to ``energies`` before
+    asking for the next.
+
+    First from the top, in descending order of the upper bounds, until no
+    block left can hold an energy above the highest found; then from the
+    bottom, in ascending order of the lower bounds, until no block left can
+    hold an energy at or below max(E1, E0 + DEGENERACY_RTOL (E_top - E0)) of
+    those found.  Blocks of equal bound go together, and blocks already in
+    ``energies`` are not asked for.
+    """
+    if len(energies) == len(lower):  # every block known
+        return
+
+    def top():
+        return max((w[-1] for w in energies.values()), default=-np.inf)
+
+    def cutoff():
+        e0, e1 = sorted([np.inf, np.inf, *(e for w in energies.values() for e in w[:2].tolist())])[:2]
+        return max(e1, e0 + DEGENERACY_RTOL * (highest - e0))
+
+    for bounds, beyond in (([-u for u in upper], lambda bound: -bound < top()),
+                           (lower, lambda bound: bound > cutoff())):
+        for bound, group in itertools.groupby(sorted(range(len(bounds)), key=bounds.__getitem__),
+                                              bounds.__getitem__):
+            if beyond(bound):
+                break
+            if members := [b for b in group if b not in energies]:
+                yield members
+        highest = top()  # exact after the first sweep: every block left has a lower upper bound
+
+
+def reference_levels(blocks, matrices, bounds=None, known=None):
+    """The energies dict of each matrix from its own ``sweeps``, one matrix
+    at a time, one ``eigvalsh`` per request and block dimension."""
+    sizes = [block.size for block in blocks]
+    out = []
+    for i, matrix in enumerate(matrices):
+        energies = dict(known[i] or {}) if known else {}
+        bound = bounds[i] if bounds else None
+        lower, upper = ([-np.inf] * len(blocks), [np.inf] * len(blocks)) if bound is None else [b.tolist() for b in bound]
+        for request in sweeps(energies, lower, upper):
+            energies.update(solve_by_size(np.linalg.eigvalsh, [(matrix, sizes, request)])[0])
+        out.append(energies)
+    return out
+
+
+def reference_record(process, schedule, n_steps, stride=1, eigh_vectors=False):
     """``process.run(schedule, n_steps, stride)`` scored one sample at a
     time, as the recorder did before it scored chunks: each sample takes
-    ``propagator.spectra([g])[0]`` at its own coupling, its reduced density
-    matrices and its entropy on their own, and the ``eigh`` of its ground
-    blocks with its spectrum.  Returns ``(psi, TrajectoryRecord)``."""
+    ``propagator.samples([g])`` at its own coupling, or with
+    ``eigh_vectors`` ``propagator.spectra([g])[0]``, whose ground vectors
+    all come from ``eigh``, and its reduced density matrices and its
+    entropy on their own.  Returns ``(psi, TrajectoryRecord)``."""
     n_spins = process.chain.n_spins
     schmidt_sites = process.a_sites if len(process.a_sites) <= len(process.b_sites) else process.b_sites
     rows = []
@@ -458,20 +511,27 @@ def reference_record(process, schedule, n_steps, stride=1):
     def sample(t, psi):
         nonlocal previous_ground, value_blocks, vector_blocks
         g = float(schedule.value(t))
-        spectrum = process.propagator.spectra([g])[0]
-        degenerate = spectrum.degenerate()
-        try:
-            ground = spectrum.ground(psi if previous_ground is None else previous_ground)
-        except DegeneracyError:
-            ground = spectrum.states(1)[:, 0]
+        if eigh_vectors:
+            ground = process.propagator.spectra([g])[0]
+            gap, degenerate = ground.gap, ground.degenerate()
+            values, vectors = ground.value_blocks, ground.vector_blocks
+        else:
+            found = process.propagator.samples([g])
+            ground, gap, degenerate = found.grounds[0], float(found.gap[0]), bool(found.degenerate[0])
+            values, vectors = int(found.value_blocks[0]), int(found.vector_blocks[0])
+        if isinstance(ground, Spectrum):
+            try:
+                ground = ground.ground(psi if previous_ground is None else previous_ground)
+            except DegeneracyError:
+                ground = ground.states(1)[:, 0]
         previous_ground = ground
-        value_blocks += spectrum.value_blocks
-        vector_blocks += spectrum.vector_blocks
+        value_blocks += values
+        vector_blocks += vectors
         rho_a = reduce_density(psi, process.a_sites, n_spins)
         rho_small = rho_a if schmidt_sites == process.a_sites else reduce_density(psi, schmidt_sites, n_spins)
         schmidt_entropy = entropy(rho_small)
         rows.append((t, g, cut_fidelity(rho_a, process.phi_0a), float(abs(ground.conj() @ psi)),
-                     purity(rho_a), schmidt_entropy, schmidt_entropy, spectrum.gap, degenerate))
+                     purity(rho_a), schmidt_entropy, schmidt_entropy, gap, degenerate))
 
     psi, work = propagate(process.propagator, schedule, process.psi0, n_steps, probe=sample, stride=stride)
     *columns, flags = zip(*rows)

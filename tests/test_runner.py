@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinsplice.chain as chain
 import spinsplice.runner as runner
 from spinsplice.cli import main
 from spinsplice.control import KINDS, polynomial_cut
@@ -299,13 +300,24 @@ class TestRunners:
         assert health["block_dims"][0] < max(math.comb(4, k) for k in range(5))
         assert 0.0 <= health["norm_error"] < 1e-12
         # the health echo leaves the trajectory bytes and their hash alone
-        eigh, eigh_calls = np.linalg.eigh, []
+        eigh, lowest_vectors = np.linalg.eigh, chain._lowest_vectors
+        lone_solves, tie_eigh, solving = [], [], []
+
+        def counted_lowest(stack, *args):  # one lone ground a matrix, by inverse iteration or eigh
+            lone_solves.append(len(stack))
+            solving.append(True)
+            try:
+                return lowest_vectors(stack, *args)
+            finally:
+                solving.pop()
 
         def counted_eigh(a, *args, **kwargs):  # each matrix of a stacked call counts
-            eigh_calls.extend([np.shape(a)[-2:]] * math.prod(np.shape(a)[:-2]))
+            if not solving:
+                tie_eigh.extend([np.shape(a)[-2:]] * math.prod(np.shape(a)[:-2]))
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(chain, "_lowest_vectors", counted_lowest)
         _, record = process.run(config.schedule, config.n_steps)
         monkeypatch.undo()
         expected = runner.write_csv(tmp_path / "expected.csv", runner.TRAJECTORY_COLUMNS, zip(
@@ -319,10 +331,12 @@ class TestRunners:
         assert health["degenerate_samples"] == int(record.degenerate_flags.sum())
         assert health["max_norm_dt"] == record.max_norm_dt
         assert health["taylor_matvecs"] == record.taylor_matvecs
-        # every eigh of the run is a recorder sample's ground block: at least
-        # one per sample, at most every block of every sample
+        # every ground vector of the run is a recorder sample's: a lone
+        # ground's block solved on its own, or an eigh of each block of a tie;
+        # at least one per sample, at most every block of every sample
         samples, n_blocks = len(record.times), len(process.propagator.blocks)
-        assert health["vector_blocks"] == record.vector_blocks == len(eigh_calls)
+        assert health["vector_blocks"] == record.vector_blocks == sum(lone_solves) + len(tie_eigh)
+        assert tie_eigh and sum(lone_solves) == samples - health["degenerate_samples"]
         assert samples <= health["vector_blocks"] <= samples * n_blocks
         # the blocks whose energies the samples took: at least the ground block's
         assert health["value_blocks"] == record.value_blocks

@@ -19,13 +19,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import spinsplice.chain as chain
 from spinsplice.chain import (
     DEGENERACY_RTOL,
     ChainSpec,
+    Spectrum,
     assemble_hamiltonian,
     DegeneracyError,
     diagonalize,
     ground_state,
+    levels,
     resolve_ground,
 )
 from spinsplice.control import (
@@ -35,7 +38,7 @@ from spinsplice.control import (
     polynomial_stitch,
     pulse_train,
 )
-from spinsplice.dynamics import SectorPropagator, cut_fidelity, propagate, reduce_density
+from spinsplice.dynamics import SectorPropagator, cut_fidelity, integration_grid, propagate, reduce_density
 import spinsplice.process as process_module
 from spinsplice.process import TrajectoryRecord, prepare_process
 
@@ -46,6 +49,7 @@ from oracles import (
     dense_propagate,
     eager_spectrum,
     recorded_observables,
+    reference_levels,
     reference_record,
     sector_reference,
 )
@@ -448,7 +452,10 @@ class TestLazySpectrum:
 def pruned_propagator(name):
     spec = {
         "ring6": RING6, "ring7": ChainSpec(7, "ring", 1.0, 2.0), "ring8": RING8,
-        "open6": ChainSpec(6, "open", 1.0, 2.0), "ring7_crossing": ChainSpec(7, "ring", 1.0, cross_sector_field()),
+        "ring10": ChainSpec(10, "ring", 1.0, 2.0), "ring12": ChainSpec(12, "ring", 1.0, 2.0),
+        "ring8_low_field": ChainSpec(8, "ring", 1.0, 0.3), "open6": ChainSpec(6, "open", 1.0, 2.0),
+        "open7": ChainSpec(7, "open", 1.0, 2.0), "open8": ChainSpec(8, "open", 1.0, 0.3),
+        "ring7_crossing": ChainSpec(7, "ring", 1.0, cross_sector_field()),
     }[name]
     return SectorPropagator(*assemble_hamiltonian(spec))
 
@@ -515,6 +522,156 @@ def test_diagonalize_together_is_bitwise_alone(names, g):
         assert np.array_equal(spectrum.ground(reference), alone.ground(reference))
         with pytest.raises(ValueError, match="lowest states"):
             spectrum.states(tie_count(spectrum) + 1)
+
+
+def assert_levels_match_the_reference(prop, gs):
+    """``chain.levels`` over every coupling at once against the generator
+    of ``oracles.sweeps``, run one spectrum at a time: the same blocks
+    diagonalized (or known), each with bitwise the same energies, and the
+    same gap, degenerate flag and value_blocks in ``samples``."""
+    asks = prop._asks(gs)
+    found, expected = levels(prop.blocks, *asks), reference_levels(prop.blocks, *asks)
+    samples = prop.samples(gs)
+    for g, energies, want, gap, flag, count in zip(gs, found, expected, samples.gap, samples.degenerate,
+                                                   samples.value_blocks):
+        assert sorted(energies) == sorted(want), g
+        assert all(energies[b].tobytes() == want[b].tobytes() for b in want), g
+        spectrum = Spectrum(prop.blocks, want)
+        assert gap == spectrum.gap and flag == spectrum.degenerate() and count == spectrum.value_blocks, g
+
+
+@pytest.mark.parametrize("name", ["ring6", "ring8", "ring8_low_field", "ring10", "ring12", "open6", "open7", "open8",
+                                  "ring7_crossing"])
+def test_levels_match_the_reference_sweeps(name):
+    # couplings inside and outside [0, 1], and both endpoints, whose
+    # energies are known: the array rounds of one call against each
+    # spectrum's own generator
+    gs = [1.0, -2.5, 0.37, 0.0, 1.3] if name == "ring12" else [1.0, -2.5, -0.4, 0.13, 0.5, 0.77, 0.0, 1.3, 3.2]
+    assert_levels_match_the_reference(pruned_propagator(name), gs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(("ring6", "ring7", "open6", "ring7_crossing")),
+       gs=st.lists(st.sampled_from((0.0, 1.0)) | st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=6))
+def test_levels_match_the_reference_sweeps_anywhere(name, gs):
+    assert_levels_match_the_reference(pruned_propagator(name), gs)
+
+
+def min_gap_coupling():
+    """The coupling of the smallest-gap sample (gap 7.5e-5) of a 300-step
+    ring12 ``polynomial_cut(0.6, (54.3, -36.3))`` trajectory at field 2.0."""
+    schedule = polynomial_cut(0.6, TABLE1[1][1])
+    return float(schedule.values(integration_grid(schedule, 300))[263])
+
+
+LONE_CASES = {  # chain, field, direction
+    "ring6": (ChainSpec(6, "ring", 1.0, 2.0), "cut"),
+    "ring6_low_field_stitch": (ChainSpec(6, "ring", 1.0, 0.3), "stitch"),
+    "ring8": (RING8, "cut"),
+    "ring8_low_field": (ChainSpec(8, "ring", 1.0, 0.3), "cut"),
+    "ring10": (ChainSpec(10, "ring", 1.0, 2.0), "cut"),
+    "ring12": (ChainSpec(12, "ring", 1.0, 2.0), "cut"),
+    "open6_low_field_stitch": (ChainSpec(6, "open", 1.0, 0.3), "stitch"),
+    "open7": (ChainSpec(7, "open", 1.0, 2.0), "cut"),
+    "open8_low_field": (ChainSpec(8, "open", 1.0, 0.3), "cut"),
+}
+
+
+@functools.cache
+def lone_process(name):
+    return prepare_process(*LONE_CASES[name])
+
+
+class TestLoneGrounds:
+    """A lone ground's vector by inverse iteration (``chain._lowest_vectors``)
+    against the ``eigh`` vector: f_G within 1e-12, every other column and
+    count bitwise."""
+
+    @pytest.mark.parametrize("name", LONE_CASES)
+    def test_f_g_within_the_tolerance_of_eigh(self, name, eigh_calls):
+        process = lone_process(name)
+        schedule = BATCH_SCHEDULES[process.direction]
+        n_steps = 10 if name == "ring12" else 40
+        del eigh_calls[:]
+        psi, record = process.run(schedule, n_steps)
+        assert not eigh_calls  # no tie and no fallback: every ground by inverse iteration
+        expected_psi, expected = reference_record(process, schedule, n_steps, eigh_vectors=True)
+        assert psi.tobytes() == expected_psi.tobytes()
+        assert np.abs(record.f_g - expected.f_g).max() <= chain.GROUND_TOLERANCE
+        assert_same_record(replace(record, f_g=expected.f_g), expected)
+
+    def test_ring12_smallest_gap_sample(self):
+        prop = lone_process("ring12").propagator
+        g = min_gap_coupling()
+        samples = prop.samples([g])
+        assert 7e-5 < samples.gap[0] < 8e-5 and not samples.degenerate[0]
+        x, q = samples.grounds[0], prop.spectra([g])[0].states(1)[:, 0]
+        # every unit state's |<x|psi>| is within ||x -+ q|| of its |<q|psi>|
+        assert min(np.linalg.norm(x - q), np.linalg.norm(x + q)) <= chain.GROUND_TOLERANCE
+
+    @pytest.mark.parametrize("name", ["ring8", "open7"])
+    def test_a_failed_certificate_takes_eigh(self, name, eigh_calls, monkeypatch):
+        # no residual bound passes a zero tolerance: every vector from
+        # eigh, bitwise the record of eigh vectors, f_G included
+        process = lone_process(name)
+        schedule = BATCH_SCHEDULES["cut"]
+        expected = reference_record(process, schedule, 30, eigh_vectors=True)[1]
+        monkeypatch.setattr(chain, "GROUND_TOLERANCE", 0.0)
+        del eigh_calls[:]
+        record = process.run(schedule, 30)[1]
+        assert len(eigh_calls) == record.vector_blocks == len(record.times)
+        assert_same_record(record, expected)
+
+    def test_an_exactly_singular_shift_takes_eigh(self):
+        # e0 - slack = 0 makes diag(0, 1, 2) itself the shifted matrix
+        stack = np.array([np.diag([0.0, 1.0, 2.0]), np.diag([0.5, 1.0, 2.0])])
+        e0, e1, slack = np.array([1e-13, 0.5]), np.array([1.0, 1.0]), np.array([1e-13, 1e-13])
+        x, singular = chain._solve(stack - (e0 - slack)[:, None, None] * np.eye(3), np.ones((2, 3)))
+        assert singular.tolist() == [True, False]
+        vectors = chain._lowest_vectors(stack, e0, e1, slack)
+        assert vectors[0].tobytes() == np.linalg.eigh(stack[:1])[1][0, :, 0].tobytes()
+        assert abs(abs(vectors[1, 0]) - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("name", ["ring8", "ring10", "open8_low_field"])
+    def test_each_vector_is_bitwise_its_own_whatever_the_stack(self, name):
+        prop = lone_process(name).propagator
+        gs = np.linspace(0.05, 0.95, 7).tolist()
+        together = prop.samples(gs).grounds
+        for g, x in zip(gs, together):
+            assert x.tobytes() == prop.samples([g]).grounds[0].tobytes()
+
+    def test_mixed_step_counts_are_bitwise_alone(self):
+        # gaps 1 and 0.01 over a slack of 1e-10 take two and three steps
+        q = np.linalg.qr(np.random.default_rng(5).normal(size=(6, 6)))[0]
+        stack = np.array([(q * w) @ q.T for w in ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 0.01, 2.0, 3.0, 4.0, 5.0])])
+        energies = np.linalg.eigvalsh(stack)
+        e0, e1, slack = energies[:, 0], energies[:, 1], np.full(2, 1e-10)
+        assert np.ceil(np.log(chain.UNIT_ROUNDOFF / 6) / np.log(2 * slack / (e1 - e0))).tolist() == [2.0, 3.0]
+        together = chain._lowest_vectors(stack, e0, e1, slack)
+        for k in range(2):
+            alone = chain._lowest_vectors(stack[k:k + 1], e0[k:k + 1], e1[k:k + 1], slack[k:k + 1])
+            assert together[k].tobytes() == alone[0].tobytes()
+            assert abs(abs(together[k] @ q[:, 0]) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("run", ["in_block_tie", "cross_sector_tie"])
+    def test_ring7_ties_take_eigh(self, run, eigh_calls, monkeypatch):
+        # every tied sample's tie blocks from eigh, every lone one's block
+        # solved on its own
+        field = 2.0 if run == "in_block_tie" else cross_sector_field()
+        process = prepare_process(ChainSpec(7, "ring", 1.0, field), "cut")
+        pulses = pulse_train(0.6, (1.0, 0.4, 1.0, 1.0, -0.5, 1.0))
+        lowest_vectors, lone = chain._lowest_vectors, []
+
+        def counted(stack, *args):
+            lone.append(len(stack))
+            return lowest_vectors(stack, *args)
+
+        monkeypatch.setattr(chain, "_lowest_vectors", counted)
+        del eigh_calls[:]
+        record = process.run(pulses, 1)[1]
+        tied = record.degenerate_flags
+        assert tied.sum() >= 2 and sum(lone) == (~tied).sum()
+        assert len(eigh_calls) == record.vector_blocks - sum(lone) >= 2 * tied.sum()
 
 
 class TestBeyondOneSector:
