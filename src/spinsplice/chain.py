@@ -209,7 +209,7 @@ def _layout(downs: np.ndarray, image: np.ndarray):
     """
     states = np.arange(downs.size)
     rep = states <= image
-    parity, slot = np.array([rep, rep & (states != image)]).nonzero()
+    parity, slot = np.array([rep, states < image]).nonzero()
     key = 2 * downs[slot] + parity
     order = key.argsort(kind="stable")
     sizes = np.bincount(key, minlength=2 * int(downs[-1]) + 2)
@@ -246,35 +246,36 @@ def _sector_hamiltonian(
     area = sizes * sizes
     starts = area.cumsum() - area
     total = int(starts[-1] + area[-1])
-    row = np.zeros((2, downs.size), dtype=np.int64)  # where the row of each (parity, representative) begins
-    row[parity, slot] = first = starts[key] + rank * sizes[key]
+    first = starts[key] + rank * sizes[key]  # where the row of each slot begins
     diag = first + rank
-    kind = np.sign(image - np.arange(downs.size))  # 1 on a representative, -1 on its partner, 0 if fixed
 
-    bonds = list(bonds)
-    shifts = n_spins - np.array(bonds, dtype=np.int64).reshape(-1, 2)
-    offset = np.array([total if bond in cut else 0 for bond in bonds], dtype=np.int64)  # v after h0
-    # sigma_i . sigma_j: z_i z_j on the diagonal plus a weight-2 pair flip
-    # between antiparallel configurations; one row per bond
-    differ = ((slot >> shifts[:, :1]) ^ (slot >> shifts[:, 1:])) & 1
-    bond, flip = differ.nonzero()
-    p, t = parity[flip], slot[flip]
-    s = t ^ ((1 << shifts[:, 0]) | (1 << shifts[:, 1]))[bond]
-    weight = _WEIGHT[p, kind[s] + 1, kind[t]]
-    keep = weight != 0.0
-    # bond by bond, so each entry sums in the order of the dense reference
-    # assembly; the field goes in last, as there: added first, it differs
-    # at round-off
-    index = [(diag + offset[:, None]).ravel(), (row[p, np.minimum(s, image[s])] + rank[flip] + offset[bond])[keep]]
-    value = [(exchange * (1.0 - 2.0 * differ)).ravel(), 2.0 * exchange * weight[keep]]
+    index, value = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    if bonds := list(bonds):
+        row = np.zeros((2, downs.size), dtype=np.int64)  # where the row of each (parity, representative) begins
+        row[parity, slot] = first
+        kind = np.sign(image - np.arange(downs.size))  # 1 on a representative, -1 on its partner, 0 if fixed
+        shifts = n_spins - np.array(bonds, dtype=np.int64).reshape(-1, 2)
+        offset = np.array([total if bond in cut else 0 for bond in bonds], dtype=np.int64)  # v after h0
+        # sigma_i . sigma_j: z_i z_j on the diagonal plus a weight-2 pair flip
+        # between antiparallel configurations; one row per bond
+        differ = ((slot >> shifts[:, :1]) ^ (slot >> shifts[:, 1:])) & 1
+        bond, flip = differ.nonzero()
+        p, t = parity[flip], slot[flip]
+        s = t ^ ((1 << shifts[:, 0]) | (1 << shifts[:, 1]))[bond]
+        weight = _WEIGHT[p, kind[s] + 1, kind[t]]
+        keep = weight != 0.0
+        # bond by bond, so each entry sums in the order of the dense reference
+        # assembly; the field goes in last, as there: added first, it differs
+        # at round-off
+        index = [(diag + offset[:, None]).ravel(), (row[p, np.minimum(s, image[s])] + rank[flip] + offset[bond])[keep]]
+        value = [(exchange * (1.0 - 2.0 * differ)).ravel(), 2.0 * exchange * weight[keep]]
     if field != 0.0:
         index.append(diag)
         value.append(field * (n_spins - 2 * downs[slot]))
-    buf = np.bincount(np.concatenate(index), np.concatenate(value), 2 * total)
-    h0, v = (
-        tuple(buf[lo:lo + d * d].reshape(d, d) for lo, d in zip((starts + shift).tolist(), sizes.tolist()) if d)
-        for shift in (0, total)
-    )
+    # float64 even with no term at all, where bincount ignores the weights' type
+    buf = np.bincount(np.concatenate(index), np.concatenate(value), 2 * total).astype(float, copy=False)
+    spans = [(lo, lo + d * d, d) for lo, d in zip(starts.tolist(), sizes.tolist()) if d]
+    h0, v = (tuple(buf[lo + shift:hi + shift].reshape(d, d) for lo, hi, d in spans) for shift in (0, total))
     return blocks, h0, v
 
 
@@ -319,103 +320,6 @@ def cut_components(spec: ChainSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(sorted(seen)), rest
 
 
-class Spectrum:
-    """Spectrum of a block-diagonal real symmetric (or Hermitian) matrix, as
-    ``diagonalize`` builds it from the energies of some of its blocks.
-
-    ``energies`` is the merged spectrum of only the blocks diagonalized or
-    known, ``value_blocks`` counts them, and they are merged in the order of
-    dimension, then block, so that ties sort as in the full spectrum.  Exact,
-    as if every block had been diagonalized: the two lowest energies and so
-    ``gap``, the top energy and so ``threshold()`` and ``degenerate()``, and
-    every energy within the threshold of the lowest, the tie that ``ground``
-    resolves.  ``vectors`` holds the eigenvectors of the block of the lowest
-    energy, or of the blocks of every energy of the tie; ``vector_blocks``
-    counts them.  ``states(k)`` embeds those of the k lowest energies in the
-    full space, k within the tie.  ``ground`` applies the degeneracy rule.
-    """
-
-    def __init__(self, blocks: Blocks, energies: dict[int, np.ndarray]) -> None:
-        self.blocks = blocks
-        self.value_blocks = len(energies)
-        self._sizes = [block.size for block in blocks]
-        self._done = sorted(energies, key=lambda b: (self._sizes[b], b))
-        w = np.concatenate([energies[b] for b in self._done])
-        self._order = np.argsort(w, kind="stable")
-        self.energies = w[self._order]
-        self.vectors: dict[int, np.ndarray] = {}  # filled by diagonalize
-
-    @property
-    def gap(self) -> float:
-        """Distance between the two lowest energies of the whole spectrum."""
-        w = self.energies
-        return float(w[1] - w[0]) if w.size > 1 else np.inf
-
-    @property
-    def vector_blocks(self) -> int:
-        """Blocks whose eigenvectors it holds."""
-        return len(self.vectors)
-
-    def threshold(self) -> float:
-        """Energies closer than this to the lowest count as degenerate with it."""
-        w = self.energies
-        return DEGENERACY_RTOL * float(w[-1] - w[0])
-
-    def degenerate(self) -> bool:
-        return self.gap <= self.threshold()
-
-    def _tied(self) -> int:
-        """How many energies lie within ``threshold`` of the lowest."""
-        w = self.energies
-        return int(np.searchsorted(w, w[0] + self.threshold(), side="right"))
-
-    def _located(self, k: int) -> list[tuple[int, int]]:
-        """(block, column) of each of the k lowest entries."""
-        located = []
-        for i in self._order[:k].tolist():
-            for b in self._done:  # i indexes the energies concatenated block by block
-                if i < self._sizes[b]:
-                    break
-                i -= self._sizes[b]
-            located.append((b, i))
-        return located
-
-    def states(self, k: int) -> np.ndarray:
-        """Full-space eigenvector columns of the k lowest energies."""
-        if k > self._tied():
-            raise ValueError(f"only the {self._tied()} lowest states are held")
-        located = self._located(k)
-        out = np.zeros((sum(self._sizes), k), dtype=np.result_type(*(self.vectors[b] for b, _ in located)))
-        for col, (b, column) in enumerate(located):
-            self.blocks[b].embed(self.vectors[b][:, column], out[:, col])
-        return out
-
-    def ground(self, reference: np.ndarray | None = None) -> np.ndarray:
-        """The lowest state, picked by ``reference`` when it is degenerate.
-
-        The ground subspace holds the eigenvectors of every energy within
-        ``threshold`` of the lowest, from whichever blocks they lie in.  When
-        it has more than one dimension, the state is its unit vector closest
-        to ``reference``: the normalized projection of the reference onto it.
-        A missing reference, or one orthogonal to the subspace, cannot pick
-        a state, and is an error.
-        """
-        if not self.degenerate():
-            return self.states(1)[:, 0]
-        if reference is None:
-            raise DegeneracyError(
-                "ground state is degenerate and no continuity reference was supplied"
-            )
-        basis = self.states(self._tied())
-        coeff = basis.conj().T @ reference
-        norm = np.linalg.norm(coeff)
-        if norm < 1e-12:
-            raise DegeneracyError(
-                "continuity reference is orthogonal to the degenerate ground subspace"
-            )
-        return basis @ (coeff / norm)
-
-
 def solve_by_size(solve: Callable[[np.ndarray], np.ndarray], asks) -> list[dict[int, np.ndarray]]:
     """``solve`` applied to the blocks each ask names, one stacked call per
     block dimension over every ask.
@@ -440,7 +344,7 @@ def solve_by_size(solve: Callable[[np.ndarray], np.ndarray], asks) -> list[dict[
 def _slack(size, magnitude):
     """Round-off slack 4 d eps ||M|| of energies ``eigvalsh`` computes on a
     block of dimension d whose largest energy magnitude is ||M||."""
-    return 4 * np.finfo(float).eps * size * magnitude
+    return 8 * UNIT_ROUNDOFF * size * magnitude
 
 
 def _summaries(energies: list[dict[int, np.ndarray]], sizes: np.ndarray) -> np.ndarray:
@@ -482,15 +386,16 @@ def levels(blocks: Blocks, matrices: list[Callable[[int], np.ndarray]],
     go to one stacked ``eigvalsh``, which gives each matrix bitwise the
     energies of a call of its own.
     """
-    count, sizes = len(matrices), np.array([block.size for block in blocks])
+    count, dims = len(matrices), [block.size for block in blocks]
     energies = [dict(k or {}) for k in known or [None] * count]
     bounds = bounds or [None] * count
     unbounded = [i for i, bound in enumerate(bounds) if bound is None]
-    asks = [(matrices[i], sizes.tolist(), [b for b in range(sizes.size) if b not in energies[i]]) for i in unbounded]
+    asks = [(matrices[i], dims, [b for b in range(len(dims)) if b not in energies[i]]) for i in unbounded]
     for i, found in zip(unbounded, solve_by_size(np.linalg.eigvalsh, asks)):
         energies[i].update(found)
     if len(unbounded) == count:
         return energies
+    sizes = np.array(dims)
     lowest, second, highest = _summaries([{} if bound is None else e for e, bound in zip(energies, bounds)], sizes)
     done = lowest < np.inf
     lower, upper = np.full((count, sizes.size), -np.inf), np.full((count, sizes.size), np.inf)
@@ -523,70 +428,95 @@ def levels(blocks: Blocks, matrices: list[Callable[[int], np.ndarray]],
                 energies[i][b] = row
 
 
-def _attach_vectors(spectra: list[Spectrum], matrices: list[Callable[[int], np.ndarray]]) -> None:
-    """Give each spectrum the eigenvectors of its ground or tie blocks, from
-    one ``eigh`` per block dimension over every spectrum."""
-    sizes = [block.size for block in spectra[0].blocks] if spectra else []
-    grounds = [(matrix, sizes, list(dict.fromkeys(b for b, _ in s._located(s._tied()))))
-               for matrix, s in zip(matrices, spectra)]
-    for s, vectors in zip(spectra, solve_by_size(lambda a: np.linalg.eigh(a)[1], grounds)):
-        s.vectors = vectors
+class Spectra(NamedTuple):
+    """What ``diagonalize`` finds of a stack of block-diagonal matrices, one
+    entry per matrix, each exact as if every block had been diagonalized.
+
+    ``lowest`` is the lowest energy, ``gap`` the distance to the second, and
+    ``degenerate`` marks a gap within the threshold DEGENERACY_RTOL (E_top -
+    E0).  ``value_blocks`` counts the blocks diagonalized or known,
+    ``vector_blocks`` those whose vectors the ground state takes.  A lone
+    ground, the lowest energy alone within the threshold, has its ``block``,
+    that block's ``second`` energy (inf on one state) and the round-off
+    ``slack`` 4 d eps ||M|| of its energies; its caller solves the vector
+    (``lowest_states``).  Any other matrix has block -1 and in ``ties`` the
+    full-space ``eigh`` vectors of every energy within the threshold of the
+    lowest, ascending, equal ones in order of block dimension, then block.
+    """
+
+    gap: np.ndarray
+    degenerate: np.ndarray
+    lowest: np.ndarray
+    value_blocks: np.ndarray
+    vector_blocks: np.ndarray
+    block: np.ndarray
+    second: np.ndarray
+    slack: np.ndarray
+    ties: list[np.ndarray | None]
+
+
+def _tie(energies: dict[int, np.ndarray], limit: float) -> list[tuple[int, int]]:
+    """(block, column) of each energy at or below ``limit``, ascending, equal
+    ones in order of block dimension, then block."""
+    return [(b, column) for *_, b, column in sorted(
+        (e, w.size, b, column) for b, w in energies.items() if w[0] <= limit
+        for column, e in enumerate(w[w <= limit].tolist()))]
 
 
 def diagonalize(blocks: Blocks, matrices: list[Callable[[int], np.ndarray]],
                 bounds: list[tuple[np.ndarray, np.ndarray] | None] | None = None,
-                known: list[dict[int, np.ndarray] | None] | None = None) -> list[Spectrum]:
-    """The ``Spectrum`` of each matrix of ``levels``, with the ``eigh``
-    vectors of its ground or tie blocks; each bitwise as it would be alone."""
-    spectra = [Spectrum(blocks, e) for e in levels(blocks, matrices, bounds, known)]
-    _attach_vectors(spectra, matrices)
-    return spectra
-
-
-class Samples(NamedTuple):
-    """What a recorded sample reads of each spectrum: its gap, degenerate
-    flag and block counts, as its ``Spectrum`` has them, and in ``grounds``
-    its ground state in the full space, or for a tie its ``Spectrum``."""
-
-    gap: np.ndarray
-    degenerate: np.ndarray
-    value_blocks: np.ndarray
-    vector_blocks: np.ndarray
-    grounds: list[np.ndarray | Spectrum]
-
-
-def diagonalize_samples(blocks: Blocks, matrices: list[Callable[[int], np.ndarray]],
-                        bounds: list[tuple[np.ndarray, np.ndarray] | None] | None = None,
-                        known: list[dict[int, np.ndarray] | None] | None = None) -> Samples:
-    """``diagonalize`` as a recorded sample reads it, from (matrices x
-    blocks) arrays of the energies ``levels`` finds.  A lone ground, the
-    lowest energy alone within the threshold, takes its block's vector from
-    ``_lowest_vectors``, one stacked call per block dimension; any other
-    matrix gets its ``Spectrum``, as from ``diagonalize``."""
+                known: list[dict[int, np.ndarray] | None] | None = None) -> Spectra:
+    """The ``Spectra`` of the matrices of ``levels``, read off the energies it
+    finds, with the ``eigh`` vectors of every tie's blocks from one stacked
+    call per block dimension; each matrix's entries bitwise as they would
+    be alone."""
     energies = levels(blocks, matrices, bounds, known)
-    sizes = np.array([block.size for block in blocks])
-    lowest, second, highest = _summaries(energies, sizes)
-    (e0, e1), top = _two_lowest(lowest, second), highest.max(axis=1)
-    gap, threshold = e1 - e0, DEGENERACY_RTOL * (top - e0)
-    lone = (gap > threshold) & (e1 > e0 + threshold)
-    tied = np.flatnonzero(~lone).tolist()
-    spectra = [Spectrum(blocks, energies[i]) for i in tied]
-    _attach_vectors(spectra, [matrices[i] for i in tied])
-    grounds: list[np.ndarray | Spectrum] = [None] * len(matrices)
-    vector_blocks = np.ones(len(matrices), dtype=int)
-    for i, spectrum in zip(tied, spectra):
-        grounds[i], vector_blocks[i] = spectrum, spectrum.vector_blocks
-    rows = np.flatnonzero(lone)
-    cols = lowest[rows].argmin(axis=1)
-    for d in dict.fromkeys(sizes[cols].tolist()):
-        r, c = rows[sizes[cols] == d], cols[sizes[cols] == d]
-        stack = np.array([matrices[i](b) for i, b in zip(r.tolist(), c.tolist())])
-        slack = _slack(d, np.maximum(np.abs(lowest[r, c]), np.abs(highest[r, c])))
-        states = np.zeros((r.size, sizes.sum()))
-        for i, b, x, state in zip(r.tolist(), c.tolist(), _lowest_vectors(stack, lowest[r, c], second[r, c], slack), states):
-            blocks[b].embed(x, state)
-            grounds[i] = state
-    return Samples(gap, gap <= threshold, np.array([len(e) for e in energies]), vector_blocks, grounds)
+    rows = []  # each matrix's entries, and the limit of its tie, E0 plus the threshold
+    for found in energies:
+        ranked = sorted([(w.item(0), b) for b, w in found.items()])  # each block's lowest energy
+        (e0, ground), w = ranked[0], found[ranked[0][1]]
+        second = w.item(1) if w.size > 1 else np.inf
+        e1 = min(second, ranked[1][0]) if len(ranked) > 1 else second
+        gap, threshold = e1 - e0, DEGENERACY_RTOL * (max([v.item(-1) for v in found.values()]) - e0)
+        lone = gap > threshold and e1 > e0 + threshold
+        rows.append((gap, gap <= threshold, e0, len(found), ground if lone else -1, second,
+                     _slack(w.size, max(abs(e0), abs(w.item(-1)))), e0 + threshold))
+    gap, degenerate, e0, value_blocks, block, second, slack, limits = zip(*rows) if rows else [()] * 8
+    ties: list[np.ndarray | None] = [None] * len(rows)
+    vector_blocks = [1] * len(rows)
+    if tied := [i for i, b in enumerate(block) if b < 0]:
+        sizes = [b.size for b in blocks]
+        located = [_tie(energies[i], limits[i]) for i in tied]
+        vectors = solve_by_size(lambda a: np.linalg.eigh(a)[1], [
+            (matrices[i], sizes, list(dict.fromkeys(b for b, _ in at))) for i, at in zip(tied, located)])
+        for i, at, found in zip(tied, located, vectors):
+            ties[i] = np.zeros((sum(sizes), len(at)), dtype=np.result_type(*found.values()))
+            for col, (b, column) in enumerate(at):
+                blocks[b].embed(found[b][:, column], ties[i][:, col])
+            vector_blocks[i] = len(found)
+    return Spectra(*map(np.array, (gap, degenerate, e0, value_blocks, vector_blocks, block, second, slack)), ties)
+
+
+def lowest_states(spectra: Spectra, blocks: Blocks, matrices: list[Callable[[int], np.ndarray]],
+                  iterate: bool = False) -> list[np.ndarray | None]:
+    """The full-space ground state of each lone ground of ``spectra``, None
+    for any other matrix: its block's lowest ``eigh`` vector, or with
+    ``iterate`` its ``_lowest_vectors`` one, one stacked call per block
+    dimension.  Each state is bitwise what a call of its own gives."""
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for i, b in enumerate(spectra.block.tolist()):
+        if b >= 0:
+            groups.setdefault(blocks[b].size, []).append((i, b))
+    dim = sum(block.size for block in blocks)
+    states: list[np.ndarray | None] = [None] * len(spectra.block)
+    for pairs in groups.values():
+        stack, r = np.array([matrices[i](b) for i, b in pairs]), [i for i, _ in pairs]
+        x = (_lowest_vectors(stack, spectra.lowest[r], spectra.second[r], spectra.slack[r]) if iterate
+             else np.linalg.eigh(stack)[1][:, :, 0])
+        for (i, b), x_i, state in zip(pairs, x, np.zeros((len(pairs), dim), dtype=x.dtype)):
+            blocks[b].embed(x_i, state)
+            states[i] = state
+    return states
 
 
 def _lowest_vectors(stack: np.ndarray, e0: np.ndarray, e1: np.ndarray, slack: np.ndarray) -> np.ndarray:
@@ -657,24 +587,43 @@ def _solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return x, singular
 
 
-def resolve_ground(spectrum: Spectrum, nudged: Callable[[], Spectrum] | None) -> np.ndarray:
-    """Lowest state of ``spectrum``, a degeneracy resolved by a perturbed spectrum.
-
-    When ``spectrum`` is degenerate, ``nudged()`` (called only then) gives the
-    spectrum of a slightly perturbed Hamiltonian, and the state is the one in
-    the ground subspace closest to its unique ground state.  Without a nudged
-    spectrum, or when it is degenerate too, the ambiguity is an error, never
-    a silent arbitrary choice.
+def tie_ground(tie: np.ndarray, degenerate: bool, reference: np.ndarray | None = None) -> np.ndarray:
+    """The ground state of a tie (``Spectra.ties``): its lowest state, or
+    when it is degenerate its unit vector closest to ``reference``, the
+    normalized projection of the reference onto it.  A missing reference,
+    or one orthogonal to the tie, cannot pick a state, and is an error.
     """
-    reference = None
-    if nudged is not None and spectrum.degenerate():
-        perturbed = nudged()
-        if perturbed.degenerate():
-            raise DegeneracyError(
-                "unresolvable degeneracy: the perturbed reference Hamiltonian is degenerate too"
-            )
-        reference = perturbed.states(1)[:, 0]
-    return spectrum.ground(reference)
+    if not degenerate:
+        return tie[:, 0].copy()
+    if reference is None:
+        raise DegeneracyError("ground state is degenerate and no continuity reference was supplied")
+    coeff = tie.conj().T @ reference
+    norm = np.linalg.norm(coeff)
+    if norm < 1e-12:
+        raise DegeneracyError("continuity reference is orthogonal to the degenerate ground subspace")
+    return tie @ (coeff / norm)
+
+
+def ground_states(spectra: Spectra, blocks: Blocks, matrices: list[Callable[[int], np.ndarray]],
+                  nudged: Callable[[list[int]], tuple[Spectra, list]] | None = None) -> list[np.ndarray]:
+    """The ground state of each matrix of ``spectra``: a lone ground's
+    ``eigh`` vector (``lowest_states``), or ``tie_ground`` of its tie, the
+    reference of a degenerate one the unique ground state of a slightly
+    perturbed matrix.  ``nudged(rows)``, called only on a tie, gives the
+    ``Spectra`` and the matrices of the perturbed matrices of those rows.
+    Without it, or when one of them is degenerate too, the ambiguity is an
+    error, never a silent arbitrary choice.
+    """
+    states, degenerate = lowest_states(spectra, blocks, matrices), spectra.degenerate.tolist()
+    references = [None] * len(states)
+    if nudged is not None and (rows := [i for i, flag in enumerate(degenerate) if flag]):
+        perturbed, perturbed_matrices = nudged(rows)
+        if perturbed.degenerate.any():
+            raise DegeneracyError("unresolvable degeneracy: the perturbed reference Hamiltonian is degenerate too")
+        for i, reference in zip(rows, ground_states(perturbed, blocks, perturbed_matrices)):
+            references[i] = reference
+    return [tie_ground(tie, flag, reference) if state is None else state
+            for state, tie, flag, reference in zip(states, spectra.ties, degenerate, references)]
 
 
 @dataclass(frozen=True)
@@ -689,10 +638,11 @@ def ground_state(h: np.ndarray, continuity_reference: np.ndarray | None = None) 
     """Lowest eigenpair of a dense 2**N matrix ``h`` with explicit handling of degeneracy.
 
     A dense-matrix helper: the package works on blocks and never calls it.
-    ``h`` is diagonalized block by block over the total-S^z sectors.  When it
-    is degenerate, ``resolve_ground`` follows ``continuity_reference``, a
-    slightly perturbed Hamiltonian supplied by the caller.  A nonzero entry
-    between two sectors, however small, is an error.
+    ``h`` is diagonalized block by block over the total-S^z sectors, and its
+    ground state taken by ``ground_states``: when it is degenerate, it
+    follows the ground state of ``continuity_reference``, a slightly
+    perturbed Hamiltonian supplied by the caller.  A nonzero entry between
+    two sectors, however small, is an error.
     """
     downs, image = _basis(h.shape[0].bit_length() - 1)
     blocks = _layout(downs, image)[0]
@@ -700,10 +650,11 @@ def ground_state(h: np.ndarray, continuity_reference: np.ndarray | None = None) 
     if any(np.any((downs[:, None] != downs) & (op != 0)) for op in operators):
         raise ValueError("ground_state needs a matrix that conserves total S^z")
 
-    def spectrum(m: np.ndarray) -> Spectrum:
-        return diagonalize(blocks, [lambda b: m.take(blocks[b].states, axis=0).take(blocks[b].states, axis=1)])[0]
+    def blockwise(m: np.ndarray) -> list[Callable[[int], np.ndarray]]:
+        return [lambda b: m.take(blocks[b].states, axis=0).take(blocks[b].states, axis=1)]
 
-    full = spectrum(h)
-    nudged = None if continuity_reference is None else (lambda: spectrum(continuity_reference))
-    state = resolve_ground(full, nudged)
-    return GroundStateSelection(float(full.energies[0]), state, full.degenerate(), full.gap)
+    found = diagonalize(blocks, blockwise(h))
+    nudged = None if continuity_reference is None else (
+        lambda rows: (diagonalize(blocks, blockwise(continuity_reference)), blockwise(continuity_reference)))
+    (state,) = ground_states(found, blocks, blockwise(h), nudged)
+    return GroundStateSelection(float(found.lowest[0]), state, bool(found.degenerate[0]), float(found.gap[0]))

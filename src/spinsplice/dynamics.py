@@ -47,11 +47,9 @@ from .chain import (
     UNIT_ROUNDOFF,
     Blocks,
     Matrices,
-    Samples,
-    Spectrum,
+    Spectra,
     _slack,
     diagonalize,
-    diagonalize_samples,
     solve_by_size,
 )
 
@@ -171,10 +169,9 @@ class SectorPropagator:
         self._endpoints = None  # every block's energies at g = 0 and g = 1
         self._v_range = None
 
-    def spectra(self, gs) -> list[Spectrum]:
-        """Spectra of h0 + g v at each coupling g, pruned by Weyl's bounds
-        and diagonalized together (``chain.diagonalize``), with the
-        eigenvectors of each one's ground or tie blocks.
+    def spectra(self, gs) -> Spectra:
+        """The ``chain.Spectra`` of h0 + g v at each coupling g, pruned by
+        Weyl's bounds and diagonalized together (``chain.diagonalize``).
 
         The first call diagonalizes every block of h0 and of h0 + v, one
         ``eigvalsh`` per dimension for both: the whole spectra at g = 0 and
@@ -190,15 +187,10 @@ class SectorPropagator:
         excludes an energy ``eigvalsh`` would compute.  Each spectrum
         diagonalizes only the blocks its bounds admit.  g = 0 and g = 1 get
         their kept energies and no bounds, which there would need v's ranges.
+        A lone ground's vector is left to the caller, on the blocks of
+        ``matrix(g)`` (``chain.lowest_states``).
         """
         return diagonalize(self.blocks, *self._asks(gs))
-
-    def samples(self, gs) -> Samples:
-        """What a recorded sample reads of each spectrum of ``spectra``,
-        from ``chain.diagonalize_samples``: the gap, degenerate flag and
-        counts of each, and the ground state, a lone ground's vector by
-        inverse iteration, or the ``Spectrum`` of a tie."""
-        return diagonalize_samples(self.blocks, *self._asks(gs))
 
     def _asks(self, gs) -> tuple[list, list, list]:
         """The block matrices, bounds and known energies of each coupling."""
@@ -206,14 +198,14 @@ class SectorPropagator:
         gs = list(gs)
         bounded = np.array([g for g in gs if g not in self._endpoints], dtype=float)[:, None]
         bounds = zip(*self._bounds(bounded)) if bounded.size else iter(())
-        return ([self._matrix(g) for g in gs],
+        return ([self.matrix(g) for g in gs],
                 [None if g in self._endpoints else next(bounds) for g in gs],
                 [self._endpoints.get(g) for g in gs])
 
     def _diagonalize_endpoints(self) -> None:
         """Every block's energies at g = 0 and g = 1 and their ranges, once."""
         if self._endpoints is None:
-            coupled = [h + 1.0 * v for h, v in zip(self.h0, self.v)]
+            coupled = [h + v for h, v in zip(self.h0, self.v)]  # matrix(1.0), bitwise: 1.0 v is v
             (rest, self._h0_range), (joined, self._h1_range) = self._ranges(self.h0, coupled)
             self._endpoints = {0.0: rest, 1.0: joined}
 
@@ -230,7 +222,7 @@ class SectorPropagator:
             upper = np.where(outside, np.minimum(upper, by_v[1]), upper)
         return lower, upper
 
-    def _matrix(self, g: float) -> Callable[[int], np.ndarray]:
+    def matrix(self, g: float) -> Callable[[int], np.ndarray]:
         """The block matrices of h0 + g v, formed on request."""
         return lambda b: self.h0[b] + g * self.v[b]
 

@@ -17,15 +17,15 @@ from typing import Callable
 import numpy as np
 
 from .chain import (
-    Block,
     ChainSpec,
     DegeneracyError,
-    Spectrum,
     _sector_hamiltonian,
     assemble_hamiltonian,
     cut_components,
     diagonalize,
-    resolve_ground,
+    ground_states,
+    lowest_states,
+    tie_ground,
 )
 from .control import ControlSchedule
 from .dynamics import (
@@ -53,7 +53,7 @@ class TrajectoryRecord:
 
     ``gap`` and the degenerate flags are those of the full spectrum.
     ``value_blocks`` and ``vector_blocks`` sum the samples' counts of the
-    same names (``chain.Samples``): the blocks diagonalized for energies, and
+    same names (``chain.Spectra``): the blocks diagonalized for energies, and
     those whose ground vectors were found, one per sample whose ground state
     is not tied (by inverse iteration, or ``eigh``) and every block of a tie
     (by ``eigh``).  They count blocks, not LAPACK calls, since a stacked call
@@ -125,19 +125,19 @@ class ChainProcess:
         The probe only buffers each sample's state.  The samples are scored
         in chunks of MAX_BATCH_BYTES // (16 * 2^N), one chunk whenever the
         buffer fills and one at the end: one ``schedule.values`` call, the
-        chunk's gaps, flags and ground states from one
-        ``propagator.samples`` call, the reduced density matrices of A for
-        the whole chunk from one product and their cut fidelities from one
-        ``cut_fidelity`` call, and one stacked ``eigvalsh`` for the
-        entropies.  The entanglement entropy, equal on
-        both sides of a pure state, comes from the smaller of the two reduced
-        density matrices.  A lone ground state, its block's vector by
-        shifted inverse iteration (``chain.diagonalize_samples``), gives
-        ``f_g`` within ``chain.GROUND_TOLERANCE`` (1e-12) of the ``eigh``
-        vector's.  A tie comes as a ``Spectrum`` with its blocks' ``eigh``
-        vectors and is resolved sample by sample: it follows the previous
-        sample's ground state, the first sample's the state itself; a
-        reference orthogonal to the tie falls back to the lowest state, and
+        chunk's gaps, flags and ties from one ``propagator.spectra`` call and
+        its lone ground states from one ``chain.lowest_states`` call, the
+        reduced density matrices of A for the whole chunk from one product
+        and their cut fidelities from one ``cut_fidelity`` call, and one
+        stacked ``eigvalsh`` for the entropies.  The entanglement entropy,
+        equal on both sides of a pure state, comes from the smaller of the
+        two reduced density matrices.  A lone ground state, its block's
+        vector by shifted inverse iteration (``chain._lowest_vectors``),
+        gives ``f_g`` within ``chain.GROUND_TOLERANCE`` (1e-12) of the
+        ``eigh`` vector's.  A tie comes with its blocks' ``eigh`` vectors and
+        is resolved sample by sample (``chain.tie_ground``): it follows the
+        previous sample's ground state, the first sample's the state itself;
+        a reference orthogonal to the tie falls back to the lowest state, and
         the flag marks the sample.  The ground fidelity and the purity stay
         one product per sample, since a stacked one changes the last bit.
         Every value is bitwise what scoring the samples one at a time gives.
@@ -155,20 +155,21 @@ class ChainProcess:
             times, states = zip(*buffered)
             buffered.clear()
             gs = schedule.values(np.array(times)).tolist()
-            found = self.propagator.samples(gs)
+            found = self.propagator.spectra(gs)
+            grounds = lowest_states(found, self.propagator.blocks, list(map(self.propagator.matrix, gs)), iterate=True)
             psis = np.array(states)
             rho_a = reduce_density(psis, self.a_sites, n_spins)
             rho_small = rho_a if schmidt_sites == self.a_sites else reduce_density(psis, schmidt_sites, n_spins)
             entropies = entropy(rho_small)
             f_c = cut_fidelity(rho_a, self.phi_0a)
-            for t, g, psi, ground, gap, flag, rho, f, schmidt_entropy in zip(
-                    times, gs, states, found.grounds, found.gap.tolist(), found.degenerate.tolist(),
+            for t, g, psi, ground, tie, gap, flag, rho, f, schmidt_entropy in zip(
+                    times, gs, states, grounds, found.ties, found.gap.tolist(), found.degenerate.tolist(),
                     rho_a, f_c, entropies):
-                if isinstance(ground, Spectrum):  # a tie, or the lowest energy's neighbour within the threshold
+                if ground is None:  # a tie, or the lowest energy's neighbour within the threshold
                     try:
-                        ground = ground.ground(psi if previous_ground is None else previous_ground)
+                        ground = tie_ground(tie, flag, psi if previous_ground is None else previous_ground)
                     except DegeneracyError:  # an orthogonal reference
-                        ground = ground.states(1)[:, 0]  # diagnostic only; the flag marks the sample
+                        ground = tie_ground(tie, False)  # the lowest state, diagnostic only; the flag marks the sample
                 previous_ground = ground
                 rows.append((t, g, f, float(abs(ground.conj() @ psi)),
                              purity(rho), schmidt_entropy, schmidt_entropy, gap, flag))
@@ -196,43 +197,40 @@ def prepare_process(spec: ChainSpec, direction: str = "cut") -> ChainProcess:
 
     The chain is assembled once, as the reflection-parity halves of its
     total-S^z sectors; both ground states come from one
-    ``SectorPropagator.spectra`` call at the two endpoint couplings, which
-    diagonalizes their ground blocks together.  The cut target is the ground
-    state of the detached block A, from ``chain.diagonalize``: a lone spin's
-    two states, or the plain sectors assembled on A's sites renumbered
-    1..len(A).
+    ``SectorPropagator.spectra`` call at the two endpoint couplings and one
+    ``eigh`` per dimension of their ground blocks (``chain.ground_states``),
+    a tie resolved by the ground state at the coupling nudged toward the
+    interior of the drive interval.  The cut target is the ground state of
+    the detached block A, from the plain sectors assembled on A's sites
+    renumbered 1..len(A).
     """
     if direction not in ("cut", "stitch"):
         raise ValueError(f"direction must be 'cut' or 'stitch', got {direction!r}")
     propagator = SectorPropagator(*assemble_hamiltonian(spec))
     a_sites, b_sites = cut_components(spec)
 
-    if len(a_sites) == 1:  # a lone spin: up at energy +field, down at -field
-        blocks = (Block(np.array([0]), np.array([0]), 1.0), Block(np.array([1]), np.array([1]), 1.0))
-        h_a = (np.array([[spec.field]]), np.array([[-spec.field]]))
-    else:
-        order = {site: k + 1 for k, site in enumerate(a_sites)}
-        inner = [(order[i], order[j]) for i, j in spec.bonds()
-                 if (i, j) not in spec.cut_bonds and i in order and j in order]
-        blocks, h_a, _ = _sector_hamiltonian(len(a_sites), inner, frozenset(), spec.exchange, spec.field)
+    order = {site: k + 1 for k, site in enumerate(a_sites)}
+    inner = [(order[i], order[j]) for i, j in spec.bonds()
+             if (i, j) not in spec.cut_bonds and i in order and j in order]
+    blocks, h_a, _ = _sector_hamiltonian(len(a_sites), inner, frozenset(), spec.exchange, spec.field)
     try:
-        phi_0a = diagonalize(blocks, [h_a.__getitem__])[0].ground()
+        (phi_0a,) = ground_states(diagonalize(blocks, [h_a.__getitem__]), blocks, [h_a.__getitem__])
     except DegeneracyError as exc:
         raise DegeneracyError(
             f"the detached block {a_sites} has a degenerate ground state; "
             f"the cut fidelity target is not unique"
         ) from exc
 
-    def ground(g: float, spectrum: Spectrum) -> tuple[np.ndarray, bool]:
-        """The ground state of the spectrum at coupling g, a tie resolved by
-        nudging g toward the interior of the drive interval, and whether
-        there was a tie."""
-        nudged = g + (DEFAULT_SELECTION_OFFSET if g < 0.5 else -DEFAULT_SELECTION_OFFSET)
-        return resolve_ground(spectrum, lambda: propagator.spectra([nudged])[0]).astype(complex), spectrum.degenerate()
-
     ends = (1.0, 0.0) if direction == "cut" else (0.0, 1.0)
-    spectra = propagator.spectra(ends)
-    (psi0, start_degenerate), (final_ground, final_degenerate) = map(ground, ends, spectra)
+
+    def nudged(rows: list[int]):
+        gs = [ends[i] + (DEFAULT_SELECTION_OFFSET if ends[i] < 0.5 else -DEFAULT_SELECTION_OFFSET) for i in rows]
+        return propagator.spectra(gs), list(map(propagator.matrix, gs))
+
+    found = propagator.spectra(ends)
+    psi0, final_ground = (state.astype(complex) for state in
+                          ground_states(found, propagator.blocks, list(map(propagator.matrix, ends)), nudged))
+    start_degenerate, final_degenerate = found.degenerate.tolist()
 
     return ChainProcess(
         chain=spec,

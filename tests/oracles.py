@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spinsplice.chain import DEGENERACY_RTOL, Block, DegeneracyError, Spectrum, solve_by_size
+from spinsplice.chain import DEGENERACY_RTOL, Block, DegeneracyError, lowest_states, solve_by_size, tie_ground
 from spinsplice.dynamics import (
     SectorPropagator,
     cut_fidelity,
@@ -499,9 +499,9 @@ def reference_levels(blocks, matrices, bounds=None, known=None):
 def reference_record(process, schedule, n_steps, stride=1, eigh_vectors=False):
     """``process.run(schedule, n_steps, stride)`` scored one sample at a
     time, as the recorder did before it scored chunks: each sample takes
-    ``propagator.samples([g])`` at its own coupling, or with
-    ``eigh_vectors`` ``propagator.spectra([g])[0]``, whose ground vectors
-    all come from ``eigh``, and its reduced density matrices and its
+    ``propagator.spectra([g])`` at its own coupling, a lone ground's vector
+    from ``chain.lowest_states``, by inverse iteration or with
+    ``eigh_vectors`` by ``eigh``, and its reduced density matrices and its
     entropy on their own.  Returns ``(psi, TrajectoryRecord)``."""
     n_spins = process.chain.n_spins
     schmidt_sites = process.a_sites if len(process.a_sites) <= len(process.b_sites) else process.b_sites
@@ -511,19 +511,16 @@ def reference_record(process, schedule, n_steps, stride=1, eigh_vectors=False):
     def sample(t, psi):
         nonlocal previous_ground, value_blocks, vector_blocks
         g = float(schedule.value(t))
-        if eigh_vectors:
-            ground = process.propagator.spectra([g])[0]
-            gap, degenerate = ground.gap, ground.degenerate()
-            values, vectors = ground.value_blocks, ground.vector_blocks
-        else:
-            found = process.propagator.samples([g])
-            ground, gap, degenerate = found.grounds[0], float(found.gap[0]), bool(found.degenerate[0])
-            values, vectors = int(found.value_blocks[0]), int(found.vector_blocks[0])
-        if isinstance(ground, Spectrum):
+        prop = process.propagator
+        found = prop.spectra([g])
+        (ground,) = lowest_states(found, prop.blocks, [prop.matrix(g)], iterate=not eigh_vectors)
+        gap, degenerate = float(found.gap[0]), bool(found.degenerate[0])
+        values, vectors = int(found.value_blocks[0]), int(found.vector_blocks[0])
+        if ground is None:
             try:
-                ground = ground.ground(psi if previous_ground is None else previous_ground)
+                ground = tie_ground(found.ties[0], degenerate, psi if previous_ground is None else previous_ground)
             except DegeneracyError:
-                ground = ground.states(1)[:, 0]
+                ground = tie_ground(found.ties[0], False)
         previous_ground = ground
         value_blocks += values
         vector_blocks += vectors

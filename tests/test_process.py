@@ -1,3 +1,4 @@
+import json
 import re
 import tracemalloc
 from pathlib import Path
@@ -5,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinsplice.chain import ChainSpec, DegeneracyError, ground_state
+from spinsplice.chain import ChainSpec, DegeneracyError, _sector_hamiltonian, ground_state
+from spinsplice.cli import main
 from spinsplice.control import apply_noise, linear_baseline, polynomial_cut, polynomial_stitch, pulse_train
 from spinsplice.dynamics import cut_fidelity, propagate, reduce_density
 from spinsplice.optimize import LandscapeAxis, finite_difference_gradient, scan_landscape
@@ -63,6 +65,68 @@ class TestPrepareProcess:
         # without a field the detached spin has no preferred orientation
         with pytest.raises(DegeneracyError, match="detached block"):
             prepare_process(ChainSpec(3, "open", 1.0, 0.0), "cut")
+
+    @pytest.mark.parametrize("field", [2.0, -0.7])
+    @pytest.mark.parametrize("topology", ["open", "ring"])
+    def test_lone_spin_target_is_the_spin_along_the_field(self, topology, field):
+        # the detached spin's two 1x1 blocks, up at +field and down at
+        # -field, assembled like any other block: the lower one's eigh
+        # vector, exactly 1 on the one basis state
+        process = prepare_process(ChainSpec(5, topology, 1.0, field), "cut")
+        assert process.a_sites == (1,)
+        expected = np.zeros(2)
+        expected[int(field > 0)] = np.linalg.eigh(np.array([[-abs(field)]]))[1][0, 0]
+        assert process.phi_0a.dtype == expected.dtype and process.phi_0a.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("field", [2.0, -0.7, 0.0])
+    def test_lone_spin_blocks_are_float(self, field):
+        # with no bond and no field there is no term at all: the blocks are
+        # float64 zeros all the same
+        blocks, h, v = _sector_hamiltonian(1, [], frozenset(), 1.0, field)
+        assert [b.states.tolist() for b in blocks] == [[0], [1]]
+        assert all(m.dtype == np.float64 for m in (*h, *v))
+        assert [m.tolist() for m in h] == [[[field]], [[-field]]] and [m.tolist() for m in v] == [[[0.0]], [[0.0]]]
+
+    @pytest.mark.parametrize("topology", ["open", "ring"])
+    def test_lone_spin_without_field_exits_3(self, topology, tmp_path, capsys):
+        config = {"mode": "evolve", "chain": {"n_spins": 4, "topology": topology, "field": 0.0},
+                  "schedule": {"T": 0.5, "params": [1.0, 1.0]}, "out_dir": str(tmp_path / "out")}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["evolve", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: the detached block (1,) has a degenerate ground state; "
+            "the cut fidelity target is not unique\n")
+
+    @pytest.mark.parametrize("direction", ["cut", "stitch"])
+    @pytest.mark.parametrize("spec", [
+        ChainSpec(6, "ring", 1.0, 2.0), ChainSpec(7, "open", 1.0, 2.0), ChainSpec(8, "ring", 1.0, 2.0),
+        ChainSpec(7, "open", 1.0, 2.0, frozenset({(3, 4)})),
+    ], ids=["ring6", "open7", "ring8", "open7_cut34"])
+    def test_endpoint_states_are_the_eigh_vectors(self, spec, direction):
+        # psi0, final_ground and phi_0a bitwise the lowest np.linalg.eigh
+        # vector of the ground block, embedded: the bits of the endpoint
+        # states move the optimizer's rounds downstream
+        process = prepare_process(spec, direction)
+        prop = process.propagator
+
+        def eigh_ground(blocks, matrices):
+            lowest = [np.linalg.eigvalsh(m)[:2] for m in matrices]
+            b = int(np.argmin([w[0] for w in lowest]))
+            assert all(w[0] > lowest[b][0] + 1e-6 for k, w in enumerate(lowest) if k != b)
+            assert lowest[b].size == 1 or lowest[b][1] > lowest[b][0] + 1e-6
+            out = np.zeros(sum(block.size for block in blocks))
+            blocks[b].embed(np.linalg.eigh(matrices[b])[1][:, 0], out)
+            return out
+
+        ends = (1.0, 0.0) if direction == "cut" else (0.0, 1.0)
+        for state, g in zip((process.psi0, process.final_ground), ends):
+            expected = eigh_ground(prop.blocks, [h + g * v for h, v in zip(prop.h0, prop.v)]).astype(complex)
+            assert state.tobytes() == expected.tobytes()
+        order = {site: k + 1 for k, site in enumerate(process.a_sites)}
+        inner = [(order[i], order[j]) for i, j in spec.bonds() if (i, j) not in spec.cut_bonds and i in order and j in order]
+        blocks, h_a, _ = _sector_hamiltonian(len(order), inner, frozenset(), spec.exchange, spec.field)
+        assert process.phi_0a.tobytes() == eigh_ground(blocks, h_a).tobytes()
 
 
 def _arrays(obj):

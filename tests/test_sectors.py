@@ -23,13 +23,14 @@ import spinsplice.chain as chain
 from spinsplice.chain import (
     DEGENERACY_RTOL,
     ChainSpec,
-    Spectrum,
     assemble_hamiltonian,
     DegeneracyError,
     diagonalize,
     ground_state,
+    ground_states,
     levels,
-    resolve_ground,
+    lowest_states,
+    tie_ground,
 )
 from spinsplice.control import (
     apply_noise,
@@ -364,21 +365,23 @@ class TestLazySpectrum:
         # the four blocks of the two sectors
         field = cross_sector_field() if crossing else 2.0
         prop = SectorPropagator(*assemble_hamiltonian(ChainSpec(7, "ring", 1.0, field)))
-        spectrum = prop.spectra([1.0])[0]
+        found = prop.spectra([1.0])
         calls = list(eigh_calls)
-        lowest = [np.linalg.eigvalsh(h + v)[0] for h, v in zip(prop.h0, prop.v)]
-        tied = [k for k, e in enumerate(lowest) if e <= spectrum.energies[0] + spectrum.threshold()]
+        energies = [np.linalg.eigvalsh(h + v) for h, v in zip(prop.h0, prop.v)]
+        w = merged(dict(enumerate(energies)))
+        tied = [k for k, e in enumerate(energies) if e[0] <= w[0] + threshold(w)]
         expected = [(4, 1.0), (4, -1.0), (5, 1.0), (5, -1.0)] if crossing else [(4, 1.0), (4, -1.0)]
         assert [(sector_of(prop.blocks[k]), prop.blocks[k].sign) for k in tied] == expected
-        # the spectrum comes with the eigenvectors of exactly the tied blocks
-        assert spectrum.degenerate()
-        assert spectrum.vector_blocks == len(calls) == len(tied)
+        # the spectra come with the eigenvectors of exactly the tied blocks
+        assert found.degenerate[0] and found.block[0] == -1 and found.lowest[0] == w[0]
+        assert found.vector_blocks[0] == len(calls) == len(tied)
+        assert found.ties[0].shape == (prop.dim, tie_count(w))
         matched = [k for m in calls for k in tied
                    if m.shape == prop.h0[k].shape and np.array_equal(m, prop.h0[k] + 1.0 * prop.v[k])]
         assert sorted(matched) == tied
         # and resolving the tie diagonalizes nothing more
         del eigh_calls[:]
-        spectrum.ground(np.random.default_rng(7).normal(size=prop.dim))
+        tie_ground(found.ties[0], True, np.random.default_rng(7).normal(size=prop.dim))
         assert not eigh_calls
 
     def test_energies_match_eager_spectrum(self, eigh_calls):
@@ -386,26 +389,34 @@ class TestLazySpectrum:
         reference = sector_reference(RING8)
         for g in (-2.5, 0.0, 0.37, 1.0):
             del eigh_calls[:]
-            spectrum = prop.spectra([g])[0]
+            found = prop.spectra([g])
             calls = len(eigh_calls)
             del eigh_calls[:]
-            spectrum.ground(np.ones(prop.dim))
-            assert not eigh_calls  # the spectrum holds its ground vectors
+            (state,) = lowest_states(found, prop.blocks, [prop.matrix(g)])
+            if state is None:
+                state = tie_ground(found.ties[0], found.degenerate[0], np.ones(prop.dim))
+            # a lone ground's block takes one eigh, a tie's blocks none more
+            assert len(eigh_calls) == (found.block[0] >= 0)
             eager, _ = eager_spectrum(reference, g)
             # g = 0 and g = 1 keep every block's energies from the bounds;
             # any other g holds only some blocks', but the two lowest, the
             # tie and the top are those of the whole spectrum
-            assert (spectrum.value_blocks == len(prop.blocks)) == (g in (0.0, 1.0))
+            assert (found.value_blocks[0] == len(prop.blocks)) == (g in (0.0, 1.0))
             limit = eager[0] + DEGENERACY_RTOL * (eager[-1] - eager[0])
             tied = int(np.searchsorted(eager, limit, side="right"))
             # eigenvectors of exactly the blocks that hold the tie (the
-            # lowest energy alone when there is none)
+            # lowest energy's block alone when there is none, from its caller)
             tie_blocks = [k for k, (h, u) in enumerate(zip(prop.h0, prop.v)) if np.linalg.eigvalsh(h + g * u)[0] <= limit]
-            assert spectrum.vector_blocks == calls == len(tie_blocks)
+            assert found.vector_blocks[0] == len(tie_blocks)
+            assert calls == (len(tie_blocks) if tied > 1 else 0)
+            assert (found.block[0] >= 0) == (tied == 1)
+            w = merged(levels(prop.blocks, *prop._asks([g]))[0])
             low = max(2, tied)
-            assert np.abs(spectrum.energies[:low] - eager[:low]).max() <= GATE
-            assert abs(spectrum.energies[-1] - eager[-1]) <= GATE
-            assert spectrum.degenerate() == (tied > 1)
+            assert np.abs(w[:low] - eager[:low]).max() <= GATE
+            assert abs(w[-1] - eager[-1]) <= GATE
+            assert found.lowest[0] == w[0] and found.gap[0] == w[1] - w[0]
+            assert found.degenerate[0] == (tied > 1)
+            assert abs(np.linalg.norm(state) - 1.0) <= GATE
 
     def test_equal_dimensions_share_one_eigvalsh(self, monkeypatch):
         calls, eigvalsh = [], np.linalg.eigvalsh
@@ -416,7 +427,7 @@ class TestLazySpectrum:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         prop = SectorPropagator(*assemble_hamiltonian(RING6))
-        prop.spectra([0.0])[0]
+        prop.spectra([0.0])
         # the bounds: every block at g = 0 and at g = 1, stacked together.
         # Spin flip commutes with the reflection: sectors k and 6 - k split
         # alike, so 12 blocks need no more calls than the 7 sectors did
@@ -426,19 +437,19 @@ class TestLazySpectrum:
         assert sum(shape[0] for shape in calls) == 2 * len(prop.blocks)
         # they hold the whole spectra at g = 0 and g = 1: no further call
         del calls[:]
-        assert prop.spectra([0.0])[0].value_blocks == prop.spectra([1.0])[0].value_blocks == len(prop.blocks)
+        assert prop.spectra([0.0]).value_blocks[0] == prop.spectra([1.0]).value_blocks[0] == len(prop.blocks)
         assert not calls
         # any other spectrum diagonalizes only the blocks its bounds admit,
         # one call each: no two of them share a bound
-        spectrum = prop.spectra([0.5])[0]
-        assert len(calls) == spectrum.value_blocks < len(prop.blocks)
+        value_blocks = prop.spectra([0.5]).value_blocks[0]
+        assert len(calls) == value_blocks < len(prop.blocks)
         assert all(shape[0] == 1 for shape in calls)
         # outside [0, 1], v's ranges join the bounds, found once, stacked
         for g in (1.5, -0.5):
             del calls[:]
-            spectrum = prop.spectra([g])[0]
-            assert len(calls) == (dims if g == 1.5 else 0) + spectrum.value_blocks
-            assert spectrum.value_blocks < len(prop.blocks)
+            value_blocks = prop.spectra([g]).value_blocks[0]
+            assert len(calls) == (dims if g == 1.5 else 0) + value_blocks
+            assert value_blocks < len(prop.blocks)
 
     def test_recorder_prunes_the_value_work(self):
         process = prepare_process(RING8, "cut")
@@ -460,8 +471,26 @@ def pruned_propagator(name):
     return SectorPropagator(*assemble_hamiltonian(spec))
 
 
-def tie_count(spectrum):
-    return int(np.searchsorted(spectrum.energies, spectrum.energies[0] + spectrum.threshold(), side="right"))
+def merged(energies):
+    """The ascending energies of a ``levels`` dict, every block's together."""
+    return np.sort(np.concatenate(list(energies.values())))
+
+
+def threshold(w):
+    return DEGENERACY_RTOL * float(w[-1] - w[0])
+
+
+def tie_count(w):
+    """How many of the ascending energies w lie within the threshold of the lowest."""
+    return int(np.searchsorted(w, w[0] + threshold(w), side="right"))
+
+
+def assert_same_spectra(found, expected, k=0, j=0):
+    """Entry k of one ``Spectra`` bitwise entry j of another."""
+    for name in ("gap", "degenerate", "lowest", "value_blocks", "vector_blocks", "block", "second", "slack"):
+        assert getattr(found, name)[k].tobytes() == getattr(expected, name)[j].tobytes(), name
+    tie, want = found.ties[k], expected.ties[j]
+    assert (tie is None) == (want is None) and (tie is None or tie.tobytes() == want.tobytes())
 
 
 @settings(max_examples=150, deadline=None)
@@ -476,16 +505,20 @@ def test_pruned_spectrum_is_bitwise_the_full_one(name, g):
     """The bounded spectrum against the one of every block: the same bits in
     everything it promises, and the same ground state of the tie."""
     prop = pruned_propagator(name)
-    pruned, full = prop.spectra([g])[0], diagonalize(prop.blocks, [lambda b: prop.h0[b] + g * prop.v[b]])[0]
-    assert full.value_blocks == len(full.blocks)
-    assert pruned.energies[0] == full.energies[0]
-    assert pruned.energies[1] == full.energies[1]
-    assert pruned.energies[-1] == full.energies[-1]
-    assert pruned.gap == full.gap and pruned.threshold() == full.threshold()
-    assert pruned.degenerate() == full.degenerate()
-    assert tie_count(pruned) == tie_count(full)
+    matrices = [lambda b: prop.h0[b] + g * prop.v[b]]
+    pruned, full = prop.spectra([g]), diagonalize(prop.blocks, matrices)
+    assert full.value_blocks[0] == len(prop.blocks)
+    w_pruned, w_full = (merged(levels(prop.blocks, *ask)[0]) for ask in (prop._asks([g]), (matrices,)))
+    assert w_pruned[0] == w_full[0] and w_pruned[1] == w_full[1] and w_pruned[-1] == w_full[-1]
+    assert threshold(w_pruned) == threshold(w_full) and tie_count(w_pruned) == tie_count(w_full)
+    assert_same_spectra(pruned._replace(value_blocks=full.value_blocks), full)
+    # the same ground state: a lone ground's eigh vector, or the tie's
+    # state closest to a reference
     reference = np.random.default_rng(0).normal(size=prop.dim)
-    assert np.array_equal(pruned.ground(reference), full.ground(reference))
+    states = [lowest_states(found, prop.blocks, matrices)[0] for found in (pruned, full)]
+    if states[0] is None:
+        states = [tie_ground(found.ties[0], found.degenerate[0], reference) for found in (pruned, full)]
+    assert np.array_equal(*states)
 
 
 @pytest.mark.parametrize("names, g", [
@@ -509,35 +542,41 @@ def test_diagonalize_together_is_bitwise_alone(names, g):
                  (matrix(prop, g), None, None)]
     blocks = prop.blocks
     together = diagonalize(blocks, *map(list, zip(*asks)))
-    assert [s.degenerate() for s in together[::4]] == [g == 1.0] * len(names)
-    assert all(s.value_blocks == len(blocks) for s in together[3::4])
+    energies = levels(blocks, *map(list, zip(*asks)))
+    assert together.degenerate[::4].tolist() == [g == 1.0] * len(names)
+    assert all(together.value_blocks[3::4] == len(blocks))
     reference = np.random.default_rng(3).normal(size=prop.dim)
-    for spectrum, ask in zip(together, asks):
-        alone = diagonalize(blocks, *([item] for item in ask))[0]
-        assert np.array_equal(spectrum.energies, alone.energies)
-        assert spectrum.gap == alone.gap and spectrum.threshold() == alone.threshold()
-        assert spectrum.degenerate() == alone.degenerate()
-        assert spectrum.value_blocks == alone.value_blocks
-        assert spectrum.vector_blocks == alone.vector_blocks > 0
-        assert np.array_equal(spectrum.ground(reference), alone.ground(reference))
-        with pytest.raises(ValueError, match="lowest states"):
-            spectrum.states(tie_count(spectrum) + 1)
+    for k, ask in enumerate(asks):
+        alone = diagonalize(blocks, *([item] for item in ask))
+        w = merged(levels(blocks, *([item] for item in ask))[0])
+        assert np.array_equal(merged(energies[k]), w)
+        assert together.vector_blocks[k] > 0
+        assert_same_spectra(together, alone, k)
+        # a lone ground's vector, its caller's to solve, has the same bits
+        # either way; a tie holds exactly the vectors of its energies
+        states = [lowest_states(found, blocks, [ask[0]] * len(found.block))[j]
+                  for found, j in ((together, k), (alone, 0))]
+        if together.block[k] == -1:
+            assert states == [None, None] and together.ties[k].shape[1] == tie_count(w)
+            states = [tie_ground(found.ties[j], found.degenerate[j], reference) for found, j in ((together, k), (alone, 0))]
+        assert states[0].tobytes() == states[1].tobytes()
 
 
 def assert_levels_match_the_reference(prop, gs):
     """``chain.levels`` over every coupling at once against the generator
     of ``oracles.sweeps``, run one spectrum at a time: the same blocks
     diagonalized (or known), each with bitwise the same energies, and the
-    same gap, degenerate flag and value_blocks in ``samples``."""
+    same gap, degenerate flag and value_blocks in ``spectra``."""
     asks = prop._asks(gs)
     found, expected = levels(prop.blocks, *asks), reference_levels(prop.blocks, *asks)
-    samples = prop.samples(gs)
-    for g, energies, want, gap, flag, count in zip(gs, found, expected, samples.gap, samples.degenerate,
-                                                   samples.value_blocks):
+    spectra = prop.spectra(gs)
+    for g, energies, want, gap, flag, count in zip(gs, found, expected, spectra.gap, spectra.degenerate,
+                                                   spectra.value_blocks):
         assert sorted(energies) == sorted(want), g
         assert all(energies[b].tobytes() == want[b].tobytes() for b in want), g
-        spectrum = Spectrum(prop.blocks, want)
-        assert gap == spectrum.gap and flag == spectrum.degenerate() and count == spectrum.value_blocks, g
+        w = merged(want)
+        want_gap = w[1] - w[0] if w.size > 1 else np.inf
+        assert gap == want_gap and flag == (want_gap <= threshold(w)) and count == len(want), g
 
 
 @pytest.mark.parametrize("name", ["ring6", "ring8", "ring8_low_field", "ring10", "ring12", "open6", "open7", "open8",
@@ -603,9 +642,9 @@ class TestLoneGrounds:
     def test_ring12_smallest_gap_sample(self):
         prop = lone_process("ring12").propagator
         g = min_gap_coupling()
-        samples = prop.samples([g])
-        assert 7e-5 < samples.gap[0] < 8e-5 and not samples.degenerate[0]
-        x, q = samples.grounds[0], prop.spectra([g])[0].states(1)[:, 0]
+        found = prop.spectra([g])
+        assert 7e-5 < found.gap[0] < 8e-5 and not found.degenerate[0]
+        x, q = (lowest_states(found, prop.blocks, [prop.matrix(g)], iterate)[0] for iterate in (True, False))
         # every unit state's |<x|psi>| is within ||x -+ q|| of its |<q|psi>|
         assert min(np.linalg.norm(x - q), np.linalg.norm(x + q)) <= chain.GROUND_TOLERANCE
 
@@ -636,9 +675,12 @@ class TestLoneGrounds:
     def test_each_vector_is_bitwise_its_own_whatever_the_stack(self, name):
         prop = lone_process(name).propagator
         gs = np.linspace(0.05, 0.95, 7).tolist()
-        together = prop.samples(gs).grounds
-        for g, x in zip(gs, together):
-            assert x.tobytes() == prop.samples([g]).grounds[0].tobytes()
+
+        def iterated(gs):
+            return lowest_states(prop.spectra(gs), prop.blocks, list(map(prop.matrix, gs)), iterate=True)
+
+        for g, x in zip(gs, iterated(gs)):
+            assert x.tobytes() == iterated([g])[0].tobytes()
 
     def test_mixed_step_counts_are_bitwise_alone(self):
         # gaps 1 and 0.01 over a slack of 1e-10 take two and three steps
@@ -726,11 +768,12 @@ class TestGroundSelection:
         assert sorted(set(downs[np.abs(tied).max(axis=1) > 1e-9])) == tied_sectors
         dense = ground_state(h0 + v, h0 + (1.0 - OFFSET) * v)  # the plain sectors of the dense matrix
         prop = SectorPropagator(*assemble_hamiltonian(spec))
-        spectrum = prop.spectra([1.0])[0]  # the parity blocks
-        blocks = resolve_ground(spectrum, lambda: prop.spectra([1.0 - OFFSET])[0])
+        spectra = prop.spectra([1.0])  # the parity blocks
+        (blocks,) = ground_states(spectra, prop.blocks, [prop.matrix(1.0)],
+                                  lambda rows: (prop.spectra([1.0 - OFFSET]), [prop.matrix(1.0 - OFFSET)]))
         for found, tie, lowest, found_gap in (
             (dense.state, dense.degenerate, dense.energy, dense.gap),
-            (blocks, spectrum.degenerate(), spectrum.energies[0], spectrum.gap),
+            (blocks, spectra.degenerate[0], spectra.lowest[0], spectra.gap[0]),
         ):
             assert tie
             assert abs(lowest - energy) <= GATE
@@ -749,12 +792,12 @@ class TestGroundSelection:
         # ring7 at field 2.0 and g = 1 has a twofold tie in the k = 4 sector;
         # the all-up state lies in k = 0 and cannot pick a state in it
         prop = SectorPropagator(*assemble_hamiltonian(ChainSpec(7, "ring", 1.0, 2.0)))
-        spectrum = prop.spectra([1.0])[0]
-        assert spectrum.degenerate()
+        spectra = prop.spectra([1.0])
+        assert spectra.degenerate[0]
         e_0 = np.zeros(prop.dim)
         e_0[0] = 1.0
         with pytest.raises(DegeneracyError, match="orthogonal"):
-            spectrum.ground(e_0)
+            tie_ground(spectra.ties[0], True, e_0)
 
     def test_recorder_flags_an_orthogonal_reference(self, ring7):
         # the first sample's reference is the state itself; orthogonal to the
