@@ -320,20 +320,20 @@ def cut_components(spec: ChainSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(sorted(seen)), rest
 
 
-def solve_by_size(solve: Callable[[np.ndarray], np.ndarray], asks) -> list[dict[int, np.ndarray]]:
+def solve_by_size(solve: Callable[[np.ndarray], np.ndarray], blocks: Blocks, asks) -> list[dict[int, np.ndarray]]:
     """``solve`` applied to the blocks each ask names, one stacked call per
     block dimension over every ask.
 
-    An ask is ``(matrix, sizes, blocks)``: ``matrix(b)`` forms block b's
-    matrix, of dimension ``sizes[b]``.  The matrices of one dimension are
-    stacked in order of ask, then block.  Returns one dict per ask, from
+    An ask is ``(matrix, indices)``: ``matrix(b)`` forms the matrix on
+    ``blocks[b]`` for each b of ``indices``.  The matrices of one dimension
+    are stacked in order of ask, then block.  Returns one dict per ask, from
     block to its result.  A stacked LAPACK call computes each matrix's
     result as a call of its own would.
     """
     groups: dict[int, list[tuple[int, int]]] = {}
-    for i, (_, sizes, blocks) in enumerate(asks):
-        for b in blocks:
-            groups.setdefault(sizes[b], []).append((i, b))
+    for i, (_, indices) in enumerate(asks):
+        for b in indices:
+            groups.setdefault(blocks[b].size, []).append((i, b))
     results: list[dict[int, np.ndarray]] = [{} for _ in asks]
     for pairs in groups.values():
         for (i, b), result in zip(pairs, solve(np.array([asks[i][0](b) for i, b in pairs]))):
@@ -347,19 +347,6 @@ def _slack(size, magnitude):
     return 8 * UNIT_ROUNDOFF * size * magnitude
 
 
-def _summaries(energies: list[dict[int, np.ndarray]], sizes: np.ndarray) -> np.ndarray:
-    """(3, matrices, blocks): each block's lowest, second (inf on one state)
-    and highest energy in each dict, and inf, inf, -inf where it lacks one."""
-    out = np.full((3, len(energies), sizes.size), np.inf)
-    out[2] = -np.inf
-    if rows := [i for i, found in enumerate(energies) for _ in found]:
-        cols = [b for found in energies for b in found]
-        d = sizes[cols]
-        ends, w = d.cumsum(), np.concatenate([w for found in energies for w in found.values()])
-        out[:, rows, cols] = w[ends - d], np.where(d > 1, w[np.minimum(ends - d + 1, ends - 1)], np.inf), w[ends - 1]
-    return out
-
-
 def _two_lowest(lowest: np.ndarray, second: np.ndarray) -> np.ndarray:
     return np.partition(np.concatenate((lowest, second), axis=1), 1, axis=1)[:, :2].T
 
@@ -371,9 +358,10 @@ def levels(blocks: Blocks, matrices: list[Callable[[int], np.ndarray]],
     diagonalized or known to its ascending energies.
 
     ``matrices[i](b)`` forms matrix i on block b, only for the blocks that
-    get diagonalized; ``known[i]`` holds energies found before.  Without
-    ``bounds[i]`` (per-block lower and upper bounds on the energies) every
-    block not known is diagonalized, one ``eigvalsh`` per block dimension
+    get diagonalized; ``known[i]``, when given, holds the energies of every
+    block, found before, of a matrix without bounds.  Without ``bounds[i]``
+    (per-block lower and upper bounds on the energies) every block of a
+    matrix not known is diagonalized, one ``eigvalsh`` per block dimension
     over every such matrix.  With them, the matrix sweeps its blocks from the
     top, by descending upper bound, until no block left can hold an energy
     above the highest found, then from the bottom, by ascending lower bound,
@@ -386,19 +374,18 @@ def levels(blocks: Blocks, matrices: list[Callable[[int], np.ndarray]],
     go to one stacked ``eigvalsh``, which gives each matrix bitwise the
     energies of a call of its own.
     """
-    count, dims = len(matrices), [block.size for block in blocks]
-    energies = [dict(k or {}) for k in known or [None] * count]
-    bounds = bounds or [None] * count
-    unbounded = [i for i, bound in enumerate(bounds) if bound is None]
-    asks = [(matrices[i], dims, [b for b in range(len(dims)) if b not in energies[i]]) for i in unbounded]
-    for i, found in zip(unbounded, solve_by_size(np.linalg.eigvalsh, asks)):
-        energies[i].update(found)
-    if len(unbounded) == count:
+    count, n = len(matrices), len(blocks)
+    known, bounds = known or [None] * count, bounds or [None] * count
+    energies = [dict(k or {}) for k in known]
+    solved = [i for i, (bound, k) in enumerate(zip(bounds, known)) if bound is None and k is None]
+    for i, found in zip(solved, solve_by_size(np.linalg.eigvalsh, blocks, [(matrices[i], range(n)) for i in solved])):
+        energies[i] = found
+    if all(bound is None for bound in bounds):
         return energies
-    sizes = np.array(dims)
-    lowest, second, highest = _summaries([{} if bound is None else e for e, bound in zip(energies, bounds)], sizes)
-    done = lowest < np.inf
-    lower, upper = np.full((count, sizes.size), -np.inf), np.full((count, sizes.size), np.inf)
+    sizes = np.array([block.size for block in blocks])
+    lowest, second = np.full((2, count, n), np.inf)
+    highest, done = np.full((count, n), -np.inf), np.zeros((count, n), dtype=bool)
+    lower, upper = np.full((count, n), -np.inf), np.full((count, n), np.inf)
     sweep = np.full(count, 2)  # 0 from the top, 1 from the bottom, 2 ended (or no bounds)
     for i, bound in enumerate(bounds):
         if bound is not None:
@@ -485,12 +472,12 @@ def diagonalize(blocks: Blocks, matrices: list[Callable[[int], np.ndarray]],
     ties: list[np.ndarray | None] = [None] * len(rows)
     vector_blocks = [1] * len(rows)
     if tied := [i for i, b in enumerate(block) if b < 0]:
-        sizes = [b.size for b in blocks]
         located = [_tie(energies[i], limits[i]) for i in tied]
-        vectors = solve_by_size(lambda a: np.linalg.eigh(a)[1], [
-            (matrices[i], sizes, list(dict.fromkeys(b for b, _ in at))) for i, at in zip(tied, located)])
+        vectors = solve_by_size(lambda a: np.linalg.eigh(a)[1], blocks, [
+            (matrices[i], list(dict.fromkeys(b for b, _ in at))) for i, at in zip(tied, located)])
+        dim = sum(b.size for b in blocks)
         for i, at, found in zip(tied, located, vectors):
-            ties[i] = np.zeros((sum(sizes), len(at)), dtype=np.result_type(*found.values()))
+            ties[i] = np.zeros((dim, len(at)), dtype=np.result_type(*found.values()))
             for col, (b, column) in enumerate(at):
                 blocks[b].embed(found[b][:, column], ties[i][:, col])
             vector_blocks[i] = len(found)
@@ -590,8 +577,12 @@ def _solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def tie_ground(tie: np.ndarray, degenerate: bool, reference: np.ndarray | None = None) -> np.ndarray:
     """The ground state of a tie (``Spectra.ties``): its lowest state, or
     when it is degenerate its unit vector closest to ``reference``, the
-    normalized projection of the reference onto it.  A missing reference,
-    or one orthogonal to the tie, cannot pick a state, and is an error.
+    normalized projection of the reference onto it.  A coefficient no larger
+    than eps times their norm is round-off of a full-space product, as where
+    the reference lies in one block and the tie spans two, and is zeroed,
+    so that the state occupies no block the reference does not.  A missing
+    reference, or one orthogonal to the tie, cannot pick a state, and is an
+    error.
     """
     if not degenerate:
         return tie[:, 0].copy()
@@ -601,6 +592,7 @@ def tie_ground(tie: np.ndarray, degenerate: bool, reference: np.ndarray | None =
     norm = np.linalg.norm(coeff)
     if norm < 1e-12:
         raise DegeneracyError("continuity reference is orthogonal to the degenerate ground subspace")
+    coeff[np.abs(coeff) <= 2 * UNIT_ROUNDOFF * norm] = 0.0
     return tie @ (coeff / norm)
 
 

@@ -11,14 +11,15 @@ its total-S^z sectors, are evolved, and the state never leaves them.
 
 Every step acts on a batch (``propagate``): one column of block amplitudes
 per schedule, B = 1 included.  In each block the generator is centred:
-with c0, cv the midpoints and r0, rv the half-widths of the spectra of h0
-and v there, a step applies exp(-i ((h0 - c0) + g_b (v - cv)) dt_b) to
-column b and the scalar phase exp(-i (c0 + g_b cv) dt_b) is restored when
-the state is read.  By Weyl's inequality the centred generator has 2-norm
-at most r0 + |g_b| rv, and the Taylor series planned by ``taylor_plan`` on
-the bound (r0 + |g_b| rv) dt_b is the exact factor to round-off; a step
-whose plan needs more than ``MAX_TAYLOR_TERMS`` terms takes the exact
-factor from an eigendecomposition instead (``_exact_factor``).
+with c0, cv the centres and r0, rv the radii of the spectra of h0 and v
+there (``SectorPropagator.centred``), a step applies
+exp(-i ((h0 - c0) + g_b (v - cv)) dt_b) to column b and the scalar phase
+exp(-i (c0 + g_b cv) dt_b) is restored when the state is read.  By Weyl's
+inequality the centred generator has 2-norm at most r0 + |g_b| rv, and the
+Taylor series planned by ``taylor_plan`` on the bound (r0 + |g_b| rv) dt_b
+is the exact factor to round-off; a step whose plan needs more than
+``MAX_TAYLOR_TERMS`` terms takes the exact factor from an eigendecomposition
+instead (``_exact_factor``).
 
 The block dimension d alone picks how the series is applied.  A block whose
 table of (h + g v)^k up to MAX_TAYLOR_ORDER fits MAX_BATCH_BYTES (d <= 23:
@@ -153,10 +154,12 @@ class SectorPropagator:
     sectors (or the plain sectors), and ``h0`` and ``v`` the real symmetric
     float64 matrices of the split Hamiltonian on them, as
     ``assemble_hamiltonian`` returns them.  States enter and leave in the
-    full space, through ``Block.amplitudes`` and ``embed``.  Only the blocks
-    in which the state has amplitude are evolved; their centres and
-    half-widths (``norms``) and centred matrices (``centred``) are computed
-    on first use.
+    full space, through ``Block.amplitudes`` and ``embed``.  Construction
+    diagonalizes every block of h0 and of h0 + v, one ``eigvalsh`` per
+    dimension for both: the whole spectra at g = 0 and g = 1, and each
+    block's range there as a centre and a radius (``_ranges``).  Only the
+    blocks in which the state has amplitude are evolved; each one's
+    ``centred`` record is formed on first use.
     """
 
     def __init__(self, blocks: Blocks, h0: Matrices, v: Matrices):
@@ -164,50 +167,41 @@ class SectorPropagator:
         self.blocks = blocks
         self.h0 = h0
         self.v = v
-        self._norms: dict[int, tuple[float, float]] = {}
         self._centred: dict[int, Centred] = {}
-        self._endpoints = None  # every block's energies at g = 0 and g = 1
-        self._v_range = None
+        self._v_range = None  # v's ranges on every block, found on the first coupling outside [0, 1]
+        coupled = [h + u for h, u in zip(h0, v)]  # matrix(1.0), bitwise: 1.0 v is v
+        (rest, self._h0_range), (joined, self._h1_range) = self._ranges(h0, coupled)
+        self._endpoints = {0.0: rest, 1.0: joined}
 
     def spectra(self, gs) -> Spectra:
         """The ``chain.Spectra`` of h0 + g v at each coupling g, pruned by
         Weyl's bounds and diagonalized together (``chain.diagonalize``).
 
-        The first call diagonalizes every block of h0 and of h0 + v, one
-        ``eigvalsh`` per dimension for both: the whole spectra at g = 0 and
-        g = 1, kept for those couplings, and each block's energy range there.
+        g = 0 and g = 1 get the energies kept at construction and no bounds.
         At any other g, h0 + g v = (1 - g) h0 + g (h0 + v), and Weyl's
-        inequality bounds block b's energies by (1 - g) lambda_min(h0) +
-        g lambda_min(h0 + v) from below, each end taken from the top where its
-        weight is negative, and likewise from above.  Outside [0, 1] the
+        inequality puts block b's energies within (|1 - g| r0 + |g| r1) of
+        (1 - g) c0 + g c1, with c0, r0 and c1, r1 the centres and radii of
+        the ranges of h0 and h0 + v there (``_weyl``).  Outside [0, 1] the
         same inequality on h0 + g v, from v's ranges (found on the first such
-        g), tightens them; inside, it never does.  Each bound is widened by
-        4 d eps times the weighted norms on a block of dimension d, above the
-        round-off of the diagonalizations it compares, so that it never
+        g), tightens the bounds; inside, it never does.  Each radius holds
+        its block's round-off slack 4 d eps ||M||, which exceeds both the
+        round-off of the diagonalizations the bounds compare and the
+        rounding of the two sums that form each bound, so that no bound
         excludes an energy ``eigvalsh`` would compute.  Each spectrum
-        diagonalizes only the blocks its bounds admit.  g = 0 and g = 1 get
-        their kept energies and no bounds, which there would need v's ranges.
-        A lone ground's vector is left to the caller, on the blocks of
-        ``matrix(g)`` (``chain.lowest_states``).
+        diagonalizes only the blocks its bounds admit.  A lone ground's
+        vector is left to the caller, on the blocks of ``matrix(g)``
+        (``chain.lowest_states``).
         """
         return diagonalize(self.blocks, *self._asks(gs))
 
     def _asks(self, gs) -> tuple[list, list, list]:
         """The block matrices, bounds and known energies of each coupling."""
-        self._diagonalize_endpoints()
         gs = list(gs)
         bounded = np.array([g for g in gs if g not in self._endpoints], dtype=float)[:, None]
         bounds = zip(*self._bounds(bounded)) if bounded.size else iter(())
         return ([self.matrix(g) for g in gs],
                 [None if g in self._endpoints else next(bounds) for g in gs],
                 [self._endpoints.get(g) for g in gs])
-
-    def _diagonalize_endpoints(self) -> None:
-        """Every block's energies at g = 0 and g = 1 and their ranges, once."""
-        if self._endpoints is None:
-            coupled = [h + v for h, v in zip(self.h0, self.v)]  # matrix(1.0), bitwise: 1.0 v is v
-            (rest, self._h0_range), (joined, self._h1_range) = self._ranges(self.h0, coupled)
-            self._endpoints = {0.0: rest, 1.0: joined}
 
     def _bounds(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Weyl's lower and upper bounds on every block's energies, one row
@@ -226,49 +220,40 @@ class SectorPropagator:
         """The block matrices of h0 + g v, formed on request."""
         return lambda b: self.h0[b] + g * self.v[b]
 
-    def _ranges(self, *operators: Matrices) -> list[tuple[dict[int, np.ndarray], np.ndarray]]:
-        """For each operator, the energies of every block, from one
-        ``eigvalsh`` per dimension for all the operators, and the rows of a
-        (3, blocks) array: each block's lowest and highest energy and its
-        round-off slack 4 d eps ||M||."""
-        blocks, sizes = range(len(self.blocks)), [b.size for b in self.blocks]
-        energies = solve_by_size(np.linalg.eigvalsh, [(op.__getitem__, sizes, blocks) for op in operators])
+    def _ranges(self, *operators: Matrices, blocks=None) -> list[tuple[dict[int, np.ndarray], np.ndarray]]:
+        """For each operator, the energies of ``blocks`` (every block by
+        default), from one ``eigvalsh`` per dimension for all the operators,
+        and the (centre, radius) rows of a (2, blocks) array: the midpoint of
+        each block's energy range, and half its width widened by the
+        round-off slack 4 d eps ||M||, so that ||M - centre||_2 <= radius."""
+        blocks = range(len(self.blocks)) if blocks is None else blocks
+        energies = solve_by_size(np.linalg.eigvalsh, self.blocks, [(op.__getitem__, blocks) for op in operators])
         ends = np.array([[(e[b][0], e[b][-1]) for b in blocks] for e in energies])
-        slack = _slack(np.array(sizes), np.abs(ends).max(axis=2))
-        return [(e, np.array([*end.T, s])) for e, end, s in zip(energies, ends, slack)]
+        lowest, highest = ends[..., 0], ends[..., 1]
+        slack = _slack(np.array([self.blocks[b].size for b in blocks]), np.abs(ends).max(axis=2))
+        return list(zip(energies, np.stack((0.5 * (lowest + highest), 0.5 * (highest - lowest) + slack), axis=1)))
 
     def occupied(self, psi: np.ndarray) -> list[int]:
         """Indices of the blocks in which psi has a nonzero amplitude."""
         return [k for k, b in enumerate(self.blocks) if np.any(b.amplitudes(psi))]
 
-    def norms(self, k: int) -> tuple[float, float, float, float]:
-        """Centres and half-widths (c0, r0, cv, rv) of the spectra of h0 and
-        of v on block k: each the midpoint and half the width of the block's
-        energy range, the half-width widened by the range's round-off slack
-        4 d eps ||M||, so that ||M - c||_2 <= r.  h0's range is the one
-        ``spectra`` keeps; v's comes from one ``eigvalsh`` on first use."""
-        if k not in self._norms:
-            self._diagonalize_endpoints()
-            energies = np.linalg.eigvalsh(self.v[k])
-            ends = energies[[0, -1]]
-            v_range = (*ends, _slack(energies.size, np.abs(ends).max()))
-            self._norms[k] = (*_centre(*self._h0_range[:, k]), *_centre(*v_range))
-        return self._norms[k]
-
     def centred(self, k: int) -> Centred:
-        """Block k's centred matrices h0 - c0 and v - cv, with (c0, r0, cv,
-        rv) its ``norms``, the two side by side, and, when its table fits
-        MAX_BATCH_BYTES, the expansion of (h0 - c0) / r0 + g (v - cv) / rv."""
+        """Block k's ``Centred`` record: the centres and radii (c0, r0, cv,
+        rv) of h0's range (from construction) and v's (``_ranges``), the
+        centred matrices h0 - c0 and v - cv, the two side by side, and, when
+        its table fits MAX_BATCH_BYTES, the expansion of
+        (h0 - c0) / r0 + g (v - cv) / rv."""
         if k not in self._centred:
-            c0, r0, cv, rv = self.norms(k)
+            ((_, v_range),) = self._ranges(self.v, blocks=[k])
+            (c0, r0), (cv, rv) = self._h0_range[:, k].tolist(), v_range[:, 0].tolist()
             d = self.h0[k].shape[0]
             hv = np.hstack((self.h0[k] - c0 * np.eye(d), self.v[k] - cv * np.eye(d)))
             h, v = hv[:, :d], hv[:, d:]
             expansion = None
             if 8 * EXPANSION_TERMS * h.size <= MAX_BATCH_BYTES:
-                # a zero half-width leaves its matrix, zero itself, as it is
+                # a zero radius leaves its matrix, zero itself, as it is
                 expansion = _Expansion(h / (r0 or 1.0), v / (rv or 1.0))
-            self._centred[k] = Centred(h, v, hv, expansion)
+            self._centred[k] = Centred(c0, r0, cv, rv, h, v, hv, expansion)
         return self._centred[k]
 
     def embed(self, occupied: list[int], amps: list[np.ndarray]) -> np.ndarray:
@@ -281,12 +266,17 @@ class SectorPropagator:
 
 
 class Centred(NamedTuple):
-    """One block's centred generator parts (``SectorPropagator.centred``):
-    h = h0 - c0 and v = v - cv, the two halves of ``hv`` = [h v].
-    ``expansion`` is the table of (h / r0 + g v / rv)^k, with r0 and rv the
-    half-widths of ``SectorPropagator.norms``, whose entries are at most
-    binomial(k, l) in norm, or None for a block too large for step factors."""
+    """One block's centred generator (``SectorPropagator.centred``): the
+    centres c0, cv and radii r0, rv of the ranges of h0 and v there, with
+    ||h0 - c0||_2 <= r0 and ||v - cv||_2 <= rv; h = h0 - c0 and v = v - cv,
+    the two halves of ``hv`` = [h v]; and ``expansion``, the table of
+    (h / r0 + g v / rv)^k, whose entries are at most binomial(k, l) in norm,
+    or None for a block too large for step factors."""
 
+    c0: float
+    r0: float
+    cv: float
+    rv: float
     h: np.ndarray
     v: np.ndarray
     hv: np.ndarray
@@ -321,22 +311,14 @@ class _Expansion:
         return [rows[start:start + order + 1 - l] for l, start in enumerate(_RUN_START[:order + 1].tolist())]
 
 
-def _centre(lowest: float, highest: float, slack: float) -> tuple[float, float]:
-    """Midpoint and half-width, widened by ``slack``, of an energy range."""
-    return float(0.5 * (lowest + highest)), float(0.5 * (highest - lowest) + slack)
-
-
 def _weyl(*terms: tuple[float | np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Per-block lower and upper bounds on the energies of sum_k c_k M_k,
-    from the (lowest, highest, slack) rows of each M_k's ranges: Weyl's
-    inequality, each bound widened by the weighted slacks.  A weight may be
-    a column of couplings, one row of bounds each."""
-    lower = upper = 0.0
-    for c, (lo, hi, slack) in terms:
-        positive = np.asarray(c) >= 0
-        lower = lower + c * np.where(positive, lo, hi) - np.abs(c) * slack
-        upper = upper + c * np.where(positive, hi, lo) + np.abs(c) * slack
-    return lower, upper
+    from the (centre, radius) rows of each M_k's ranges: Weyl's inequality,
+    sum_k c_k centre_k -/+ sum_k |c_k| radius_k.  A weight may be a column
+    of couplings, one row of bounds each."""
+    centre = sum(c * mid for c, (mid, _) in terms)
+    radius = sum(np.abs(c) * r for c, (_, r) in terms)
+    return centre - radius, centre + radius
 
 
 def _taylor_factor(hv, amp, weight, order, substeps):
@@ -403,10 +385,9 @@ class _FactorPlan(NamedTuple):
     key: np.ndarray  # (steps x B)
     order: np.ndarray  # each key's m
     tau: np.ndarray  # each key's tau
-    half_widths: tuple[float, float]  # the block's r0, rv
 
     @classmethod
-    def of(cls, bound, dts, half_widths) -> _FactorPlan:
+    def of(cls, bound, dts) -> _FactorPlan:
         """The plans of the (steps x B) centred ``bound`` and their keys."""
         orders, substeps = taylor_plan(bound)
         taylor = np.flatnonzero(orders.ravel() * substeps.ravel() <= MAX_TAYLOR_TERMS)
@@ -416,7 +397,7 @@ class _FactorPlan(NamedTuple):
         first[1:] = (np.diff(order[by_key]) != 0) | (np.diff(tau[by_key]) != 0)
         key = np.full(bound.size, -1)
         key[taylor[by_key]] = np.cumsum(first) - 1
-        return cls(substeps, key.reshape(bound.shape), order[by_key][first], tau[by_key][first], half_widths)
+        return cls(substeps, key.reshape(bound.shape), order[by_key][first], tau[by_key][first])
 
     def columns(self, cols) -> _FactorPlan:
         return self._replace(substeps=self.substeps[:, cols], key=self.key[:, cols])
@@ -447,18 +428,17 @@ def _column_parts(plans, durations):
 def _factor_steps(block, amp, g_values, dts, plan):
     """Yields the (d x B) amplitudes ``amp`` after each step, each column on
     its own Taylor plan (``_FactorPlan``: order m, s substeps of tau = dt / s).
-    With a = tau r0 and u = g tau rv, the plan's polynomial in
-    -i (a h / r0 + u v / rv) is the step factor F = sum_l u^l N_l(a, m),
-    applied s times; |a| and |u| are at most the substep bound.  The N_l of
-    each key (m, a) of the columns come from the expansion table
-    (``_coefficients``).  The factors of one key in a chunk of steps are
+    With a = tau r0 and u = g tau rv, r0 and rv the radii of the ``Centred``
+    ``block``, the plan's polynomial in -i (a h / r0 + u v / rv) is the step
+    factor F = sum_l u^l N_l(a, m), applied s times; |a| and |u| are at most
+    the substep bound.  The N_l of each key (m, a) of the columns come from
+    the expansion table (``_coefficients``).  The factors of one key in a chunk of steps are
     formed FACTOR_ROWS at a time (``_factor_layout``), so that each product
     has the same shape in any batch and no column's arithmetic depends on
     the others in it.  A step past MAX_TAYLOR_TERMS takes the exact factor.
     Factors are formed in chunks of steps of at most MAX_BATCH_BYTES / 4."""
     steps, width = dts.shape
-    d = block.h.shape[0]
-    r0, rv = plan.half_widths
+    d, r0, rv = block.h.shape[0], block.r0, block.rv
     exact = plan.key < 0
     present = np.flatnonzero(np.bincount(plan.key[~exact], minlength=plan.order.size))
     polynomials = _coefficients(block.expansion, plan.order[present], plan.tau[present] * r0)
@@ -662,7 +642,7 @@ def entropy(rho: np.ndarray) -> float | np.ndarray:
 class Work(NamedTuple):
     """Work of one ``propagate`` call: the largest centred bound
     (r0 + |g| rv) dt of any step on any occupied block, where r0 and rv are
-    the half-widths of h0's and v's spectra there (``SectorPropagator.norms``),
+    the radii of h0's and v's spectra there (``SectorPropagator.centred``),
     and the Taylor terms m s of the steps within MAX_TAYLOR_TERMS, summed
     over the occupied blocks, each step counted at the plan of its largest
     bound in the batch.  For one schedule those are the terms its
@@ -740,17 +720,16 @@ def _evolve(propagator, schedules, grids, occupied, amps, probe, stride):
     plans = []  # per block: its plan for the Taylor terms or for step factors
     phases = []  # per block: exp(-i sum (c0 + g_b cv) dt_b) up to each step's end
     max_norm_dt, matvecs = 0.0, 0
-    for k in occupied:
-        c0, r0, cv, rv = propagator.norms(k)
-        phases.append(np.exp(-1j * np.cumsum((c0 + cv * g_values) * dts, axis=0)))
-        bound = (r0 + np.abs(g_values) * rv) * dts  # every column's centred bound, each step
+    records = [propagator.centred(k) for k in occupied]
+    for block in records:
+        phases.append(np.exp(-1j * np.cumsum((block.c0 + block.cv * g_values) * dts, axis=0)))
+        bound = (block.r0 + np.abs(g_values) * block.rv) * dts  # every column's centred bound, each step
         norm_dt = bound.max(axis=1)
         orders, substeps = taylor_plan(norm_dt)
         work = orders * substeps
         max_norm_dt = max(max_norm_dt, float(norm_dt.max()))
         matvecs += int(work[work <= MAX_TAYLOR_TERMS].sum())
-        taylor = propagator.centred(k).expansion is None
-        plans.append((orders, substeps) if taylor else _FactorPlan.of(bound, dts, (r0, rv)))
+        plans.append((orders, substeps) if block.expansion is None else _FactorPlan.of(bound, dts))
 
     factored = [(plan, a.size) for plan, a in zip(plans, amps) if isinstance(plan, _FactorPlan)]
     finals = [np.empty((a.size, len(schedules)), dtype=complex) for a in amps]
@@ -758,12 +737,12 @@ def _evolve(propagator, schedules, grids, occupied, amps, probe, stride):
     for cols in _column_parts(factored, grids[-1]):
         g, dt = g_values[:, cols], dts[:, cols]
         steppers = []  # per block: its amplitudes after each step
-        for k, amp, plan in zip(occupied, amps, plans):
+        for block, amp, plan in zip(records, amps, plans):
             start = np.repeat(amp[:, None], g.shape[1], axis=1)
             if isinstance(plan, _FactorPlan):
-                steppers.append(_factor_steps(propagator.centred(k), start, g, dt, plan.columns(cols)))
+                steppers.append(_factor_steps(block, start, g, dt, plan.columns(cols)))
             else:
-                steppers.append(_taylor_steps(propagator.centred(k), start, g, dt, *plan))
+                steppers.append(_taylor_steps(block, start, g, dt, *plan))
         for j, stepped in enumerate(zip(*steppers)):
             if probe is not None and ((j + 1) % stride == 0 or j == last):
                 probe(float(grids[j + 1, 0]),

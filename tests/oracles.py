@@ -484,14 +484,13 @@ def sweeps(energies, lower, upper):
 def reference_levels(blocks, matrices, bounds=None, known=None):
     """The energies dict of each matrix from its own ``sweeps``, one matrix
     at a time, one ``eigvalsh`` per request and block dimension."""
-    sizes = [block.size for block in blocks]
     out = []
     for i, matrix in enumerate(matrices):
         energies = dict(known[i] or {}) if known else {}
         bound = bounds[i] if bounds else None
         lower, upper = ([-np.inf] * len(blocks), [np.inf] * len(blocks)) if bound is None else [b.tolist() for b in bound]
         for request in sweeps(energies, lower, upper):
-            energies.update(solve_by_size(np.linalg.eigvalsh, [(matrix, sizes, request)])[0])
+            energies.update(solve_by_size(np.linalg.eigvalsh, blocks, [(matrix, request)])[0])
         out.append(energies)
     return out
 

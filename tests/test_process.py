@@ -8,10 +8,19 @@ import pytest
 
 from spinsplice.chain import ChainSpec, DegeneracyError, _sector_hamiltonian, ground_state
 from spinsplice.cli import main
-from spinsplice.control import apply_noise, linear_baseline, polynomial_cut, polynomial_stitch, pulse_train
+from spinsplice.control import (
+    ControlSchedule,
+    apply_noise,
+    linear_baseline,
+    polynomial_cut,
+    polynomial_stitch,
+    pulse_train,
+)
 from spinsplice.dynamics import cut_fidelity, propagate, reduce_density
-from spinsplice.optimize import LandscapeAxis, finite_difference_gradient, scan_landscape
+from spinsplice.optimize import LandscapeAxis, bfgs_steps, finite_difference_gradient, scan_landscape
 from spinsplice.process import DEFAULT_SELECTION_OFFSET, ObjectiveSpec, build_objective, prepare_process
+from spinsplice.reproduce import reproduce
+from spinsplice.runner import ConfigError
 
 from oracles import dense_hamiltonian
 
@@ -38,6 +47,16 @@ class TestPrepareProcess:
         h = sum(dense_hamiltonian(process.chain))
         resid = np.linalg.norm(h @ process.psi0 - (process.psi0.conj() @ h @ process.psi0) * process.psi0)
         assert resid < 1e-9
+
+    @pytest.mark.parametrize("n_spins", [7, 9])
+    def test_tied_start_lies_in_one_block(self, n_spins):
+        # the tie spans both parities of a sector and the nudged reference
+        # lies in one: the other keeps not even round-off, so propagate
+        # evolves one block
+        process = prepare_process(ChainSpec(n_spins, "ring", 1.0, 2.0), "cut")
+        assert process.start_degenerate
+        amplitudes = [block.amplitudes(process.psi0) for block in process.propagator.blocks]
+        assert sum(bool(np.any(a)) for a in amplitudes) == 1
 
     def test_stitch_starts_from_disconnected_ground(self):
         process = prepare_process(ChainSpec(4, "open", 1.0, 2.0), "stitch")
@@ -343,6 +362,34 @@ class TestPublishedLandscapeGeometry:
         grid = scan_landscape(objective, axes)
         baseline = process.fidelity(linear_baseline(0.4), 60)
         assert grid.values[1, 1] == pytest.approx(baseline, abs=1e-12)
+
+
+RING4 = ChainSpec(4, "ring", 1.0, 2.0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: reduce_density(np.full(16, 0.25), [0], 4), ValueError, "keep_sites [0] outside 1..4"),
+    (lambda: prepare_process(RING4).fidelities([polynomial_cut(0.5)], 10, target="nope"), ValueError,
+     "target must be one of ('cut', 'ground'), got 'nope'"),
+    (lambda: prepare_process(RING4, "sideways"), ValueError, "direction must be 'cut' or 'stitch', got 'sideways'"),
+    (lambda: ControlSchedule("pulse", 1.0, (1.0,), "sideways"), ValueError,
+     "direction must be 'cut' or 'stitch', got 'sideways'"),
+    (lambda: LandscapeAxis(-1, 0.0, 1.0, 2), ValueError, "param_index must be >= 0, got -1"),
+    (lambda: next(bfgs_steps(np.zeros(2), grad_step=0)), ValueError, "step must be positive, got 0"),
+    (lambda: ObjectiveSpec(RING4, "polynomial_cut", 0.5, 2, target="nope"), ValueError,
+     "target must be one of ('cut', 'ground'), got 'nope'"),
+    (lambda: ObjectiveSpec(RING4, "polynomial_cut", 0.5, 0), ValueError, "n_free_params must be >= 1"),
+    (lambda: ObjectiveSpec(RING4, "polynomial_cut", 0.5, 2, n_steps=0), ValueError, "n_steps must be >= 1"),
+    (lambda: build_objective(ObjectiveSpec(RING4, "polynomial_cut", 0.5, 2), prepare_process(RING4, "stitch")),
+     ValueError, "prepared process direction does not match the objective"),
+    (lambda: reproduce("fig99"), ConfigError,
+     "reproduce: unknown target 'fig99'; choose from ['fig3', 'fig6', 'fig7', 'fig8', 'fig9', 'table1']"),
+], ids=["reduce_density_site_0", "fidelities_target", "prepare_process_direction", "schedule_direction",
+        "landscape_axis_index", "bfgs_grad_step", "objective_target", "objective_params", "objective_steps",
+        "objective_direction", "reproduce_target"])
+def test_library_input_checks(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_readme_quick_start_prints_what_it_claims(capsys):

@@ -533,6 +533,8 @@ class TestCli:
             ("chain.field", evolve_config(tmp_path, chain=dict(ring4, field=math.nan))),
             ("chain.spin_cap", evolve_config(tmp_path, chain=dict(ring4, spin_cap=20))),
             ("chain.cut_bonds", evolve_config(tmp_path, chain=dict(ring4, cut_bonds=[[1, 2]]))),
+            ("chain", evolve_config(tmp_path, chain=dict(ring4, cut_bonds=[[2, 2]]))),  # a site bonded to itself
+            ("chain", evolve_config(tmp_path, chain=dict(ring4, n_spins=2))),  # a ring needs 3 spins
             ("schedule.params[0]", evolve_config(
                 tmp_path, schedule={"kind": "polynomial_cut", "T": 0.5, "params": [math.nan, 1.0]})),
             ("schedule.T", evolve_config(tmp_path, schedule={"kind": "polynomial_cut", "T": math.inf})),
@@ -546,6 +548,13 @@ class TestCli:
             ("noise.strengths[0]", mode_config("noise", tmp_path, noise=dict(noise, strengths=[-1]))),
             ("optimizer.tolerance", mode_config("optimize", tmp_path, optimizer={"tolerance": "abc"})),
             ("optimizer.multi_start", mode_config("optimize", tmp_path, optimizer={"multi_start": "yes"})),
+            ("schedule.params", mode_config(  # nothing to optimize
+                "optimize", tmp_path, schedule={"kind": "polynomial_cut", "T": 0.5, "params": []})),
+            ("optimizer.multi_start.per_axis", mode_config(
+                "optimize", tmp_path, schedule={"kind": "polynomial_cut", "T": 0.5, "params": [0.0] * 4},
+                optimizer={"multi_start": {"per_axis": 10}})),  # 10^4 starts
+            ("noise.window", mode_config("noise", tmp_path, schedule={"kind": "polynomial_cut", "T": 0.6, "params": []},
+                                         noise=dict(noise, window=1e-6))),  # 6 10^5 windows
             # bounds on the work a config asks for: each is rejected before any allocation
             ("schedule.params", mode_config(
                 "optimize", tmp_path, schedule={"kind": "polynomial_cut", "T": 0.5, "params": [0.0] * 50_000})),
@@ -581,6 +590,8 @@ class TestCli:
             ("seed", ["reproduce", "table1", "--out", str(tmp_path), "--seed", "9"]),
             ("config", ["reproduce", "table1", "--out", str(tmp_path), "--config", str(tmp_path / "nope.json")]),
         ]
+        array = write_config(tmp_path / "array.json", [evolve_config(tmp_path)])  # not a JSON object
+        runs.append(("config", ["evolve", "--config", array]))
         deep = tmp_path / "deep.json"  # json.loads raises RecursionError, not ValueError
         deep.write_text("[" * 200_000 + "]" * 200_000)
         runs.append(("config", ["optimize", "--config", str(deep)]))

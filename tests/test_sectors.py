@@ -534,7 +534,6 @@ def test_diagonalize_together_is_bitwise_alone(names, g):
 
     asks = []  # (matrix, bounds, known)
     for prop in map(pruned_propagator, names):
-        prop.spectra([0.0])  # the endpoint energies and ranges
         lower, upper = prop._bounds(np.array([[g]]))
         asks += [(matrix(prop, g), (lower[0], upper[0]), None),
                  (matrix(prop, 0.0), None, prop._endpoints[0.0]),

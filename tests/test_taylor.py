@@ -134,20 +134,22 @@ CHAINS = {
 class TestCentredBound:
     @pytest.mark.parametrize("name", CHAINS)
     def test_half_widths_bound_the_centred_blocks(self, name):
-        # r >= ||M - c||_2 on every occupied block, from the dense operators;
-        # and r is the spectral half-width itself, not a looser norm
+        # r >= ||M - c||_2 on every block, from the dense operators; and r
+        # is the spectral half-width widened by its round-off slack 4 d eps
+        # ||M||, not a looser norm.  The start state occupies one block,
+        # ring7's tied one included
         chain = CHAINS[name]
         process = prepare_process(chain, "cut")
         prop = process.propagator
         reference = sector_reference(chain)
-        occupied = prop.occupied(process.psi0)
-        assert len(occupied) == (2 if name == "ring7" else 1)
-        for k in occupied:
-            c0, r0, cv, rv = prop.norms(k)
-            for op, c, r in zip(reference_block(reference, prop.blocks[k]), (c0, cv), (r0, rv)):
+        assert len(prop.occupied(process.psi0)) == 1
+        for k in range(len(prop.blocks)):
+            block = prop.centred(k)
+            ops = reference_block(reference, prop.blocks[k])
+            for op, c, r in zip(ops, (block.c0, block.cv), (block.r0, block.rv)):
                 energies = np.linalg.eigvalsh(op - c * np.eye(len(op)))
                 assert r >= np.abs(energies).max()
-                assert r - 0.5 * (energies[-1] - energies[0]) <= 1e-12 * max(1.0, abs(c))
+                assert abs(r - centre_and_half_width(op)[1]) <= 1e-12 * max(1.0, abs(c))
 
     @pytest.mark.parametrize("name", ["ring6", "ring8"])
     def test_centred_matrices_are_formed_once(self, name):
@@ -159,10 +161,9 @@ class TestCentredBound:
         process.fidelity(polynomial_cut(0.6, (54.3, -36.3)), 30)
         block = prop.centred(k)
         assert prop.centred(k) is block
-        c0, _, cv, _ = prop.norms(k)
         eye = np.eye(prop.blocks[k].size)
-        assert np.array_equal(block.h, prop.h0[k] - c0 * eye)
-        assert np.array_equal(block.v, prop.v[k] - cv * eye)
+        assert np.array_equal(block.h, prop.h0[k] - block.c0 * eye)
+        assert np.array_equal(block.v, prop.v[k] - block.cv * eye)
         assert np.array_equal(block.hv, np.hstack((block.h, block.v)))
         assert (block.expansion is None) == (prop.blocks[k].size > 23)
 
