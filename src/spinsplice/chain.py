@@ -423,12 +423,11 @@ class Spectra(NamedTuple):
     ``degenerate`` marks a gap within the threshold DEGENERACY_RTOL (E_top -
     E0).  ``value_blocks`` counts the blocks diagonalized or known,
     ``vector_blocks`` those whose vectors the ground state takes.  A lone
-    ground, the lowest energy alone within the threshold, has its ``block``,
-    that block's ``second`` energy (inf on one state) and the round-off
-    ``slack`` 4 d eps ||M|| of its energies; its caller solves the vector
-    (``lowest_states``).  Any other matrix has block -1 and in ``ties`` the
-    full-space ``eigh`` vectors of every energy within the threshold of the
-    lowest, ascending, equal ones in order of block dimension, then block.
+    ground, the lowest energy alone within the threshold, has in ``states``
+    its full-space ground state, its block's lowest vector.  Any other
+    matrix has None there and in ``ties`` the full-space ``eigh`` vectors of
+    every energy within the threshold of the lowest, ascending, equal ones
+    in order of block dimension, then block.
     """
 
     gap: np.ndarray
@@ -436,9 +435,7 @@ class Spectra(NamedTuple):
     lowest: np.ndarray
     value_blocks: np.ndarray
     vector_blocks: np.ndarray
-    block: np.ndarray
-    second: np.ndarray
-    slack: np.ndarray
+    states: list[np.ndarray | None]
     ties: list[np.ndarray | None]
 
 
@@ -452,11 +449,12 @@ def _tie(energies: dict[int, np.ndarray], limit: float) -> list[tuple[int, int]]
 
 def diagonalize(blocks: Blocks, matrices: list[Callable[[int], np.ndarray]],
                 bounds: list[tuple[np.ndarray, np.ndarray] | None] | None = None,
-                known: list[dict[int, np.ndarray] | None] | None = None) -> Spectra:
+                known: list[dict[int, np.ndarray] | None] | None = None, iterate: bool = False) -> Spectra:
     """The ``Spectra`` of the matrices of ``levels``, read off the energies it
-    finds, with the ``eigh`` vectors of every tie's blocks from one stacked
-    call per block dimension; each matrix's entries bitwise as they would
-    be alone."""
+    finds, with the ``eigh`` vectors of every tie's blocks and each lone
+    ground's block's lowest vector, by ``eigh`` or with ``iterate`` by
+    ``_lowest_vectors``, one stacked call per block dimension for each; each
+    matrix's entries bitwise as they would be alone."""
     energies = levels(blocks, matrices, bounds, known)
     rows = []  # each matrix's entries, and the limit of its tie, E0 plus the threshold
     for found in energies:
@@ -469,41 +467,31 @@ def diagonalize(blocks: Blocks, matrices: list[Callable[[int], np.ndarray]],
         rows.append((gap, gap <= threshold, e0, len(found), ground if lone else -1, second,
                      _slack(w.size, max(abs(e0), abs(w.item(-1)))), e0 + threshold))
     gap, degenerate, e0, value_blocks, block, second, slack, limits = zip(*rows) if rows else [()] * 8
+    states: list[np.ndarray | None] = [None] * len(rows)
     ties: list[np.ndarray | None] = [None] * len(rows)
     vector_blocks = [1] * len(rows)
+    dim = sum(b.size for b in blocks)
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for i, b in enumerate(block):
+        if b >= 0:
+            groups.setdefault(blocks[b].size, []).append((i, b))
+    for pairs in groups.values():
+        stack, r = np.array([matrices[i](b) for i, b in pairs]), [i for i, _ in pairs]
+        x = (_lowest_vectors(stack, *(np.array(column)[r] for column in (e0, second, slack))) if iterate
+             else np.linalg.eigh(stack)[1][:, :, 0])
+        for (i, b), x_i, state in zip(pairs, x, np.zeros((len(pairs), dim), dtype=x.dtype)):
+            blocks[b].embed(x_i, state)
+            states[i] = state
     if tied := [i for i, b in enumerate(block) if b < 0]:
         located = [_tie(energies[i], limits[i]) for i in tied]
         vectors = solve_by_size(lambda a: np.linalg.eigh(a)[1], blocks, [
             (matrices[i], list(dict.fromkeys(b for b, _ in at))) for i, at in zip(tied, located)])
-        dim = sum(b.size for b in blocks)
         for i, at, found in zip(tied, located, vectors):
             ties[i] = np.zeros((dim, len(at)), dtype=np.result_type(*found.values()))
             for col, (b, column) in enumerate(at):
                 blocks[b].embed(found[b][:, column], ties[i][:, col])
             vector_blocks[i] = len(found)
-    return Spectra(*map(np.array, (gap, degenerate, e0, value_blocks, vector_blocks, block, second, slack)), ties)
-
-
-def lowest_states(spectra: Spectra, blocks: Blocks, matrices: list[Callable[[int], np.ndarray]],
-                  iterate: bool = False) -> list[np.ndarray | None]:
-    """The full-space ground state of each lone ground of ``spectra``, None
-    for any other matrix: its block's lowest ``eigh`` vector, or with
-    ``iterate`` its ``_lowest_vectors`` one, one stacked call per block
-    dimension.  Each state is bitwise what a call of its own gives."""
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for i, b in enumerate(spectra.block.tolist()):
-        if b >= 0:
-            groups.setdefault(blocks[b].size, []).append((i, b))
-    dim = sum(block.size for block in blocks)
-    states: list[np.ndarray | None] = [None] * len(spectra.block)
-    for pairs in groups.values():
-        stack, r = np.array([matrices[i](b) for i, b in pairs]), [i for i, _ in pairs]
-        x = (_lowest_vectors(stack, spectra.lowest[r], spectra.second[r], spectra.slack[r]) if iterate
-             else np.linalg.eigh(stack)[1][:, :, 0])
-        for (i, b), x_i, state in zip(pairs, x, np.zeros((len(pairs), dim), dtype=x.dtype)):
-            blocks[b].embed(x_i, state)
-            states[i] = state
-    return states
+    return Spectra(*map(np.array, (gap, degenerate, e0, value_blocks, vector_blocks)), states, ties)
 
 
 def _lowest_vectors(stack: np.ndarray, e0: np.ndarray, e1: np.ndarray, slack: np.ndarray) -> np.ndarray:
@@ -596,26 +584,24 @@ def tie_ground(tie: np.ndarray, degenerate: bool, reference: np.ndarray | None =
     return tie @ (coeff / norm)
 
 
-def ground_states(spectra: Spectra, blocks: Blocks, matrices: list[Callable[[int], np.ndarray]],
-                  nudged: Callable[[list[int]], tuple[Spectra, list]] | None = None) -> list[np.ndarray]:
-    """The ground state of each matrix of ``spectra``: a lone ground's
-    ``eigh`` vector (``lowest_states``), or ``tie_ground`` of its tie, the
-    reference of a degenerate one the unique ground state of a slightly
-    perturbed matrix.  ``nudged(rows)``, called only on a tie, gives the
-    ``Spectra`` and the matrices of the perturbed matrices of those rows.
-    Without it, or when one of them is degenerate too, the ambiguity is an
-    error, never a silent arbitrary choice.
+def ground_states(spectra: Spectra, nudged: Callable[[list[int]], Spectra] | None = None) -> list[np.ndarray]:
+    """The ground state of each matrix of ``spectra``: a lone ground's state,
+    or ``tie_ground`` of its tie, the reference of a degenerate one the
+    unique ground state of a slightly perturbed matrix.  ``nudged(rows)``,
+    called only on a tie, gives the ``Spectra`` of the perturbed matrices of
+    those rows.  Without it, or when one of them is degenerate too, the
+    ambiguity is an error, never a silent arbitrary choice.
     """
-    states, degenerate = lowest_states(spectra, blocks, matrices), spectra.degenerate.tolist()
-    references = [None] * len(states)
+    degenerate = spectra.degenerate.tolist()
+    references = [None] * len(degenerate)
     if nudged is not None and (rows := [i for i, flag in enumerate(degenerate) if flag]):
-        perturbed, perturbed_matrices = nudged(rows)
+        perturbed = nudged(rows)
         if perturbed.degenerate.any():
             raise DegeneracyError("unresolvable degeneracy: the perturbed reference Hamiltonian is degenerate too")
-        for i, reference in zip(rows, ground_states(perturbed, blocks, perturbed_matrices)):
+        for i, reference in zip(rows, ground_states(perturbed)):
             references[i] = reference
     return [tie_ground(tie, flag, reference) if state is None else state
-            for state, tie, flag, reference in zip(states, spectra.ties, degenerate, references)]
+            for state, tie, flag, reference in zip(spectra.states, spectra.ties, degenerate, references)]
 
 
 @dataclass(frozen=True)
@@ -646,7 +632,6 @@ def ground_state(h: np.ndarray, continuity_reference: np.ndarray | None = None) 
         return [lambda b: m.take(blocks[b].states, axis=0).take(blocks[b].states, axis=1)]
 
     found = diagonalize(blocks, blockwise(h))
-    nudged = None if continuity_reference is None else (
-        lambda rows: (diagonalize(blocks, blockwise(continuity_reference)), blockwise(continuity_reference)))
-    (state,) = ground_states(found, blocks, blockwise(h), nudged)
+    nudged = None if continuity_reference is None else lambda rows: diagonalize(blocks, blockwise(continuity_reference))
+    (state,) = ground_states(found, nudged)
     return GroundStateSelection(float(found.lowest[0]), state, bool(found.degenerate[0]), float(found.gap[0]))

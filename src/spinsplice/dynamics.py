@@ -169,11 +169,11 @@ class SectorPropagator:
         self.v = v
         self._centred: dict[int, Centred] = {}
         self._v_range = None  # v's ranges on every block, found on the first coupling outside [0, 1]
-        coupled = [h + u for h, u in zip(h0, v)]  # matrix(1.0), bitwise: 1.0 v is v
+        coupled = [h + u for h, u in zip(h0, v)]  # h0 + 1.0 v, bitwise: 1.0 v is v
         (rest, self._h0_range), (joined, self._h1_range) = self._ranges(h0, coupled)
         self._endpoints = {0.0: rest, 1.0: joined}
 
-    def spectra(self, gs) -> Spectra:
+    def spectra(self, gs, iterate: bool = False) -> Spectra:
         """The ``chain.Spectra`` of h0 + g v at each coupling g, pruned by
         Weyl's bounds and diagonalized together (``chain.diagonalize``).
 
@@ -189,17 +189,17 @@ class SectorPropagator:
         rounding of the two sums that form each bound, so that no bound
         excludes an energy ``eigvalsh`` would compute.  Each spectrum
         diagonalizes only the blocks its bounds admit.  A lone ground's
-        vector is left to the caller, on the blocks of ``matrix(g)``
-        (``chain.lowest_states``).
+        state is its block's ``eigh`` vector, or with ``iterate`` its
+        vector by shifted inverse iteration (``chain._lowest_vectors``).
         """
-        return diagonalize(self.blocks, *self._asks(gs))
+        return diagonalize(self.blocks, *self._asks(gs), iterate)
 
     def _asks(self, gs) -> tuple[list, list, list]:
-        """The block matrices, bounds and known energies of each coupling."""
+        """Each coupling's block matrices of h0 + g v (formed on request), bounds and known energies."""
         gs = list(gs)
         bounded = np.array([g for g in gs if g not in self._endpoints], dtype=float)[:, None]
         bounds = zip(*self._bounds(bounded)) if bounded.size else iter(())
-        return ([self.matrix(g) for g in gs],
+        return ([lambda b, g=g: self.h0[b] + g * self.v[b] for g in gs],
                 [None if g in self._endpoints else next(bounds) for g in gs],
                 [self._endpoints.get(g) for g in gs])
 
@@ -215,10 +215,6 @@ class SectorPropagator:
             lower = np.where(outside, np.maximum(lower, by_v[0]), lower)
             upper = np.where(outside, np.minimum(upper, by_v[1]), upper)
         return lower, upper
-
-    def matrix(self, g: float) -> Callable[[int], np.ndarray]:
-        """The block matrices of h0 + g v, formed on request."""
-        return lambda b: self.h0[b] + g * self.v[b]
 
     def _ranges(self, *operators: Matrices, blocks=None) -> list[tuple[dict[int, np.ndarray], np.ndarray]]:
         """For each operator, the energies of ``blocks`` (every block by
@@ -247,7 +243,11 @@ class SectorPropagator:
             ((_, v_range),) = self._ranges(self.v, blocks=[k])
             (c0, r0), (cv, rv) = self._h0_range[:, k].tolist(), v_range[:, 0].tolist()
             d = self.h0[k].shape[0]
-            hv = np.hstack((self.h0[k] - c0 * np.eye(d), self.v[k] - cv * np.eye(d)))
+            # on a 64-byte boundary, where the Taylor kernel's products with it run fastest
+            buf = np.empty(2 * d * d + 8)
+            start = -buf.ctypes.data // 8 % 8
+            hv = buf[start:start + 2 * d * d].reshape(d, 2 * d)
+            np.concatenate((self.h0[k] - c0 * np.eye(d), self.v[k] - cv * np.eye(d)), axis=1, out=hv)
             h, v = hv[:, :d], hv[:, d:]
             expansion = None
             if 8 * EXPANSION_TERMS * h.size <= MAX_BATCH_BYTES:

@@ -24,7 +24,6 @@ from .chain import (
     cut_components,
     diagonalize,
     ground_states,
-    lowest_states,
     tie_ground,
 )
 from .control import ControlSchedule
@@ -125,11 +124,11 @@ class ChainProcess:
         The probe only buffers each sample's state.  The samples are scored
         in chunks of MAX_BATCH_BYTES // (16 * 2^N), one chunk whenever the
         buffer fills and one at the end: one ``schedule.values`` call, the
-        chunk's gaps, flags and ties from one ``propagator.spectra`` call and
-        its lone ground states from one ``chain.lowest_states`` call, the
-        reduced density matrices of A for the whole chunk from one product
-        and their cut fidelities from one ``cut_fidelity`` call, and one
-        stacked ``eigvalsh`` for the entropies.  The entanglement entropy,
+        chunk's gaps, flags, ties and lone ground states from one
+        ``propagator.spectra(gs, iterate=True)`` call, the reduced density
+        matrices of A for the whole chunk from one product and their cut
+        fidelities from one ``cut_fidelity`` call, and one stacked
+        ``eigvalsh`` for the entropies.  The entanglement entropy,
         equal on both sides of a pure state, comes from the smaller of the
         two reduced density matrices.  A lone ground state, its block's
         vector by shifted inverse iteration (``chain._lowest_vectors``),
@@ -155,15 +154,14 @@ class ChainProcess:
             times, states = zip(*buffered)
             buffered.clear()
             gs = schedule.values(np.array(times)).tolist()
-            found = self.propagator.spectra(gs)
-            grounds = lowest_states(found, self.propagator.blocks, list(map(self.propagator.matrix, gs)), iterate=True)
+            found = self.propagator.spectra(gs, iterate=True)
             psis = np.array(states)
             rho_a = reduce_density(psis, self.a_sites, n_spins)
             rho_small = rho_a if schmidt_sites == self.a_sites else reduce_density(psis, schmidt_sites, n_spins)
             entropies = entropy(rho_small)
             f_c = cut_fidelity(rho_a, self.phi_0a)
             for t, g, psi, ground, tie, gap, flag, rho, f, schmidt_entropy in zip(
-                    times, gs, states, grounds, found.ties, found.gap.tolist(), found.degenerate.tolist(),
+                    times, gs, states, found.states, found.ties, found.gap.tolist(), found.degenerate.tolist(),
                     rho_a, f_c, entropies):
                 if ground is None:  # a tie, or the lowest energy's neighbour within the threshold
                     try:
@@ -197,9 +195,9 @@ def prepare_process(spec: ChainSpec, direction: str = "cut") -> ChainProcess:
 
     The chain is assembled once, as the reflection-parity halves of its
     total-S^z sectors; both ground states come from one
-    ``SectorPropagator.spectra`` call at the two endpoint couplings and one
-    ``eigh`` per dimension of their ground blocks (``chain.ground_states``),
-    a tie resolved by the ground state at the coupling nudged toward the
+    ``SectorPropagator.spectra`` call at the two endpoint couplings, with one
+    ``eigh`` per dimension of their ground blocks (``chain.ground_states``), a
+    tie resolved by the ground state at the coupling nudged toward the
     interior of the drive interval.  The cut target is the ground state of
     the detached block A, from the plain sectors assembled on A's sites
     renumbered 1..len(A).
@@ -214,7 +212,7 @@ def prepare_process(spec: ChainSpec, direction: str = "cut") -> ChainProcess:
              if (i, j) not in spec.cut_bonds and i in order and j in order]
     blocks, h_a, _ = _sector_hamiltonian(len(a_sites), inner, frozenset(), spec.exchange, spec.field)
     try:
-        (phi_0a,) = ground_states(diagonalize(blocks, [h_a.__getitem__]), blocks, [h_a.__getitem__])
+        (phi_0a,) = ground_states(diagonalize(blocks, [h_a.__getitem__]))
     except DegeneracyError as exc:
         raise DegeneracyError(
             f"the detached block {a_sites} has a degenerate ground state; "
@@ -225,11 +223,10 @@ def prepare_process(spec: ChainSpec, direction: str = "cut") -> ChainProcess:
 
     def nudged(rows: list[int]):
         gs = [ends[i] + (DEFAULT_SELECTION_OFFSET if ends[i] < 0.5 else -DEFAULT_SELECTION_OFFSET) for i in rows]
-        return propagator.spectra(gs), list(map(propagator.matrix, gs))
+        return propagator.spectra(gs)
 
     found = propagator.spectra(ends)
-    psi0, final_ground = (state.astype(complex) for state in
-                          ground_states(found, propagator.blocks, list(map(propagator.matrix, ends)), nudged))
+    psi0, final_ground = (state.astype(complex) for state in ground_states(found, nudged))
     start_degenerate, final_degenerate = found.degenerate.tolist()
 
     return ChainProcess(

@@ -290,10 +290,13 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
         for key in ("process", "target"):
             if cfg[key] != "cut":
                 raise ConfigError(f"{key}: mode 'two_spin' scores a cut, got {cfg[key]!r}")
-    try:
-        chain = ChainSpec(**cfg["chain"])
-    except ValueError as exc:
-        raise ConfigError(f"chain: {exc}") from exc
+    # past the schema, a chain without its cut bonds can fail only on a ring's size
+    uncut = {key: value for key, value in cfg["chain"].items() if key != "cut_bonds"}
+    for path, fields in (("chain.n_spins", uncut), ("chain.cut_bonds", cfg["chain"])):
+        try:
+            chain = ChainSpec(**fields)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     try:
         block, _ = cut_components(chain)
     except ValueError as exc:

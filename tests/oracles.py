@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spinsplice.chain import DEGENERACY_RTOL, Block, DegeneracyError, lowest_states, solve_by_size, tie_ground
+from spinsplice.chain import DEGENERACY_RTOL, Block, DegeneracyError, solve_by_size, tie_ground
 from spinsplice.dynamics import (
     SectorPropagator,
     cut_fidelity,
@@ -499,9 +499,9 @@ def reference_record(process, schedule, n_steps, stride=1, eigh_vectors=False):
     """``process.run(schedule, n_steps, stride)`` scored one sample at a
     time, as the recorder did before it scored chunks: each sample takes
     ``propagator.spectra([g])`` at its own coupling, a lone ground's vector
-    from ``chain.lowest_states``, by inverse iteration or with
-    ``eigh_vectors`` by ``eigh``, and its reduced density matrices and its
-    entropy on their own.  Returns ``(psi, TrajectoryRecord)``."""
+    by inverse iteration or with ``eigh_vectors`` by ``eigh``, and its
+    reduced density matrices and its entropy on their own.  Returns
+    ``(psi, TrajectoryRecord)``."""
     n_spins = process.chain.n_spins
     schmidt_sites = process.a_sites if len(process.a_sites) <= len(process.b_sites) else process.b_sites
     rows = []
@@ -510,9 +510,8 @@ def reference_record(process, schedule, n_steps, stride=1, eigh_vectors=False):
     def sample(t, psi):
         nonlocal previous_ground, value_blocks, vector_blocks
         g = float(schedule.value(t))
-        prop = process.propagator
-        found = prop.spectra([g])
-        (ground,) = lowest_states(found, prop.blocks, [prop.matrix(g)], iterate=not eigh_vectors)
+        found = process.propagator.spectra([g], iterate=not eigh_vectors)
+        (ground,) = found.states
         gap, degenerate = float(found.gap[0]), bool(found.degenerate[0])
         values, vectors = int(found.value_blocks[0]), int(found.vector_blocks[0])
         if ground is None:

@@ -102,6 +102,11 @@ class TestConfigValidation:
         assert config.n_steps == 40
         assert config.chain.cut_bonds == frozenset({(1, 2), (1, 4)})
 
+    def test_a_field_the_mode_lacks_is_no_attribute(self, tmp_path):
+        config = parse_config(evolve_config(tmp_path))
+        assert getattr(config, "sweep", None) is None
+        assert not hasattr(config, "sweep")
+
     def test_mode_required(self, tmp_path):
         with pytest.raises(ConfigError, match="mode"):
             parse_config({"chain": {"n_spins": 3}})
@@ -533,8 +538,10 @@ class TestCli:
             ("chain.field", evolve_config(tmp_path, chain=dict(ring4, field=math.nan))),
             ("chain.spin_cap", evolve_config(tmp_path, chain=dict(ring4, spin_cap=20))),
             ("chain.cut_bonds", evolve_config(tmp_path, chain=dict(ring4, cut_bonds=[[1, 2]]))),
-            ("chain", evolve_config(tmp_path, chain=dict(ring4, cut_bonds=[[2, 2]]))),  # a site bonded to itself
-            ("chain", evolve_config(tmp_path, chain=dict(ring4, n_spins=2))),  # a ring needs 3 spins
+            ("chain.cut_bonds", evolve_config(tmp_path, chain=dict(ring4, cut_bonds=[[2, 2]]))),  # a site to itself
+            ("chain.cut_bonds", evolve_config(  # not a bond of an open chain
+                tmp_path, chain=dict(ring4, topology="open", cut_bonds=[[1, 3]]))),
+            ("chain.n_spins", evolve_config(tmp_path, chain=dict(ring4, n_spins=2))),  # a ring needs 3 spins
             ("schedule.params[0]", evolve_config(
                 tmp_path, schedule={"kind": "polynomial_cut", "T": 0.5, "params": [math.nan, 1.0]})),
             ("schedule.T", evolve_config(tmp_path, schedule={"kind": "polynomial_cut", "T": math.inf})),

@@ -29,7 +29,6 @@ from spinsplice.chain import (
     ground_state,
     ground_states,
     levels,
-    lowest_states,
     tie_ground,
 )
 from spinsplice.control import (
@@ -373,7 +372,7 @@ class TestLazySpectrum:
         expected = [(4, 1.0), (4, -1.0), (5, 1.0), (5, -1.0)] if crossing else [(4, 1.0), (4, -1.0)]
         assert [(sector_of(prop.blocks[k]), prop.blocks[k].sign) for k in tied] == expected
         # the spectra come with the eigenvectors of exactly the tied blocks
-        assert found.degenerate[0] and found.block[0] == -1 and found.lowest[0] == w[0]
+        assert found.degenerate[0] and found.states[0] is None and found.lowest[0] == w[0]
         assert found.vector_blocks[0] == len(calls) == len(tied)
         assert found.ties[0].shape == (prop.dim, tie_count(w))
         matched = [k for m in calls for k in tied
@@ -392,11 +391,11 @@ class TestLazySpectrum:
             found = prop.spectra([g])
             calls = len(eigh_calls)
             del eigh_calls[:]
-            (state,) = lowest_states(found, prop.blocks, [prop.matrix(g)])
+            (state,) = found.states
             if state is None:
                 state = tie_ground(found.ties[0], found.degenerate[0], np.ones(prop.dim))
-            # a lone ground's block takes one eigh, a tie's blocks none more
-            assert len(eigh_calls) == (found.block[0] >= 0)
+            # reading the state, or resolving a tie, diagonalizes nothing more
+            assert not eigh_calls
             eager, _ = eager_spectrum(reference, g)
             # g = 0 and g = 1 keep every block's energies from the bounds;
             # any other g holds only some blocks', but the two lowest, the
@@ -405,11 +404,10 @@ class TestLazySpectrum:
             limit = eager[0] + DEGENERACY_RTOL * (eager[-1] - eager[0])
             tied = int(np.searchsorted(eager, limit, side="right"))
             # eigenvectors of exactly the blocks that hold the tie (the
-            # lowest energy's block alone when there is none, from its caller)
+            # lowest energy's block alone when there is none)
             tie_blocks = [k for k, (h, u) in enumerate(zip(prop.h0, prop.v)) if np.linalg.eigvalsh(h + g * u)[0] <= limit]
-            assert found.vector_blocks[0] == len(tie_blocks)
-            assert calls == (len(tie_blocks) if tied > 1 else 0)
-            assert (found.block[0] >= 0) == (tied == 1)
+            assert found.vector_blocks[0] == calls == len(tie_blocks)
+            assert (found.states[0] is not None) == (tied == 1)
             w = merged(levels(prop.blocks, *prop._asks([g]))[0])
             low = max(2, tied)
             assert np.abs(w[:low] - eager[:low]).max() <= GATE
@@ -487,10 +485,11 @@ def tie_count(w):
 
 def assert_same_spectra(found, expected, k=0, j=0):
     """Entry k of one ``Spectra`` bitwise entry j of another."""
-    for name in ("gap", "degenerate", "lowest", "value_blocks", "vector_blocks", "block", "second", "slack"):
+    for name in ("gap", "degenerate", "lowest", "value_blocks", "vector_blocks"):
         assert getattr(found, name)[k].tobytes() == getattr(expected, name)[j].tobytes(), name
-    tie, want = found.ties[k], expected.ties[j]
-    assert (tie is None) == (want is None) and (tie is None or tie.tobytes() == want.tobytes())
+    for name in ("states", "ties"):
+        got, want = getattr(found, name)[k], getattr(expected, name)[j]
+        assert (got is None) == (want is None) and (got is None or got.tobytes() == want.tobytes()), name
 
 
 @settings(max_examples=150, deadline=None)
@@ -512,13 +511,11 @@ def test_pruned_spectrum_is_bitwise_the_full_one(name, g):
     assert w_pruned[0] == w_full[0] and w_pruned[1] == w_full[1] and w_pruned[-1] == w_full[-1]
     assert threshold(w_pruned) == threshold(w_full) and tie_count(w_pruned) == tie_count(w_full)
     assert_same_spectra(pruned._replace(value_blocks=full.value_blocks), full)
-    # the same ground state: a lone ground's eigh vector, or the tie's
-    # state closest to a reference
-    reference = np.random.default_rng(0).normal(size=prop.dim)
-    states = [lowest_states(found, prop.blocks, matrices)[0] for found in (pruned, full)]
-    if states[0] is None:
+    # the same ground state of a tie: its state closest to a reference
+    if pruned.states[0] is None:
+        reference = np.random.default_rng(0).normal(size=prop.dim)
         states = [tie_ground(found.ties[0], found.degenerate[0], reference) for found in (pruned, full)]
-    assert np.array_equal(*states)
+        assert np.array_equal(*states)
 
 
 @pytest.mark.parametrize("names, g", [
@@ -528,7 +525,8 @@ def test_pruned_spectrum_is_bitwise_the_full_one(name, g):
 ])
 def test_diagonalize_together_is_bitwise_alone(names, g):
     """One ``chain.diagonalize`` call over bounded, known and unbounded
-    matrices: every spectrum is bitwise the one diagonalized alone."""
+    matrices: every spectrum is bitwise the one diagonalized alone, its
+    lone ground's state by ``eigh`` or by inverse iteration."""
     def matrix(prop, c):
         return lambda b: prop.h0[b] + c * prop.v[b]
 
@@ -540,25 +538,24 @@ def test_diagonalize_together_is_bitwise_alone(names, g):
                  (matrix(prop, 1.0), None, prop._endpoints[1.0]),
                  (matrix(prop, g), None, None)]
     blocks = prop.blocks
-    together = diagonalize(blocks, *map(list, zip(*asks)))
     energies = levels(blocks, *map(list, zip(*asks)))
-    assert together.degenerate[::4].tolist() == [g == 1.0] * len(names)
-    assert all(together.value_blocks[3::4] == len(blocks))
     reference = np.random.default_rng(3).normal(size=prop.dim)
-    for k, ask in enumerate(asks):
-        alone = diagonalize(blocks, *([item] for item in ask))
-        w = merged(levels(blocks, *([item] for item in ask))[0])
-        assert np.array_equal(merged(energies[k]), w)
-        assert together.vector_blocks[k] > 0
-        assert_same_spectra(together, alone, k)
-        # a lone ground's vector, its caller's to solve, has the same bits
-        # either way; a tie holds exactly the vectors of its energies
-        states = [lowest_states(found, blocks, [ask[0]] * len(found.block))[j]
-                  for found, j in ((together, k), (alone, 0))]
-        if together.block[k] == -1:
-            assert states == [None, None] and together.ties[k].shape[1] == tie_count(w)
-            states = [tie_ground(found.ties[j], found.degenerate[j], reference) for found, j in ((together, k), (alone, 0))]
-        assert states[0].tobytes() == states[1].tobytes()
+    for iterate in (False, True):
+        together = diagonalize(blocks, *map(list, zip(*asks)), iterate)
+        assert together.degenerate[::4].tolist() == [g == 1.0] * len(names)
+        assert all(together.value_blocks[3::4] == len(blocks))
+        for k, ask in enumerate(asks):
+            alone = diagonalize(blocks, *([item] for item in ask), iterate)
+            w = merged(levels(blocks, *([item] for item in ask))[0])
+            assert np.array_equal(merged(energies[k]), w)
+            assert together.vector_blocks[k] > 0
+            assert_same_spectra(together, alone, k)
+            # a tie holds exactly the vectors of its energies
+            if together.states[k] is None:
+                assert together.ties[k].shape[1] == tie_count(w)
+                states = [tie_ground(found.ties[j], found.degenerate[j], reference)
+                          for found, j in ((together, k), (alone, 0))]
+                assert states[0].tobytes() == states[1].tobytes()
 
 
 def assert_levels_match_the_reference(prop, gs):
@@ -641,9 +638,9 @@ class TestLoneGrounds:
     def test_ring12_smallest_gap_sample(self):
         prop = lone_process("ring12").propagator
         g = min_gap_coupling()
-        found = prop.spectra([g])
+        found, by_eigh = (prop.spectra([g], iterate) for iterate in (True, False))
         assert 7e-5 < found.gap[0] < 8e-5 and not found.degenerate[0]
-        x, q = (lowest_states(found, prop.blocks, [prop.matrix(g)], iterate)[0] for iterate in (True, False))
+        (x,), (q,) = found.states, by_eigh.states
         # every unit state's |<x|psi>| is within ||x -+ q|| of its |<q|psi>|
         assert min(np.linalg.norm(x - q), np.linalg.norm(x + q)) <= chain.GROUND_TOLERANCE
 
@@ -676,7 +673,7 @@ class TestLoneGrounds:
         gs = np.linspace(0.05, 0.95, 7).tolist()
 
         def iterated(gs):
-            return lowest_states(prop.spectra(gs), prop.blocks, list(map(prop.matrix, gs)), iterate=True)
+            return prop.spectra(gs, iterate=True).states
 
         for g, x in zip(gs, iterated(gs)):
             assert x.tobytes() == iterated([g])[0].tobytes()
@@ -768,8 +765,7 @@ class TestGroundSelection:
         dense = ground_state(h0 + v, h0 + (1.0 - OFFSET) * v)  # the plain sectors of the dense matrix
         prop = SectorPropagator(*assemble_hamiltonian(spec))
         spectra = prop.spectra([1.0])  # the parity blocks
-        (blocks,) = ground_states(spectra, prop.blocks, [prop.matrix(1.0)],
-                                  lambda rows: (prop.spectra([1.0 - OFFSET]), [prop.matrix(1.0 - OFFSET)]))
+        (blocks,) = ground_states(spectra, lambda rows: prop.spectra([1.0 - OFFSET]))
         for found, tie, lowest, found_gap in (
             (dense.state, dense.degenerate, dense.energy, dense.gap),
             (blocks, spectra.degenerate[0], spectra.lowest[0], spectra.gap[0]),

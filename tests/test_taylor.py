@@ -167,6 +167,16 @@ class TestCentredBound:
         assert np.array_equal(block.hv, np.hstack((block.h, block.v)))
         assert (block.expansion is None) == (prop.blocks[k].size > 23)
 
+    @pytest.mark.parametrize("name", ["ring6", "ring8", "ring10"])
+    def test_hv_starts_on_a_64_byte_boundary(self, name):
+        # the Taylor kernel's products with hv run at the speed of an aligned
+        # matrix whatever the heap did before
+        process = prepare_process(CHAINS[name], "cut")
+        prop = process.propagator
+        for k in prop.occupied(process.psi0):
+            hv = prop.centred(k).hv
+            assert hv.ctypes.data % 64 == 0 and hv.flags.c_contiguous
+
     @pytest.mark.parametrize("name", ["open6", "ring7"])
     @pytest.mark.parametrize("schedule", [
         pulse_train(0.6, (-2.0, 3.0)),
