@@ -64,12 +64,8 @@ class ControlSchedule:
         # leading coefficient is derived so the drive hits its far endpoint
         return (-(1.0 + float(sum(self.params))),) + self.params
 
-    def value(self, t: float) -> float:
-        """g(t), including the plateaus before 0 and after the duration."""
-        return float(self.values(np.asarray([t], dtype=float))[0])
-
     def values(self, times: np.ndarray) -> np.ndarray:
-        """Vectorized g(t) over an array of times."""
+        """Vectorized g(t) over an array of times, the plateaus before 0 and after the duration included."""
         t = np.asarray(times, dtype=float)
         T = self.duration
         start, end = (1.0, 0.0) if self.direction == "cut" else (0.0, 1.0)

@@ -378,8 +378,8 @@ def _taylor_steps(block, amp, g_values, dts, orders, substeps):
 class _FactorPlan(NamedTuple):
     """Each column's Taylor plan on a block that takes step factors.  Each
     (step, column) entry has its substep count and its key: the index of
-    its (m, tau = dt / s) among the distinct pairs of the batch, or -1 for
-    an entry past MAX_TAYLOR_TERMS, which takes the exact factor."""
+    its (m, tau = dt / s) among the distinct pairs of its columns, sorted,
+    or -1 for an entry past MAX_TAYLOR_TERMS, which takes the exact factor."""
 
     substeps: np.ndarray  # (steps x B)
     key: np.ndarray  # (steps x B)
@@ -399,17 +399,14 @@ class _FactorPlan(NamedTuple):
         key[taylor[by_key]] = np.cumsum(first) - 1
         return cls(substeps, key.reshape(bound.shape), order[by_key][first], tau[by_key][first])
 
-    def columns(self, cols) -> _FactorPlan:
-        return self._replace(substeps=self.substeps[:, cols], key=self.key[:, cols])
-
 
 def _column_parts(plans, durations):
-    """The batch's columns in parts that evolve one after another: all in
-    one, unless the coefficients of the keys of ``plans``, (m + 1) complex
-    d x d matrices each, exceed MAX_BATCH_BYTES (``plans`` pairs each
-    step-factor block's ``_FactorPlan`` with its dimension d).  Then in runs
-    by duration (whose columns share most keys), each run's coefficients
-    within MAX_BATCH_BYTES or of one column."""
+    """The batch's columns in parts that evolve one after another: one
+    ``slice(None)``, unless the coefficients of the keys of ``plans``,
+    (m + 1) complex d x d matrices each, exceed MAX_BATCH_BYTES (``plans``
+    pairs each step-factor block's ``_FactorPlan`` with its dimension d).
+    Then index arrays, in runs by duration (whose columns share most keys),
+    each run's coefficients within MAX_BATCH_BYTES or of one column."""
     costs = [(16 * d * d * (plan.order + 1)).tolist() for plan, d in plans]
     if sum(map(sum, costs)) <= MAX_BATCH_BYTES:
         return [slice(None)]
@@ -431,21 +428,18 @@ def _factor_steps(block, amp, g_values, dts, plan):
     With a = tau r0 and u = g tau rv, r0 and rv the radii of the ``Centred``
     ``block``, the plan's polynomial in -i (a h / r0 + u v / rv) is the step
     factor F = sum_l u^l N_l(a, m), applied s times; |a| and |u| are at most
-    the substep bound.  The N_l of each key (m, a) of the columns come from
-    the expansion table (``_coefficients``).  The factors of one key in a chunk of steps are
-    formed FACTOR_ROWS at a time (``_factor_layout``), so that each product
-    has the same shape in any batch and no column's arithmetic depends on
-    the others in it.  A step past MAX_TAYLOR_TERMS takes the exact factor.
-    Factors are formed in chunks of steps of at most MAX_BATCH_BYTES / 4."""
+    the substep bound.  The N_l of each key (m, a) of ``plan``, these columns'
+    own, come from the expansion table (``_coefficients``).  The factors of one
+    key in a chunk of steps are formed FACTOR_ROWS at a time (``_factor_layout``),
+    so that each product has the same shape in any batch and no column's
+    arithmetic depends on the others in it.  A step past MAX_TAYLOR_TERMS takes
+    the exact factor.  Factors are formed in chunks of at most MAX_BATCH_BYTES / 4."""
     steps, width = dts.shape
     d, r0, rv = block.h.shape[0], block.r0, block.rv
     exact = plan.key < 0
-    present = np.flatnonzero(np.bincount(plan.key[~exact], minlength=plan.order.size))
-    polynomials = _coefficients(block.expansion, plan.order[present], plan.tau[present] * r0)
-    local = np.full(plan.order.size + 1, -1)  # each key's index among those present; -1 stays -1
-    local[present] = np.arange(present.size)
+    polynomials = _coefficients(block.expansion, plan.order, plan.tau * r0)
     chunk = max(1, MAX_BATCH_BYTES // (4 * 16 * d * d * width)) * width  # entries per chunk
-    layout = _factor_layout(local[plan.key], g_values * (dts / plan.substeps) * rv, chunk)
+    layout = _factor_layout(plan.key, g_values * (dts / plan.substeps) * rv, chunk)
 
     bases = layout.bases
     formed = np.empty((max(np.diff(bases), default=0), 2 * d * d))
@@ -654,7 +648,7 @@ class Work(NamedTuple):
 
 
 def propagate(propagator: SectorPropagator, schedule, psi0: np.ndarray, n_steps: int,
-              probe: Callable[[float, np.ndarray], None] | None = None, stride: int = 1) -> tuple[np.ndarray, Work]:
+              probe: Callable[[float, np.ndarray], None] | None = None) -> tuple[np.ndarray, Work]:
     """Evolve psi0 across the schedule; return the final state and the Work.
 
     ``schedule`` may also be a list of schedules, which evolve in batches:
@@ -669,12 +663,10 @@ def propagate(propagator: SectorPropagator, schedule, psi0: np.ndarray, n_steps:
     ``n_steps`` sets the uniform grid of ``integration_grid``, which takes
     one factor per pulse of a pulse train whatever its value.  A probe, for
     one schedule passed alone, is called as ``probe(t, psi)`` with the
-    full-space state at t = 0, at every ``stride``-th step boundary and at
-    the end.  Only the blocks in which psi0 has amplitude are evolved; the
+    full-space state at t = 0 and at every step boundary, the end included.
+    Only the blocks in which psi0 has amplitude are evolved; the
     state is assembled in the full space only for the probe and the result.
     """
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
     single = not isinstance(schedule, (list, tuple))
     if probe is not None and not single:
         raise ValueError("a probed run propagates one schedule")
@@ -697,23 +689,22 @@ def propagate(propagator: SectorPropagator, schedule, psi0: np.ndarray, n_steps:
             chunk = members[lo:lo + width]
             states[:, chunk], work = _evolve(propagator, [schedules[i] for i in chunk],
                                              np.stack([grids[i] for i in chunk], axis=1),
-                                             occupied, amps, probe, stride)
+                                             occupied, amps, probe)
             max_norm_dt, matvecs = max(max_norm_dt, work.max_norm_dt), matvecs + work.taylor_matvecs
     return (states[:, 0] if single else states), Work(max_norm_dt, matvecs)
 
 
-def _evolve(propagator, schedules, grids, occupied, amps, probe, stride):
+def _evolve(propagator, schedules, grids, occupied, amps, probe):
     """The (dim, B) final states of schedules with the same step count,
     column b evolved on the integration grid ``grids[:, b]`` from the state
     with amplitudes ``amps`` in the ``occupied`` blocks, and their Work; a
-    probe sees the first column every ``stride`` steps and at the end.  Each
-    block evolves under its centred h0 - c0 and v - cv, and its columns take
-    back the phase exp(-i sum (c0 + g_b cv) dt_b) of the steps so far
-    whenever the state is read.  A block with an expansion table takes step
-    factors (``_factor_steps``), any other block the Taylor terms
-    (``_taylor_steps``).  The columns evolve in parts (``_column_parts``)
-    when the step factors' coefficients of the whole batch would exceed
-    MAX_BATCH_BYTES; a part's columns take the plans of the whole batch."""
+    probe sees the first column after every step.  Each block evolves under
+    its centred h0 - c0 and v - cv, and its columns take back the phase
+    exp(-i sum (c0 + g_b cv) dt_b) of the steps so far whenever the state is
+    read.  A block with an expansion table takes step factors
+    (``_factor_steps``), any other block the Taylor terms (``_taylor_steps``).
+    The columns evolve in parts (``_column_parts``), each on its own plans,
+    when the step factors' coefficients of the batch exceed MAX_BATCH_BYTES."""
     dts = np.diff(grids, axis=0)
     g_values = np.stack([s.values(0.5 * (grid[:-1] + grid[1:])) for s, grid in zip(schedules, grids.T)],
                         axis=1)
@@ -733,18 +724,18 @@ def _evolve(propagator, schedules, grids, occupied, amps, probe, stride):
 
     factored = [(plan, a.size) for plan, a in zip(plans, amps) if isinstance(plan, _FactorPlan)]
     finals = [np.empty((a.size, len(schedules)), dtype=complex) for a in amps]
-    last = dts.shape[0] - 1
     for cols in _column_parts(factored, grids[-1]):
         g, dt = g_values[:, cols], dts[:, cols]
         steppers = []  # per block: its amplitudes after each step
         for block, amp, plan in zip(records, amps, plans):
             start = np.repeat(amp[:, None], g.shape[1], axis=1)
             if isinstance(plan, _FactorPlan):
-                steppers.append(_factor_steps(block, start, g, dt, plan.columns(cols)))
+                plan = plan if isinstance(cols, slice) else _FactorPlan.of((block.r0 + np.abs(g) * block.rv) * dt, dt)
+                steppers.append(_factor_steps(block, start, g, dt, plan))
             else:
                 steppers.append(_taylor_steps(block, start, g, dt, *plan))
         for j, stepped in enumerate(zip(*steppers)):
-            if probe is not None and ((j + 1) % stride == 0 or j == last):
+            if probe is not None:
                 probe(float(grids[j + 1, 0]),
                       propagator.embed(occupied, [a[:, 0] * phase[j, 0] for a, phase in zip(stepped, phases)]))
         for final, a in zip(finals, stepped):

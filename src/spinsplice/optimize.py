@@ -21,8 +21,9 @@ machines at once and merges the requests of all live machines into one
 objective call per round, and ``best_of`` picks the best of several runs.
 ``bfgs_maximize`` is the library entry: one machine on one objective.  The
 runner (``runner._maximize``) drives one machine per duration and start of
-every optimize, landscape and sweep run.  A machine's results do not depend
-on the machines it runs beside.
+every optimize, landscape and sweep run.  With ``ChainProcess.fidelities`` a
+machine's results are bitwise its lone run's on step-factor blocks (d <= 23),
+and within round-off on larger ones, whose steps share a Taylor plan per batch.
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ TARGETS = ("cut", "ground")
 @dataclass(frozen=True)
 class TrajectoryRecord:
     """Sampled observables of a recorded run (``ChainProcess.run``), plus its
-    work counts.
+    work counts; ``entropy_a`` is both sides' entanglement entropy.
 
     ``gap`` and the degenerate flags are those of the full spectrum.
     ``value_blocks`` and ``vector_blocks`` sum the samples' counts of the
@@ -65,7 +65,6 @@ class TrajectoryRecord:
     f_g: np.ndarray
     purity_a: np.ndarray
     entropy_a: np.ndarray
-    entropy_b: np.ndarray
     gap: np.ndarray
     degenerate_flags: np.ndarray
     max_norm_dt: float
@@ -116,10 +115,9 @@ class ChainProcess:
         # one dot per column: a stacked product changes the last bit
         return np.array([abs(self.final_ground.conj() @ psi) for psi in states.T])
 
-    def run(self, schedule, n_steps: int = DEFAULT_TIME_STEPS,
-            stride: int = 1) -> tuple[np.ndarray, TrajectoryRecord]:
-        """Propagate and record the trajectory, sampled at t = 0, every
-        ``stride`` steps and at the end.
+    def run(self, schedule, n_steps: int = DEFAULT_TIME_STEPS) -> tuple[np.ndarray, TrajectoryRecord]:
+        """Propagate and record the trajectory, sampled at t = 0 and at every
+        step boundary of ``dynamics.integration_grid(schedule, n_steps)``.
 
         The probe only buffers each sample's state.  The samples are scored
         in chunks of MAX_BATCH_BYTES // (16 * 2^N), one chunk whenever the
@@ -170,7 +168,7 @@ class ChainProcess:
                         ground = tie_ground(tie, False)  # the lowest state, diagnostic only; the flag marks the sample
                 previous_ground = ground
                 rows.append((t, g, f, float(abs(ground.conj() @ psi)),
-                             purity(rho), schmidt_entropy, schmidt_entropy, gap, flag))
+                             purity(rho), schmidt_entropy, gap, flag))
             value_blocks += int(found.value_blocks.sum())
             vector_blocks += int(found.vector_blocks.sum())
 
@@ -179,7 +177,7 @@ class ChainProcess:
             if len(buffered) == chunk:
                 score()
 
-        psi, work = propagate(self.propagator, schedule, self.psi0, n_steps, probe=sample, stride=stride)
+        psi, work = propagate(self.propagator, schedule, self.psi0, n_steps, probe=sample)
         if buffered:
             score()
         *columns, flags = zip(*rows)

@@ -491,7 +491,7 @@ def run_evolve(config: RunConfig, process) -> dict:
     psi, record = process.run(config.schedule, config.n_steps)
     traj = write_csv(config.out_dir / "trajectory.csv", TRAJECTORY_COLUMNS, zip(
         record.times, record.g_values, record.f_c, record.f_g,
-        record.purity_a, record.entropy_a, record.entropy_b, record.gap,
+        record.purity_a, record.entropy_a, record.entropy_a, record.gap,
     ))
     prop = process.propagator
     health = {

@@ -181,7 +181,7 @@ def dense_propagate(h0, v, schedule, psi0, n_steps):
     grid = integration_grid(schedule, n_steps)
     psi = np.asarray(psi0, dtype=complex)
     for lo, hi in zip(grid[:-1], grid[1:]):
-        psi = step_unitary(h0, v, float(schedule.value(0.5 * (lo + hi))), hi - lo) @ psi
+        psi = step_unitary(h0, v, float(schedule.values(0.5 * (lo + hi))), hi - lo) @ psi
     return psi
 
 
@@ -271,7 +271,7 @@ def sector_propagate(reference, schedule, psi0, n_steps):
     grid = integration_grid(schedule, n_steps)
     psi = np.asarray(psi0, dtype=complex)
     for lo, hi in zip(grid[:-1], grid[1:]):
-        psi = sector_step(reference, psi, float(schedule.value(0.5 * (lo + hi))), hi - lo)
+        psi = sector_step(reference, psi, float(schedule.values(0.5 * (lo + hi))), hi - lo)
     return psi
 
 
@@ -351,9 +351,6 @@ class StepSegment:
     def values(self, t):
         return self.schedule.values(self.lo + np.asarray(t))
 
-    def value(self, t):
-        return self.schedule.value(self.lo + t)
-
 
 def reference_grid(schedule, n_steps):
     """The step boundaries of ``integration_grid`` by its earlier rule, kept
@@ -402,8 +399,8 @@ def eager_spectrum(reference, g):
     return w[order], q[:, order]
 
 
-def recorded_observables(process, schedule, n_steps, stride):
-    """The columns of ``process.run(schedule, n_steps, stride)``, computed
+def recorded_observables(process, schedule, n_steps):
+    """The columns of ``process.run(schedule, n_steps)``, computed
     the long way, on plain total-S^z blocks built from the dense operators
     (no reflection parity).  The run is stepped with ``step_segments``.  Each sample
     forms the reduced density matrices of both sides, A and the rest, and
@@ -411,7 +408,8 @@ def recorded_observables(process, schedule, n_steps, stride):
     from ``eager_spectrum``, the ground subspace resolved toward the previous
     sample's ground state (the state itself at the first sample), and the
     lowest state taken when the reference is orthogonal to it.  Returns a
-    dict keyed by the TrajectoryRecord field names."""
+    dict keyed by the TrajectoryRecord field names, with the entropy of the
+    rest as ``entropy_b``."""
     n = process.chain.n_spins
     reference = sector_reference(process.chain)
     prop = sector_propagator(reference)
@@ -420,7 +418,7 @@ def recorded_observables(process, schedule, n_steps, stride):
 
     def sample(t, psi):
         nonlocal previous
-        g = float(schedule.value(t))
+        g = float(schedule.values(t))
         w, q = eager_spectrum(reference, g)
         threshold = DEGENERACY_RTOL * float(w[-1] - w[0])
         gap = float(w[1] - w[0])
@@ -438,11 +436,9 @@ def recorded_observables(process, schedule, n_steps, stride):
 
     psi = process.psi0
     sample(0.0, psi)
-    segments = step_segments(schedule, n_steps)
-    for j, segment in enumerate(segments):
+    for segment in step_segments(schedule, n_steps):
         psi, _ = propagate(prop, segment, psi, 1)
-        if (j + 1) % stride == 0 or j == len(segments) - 1:
-            sample(segment.hi, psi)
+        sample(segment.hi, psi)
     names = ("times", "g_values", "f_c", "f_g", "purity_a", "entropy_a", "entropy_b", "gap", "degenerate_flags")
     return {name: np.asarray(column) for name, column in zip(names, zip(*rows))}
 
@@ -495,8 +491,8 @@ def reference_levels(blocks, matrices, bounds=None, known=None):
     return out
 
 
-def reference_record(process, schedule, n_steps, stride=1, eigh_vectors=False):
-    """``process.run(schedule, n_steps, stride)`` scored one sample at a
+def reference_record(process, schedule, n_steps, eigh_vectors=False):
+    """``process.run(schedule, n_steps)`` scored one sample at a
     time, as the recorder did before it scored chunks: each sample takes
     ``propagator.spectra([g])`` at its own coupling, a lone ground's vector
     by inverse iteration or with ``eigh_vectors`` by ``eigh``, and its
@@ -509,7 +505,7 @@ def reference_record(process, schedule, n_steps, stride=1, eigh_vectors=False):
 
     def sample(t, psi):
         nonlocal previous_ground, value_blocks, vector_blocks
-        g = float(schedule.value(t))
+        g = float(schedule.values(t))
         found = process.propagator.spectra([g], iterate=not eigh_vectors)
         (ground,) = found.states
         gap, degenerate = float(found.gap[0]), bool(found.degenerate[0])
@@ -526,9 +522,9 @@ def reference_record(process, schedule, n_steps, stride=1, eigh_vectors=False):
         rho_small = rho_a if schmidt_sites == process.a_sites else reduce_density(psi, schmidt_sites, n_spins)
         schmidt_entropy = entropy(rho_small)
         rows.append((t, g, cut_fidelity(rho_a, process.phi_0a), float(abs(ground.conj() @ psi)),
-                     purity(rho_a), schmidt_entropy, schmidt_entropy, gap, degenerate))
+                     purity(rho_a), schmidt_entropy, gap, degenerate))
 
-    psi, work = propagate(process.propagator, schedule, process.psi0, n_steps, probe=sample, stride=stride)
+    psi, work = propagate(process.propagator, schedule, process.psi0, n_steps, probe=sample)
     *columns, flags = zip(*rows)
     return psi, TrajectoryRecord(
         *np.asarray(columns, dtype=float), degenerate_flags=np.asarray(flags, dtype=bool),

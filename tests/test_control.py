@@ -24,52 +24,52 @@ class TestEvaluate:
         for duration in (1.0, 2.0, 0.37):
             sched = linear_baseline(duration, "cut")
             for t in np.linspace(0.0, duration, 7):
-                assert sched.value(t) == pytest.approx(1.0 - t / duration, abs=1e-14)
-            assert sched.value(-0.5) == 1.0
-            assert sched.value(duration + 0.5) == 0.0
+                assert float(sched.values(t)) == pytest.approx(1.0 - t / duration, abs=1e-14)
+            assert float(sched.values(-0.5)) == 1.0
+            assert float(sched.values(duration + 0.5)) == 0.0
 
     def test_linear_stitch(self):
         sched = linear_baseline(1.0, "stitch")
-        assert sched.value(0.25) == pytest.approx(0.25, abs=1e-14)
-        assert sched.value(-1.0) == 0.0
-        assert sched.value(2.0) == 1.0
+        assert float(sched.values(0.25)) == pytest.approx(0.25, abs=1e-14)
+        assert float(sched.values(-1.0)) == 0.0
+        assert float(sched.values(2.0)) == 1.0
 
     def test_polynomial_published_parameters_midpoint(self):
         # two free coefficients 0.87 and -0.72 give a derived leading -1.15;
         # halfway through the drive: 1 - 1.15/2 + 0.87/4 - 0.72/8 = 0.5525
         sched = polynomial_cut(2.0, (0.87, -0.72))
-        assert sched.value(1.0) == pytest.approx(0.5525, abs=1e-12)
+        assert float(sched.values(1.0)) == pytest.approx(0.5525, abs=1e-12)
 
     def test_endpoint_exactness_polynomial_and_sine(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             params = tuple(rng.normal(scale=40.0, size=rng.integers(1, 5)))
             poly = polynomial_cut(0.6, params)
-            assert abs(poly.value(0.0) - 1.0) < 1e-12
-            assert abs(poly.value(0.6)) < 1e-12
+            assert abs(float(poly.values(0.0)) - 1.0) < 1e-12
+            assert abs(float(poly.values(0.6))) < 1e-12
             sine = sine_cut(0.6, tuple(rng.normal(size=3)))
-            assert abs(sine.value(0.0) - 1.0) < 1e-12
-            assert abs(sine.value(0.6)) < 1e-12
+            assert abs(float(sine.values(0.0)) - 1.0) < 1e-12
+            assert abs(float(sine.values(0.6))) < 1e-12
             stitch = polynomial_stitch(0.6, params)
-            assert abs(stitch.value(0.0)) < 1e-12
-            assert abs(stitch.value(0.6) - 1.0) < 1e-12
+            assert abs(float(stitch.values(0.0))) < 1e-12
+            assert abs(float(stitch.values(0.6)) - 1.0) < 1e-12
 
     def test_pulse_windows(self):
         sched = pulse_train(0.6, (-5.4, 4.1))
-        assert sched.value(0.1) == -5.4
-        assert sched.value(0.45) == 4.1
+        assert float(sched.values(0.1)) == -5.4
+        assert float(sched.values(0.45)) == 4.1
         # half-open windows: the boundary belongs to the later pulse
-        assert sched.value(0.0) == -5.4
-        assert sched.value(0.3) == 4.1
+        assert float(sched.values(0.0)) == -5.4
+        assert float(sched.values(0.3)) == 4.1
         # plateaus outside the drive
-        assert sched.value(-0.01) == 1.0
-        assert sched.value(0.6) == 0.0
-        assert sched.value(7.0) == 0.0
+        assert float(sched.values(-0.01)) == 1.0
+        assert float(sched.values(0.6)) == 0.0
+        assert float(sched.values(7.0)) == 0.0
 
     def test_pulse_stitch_plateaus(self):
         sched = pulse_train(1.0, (0.3, 0.9), direction="stitch")
-        assert sched.value(-1.0) == 0.0
-        assert sched.value(1.0) == 1.0
+        assert float(sched.values(-1.0)) == 0.0
+        assert float(sched.values(1.0)) == 1.0
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(5)
@@ -82,7 +82,7 @@ class TestEvaluate:
         ts = rng.uniform(-0.5, 1.5, size=40)
         for sched in schedules:
             vec = sched.values(ts)
-            assert np.allclose(vec, [sched.value(t) for t in ts], atol=1e-14)
+            assert np.allclose(vec, [float(sched.values(t)) for t in ts], atol=1e-14)
 
     def test_tiny_widths_index_without_warnings(self):
         # far past a tiny pulse width or noise window the index reads the
@@ -106,7 +106,7 @@ class TestStitchMirror:
             stitch = polynomial_stitch(duration, params)
             cut = polynomial_cut(duration, params)
             for t in np.linspace(-0.2, duration + 0.2, 23):
-                assert stitch.value(t) == pytest.approx(cut.value(duration - t), abs=1e-12)
+                assert float(stitch.values(t)) == pytest.approx(float(cut.values(duration - t)), abs=1e-12)
 
 
 class TestDerivative:
@@ -119,7 +119,7 @@ class TestDerivative:
         eps = 1e-7
         for sched in schedules:
             for t in np.linspace(0.05, sched.duration - 0.05, 9):
-                numeric = (sched.value(t + eps) - sched.value(t - eps)) / (2 * eps)
+                numeric = (float(sched.values(t + eps)) - float(sched.values(t - eps))) / (2 * eps)
                 assert schedule_derivative(sched, t) == pytest.approx(numeric, abs=1e-5)
 
     def test_sine_boundary_slope_inequalities(self):
@@ -218,8 +218,8 @@ class TestNoise:
         strength = 1.0
         t_probe = 0.37
         draws = [
-            apply_noise(base, window=0.5, strength=strength, seed=s).value(t_probe)
-            - base.value(t_probe)
+            float(apply_noise(base, window=0.5, strength=strength, seed=s).values(t_probe))
+            - float(base.values(t_probe))
             for s in range(4000)
         ]
         # uniform offsets have std strength/sqrt(12); allow four standard errors
@@ -229,9 +229,9 @@ class TestNoise:
     def test_outside_window_unchanged(self):
         base = linear_baseline(0.6)
         noisy = apply_noise(base, window=0.1, strength=2.0, seed=11)
-        assert noisy.value(-0.2) == base.value(-0.2)
-        assert noisy.value(0.6) == base.value(0.6)
-        assert noisy.value(1.0) == base.value(1.0)
+        assert float(noisy.values(-0.2)) == float(base.values(-0.2))
+        assert float(noisy.values(0.6)) == float(base.values(0.6))
+        assert float(noisy.values(1.0)) == float(base.values(1.0))
 
     def test_spec_validation(self):
         base = linear_baseline(0.6)
@@ -263,10 +263,10 @@ class TestNoise:
         assert len(noisy.offsets) == 9
         for k, offset in enumerate(noisy.offsets):
             t = (k + 0.5) * 0.07  # inside window k
-            assert noisy.value(t) == base.value(t) + offset
+            assert float(noisy.values(t)) == float(base.values(t)) + offset
             assert noisy.values(np.array([t]))[0] == base.values(np.array([t]))[0] + offset
         for t in (-1.0, -1e-12, 0.6, 0.6 + 1e-12, 2.0):
-            assert noisy.value(t) == base.value(t) == (1.0 if t < 0 else 0.0)
+            assert float(noisy.values(t)) == float(base.values(t)) == (1.0 if t < 0 else 0.0)
 
     def test_breakpoints_at_the_smallest_duration(self):
         # T / K underflows to 0: the pulse edges are k T / K = 0, sorted, and

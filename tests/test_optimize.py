@@ -230,6 +230,26 @@ class TestLockstep:
             assert abs(report.final_value - alone.final_value) <= 1e-12
             assert np.abs(np.subtract(report.final_params, alone.final_params)).max() <= 1e-6
 
+    @pytest.mark.parametrize("chain", [ChainSpec(6, "ring", 1.0, 2.0), ChainSpec(7, "open", 1.0, 2.0),
+                                       ChainSpec(8, "ring", 1.0, 2.0)], ids=["ring6", "open7", "ring8"])
+    def test_runs_beside_others_match_lone_runs(self, chain):
+        # ring6's and open7's blocks (9 to 21 states) take step factors, so a
+        # machine's trace is bitwise its lone run's; ring8's 31-state block
+        # takes one Taylor plan per step for the whole batch, its values
+        # within round-off (BFGS widens that in the params)
+        spec = ObjectiveSpec(chain=chain, kind="polynomial_cut", duration=0.6, n_free_params=2, n_steps=60)
+        objective, _ = build_objective(spec)
+        starts = [np.zeros(2), np.array([1.0, -1.0]), np.array([54.0, -36.0])]
+        for start, report in zip(starts, multi_start(objective, starts, max_iterations=4)):
+            alone = bfgs_maximize(objective, start, max_iterations=4)
+            if chain.n_spins < 8:
+                assert report.trace == alone.trace
+                continue
+            assert (report.iterations, report.status) == (alone.iterations, alone.status)
+            for (params, value), (alone_params, alone_value) in zip(report.trace, alone.trace):
+                assert abs(value - alone_value) <= 1e-12
+                assert np.abs(np.subtract(params, alone_params)).max() <= 1e-9
+
 
 class TestLandscape:
     def test_constant_objective(self):

@@ -318,8 +318,8 @@ class TestOptimizedTrajectoryCharacter:
         # the tuned drive sacrifices instantaneous ground-state tracking
         # during the evolution and still delivers a higher final cut fidelity
         process = prepare_process(ChainSpec(6, "ring", 1.0, 2.0), "cut")
-        _, lin = process.run(linear_baseline(0.6), 300, stride=10)
-        _, opt = process.run(polynomial_cut(0.6, (54.3, -36.3)), 300, stride=10)
+        _, lin = process.run(linear_baseline(0.6), 300)
+        _, opt = process.run(polynomial_cut(0.6, (54.3, -36.3)), 300)
         assert np.allclose(lin.times, opt.times)
         dips = opt.f_g - lin.f_g
         assert dips.min() < -0.1

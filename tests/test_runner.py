@@ -327,7 +327,7 @@ class TestRunners:
         monkeypatch.undo()
         expected = runner.write_csv(tmp_path / "expected.csv", runner.TRAJECTORY_COLUMNS, zip(
             record.times, record.g_values, record.f_c, record.f_g,
-            record.purity_a, record.entropy_a, record.entropy_b, record.gap,
+            record.purity_a, record.entropy_a, record.entropy_a, record.gap,
         ))
         csv_bytes = (out / "trajectory.csv").read_bytes()
         assert csv_bytes == expected.read_bytes()

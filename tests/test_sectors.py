@@ -210,18 +210,18 @@ class TestAccuracyGate:
             _, h0, v = assemble_hamiltonian(process.chain)
             return lambda g: np.sort(np.concatenate([np.linalg.eigvalsh(h + g * u) for h, u in zip(h0, v)]))
 
-        cases = (  # process, schedule, stride, whether the first sample is degenerate, oracle
-            (ring7, linear_baseline(20.0), 15, True, dense),  # a tie between the two parities of one sector
+        cases = (  # process, schedule, steps, whether the first sample is degenerate, oracle
+            (ring7, linear_baseline(20.0), 20, True, dense),  # a tie between the two parities of one sector
             (prepare_process(ChainSpec(7, "ring", 1.0, cross_sector_field()), "cut"),
-             linear_baseline(20.0), 15, True, dense),  # a tie across two sectors and four blocks
-            # about four samples keep the dense 1024^2 eigvalsh, and every ring12 block, cheap
-            (prepare_process(ChainSpec(10, "ring", 1.0, 2.0), "cut"), polynomial_cut(0.6, TABLE1[1][1]), 100, False,
+             linear_baseline(20.0), 20, True, dense),  # a tie across two sectors and four blocks
+            # four samples keep the dense 1024^2 eigvalsh, and every ring12 block, cheap
+            (prepare_process(ChainSpec(10, "ring", 1.0, 2.0), "cut"), polynomial_cut(0.6, TABLE1[1][1]), 3, False,
              dense),
-            (prepare_process(ChainSpec(12, "ring", 1.0, 2.0), "cut"), polynomial_cut(0.6, TABLE1[1][1]), 100, False,
+            (prepare_process(ChainSpec(12, "ring", 1.0, 2.0), "cut"), polynomial_cut(0.6, TABLE1[1][1]), 3, False,
              every_block),
         )
-        for process, schedule, stride, first_degenerate, oracle in cases:
-            _, record = process.run(schedule, STEPS, stride=stride)
+        for process, schedule, n_steps, first_degenerate, oracle in cases:
+            _, record = process.run(schedule, n_steps)
             spectrum = oracle(process)
             for g, gap, flag in zip(record.g_values, record.gap, record.degenerate_flags):
                 w = spectrum(g)
@@ -231,24 +231,26 @@ class TestAccuracyGate:
 
 
 RECORDED_CASES = {
-    "ring8": (RING8, polynomial_cut(0.6, TABLE1[1][1]), 60, 1),
-    "ring7_crossing": (ChainSpec(7, "ring", 1.0, 2.0), linear_baseline(20.0), STEPS, 15),
+    "ring8": (RING8, polynomial_cut(0.6, TABLE1[1][1]), 60),
+    "ring7_crossing": (ChainSpec(7, "ring", 1.0, 2.0), linear_baseline(20.0), 20),
     # A = sites 1..5 is the larger side
-    "open6_cut56": (ChainSpec(6, "open", 1.0, 2.0, frozenset({(5, 6)})), polynomial_cut(0.6, (34.9, -23.4)), 100, 5),
+    "open6_cut56": (ChainSpec(6, "open", 1.0, 2.0, frozenset({(5, 6)})), polynomial_cut(0.6, (34.9, -23.4)), 20),
 }
 
 
 class TestRecorder:
     @pytest.mark.parametrize("case", RECORDED_CASES)
     def test_matches_two_sided_eager_oracle(self, case):
-        spec, schedule, n_steps, stride = RECORDED_CASES[case]
+        spec, schedule, n_steps = RECORDED_CASES[case]
         process = prepare_process(spec, "cut")
-        _, record = process.run(schedule, n_steps, stride)
-        expected = recorded_observables(process, schedule, n_steps, stride)
+        _, record = process.run(schedule, n_steps)
+        expected = recorded_observables(process, schedule, n_steps)
         assert np.array_equal(record.times, expected["times"])
         assert np.array_equal(record.degenerate_flags, expected["degenerate_flags"])
-        for name in ("g_values", "f_c", "f_g", "purity_a", "entropy_a", "entropy_b"):
+        for name in ("g_values", "f_c", "f_g", "purity_a", "entropy_a"):
             assert np.abs(getattr(record, name) - expected[name]).max() <= GATE, name
+        # one Schmidt spectrum: the recorded entropy is that of either side
+        assert np.abs(record.entropy_a - expected["entropy_b"]).max() <= GATE
         assert np.abs(record.gap - expected["gap"]).max() <= GAP_GATE
         if case == "ring7_crossing":
             assert expected["degenerate_flags"].any()
@@ -283,27 +285,29 @@ class TestBatchedRecorder:
     """The chunked recorder against ``reference_record``, which scores the
     same samples one at a time: every array and count is bitwise equal."""
 
-    @pytest.mark.parametrize("stride", [1, 3])
+    # a k-fold coarser grid: 24 // 3 steps sample the times of every third of 24 steps
+    @pytest.mark.parametrize("coarsening", [1, 3])
     @pytest.mark.parametrize("field", [2.0, 0.3])
     @pytest.mark.parametrize("direction", ["cut", "stitch"])
     @pytest.mark.parametrize("name", BATCH_CHAINS)
-    def test_matches_one_sample_at_a_time(self, name, direction, field, stride):
+    def test_matches_one_sample_at_a_time(self, name, direction, field, coarsening):
         process = batch_process(name, direction, field)
         schedule = BATCH_SCHEDULES[direction]
-        psi, record = process.run(schedule, 24, stride)
-        expected_psi, expected = reference_record(process, schedule, 24, stride)
+        psi, record = process.run(schedule, 24 // coarsening)
+        expected_psi, expected = reference_record(process, schedule, 24 // coarsening)
         assert psi.tobytes() == expected_psi.tobytes()
         assert_same_record(record, expected)
 
     @pytest.mark.parametrize("per_chunk", [1, 7])
-    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("coarsening", [1, 3])
     @pytest.mark.parametrize("name", ["ring6", "ring8"])
-    def test_several_chunks(self, name, stride, per_chunk, monkeypatch):
+    def test_several_chunks(self, name, coarsening, per_chunk, monkeypatch):
         process = batch_process(name, "cut", 2.0)
         schedule = BATCH_SCHEDULES["cut"]
-        expected = reference_record(process, schedule, 40, stride)[1]
+        n_steps = -(-40 // coarsening)  # as many samples as every k-th of 40 steps
+        expected = reference_record(process, schedule, n_steps)[1]
         monkeypatch.setattr(process_module, "MAX_BATCH_BYTES", 16 * process.propagator.dim * per_chunk)
-        record = process.run(schedule, 40, stride)[1]
+        record = process.run(schedule, n_steps)[1]
         assert len(record.times) > 2 * per_chunk  # the run spans more than two chunks
         assert_same_record(record, expected)
 
@@ -315,18 +319,18 @@ class TestBatchedRecorder:
         # amplitude 1 put it at later samples, which resolve it toward the
         # ground state of the sample before them, across chunk boundaries too
         pulses = pulse_train(0.6, (1.0, 0.4, 1.0, 1.0, -0.5, 1.0))
-        spec, schedule, n_steps, stride = {
+        spec, schedule, n_steps = {
             "ring7_crossing": RECORDED_CASES["ring7_crossing"],
-            "in_block_tie": (ChainSpec(7, "ring", 1.0, 2.0), pulses, 1, 1),
-            "cross_sector_tie": (ChainSpec(7, "ring", 1.0, cross_sector_field()), pulses, 1, 1),
+            "in_block_tie": (ChainSpec(7, "ring", 1.0, 2.0), pulses, 1),
+            "cross_sector_tie": (ChainSpec(7, "ring", 1.0, cross_sector_field()), pulses, 1),
         }[run]
         process = prepare_process(spec, "cut")
-        expected = reference_record(process, schedule, n_steps, stride)[1]
+        expected = reference_record(process, schedule, n_steps)[1]
         assert expected.degenerate_flags[0]
         assert expected.degenerate_flags[1:].any() == (run != "ring7_crossing")
         if per_chunk is not None:
             monkeypatch.setattr(process_module, "MAX_BATCH_BYTES", 16 * process.propagator.dim * per_chunk)
-        assert_same_record(process.run(schedule, n_steps, stride)[1], expected)
+        assert_same_record(process.run(schedule, n_steps)[1], expected)
 
 
 @pytest.fixture
@@ -720,7 +724,7 @@ class TestBeyondOneSector:
         for schedule in (polynomial_cut(0.6, (54.3, -36.3)), pulse_train(0.6, (0.5, -1.0, 2.0))):
             psi, _ = propagate(prop, schedule, psi0, STEPS)
             assert np.abs(psi - dense_propagate(h0, v, schedule, psi0, STEPS)).max() <= GATE
-        _, record = replace(ring6, psi0=psi0).run(linear_baseline(0.6), STEPS, stride=50)
+        _, record = replace(ring6, psi0=psi0).run(linear_baseline(0.6), 6)
         for g, gap in zip(record.g_values, record.gap):
             w = np.linalg.eigvalsh(h0 + g * v)
             assert abs(gap - (w[1] - w[0])) <= GAP_GATE
@@ -799,6 +803,6 @@ class TestGroundSelection:
         # tied ground subspace, it falls back to the lowest state and is flagged
         e_0 = np.zeros(ring7.propagator.dim, dtype=complex)
         e_0[0] = 1.0
-        _, record = replace(ring7, psi0=e_0).run(polynomial_cut(0.6), 20, stride=10)
+        _, record = replace(ring7, psi0=e_0).run(polynomial_cut(0.6), 2)
         assert record.degenerate_flags[0]
         assert record.f_g[0] == 0.0

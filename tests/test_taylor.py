@@ -95,7 +95,7 @@ class TestExactReference:
     def test_steps_beyond_the_term_budget_take_the_exact_factor(self, ring6, schedule):
         # each step needs thousands of Taylor terms
         assert_gate(ring6, schedule, 20)
-        _, record = ring6.run(schedule, 20, stride=20)
+        _, record = ring6.run(schedule, 20)
         assert record.taylor_matvecs == 0
         assert record.max_norm_dt > 100.0
 
@@ -107,7 +107,7 @@ class TestExactReference:
     def test_steps_within_the_budget_take_their_taylor_plan(self, ring6, schedule):
         # each plan is sized on (r0 + |g| rv) dt, the half-widths of the dense
         # operators' spectra on the occupied block
-        _, record = ring6.run(schedule, 300, stride=10)
+        _, record = ring6.run(schedule, 300)
         prop = ring6.propagator
         reference = sector_reference(ring6.chain)
         grid = integration_grid(schedule, 300)
