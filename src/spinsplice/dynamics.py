@@ -433,7 +433,8 @@ def _factor_steps(block, amp, g_values, dts, plan):
     key in a chunk of steps are formed FACTOR_ROWS at a time (``_factor_layout``),
     so that each product has the same shape in any batch and no column's
     arithmetic depends on the others in it.  A step past MAX_TAYLOR_TERMS takes
-    the exact factor.  Factors are formed in chunks of at most MAX_BATCH_BYTES / 4."""
+    the exact factor.  Factors are formed in chunks of at most MAX_BATCH_BYTES / 4,
+    each from the powers u^l of its own rows."""
     steps, width = dts.shape
     d, r0, rv = block.h.shape[0], block.r0, block.rv
     exact = plan.key < 0
@@ -443,7 +444,6 @@ def _factor_steps(block, amp, g_values, dts, plan):
 
     bases = layout.bases
     formed = np.empty((max(np.diff(bases), default=0), 2 * d * d))
-    powers, powered = np.empty((0, MAX_TAYLOR_ORDER + 1)), 0  # u^l of the rows from ``powered`` on
     mixed = (exact.any(axis=1) | (plan.substeps != plan.substeps[:, :1]).any(axis=1)).tolist()
     repeats = plan.substeps[:, 0].tolist()
     rows, spare = np.ascontiguousarray(amp.T)[:, :, None], np.empty((width, d, 1), dtype=complex)
@@ -454,15 +454,10 @@ def _factor_steps(block, amp, g_values, dts, plan):
     for c, lo in enumerate(range(0, steps * width, chunk)):
         base, end = bases[c], bases[c + 1]
         if end > base:
-            if end > powered + len(powers):
-                # u^l for l = 0..MAX_TAYLOR_ORDER, whatever the orders, for this
-                # chunk's rows and those after it up to MAX_BATCH_BYTES / 16
-                powered = base
-                rows_ahead = max(end - base, MAX_BATCH_BYTES // (16 * 8 * (MAX_TAYLOR_ORDER + 1)))
-                powers = np.repeat(layout.u[base:base + rows_ahead, None], MAX_TAYLOR_ORDER + 1, axis=1)
-                powers[:, 0] = 1.0
-                np.cumprod(powers, axis=1, out=powers)
-            table = powers[base - powered:end - powered]
+            # u^l of this chunk's rows for l = 0..MAX_TAYLOR_ORDER, whatever the orders
+            table = np.repeat(layout.u[base:end, None], MAX_TAYLOR_ORDER + 1, axis=1)
+            table[:, 0] = 1.0
+            np.cumprod(table, axis=1, out=table)
             for g in range(layout.groups[c], layout.groups[c + 1]):
                 n = polynomials[layout.group_key[g]]
                 a, b = layout.slot[g] - base, layout.slot[g] - base + layout.padded[g]
@@ -700,8 +695,8 @@ def _evolve(propagator, schedules, grids, occupied, amps, probe):
     with amplitudes ``amps`` in the ``occupied`` blocks, and their Work; a
     probe sees the first column after every step.  Each block evolves under
     its centred h0 - c0 and v - cv, and its columns take back the phase
-    exp(-i sum (c0 + g_b cv) dt_b) of the steps so far whenever the state is
-    read.  A block with an expansion table takes step factors
+    exp(-i sum (c0 + g_b cv) dt_b) of the steps so far, kept as sums, when
+    the state is read.  A block with an expansion table takes step factors
     (``_factor_steps``), any other block the Taylor terms (``_taylor_steps``).
     The columns evolve in parts (``_column_parts``), each on its own plans,
     when the step factors' coefficients of the batch exceed MAX_BATCH_BYTES."""
@@ -709,11 +704,11 @@ def _evolve(propagator, schedules, grids, occupied, amps, probe):
     g_values = np.stack([s.values(0.5 * (grid[:-1] + grid[1:])) for s, grid in zip(schedules, grids.T)],
                         axis=1)
     plans = []  # per block: its plan for the Taylor terms or for step factors
-    phases = []  # per block: exp(-i sum (c0 + g_b cv) dt_b) up to each step's end
+    phases = []  # per block: sum (c0 + g_b cv) dt_b up to each step's end
     max_norm_dt, matvecs = 0.0, 0
     records = [propagator.centred(k) for k in occupied]
     for block in records:
-        phases.append(np.exp(-1j * np.cumsum((block.c0 + block.cv * g_values) * dts, axis=0)))
+        phases.append(np.cumsum((block.c0 + block.cv * g_values) * dts, axis=0))
         bound = (block.r0 + np.abs(g_values) * block.rv) * dts  # every column's centred bound, each step
         norm_dt = bound.max(axis=1)
         orders, substeps = taylor_plan(norm_dt)
@@ -736,9 +731,9 @@ def _evolve(propagator, schedules, grids, occupied, amps, probe):
                 steppers.append(_taylor_steps(block, start, g, dt, *plan))
         for j, stepped in enumerate(zip(*steppers)):
             if probe is not None:
-                probe(float(grids[j + 1, 0]),
-                      propagator.embed(occupied, [a[:, 0] * phase[j, 0] for a, phase in zip(stepped, phases)]))
+                probe(float(grids[j + 1, 0]), propagator.embed(
+                    occupied, [a[:, 0] * np.exp(-1j * phase[j, 0]) for a, phase in zip(stepped, phases)]))
         for final, a in zip(finals, stepped):
             final[:, cols] = a
-    return (propagator.embed(occupied, [a * phase[-1] for a, phase in zip(finals, phases)]),
+    return (propagator.embed(occupied, [a * np.exp(-1j * phase[-1]) for a, phase in zip(finals, phases)]),
             Work(max_norm_dt, matvecs))

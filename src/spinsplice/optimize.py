@@ -122,14 +122,12 @@ def bfgs_steps(
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
-    evals = rounds = halvings = 0
+    rounds = halvings = 0
 
     def probe(point: np.ndarray):
         """The value at point and the gradient of the minimized -objective."""
-        nonlocal evals, rounds
-        batch = np.concatenate([point[:, None], _stencil(point, grad_step)], axis=1)
-        values = yield batch
-        evals += batch.shape[1]
+        nonlocal rounds
+        values = yield np.concatenate([point[:, None], _stencil(point, grad_step)], axis=1)
         rounds += 1
         return float(values[0]), -_central(values[1:], grad_step)
 
@@ -184,7 +182,7 @@ def bfgs_steps(
         gradient_inf_norm=g_inf,
         line_search_failures=int(stalled),
         status="stalled" if stalled else "converged" if g_inf <= tolerance else "max_iterations",
-        evaluations=evals,
+        evaluations=rounds * (2 * x.size + 1),
         rounds=rounds,
         halvings=halvings,
         trace=trace,

@@ -362,7 +362,13 @@ class TestBatchSizeIsInvisible:
         monkeypatch.setattr(dynamics_module, "MAX_BATCH_BYTES", 16 * 120 * 4)
         chunked = ring6.fidelities(schedules, 120)
         assert batches == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
-        assert np.abs(chunked - whole).max() <= BATCH_GATE
+        # each column evolves in its own part, its factors in chunks of one step
+        assert np.array_equal(chunked, whole)
+        # ten times the bytes: one batch, each part's factors in chunks of 14 steps
+        batches.clear()
+        monkeypatch.setattr(dynamics_module, "MAX_BATCH_BYTES", 16 * 120 * 40)
+        assert np.array_equal(ring6.fidelities(schedules, 120), whole)
+        assert batches == [list(range(10))]
 
     def test_one_step_chunks_equal_singles(self, ring6):
         # 203 columns of the 9-state block fill a chunk of factors with one
