@@ -129,6 +129,8 @@ class ChainSpec:
     def __post_init__(self) -> None:
         if self.topology not in ("open", "ring"):
             raise ValueError(f"topology must be 'open' or 'ring', got {self.topology!r}")
+        if not isinstance(self.n_spins, (int, np.integer)):
+            raise ValueError(f"n_spins must be an integer, got {self.n_spins!r}")
         if self.n_spins < 2:
             raise ValueError(f"n_spins must be >= 2, got {self.n_spins}")
         if self.n_spins > DEFAULT_SPIN_CAP:

@@ -135,9 +135,9 @@ def polynomial_stitch(duration: float, params: Sequence[float] = ()) -> ControlS
 
 def linear_baseline(duration: float, direction: str = "cut") -> ControlSchedule:
     """The zero-free-parameter ramp whose fidelity defines the baseline."""
-    if direction == "cut":
-        return polynomial_cut(duration)
-    return polynomial_stitch(duration)
+    if direction not in ("cut", "stitch"):
+        raise ValueError(f"direction must be 'cut' or 'stitch', got {direction!r}")
+    return ControlSchedule(f"polynomial_{direction}", float(duration), (), direction)
 
 
 def noise_window_count(duration: float, window: float) -> int:

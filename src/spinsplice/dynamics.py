@@ -16,10 +16,11 @@ there (``SectorPropagator.centred``), a step applies
 exp(-i ((h0 - c0) + g_b (v - cv)) dt_b) to column b and the scalar phase
 exp(-i (c0 + g_b cv) dt_b) is restored when the state is read.  By Weyl's
 inequality the centred generator has 2-norm at most r0 + |g_b| rv, and the
-Taylor series planned by ``taylor_plan`` on the bound (r0 + |g_b| rv) dt_b
-is the exact factor to round-off; a step whose plan needs more than
-``MAX_TAYLOR_TERMS`` terms takes the exact factor from an eigendecomposition
-instead (``_exact_factor``).
+Taylor series planned by ``taylor_plan`` on the bound (r0 + |g_b| rv) dt_b,
+the fewest substeps that MAX_TAYLOR_ORDER allows and in them the least
+order that covers one, is the exact factor to round-off; a step whose plan
+needs more than ``MAX_TAYLOR_TERMS`` terms takes the exact factor from an
+eigendecomposition instead (``_exact_factor``).
 
 The block dimension d alone picks how the series is applied.  A block whose
 table of (h + g v)^k up to MAX_TAYLOR_ORDER fits MAX_BATCH_BYTES (d <= 23:
@@ -94,8 +95,7 @@ def _largest_substep_norm(order: int) -> float:
     return lo
 
 
-ORDERS = np.arange(MAX_TAYLOR_ORDER, 0, -1)  # highest first: ties go to the fewest substeps
-THETA = np.array([_largest_substep_norm(m) for m in ORDERS])
+THETA = np.array([_largest_substep_norm(m) for m in range(1, MAX_TAYLOR_ORDER + 1)])  # index m - 1
 _INVERSE_ORDERS = 1.0 / np.arange(1.0, MAX_TAYLOR_ORDER + 1)[:, None, None, None]
 # each (-i)^k / k! as the sign of its real (k even) or imaginary (k odd) part over k!
 _POWER_OF_MINUS_I = np.array([(-1.0) ** ((k + 1) // 2) / math.factorial(k) for k in range(MAX_TAYLOR_ORDER + 1)])
@@ -106,45 +106,19 @@ _RUN_INDEX = [(np.concatenate([np.arange(l, m + 1) for l in range(m + 1)]),
                np.concatenate([np.full(m + 1 - l, l) for l in range(m + 1)])) for m in range(MAX_TAYLOR_ORDER + 1)]
 
 
-def _least_work(norm_dt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``taylor_plan`` from its definition, one row of candidates per bound."""
-    substeps = np.minimum(np.ceil(np.asarray(norm_dt)[:, None] / THETA), MAX_TAYLOR_TERMS + 1)
-    substeps = np.maximum(substeps, 1.0).astype(int)
-    best = np.argmin(ORDERS * substeps, axis=1)
-    return ORDERS[best], substeps[np.arange(best.size), best]
-
-
-def _first_above(count: float, theta: float) -> float:
-    """The least float x with x / theta > count, as rounded."""
-    x = count * theta
-    while x / theta > count:
-        x = math.nextafter(x, 0.0)
-    while not x / theta > count:
-        x = math.nextafter(x, math.inf)
-    return x
-
-
-# Each float at which some order's substep count ceil(x / theta) passes a
-# count up to MAX_TAYLOR_TERMS, and the plan from 0 and from each edge on:
-# every count, and so the plan, is constant between two edges.  On the
-# 65536 bounds of a 218-column, 300-step batch the table takes 5 ms and
-# 1.5 MiB, the definition 16 ms and 30 MiB of (bounds x orders) temporaries.
-_PLAN_EDGES = np.array(sorted({_first_above(float(s), theta) for theta in THETA.tolist()
-                               for s in range(1, MAX_TAYLOR_TERMS + 1)}))
-_PLANS = _least_work(np.concatenate([[0.0], _PLAN_EDGES]))
-
-
 def taylor_plan(norm_dt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Order m and substep count s for steps whose Hermitian generator times
-    dt has 2-norm at most ``norm_dt``, the centred bound (r0 + |g| rv) dt:
-    the pair with the least m * s, and of those the fewest substeps, such
-    that each substep's norm is within the largest that order m truncates to
-    2^-53 (THETA; Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
-    The tail bound holds in the 2-norm, the norm of the state.  Read off a
-    table of the plan between the bounds at which a substep count changes,
-    for an array of bounds of any shape."""
-    at = np.searchsorted(_PLAN_EDGES, norm_dt, side="right")
-    return _PLANS[0][at], _PLANS[1][at]
+    dt has 2-norm at most ``norm_dt``, the centred bound (r0 + |g| rv) dt,
+    for an array of bounds of any shape: the fewest substeps that order
+    MAX_TAYLOR_ORDER allows, and in them the least order whose THETA, the
+    largest substep norm it truncates to 2^-53 in the 2-norm, the norm of
+    the state, covers a substep (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+    488 (2011)).  As THETA[m - 1] / m rises with m, this is the pair with the
+    least m * s, and of those the fewest substeps.  s is clipped at
+    MAX_TAYLOR_TERMS + 1, so that a bound past the budget, inf included,
+    plans m * s > MAX_TAYLOR_TERMS and takes the exact factor."""
+    substeps = np.clip(np.ceil(norm_dt / THETA[-1]), 1, MAX_TAYLOR_TERMS + 1).astype(int)
+    return np.searchsorted(THETA, norm_dt / substeps) + 1, substeps
 
 
 class SectorPropagator:

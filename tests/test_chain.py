@@ -260,6 +260,14 @@ class TestChainSpecValidation:
         with pytest.raises(ValueError, match="n_spins"):
             ChainSpec(1, "open")
 
+    @pytest.mark.parametrize("n_spins", [6.0, 6.5])
+    def test_rejects_non_integral_size(self, n_spins):
+        with pytest.raises(ValueError, match="n_spins"):
+            ChainSpec(n_spins, "ring", 1.0, 2.0)
+
+    def test_accepts_numpy_integer_size(self):
+        assert ChainSpec(np.int64(6), "ring", 1.0, 2.0).cut_bonds == frozenset({(1, 2), (1, 6)})
+
     def test_rejects_two_spin_ring(self):
         with pytest.raises(ValueError, match="ring"):
             ChainSpec(2, "ring")

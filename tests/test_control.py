@@ -168,6 +168,9 @@ class TestValidation:
             ControlSchedule("polynomial_cut", 1.0, (), "stitch")
         with pytest.raises(ValueError, match="direction"):
             ControlSchedule("sine_cut", 1.0, (0.1,), "stitch")
+        # the baseline drives only the two directions, in their own spelling
+        with pytest.raises(ValueError, match="direction must be 'cut' or 'stitch'"):
+            linear_baseline(0.6, "Cut")
 
     def test_pulse_needs_amplitudes(self):
         with pytest.raises(ValueError, match="amplitude"):

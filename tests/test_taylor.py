@@ -99,21 +99,29 @@ class TestExactReference:
         assert record.taylor_matvecs == 0
         assert record.max_norm_dt > 100.0
 
-    @pytest.mark.parametrize("schedule", [
-        polynomial_cut(0.6, (54.3, -36.3)),
-        pulse_train(0.6, (0.5, -1.0, 2.0)),
-        pulse_train(0.6, (0.5, -40.0, 2.0)),  # the middle pulse is beyond the budget
-    ], ids=["polynomial", "pulse_train", "pulse_beyond_budget"])
-    def test_steps_within_the_budget_take_their_taylor_plan(self, ring6, schedule):
+    def test_per_term_kernel_in_every_plan_regime(self, ring8):
+        # ring8's 31-state block applies the series term by term; these
+        # pulses' bounds 1.30 / 2.65 / 4.00 / 19.3 plan (19, 1), (20, 2),
+        # (20, 3) and the exact factor
+        assert_gate(ring8, pulse_train(0.6, (0.0, 3.0, 6.0, 40.0)), 300)
+
+    @pytest.mark.parametrize("name,schedule", [
+        ("ring6", polynomial_cut(0.6, (54.3, -36.3))),
+        ("ring6", pulse_train(0.6, (0.5, -1.0, 2.0))),
+        ("ring6", pulse_train(0.6, (0.5, -40.0, 2.0))),  # the middle pulse is beyond the budget
+        ("ring8", pulse_train(0.6, (0.0, 3.0, 6.0, 40.0))),  # one, two, three substeps and exact
+    ], ids=["polynomial", "pulse_train", "pulse_beyond_budget", "ring8_pulse_train"])
+    def test_steps_within_the_budget_take_their_taylor_plan(self, request, name, schedule):
         # each plan is sized on (r0 + |g| rv) dt, the half-widths of the dense
         # operators' spectra on the occupied block
-        _, record = ring6.run(schedule, 300)
-        prop = ring6.propagator
-        reference = sector_reference(ring6.chain)
+        process = request.getfixturevalue(name)
+        _, record = process.run(schedule, 300)
+        prop = process.propagator
+        reference = sector_reference(process.chain)
         grid = integration_grid(schedule, 300)
         g = schedule.values(0.5 * (grid[:-1] + grid[1:]))
         expected = 0
-        for k in prop.occupied(ring6.psi0):
+        for k in prop.occupied(process.psi0):
             (_, r0), (_, rv) = (centre_and_half_width(op) for op in reference_block(reference, prop.blocks[k]))
             orders, substeps = taylor_plan((r0 + np.abs(g) * rv) * np.diff(grid))
             work = orders * substeps
@@ -216,20 +224,38 @@ class TestTaylorPlan:
                     if m * s < order * substeps:
                         assert tail(m, norm_dt / s) > UNIT_ROUNDOFF, (norm_dt, m, s)
 
-    def test_table_equals_the_least_work_pair(self):
-        # the plan read off the table of edges is the definition's pair, at
-        # every edge, one float either side of it, and in between
-        edges = dynamics_module._PLAN_EDGES
+    def test_plan_equals_the_least_work_pair(self):
+        # the definition: of each order m with its fewest substeps
+        # ceil(norm_dt / THETA[m - 1]), the pair with the least m * s, ties to
+        # the fewest substeps; checked at every bound at which some order's
+        # count passes one within the budget, one float either side of it,
+        # in between and over the whole float range
+        def first_above(count, theta):
+            """The least float x with x / theta > count, as rounded."""
+            x = count * theta
+            while x / theta > count:
+                x = math.nextafter(x, 0.0)
+            while not x / theta > count:
+                x = math.nextafter(x, math.inf)
+            return x
+
+        theta = dynamics_module.THETA
+        edges = np.array([first_above(float(s), t) for t in theta.tolist() for s in range(1, MAX_TAYLOR_TERMS + 1)])
         norms = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
-                                np.random.default_rng(3).uniform(0.0, 400.0, 2000), [0.0, 1e-300, 1e300]])
+                                np.random.default_rng(3).uniform(0.0, 400.0, 2000),
+                                np.geomspace(1e-300, 1e300, 601), [0.0, np.inf]])
         orders, substeps = taylor_plan(norms)
-        for norm_dt, order, count in zip(norms.tolist(), orders.tolist(), substeps.tolist()):
-            # highest order first: ties go to the fewest substeps
-            candidates = [(m * max(1, min(math.ceil(norm_dt / theta), MAX_TAYLOR_TERMS + 1)), i)
-                          for i, (m, theta) in enumerate(zip(dynamics_module.ORDERS.tolist(),
-                                                             dynamics_module.THETA.tolist()))]
-            work, best = min(candidates)
-            assert (order, count) == (dynamics_module.ORDERS[best], work // dynamics_module.ORDERS[best])
+        highest_first = np.arange(MAX_TAYLOR_ORDER, 0, -1)
+        with np.errstate(over="ignore"):
+            counts = np.clip(np.ceil(norms[:, None] / theta[::-1]), 1, MAX_TAYLOR_TERMS + 1).astype(int)
+        best = np.argmin(highest_first * counts, axis=1)  # the first of equals: the fewest substeps
+        least_order, least_count = highest_first[best], counts[np.arange(norms.size), best]
+        taylor = least_order * least_count <= MAX_TAYLOR_TERMS
+        assert taylor.any() and not taylor.all()
+        assert np.array_equal(orders[taylor], least_order[taylor])
+        assert np.array_equal(substeps[taylor], least_count[taylor])
+        # past the budget, both take the exact factor
+        assert np.all(orders[~taylor] * substeps[~taylor] > MAX_TAYLOR_TERMS)
 
     def test_work_grows_with_the_norm(self):
         orders, substeps = taylor_plan(np.linspace(0.0, 4.5, 91))
