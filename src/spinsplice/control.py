@@ -30,6 +30,12 @@ def _horner_from_one(coeffs: tuple[float, ...], x: np.ndarray | float):
     return 1.0 + acc
 
 
+def _interval(t: np.ndarray, width: float, count: int) -> np.ndarray:
+    """Index k of the interval [k width, (k + 1) width) holding each t, clipped to 0 .. count - 1,
+    by the products k * width of ``breakpoints`` (a floor of t / width may round past them)."""
+    return np.searchsorted(np.arange(1, count) * width, t, side="right")
+
+
 @dataclass(frozen=True)
 class ControlSchedule:
     kind: str
@@ -65,7 +71,9 @@ class ControlSchedule:
         return (-(1.0 + float(sum(self.params))),) + self.params
 
     def values(self, times: np.ndarray) -> np.ndarray:
-        """Vectorized g(t) over an array of times, the plateaus before 0 and after the duration included."""
+        """Vectorized g(t) over an array of times, the plateaus before 0 and after the duration included.
+
+        A jump point takes the later interval, by the edges ``breakpoints`` returns."""
         t = np.asarray(times, dtype=float)
         T = self.duration
         start, end = (1.0, 0.0) if self.direction == "cut" else (0.0, 1.0)
@@ -75,8 +83,7 @@ class ControlSchedule:
         tc = np.clip(t, 0.0, T)
         if self.kind == "pulse":
             dt = T / len(self.params)  # 0 at the smallest T: then [0, T) is all the first pulse
-            idx = np.clip((tc // dt).astype(int), 0, len(self.params) - 1) if dt > 0 else 0
-            inside = np.asarray(self.params)[idx]
+            inside = np.asarray(self.params)[_interval(tc, dt, len(self.params)) if dt > 0 else 0]
         elif self.kind == "polynomial_cut":
             inside = _horner_from_one(self._full_poly_coeffs(), tc / T)
         elif self.kind == "polynomial_stitch":
@@ -89,8 +96,7 @@ class ControlSchedule:
         clean = np.where(t < 0.0, start, np.where(t >= T, end, inside)).astype(float)
         if not self.offsets:
             return clean
-        idx = np.clip((tc // self.window).astype(int), 0, len(self.offsets) - 1)
-        bump = np.asarray(self.offsets)[idx]
+        bump = np.asarray(self.offsets)[_interval(tc, self.window, len(self.offsets))]
         return np.where((t >= 0.0) & (t < T), clean + bump, clean)
 
     def breakpoints(self) -> np.ndarray:

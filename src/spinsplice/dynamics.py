@@ -26,12 +26,13 @@ The block dimension d alone picks how the series is applied.  A block whose
 table of (h + g v)^k up to MAX_TAYLOR_ORDER fits MAX_BATCH_BYTES (d <= 23:
 every block of the 4- to 7-spin chains) takes step factors
 (``_factor_steps``): each column on its own plan, each step's polynomial
-one d x d matrix from the cached table, applied in one batched product per
-substep, so that a column's value is bitwise that of its single run.  A
-batch whose step factors' coefficients would exceed MAX_BATCH_BYTES
-evolves in parts of its columns (``_column_parts``).  A larger block applies the series term by term (``_taylor_steps``), one
-(d x B) product per term, on one plan per step for the batch, from its
-largest bound.
+one d x d matrix from the table, built whole with the block's record,
+applied in one batched product per substep, so that a column's value is
+bitwise that of its single run.  A batch whose step factors' coefficients
+would exceed MAX_BATCH_BYTES evolves in parts of its columns
+(``_column_parts``).  A larger block applies the series term by term
+(``_taylor_steps``), one (d x B) product per term, on one plan per step
+for the batch, from its largest bound.
 
 The observables (``reduce_density``, ``cut_fidelity``, ``entropy``) take a
 stack of states or matrices along a leading axis.  The module does no file
@@ -211,8 +212,8 @@ class SectorPropagator:
         """Block k's ``Centred`` record: the centres and radii (c0, r0, cv,
         rv) of h0's range (from construction) and v's (``_ranges``), the
         centred matrices h0 - c0 and v - cv, the two side by side, and, when
-        its table fits MAX_BATCH_BYTES, the expansion of
-        (h0 - c0) / r0 + g (v - cv) / rv."""
+        its table fits MAX_BATCH_BYTES, the whole expansion table of
+        (h0 - c0) / r0 + g (v - cv) / rv, built once here (``_expansion``)."""
         if k not in self._centred:
             ((_, v_range),) = self._ranges(self.v, blocks=[k])
             (c0, r0), (cv, rv) = self._h0_range[:, k].tolist(), v_range[:, 0].tolist()
@@ -226,7 +227,7 @@ class SectorPropagator:
             expansion = None
             if 8 * EXPANSION_TERMS * h.size <= MAX_BATCH_BYTES:
                 # a zero radius leaves its matrix, zero itself, as it is
-                expansion = _Expansion(h / (r0 or 1.0), v / (rv or 1.0))
+                expansion = _expansion(h / (r0 or 1.0), v / (rv or 1.0))
             self._centred[k] = Centred(c0, r0, cv, rv, h, v, hv, expansion)
         return self._centred[k]
 
@@ -243,9 +244,10 @@ class Centred(NamedTuple):
     """One block's centred generator (``SectorPropagator.centred``): the
     centres c0, cv and radii r0, rv of the ranges of h0 and v there, with
     ||h0 - c0||_2 <= r0 and ||v - cv||_2 <= rv; h = h0 - c0 and v = v - cv,
-    the two halves of ``hv`` = [h v]; and ``expansion``, the table of
-    (h / r0 + g v / rv)^k, whose entries are at most binomial(k, l) in norm,
-    or None for a block too large for step factors."""
+    the two halves of ``hv`` = [h v]; and ``expansion``, the whole table of
+    (h / r0 + g v / rv)^k built with the record (``_expansion``), whose
+    entries are at most binomial(k, l) in norm, or None for a block too
+    large for step factors."""
 
     c0: float
     r0: float
@@ -254,35 +256,24 @@ class Centred(NamedTuple):
     h: np.ndarray
     v: np.ndarray
     hv: np.ndarray
-    expansion: _Expansion | None
+    expansion: np.ndarray | None
 
 
-class _Expansion:
-    """The real matrices M[k, l] with (h + g v)^k = sum_l g^l M[k, l]:
-    M[0, 0] = I and M[k, l] = h M[k-1, l] + v M[k-1, l-1], a term absent
-    when its l is out of 0..k-1.  They are stored l-major, so that the
-    entries of one l up to an order are one run of rows (``runs``), and
-    filled up to the highest order asked for, so that a table's untouched
-    pages take no memory."""
-
-    def __init__(self, h: np.ndarray, v: np.ndarray):
-        self.h, self.v = h, v
-        self.table = np.empty((EXPANSION_TERMS, *h.shape))
-        self.table[0] = np.eye(h.shape[0])
-        self.order = 0
-
-    def runs(self, order: int) -> list[np.ndarray]:
-        """For l = 0..order, M[l, l] .. M[order, l] as rows of d^2, filling
-        the table up to ``order``."""
-        for k in range(self.order + 1, order + 1):
-            below = self.table[_RUN_START[:k] + k - 1 - np.arange(k)]
-            row = np.zeros((k + 1, *self.h.shape))
-            np.matmul(self.h, below, out=row[:k])
-            row[1:] += np.matmul(self.v, below)
-            self.table[_RUN_START[:k + 1] + k - np.arange(k + 1)] = row
-        self.order = max(self.order, order)
-        rows = self.table.reshape(EXPANSION_TERMS, -1)
-        return [rows[start:start + order + 1 - l] for l, start in enumerate(_RUN_START[:order + 1].tolist())]
+def _expansion(h: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The real matrices M[k, l] with (h + g v)^k = sum_l g^l M[k, l] for
+    k <= MAX_TAYLOR_ORDER: M[0, 0] = I and M[k, l] = h M[k-1, l] + v M[k-1, l-1],
+    a term absent when its l is out of 0..k-1.  They are the rows of d^2 of
+    one l-major table, M[k, l] at row _RUN_START[l] + k - l, so that the
+    entries of one l up to an order are one run of rows."""
+    table = np.empty((EXPANSION_TERMS, *h.shape))
+    table[0] = np.eye(h.shape[0])
+    for k in range(1, MAX_TAYLOR_ORDER + 1):
+        below = table[_RUN_START[:k] + k - 1 - np.arange(k)]
+        row = np.zeros((k + 1, *h.shape))
+        np.matmul(h, below, out=row[:k])
+        row[1:] += np.matmul(v, below)
+        table[_RUN_START[:k + 1] + k - np.arange(k + 1)] = row
+    return table.reshape(EXPANSION_TERMS, -1)
 
 
 def _weyl(*terms: tuple[float | np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -416,8 +407,8 @@ def _factor_steps(block, amp, g_values, dts, plan):
     chunk = max(1, MAX_BATCH_BYTES // (4 * 16 * d * d * width)) * width  # entries per chunk
     layout = _factor_layout(plan.key, g_values * (dts / plan.substeps) * rv, chunk)
 
-    bases = layout.bases
-    formed = np.empty((max(np.diff(bases), default=0), 2 * d * d))
+    edges, groups = layout.edges, layout.groups
+    formed = np.empty((max(np.diff(np.take(edges, groups)), default=0), 2 * d * d))
     mixed = (exact.any(axis=1) | (plan.substeps != plan.substeps[:, :1]).any(axis=1)).tolist()
     repeats = plan.substeps[:, 0].tolist()
     rows, spare = np.ascontiguousarray(amp.T)[:, :, None], np.empty((width, d, 1), dtype=complex)
@@ -426,15 +417,15 @@ def _factor_steps(block, amp, g_values, dts, plan):
     in_order = (np.diff(by_step, axis=1) == 1).all(axis=1).tolist()
     step = gathered = np.empty((width, d, d), dtype=complex)
     for c, lo in enumerate(range(0, steps * width, chunk)):
-        base, end = bases[c], bases[c + 1]
+        base, end = edges[groups[c]], edges[groups[c + 1]]
         if end > base:
             # u^l of this chunk's rows for l = 0..MAX_TAYLOR_ORDER, whatever the orders
             table = np.repeat(layout.u[base:end, None], MAX_TAYLOR_ORDER + 1, axis=1)
             table[:, 0] = 1.0
             np.cumprod(table, axis=1, out=table)
-            for g in range(layout.groups[c], layout.groups[c + 1]):
+            for g in range(groups[c], groups[c + 1]):
                 n = polynomials[layout.group_key[g]]
-                a, b = layout.slot[g] - base, layout.slot[g] - base + layout.padded[g]
+                a, b = edges[g] - base, edges[g + 1] - base
                 # (FACTOR_ROWS x (m+1)) by ((m+1) x 2 d^2) products
                 np.matmul(table[a:b, :len(n)].reshape(-1, FACTOR_ROWS, len(n)), n,
                           out=formed[a:b].reshape(-1, FACTOR_ROWS, n.shape[1]))
@@ -469,10 +460,8 @@ class _Layout(NamedTuple):
     of entries of one key in one chunk, padded to whole FACTOR_ROWS."""
 
     group_key: list  # each group's key
-    slot: list  # each group's first row, the groups of all chunks in turn
-    padded: list  # each group's rows
+    edges: list  # each group's first row, the groups of all chunks in turn, and one past the last
     groups: list  # each chunk's first group, and one past the last
-    bases: list  # each chunk's first row, and one past the last
     row: np.ndarray  # each entry's row among its chunk's factors (0 if exact)
     u: np.ndarray  # u = g tau rv of each row, 0 on padding
 
@@ -489,25 +478,23 @@ def _factor_layout(key, u, chunk) -> _Layout:
     heads[1:] = (np.diff(key) != 0) | (np.diff(taylor // chunk) != 0)
     heads = np.flatnonzero(heads)
     size = np.diff(np.append(heads, taylor.size))
-    padded = -(-size // FACTOR_ROWS) * FACTOR_ROWS
-    slot = np.cumsum(padded) - padded
-    where = np.repeat(slot - heads, size) + np.arange(taylor.size)  # each entry's row
-    padded_u = np.zeros(int(padded.sum()))
+    edges = np.append(0, np.cumsum(-(-size // FACTOR_ROWS) * FACTOR_ROWS))
+    where = np.repeat(edges[:-1] - heads, size) + np.arange(taylor.size)  # each entry's row
+    padded_u = np.zeros(edges[-1])
     padded_u[where] = u.ravel()[taylor]
     firsts = np.searchsorted(taylor, np.arange(0, u.size + chunk, chunk))  # each chunk's first entry
     groups = np.searchsorted(heads, firsts)
-    bases = np.append(slot, padded_u.size)[groups]
     row = np.zeros(u.size, dtype=int)
-    row[taylor] = where - np.repeat(bases[:-1], np.diff(firsts))
-    return _Layout(key[heads].tolist(), slot.tolist(), padded.tolist(), groups.tolist(), bases.tolist(), row, padded_u)
+    row[taylor] = where - np.repeat(edges[groups[:-1]], np.diff(firsts))
+    return _Layout(key[heads].tolist(), edges.tolist(), groups.tolist(), row, padded_u)
 
 
 def _coefficients(expansion, orders, scaled):
     """For each (m, a): N_l = sum_{k=l..m} (-i)^k a^(k-l) / k! M[k, l] for
     l = 0..m, as the rows of an (m + 1) x 2 d^2 real array (each N_l the
     complex d x d matrix).  The keys of one order are formed together: for
-    each l, one product of that run of the table by each key's (Re, Im)
-    coefficients of M[l..m, l]."""
+    each l, one product of the run M[l..m, l], sliced from the block's
+    ``expansion`` table at _RUN_START[l], by each key's (Re, Im) coefficients."""
     out = [None] * len(orders)
     for m in sorted(set(orders.tolist())):
         which = np.flatnonzero(orders == m)
@@ -515,12 +502,12 @@ def _coefficients(expansion, orders, scaled):
         # (-i)^k / k! is real for even k and imaginary for odd k
         coefs = np.zeros((which.size, k.size, 2))
         coefs[:, np.arange(k.size), k % 2] = _POWER_OF_MINUS_I[k] * scaled[which, None] ** (k - l)
-        n = np.empty((which.size, m + 1, expansion.h.size, 2))
+        n = np.empty((which.size, m + 1, expansion.shape[1], 2))
         start = 0
-        for j, run in enumerate(expansion.runs(m)):
+        for j, first in enumerate(_RUN_START[:m + 1].tolist()):
             # (d^2 x (m+1-j)) by ((m+1-j) x 2): N_j with (Re, Im) side by side
-            np.matmul(run.T, coefs[:, start:start + len(run)], out=n[:, j])
-            start += len(run)
+            np.matmul(expansion[first:first + m + 1 - j].T, coefs[:, start:start + m + 1 - j], out=n[:, j])
+            start += m + 1 - j
         for i, one in zip(which.tolist(), n.reshape(which.size, m + 1, -1)):
             out[i] = one
     return out
@@ -595,10 +582,13 @@ def purity(rho: np.ndarray) -> float:
 
 def entropy(rho: np.ndarray) -> float | np.ndarray:
     """Von Neumann entropy -sum(lam ln lam) over eigenvalues above 1e-14,
-    of one matrix, or of each of a stack from one stacked ``eigvalsh``."""
+    of one matrix, or of each of a stack from one stacked ``eigvalsh``.  A
+    sum at or below zero, a pure state's lone eigenvalue rounded to 1 or
+    just above it, is +0.0, so that an entropy is never negative."""
     lams = np.linalg.eigvalsh(rho)
     out = np.array([-np.sum(lam * np.log(lam)) for lam in (
         row[row > ENTROPY_EIGENVALUE_FLOOR] for row in lams.reshape(-1, lams.shape[-1]))])
+    out = np.where(out <= 0.0, 0.0, out)
     return float(out[0]) if lams.ndim == 1 else out.reshape(lams.shape[:-1])
 
 

@@ -96,6 +96,42 @@ class TestEvaluate:
             values = noisy.values([1.0, -1.0, 0.0, 5e-324, 1e-323])
         assert values.tolist() == [0.0, 1.0, 1.0 + noisy.offsets[0], 0.5 + noisy.offsets[1], 0.0]
 
+    def test_every_pulse_edge_takes_the_later_pulse(self):
+        # the floor t // width rounds down at 54 of these 264 edges, which
+        # a recorded run samples; each edge opens the interval it is the
+        # start of, by the products breakpoints() places it at
+        floored = 0
+        for T in (0.3, 0.6, 0.9, 1.7):
+            for K in range(2, 13):
+                sched = pulse_train(T, np.arange(K) + 1.0)
+                edges = sched.breakpoints()
+                assert edges.tolist() == (np.arange(1, K) * (T / K)).tolist()
+                assert sched.values(edges).tolist() == list(sched.params[1:])
+                floored += int(((edges // (T / K)).astype(int) < np.arange(1, K)).sum())
+        assert floored == 54
+
+    def test_every_noise_edge_takes_the_later_window(self):
+        # 0.01 windows on T = 0.6: the floor rounds down at 27 of the 59 edges
+        noisy = apply_noise(polynomial_cut(0.6), window=0.01, strength=1.0, seed=5)
+        edges = noisy.breakpoints()
+        assert edges.tolist() == (np.arange(1, 60) * 0.01).tolist()
+        clean = polynomial_cut(0.6).values(edges)
+        assert noisy.values(edges).tolist() == (clean + np.asarray(noisy.offsets[1:])).tolist()
+        assert int(((edges // 0.01).astype(int) < np.arange(1, 60)).sum()) == 27
+
+    @pytest.mark.parametrize("n_steps", [1, 7, 300])
+    def test_midpoint_values_are_the_floor_index(self, n_steps):
+        # away from the edges the index is the floor t // width, bitwise
+        for T in (0.3, 0.6, 0.9, 1.7):
+            for K in range(2, 13):
+                params = np.random.default_rng(K).uniform(-60.0, 60.0, K)
+                noisy = apply_noise(pulse_train(T, params), window=0.01, strength=1.0, seed=K)
+                grid = integration_grid(noisy, n_steps)
+                mid = 0.5 * (grid[:-1] + grid[1:])
+                floor = lambda width, count: np.clip((mid // width).astype(int), 0, count - 1)
+                expected = params[floor(T / K, K)] + np.asarray(noisy.offsets)[floor(0.01, len(noisy.offsets))]
+                assert noisy.values(mid).tobytes() == expected.tobytes()
+
 
 class TestStitchMirror:
     def test_pointwise_mirror_of_cut(self):

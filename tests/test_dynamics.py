@@ -302,6 +302,20 @@ class TestPurityEntropy:
         assert purity(rho) == pytest.approx(0.82, abs=1e-12)
         assert entropy(rho) == pytest.approx(0.3250829733914483, abs=1e-12)
 
+    def test_a_pure_state_has_positive_zero_entropy(self):
+        # -1 ln 1 is -0.0, and an eigenvalue rounded above 1 gives less
+        rho = np.diag([1.0, 0.0]).astype(complex)
+        assert entropy(rho) == 0.0 and not np.signbit(entropy(rho))
+        stack = entropy(np.stack([rho, rho * (1.0 + 2.0 ** -52), np.eye(2) / 2.0]))
+        assert stack[:2].tolist() == [0.0, 0.0] and not np.signbit(stack[:2]).any()
+        assert stack[2] == entropy(np.eye(2) / 2.0)
+
+    def test_a_recorded_pure_run_has_no_negative_entropy(self):
+        # ring3 keeps both sides pure: every eigenvalue of rho_A rounds to 0 or about 1
+        _, record = prepare_process(ChainSpec(3, "ring", 1.0, 2.0), "cut").run(polynomial_cut(0.6, (54.3, -36.3)), 20)
+        assert len(record.entropy_a) == 21
+        assert not np.signbit(record.entropy_a).any() and record.entropy_a.max() < 1e-12
+
 
 RECORDED_SCHEDULE = polynomial_cut(0.6, (34.9, -23.4))
 

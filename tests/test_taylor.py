@@ -175,6 +175,25 @@ class TestCentredBound:
         assert np.array_equal(block.hv, np.hstack((block.h, block.v)))
         assert (block.expansion is None) == (prop.blocks[k].size > 23)
 
+    @pytest.mark.parametrize("spec", [CHAINS["ring6"], CHAINS["open6"], ChainSpec(7, "open", 1.0, 2.0)],
+                             ids=["ring6", "open6", "open7"])
+    def test_expansion_table_sums_to_the_powers(self, spec):
+        # sum_l g^l M[k, l] = (h + g v)^k with h = (h0 - c0) / r0 and
+        # v = (v - cv) / rv, M[k, l] at row _RUN_START[l] + k - l
+        process = prepare_process(spec, "cut")
+        for k in process.propagator.occupied(process.psi0):
+            block = process.propagator.centred(k)
+            d = block.h.shape[0]
+            h, v = block.h / block.r0, block.v / block.rv
+            table = block.expansion.reshape(-1, d, d)
+            for g in (-3.0, -1.0, 0.5, 2.0):
+                power = np.eye(d)
+                for order in range(MAX_TAYLOR_ORDER + 1):
+                    rows = dynamics_module._RUN_START[:order + 1] + order - np.arange(order + 1)
+                    total = np.tensordot(g ** np.arange(order + 1), table[rows], axes=1)
+                    assert np.abs(total - power).max() <= 1e-12 * (1.0 + abs(g)) ** order
+                    power = (h + g * v) @ power
+
     @pytest.mark.parametrize("name", ["ring6", "ring8", "ring10"])
     def test_hv_starts_on_a_64_byte_boundary(self, name):
         # the Taylor kernel's products with hv run at the speed of an aligned
@@ -404,6 +423,25 @@ class TestBatchSizeIsInvisible:
         schedules = [polynomial_cut(0.6, np.array([54.3, -36.3]) + shift) for shift in shifts]
         batched, _ = propagate(ring6.propagator, schedules, ring6.psi0, 300)
         singles = np.stack([propagate(ring6.propagator, s, ring6.psi0, 300)[0] for s in schedules], axis=1)
+        assert np.array_equal(batched, singles)
+
+    def test_one_step_chunks_of_mixed_plans_equal_singles(self, ring6, monkeypatch):
+        # 210 columns of the 9-state block fill a chunk of factors with one
+        # step, and amplitudes up to 60 give every step of these 5-pulse
+        # trains columns of different substep counts and exact ones
+        assert 4 * 16 * 9 * 9 * 210 > dynamics_module.MAX_BATCH_BYTES
+        amplitudes = np.random.default_rng(15).uniform(-60.0, 60.0, (210, 5))
+        schedules = [pulse_train(0.6, a) for a in amplitudes]
+        singles = np.stack([propagate(ring6.propagator, s, ring6.psi0, 300)[0] for s in schedules], axis=1)
+        mixes, apply_mixed = [], dynamics_module._apply_mixed
+
+        def recorded(block, rows, step, substeps, exact, g, dt):
+            mixes.append((len(step), np.unique(substeps[~exact]).size > 1, bool(exact.any())))
+            apply_mixed(block, rows, step, substeps, exact, g, dt)
+
+        monkeypatch.setattr(dynamics_module, "_apply_mixed", recorded)
+        batched, _ = propagate(ring6.propagator, schedules, ring6.psi0, 300)
+        assert mixes == [(210, True, True)] * 5
         assert np.array_equal(batched, singles)
 
     def test_many_durations_keep_the_coefficients_within_the_batch_bytes(self, monkeypatch):
